@@ -31,11 +31,7 @@ from .identities import (
     IdentityCase,
     IdentityDescriptor,
     check_F_theorem,
-    check_combinatorial,
-    check_count_identity,
     check_genfun,
-    check_q_identity,
-    check_sine_vanishing,
     derive_even_sum_corollary,
     evaluate_case,
     get_descriptor,

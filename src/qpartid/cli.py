@@ -59,7 +59,6 @@ class RunConfig:
     fmt: str = "human"
     out: Optional[str] = None
     workers: int = 1
-    oracle_limit: int = ORACLE_LIMIT_DEFAULT
     inject_failure: bool = False
 
     def echo(self) -> dict:
@@ -69,7 +68,9 @@ class RunConfig:
             "overrides": {k: list(v) for k, v in sorted(self.overrides.items())},
             "format": self.fmt,
             "workers": self.workers,
-            "oracle_limit": self.oracle_limit,
+            # verify never reads the oracle limit; the key stays so the
+            # pinned report digests stay valid
+            "oracle_limit": ORACLE_LIMIT_DEFAULT,
             "inject_failure": self.inject_failure,
         }
 
@@ -103,6 +104,23 @@ def _grid_for(identity_id: str, overrides: dict[str, list[int]]) -> dict[str, li
     }
 
 
+def _build_report(config: dict, rows: list[dict], timing: dict) -> tuple[dict, int]:
+    """The run report around rows (kept, not copied), and its exit code."""
+    failures = sum(1 for r in rows if not r["pass"])
+    report = {
+        "version": __version__,
+        "config": config,
+        "results": rows,
+        "totals": {
+            "cases": len(rows),
+            "passes": len(rows) - failures,
+            "failures": failures,
+        },
+        "timing": timing,
+    }
+    return report, (0 if failures == 0 else 1)
+
+
 def run_verify(config: RunConfig) -> tuple[dict, int]:
     """Evaluate the selected families and assemble the run report."""
     known = {d.id for d in registry()}
@@ -130,20 +148,7 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
         timing[identity_id] = round(elapsed, 6)
         rows.extend(family_rows)
     timing["total"] = round(time.perf_counter() - started, 6)
-
-    failures = sum(1 for r in rows if not r["pass"])
-    report = {
-        "version": __version__,
-        "config": config.echo(),
-        "results": rows,
-        "totals": {
-            "cases": len(rows),
-            "passes": len(rows) - failures,
-            "failures": failures,
-        },
-        "timing": timing,
-    }
-    return report, (0 if failures == 0 else 1)
+    return _build_report(config.echo(), rows, timing)
 
 
 def render_report(report: dict, fmt: str) -> str:
@@ -236,7 +241,6 @@ def cmd_verify(args) -> int:
         fmt=args.format,
         out=args.out,
         workers=args.workers,
-        oracle_limit=args.oracle_limit,
         inject_failure=args.inject_failure,
     )
     report, code = run_verify(config)
@@ -321,23 +325,11 @@ def cmd_oracle_diff(args) -> int:
                         "rhs_hash": "",
                     }
                 )
-    failures = sum(1 for r in rows if not r["pass"])
-    report = {
-        "version": __version__,
-        "config": {"n_max": args.n_max, "oracle_limit": args.oracle_limit},
-        "results": rows,
-        "totals": {
-            "cases": len(rows),
-            "passes": len(rows) - failures,
-            "failures": failures,
-        },
-        "timing": {
-            "oracle_diff": round(time.perf_counter() - started, 6),
-            "total": round(time.perf_counter() - started, 6),
-        },
-    }
+    elapsed = round(time.perf_counter() - started, 6)
+    config = {"n_max": args.n_max, "oracle_limit": args.oracle_limit}
+    report, code = _build_report(config, rows, {"oracle_diff": elapsed, "total": elapsed})
     _emit(render_report(report, args.format), args.out)
-    return 0 if failures == 0 else 1
+    return code
 
 
 def _default_workers() -> int:
@@ -361,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "tsv", "human"), default="human")
         p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument(
-            "--oracle-limit", type=int, default=ORACLE_LIMIT_DEFAULT, metavar="N"
-        )
 
     v = sub.add_parser("verify", help="run identity checks over parameter grids")
     v.add_argument("--family", action="append", metavar="ID", help="identity id (repeatable)")
@@ -397,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("oracle-diff", help="compare DP counts against enumeration")
     o.add_argument("--n-max", type=int, required=True, metavar="N")
+    o.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT_DEFAULT, metavar="N")
     add_common(o)
     o.set_defaults(handler=cmd_oracle_diff)
 

@@ -1,10 +1,19 @@
 """Every verified identity, encoded as an executable exact check.
 
 Each identity lives in a registry entry carrying its parameter names and a
-default verification grid.  Checks build both sides independently — the
-polynomial ones with exact q-binomial brackets, the counting ones with the
-memoized partition counts, the q=1 combinatorial ones with big-integer
-binomials that never touch the polynomial layer — and compare exactly.
+default verification grid.  Checks build both sides independently and
+compare exactly, in three layers that share no evaluator:
+
+* q-polynomial: exact q-binomial brackets.  The single sums are rows of
+  _Q_SUMS over two bracket kernels, read by _q_side.
+* counting: the memoized partition counts.  The dilated, signed 2-D
+  convolutions are rows of _COUNT_SUMS, read by _count_side.
+* combinatorial at q = 1: big-integer binomials that never touch the
+  polynomial layer.  Each is a row of _COMB_SUMS naming one of four
+  binomial templates and its dilation, residue or flag.
+
+The triangle double sums, their parity corollaries, the triangle theorem,
+the generating functions and the other count chains are written out.
 
 Sixth-root-of-unity weights stay float-free: cos(j*pi/3) is a half-integer,
 so cosine-weighted identities are verified doubled with the integer table
@@ -17,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from .bigpoly import (
@@ -24,14 +34,14 @@ from .bigpoly import (
     ONE,
     ZERO,
     poly_add,
-    poly_eval_int,
     poly_mul,
     poly_scale,
     poly_shift,
+    series_geom_factor,
+    series_mul,
+    series_one,
 )
 from .partitions import (
-    check_pnmp_correspondence,
-    check_qnmp_correspondence,
     count_P,
     count_P_most,
     count_P_nm,
@@ -43,7 +53,6 @@ from .partitions import (
     count_Q_of,
     count_Q_star,
 )
-from .bigpoly import series_geom_factor, series_mul, series_one
 from .qbinom import binom, binom2, bracket_base
 
 # ---------------------------------------------------------------------------
@@ -62,6 +71,20 @@ def twice_cos(j: int) -> int:
 def twice_sin_over_sqrt3(j: int) -> int:
     """2*sin(j*pi/3)/sqrt(3) as an exact integer; odd and 6-periodic in j."""
     return _TWICE_SIN[j % 6]
+
+
+_PLAIN, _ALT, _COS, _SIN = "plain", "alt", "cos", "sin"
+
+
+def _weights(weight: str, count: int, n: int) -> list[int]:
+    """w(0..count-1): 1, (-1)^k, 2cos((2k-n)pi/3) or 2sin((n-2k)pi/3)/sqrt(3)."""
+    if weight == _ALT:
+        return [1 - 2 * (k % 2) for k in range(count)]
+    if weight == _COS:
+        return [twice_cos(2 * k - n) for k in range(count)]
+    if weight == _SIN:
+        return [twice_sin_over_sqrt3(n - 2 * k) for k in range(count)]
+    return [1] * count
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +203,6 @@ def _finish_pairs(
     )
 
 
-# ---------------------------------------------------------------------------
-# q-polynomial identities
-# ---------------------------------------------------------------------------
-
 _Q_PARAM_DOMAIN_MSG = "q-identity parameters must satisfy n, m >= 0 (and p >= 0, a >= 0, b, c >= 1)"
 
 
@@ -195,129 +214,68 @@ def _require_q_domain(params: dict[str, int], resdbl: bool) -> None:
         raise ValueError(f"{_Q_PARAM_DOMAIN_MSG}: got {params}")
 
 
-def _sides_delta(n: int, m: int) -> tuple[IntPoly, IntPoly]:
-    lhs = ZERO
-    for k in range(n + 1):
-        term = poly_shift(
-            poly_mul(bracket_base(m + n - k, m), bracket_base(m + 1, k)), binom2(k)
-        )
-        lhs = poly_add(lhs, term if k % 2 == 0 else poly_scale(term, -1))
-    return lhs, (ONE if n == 0 else ZERO)
+def _sides_check(identity_id: str, kind: str, params: tuple[str, ...], sides: Callable):
+    """A check from sides(*values): two polynomials, or a list of (lhs, rhs) integer pairs."""
+
+    def check(values, tamper=False):
+        case = make_case(identity_id, values, params)
+        args = [values[name] for name in params]
+        if kind != KIND_Q_POLYNOMIAL:
+            return _finish_pairs(case, sides(*args), tamper)
+        _require_q_domain(values, resdbl=identity_id in RESDBL_IDS)
+        return _finish_poly(case, *sides(*args), tamper)
+
+    return check
 
 
-def _sides_result1(n: int, m: int) -> tuple[IntPoly, IntPoly]:
-    lhs = ZERO
-    for k in range(n // 2 + 1):
-        term = poly_shift(
-            poly_mul(bracket_base(m + 1, n - 2 * k), bracket_base(m + k, m, 2)),
-            binom2(n - 2 * k),
-        )
-        lhs = poly_add(lhs, term)
-    return lhs, bracket_base(m + n, m)
+# ---------------------------------------------------------------------------
+# q-polynomial identities
+# ---------------------------------------------------------------------------
+#
+# The single sums combine two bracket kernels at fixed m, read in base q**d:
+#     U_j = [m+j, m]_d        V_j = q^(d*C(j,2)) [m+1, j]_d
+# A side is a kernel at index n in base q, _DELTA (1 at n = 0, else 0), or a
+# row (scale, A, B, d, w) meaning scale * sum_{k <= n/d} w(k) A_{n-dk} B_k,
+# with A in base q and B in base q**d.  Cosine rows come back doubled.
 
+_DELTA = "delta"
 
-def _sides_result2(n: int, m: int) -> tuple[IntPoly, IntPoly]:
-    lhs = ZERO
-    for k in range(n // 2 + 1):
-        term = poly_shift(
-            poly_mul(bracket_base(m + n - 2 * k, m), bracket_base(m + 1, k, 2)),
-            2 * binom2(k),
-        )
-        lhs = poly_add(lhs, term if k % 2 == 0 else poly_scale(term, -1))
-    return lhs, poly_shift(bracket_base(m + 1, n), binom2(n))
-
-
-def _sides_result3(n: int, m: int) -> tuple[IntPoly, IntPoly]:
-    # verified doubled so the cosine weights are exact integers
-    lhs = ZERO
-    for k in range(n // 3 + 1):
-        term = poly_shift(
-            poly_mul(bracket_base(m + 1, n - 3 * k), bracket_base(m + k, m, 3)),
-            binom2(n - 3 * k),
-        )
-        lhs = poly_add(lhs, poly_scale(term, 2 if k % 2 == 0 else -2))
-    rhs = ZERO
-    for k in range(n + 1):
-        w = twice_cos(2 * k - n)
-        if w:
-            term = poly_mul(bracket_base(m + n - k, m), bracket_base(m + k, m))
-            rhs = poly_add(rhs, poly_scale(term, w))
-    return lhs, rhs
-
-
-def _sides_result4(n: int, m: int) -> tuple[IntPoly, IntPoly]:
-    lhs = ZERO
-    for k in range(n // 3 + 1):
-        term = poly_shift(
-            poly_mul(bracket_base(m + n - 3 * k, m), bracket_base(m + 1, k, 3)),
-            3 * binom2(k),
-        )
-        lhs = poly_add(lhs, poly_scale(term, 2 if k % 2 == 0 else -2))
-    rhs = ZERO
-    for k in range(n + 1):
-        w = twice_cos(2 * k - n)
-        if w:
-            term = poly_shift(
-                poly_mul(bracket_base(m + 1, n - k), bracket_base(m + 1, k)),
-                binom2(n - k) + binom2(k),
-            )
-            rhs = poly_add(rhs, poly_scale(term, w))
-    return lhs, rhs
-
-
-def _sides_result5(n: int, m: int) -> tuple[IntPoly, IntPoly]:
-    lhs = ZERO
-    for k in range(n // 4 + 1):
-        term = poly_shift(
-            poly_mul(bracket_base(m + 1, n - 4 * k), bracket_base(m + k, m, 4)),
-            binom2(n - 4 * k),
-        )
-        lhs = poly_add(lhs, term)
-    rhs = ZERO
-    for k in range(n // 2 + 1):
-        term = poly_mul(bracket_base(m + n - 2 * k, m), bracket_base(m + k, m, 2))
-        rhs = poly_add(rhs, term if k % 2 == 0 else poly_scale(term, -1))
-    return lhs, rhs
-
-
-def _sides_result6(n: int, m: int) -> tuple[IntPoly, IntPoly]:
-    lhs = ZERO
-    for k in range(n // 4 + 1):
-        term = poly_shift(
-            poly_mul(bracket_base(m + n - 4 * k, m), bracket_base(m + 1, k, 4)),
-            4 * binom2(k),
-        )
-        lhs = poly_add(lhs, term if k % 2 == 0 else poly_scale(term, -1))
-    rhs = ZERO
-    for k in range(n // 2 + 1):
-        term = poly_shift(
-            poly_mul(bracket_base(m + 1, n - 2 * k), bracket_base(m + 1, k, 2)),
-            binom2(n - 2 * k) + 2 * binom2(k),
-        )
-        rhs = poly_add(rhs, term)
-    return lhs, rhs
-
-
-_SIMPLE_Q_SIDES = {
-    "delta": _sides_delta,
-    "result1": _sides_result1,
-    "result2": _sides_result2,
-    "result3": _sides_result3,
-    "result4": _sides_result4,
-    "result5": _sides_result5,
-    "result6": _sides_result6,
+_Q_SUMS = {
+    "delta": ((1, "U", "V", 1, _ALT), _DELTA),
+    "result1": ((1, "V", "U", 2, _PLAIN), "U"),
+    "result2": ((1, "U", "V", 2, _ALT), "V"),
+    "result3": ((2, "V", "U", 3, _ALT), (1, "U", "U", 1, _COS)),
+    "result4": ((2, "U", "V", 3, _ALT), (1, "V", "V", 1, _COS)),
+    "result5": ((1, "V", "U", 4, _PLAIN), (1, "U", "U", 2, _ALT)),
+    "result6": ((1, "U", "V", 4, _ALT), (1, "V", "V", 2, _PLAIN)),
 }
 
 
-def _make_simple_q_check(identity_id: str):
-    sides = _SIMPLE_Q_SIDES[identity_id]
+def _q_kernel(name: str, m: int, d: int, indices: Sequence[int]) -> list[IntPoly]:
+    """The kernel U or V at each index j, read in base q**d."""
+    if name == "U":
+        return [bracket_base(m + j, m, d) for j in indices]
+    return [poly_shift(bracket_base(m + 1, j, d), d * binom2(j)) for j in indices]
 
-    def check(params, tamper=False):
-        _require_q_domain(params, resdbl=False)
-        lhs, rhs = sides(params["n"], params["m"])
-        return _finish_poly(make_case(identity_id, params, ("n", "m")), lhs, rhs, tamper)
 
-    return check
+def _q_side(side, n: int, m: int) -> IntPoly:
+    if side == _DELTA:
+        return ONE if n == 0 else ZERO
+    if isinstance(side, str):
+        return _q_kernel(side, m, 1, [n])[0]
+    scale, a, b, d, weight = side
+    terms = [(k, scale * w) for k, w in enumerate(_weights(weight, n // d + 1, n)) if w]
+    outer = _q_kernel(a, m, 1, [n - d * k for k, _ in terms])
+    inner = _q_kernel(b, m, d, [k for k, _ in terms])
+    total = ZERO
+    for (_, w), x, y in zip(terms, outer, inner):
+        term = poly_mul(x, y)
+        total = poly_add(total, term if w == 1 else poly_scale(term, w))
+    return total
+
+
+def _q_sum_sides(spec, n: int, m: int) -> tuple[IntPoly, IntPoly]:
+    return _q_side(spec[0], n, m), _q_side(spec[1], n, m)
 
 
 # --- the four triangle double sums ----------------------------------------
@@ -419,17 +377,13 @@ def _resdbl_rhs(variant: str, n: int, p: int, a: int, c: int) -> IntPoly:
     return poly_shift(base, a * binom2(n))
 
 
-def _make_resdbl_check(variant: str):
-    def check(params, tamper=False):
-        _require_q_domain(params, resdbl=True)
-        n, m, p = params["n"], params["m"], params["p"]
-        a, b, c = params["a"], params["b"], params["c"]
-        lhs = resdbl_lhs(variant, n, m, p, a, b, c)
-        rhs = _resdbl_rhs(variant, n, p, a, c)
-        case = make_case(variant, params, ("n", "m", "p", "a", "b", "c"))
-        return _finish_poly(case, lhs, rhs, tamper)
+_NM = ("n", "m")
+_NMP = ("n", "m", "p")
+_RESDBL_PARAMS = ("n", "m", "p", "a", "b", "c")
 
-    return check
+
+def _resdbl_sides(variant: str, n, m, p, a, b, c) -> tuple[IntPoly, IntPoly]:
+    return resdbl_lhs(variant, n, m, p, a, b, c), _resdbl_rhs(variant, n, p, a, c)
 
 
 # --- even/odd linear combinations of the double sums -----------------------
@@ -493,32 +447,30 @@ def derive_even_sum_corollary(
     name = derived_id or f"{base_id}_{parity}_sum"
     transforms = tuple(transforms)
 
-    def check(params, tamper=False):
-        _require_q_domain(params, resdbl=False)
-        lhs, rhs = parity_sum_sides(
-            base_id, transforms, bindings, parity, params["n"], params["m"]
-        )
-        return _finish_poly(make_case(name, params, ("n", "m")), lhs, rhs, tamper)
+    def sides(n, m):
+        return parity_sum_sides(base_id, transforms, bindings, parity, n, m)
 
     return IdentityDescriptor(
         id=name,
         kind=KIND_Q_POLYNOMIAL,
-        params=("n", "m"),
+        params=_NM,
         default_grid={"n": list(range(9)), "m": list(range(9))},
-        check=check,
+        check=_sides_check(name, KIND_Q_POLYNOMIAL, _NM, sides),
     )
 
 
-_COROLLARY_2_4_RECIPE = dict(
-    base_id="resdbl2",
-    transforms=("swap_kl", "replace_l"),
-    bindings={"a": 0, "b": 1, "c": 1, "p": "m"},
-)
-_COROLLARY_3_4_RECIPE = dict(
-    base_id="resdbl3",
-    transforms=("replace_l",),
-    bindings={"a": 1, "b": 1, "c": 1, "p": "m+1"},
-)
+_COROLLARY_RECIPES = {
+    "corollary_2_4": dict(
+        base_id="resdbl2",
+        transforms=("swap_kl", "replace_l"),
+        bindings={"a": 0, "b": 1, "c": 1, "p": "m"},
+    ),
+    "corollary_3_4": dict(
+        base_id="resdbl3",
+        transforms=("replace_l",),
+        bindings={"a": 1, "b": 1, "c": 1, "p": "m+1"},
+    ),
+}
 
 
 def _make_corollary_check(recipe: dict, name: str):
@@ -550,29 +502,14 @@ def q_identity_sides(identity_id: str, params: dict[str, int]) -> tuple[IntPoly,
     parity corollaries (even combination); cosine-weighted identities come
     back in their doubled form.
     """
-    if identity_id in _SIMPLE_Q_SIDES:
-        return _SIMPLE_Q_SIDES[identity_id](params["n"], params["m"])
+    if identity_id in _Q_SUMS:
+        return _q_sum_sides(_Q_SUMS[identity_id], params["n"], params["m"])
     if identity_id in RESDBL_IDS:
-        n, m, p = params["n"], params["m"], params["p"]
-        a, b, c = params["a"], params["b"], params["c"]
-        return (
-            resdbl_lhs(identity_id, n, m, p, a, b, c),
-            _resdbl_rhs(identity_id, n, p, a, c),
-        )
-    if identity_id == "corollary_2_4":
-        recipe = _COROLLARY_2_4_RECIPE
-    elif identity_id == "corollary_3_4":
-        recipe = _COROLLARY_3_4_RECIPE
-    else:
+        return _resdbl_sides(identity_id, *(params[name] for name in _RESDBL_PARAMS))
+    if identity_id not in _COROLLARY_RECIPES:
         raise KeyError(f"no polynomial sides for {identity_id!r}")
-    return parity_sum_sides(
-        recipe["base_id"],
-        recipe["transforms"],
-        recipe["bindings"],
-        "even",
-        params["n"],
-        params["m"],
-    )
+    recipe = _COROLLARY_RECIPES[identity_id]
+    return parity_sum_sides(parity="even", n=params["n"], m=params["m"], **recipe)
 
 
 # --- the triangle theorem with an arbitrary coefficient sequence -----------
@@ -657,126 +594,60 @@ def _check_f_theorem(params, tamper=False):
 # ---------------------------------------------------------------------------
 # Counting identities
 # ---------------------------------------------------------------------------
+#
+# The convolutions pair two count kernels at the case's p: P, Q, Q* and P* are
+# count_P, count_Q, count_Q_star and count_P_star, and P+ is
+# (a, b) -> count_P(a+b, b, p+1).
+# A side is a kernel at (n, m), _DELTA (1 at n = m = 0, else 0), _NIL (zero),
+# or a row (scale, A, B, d, w) meaning
+#     scale * sum_{k <= n/d, l <= m/d} w(l) A(n-dk, m-dl) B(k, l).
+# The angle weights read m: 2cos((2l-m)pi/3) and 2sin((m-2l)pi/3)/sqrt(3).
+
+_NIL = "zero"
 
 
-def _pairs_theorem1(n, m, p):
-    rhs = sum(
-        count_Q(n - 2 * k, m - 2 * l, p) * count_P(k, l, p)
-        for k in range(n // 2 + 1)
-        for l in range(m // 2 + 1)
-    )
-    return [(count_P(n, m, p), rhs)]
+def _count_kernel(name: str) -> Callable[[int, int, int], int]:
+    # resolved per call, so a rebinding of the module's count functions is seen
+    if name == "P+":
+        return lambda a, b, p: count_P(a + b, b, p + 1)
+    return {"P": count_P, "Q": count_Q, "Q*": count_Q_star, "P*": count_P_star}[name]
 
 
-def _pairs_theorem2(n, m, p):
-    rhs = sum(
-        count_Q_star(n - 2 * k, m - 2 * l, p) * count_P(k, l, p)
-        for k in range(n // 2 + 1)
-        for l in range(m // 2 + 1)
-    )
-    return [(count_P(n + m, m, p + 1), rhs)]
+_COUNT_SUMS = {
+    "theorem1": ("P", (1, "Q", "P", 2, _PLAIN)),
+    "theorem2": ("P+", (1, "Q*", "P", 2, _PLAIN)),
+    "theorem3": ("Q", (1, "P", "Q", 2, _ALT)),
+    "theorem6": ((2, "Q", "P", 3, _ALT), (1, "P", "P", 1, _COS)),
+    "theorem7": ((2, "P", "Q", 3, _ALT), (1, "Q", "Q", 1, _COS)),
+    "theorem8": ((1, "Q", "P", 4, _PLAIN), (1, "P", "P", 2, _ALT)),
+    "theorem9": ((1, "P", "Q", 4, _ALT), (1, "Q", "Q", 2, _PLAIN)),
+    "theorem_simple": ((1, "P", "Q", 1, _ALT), _DELTA),
+    "qstar_relation": ("Q*", (1, "P+", "Q", 2, _ALT)),
+    "sine_vanishing_6": ((1, "P", "P", 1, _SIN), _NIL),
+    "sine_vanishing_7": ((1, "Q", "Q", 1, _SIN), _NIL),
+}
 
 
-def _pairs_theorem3(n, m, p):
-    rhs = 0
-    for k in range(n // 2 + 1):
-        for l in range(m // 2 + 1):
-            term = count_P(n - 2 * k, m - 2 * l, p) * count_Q(k, l, p)
-            rhs += term if l % 2 == 0 else -term
-    return [(count_Q(n, m, p), rhs)]
+def _count_side(side, n: int, m: int, p: int) -> int:
+    if side == _DELTA:
+        return int(n == 0 and m == 0)
+    if side == _NIL:
+        return 0
+    if isinstance(side, str):
+        return _count_kernel(side)(n, m, p)
+    scale, a, b, d, weight = side
+    outer, inner = _count_kernel(a), _count_kernel(b)
+    total = 0
+    for l, w in enumerate(_weights(weight, m // d + 1, m)):
+        if w:
+            total += w * sum(
+                outer(n - d * k, m - d * l, p) * inner(k, l, p) for k in range(n // d + 1)
+            )
+    return scale * total
 
 
-def _pairs_qstar_relation(n, m, p):
-    rhs = 0
-    for k in range(n // 2 + 1):
-        for l in range(m // 2 + 1):
-            term = count_P(n + m - 2 * (k + l), m - 2 * l, p + 1) * count_Q(k, l, p)
-            rhs += term if l % 2 == 0 else -term
-    return [(count_Q_star(n, m, p), rhs)]
-
-
-def _pairs_theorem6(n, m, p):
-    lhs = 0
-    for k in range(n // 3 + 1):
-        for l in range(m // 3 + 1):
-            term = count_Q(n - 3 * k, m - 3 * l, p) * count_P(k, l, p)
-            lhs += term if l % 2 == 0 else -term
-    rhs = sum(
-        twice_cos(2 * l - m) * count_P(n - k, m - l, p) * count_P(k, l, p)
-        for k in range(n + 1)
-        for l in range(m + 1)
-    )
-    return [(2 * lhs, rhs)]
-
-
-def _pairs_theorem7(n, m, p):
-    lhs = 0
-    for k in range(n // 3 + 1):
-        for l in range(m // 3 + 1):
-            term = count_P(n - 3 * k, m - 3 * l, p) * count_Q(k, l, p)
-            lhs += term if l % 2 == 0 else -term
-    rhs = sum(
-        twice_cos(2 * l - m) * count_Q(n - k, m - l, p) * count_Q(k, l, p)
-        for k in range(n + 1)
-        for l in range(m + 1)
-    )
-    return [(2 * lhs, rhs)]
-
-
-def _pairs_theorem8(n, m, p):
-    lhs = sum(
-        count_Q(n - 4 * k, m - 4 * l, p) * count_P(k, l, p)
-        for k in range(n // 4 + 1)
-        for l in range(m // 4 + 1)
-    )
-    rhs = 0
-    for k in range(n // 2 + 1):
-        for l in range(m // 2 + 1):
-            term = count_P(n - 2 * k, m - 2 * l, p) * count_P(k, l, p)
-            rhs += term if l % 2 == 0 else -term
-    return [(lhs, rhs)]
-
-
-def _pairs_theorem9(n, m, p):
-    lhs = 0
-    for k in range(n // 4 + 1):
-        for l in range(m // 4 + 1):
-            term = count_P(n - 4 * k, m - 4 * l, p) * count_Q(k, l, p)
-            lhs += term if l % 2 == 0 else -term
-    rhs = sum(
-        count_Q(n - 2 * k, m - 2 * l, p) * count_Q(k, l, p)
-        for k in range(n // 2 + 1)
-        for l in range(m // 2 + 1)
-    )
-    return [(lhs, rhs)]
-
-
-def _pairs_theorem_simple(n, m, p):
-    lhs = 0
-    for k in range(n + 1):
-        for l in range(m + 1):
-            term = count_P(n - k, m - l, p) * count_Q(k, l, p)
-            lhs += term if l % 2 == 0 else -term
-    rhs = 1 if (n == 0 and m == 0) else 0
-    return [(lhs, rhs)]
-
-
-def _pairs_sine_vanishing_6(n, m, p):
-    lhs = sum(
-        twice_sin_over_sqrt3(m - 2 * l) * count_P(n - k, m - l, p) * count_P(k, l, p)
-        for k in range(n + 1)
-        for l in range(m + 1)
-    )
-    return [(lhs, 0)]
-
-
-def _pairs_sine_vanishing_7(n, m, p):
-    lhs = sum(
-        twice_sin_over_sqrt3(m - 2 * l) * count_Q(n - k, m - l, p) * count_Q(k, l, p)
-        for k in range(n + 1)
-        for l in range(m + 1)
-    )
-    return [(lhs, 0)]
+def _count_pairs(spec, n: int, m: int, p: int) -> list[tuple[int, int]]:
+    return [(_count_side(spec[0], n, m, p), _count_side(spec[1], n, m, p))]
 
 
 def _pairs_pmost_chain(n, p):
@@ -809,43 +680,8 @@ def _pairs_qn_double_sum(n):
     return [(count_Q_of(n), rhs)]
 
 
-def _pairs_pnmp_correspondence(n, m, p):
-    return [(count_P_star(n, m, p), count_P(n + m, m, p + 1))]
-
-
 def _pairs_qnmp_correspondence(n, m, p):
     return [(count_Q(n, m, p), count_P(n - m * (m - 1) // 2, m, p - m + 1))]
-
-
-_COUNT_PAIR_FUNCS = {
-    "theorem1": (_pairs_theorem1, ("n", "m", "p")),
-    "theorem2": (_pairs_theorem2, ("n", "m", "p")),
-    "theorem3": (_pairs_theorem3, ("n", "m", "p")),
-    "theorem6": (_pairs_theorem6, ("n", "m", "p")),
-    "theorem7": (_pairs_theorem7, ("n", "m", "p")),
-    "theorem8": (_pairs_theorem8, ("n", "m", "p")),
-    "theorem9": (_pairs_theorem9, ("n", "m", "p")),
-    "theorem_simple": (_pairs_theorem_simple, ("n", "m", "p")),
-    "qstar_relation": (_pairs_qstar_relation, ("n", "m", "p")),
-    "sine_vanishing_6": (_pairs_sine_vanishing_6, ("n", "m", "p")),
-    "sine_vanishing_7": (_pairs_sine_vanishing_7, ("n", "m", "p")),
-    "pmost_chain": (_pairs_pmost_chain, ("n", "p")),
-    "pn_from_q": (_pairs_pn_from_q, ("n",)),
-    "qn_double_sum": (_pairs_qn_double_sum, ("n",)),
-    "pnmp_correspondence": (_pairs_pnmp_correspondence, ("n", "m", "p")),
-    "qnmp_correspondence": (_pairs_qnmp_correspondence, ("n", "m", "p")),
-}
-
-
-def _make_count_check(identity_id: str):
-    pair_func, order = _COUNT_PAIR_FUNCS[identity_id]
-
-    def check(params, tamper=False):
-        args = [params[name] for name in order]
-        case = make_case(identity_id, params, order)
-        return _finish_pairs(case, pair_func(*args), tamper)
-
-    return check
 
 
 # --- generating functions ---------------------------------------------------
@@ -884,322 +720,127 @@ def _check_genfun_registry(params, tamper=False):
 # ---------------------------------------------------------------------------
 # Combinatorial identities at q = 1 (independent big-integer binomials)
 # ---------------------------------------------------------------------------
+#
+# With u_j = C(m+j, m) and v_j = C(m+1, j), a _COMB_SUMS row names a template
+# and the arguments it takes before (n, m) or (n, m, p):
+#   _comb_top(d, r):     sum_k v_{dk+r} u_{n-k} against a sum over u alone
+#   _comb_bottom(d, r):  sum_k (-1)^k u_{dk+r} v_{n-k} against a sum over v alone
+#   _comb_triangle(sign_on, shifted_top):  the triangle double sums at a = b = c = 1
+#   _comb_parity(parity, kernel):  the even or odd half of a parity corollary
+# Rows with d = 3 carry cosine weights and are verified doubled.
 
 
-def _comb01(n, m):
+def _u(m: int, top: int) -> list[int]:
+    return [binom(m + j, m) for j in range(top + 1)]
+
+
+def _v(m: int, top: int) -> list[int]:
+    return [binom(m + 1, j) for j in range(top + 1)]
+
+
+def _signed(xs: list[int]) -> list[int]:
+    """(-1)^k x_k."""
+    return [x if k % 2 == 0 else -x for k, x in enumerate(xs)]
+
+
+def _cos_conv(y: list[int], top: int, r: int) -> int:
+    """sum_{k <= top} 2cos((2k-r)pi/3) y_{top-k} y_k."""
+    weights = _weights(_COS, top + 1, r)
+    return sum(w * y[top - k] * y[k] for k, w in enumerate(weights) if w)
+
+
+def _comb_top(d: int, r: int, n: int, m: int) -> tuple[int, int]:
+    """02-03 (d = 2), 06-08 (d = 3, alternating) and 12-15 (d = 4)."""
+    top = d * n + r
+    u, v = _u(m, top), _v(m, top)
+    terms = [v[d * k + r] * u[n - k] for k in range(n + 1)]
+    if d == 2:
+        return sum(terms), u[top]
+    if d == 3:
+        return 2 * sum(_signed(terms)), _cos_conv(u, top, r)
+    s, t = divmod(r, 2)
+    half = 2 * n + s
+    rhs = sum(_signed([u[2 * k + t] * u[half - k] for k in range(half + 1)]))
+    return sum(terms), -rhs if s else rhs
+
+
+def _comb_bottom(d: int, r: int, n: int, m: int) -> tuple[int, int]:
+    """01 (d = 1), 04-05 (d = 2), 09-11 (d = 3) and 23-26 (d = 4)."""
+    top = d * n + r
+    u, v = _u(m, top), _v(m, top)
+    lhs = sum(_signed([u[d * k + r] * v[n - k] for k in range(n + 1)]))
+    sign_n = -1 if n % 2 else 1
+    if d == 1:
+        return lhs, int(n == 0)
+    if d == 2:
+        return lhs, sign_n * v[top]
+    if d == 3:
+        return 2 * lhs, _cos_conv(v, top, r)
+    s, t = divmod(r, 2)
+    half = 2 * n + s
+    return lhs, sign_n * sum(v[2 * k + t] * v[half - k] for k in range(half + 1))
+
+
+def _comb_triangle(sign_on: str, shifted_top: bool, n: int, m: int, p: int) -> tuple[int, int]:
+    """16-19: sum_{k+l <= n} (-1)^(k or l) F_{n-k-l} v_k u_l = F_n, F_s = C(p+s, p) or C(p, s)."""
+    f = [binom(p + s, p) if shifted_top else binom(p, s) for s in range(n + 1)]
+    u, v = _u(m, n), _v(m, n)
+    if sign_on == "k":
+        v = _signed(v)
+    else:
+        u = _signed(u)
+    lhs = sum(v[k] * sum(u[l] * f[n - k - l] for l in range(n - k + 1)) for k in range(n + 1))
+    return lhs, f[n]
+
+
+def _comb_parity(parity: int, kernel: str, n: int, m: int) -> tuple[int, int]:
+    """20-22: sum_{k+l = parity mod 2} (-1)^k x_k x_l y_{n-k-l} against x_n (even) or 0 (odd).
+
+    (x, y) is (u, v) for kernel "u" and (v, u) for kernel "v".
+    """
+    u, v = _u(m, n), _v(m, n)
+    x, y = (u, v) if kernel == "u" else (v, u)
+    signed_x = _signed(x)
     lhs = sum(
-        (-1) ** k * binom(m + k, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    return lhs, (1 if n == 0 else 0)
-
-
-def _comb02(n, m):
-    lhs = sum(binom(m + 1, 2 * k) * binom(m + n - k, m) for k in range(n + 1))
-    return lhs, binom(m + 2 * n, m)
-
-
-def _comb03(n, m):
-    lhs = sum(binom(m + 1, 2 * k + 1) * binom(m + n - k, m) for k in range(n + 1))
-    return lhs, binom(m + 2 * n + 1, m)
-
-
-def _comb04(n, m):
-    lhs = sum(
-        (-1) ** k * binom(m + 2 * k, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    return lhs, (-1) ** n * binom(m + 1, 2 * n)
-
-
-def _comb05(n, m):
-    lhs = sum(
-        (-1) ** k * binom(m + 2 * k + 1, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    return lhs, (-1) ** n * binom(m + 1, 2 * n + 1)
-
-
-def _comb06(n, m):
-    lhs = 2 * sum(
-        (-1) ** k * binom(m + 1, 3 * k) * binom(m + n - k, m) for k in range(n + 1)
-    )
-    rhs = sum(
-        twice_cos(2 * k) * binom(m + 3 * n - k, m) * binom(m + k, m)
-        for k in range(3 * n + 1)
-    )
-    return lhs, rhs
-
-
-def _comb07(n, m):
-    lhs = 2 * sum(
-        (-1) ** k * binom(m + 1, 3 * k + 1) * binom(m + n - k, m) for k in range(n + 1)
-    )
-    rhs = sum(
-        twice_cos(2 * k - 1) * binom(m + 3 * n - k + 1, m) * binom(m + k, m)
-        for k in range(3 * n + 2)
-    )
-    return lhs, rhs
-
-
-def _comb08(n, m):
-    lhs = 2 * sum(
-        (-1) ** k * binom(m + 1, 3 * k + 2) * binom(m + n - k, m) for k in range(n + 1)
-    )
-    rhs = sum(
-        twice_cos(2 * k - 2) * binom(m + 3 * n - k + 2, m) * binom(m + k, m)
-        for k in range(3 * n + 3)
-    )
-    return lhs, rhs
-
-
-def _comb09(n, m):
-    lhs = 2 * sum(
-        (-1) ** k * binom(m + 3 * k, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    rhs = sum(
-        twice_cos(2 * k) * binom(m + 1, 3 * n - k) * binom(m + 1, k)
-        for k in range(3 * n + 1)
-    )
-    return lhs, rhs
-
-
-def _comb10(n, m):
-    lhs = 2 * sum(
-        (-1) ** k * binom(m + 3 * k + 1, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    rhs = sum(
-        twice_cos(2 * k - 1) * binom(m + 1, 3 * n - k + 1) * binom(m + 1, k)
-        for k in range(3 * n + 2)
-    )
-    return lhs, rhs
-
-
-def _comb11(n, m):
-    lhs = 2 * sum(
-        (-1) ** k * binom(m + 3 * k + 2, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    rhs = sum(
-        twice_cos(2 * k - 2) * binom(m + 1, 3 * n - k + 2) * binom(m + 1, k)
-        for k in range(3 * n + 3)
-    )
-    return lhs, rhs
-
-
-def _comb12(n, m):
-    lhs = sum(binom(m + 1, 4 * k) * binom(m + n - k, m) for k in range(n + 1))
-    rhs = sum(
-        (-1) ** k * binom(m + 2 * k, m) * binom(m + 2 * n - k, m)
-        for k in range(2 * n + 1)
-    )
-    return lhs, rhs
-
-
-def _comb13(n, m):
-    lhs = sum(binom(m + 1, 4 * k + 1) * binom(m + n - k, m) for k in range(n + 1))
-    rhs = sum(
-        (-1) ** k * binom(m + 2 * k + 1, m) * binom(m + 2 * n - k, m)
-        for k in range(2 * n + 1)
-    )
-    return lhs, rhs
-
-
-def _comb14(n, m):
-    lhs = sum(binom(m + 1, 4 * k + 2) * binom(m + n - k, m) for k in range(n + 1))
-    rhs = sum(
-        (-1) ** (k + 1) * binom(m + 2 * k, m) * binom(m + 2 * n - k + 1, m)
-        for k in range(2 * n + 2)
-    )
-    return lhs, rhs
-
-
-def _comb15(n, m):
-    lhs = sum(binom(m + 1, 4 * k + 3) * binom(m + n - k, m) for k in range(n + 1))
-    rhs = sum(
-        (-1) ** (k + 1) * binom(m + 2 * k + 1, m) * binom(m + 2 * n - k + 1, m)
-        for k in range(2 * n + 2)
-    )
-    return lhs, rhs
-
-
-def _comb16(n, m, p):
-    lhs = sum(
-        (-1) ** k * binom(p + n - k - l, p) * binom(m + 1, k) * binom(m + l, m)
+        signed_x[k] * sum(x[l] * y[n - k - l] for l in range((parity + k) % 2, n - k + 1, 2))
         for k in range(n + 1)
-        for l in range(n - k + 1)
     )
-    return lhs, binom(p + n, p)
+    return lhs, (0 if parity else x[n])
 
 
-def _comb17(n, m, p):
-    lhs = sum(
-        (-1) ** l * binom(p + n - k - l, p) * binom(m + 1, k) * binom(m + l, m)
-        for k in range(n + 1)
-        for l in range(n - k + 1)
-    )
-    return lhs, binom(p + n, p)
-
-
-def _comb18(n, m, p):
-    lhs = sum(
-        (-1) ** k * binom(p, n - k - l) * binom(m + 1, k) * binom(m + l, m)
-        for k in range(n + 1)
-        for l in range(n - k + 1)
-    )
-    return lhs, binom(p, n)
-
-
-def _comb19(n, m, p):
-    lhs = sum(
-        (-1) ** l * binom(p, n - k - l) * binom(m + 1, k) * binom(m + l, m)
-        for k in range(n + 1)
-        for l in range(n - k + 1)
-    )
-    return lhs, binom(p, n)
-
-
-def _comb20(n, m):
-    lhs = sum(
-        (-1) ** k * binom(m + k, m) * binom(m + l, m) * binom(m + 1, n - k - l)
-        for k in range(n + 1)
-        for l in range(n - k + 1)
-        if (k + l) % 2 == 0
-    )
-    return lhs, binom(m + n, m)
-
-
-def _comb21(n, m):
-    lhs = sum(
-        (-1) ** k * binom(m + 1, k) * binom(m + 1, l) * binom(m + n - k - l, m)
-        for k in range(n + 1)
-        for l in range(n - k + 1)
-        if (k + l) % 2 == 0
-    )
-    return lhs, binom(m + 1, n)
-
-
-def _comb22(n, m):
-    lhs = sum(
-        (-1) ** k * binom(m + k, m) * binom(m + l, m) * binom(m + 1, n - k - l)
-        for k in range(n + 1)
-        for l in range(n - k + 1)
-        if (k + l) % 2 == 1
-    )
-    return lhs, 0
-
-
-def _comb23(n, m):
-    lhs = sum(
-        (-1) ** k * binom(m + 4 * k, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    rhs = (-1) ** n * sum(
-        binom(m + 1, 2 * k) * binom(m + 1, 2 * n - k) for k in range(2 * n + 1)
-    )
-    return lhs, rhs
-
-
-def _comb24(n, m):
-    lhs = sum(
-        (-1) ** k * binom(m + 4 * k + 1, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    rhs = (-1) ** n * sum(
-        binom(m + 1, 2 * k + 1) * binom(m + 1, 2 * n - k) for k in range(2 * n + 1)
-    )
-    return lhs, rhs
-
-
-def _comb25(n, m):
-    lhs = sum(
-        (-1) ** k * binom(m + 4 * k + 2, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    rhs = (-1) ** n * sum(
-        binom(m + 1, 2 * k) * binom(m + 1, 2 * n - k + 1) for k in range(2 * n + 2)
-    )
-    return lhs, rhs
-
-
-def _comb26(n, m):
-    lhs = sum(
-        (-1) ** k * binom(m + 4 * k + 3, m) * binom(m + 1, n - k) for k in range(n + 1)
-    )
-    rhs = (-1) ** n * sum(
-        binom(m + 1, 2 * k + 1) * binom(m + 1, 2 * n - k + 1) for k in range(2 * n + 2)
-    )
-    return lhs, rhs
-
-
-_COMB_FUNCS: dict[str, tuple[Callable, tuple[str, ...]]] = {
-    "comb01": (_comb01, ("n", "m")),
-    "comb02": (_comb02, ("n", "m")),
-    "comb03": (_comb03, ("n", "m")),
-    "comb04": (_comb04, ("n", "m")),
-    "comb05": (_comb05, ("n", "m")),
-    "comb06": (_comb06, ("n", "m")),
-    "comb07": (_comb07, ("n", "m")),
-    "comb08": (_comb08, ("n", "m")),
-    "comb09": (_comb09, ("n", "m")),
-    "comb10": (_comb10, ("n", "m")),
-    "comb11": (_comb11, ("n", "m")),
-    "comb12": (_comb12, ("n", "m")),
-    "comb13": (_comb13, ("n", "m")),
-    "comb14": (_comb14, ("n", "m")),
-    "comb15": (_comb15, ("n", "m")),
-    "comb16": (_comb16, ("n", "m", "p")),
-    "comb17": (_comb17, ("n", "m", "p")),
-    "comb18": (_comb18, ("n", "m", "p")),
-    "comb19": (_comb19, ("n", "m", "p")),
-    "comb20": (_comb20, ("n", "m")),
-    "comb21": (_comb21, ("n", "m")),
-    "comb22": (_comb22, ("n", "m")),
-    "comb23": (_comb23, ("n", "m")),
-    "comb24": (_comb24, ("n", "m")),
-    "comb25": (_comb25, ("n", "m")),
-    "comb26": (_comb26, ("n", "m")),
+_COMB_SUMS = {
+    "comb01": (_comb_bottom, 1, 0),
+    "comb02": (_comb_top, 2, 0),
+    "comb03": (_comb_top, 2, 1),
+    "comb04": (_comb_bottom, 2, 0),
+    "comb05": (_comb_bottom, 2, 1),
+    "comb06": (_comb_top, 3, 0),
+    "comb07": (_comb_top, 3, 1),
+    "comb08": (_comb_top, 3, 2),
+    "comb09": (_comb_bottom, 3, 0),
+    "comb10": (_comb_bottom, 3, 1),
+    "comb11": (_comb_bottom, 3, 2),
+    "comb12": (_comb_top, 4, 0),
+    "comb13": (_comb_top, 4, 1),
+    "comb14": (_comb_top, 4, 2),
+    "comb15": (_comb_top, 4, 3),
+    "comb16": (_comb_triangle, "k", True),
+    "comb17": (_comb_triangle, "l", True),
+    "comb18": (_comb_triangle, "k", False),
+    "comb19": (_comb_triangle, "l", False),
+    "comb20": (_comb_parity, 0, "u"),
+    "comb21": (_comb_parity, 0, "v"),
+    "comb22": (_comb_parity, 1, "u"),
+    "comb23": (_comb_bottom, 4, 0),
+    "comb24": (_comb_bottom, 4, 1),
+    "comb25": (_comb_bottom, 4, 2),
+    "comb26": (_comb_bottom, 4, 3),
 }
 
 
-def _make_comb_check(identity_id: str):
-    func, order = _COMB_FUNCS[identity_id]
-
-    def check(params, tamper=False):
-        args = [params[name] for name in order]
-        lhs, rhs = func(*args)
-        case = make_case(identity_id, params, order)
-        return _finish_pairs(case, [(lhs, rhs)], tamper)
-
-    return check
-
-
-# ---------------------------------------------------------------------------
-# Public per-kind entry points (dispatch on the case id)
-# ---------------------------------------------------------------------------
-
-
-def check_q_identity(case: IdentityCase) -> CaseResult:
-    """Check one q-polynomial identity instance exactly."""
-    desc = get_descriptor(case.id)
-    if desc.kind != KIND_Q_POLYNOMIAL:
-        raise ValueError(f"{case.id!r} is not a q-polynomial identity")
-    return desc.check(case.as_dict())
-
-
-def check_count_identity(case: IdentityCase) -> CaseResult:
-    """Check one integer counting identity instance exactly."""
-    desc = get_descriptor(case.id)
-    if desc.kind != KIND_COUNT_INTEGER:
-        raise ValueError(f"{case.id!r} is not a counting identity")
-    return desc.check(case.as_dict())
-
-
-def check_sine_vanishing(case: IdentityCase) -> CaseResult:
-    if case.id not in ("sine_vanishing_6", "sine_vanishing_7"):
-        raise ValueError(f"{case.id!r} is not a sine-vanishing identity")
-    return get_descriptor(case.id).check(case.as_dict())
-
-
-def check_combinatorial(case: IdentityCase) -> CaseResult:
-    """Check one q=1 combinatorial identity with big-integer binomials."""
-    desc = get_descriptor(case.id)
-    if desc.kind != KIND_COMBINATORIAL:
-        raise ValueError(f"{case.id!r} is not a combinatorial identity")
-    return desc.check(case.as_dict())
+def _comb_pairs(spec, *values: int) -> list[tuple[int, int]]:
+    template, *args = spec
+    return [template(*args, *values)]
 
 
 # ---------------------------------------------------------------------------
@@ -1220,24 +861,20 @@ def _build_registry() -> list[IdentityDescriptor]:
                 id=identity_id,
                 kind=kind,
                 params=tuple(params),
-                default_grid=grid,
+                default_grid=dict(grid),
                 check=check,
                 core=core,
             )
         )
 
-    nm10 = {"n": _rng(10), "m": _rng(10)}
-    add("delta", KIND_Q_POLYNOMIAL, ("n", "m"), dict(nm10), _make_simple_q_check("delta"))
-    for identity_id in ("result1", "result2", "result3", "result4", "result5", "result6"):
-        add(
-            identity_id,
-            KIND_Q_POLYNOMIAL,
-            ("n", "m"),
-            dict(nm10),
-            _make_simple_q_check(identity_id),
-            core=True,
-        )
+    def add_sides(identity_id, kind, params, grid, sides, core=False):
+        add(identity_id, kind, params, grid, _sides_check(identity_id, kind, params, sides), core)
 
+    q, count, comb = KIND_Q_POLYNOMIAL, KIND_COUNT_INTEGER, KIND_COMBINATORIAL
+    nm10 = {"n": _rng(10), "m": _rng(10)}
+    for identity_id, spec in _Q_SUMS.items():
+        sides = partial(_q_sum_sides, spec)
+        add_sides(identity_id, q, _NM, nm10, sides, core=identity_id != "delta")
     resdbl_grid = {
         "n": _rng(6),
         "m": _rng(6),
@@ -1247,85 +884,32 @@ def _build_registry() -> list[IdentityDescriptor]:
         "c": [1, 2],
     }
     for identity_id in RESDBL_IDS:
-        add(
-            identity_id,
-            KIND_Q_POLYNOMIAL,
-            ("n", "m", "p", "a", "b", "c"),
-            dict(resdbl_grid),
-            _make_resdbl_check(identity_id),
-            core=True,
-        )
-
+        sides = partial(_resdbl_sides, identity_id)
+        add_sides(identity_id, q, _RESDBL_PARAMS, resdbl_grid, sides, core=True)
     nm8 = {"n": _rng(8), "m": _rng(8)}
-    add(
-        "corollary_2_4",
-        KIND_Q_POLYNOMIAL,
-        ("n", "m"),
-        dict(nm8),
-        _make_corollary_check(_COROLLARY_2_4_RECIPE, "corollary_2_4"),
-    )
-    add(
-        "corollary_3_4",
-        KIND_Q_POLYNOMIAL,
-        ("n", "m"),
-        dict(nm8),
-        _make_corollary_check(_COROLLARY_3_4_RECIPE, "corollary_3_4"),
-    )
-    add("f_theorem", KIND_Q_POLYNOMIAL, ("n", "m"), dict(nm8), _check_f_theorem)
+    for identity_id, recipe in _COROLLARY_RECIPES.items():
+        add(identity_id, q, _NM, nm8, _make_corollary_check(recipe, identity_id))
+    add("f_theorem", q, _NM, nm8, _check_f_theorem)
 
     nmp = {"n": _rng(12), "m": _rng(12), "p": _rng(8)}
-    for identity_id in (
-        "theorem1",
-        "theorem2",
-        "theorem3",
-        "theorem6",
-        "theorem7",
-        "theorem8",
-        "theorem9",
-        "theorem_simple",
-        "qstar_relation",
-        "sine_vanishing_6",
-        "sine_vanishing_7",
-    ):
-        add(identity_id, KIND_COUNT_INTEGER, ("n", "m", "p"), dict(nmp), _make_count_check(identity_id))
-
-    add(
-        "pmost_chain",
-        KIND_COUNT_INTEGER,
-        ("n", "p"),
-        {"n": _rng(15), "p": _rng(15)},
-        _make_count_check("pmost_chain"),
-    )
-    add("pn_from_q", KIND_COUNT_INTEGER, ("n",), {"n": _rng(40)}, _make_count_check("pn_from_q"))
-    add(
-        "qn_double_sum",
-        KIND_COUNT_INTEGER,
-        ("n",),
-        {"n": _rng(40)},
-        _make_count_check("qn_double_sum"),
-    )
+    for identity_id, spec in _COUNT_SUMS.items():
+        add_sides(identity_id, count, _NMP, nmp, partial(_count_pairs, spec))
     corr_grid = {"n": _rng(15), "m": _rng(15), "p": _rng(15)}
-    add(
-        "pnmp_correspondence",
-        KIND_COUNT_INTEGER,
-        ("n", "m", "p"),
-        dict(corr_grid),
-        _make_count_check("pnmp_correspondence"),
-    )
-    add(
-        "qnmp_correspondence",
-        KIND_COUNT_INTEGER,
-        ("n", "m", "p"),
-        dict(corr_grid),
-        _make_count_check("qnmp_correspondence"),
-    )
-    add("genfun", KIND_COUNT_INTEGER, ("p",), {"p": _rng(6)}, _check_genfun_registry)
+    for identity_id, params, grid, pairs in (
+        ("pmost_chain", ("n", "p"), {"n": _rng(15), "p": _rng(15)}, _pairs_pmost_chain),
+        ("pn_from_q", ("n",), {"n": _rng(40)}, _pairs_pn_from_q),
+        ("qn_double_sum", ("n",), {"n": _rng(40)}, _pairs_qn_double_sum),
+        ("pnmp_correspondence", _NMP, corr_grid, partial(_count_pairs, ("P*", "P+"))),
+        ("qnmp_correspondence", _NMP, corr_grid, _pairs_qnmp_correspondence),
+    ):
+        add_sides(identity_id, count, params, grid, pairs)
+    add("genfun", count, ("p",), {"p": _rng(6)}, _check_genfun_registry)
 
-    comb_nm = {"n": _rng(20), "m": _rng(20)}
-    comb_nmp = {"n": _rng(20), "m": _rng(20), "p": _rng(12)}
-    for identity_id, (_, order) in _COMB_FUNCS.items():
-        grid = dict(comb_nmp) if "p" in order else dict(comb_nm)
-        add(identity_id, KIND_COMBINATORIAL, order, grid, _make_comb_check(identity_id))
+    comb_grid = {"n": _rng(20), "m": _rng(20), "p": _rng(12)}
+    for identity_id, spec in _COMB_SUMS.items():
+        params = _NMP if spec[0] is _comb_triangle else _NM
+        grid = {name: comb_grid[name] for name in params}
+        add_sides(identity_id, comb, params, grid, partial(_comb_pairs, spec))
 
     ids = [e.id for e in entries]
     assert len(ids) == len(set(ids)), "registry ids must be unique"

@@ -1,6 +1,8 @@
 """The batch front end: selection, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -73,6 +75,38 @@ def test_verify_json_report_shape(capsys):
     row = report["results"][0]
     assert set(row) == {"id", "params", "pass", "first_mismatch", "lhs_hash", "rhs_hash"}
     assert report["config"]["families"] == ["delta"]
+
+
+def test_oracle_limit_is_only_an_oracle_diff_flag(capsys):
+    for argv in (
+        ("verify", "--family", "delta"),
+        ("table", "--func", "Pn", "--n", "5"),
+        ("gauss", "--m", "1", "--p", "1"),
+    ):
+        code, _, err = run_cli(capsys, *argv, "--oracle-limit", "5")
+        assert code == 2
+        assert "--oracle-limit" in err
+
+
+# SHA-256 of `verify --all --n-max 3 --m-max 3 --p-max 3 --workers 1 --format json`
+# with the top-level timing block cut out: 4,700 cases of every identity
+SMALL_ALL_REPORT_DIGEST = "99cfa0f065cadc64818ffd1255e0862eea909192e058c244b291552441a2d305"
+
+
+def test_verify_all_small_grid_report_bytes_are_pinned(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys,
+        "verify",
+        "--all",
+        *("--n-max", "3", "--m-max", "3", "--p-max", "3"),
+        *("--workers", "1", "--format", "json", "--out", str(out)),
+    )
+    assert code == 0
+    # sorted keys at indent 2: only the top-level timing block opens at two spaces
+    stripped, cuts = re.subn(rb'\n  "timing": \{.*?\n  \}', b"", out.read_bytes(), flags=re.S)
+    assert cuts == 1
+    assert hashlib.sha256(stripped).hexdigest() == SMALL_ALL_REPORT_DIGEST
 
 
 def test_verify_sets_override_abc(capsys):

@@ -1,5 +1,8 @@
 """The identity registry: transcriptions, weights, and cross-checks."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from qpartid.bigpoly import IntPoly, ONE, ZERO, poly_add, poly_eval_int, poly_mul, poly_scale, poly_shift
@@ -9,15 +12,10 @@ from qpartid.identities import (
     KIND_COUNT_INTEGER,
     KIND_Q_POLYNOMIAL,
     check_F_theorem,
-    check_combinatorial,
-    check_count_identity,
     check_genfun,
-    check_q_identity,
-    check_sine_vanishing,
     derive_even_sum_corollary,
     evaluate_case,
     get_descriptor,
-    make_case,
     parity_sum_sides,
     q_identity_sides,
     registry,
@@ -120,7 +118,7 @@ def test_delta_examples():
     for m in range(6):
         lhs, rhs = q_identity_sides("delta", {"n": 0, "m": m})
         assert lhs == rhs == ONE
-    r = check_q_identity(make_case("delta", {"n": 4, "m": 2}, ("n", "m")))
+    r = evaluate_case("delta", {"n": 4, "m": 2})
     assert r.passed and r.first_mismatch is None
     assert r.lhs_hash == r.rhs_hash
 
@@ -165,8 +163,6 @@ def test_q_identity_domain_rejection():
         evaluate_case("delta", {"n": -1, "m": 0})
     with pytest.raises(ValueError):
         evaluate_case("resdbl1", {"n": 1, "m": 1, "p": 1, "a": 0, "b": 0, "c": 1})
-    with pytest.raises(ValueError):
-        check_q_identity(make_case("theorem1", {"n": 1, "m": 1, "p": 1}, ("n", "m", "p")))
 
 
 def test_triangle_sum_index_substitutions_preserve_lhs():
@@ -374,7 +370,7 @@ def test_theorem6_spot_case():
 
 def test_theorem_simple_base_case():
     assert evaluate_case("theorem_simple", {"n": 0, "m": 0, "p": 3}).passed
-    r = check_count_identity(make_case("theorem_simple", {"n": 2, "m": 1, "p": 3}, ("n", "m", "p")))
+    r = evaluate_case("theorem_simple", {"n": 2, "m": 1, "p": 3})
     assert r.passed
 
 
@@ -400,16 +396,12 @@ def test_count_identities_small_grid(name):
 
 
 def test_sine_vanishing_cases():
-    assert check_sine_vanishing(
-        make_case("sine_vanishing_6", {"n": 3, "m": 2, "p": 3}, ("n", "m", "p"))
-    ).passed
+    assert evaluate_case("sine_vanishing_6", {"n": 3, "m": 2, "p": 3}).passed
     assert evaluate_case("sine_vanishing_7", {"n": 0, "m": 0, "p": 2}).passed
     for n in range(6):
         for m in (0, 3, 6):  # m divisible by 3
             for p in range(4):
                 assert evaluate_case("sine_vanishing_6", {"n": n, "m": m, "p": p}).passed
-    with pytest.raises(ValueError):
-        check_sine_vanishing(make_case("theorem1", {"n": 1, "m": 1, "p": 1}, ("n", "m", "p")))
 
 
 def test_chain_and_special_cases():
@@ -486,7 +478,7 @@ def test_genfun_registry_grid():
 
 def test_comb01_base_case():
     assert evaluate_case("comb01", {"n": 0, "m": 5}).passed
-    r = check_combinatorial(make_case("comb01", {"n": 3, "m": 2}, ("n", "m")))
+    r = evaluate_case("comb01", {"n": 3, "m": 2})
     assert r.passed
 
 
@@ -517,27 +509,55 @@ def test_all_combinatorial_identities_small_grid():
                     assert d.check(params).passed, (d.id, n, m)
 
 
-def test_kind_dispatch_guards():
-    with pytest.raises(ValueError):
-        check_combinatorial(make_case("delta", {"n": 0, "m": 0}, ("n", "m")))
-    with pytest.raises(ValueError):
-        check_count_identity(make_case("comb01", {"n": 0, "m": 0}, ("n", "m")))
+# (q identity, dilation d, sign eps, comb ids for r = 0, 1, ...):
+# comb(n, m) = eps^n * q-sides(d*n + r, m) at q = 1
+Q1_SINGLE_SUMS = (
+    ("delta", 1, 1, ("comb01",)),
+    ("result1", 2, 1, ("comb02", "comb03")),
+    ("result2", 2, -1, ("comb04", "comb05")),
+    ("result3", 3, -1, ("comb06", "comb07", "comb08")),
+    ("result4", 3, -1, ("comb09", "comb10", "comb11")),
+    ("result5", 4, 1, ("comb12", "comb13", "comb14", "comb15")),
+    ("result6", 4, -1, ("comb23", "comb24", "comb25", "comb26")),
+)
+
+
+def assert_comb_sides_at_q1(comb_id, params, q_sides, sign=1):
+    # a combinatorial row hashes its two integers, so compare through the hashes
+    def digest(value):
+        return hashlib.sha256(str(value).encode("ascii")).hexdigest()
+
+    result = evaluate_case(comb_id, params)
+    lhs, rhs = (digest(sign * poly_eval_int(side, 1)) for side in q_sides)
+    assert (result.lhs_hash, result.rhs_hash) == (lhs, rhs), (comb_id, params)
 
 
 def test_q1_specialization_reproduces_combinatorial_sides():
-    # evaluating the even/odd-n instances of the first single-sum identity at
-    # q=1 gives exactly the two binomial identities' sides
-    for n in range(11):
-        for m in range(11):
-            lhs, rhs = q_identity_sides("result1", {"n": 2 * n, "m": m})
-            comb_lhs = sum(binom(m + 1, 2 * k) * binom(m + n - k, m) for k in range(n + 1))
-            assert poly_eval_int(lhs, 1) == comb_lhs
-            assert poly_eval_int(rhs, 1) == binom(m + 2 * n, m)
+    # every binomial identity is a polynomial one evaluated at q = 1, so a slip
+    # in either table shows here although the two layers share no code; every
+    # single sum runs to q-index 21 and m = 10
+    for q_id, d, eps, comb_ids in Q1_SINGLE_SUMS:
+        for r, comb_id in enumerate(comb_ids):
+            for n, m in itertools.product(range((21 - r) // d + 1), range(11)):
+                sides = q_identity_sides(q_id, {"n": d * n + r, "m": m})
+                assert_comb_sides_at_q1(comb_id, {"n": n, "m": m}, sides, eps**n)
 
-            lhs, rhs = q_identity_sides("result1", {"n": 2 * n + 1, "m": m})
-            comb_lhs = sum(binom(m + 1, 2 * k + 1) * binom(m + n - k, m) for k in range(n + 1))
-            assert poly_eval_int(lhs, 1) == comb_lhs
-            assert poly_eval_int(rhs, 1) == binom(m + 2 * n + 1, m)
+    for i, comb_id in enumerate(("comb16", "comb17", "comb18", "comb19")):
+        for n, m, p in itertools.product(range(4), repeat=3):
+            params = {"n": n, "m": m, "p": p}
+            sides = q_identity_sides(RESDBL[i], {**params, "a": 1, "b": 1, "c": 1})
+            assert_comb_sides_at_q1(comb_id, params, sides)
+
+    corollary_2_4 = ("resdbl2", ("swap_kl", "replace_l"), {"a": 0, "b": 1, "c": 1, "p": "m"})
+    corollary_3_4 = ("resdbl3", ("replace_l",), {"a": 1, "b": 1, "c": 1, "p": "m+1"})
+    for recipe, parity, comb_id in (
+        (corollary_2_4, "even", "comb20"),
+        (corollary_3_4, "even", "comb21"),
+        (corollary_2_4, "odd", "comb22"),
+    ):
+        for n, m in itertools.product(range(6), range(5)):
+            sides = parity_sum_sides(*recipe, parity, n, m)
+            assert_comb_sides_at_q1(comb_id, {"n": n, "m": m}, sides)
 
 
 # --- result bookkeeping -----------------------------------------------------
