@@ -4,12 +4,11 @@ Run:  python demos/gaussian_polynomials.py
 """
 
 from qpartid import (
-    GaussKey,
     binom,
+    bracket_base,
     coeff_at,
     format_poly,
     gaussian,
-    gaussian_general,
     poly_eval_int,
 )
 
@@ -37,8 +36,8 @@ print("gaussian(4,3) equals gaussian(3,4):", gaussian(4, 3) == g)
 # are the zero polynomial so summations never need explicit guards.
 print("\nbracket(4, 2) in bases 1..3")
 for base in (1, 2, 3):
-    print(f"  base {base}: {format_poly(gaussian_general(GaussKey(4, 2, base)))}")
-print("out-of-range bracket(3, 5):", format_poly(gaussian_general(GaussKey(3, 5))))
+    print(f"  base {base}: {format_poly(bracket_base(4, 2, base))}")
+print("out-of-range bracket(3, 5):", format_poly(bracket_base(3, 5)))
 
 # Coefficient extraction works like an indexing bracket.
 print("\n[q^6] gaussian(3,4) =", coeff_at(g, 6))

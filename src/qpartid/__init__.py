@@ -27,12 +27,10 @@ from .bigpoly import (
 )
 from .identities import (
     CaseResult,
-    FSequence,
     IdentityCase,
     IdentityDescriptor,
     check_F_theorem,
     check_genfun,
-    derive_even_sum_corollary,
     evaluate_case,
     get_descriptor,
     iter_cases,
@@ -43,6 +41,7 @@ from .identities import (
     resdbl_lhs,
     run_identity,
     standard_f_sequences,
+    triangle_sum,
     twice_cos,
     twice_sin_over_sqrt3,
 )
@@ -66,12 +65,10 @@ from .partitions import (
     enumerate_partitions,
 )
 from .qbinom import (
-    GaussKey,
     binom,
     binom2,
     bracket_base,
     gaussian,
-    gaussian_general,
     gaussian_product_form_check,
     gaussian_symmetry_check,
 )

@@ -197,15 +197,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_int_list(text: str, flag: str, low: int) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}")
     if not values:
         raise UsageError(f"{flag} got an empty list")
-    if any(v < 0 for v in values):
-        raise UsageError(f"{flag} values must be >= 0")
+    if any(v < low for v in values):
+        raise UsageError(f"{flag} values must be >= {low}")
     return values
 
 
@@ -217,10 +217,11 @@ def _collect_overrides(args) -> dict[str, list[int]]:
             if hi < 0:
                 raise UsageError(f"{flag} must be >= 0")
             overrides[name] = list(range(hi + 1))
-    for name, flag in (("a", "--a-set"), ("b", "--b-set"), ("c", "--c-set")):
+    # only the resdbl families read a, b and c; their domain is a >= 0 and b, c >= 1
+    for name, flag, low in (("a", "--a-set", 0), ("b", "--b-set", 1), ("c", "--c-set", 1)):
         raw = getattr(args, name + "_set")
         if raw is not None:
-            overrides[name] = _parse_int_list(raw, flag)
+            overrides[name] = _parse_int_list(raw, flag, low)
     return overrides
 
 

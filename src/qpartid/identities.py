@@ -5,15 +5,21 @@ default verification grid.  Checks build both sides independently and
 compare exactly, in three layers that share no evaluator:
 
 * q-polynomial: exact q-binomial brackets.  The single sums are rows of
-  _Q_SUMS over two bracket kernels, read by _q_side.
+  _Q_SUMS over two bracket kernels, read by _q_side.  The double sums come
+  from one triangle theorem: for any sequence F(0..n),
+      sum_{k+l <= n} (-1)^(k or l) F(k+l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b = F(0),
+  evaluated by triangle_sum.  resdbl1-4 are its instances with
+      F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c  (resdbl1: sign on k, resdbl2: on l)
+      F(j) = q^(a*C(n-j,2)) [p, n-j]_c    (resdbl3: sign on k, resdbl4: on l),
+  the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
+  and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.
 * counting: the memoized partition counts.  The dilated, signed 2-D
   convolutions are rows of _COUNT_SUMS, read by _count_side.
 * combinatorial at q = 1: big-integer binomials that never touch the
   polynomial layer.  Each is a row of _COMB_SUMS naming one of four
   binomial templates and its dilation, residue or flag.
 
-The triangle double sums, their parity corollaries, the triangle theorem,
-the generating functions and the other count chains are written out.
+The generating functions and the remaining count chains are written out.
 
 Sixth-root-of-unity weights stay float-free: cos(j*pi/3) is a half-integer,
 so cosine-weighted identities are verified doubled with the integer table
@@ -27,7 +33,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .bigpoly import (
     IntPoly,
@@ -135,16 +141,6 @@ class IdentityDescriptor:
     default_grid: dict[str, list[int]]
     check: Callable[..., CaseResult]
     core: bool = False
-
-
-@dataclass(frozen=True)
-class FSequence:
-    """A finite sequence F(0), F(1), ... of polynomial values."""
-
-    values: tuple[IntPoly, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def make_case(identity_id: str, params: dict[str, int], order: Sequence[str]) -> IdentityCase:
@@ -278,17 +274,14 @@ def _q_sum_sides(spec, n: int, m: int) -> tuple[IntPoly, IntPoly]:
     return _q_side(spec[0], n, m), _q_side(spec[1], n, m)
 
 
-# --- the four triangle double sums ----------------------------------------
+# --- the triangle theorem and its instances ---------------------------------
 #
-# Summand caches: the (k, l) bracket pair depends only on (m, b, k, l) and the
-# remaining factor only on (p, c, a, s) with s = n-k-l, so both are shared
-# across the whole verification grid.
+# For any sequence F(0..n) the paper's triangle theorem reads
+#     sum_{k+l <= n} (-1)^(k or l) F(k+l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b = F(0).
+# The (k, l) bracket pair depends only on (m, b, k, l), so it is shared across
+# the whole verification grid.
 
 _PB_MEMO: dict[tuple[int, int, int, int], IntPoly] = {}
-_A_MEMO: dict[tuple[bool, int, int, int, int], IntPoly] = {}
-
-RESDBL_IDS = ("resdbl1", "resdbl2", "resdbl3", "resdbl4")
-TRANSFORM_NAMES = ("swap_kl", "replace_l")
 
 
 def _pb_factor(m: int, b: int, k: int, l: int) -> IntPoly:
@@ -303,78 +296,59 @@ def _pb_factor(m: int, b: int, k: int, l: int) -> IntPoly:
     return val
 
 
-def _a_factor(shifted_top: bool, p: int, c: int, a: int, s: int) -> IntPoly:
-    # shifted_top selects bracket(p+s, p) (resdbl1/2) versus bracket(p, s) (resdbl3/4)
-    key = (shifted_top, p, c, a, s)
-    val = _A_MEMO.get(key)
-    if val is None:
-        base = bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c)
-        val = poly_shift(base, a * binom2(s))
-        _A_MEMO[key] = val
-    return val
-
-
-def _resdbl_summand(
-    variant: str, n: int, m: int, p: int, a: int, b: int, c: int, k: int, l: int
+def triangle_sum(
+    F: Sequence[IntPoly], n: int, m: int, b: int, sign_on: str, parity: Optional[int] = None
 ) -> IntPoly:
-    s = n - k - l
-    if s < 0:
-        return ZERO
-    shifted_top = variant in ("resdbl1", "resdbl2")
-    sign_index = k if variant in ("resdbl1", "resdbl3") else l
-    term = poly_mul(_a_factor(shifted_top, p, c, a, s), _pb_factor(m, b, k, l))
-    return term if sign_index % 2 == 0 else poly_scale(term, -1)
+    """The triangle sum of F over k + l <= n, with the brackets read in base q**b.
 
-
-def _index_map(transforms: Sequence[str], n: int):
-    """Compose index substitutions; summand_transformed(k,l) = summand(map(k,l)).
-
-    Substituting into an already-transformed expression rewrites its inputs,
-    so the maps compose with the last-listed substitution applied first.
+    With parity set, only the terms whose unsigned index u (l when the sign
+    is on k, k when it is on l) has n - u = parity (mod 2) are kept.
     """
-
-    def apply(k: int, l: int) -> tuple[int, int]:
-        for t in reversed(transforms):
-            if t == "swap_kl":
-                k, l = l, k
-            elif t == "replace_l":
-                l = n - k - l
-            else:
-                raise ValueError(f"unknown transform {t!r}")
-        return k, l
-
-    return apply
-
-
-def resdbl_lhs(
-    variant: str,
-    n: int,
-    m: int,
-    p: int,
-    a: int,
-    b: int,
-    c: int,
-    transforms: Sequence[str] = (),
-) -> IntPoly:
-    """Triangle double sum for one resdbl identity, with optional index substitutions."""
-    if variant not in RESDBL_IDS:
-        raise ValueError(f"unknown resdbl variant {variant!r}")
-    for t in transforms:
-        if t not in TRANSFORM_NAMES:
-            raise ValueError(f"unknown transform {t!r}")
-    remap = _index_map(transforms, n)
+    if len(F) < n + 1:
+        raise ValueError(f"F must provide at least n+1 = {n + 1} values, got {len(F)}")
+    if sign_on not in ("k", "l"):
+        raise ValueError(f"sign_on must be 'k' or 'l', got {sign_on!r}")
     total = ZERO
     for k in range(n + 1):
         for l in range(n - k + 1):
-            kk, ll = remap(k, l)
-            total = poly_add(total, _resdbl_summand(variant, n, m, p, a, b, c, kk, ll))
+            signed, unsigned = (k, l) if sign_on == "k" else (l, k)
+            if parity is not None and (n - unsigned) % 2 != parity:
+                continue
+            term = poly_mul(F[k + l], _pb_factor(m, b, k, l))
+            total = poly_add(total, poly_scale(term, -1) if signed % 2 else term)
     return total
 
 
-def _resdbl_rhs(variant: str, n: int, p: int, a: int, c: int) -> IntPoly:
-    shifted_top = variant in ("resdbl1", "resdbl2")
-    base = bracket_base(p + n, p, c) if shifted_top else bracket_base(p, n, c)
-    return poly_shift(base, a * binom2(n))
+# The four double sums take F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c or [p, n-j]_c;
+# each row is (F uses [p+s, p]_c rather than [p, s]_c, the signed index).
+_RESDBL = {
+    "resdbl1": (True, "k"),
+    "resdbl2": (True, "l"),
+    "resdbl3": (False, "k"),
+    "resdbl4": (False, "l"),
+}
+RESDBL_IDS = tuple(_RESDBL)
+
+
+def _resdbl_f(variant: str, n: int, p: int, a: int, c: int) -> tuple[IntPoly, ...]:
+    if variant not in _RESDBL:
+        raise ValueError(f"unknown resdbl variant {variant!r}")
+    shifted_top = _RESDBL[variant][0]
+    F = []
+    for s in range(n, -1, -1):
+        base = bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c)
+        F.append(poly_shift(base, a * binom2(s)))
+    return tuple(F)
+
+
+def _resdbl_sides(variant: str, n, m, p, a, b, c) -> tuple[IntPoly, IntPoly]:
+    F = _resdbl_f(variant, n, p, a, c)
+    return triangle_sum(F, n, m, b, _RESDBL[variant][1]), F[0]
+
+
+def resdbl_lhs(variant: str, n: int, m: int, p: int, a: int, b: int, c: int) -> IntPoly:
+    """Triangle double sum for one resdbl identity."""
+    return _resdbl_sides(variant, n, m, p, a, b, c)[0]
 
 
 _NM = ("n", "m")
@@ -382,117 +356,48 @@ _NMP = ("n", "m", "p")
 _RESDBL_PARAMS = ("n", "m", "p", "a", "b", "c")
 
 
-def _resdbl_sides(variant: str, n, m, p, a, b, c) -> tuple[IntPoly, IntPoly]:
-    return resdbl_lhs(variant, n, m, p, a, b, c), _resdbl_rhs(variant, n, p, a, c)
+# --- even/odd halves of the double sums ------------------------------------
+#
+# Each corollary is a resdbl at b = c = 1; a row is (variant, p - m, a).  Its
+# even half keeps the terms with n - u even (u the unsigned index) and has
+# right side F(0); its odd half keeps n - u odd and has right side zero.
 
-
-# --- even/odd linear combinations of the double sums -----------------------
-
-
-def _bound_p(binding: Union[int, str], m: int) -> int:
-    if binding == "m":
-        return m
-    if binding == "m+1":
-        return m + 1
-    return int(binding)
-
-
-def parity_sum_sides(
-    base_id: str,
-    transforms: Sequence[str],
-    bindings: dict[str, Union[int, str]],
-    parity: str,
-    n: int,
-    m: int,
-) -> tuple[IntPoly, IntPoly]:
-    """Both sides of a parity-restricted linear combination of a double sum.
-
-    The two source identities differ only in carrying (-1)^k versus (-1)^l,
-    so their half-sum keeps the even-k+l terms (with the base right side) and
-    their half-difference keeps the odd-k+l terms (with right side zero).
-    bindings fixes a, b, c and sets p to m or m+1 (strings "m" / "m+1").
-    """
-    if base_id not in RESDBL_IDS:
-        raise ValueError(f"base identity must be one of {RESDBL_IDS}, got {base_id!r}")
-    for t in transforms:
-        if t not in TRANSFORM_NAMES:
-            raise ValueError(f"unknown transform {t!r}")
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    want = 0 if parity == "even" else 1
-    p = _bound_p(bindings["p"], m)
-    a, b, c = int(bindings["a"]), int(bindings["b"]), int(bindings["c"])
-    remap = _index_map(tuple(transforms), n)
-    lhs = ZERO
-    for k in range(n + 1):
-        for l in range(n - k + 1):
-            if (k + l) % 2 != want:
-                continue
-            kk, ll = remap(k, l)
-            lhs = poly_add(lhs, _resdbl_summand(base_id, n, m, p, a, b, c, kk, ll))
-    rhs = _resdbl_rhs(base_id, n, p, a, c) if parity == "even" else ZERO
-    return lhs, rhs
-
-
-def derive_even_sum_corollary(
-    base_id: str,
-    transforms: Sequence[str],
-    bindings: dict[str, Union[int, str]],
-    parity: str = "even",
-    derived_id: Optional[str] = None,
-) -> IdentityDescriptor:
-    """Build a registry descriptor for a parity-restricted double-sum identity."""
-    # validate eagerly so a bad recipe fails at derivation time
-    parity_sum_sides(base_id, transforms, bindings, parity, 0, 0)
-    name = derived_id or f"{base_id}_{parity}_sum"
-    transforms = tuple(transforms)
-
-    def sides(n, m):
-        return parity_sum_sides(base_id, transforms, bindings, parity, n, m)
-
-    return IdentityDescriptor(
-        id=name,
-        kind=KIND_Q_POLYNOMIAL,
-        params=_NM,
-        default_grid={"n": list(range(9)), "m": list(range(9))},
-        check=_sides_check(name, KIND_Q_POLYNOMIAL, _NM, sides),
-    )
-
-
-_COROLLARY_RECIPES = {
-    "corollary_2_4": dict(
-        base_id="resdbl2",
-        transforms=("swap_kl", "replace_l"),
-        bindings={"a": 0, "b": 1, "c": 1, "p": "m"},
-    ),
-    "corollary_3_4": dict(
-        base_id="resdbl3",
-        transforms=("replace_l",),
-        bindings={"a": 1, "b": 1, "c": 1, "p": "m+1"},
-    ),
+_COROLLARIES = {
+    "corollary_2_4": ("resdbl2", 0, 0),
+    "corollary_3_4": ("resdbl3", 1, 1),
 }
 
 
-def _make_corollary_check(recipe: dict, name: str):
-    # one case covers both the even combination and the zero-sided odd one
-    even = derive_even_sum_corollary(parity="even", derived_id=name, **recipe)
-    odd = derive_even_sum_corollary(parity="odd", derived_id=name, **recipe)
+def parity_sum_sides(corollary_id: str, parity: str, n: int, m: int) -> tuple[IntPoly, IntPoly]:
+    """Both sides of the even or odd half of a parity corollary."""
+    if corollary_id not in _COROLLARIES:
+        raise ValueError(f"corollary must be one of {tuple(_COROLLARIES)}, got {corollary_id!r}")
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    variant, p_offset, a = _COROLLARIES[corollary_id]
+    F = _resdbl_f(variant, n, m + p_offset, a, 1)
+    odd = parity == "odd"
+    lhs = triangle_sum(F, n, m, 1, _RESDBL[variant][1], parity=int(odd))
+    return lhs, ZERO if odd else F[0]
 
-    def check(params, tamper=False):
-        even_result = even.check(params, tamper=tamper)
-        odd_result = odd.check(params)
-        if not even_result.passed:
-            return even_result
-        if not odd_result.passed:
-            return odd_result
-        return CaseResult(
-            case=even_result.case,
-            passed=True,
-            lhs_hash=_sha(even_result.lhs_hash + odd_result.lhs_hash),
-            rhs_hash=_sha(even_result.rhs_hash + odd_result.rhs_hash),
-        )
 
-    return check
+def _check_corollary(corollary_id: str, params, tamper=False):
+    # one case covers both the even half and the zero-sided odd one
+    case = make_case(corollary_id, params, _NM)
+    _require_q_domain(params, resdbl=False)
+    n, m = params["n"], params["m"]
+    even = _finish_poly(case, *parity_sum_sides(corollary_id, "even", n, m), tamper)
+    odd = _finish_poly(case, *parity_sum_sides(corollary_id, "odd", n, m), False)
+    if not even.passed:
+        return even
+    if not odd.passed:
+        return odd
+    return CaseResult(
+        case=case,
+        passed=True,
+        lhs_hash=_sha(even.lhs_hash + odd.lhs_hash),
+        rhs_hash=_sha(even.rhs_hash + odd.rhs_hash),
+    )
 
 
 def q_identity_sides(identity_id: str, params: dict[str, int]) -> tuple[IntPoly, IntPoly]:
@@ -506,58 +411,38 @@ def q_identity_sides(identity_id: str, params: dict[str, int]) -> tuple[IntPoly,
         return _q_sum_sides(_Q_SUMS[identity_id], params["n"], params["m"])
     if identity_id in RESDBL_IDS:
         return _resdbl_sides(identity_id, *(params[name] for name in _RESDBL_PARAMS))
-    if identity_id not in _COROLLARY_RECIPES:
+    if identity_id not in _COROLLARIES:
         raise KeyError(f"no polynomial sides for {identity_id!r}")
-    recipe = _COROLLARY_RECIPES[identity_id]
-    return parity_sum_sides(parity="even", n=params["n"], m=params["m"], **recipe)
-
-
-# --- the triangle theorem with an arbitrary coefficient sequence -----------
+    return parity_sum_sides(identity_id, "even", params["n"], params["m"])
 
 
 def check_F_theorem(
-    F: Union[FSequence, Sequence[IntPoly]],
+    F: Sequence[IntPoly],
     n: int,
     m: int,
     sign_on: str,
     base: int = 1,
 ) -> CaseResult:
-    """Verify the triangle sum against F(0).
+    """Verify the triangle sum of F, with the brackets read in base q**base, against F(0).
 
-    Sums (+-1)^(k or l) * F(k+l) * q^(base*C(k,2)) * bracket(m+1,k) *
-    bracket(m+l,m) over k >= 0, l >= 0, k+l <= n, with the brackets read in
-    base q**base, and checks the total equals F(0).  Every diagonal k+l = c
-    cancels except the origin.
+    Every diagonal k+l = c cancels except the origin.
     """
-    values = F.values if isinstance(F, FSequence) else tuple(F)
-    if len(values) < n + 1:
-        raise ValueError(f"F must provide at least n+1 = {n + 1} values, got {len(values)}")
-    if sign_on not in ("k", "l"):
-        raise ValueError(f"sign_on must be 'k' or 'l', got {sign_on!r}")
     if n < 0 or m < 0:
         raise ValueError(_Q_PARAM_DOMAIN_MSG)
-    lhs = ZERO
-    for k in range(n + 1):
-        for l in range(n - k + 1):
-            sign_index = k if sign_on == "k" else l
-            term = poly_mul(values[k + l], _pb_factor(m, base, k, l))
-            lhs = poly_add(lhs, term if sign_index % 2 == 0 else poly_scale(term, -1))
-    rhs = values[0]
+    lhs = triangle_sum(F, n, m, base, sign_on)
     case = IdentityCase("f_theorem", (("n", n), ("m", m)))
-    return _finish_poly(case, lhs, rhs, tamper=False)
+    return _finish_poly(case, lhs, F[0], tamper=False)
 
 
 _F_RANDOM_SEED = 74521
 
 
-def standard_f_sequences(n: int, m: int) -> list[tuple[str, FSequence]]:
+def standard_f_sequences(n: int, m: int) -> list[tuple[str, tuple[IntPoly, ...]]]:
     """The stock coefficient sequences exercised by the registry check."""
-    delta_f = FSequence((ONE,) + (ZERO,) * n)
-    power_f = FSequence(tuple(poly_shift(ONE, j) for j in range(n + 1)))
+    delta_f = (ONE,) + (ZERO,) * n
+    power_f = tuple(poly_shift(ONE, j) for j in range(n + 1))
     rng = random.Random(_F_RANDOM_SEED + 1009 * n + m)
-    random_f = FSequence(
-        tuple(IntPoly([rng.randint(-3, 3) for _ in range(4)]) for _ in range(n + 1))
-    )
+    random_f = tuple(IntPoly([rng.randint(-3, 3) for _ in range(4)]) for _ in range(n + 1))
     return [("delta", delta_f), ("power", power_f), ("random", random_f)]
 
 
@@ -887,8 +772,8 @@ def _build_registry() -> list[IdentityDescriptor]:
         sides = partial(_resdbl_sides, identity_id)
         add_sides(identity_id, q, _RESDBL_PARAMS, resdbl_grid, sides, core=True)
     nm8 = {"n": _rng(8), "m": _rng(8)}
-    for identity_id, recipe in _COROLLARY_RECIPES.items():
-        add(identity_id, q, _NM, nm8, _make_corollary_check(recipe, identity_id))
+    for identity_id in _COROLLARIES:
+        add(identity_id, q, _NM, nm8, partial(_check_corollary, identity_id))
     add("f_theorem", q, _NM, nm8, _check_f_theorem)
 
     nmp = {"n": _rng(12), "m": _rng(12), "p": _rng(8)}

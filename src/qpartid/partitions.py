@@ -25,8 +25,6 @@ ORACLE_LIMIT_DEFAULT = 30
 class CountTable:
     """Memoized P and Q counts.  Memo maps are unbounded; grids keep them small."""
 
-    p_cap = UNBOUNDED
-
     def __init__(self):
         self.memo_P: dict[tuple[int, int, int], int] = {}
         self.memo_Q: dict[tuple[int, int, int], int] = {}

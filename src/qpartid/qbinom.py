@@ -13,8 +13,6 @@ suite as an invariant rather than used for construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bigpoly import IntPoly, ONE, ZERO, poly_add, poly_mul, poly_shift, poly_substitute_power
 
 _bracket_memo: dict[tuple[int, int], IntPoly] = {}
@@ -45,33 +43,12 @@ def gaussian(m: int, p: int) -> IntPoly:
     return _bracket(m + p, m)
 
 
-@dataclass(frozen=True)
-class GaussKey:
-    """A q-binomial bracket(top, bottom) read in base q**base.
+def bracket_base(top: int, bottom: int, base: int = 1) -> IntPoly:
+    """bracket(top, bottom) read in base q**base.
 
-    Out-of-range keys (bottom < 0, bottom > top, top < 0) denote the zero
+    Out-of-range brackets (bottom < 0, bottom > top, top < 0) are the zero
     polynomial, so summations can be written with unconditional terms.
     """
-
-    top: int
-    bottom: int
-    base: int = 1
-
-    def __post_init__(self):
-        if self.base < 1:
-            raise ValueError(f"base must be >= 1, got {self.base}")
-
-
-def gaussian_general(key: GaussKey) -> IntPoly:
-    """bracket(top, bottom) in base q**base; zero polynomial when out of range."""
-    if key.bottom < 0 or key.top < 0 or key.bottom > key.top:
-        return ZERO
-    poly = _bracket(key.top, key.bottom)
-    return poly_substitute_power(poly, key.base)
-
-
-def bracket_base(top: int, bottom: int, base: int = 1) -> IntPoly:
-    """Shorthand for gaussian_general(GaussKey(top, bottom, base))."""
     if base < 1:
         raise ValueError(f"base must be >= 1, got {base}")
     if bottom < 0 or top < 0 or bottom > top:

@@ -11,7 +11,6 @@ import time
 
 from qpartid.bigpoly import coeff_at, poly_eval_int, poly_shift, ONE, ZERO, IntPoly
 from qpartid.identities import (
-    FSequence,
     check_F_theorem,
     evaluate_case,
     q_identity_sides,
@@ -151,17 +150,15 @@ def test_criterion_7_f_theorem():
             for p in range(3):
                 for a in (0, 1):
                     for c in (1, 2):
-                        seq = FSequence(
-                            tuple(
-                                poly_shift(bracket_base(p + n - j, p, c), a * binom2(n - j))
-                                for j in range(n + 1)
-                            )
+                        seq = tuple(
+                            poly_shift(bracket_base(p + n - j, p, c), a * binom2(n - j))
+                            for j in range(n + 1)
                         )
                         for sign_on, name in (("k", "resdbl1"), ("l", "resdbl2")):
                             assert check_F_theorem(seq, n, m, sign_on).passed
                             params = {"n": n, "m": m, "p": p, "a": a, "b": 1, "c": c}
                             lhs, rhs = q_identity_sides(name, params)
-                            assert lhs == rhs == seq.values[0]
+                            assert lhs == rhs == seq[0]
                             cases += 1
     report(7, f"triangle theorem on {cases} (F, sign) instances incl. double-sum reduction", started)
 

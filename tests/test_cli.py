@@ -135,6 +135,19 @@ def test_verify_sets_override_abc(capsys):
     assert report["totals"]["cases"] == 3 * 3 * 3 * 1 * 1 * 2
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("flag", ["--b-set", "--c-set"])
+def test_verify_rejects_b_c_below_one_before_any_work(capsys, flag, workers):
+    # the resdbl brackets are read in base q**b and q**c, so b, c >= 1
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "resdbl1", flag, "0", "--workers", workers
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+    assert "Traceback" not in err
+
+
 def test_injected_failure_exits_one_with_case_in_report(capsys):
     code, out, _ = run_cli(
         capsys,

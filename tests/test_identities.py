@@ -4,16 +4,15 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpartid.bigpoly import IntPoly, ONE, ZERO, poly_add, poly_eval_int, poly_mul, poly_scale, poly_shift
 from qpartid.identities import (
-    FSequence,
     KIND_COMBINATORIAL,
     KIND_COUNT_INTEGER,
     KIND_Q_POLYNOMIAL,
     check_F_theorem,
     check_genfun,
-    derive_even_sum_corollary,
     evaluate_case,
     get_descriptor,
     parity_sum_sides,
@@ -21,6 +20,7 @@ from qpartid.identities import (
     registry,
     resdbl_lhs,
     standard_f_sequences,
+    triangle_sum,
     twice_cos,
     twice_sin_over_sqrt3,
 )
@@ -165,21 +165,9 @@ def test_q_identity_domain_rejection():
         evaluate_case("resdbl1", {"n": 1, "m": 1, "p": 1, "a": 0, "b": 0, "c": 1})
 
 
-def test_triangle_sum_index_substitutions_preserve_lhs():
-    for name in RESDBL:
-        for n in range(4):
-            for m in range(3):
-                for p in range(3):
-                    base = resdbl_lhs(name, n, m, p, 1, 1, 1)
-                    for transforms in (("swap_kl",), ("replace_l",), ("swap_kl", "replace_l")):
-                        assert resdbl_lhs(name, n, m, p, 1, 1, 1, transforms) == base
-
-
 def test_resdbl_lhs_rejects_unknowns():
     with pytest.raises(ValueError):
         resdbl_lhs("resdbl9", 1, 1, 1, 0, 1, 1)
-    with pytest.raises(ValueError):
-        resdbl_lhs("resdbl1", 1, 1, 1, 0, 1, 1, transforms=("mystery",))
 
 
 # --- parity corollaries -----------------------------------------------------
@@ -236,42 +224,19 @@ def test_corollaries_pass_and_include_odd_zero_forms():
 
 
 def test_odd_combination_sums_vanish():
-    recipes = {
-        "resdbl2": (("swap_kl", "replace_l"), {"a": 0, "b": 1, "c": 1, "p": "m"}),
-        "resdbl3": (("replace_l",), {"a": 1, "b": 1, "c": 1, "p": "m+1"}),
-    }
-    for base_id, (transforms, bindings) in recipes.items():
+    for corollary_id in ("corollary_2_4", "corollary_3_4"):
         for n in range(6):
             for m in range(5):
-                lhs, rhs = parity_sum_sides(base_id, transforms, bindings, "odd", n, m)
+                lhs, rhs = parity_sum_sides(corollary_id, "odd", n, m)
                 assert rhs == ZERO
-                assert lhs == ZERO, (base_id, n, m)
+                assert lhs == ZERO, (corollary_id, n, m)
 
 
-def test_derive_even_sum_corollary_descriptor():
-    desc = derive_even_sum_corollary(
-        "resdbl2", ("swap_kl", "replace_l"), {"a": 0, "b": 1, "c": 1, "p": "m"}
-    )
-    assert desc.id == "resdbl2_even_sum"
-    assert desc.check({"n": 3, "m": 2}).passed
-    odd = derive_even_sum_corollary(
-        "resdbl2",
-        ("swap_kl", "replace_l"),
-        {"a": 0, "b": 1, "c": 1, "p": "m"},
-        parity="odd",
-    )
-    assert odd.check({"n": 3, "m": 2}).passed
-
-
-def test_derive_even_sum_corollary_rejections():
+def test_parity_sum_sides_rejections():
     with pytest.raises(ValueError):
-        derive_even_sum_corollary("resdbl2", ("rotate",), {"a": 0, "b": 1, "c": 1, "p": "m"})
+        parity_sum_sides("resdbl2", "even", 1, 1)
     with pytest.raises(ValueError):
-        derive_even_sum_corollary("delta", (), {"a": 0, "b": 1, "c": 1, "p": "m"})
-    with pytest.raises(ValueError):
-        derive_even_sum_corollary(
-            "resdbl2", (), {"a": 0, "b": 1, "c": 1, "p": "m"}, parity="mixed"
-        )
+        parity_sum_sides("corollary_2_4", "mixed", 1, 1)
 
 
 # --- the triangle theorem ---------------------------------------------------
@@ -280,13 +245,13 @@ def test_derive_even_sum_corollary_rejections():
 def test_f_theorem_delta_sequence():
     for n in range(6):
         for m in range(5):
-            f = FSequence((ONE,) + (ZERO,) * n)
+            f = (ONE,) + (ZERO,) * n
             for sign_on in ("k", "l"):
                 assert check_F_theorem(f, n, m, sign_on).passed
 
 
 def test_f_theorem_single_term_at_n_zero():
-    f = FSequence((IntPoly([3, 1]),))
+    f = (IntPoly([3, 1]),)
     r = check_F_theorem(f, 0, 4, "k")
     assert r.passed  # the k=l=0 term is F(0) itself
 
@@ -294,17 +259,16 @@ def test_f_theorem_single_term_at_n_zero():
 def test_f_theorem_power_sequence():
     for n in range(6):
         for m in range(5):
-            f = FSequence(tuple(poly_shift(ONE, j) for j in range(n + 1)))
+            f = tuple(poly_shift(ONE, j) for j in range(n + 1))
             for sign_on in ("k", "l"):
                 assert check_F_theorem(f, n, m, sign_on).passed
 
 
 def test_f_theorem_guards():
-    f = FSequence((ONE,))
     with pytest.raises(ValueError):
-        check_F_theorem(f, 2, 1, "k")  # too short
+        check_F_theorem((ONE,), 2, 1, "k")  # too short
     with pytest.raises(ValueError):
-        check_F_theorem(FSequence((ONE, ONE, ONE)), 2, 1, "kl")
+        check_F_theorem((ONE, ONE, ONE), 2, 1, "kl")
 
 
 def test_f_theorem_registry_check():
@@ -323,23 +287,13 @@ def test_f_theorem_reduces_to_resdbl():
                 for a in (0, 1):
                     for b in (1, 2):
                         for c in (1, 2):
-                            f12 = FSequence(
-                                tuple(
-                                    poly_shift(
-                                        bracket_base(p + n - j, p, c),
-                                        a * binom2(n - j),
-                                    )
-                                    for j in range(n + 1)
-                                )
+                            f12 = tuple(
+                                poly_shift(bracket_base(p + n - j, p, c), a * binom2(n - j))
+                                for j in range(n + 1)
                             )
-                            f34 = FSequence(
-                                tuple(
-                                    poly_shift(
-                                        bracket_base(p, n - j, c),
-                                        a * binom2(n - j),
-                                    )
-                                    for j in range(n + 1)
-                                )
+                            f34 = tuple(
+                                poly_shift(bracket_base(p, n - j, c), a * binom2(n - j))
+                                for j in range(n + 1)
                             )
                             for seq, sign_on, name in (
                                 (f12, "k", "resdbl1"),
@@ -351,8 +305,33 @@ def test_f_theorem_reduces_to_resdbl():
                                 params = {"n": n, "m": m, "p": p, "a": a, "b": b, "c": c}
                                 lhs, rhs = q_identity_sides(name, params)
                                 # same triangle, same summand: the F-theorem total is the lhs
-                                assert seq.values[0] == rhs
+                                assert seq[0] == rhs
                                 assert lhs == rhs
+
+
+_INT_POLY = st.lists(st.integers(-5, 5), max_size=5).map(IntPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 6),
+    m=st.integers(0, 4),
+    b=st.sampled_from([1, 2]),
+    sign_on=st.sampled_from(["k", "l"]),
+)
+def test_triangle_sum_property(data, n, m, b, sign_on):
+    # the theorem holds for every sequence F, not only the stock ones
+    F = data.draw(st.lists(_INT_POLY, min_size=n + 1, max_size=n + 1))
+    assert triangle_sum(F, n, m, b, sign_on) == F[0]
+    # the two halves of each parity corollary add up to its whole double sum
+    for corollary_id, variant, p, a in (
+        ("corollary_2_4", "resdbl2", m, 0),
+        ("corollary_3_4", "resdbl3", m + 1, 1),
+    ):
+        even, _ = parity_sum_sides(corollary_id, "even", n, m)
+        odd, _ = parity_sum_sides(corollary_id, "odd", n, m)
+        assert poly_add(even, odd) == resdbl_lhs(variant, n, m, p, a, 1, 1)
 
 
 # --- counting identities ----------------------------------------------------
@@ -548,15 +527,13 @@ def test_q1_specialization_reproduces_combinatorial_sides():
             sides = q_identity_sides(RESDBL[i], {**params, "a": 1, "b": 1, "c": 1})
             assert_comb_sides_at_q1(comb_id, params, sides)
 
-    corollary_2_4 = ("resdbl2", ("swap_kl", "replace_l"), {"a": 0, "b": 1, "c": 1, "p": "m"})
-    corollary_3_4 = ("resdbl3", ("replace_l",), {"a": 1, "b": 1, "c": 1, "p": "m+1"})
-    for recipe, parity, comb_id in (
-        (corollary_2_4, "even", "comb20"),
-        (corollary_3_4, "even", "comb21"),
-        (corollary_2_4, "odd", "comb22"),
+    for corollary_id, parity, comb_id in (
+        ("corollary_2_4", "even", "comb20"),
+        ("corollary_3_4", "even", "comb21"),
+        ("corollary_2_4", "odd", "comb22"),
     ):
         for n, m in itertools.product(range(6), range(5)):
-            sides = parity_sum_sides(*recipe, parity, n, m)
+            sides = parity_sum_sides(corollary_id, parity, n, m)
             assert_comb_sides_at_q1(comb_id, {"n": n, "m": m}, sides)
 
 

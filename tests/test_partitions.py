@@ -160,7 +160,6 @@ def test_count_table_isolation():
     assert table.count_P(5, 2, 3) == 1
     assert table.count_Q(6, 3, 3) == 1
     assert (5, 2, 3) in table.memo_P
-    assert table.p_cap is UNBOUNDED
 
 
 def test_distinct_nm():

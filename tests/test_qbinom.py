@@ -7,12 +7,10 @@ import pytest
 from qpartid.bigpoly import IntPoly, ONE, ZERO, coeff_at, poly_eval_int
 from qpartid.partitions import PartitionSpec, count_P_star, enumerate_partitions
 from qpartid.qbinom import (
-    GaussKey,
     binom,
     binom2,
     bracket_base,
     gaussian,
-    gaussian_general,
     gaussian_product_form_check,
     gaussian_symmetry_check,
 )
@@ -40,14 +38,14 @@ def test_gaussian_trivial_shapes():
         gaussian(-1, 2)
 
 
-def test_gaussian_general_reduction_and_out_of_range():
-    assert gaussian_general(GaussKey(4, 2)) == gaussian(2, 2)
-    assert gaussian_general(GaussKey(3, 5)) == ZERO
-    assert gaussian_general(GaussKey(3, -1)) == ZERO
-    assert gaussian_general(GaussKey(-2, -3)) == ZERO
-    assert gaussian_general(GaussKey(2, 1, base=3)) == IntPoly([1, 0, 0, 1])
+def test_bracket_base_reduction_and_out_of_range():
+    assert bracket_base(4, 2) == gaussian(2, 2)
+    assert bracket_base(3, 5) == ZERO
+    assert bracket_base(3, -1) == ZERO
+    assert bracket_base(-2, -3) == ZERO
+    assert bracket_base(2, 1, base=3) == IntPoly([1, 0, 0, 1])
     with pytest.raises(ValueError):
-        GaussKey(2, 1, base=0)
+        bracket_base(3, 5, base=0)  # the base is checked before the range
     with pytest.raises(ValueError):
         bracket_base(2, 1, 0)
 
