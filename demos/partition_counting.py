@@ -5,14 +5,13 @@ Run:  python demos/partition_counting.py
 
 from qpartid import (
     PartitionSpec,
-    check_pnmp_correspondence,
-    check_qnmp_correspondence,
     count_P,
     count_P_of,
     count_P_star,
     count_Q,
     count_Q_of,
     enumerate_partitions,
+    evaluate_case,
 )
 
 # count_P(n, m, p): partitions of n into exactly m parts, each at most p.
@@ -32,10 +31,12 @@ for part in parts:
 print("count_Q(9, 3, 5) =", count_Q(9, 3, 5), "== len(oracle) =", len(parts))
 
 # Two correspondences tie the families together: box counts against
-# exact-part counts, and distinct counts against a staircase shift.
+# exact-part counts, and distinct counts against a staircase shift.  Both are
+# registry identities, checked here one (n, m, p) case at a time.
 print("\ncorrespondences hold on a sample grid:")
 ok = all(
-    check_pnmp_correspondence(n, m, p) and check_qnmp_correspondence(n, m, p)
+    evaluate_case(identity_id, {"n": n, "m": m, "p": p}).passed
+    for identity_id in ("pnmp_correspondence", "qnmp_correspondence")
     for n in range(12)
     for m in range(12)
     for p in range(12)

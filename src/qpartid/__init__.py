@@ -9,21 +9,15 @@ identities holds the executable registry the CLI iterates over.
 from .bigpoly import (
     IntPoly,
     ONE,
-    TruncSeries,
     ZERO,
     coeff_at,
     format_poly,
-    monomial,
     poly_add,
     poly_eval_int,
     poly_mul,
     poly_scale,
     poly_shift,
     poly_substitute_power,
-    poly_truncate,
-    series_geom_factor,
-    series_mul,
-    series_one,
 )
 from .identities import (
     CaseResult,
@@ -32,6 +26,7 @@ from .identities import (
     check_F_theorem,
     check_genfun,
     evaluate_case,
+    genfun_table,
     get_descriptor,
     iter_cases,
     make_case,
@@ -50,8 +45,6 @@ from .partitions import (
     UNBOUNDED,
     CountTable,
     PartitionSpec,
-    check_pnmp_correspondence,
-    check_qnmp_correspondence,
     count_P,
     count_P_most,
     count_P_nm,

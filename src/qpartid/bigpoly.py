@@ -1,4 +1,4 @@
-"""Exact dense polynomial arithmetic in q, and a bivariate truncated series in q and z.
+"""Exact dense polynomial arithmetic in q.
 
 Coefficients are Python ints throughout, so every operation is exact at any
 size.  IntPoly values are immutable and canonical (no trailing zeros); the
@@ -7,7 +7,7 @@ zero polynomial is the empty coefficient sequence and its degree is None.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class IntPoly:
@@ -42,18 +42,6 @@ class IntPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        return poly_add(self, other)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return poly_add(self, poly_scale(other, -1))
-
-    def __neg__(self) -> "IntPoly":
-        return poly_scale(self, -1)
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        return poly_mul(self, other)
-
     def __repr__(self) -> str:
         return f"IntPoly({list(self.coeffs)!r})"
 
@@ -63,13 +51,6 @@ class IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-
-
-def monomial(coeff: int, exp: int) -> IntPoly:
-    """coeff * q**exp."""
-    if coeff == 0:
-        return ZERO
-    return IntPoly([0] * exp + [coeff])
 
 
 def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -137,13 +118,6 @@ def poly_eval_int(a: IntPoly, x: int) -> int:
     return acc
 
 
-def poly_truncate(a: IntPoly, order: int) -> IntPoly:
-    """Drop all terms of degree > order."""
-    if len(a.coeffs) <= order + 1:
-        return a
-    return IntPoly(a.coeffs[: order + 1])
-
-
 def format_poly(a: IntPoly) -> str:
     """Render as e.g. '1 + q + 2q^2 + q^3 + q^4'; the zero polynomial is '0'."""
     if not a.coeffs:
@@ -163,105 +137,3 @@ def format_poly(a: IntPoly) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-class TruncSeries:
-    """Bivariate series: truncated in q at q_order, with explicit rows per z power.
-
-    rows[i] is the coefficient of z**i, an IntPoly of degree <= q_order.
-    z_degree is structural (len(rows) - 1); multiplication adds z-degrees and
-    truncates in q only, so rows of a product are reliable up to the smallest
-    z bound its factors were built with.
-    """
-
-    __slots__ = ("q_order", "rows")
-
-    def __init__(self, q_order: int, rows: Sequence[IntPoly]):
-        if q_order < 0:
-            raise ValueError("q_order must be >= 0")
-        if not rows:
-            rows = [ZERO]
-        object.__setattr__(self, "q_order", q_order)
-        object.__setattr__(
-            self, "rows", tuple(poly_truncate(r, q_order) for r in rows)
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
-
-    @property
-    def z_degree(self) -> int:
-        return len(self.rows) - 1
-
-    def coeff(self, n: int, m: int) -> int:
-        """Coefficient of q**n z**m (zero beyond the stored z rows)."""
-        if m < 0 or m > self.z_degree:
-            return 0
-        return coeff_at(self.rows[m], n)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncSeries)
-            and self.q_order == other.q_order
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q_order, self.rows))
-
-    def __repr__(self) -> str:
-        return f"TruncSeries(q_order={self.q_order}, rows={[list(r.coeffs) for r in self.rows]})"
-
-
-def series_one(q_order: int) -> TruncSeries:
-    return TruncSeries(q_order, [ONE])
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Product of two series with equal q_order; z-degrees add."""
-    if a.q_order != b.q_order:
-        raise ValueError(
-            f"q_order mismatch: {a.q_order} != {b.q_order}"
-        )
-    order = a.q_order
-    out_rows = [ZERO] * (a.z_degree + b.z_degree + 1)
-    for i, ra in enumerate(a.rows):
-        if ra.is_zero():
-            continue
-        for j, rb in enumerate(b.rows):
-            if rb.is_zero():
-                continue
-            out_rows[i + j] = poly_add(
-                out_rows[i + j], poly_truncate(poly_mul(ra, rb), order)
-            )
-    return TruncSeries(order, out_rows)
-
-
-def series_geom_factor(
-    j: int, sign: int, z_step: int, q_order: int, z_degree: int
-) -> TruncSeries:
-    """One factor of a partition generating-function product.
-
-    sign=+1: the polynomial factor 1 + z**z_step * q**(j*z_step).
-    sign=-1: the truncated expansion of 1/(1 - z**z_step * q**(j*z_step)),
-    i.e. sum over t >= 0 of z**(t*z_step) q**(j*t*z_step), with z rows kept
-    up to z_degree and q truncated at q_order.
-    """
-    if j < 1:
-        raise ValueError(f"factor index j must be >= 1, got {j}")
-    if z_step < 1:
-        raise ValueError(f"z_step must be >= 1, got {z_step}")
-    if sign == 1:
-        rows = [ZERO] * (z_step + 1)
-        rows[0] = ONE
-        rows[z_step] = monomial(1, j * z_step) if j * z_step <= q_order else ZERO
-        return TruncSeries(q_order, rows)
-    if sign == -1:
-        rows = [ZERO] * (z_degree + 1)
-        t = 0
-        while t * z_step <= z_degree:
-            e = j * t * z_step
-            rows[t * z_step] = monomial(1, e) if e <= q_order else ZERO
-            t += 1
-        return TruncSeries(q_order, rows)
-    raise ValueError(f"sign must be +1 or -1, got {sign}")

@@ -226,6 +226,8 @@ def _collect_overrides(args) -> dict[str, list[int]]:
 
 
 def cmd_verify(args) -> int:
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
     overrides = _collect_overrides(args)
     if args.preset == "desk" and overrides:
         raise UsageError("--preset desk pins the default grids; range overrides conflict")
@@ -273,6 +275,8 @@ def cmd_table(args) -> int:
         values[name] = v
     for name in optional:
         v = getattr(args, name)
+        if v is not None and v < 0:
+            raise UsageError(f"--{name} must be >= 0")
         values[name] = UNBOUNDED if v is None else v
     call_args = [values[name] for name in required + optional]
     value = func(*call_args)

@@ -14,12 +14,13 @@ compare exactly, in three layers that share no evaluator:
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
   and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.
 * counting: the memoized partition counts.  The dilated, signed 2-D
-  convolutions are rows of _COUNT_SUMS, read by _count_side.
+  convolutions are rows of _COUNT_SUMS, read by _count_side, and
+  genfun_table expands the generating functions into integer tables.
 * combinatorial at q = 1: big-integer binomials that never touch the
   polynomial layer.  Each is a row of _COMB_SUMS naming one of four
   binomial templates and its dilation, residue or flag.
 
-The generating functions and the remaining count chains are written out.
+The remaining count chains are written out.
 
 Sixth-root-of-unity weights stay float-free: cos(j*pi/3) is a half-integer,
 so cosine-weighted identities are verified doubled with the integer table
@@ -43,9 +44,6 @@ from .bigpoly import (
     poly_mul,
     poly_scale,
     poly_shift,
-    series_geom_factor,
-    series_mul,
-    series_one,
 )
 from .partitions import (
     count_P,
@@ -575,6 +573,29 @@ GENFUN_Q_ORDER = 30
 GENFUN_Z_DEGREE = 8
 
 
+def genfun_table(p: int, q_order: int, z_degree: int, distinct: bool) -> list[list[int]]:
+    """c[m][n], the coefficient of q^n z^m in a bounded-part product.
+
+    distinct=False expands prod_{j=1..p} 1/(1 - z q^j), distinct=True expands
+    prod_{j=1..p} (1 + z q^j), both truncated at q^q_order and z^z_degree.
+    Each factor is multiplied in place by c[m][n] += c[m-1][n-j]: for the
+    reciprocal factor m ascends, so row m-1 already carries every power of
+    z q^j; for the plain factor m descends, so row m-1 still holds the
+    product before this factor.
+    """
+    if p < 0 or q_order < 0 or z_degree < 0:
+        raise ValueError("p, q_order and z_degree must all be >= 0")
+    c = [[0] * (q_order + 1) for _ in range(z_degree + 1)]
+    c[0][0] = 1
+    rows = range(z_degree, 0, -1) if distinct else range(1, z_degree + 1)
+    for j in range(1, p + 1):
+        for m in rows:
+            row, prev = c[m], c[m - 1]
+            for n in range(j, q_order + 1):
+                row[n] += prev[n - j]
+    return c
+
+
 def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z_DEGREE,
                  tamper: bool = False) -> CaseResult:
     """Expand both bounded-part products and compare every q^n z^m coefficient.
@@ -582,18 +603,13 @@ def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z
     The reciprocal product must reproduce count_P(n, m, p) and the plain
     product count_Q(n, m, p), for all n <= q_order, m <= z_degree.
     """
-    if p < 0 or q_order < 0 or z_degree < 0:
-        raise ValueError("p, q_order and z_degree must all be >= 0")
-    p_series = series_one(q_order)
-    q_series = series_one(q_order)
-    for j in range(1, p + 1):
-        p_series = series_mul(p_series, series_geom_factor(j, -1, 1, q_order, z_degree))
-        q_series = series_mul(q_series, series_geom_factor(j, 1, 1, q_order, z_degree))
+    p_table = genfun_table(p, q_order, z_degree, distinct=False)
+    q_table = genfun_table(p, q_order, z_degree, distinct=True)
     pairs = []
     for mm in range(z_degree + 1):
         for nn in range(q_order + 1):
-            pairs.append((p_series.coeff(nn, mm), count_P(nn, mm, p)))
-            pairs.append((q_series.coeff(nn, mm), count_Q(nn, mm, p)))
+            pairs.append((p_table[mm][nn], count_P(nn, mm, p)))
+            pairs.append((q_table[mm][nn], count_Q(nn, mm, p)))
     case = IdentityCase("genfun", (("p", p),))
     return _finish_pairs(case, pairs, tamper)
 

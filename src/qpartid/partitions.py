@@ -119,16 +119,6 @@ def count_Q_nm(n: int, m: int) -> int:
     return count_Q(n, m, UNBOUNDED)
 
 
-def check_pnmp_correspondence(n: int, m: int, p: int) -> bool:
-    """Box counts versus exact-part counts: P*(n,m,p) == P(n+m, m, p+1)."""
-    return count_P_star(n, m, p) == count_P(n + m, m, p + 1)
-
-
-def check_qnmp_correspondence(n: int, m: int, p: int) -> bool:
-    """Distinct counts via the staircase shift: Q(n,m,p) == P(n - m(m-1)/2, m, p-m+1)."""
-    return count_Q(n, m, p) == count_P(n - m * (m - 1) // 2, m, p - m + 1)
-
-
 @dataclass(frozen=True)
 class PartitionSpec:
     """What to enumerate: weight n plus optional part-count/part-size bounds."""

@@ -6,7 +6,8 @@ division-free by the Pascal-type recurrence
 
     bracket(a, b) = bracket(a-1, b-1) + q**b * bracket(a-1, b)
 
-with bracket(a, 0) = 1, memoized on (a, b).  The product definition
+with bracket(a, 0) = bracket(a, a) = 1, memoized on (a, b) and filled
+bottom-up, so no call recurses.  The product definition
 (bracket times prod(1-q^j) equals prod(1-q^{p+j})) is checked in the test
 suite as an invariant rather than used for construction.
 """
@@ -24,16 +25,19 @@ def _bracket(top: int, bottom: int) -> IntPoly:
         return ZERO
     if bottom == 0 or bottom == top:
         return ONE
-    key = (top, bottom)
-    cached = _bracket_memo.get(key)
+    cached = _bracket_memo.get((top, bottom))
     if cached is not None:
         return cached
-    val = poly_add(
-        _bracket(top - 1, bottom - 1),
-        poly_shift(_bracket(top - 1, bottom), bottom),
-    )
-    _bracket_memo[key] = val
-    return val
+    # fill, row by row, every (t, i) with 0 < i < t that the recurrence reaches
+    # from (top, bottom), so depth never grows with top
+    memo = _bracket_memo
+    for i in range(1, bottom + 1):
+        for t in range(i + 1, i + top - bottom + 1):
+            if (t, i) not in memo:
+                left = ONE if i == 1 else memo[(t - 1, i - 1)]
+                right = ONE if t - 1 == i else memo[(t - 1, i)]
+                memo[(t, i)] = poly_add(left, poly_shift(right, i))
+    return memo[(top, bottom)]
 
 
 def gaussian(m: int, p: int) -> IntPoly:

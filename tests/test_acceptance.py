@@ -20,8 +20,6 @@ from qpartid.identities import (
 )
 from qpartid.partitions import (
     PartitionSpec,
-    check_pnmp_correspondence,
-    check_qnmp_correspondence,
     count_P,
     count_P_star,
     count_Q,
@@ -76,12 +74,9 @@ def test_criterion_2_gaussian_properties():
 
 def test_criterion_3_correspondences():
     started = time.perf_counter()
-    for n in range(16):
-        for m in range(16):
-            for p in range(16):
-                assert check_pnmp_correspondence(n, m, p), (n, m, p)
-                assert check_qnmp_correspondence(n, m, p), (n, m, p)
-    report(3, "both count correspondences on the 16^3 grid", started)
+    # both default grids are the 16^3 cube n, m, p <= 15
+    cases = run_grid("pnmp_correspondence") + run_grid("qnmp_correspondence")
+    report(3, f"both count correspondences on {cases} cases of the 16^3 grid", started)
 
 
 def test_criterion_4_generating_functions():

@@ -1,4 +1,4 @@
-"""Polynomial and truncated-series arithmetic."""
+"""Exact polynomial arithmetic."""
 
 import random
 
@@ -6,22 +6,15 @@ import pytest
 
 from qpartid.bigpoly import (
     IntPoly,
-    ONE,
-    TruncSeries,
     ZERO,
     coeff_at,
     format_poly,
-    monomial,
     poly_add,
     poly_eval_int,
     poly_mul,
     poly_scale,
     poly_shift,
     poly_substitute_power,
-    poly_truncate,
-    series_geom_factor,
-    series_mul,
-    series_one,
 )
 
 P_1_PLUS_Q = IntPoly([1, 1])
@@ -138,53 +131,3 @@ def test_format_poly():
     assert format_poly(IntPoly([-1, 0, 2])) == "-1 + 2q^2"
     assert format_poly(IntPoly([0, -1])) == "-q"
 
-
-def test_series_mul_two_factor_expansion():
-    zq = TruncSeries(5, [ONE, monomial(1, 1)])
-    zq2 = TruncSeries(5, [ONE, monomial(1, 2)])
-    prod = series_mul(zq, zq2)
-    assert prod.rows == (ONE, IntPoly([0, 1, 1]), monomial(1, 3))
-
-
-def test_series_mul_identity_and_difference_of_squares():
-    s = TruncSeries(4, [IntPoly([1, 2]), monomial(3, 1)])
-    assert series_mul(s, series_one(4)) == s
-    plus = TruncSeries(6, [ONE, monomial(1, 1)])
-    minus = TruncSeries(6, [ONE, monomial(-1, 1)])
-    prod = series_mul(plus, minus)
-    assert prod.rows == (ONE, ZERO, monomial(-1, 2))
-
-
-def test_series_mul_rejects_mismatched_q_order():
-    with pytest.raises(ValueError):
-        series_mul(series_one(3), series_one(4))
-
-
-def test_series_geom_factor_examples():
-    g = series_geom_factor(1, -1, 1, 3, 3)
-    assert g.rows == (ONE, monomial(1, 1), monomial(1, 2), monomial(1, 3))
-    f = series_geom_factor(2, 1, 1, 10, 10)
-    assert f.rows == (ONE, monomial(1, 2))
-    e = series_geom_factor(1, -1, 2, 4, 4)
-    assert e.rows == (ONE, ZERO, monomial(1, 2), ZERO, monomial(1, 4))
-    with pytest.raises(ValueError):
-        series_geom_factor(0, -1, 1, 3, 3)
-    with pytest.raises(ValueError):
-        series_geom_factor(1, 2, 1, 3, 3)
-
-
-def test_series_mul_agrees_with_poly_mul_at_z_degree_zero():
-    rng = random.Random(11)
-    for _ in range(50):
-        a, b = random_poly(rng), random_poly(rng)
-        order = 8  # large enough that no q truncation occurs
-        sa = TruncSeries(order, [a])
-        sb = TruncSeries(order, [b])
-        assert series_mul(sa, sb).rows[0] == poly_mul(a, b)
-
-
-def test_poly_truncate():
-    p = IntPoly([1, 2, 3, 4])
-    assert poly_truncate(p, 1) == IntPoly([1, 2])
-    assert poly_truncate(p, 9) == p
-    assert poly_truncate(p, 0) == IntPoly([1])

@@ -273,6 +273,31 @@ def test_table_missing_parameter(capsys):
     assert "requires --m" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_verify_rejects_workers_below_one_before_any_work(capsys, workers):
+    code, out, err = run_cli(capsys, "verify", "--family", "delta", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--workers" in err
+    assert "Traceback" not in err
+
+
+def test_table_rejects_negative_p(capsys):
+    code, out, err = run_cli(capsys, "table", "--func", "P", "--n", "5", "--m", "2", "--p", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--p" in err
+
+
+def test_gauss_tall_thin_box_needs_no_recursion(capsys):
+    # [1201, 1]_q = 1 + q + ... + q^1200, built by a 1200-deep recurrence
+    code, out, _ = run_cli(capsys, "gauss", "--m", "1200", "--p", "1")
+    assert code == 0
+    coeffs = out.splitlines()[1].split()
+    assert coeffs[0] == "coeffs:"
+    assert coeffs[1:] == ["1"] * 1201
+
+
 def test_gauss_output(capsys):
     code, out, _ = run_cli(capsys, "gauss", "--m", "2", "--p", "2")
     assert code == 0

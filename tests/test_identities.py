@@ -14,6 +14,7 @@ from qpartid.identities import (
     check_F_theorem,
     check_genfun,
     evaluate_case,
+    genfun_table,
     get_descriptor,
     parity_sum_sides,
     q_identity_sides,
@@ -429,20 +430,32 @@ def test_genfun_empty_product():
 
 
 def test_genfun_spot_coefficients():
-    from qpartid.bigpoly import series_geom_factor, series_mul, series_one
+    prod = genfun_table(2, 6, 3, distinct=False)
+    assert prod[2][3] == count_P(3, 2, 2) == 1
 
-    prod = series_one(6)
-    for j in range(1, 3):
-        prod = series_mul(prod, series_geom_factor(j, -1, 1, 6, 3))
-    assert prod.coeff(3, 2) == count_P(3, 2, 2) == 1
-
-    qprod = series_one(6)
-    for j in range(1, 4):
-        qprod = series_mul(qprod, series_geom_factor(j, 1, 1, 6, 2))
+    qprod = genfun_table(3, 6, 2, distinct=True)
     # oracle: partitions of 5 into two distinct parts of size at most 3
     oracle = enumerate_partitions(PartitionSpec(5, exact_parts=2, max_part=3, distinct=True))
     assert oracle == [[3, 2]]
-    assert qprod.coeff(5, 2) == count_Q(5, 2, 3) == len(oracle) == 1
+    assert qprod[2][5] == count_Q(5, 2, 3) == len(oracle) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(0, 6),
+    q_order=st.integers(0, 12),
+    z_degree=st.integers(0, 5),
+    distinct=st.booleans(),
+)
+def test_genfun_table_matches_enumeration(p, q_order, z_degree, distinct):
+    # the enumeration oracle shares no code with the in-place table expansion
+    table = genfun_table(p, q_order, z_degree, distinct)
+    assert len(table) == z_degree + 1
+    for m, row in enumerate(table):
+        assert len(row) == q_order + 1
+        for n, coeff in enumerate(row):
+            spec = PartitionSpec(n, exact_parts=m, max_part=p, distinct=distinct)
+            assert coeff == len(enumerate_partitions(spec)), (m, n)
 
 
 def test_genfun_registry_grid():

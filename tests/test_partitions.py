@@ -3,12 +3,11 @@
 import pytest
 
 from qpartid.bigpoly import coeff_at
+from qpartid.identities import evaluate_case
 from qpartid.partitions import (
     UNBOUNDED,
     CountTable,
     PartitionSpec,
-    check_pnmp_correspondence,
-    check_qnmp_correspondence,
     count_P,
     count_P_most,
     count_P_nm,
@@ -109,26 +108,32 @@ def test_gaussian_coefficients_from_counts():
                 assert coeff_at(g, n) == count_P_star(n, m, p)
 
 
+def _correspondence_holds(identity_id, n, m, p):
+    return evaluate_case(identity_id, {"n": n, "m": m, "p": p}).passed
+
+
 def test_pnmp_correspondence():
-    assert check_pnmp_correspondence(2, 2, 2)
-    assert check_pnmp_correspondence(0, 0, 0)
-    assert check_pnmp_correspondence(5, 3, 4)
+    # P*(n, m, p) == P(n + m, m, p + 1)
+    assert _correspondence_holds("pnmp_correspondence", 2, 2, 2)
+    assert _correspondence_holds("pnmp_correspondence", 0, 0, 0)
+    assert _correspondence_holds("pnmp_correspondence", 5, 3, 4)
     for n in range(9):
         for m in range(9):
             for p in range(9):
-                assert check_pnmp_correspondence(n, m, p)
+                assert _correspondence_holds("pnmp_correspondence", n, m, p)
 
 
 def test_qnmp_correspondence():
-    assert check_qnmp_correspondence(6, 3, 3)
+    # Q(n, m, p) == P(n - m(m-1)/2, m, p - m + 1)
+    assert _correspondence_holds("qnmp_correspondence", 6, 3, 3)
     for n in range(7):
         for p in range(7):
-            assert check_qnmp_correspondence(n, 0, p)
-    assert check_qnmp_correspondence(9, 2, 5)
+            assert _correspondence_holds("qnmp_correspondence", n, 0, p)
+    assert _correspondence_holds("qnmp_correspondence", 9, 2, 5)
     for n in range(9):
         for m in range(9):
             for p in range(9):
-                assert check_qnmp_correspondence(n, m, p)
+                assert _correspondence_holds("qnmp_correspondence", n, m, p)
 
 
 def test_conjugation_chain():
