@@ -56,6 +56,7 @@ from .partitions import (
     count_Q_of,
     count_Q_star,
     enumerate_partitions,
+    oracle_counts,
 )
 from .qbinom import (
     binom,

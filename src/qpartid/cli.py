@@ -31,7 +31,6 @@ from .identities import (
 from .partitions import (
     ORACLE_LIMIT_DEFAULT,
     UNBOUNDED,
-    PartitionSpec,
     count_P,
     count_P_most,
     count_P_of,
@@ -40,7 +39,7 @@ from .partitions import (
     count_Q_most,
     count_Q_of,
     count_Q_star,
-    enumerate_partitions,
+    oracle_counts,
 )
 from .qbinom import bracket_base
 
@@ -311,12 +310,10 @@ def cmd_oracle_diff(args) -> int:
     started = time.perf_counter()
     rows = []
     for n in range(args.n_max + 1):
+        plain_counts, distinct_counts = oracle_counts(n, args.oracle_limit)
         for m in range(n + 1):
             for p in range(n + 1):
-                spec = PartitionSpec(n, exact_parts=m, max_part=p)
-                plain = len(enumerate_partitions(spec, args.oracle_limit))
-                spec_d = PartitionSpec(n, exact_parts=m, max_part=p, distinct=True)
-                distinct = len(enumerate_partitions(spec_d, args.oracle_limit))
+                plain, distinct = plain_counts[m][p], distinct_counts[m][p]
                 dp_p, dp_q = count_P(n, m, p), count_Q(n, m, p)
                 ok = plain == dp_p and distinct == dp_q
                 mismatch = None if ok else [dp_p, plain] if plain != dp_p else [dp_q, distinct]

@@ -11,11 +11,15 @@ since no part of a partition of n can exceed n).
 
 The enumerator shares no code with the DP recurrences: it generates the
 actual partitions by recursive descent, so it can anchor the counts.
+oracle_counts is the one-pass oracle built on it: it enumerates the
+partitions of n once and tabulates every count_P(n, m, p) and
+count_Q(n, m, p) by reading each partition directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 UNBOUNDED = None
@@ -41,9 +45,7 @@ class CountTable:
         key = (n, m, p)
         val = self.memo_P.get(key)
         if val is None:
-            # split on the smallest part: equal to 1, or subtract 1 everywhere
-            val = self.count_P(n - 1, m - 1, p) + self.count_P(n - m, m, p - 1)
-            self.memo_P[key] = val
+            val = _fill(self.memo_P, key, _p_children)
         return val
 
     def count_Q(self, n: int, m: int, p: Optional[int]) -> int:
@@ -60,10 +62,71 @@ class CountTable:
         key = (n, m, p)
         val = self.memo_Q.get(key)
         if val is None:
-            # split on whether the largest allowed part p is used
-            val = self.count_Q(n, m, p - 1) + self.count_Q(n - p, m - 1, p - 1)
-            self.memo_Q[key] = val
+            val = _fill(self.memo_Q, key, _q_children)
         return val
+
+
+def _p_entry(n: int, m: int, p: int):
+    """P(n, m, p) when the base rules decide it, else its canonical memo key.
+
+    The same rules as CountTable.count_P, which inlines them so that a memo
+    hit costs no extra call.
+    """
+    if m == 0:
+        return 1 if n == 0 else 0
+    if n < 0 or m < 0 or p < 0 or n < m or n > m * p:
+        return 0
+    return (n, m, p if p <= n else n)
+
+
+def _q_entry(n: int, m: int, p: int):
+    """Q(n, m, p) when the base rules decide it, else its canonical memo key.
+
+    The same rules as CountTable.count_Q.
+    """
+    if m == 0:
+        return 1 if n == 0 else 0
+    if n < 0 or m < 0 or p < 0:
+        return 0
+    if p > n:
+        p = n
+    if n < m * (m + 1) // 2 or n > m * p - m * (m - 1) // 2:
+        return 0
+    return (n, m, p)
+
+
+def _p_children(n: int, m: int, p: int):
+    # split on the smallest part: equal to 1, or subtract 1 everywhere
+    return _p_entry(n - 1, m - 1, p), _p_entry(n - m, m, p - 1)
+
+
+def _q_children(n: int, m: int, p: int):
+    # split on whether the largest allowed part p is used
+    return _q_entry(n, m, p - 1), _q_entry(n - p, m - 1, p - 1)
+
+
+def _fill(memo: dict, key: tuple, children) -> int:
+    """memo[key] as the sum of its two children, filling missing entries first.
+
+    An explicit stack replaces recursion, so a long chain of misses is
+    bounded by memory rather than by the interpreter's recursion limit.
+    """
+    stack = [key]
+    get = memo.get
+    while stack:
+        top = stack[-1]
+        a, b = children(*top)
+        val_a = a if type(a) is int else get(a)
+        val_b = b if type(b) is int else get(b)
+        if val_a is None or val_b is None:
+            if val_a is None:
+                stack.append(a)
+            if val_b is None:
+                stack.append(b)
+            continue
+        memo[top] = val_a + val_b
+        stack.pop()
+    return memo[key]
 
 
 _default_table = CountTable()
@@ -172,3 +235,28 @@ def enumerate_partitions(
 
     descend(spec.n, biggest)
     return results
+
+
+def oracle_counts(
+    n: int, oracle_limit: int = ORACLE_LIMIT_DEFAULT
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Counts of the partitions of n by part count and part-size cap, by enumeration.
+
+    Returns (plain, distinct): two (n+1)x(n+1) tables whose entry [m][p]
+    counts the partitions of n into exactly m parts, each at most p, and
+    those among them with distinct parts.  The partitions of n are
+    enumerated once and each is read directly (its length, its largest
+    part, whether its parts strictly decrease); prefix sums over p give
+    the caps.  Shares no code with the DP recurrences.
+    """
+    plain = [[0] * (n + 1) for _ in range(n + 1)]
+    distinct = [[0] * (n + 1) for _ in range(n + 1)]
+    for parts in enumerate_partitions(PartitionSpec(n), oracle_limit):
+        m, largest = len(parts), parts[0] if parts else 0
+        plain[m][largest] += 1
+        if all(a > b for a, b in zip(parts, parts[1:])):
+            distinct[m][largest] += 1
+    return (
+        [list(accumulate(row)) for row in plain],
+        [list(accumulate(row)) for row in distinct],
+    )

@@ -9,10 +9,9 @@ import subprocess
 import sys
 import time
 
-from qpartid.bigpoly import coeff_at, poly_eval_int, poly_shift, ONE, ZERO, IntPoly
+from qpartid.bigpoly import coeff_at, poly_eval_int, poly_shift
 from qpartid.identities import (
     check_F_theorem,
-    evaluate_case,
     q_identity_sides,
     registry,
     run_identity,

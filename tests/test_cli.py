@@ -93,6 +93,19 @@ def test_oracle_limit_is_only_an_oracle_diff_flag(capsys):
 SMALL_ALL_REPORT_DIGEST = "99cfa0f065cadc64818ffd1255e0862eea909192e058c244b291552441a2d305"
 
 
+# the same for `oracle-diff --n-max 8 --format json`: 285 (n, m, p) triples
+SMALL_ORACLE_REPORT_DIGEST = "873b507dbe2db631d91a0c0f181641d31323634452fbc29e1bc093a82d92869b"
+
+
+def timing_stripped_digest(report_path) -> str:
+    # sorted keys at indent 2: only the top-level timing block opens at two spaces
+    stripped, cuts = re.subn(
+        rb'\n  "timing": \{.*?\n  \}', b"", report_path.read_bytes(), flags=re.S
+    )
+    assert cuts == 1
+    return hashlib.sha256(stripped).hexdigest()
+
+
 def test_verify_all_small_grid_report_bytes_are_pinned(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, _, _ = run_cli(
@@ -103,10 +116,16 @@ def test_verify_all_small_grid_report_bytes_are_pinned(capsys, tmp_path):
         *("--workers", "1", "--format", "json", "--out", str(out)),
     )
     assert code == 0
-    # sorted keys at indent 2: only the top-level timing block opens at two spaces
-    stripped, cuts = re.subn(rb'\n  "timing": \{.*?\n  \}', b"", out.read_bytes(), flags=re.S)
-    assert cuts == 1
-    assert hashlib.sha256(stripped).hexdigest() == SMALL_ALL_REPORT_DIGEST
+    assert timing_stripped_digest(out) == SMALL_ALL_REPORT_DIGEST
+
+
+def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
+    out = tmp_path / "oracle.json"
+    code, _, _ = run_cli(
+        capsys, "oracle-diff", "--n-max", "8", "--format", "json", "--out", str(out)
+    )
+    assert code == 0
+    assert timing_stripped_digest(out) == SMALL_ORACLE_REPORT_DIGEST
 
 
 def test_verify_sets_override_abc(capsys):
@@ -326,6 +345,52 @@ def test_oracle_diff_over_limit(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "oracle-diff", "--n-max", "5", "--oracle-limit", "5")
     assert code == 0
+
+
+def test_oracle_diff_reaches_past_the_default_limit(capsys):
+    code, out, _ = run_cli(capsys, "oracle-diff", "--n-max", "35", "--oracle-limit", "35")
+    assert code == 0
+    assert "16206 cases" in out  # sum over n<=35 of (n+1)^2
+
+
+def test_oracle_diff_names_a_dp_mismatch(capsys, monkeypatch):
+    from qpartid import cli
+
+    true_count_Q = cli.count_Q
+
+    def off_by_one(n, m, p):
+        return true_count_Q(n, m, p) + ((n, m, p) == (5, 2, 3))
+
+    monkeypatch.setattr(cli, "count_Q", off_by_one)
+    code, out, _ = run_cli(capsys, "oracle-diff", "--n-max", "6", "--format", "json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["totals"]["failures"] == 1
+    (row,) = [r for r in report["results"] if not r["pass"]]
+    assert row["params"] == {"n": 5, "m": 2, "p": 3}
+    # [dp_q, enumerated]: 3+2 is the only partition of 5 into 2 distinct parts <= 3
+    assert row["first_mismatch"] == [2, 1]
+
+
+def run_module(*argv):
+    # a child process, so the large memo the count fills leaves with it
+    return subprocess.run(
+        [sys.executable, "-m", "qpartid", *argv], capture_output=True, text=True
+    )
+
+
+def test_table_partition_count_past_the_recursion_limit():
+    proc = run_module("table", "--func", "Pn", "--n", "2000")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4720819175619413888601432406799959512200344166\n"
+
+
+def test_table_distinct_count_past_the_recursion_limit():
+    # the Q recurrence steps p down by one, about 2,800 levels deep from p = n
+    proc = run_module("table", "--func", "Q", "--n", "3000", "--m", "20")
+    assert proc.returncode == 0, proc.stderr
+    # Q(n, m) = P(n - C(m, 2), m): partitions of 2790 into at most 20 parts
+    assert proc.stdout == "1986018922049330813498474312875\n"
 
 
 def test_argparse_usage_error_exit_code(capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from qpartid.bigpoly import IntPoly, ONE, ZERO, poly_add, poly_eval_int, poly_mul, poly_scale, poly_shift
 from qpartid.identities import (
     KIND_COMBINATORIAL,
-    KIND_COUNT_INTEGER,
     KIND_Q_POLYNOMIAL,
     check_F_theorem,
     check_genfun,

@@ -1,6 +1,7 @@
 """Partition counts, the enumeration oracle, and the count correspondences."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qpartid.bigpoly import coeff_at
 from qpartid.identities import evaluate_case
@@ -19,6 +20,7 @@ from qpartid.partitions import (
     count_Q_of,
     count_Q_star,
     enumerate_partitions,
+    oracle_counts,
 )
 from qpartid.qbinom import gaussian
 
@@ -90,6 +92,27 @@ def test_oracle_equivalence_small():
                     PartitionSpec(n, exact_parts=m, max_part=p, distinct=True)
                 )
                 assert len(distinct) == count_Q(n, m, p), (n, m, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=14))
+@example(0)  # the empty partition alone
+def test_oracle_counts_matches_per_spec_enumeration(n):
+    # the one-pass tables against one enumeration per (m, p, distinct) spec
+    plain, distinct = oracle_counts(n)
+    for d, table in ((False, plain), (True, distinct)):
+        assert len(table) == n + 1
+        for m in range(n + 1):
+            assert len(table[m]) == n + 1
+            for p in range(n + 1):
+                spec = PartitionSpec(n, exact_parts=m, max_part=p, distinct=d)
+                assert table[m][p] == len(enumerate_partitions(spec)), (n, m, p, d)
+
+
+def test_oracle_counts_respects_the_oracle_limit():
+    with pytest.raises(ValueError):
+        oracle_counts(31)
+    assert oracle_counts(31, oracle_limit=31)[0][1][31] == 1
 
 
 def test_enumerate_max_parts_matches_star_counts():
