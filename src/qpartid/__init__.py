@@ -45,6 +45,10 @@ from .partitions import (
     UNBOUNDED,
     CountTable,
     PartitionSpec,
+    box_count,
+    box_count_P,
+    box_count_Q,
+    box_count_Q_star,
     count_P,
     count_P_most,
     count_P_nm,

@@ -6,7 +6,8 @@ Subcommands:
   gauss       print a Gaussian polynomial
   oracle-diff exhaustively compare the DP counts against brute-force enumeration
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error.
+Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error,
+3 a family's check raised an unexpected exception (verify).
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from .identities import (
 from .partitions import (
     ORACLE_LIMIT_DEFAULT,
     UNBOUNDED,
+    box_count,
+    box_count_P,
+    box_count_Q,
+    box_count_Q_star,
     count_P,
-    count_P_most,
-    count_P_of,
-    count_P_star,
     count_Q,
-    count_Q_most,
-    count_Q_of,
-    count_Q_star,
     oracle_counts,
 )
 from .qbinom import bracket_base
@@ -48,6 +47,10 @@ WORKERS_ENV = "QPARTID_WORKERS"
 
 class UsageError(Exception):
     pass
+
+
+class FamilyError(Exception):
+    """A family's check raised; the message names the family and the exception."""
 
 
 @dataclass
@@ -90,7 +93,10 @@ def _result_row(identity_id: str, result: CaseResult) -> dict:
 
 def _family_task(identity_id: str, grid: dict, tamper_first: bool):
     start = time.perf_counter()
-    results = run_identity(identity_id, grid, tamper_first=tamper_first)
+    try:
+        results = run_identity(identity_id, grid, tamper_first=tamper_first)
+    except Exception as exc:
+        raise FamilyError(f"{identity_id}: {type(exc).__name__}: {exc}") from None
     elapsed = time.perf_counter() - start
     return identity_id, elapsed, [_result_row(identity_id, r) for r in results]
 
@@ -250,15 +256,16 @@ def cmd_verify(args) -> int:
     return code
 
 
+# one query each, so the one-shot box counts answer without filling the memo
 _TABLE_FUNCS = {
-    "P": (("n", "m"), ("p",), lambda n, m, p: count_P(n, m, p)),
-    "Q": (("n", "m"), ("p",), lambda n, m, p: count_Q(n, m, p)),
-    "Pstar": (("n", "m"), ("p",), lambda n, m, p: count_P_star(n, m, p)),
-    "Qstar": (("n", "m"), ("p",), lambda n, m, p: count_Q_star(n, m, p)),
-    "Pmost": (("n",), ("p",), lambda n, p: count_P_most(n, p)),
-    "Qmost": (("n",), ("p",), lambda n, p: count_Q_most(n, p)),
-    "Pn": (("n",), (), lambda n: count_P_of(n)),
-    "Qn": (("n",), (), lambda n: count_Q_of(n)),
+    "P": (("n", "m"), ("p",), box_count_P),
+    "Q": (("n", "m"), ("p",), box_count_Q),
+    "Pstar": (("n", "m"), ("p",), box_count),
+    "Qstar": (("n", "m"), ("p",), box_count_Q_star),
+    "Pmost": (("n",), ("p",), lambda n, p: box_count(n, UNBOUNDED, p)),
+    "Qmost": (("n",), ("p",), lambda n, p: box_count_Q_star(n, n, p)),
+    "Pn": (("n",), (), lambda n: box_count(n, UNBOUNDED, UNBOUNDED)),
+    "Qn": (("n",), (), lambda n: box_count_Q_star(n, n, UNBOUNDED)),
 }
 
 
@@ -407,6 +414,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FamilyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

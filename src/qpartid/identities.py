@@ -8,7 +8,9 @@ compare exactly, in three layers that share no evaluator:
   _Q_SUMS over two bracket kernels, read by _q_side.  The double sums come
   from one triangle theorem: for any sequence F(0..n),
       sum_{k+l <= n} (-1)^(k or l) F(k+l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b = F(0),
-  evaluated by triangle_sum.  resdbl1-4 are its instances with
+  evaluated by triangle_sum as sum_j F(j) G_j, where the diagonal G_j sums
+  the bracket products over k + l = j and is built once per (m, b, signed
+  index, j, kept parity).  resdbl1-4 are its instances with
       F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c  (resdbl1: sign on k, resdbl2: on l)
       F(j) = q^(a*C(n-j,2)) [p, n-j]_c    (resdbl3: sign on k, resdbl4: on l),
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
@@ -18,7 +20,8 @@ compare exactly, in three layers that share no evaluator:
   genfun_table expands the generating functions into integer tables.
 * combinatorial at q = 1: big-integer binomials that never touch the
   polynomial layer.  Each is a row of _COMB_SUMS naming one of four
-  binomial templates and its dilation, residue or flag.
+  binomial templates and its dilation, residue or flag; the triangle sums
+  read integer diagonals g_j = sum_{k+l=j} (+-v_k)(+-u_l) built per (sign, m).
 
 The remaining count chains are written out.
 
@@ -276,21 +279,35 @@ def _q_sum_sides(spec, n: int, m: int) -> tuple[IntPoly, IntPoly]:
 #
 # For any sequence F(0..n) the paper's triangle theorem reads
 #     sum_{k+l <= n} (-1)^(k or l) F(k+l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b = F(0).
-# The (k, l) bracket pair depends only on (m, b, k, l), so it is shared across
-# the whole verification grid.
+# F enters only through F(k+l), so the sum regroups by diagonals j = k + l as
+# sum_j F(j) G_j, with
+#     G_j = sum_{k+l=j} (-1)^(k or l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b.
+# G_j depends on (m, b, the signed index, j) alone, so each diagonal is built
+# once from the brackets and shared across the whole verification grid.  A
+# parity half keeps only the terms whose unsigned index u has u = keep (mod 2),
+# so its diagonals are keyed on keep as well.  The theorem says G_0 = 1 and
+# G_j = 0 for j >= 1; a half's diagonals need not vanish.
 
-_PB_MEMO: dict[tuple[int, int, int, int], IntPoly] = {}
+_DIAGONAL_MEMO: dict[tuple[int, int, str, int, Optional[int]], IntPoly] = {}
 
 
-def _pb_factor(m: int, b: int, k: int, l: int) -> IntPoly:
-    key = (m, b, k, l)
-    val = _PB_MEMO.get(key)
+def _diagonal(m: int, b: int, sign_on: str, j: int, keep: Optional[int]) -> IntPoly:
+    """G_j, over the unsigned indices u = keep (mod 2) only when keep is set."""
+    key = (m, b, sign_on, j, keep)
+    val = _DIAGONAL_MEMO.get(key)
     if val is None:
-        val = poly_shift(
-            poly_mul(bracket_base(m + 1, k, b), bracket_base(m + l, m, b)),
-            b * binom2(k),
-        )
-        _PB_MEMO[key] = val
+        val = ZERO
+        for k in range(j + 1):
+            l = j - k
+            signed, unsigned = (k, l) if sign_on == "k" else (l, k)
+            if keep is not None and unsigned % 2 != keep:
+                continue
+            term = poly_shift(
+                poly_mul(bracket_base(m + 1, k, b), bracket_base(m + l, m, b)),
+                b * binom2(k),
+            )
+            val = poly_add(val, poly_scale(term, -1) if signed % 2 else term)
+        _DIAGONAL_MEMO[key] = val
     return val
 
 
@@ -300,20 +317,20 @@ def triangle_sum(
     """The triangle sum of F over k + l <= n, with the brackets read in base q**b.
 
     With parity set, only the terms whose unsigned index u (l when the sign
-    is on k, k when it is on l) has n - u = parity (mod 2) are kept.
+    is on k, k when it is on l) has n - u = parity (mod 2) are kept.  The sum
+    is read as sum_j F(j) G_j over the memoized diagonals G_j; a product is
+    skipped only when G_j is the zero polynomial.
     """
     if len(F) < n + 1:
         raise ValueError(f"F must provide at least n+1 = {n + 1} values, got {len(F)}")
     if sign_on not in ("k", "l"):
         raise ValueError(f"sign_on must be 'k' or 'l', got {sign_on!r}")
+    keep = None if parity is None else (n - parity) % 2
     total = ZERO
-    for k in range(n + 1):
-        for l in range(n - k + 1):
-            signed, unsigned = (k, l) if sign_on == "k" else (l, k)
-            if parity is not None and (n - unsigned) % 2 != parity:
-                continue
-            term = poly_mul(F[k + l], _pb_factor(m, b, k, l))
-            total = poly_add(total, poly_scale(term, -1) if signed % 2 else term)
+    for j in range(n + 1):
+        g = _diagonal(m, b, sign_on, j, keep)
+        if not g.is_zero():
+            total = poly_add(total, poly_mul(F[j], g))
     return total
 
 
@@ -423,7 +440,9 @@ def check_F_theorem(
 ) -> CaseResult:
     """Verify the triangle sum of F, with the brackets read in base q**base, against F(0).
 
-    Every diagonal k+l = c cancels except the origin.
+    The sum is read as sum_j F(j) G_j over the diagonals k + l = j.  Every
+    G_j with j >= 1 is the zero polynomial and G_0 = 1, so the check costs
+    one product; the diagonals themselves are still built from the brackets.
     """
     if n < 0 or m < 0:
         raise ValueError(_Q_PARAM_DOMAIN_MSG)
@@ -682,16 +701,30 @@ def _comb_bottom(d: int, r: int, n: int, m: int) -> tuple[int, int]:
     return lhs, sign_n * sum(v[2 * k + t] * v[half - k] for k in range(half + 1))
 
 
+_COMB_DIAGONALS: dict[tuple[str, int], list[int]] = {}
+
+
+def _comb_diagonals(sign_on: str, m: int, n: int) -> list[int]:
+    """g_0..g_n (at least), g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l; grown as n grows."""
+    g = _COMB_DIAGONALS.setdefault((sign_on, m), [])
+    if len(g) <= n:
+        u, v = _u(m, n), _v(m, n)
+        if sign_on == "k":
+            v = _signed(v)
+        else:
+            u = _signed(u)
+        g.extend(sum(v[k] * u[j - k] for k in range(j + 1)) for j in range(len(g), n + 1))
+    return g
+
+
 def _comb_triangle(sign_on: str, shifted_top: bool, n: int, m: int, p: int) -> tuple[int, int]:
-    """16-19: sum_{k+l <= n} (-1)^(k or l) F_{n-k-l} v_k u_l = F_n, F_s = C(p+s, p) or C(p, s)."""
+    """16-19: sum_{k+l <= n} (-1)^(k or l) F_{n-k-l} v_k u_l = F_n, F_s = C(p+s, p) or C(p, s).
+
+    Read as sum_j F_{n-j} g_j over the diagonals k + l = j.
+    """
     f = [binom(p + s, p) if shifted_top else binom(p, s) for s in range(n + 1)]
-    u, v = _u(m, n), _v(m, n)
-    if sign_on == "k":
-        v = _signed(v)
-    else:
-        u = _signed(u)
-    lhs = sum(v[k] * sum(u[l] * f[n - k - l] for l in range(n - k + 1)) for k in range(n + 1))
-    return lhs, f[n]
+    g = _comb_diagonals(sign_on, m, n)
+    return sum(f[n - j] * g[j] for j in range(n + 1)), f[n]
 
 
 def _comb_parity(parity: int, kernel: str, n: int, m: int) -> tuple[int, int]:

@@ -9,6 +9,11 @@ arguments freely.  m == 0 counts the empty partition: 1 if n == 0 else 0,
 for any p.  The unbounded part-size sentinel is UNBOUNDED (p = n suffices,
 since no part of a partition of n can exceed n).
 
+Single queries (the CLI's table command) go through box_count and its
+reductions instead: each expands one rolling list of n+1 integers and never
+touches the memo, which would keep a key for every argument its recurrence
+reaches.
+
 The enumerator shares no code with the DP recurrences: it generates the
 actual partitions by recursive descent, so it can anchor the counts.
 oracle_counts is the one-pass oracle built on it: it enumerates the
@@ -180,6 +185,73 @@ def count_P_nm(n: int, m: int) -> int:
 def count_Q_nm(n: int, m: int) -> int:
     """Partitions of n into exactly m distinct parts, part size unbounded."""
     return count_Q(n, m, UNBOUNDED)
+
+
+# --- one-shot counts for single queries --------------------------------------
+#
+# A single query needs no memo: the partitions of N into at most r parts,
+# each at most s, fill an r-by-s box, so by conjugation their count is the
+# coefficient of q^N in the Gaussian polynomial [a+b, a] with a = min(r, s)
+# and b = max(r, s).  That polynomial is prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i),
+# expanded into one rolling list of N+1 integers.  When b >= N the numerator
+# factors lie past q^N, and the list is the usual count by parts at most a.
+
+
+def box_count(n: int, max_parts: Optional[int], max_part: Optional[int]) -> int:
+    """Partitions of n into at most max_parts parts, each at most max_part.
+
+    UNBOUNDED leaves a bound off.  The empty partition counts once for any
+    part-size bound; a negative part-count bound admits nothing.
+    """
+    if n < 0 or (max_parts is not None and max_parts < 0):
+        return 0
+    if n == 0:
+        return 1
+    r = n if max_parts is None else min(max_parts, n)
+    s = n if max_part is None else min(max_part, n)
+    a, b = min(r, s), max(r, s)
+    c = [1] + [0] * n
+    for i in range(1, a + 1):
+        for t in range(n, b + i - 1, -1):  # times 1 - q^(b+i)
+            c[t] -= c[t - b - i]
+        for t in range(i, n + 1):  # over 1 - q^i
+            c[t] += c[t - i]
+    return c[n]
+
+
+def box_count_P(n: int, m: int, p: Optional[int]) -> int:
+    """count_P(n, m, p) without the memo.
+
+    Taking one off each of the m parts leaves n - m in an m-by-(p-1) box.
+    """
+    if m == 0:
+        return 1 if n == 0 else 0
+    if m < 0 or (p is not None and p < 1):
+        return 0
+    return box_count(n - m, m, None if p is None else p - 1)
+
+
+def box_count_Q(n: int, m: int, p: Optional[int]) -> int:
+    """count_Q(n, m, p) without the memo.
+
+    Taking m, m-1, ..., 1 off the distinct parts, largest first, leaves
+    n - m(m+1)/2 in an m-by-(p-m) box.
+    """
+    if m == 0:
+        return 1 if n == 0 else 0
+    if m < 0 or (p is not None and p < m):
+        return 0
+    return box_count(n - m * (m + 1) // 2, m, None if p is None else p - m)
+
+
+def box_count_Q_star(n: int, m: int, p: Optional[int]) -> int:
+    """count_Q_star(n, m, p) without the memo, summed over the feasible part counts."""
+    k = 0
+    total = 0
+    while k <= m and k * (k + 1) // 2 <= n:
+        total += box_count_Q(n, k, p)
+        k += 1
+    return total
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ suite as an invariant rather than used for construction.
 
 from __future__ import annotations
 
+import math
+
 from .bigpoly import IntPoly, ONE, ZERO, poly_add, poly_mul, poly_shift, poly_substitute_power
 
 _bracket_memo: dict[tuple[int, int], IntPoly] = {}
@@ -68,18 +70,14 @@ def binom2(k: int) -> int:
 
 
 def binom(n: int, k: int) -> int:
-    """Exact integer binomial C(n, k), multiplicative and factorial-free.
+    """Exact integer binomial C(n, k) by math.comb.
 
-    Zero when k < 0 or k > n.  Independent of the polynomial layer so it can
-    serve as an oracle for q=1 evaluations.
+    Zero when k < 0, k > n or n < 0.  Independent of the polynomial layer so
+    it can serve as an oracle for q=1 evaluations.
     """
     if k < 0 or k > n or n < 0:
         return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        out = out * (n - k + i) // i
-    return out
+    return math.comb(n, k)
 
 
 def gaussian_symmetry_check(m: int, p: int) -> bool:

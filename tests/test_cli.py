@@ -189,6 +189,27 @@ def test_injected_failure_exits_one_with_case_in_report(capsys):
     assert report["totals"]["failures"] == 1
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_family_exception_exits_three_with_one_line(capsys, monkeypatch, workers):
+    # exit 1 means an identity failed; a check that raises is a different outcome
+    from qpartid.identities import get_descriptor
+
+    def broken(values, tamper=False):
+        raise RuntimeError("injected fault")
+
+    # the pool forks, so the workers see the patched descriptor too
+    monkeypatch.setattr(get_descriptor("delta"), "check", broken)
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        *("--family", "delta", "--family", "result1", "--n-max", "2", "--m-max", "2"),
+        *("--workers", workers),
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: delta: RuntimeError: injected fault\n"
+
+
 def test_json_determinism_modulo_timing(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

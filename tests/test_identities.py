@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpartid.bigpoly import IntPoly, ONE, ZERO, poly_add, poly_eval_int, poly_mul, poly_scale, poly_shift
+from qpartid import identities
 from qpartid.identities import (
     KIND_COMBINATORIAL,
     KIND_Q_POLYNOMIAL,
@@ -332,6 +333,84 @@ def test_triangle_sum_property(data, n, m, b, sign_on):
         even, _ = parity_sum_sides(corollary_id, "even", n, m)
         odd, _ = parity_sum_sides(corollary_id, "odd", n, m)
         assert poly_add(even, odd) == resdbl_lhs(variant, n, m, p, a, 1, 1)
+
+
+def triangle_sum_by_terms(F, n, m, b, sign_on, parity=None):
+    """Reference oracle: the triangle sum term by term, one product per (k, l)."""
+    total = ZERO
+    for k in range(n + 1):
+        for l in range(n - k + 1):
+            signed, unsigned = (k, l) if sign_on == "k" else (l, k)
+            if parity is not None and (n - unsigned) % 2 != parity:
+                continue
+            pb = poly_shift(
+                poly_mul(bracket_base(m + 1, k, b), bracket_base(m + l, m, b)), b * binom2(k)
+            )
+            term = poly_mul(F[k + l], pb)
+            total = poly_add(total, poly_scale(term, -1) if signed % 2 else term)
+    return total
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 7),
+    m=st.integers(0, 5),
+    b=st.sampled_from([1, 2, 3]),
+    sign_on=st.sampled_from(["k", "l"]),
+    parity=st.sampled_from([None, 0, 1]),
+)
+def test_triangle_sum_diagonals_match_the_term_by_term_sum(data, n, m, b, sign_on, parity):
+    F = data.draw(st.lists(_INT_POLY, min_size=n + 1, max_size=n + 1))
+    expected = triangle_sum_by_terms(F, n, m, b, sign_on, parity)
+    assert triangle_sum(F, n, m, b, sign_on, parity) == expected
+
+
+def test_triangle_diagonals_cancel_past_the_origin():
+    # the paper's cancellation, read off the diagonals themselves
+    for m in range(7):
+        for b in (1, 2, 3):
+            for sign_on in ("k", "l"):
+                assert identities._diagonal(m, b, sign_on, 0, None) == ONE
+                for j in range(1, 9):
+                    assert identities._diagonal(m, b, sign_on, j, None) == ZERO, (m, b, sign_on, j)
+
+
+def comb_triangle_by_terms(f, n, m, sign_on):
+    """Reference oracle: the q = 1 triangle sum of f as a double loop over binomials."""
+    lhs = 0
+    for k in range(n + 1):
+        for l in range(n - k + 1):
+            sign = (-1) ** (k if sign_on == "k" else l)
+            lhs += sign * binom(m + 1, k) * binom(m + l, m) * f[n - k - l]
+    return lhs
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 20),
+    m=st.integers(0, 20),
+    sign_on=st.sampled_from(["k", "l"]),
+)
+def test_comb_triangle_diagonals_match_the_double_loop(data, n, m, sign_on):
+    # any integer sequence f, not only the binomial ones of comb16-19
+    f = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n + 1, max_size=n + 1))
+    g = identities._comb_diagonals(sign_on, m, n)
+    assert sum(f[n - j] * g[j] for j in range(n + 1)) == comb_triangle_by_terms(f, n, m, sign_on)
+    p = data.draw(st.integers(0, 12))
+    for shifted_top in (True, False):
+        f = [binom(p + s, p) if shifted_top else binom(p, s) for s in range(n + 1)]
+        expected = (comb_triangle_by_terms(f, n, m, sign_on), f[n])
+        assert identities._comb_triangle(sign_on, shifted_top, n, m, p) == expected
+
+
+def test_comb_triangle_diagonals_vanish_past_the_origin():
+    for m in range(21):
+        for sign_on in ("k", "l"):
+            g = identities._comb_diagonals(sign_on, m, 20)
+            assert g[0] == 1
+            assert g[1:21] == [0] * 20, (m, sign_on)
 
 
 # --- counting identities ----------------------------------------------------

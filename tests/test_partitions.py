@@ -9,6 +9,10 @@ from qpartid.partitions import (
     UNBOUNDED,
     CountTable,
     PartitionSpec,
+    box_count,
+    box_count_P,
+    box_count_Q,
+    box_count_Q_star,
     count_P,
     count_P_most,
     count_P_nm,
@@ -113,6 +117,33 @@ def test_oracle_counts_respects_the_oracle_limit():
     with pytest.raises(ValueError):
         oracle_counts(31)
     assert oracle_counts(31, oracle_limit=31)[0][1][31] == 1
+
+
+_BOX_REFERENCE = CountTable()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=0, max_value=60))
+def test_box_counts_match_the_count_table(data, n):
+    # the one-shot counts behind `table` against the memoized recurrences
+    m = data.draw(st.integers(min_value=0, max_value=n + 1))
+    p = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n)))
+    table = _BOX_REFERENCE
+    assert box_count_P(n, m, p) == table.count_P(n, m, p)
+    assert box_count_Q(n, m, p) == table.count_Q(n, m, p)
+    assert box_count(n, m, p) == sum(table.count_P(n, k, p) for k in range(m + 1))
+    assert box_count_Q_star(n, m, p) == sum(table.count_Q(n, k, p) for k in range(m + 1))
+    assert box_count(n, UNBOUNDED, p) == sum(table.count_P(n, k, p) for k in range(n + 1))
+    assert box_count_Q_star(n, n, p) == sum(table.count_Q(n, k, p) for k in range(n + 1))
+
+
+def test_box_counts_out_of_range():
+    assert box_count(-1, 3, 3) == 0
+    assert box_count(0, -1, 3) == 0
+    assert box_count(4, 0, 4) == box_count(4, 4, 0) == 0
+    assert box_count_P(0, 0, 0) == box_count_Q(0, 0, 0) == 1
+    assert box_count_P(3, -1, 3) == box_count_Q(3, -1, 3) == 0
+    assert box_count_P(1, 1, 0) == box_count_Q(3, 2, 1) == 0
 
 
 def test_enumerate_max_parts_matches_star_counts():

@@ -1,7 +1,5 @@
 """Gaussian polynomial construction and its defining properties."""
 
-import math
-
 import pytest
 
 from qpartid.bigpoly import IntPoly, ONE, ZERO, coeff_at, poly_eval_int
@@ -59,12 +57,26 @@ def test_binom2():
 
 
 def test_binom_against_math_comb():
-    for n in range(0, 40):
-        for k in range(-2, n + 3):
-            expected = math.comb(n, k) if 0 <= k <= n else 0
-            assert binom(n, k) == expected
+    # Pascal's triangle written out by hand, rows n = 0..7
+    rows = [
+        [1],
+        [1, 1],
+        [1, 2, 1],
+        [1, 3, 3, 1],
+        [1, 4, 6, 4, 1],
+        [1, 5, 10, 10, 5, 1],
+        [1, 6, 15, 20, 15, 6, 1],
+        [1, 7, 21, 35, 35, 21, 7, 1],
+    ]
+    for n, row in enumerate(rows):
+        assert [binom(n, k) for k in range(n + 1)] == row
+    assert binom(10, 3) == 120
+    assert binom(20, 10) == 184756
     # values past 64 bits must stay exact
-    assert binom(100, 50) == math.comb(100, 50)
+    assert binom(100, 50) == 100891344545564193334812497256
+    # out of range: k < 0, k > n or n < 0 is zero
+    for n, k in ((0, -1), (3, -2), (0, 1), (3, 4), (5, 9), (-1, 0), (-3, 2), (-4, -1)):
+        assert binom(n, k) == 0, (n, k)
 
 
 def test_symmetry():
