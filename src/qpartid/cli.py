@@ -6,8 +6,14 @@ Subcommands:
   gauss       print a Gaussian polynomial
   oracle-diff exhaustively compare the DP counts against brute-force enumeration
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error,
-3 a family's check raised an unexpected exception (verify).
+Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
+(including an --out path that cannot be written), 3 a family's check raised
+an unexpected exception (verify).
+
+A JSON report is exactly json.dumps(report, indent=2, sort_keys=True)
+followed by a newline.  The frame is rendered by json.dumps; each results row
+of the usual shape is written from a fixed template, and any other row is
+rendered by json.dumps on its own and indented to match.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from . import __version__
@@ -156,9 +163,114 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
     return _build_report(config.echo(), rows, timing)
 
 
+_ROW_KEYS = frozenset(("first_mismatch", "id", "lhs_hash", "params", "pass", "rhs_hash"))
+
+
+def _json_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def _params_layout(keys: tuple) -> Optional[list[tuple[str, str]]]:
+    """The sorted (key, '"key": ') pairs of a params dict, or None for a non-str key."""
+    if not all(type(k) is str for k in keys):
+        return None
+    return [(k, f"{_json_str(k)}: ") for k in sorted(keys)]
+
+
+def _row_json(row, layouts: dict) -> Optional[str]:
+    """The row as json.dumps nests it in a report, or None where the template does not fit.
+
+    The template covers str id and hashes, a bool pass, a params dict of str
+    keys and int values, and a first_mismatch that is None, an int or a list
+    of two ints.  The checks are on exact types, so a bool never prints as an
+    int.  Strings go through json's own escaper.  layouts caches the sorted
+    key prefixes of each params key order seen.
+    """
+    if type(row) is not dict or row.keys() != _ROW_KEYS:
+        return None
+    ident, lhs, rhs, passed = row["id"], row["lhs_hash"], row["rhs_hash"], row["pass"]
+    mismatch, params = row["first_mismatch"], row["params"]
+    if not (
+        type(ident) is str
+        and type(lhs) is str
+        and type(rhs) is str
+        and type(passed) is bool
+        and type(params) is dict
+    ):
+        return None
+    if mismatch is None:
+        mismatch_s = "null"
+    elif type(mismatch) is int:
+        mismatch_s = str(mismatch)
+    elif (
+        type(mismatch) is list
+        and len(mismatch) == 2
+        and type(mismatch[0]) is int
+        and type(mismatch[1]) is int
+    ):
+        mismatch_s = f"[\n        {mismatch[0]},\n        {mismatch[1]}\n      ]"
+    else:
+        return None
+    if params:
+        keys = tuple(params)
+        try:
+            layout = layouts[keys]
+        except KeyError:
+            layout = layouts[keys] = _params_layout(keys)
+        if layout is None:
+            return None
+        items = []
+        for key, prefix in layout:
+            value = params[key]
+            if type(value) is not int:
+                return None
+            items.append(f"{prefix}{value}")
+        params_s = "{\n        " + ",\n        ".join(items) + "\n      }"
+    else:
+        params_s = "{}"
+    return (
+        f'    {{\n      "first_mismatch": {mismatch_s},'
+        f'\n      "id": {_json_str(ident)},'
+        f'\n      "lhs_hash": {_json_str(lhs)},'
+        f'\n      "params": {params_s},'
+        f'\n      "pass": {"true" if passed else "false"},'
+        f'\n      "rhs_hash": {_json_str(rhs)}\n    }}'
+    )
+
+
+def _render_json(report: dict) -> str:
+    """Exactly json.dumps(report, indent=2, sort_keys=True) + "\\n", with rows templated.
+
+    The frame (every top-level value but results) is rendered by json.dumps,
+    and each row is placed into it from _row_json's template or, where the
+    template does not fit, from json.dumps of that row alone.
+    """
+    rows = report.get("results") if type(report) is dict else None
+    if type(rows) is not list or not all(type(k) is str for k in report):
+        return _json_dumps(report) + "\n"
+    out = ["{"]
+    for i, key in enumerate(sorted(report)):
+        out.append(f"{',' if i else ''}\n  {_json_str(key)}: ")
+        if key != "results":
+            out.append(_json_dumps(report[key]).replace("\n", "\n  "))
+        elif not rows:
+            out.append("[]")
+        else:
+            out.append("[\n")
+            layouts: dict = {}
+            for j, row in enumerate(rows):
+                text = _row_json(row, layouts)
+                if text is None:
+                    text = "    " + _json_dumps(row).replace("\n", "\n    ")
+                out.append(f",\n{text}" if j else text)
+            out.append("\n  ]")
+    out.append("\n}\n")
+    return "".join(out)
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _render_json(report)
     if fmt == "tsv":
         lines = ["id\tparams\tpass\tfirst_mismatch\tlhs_hash\trhs_hash"]
         for row in report["results"]:
@@ -194,10 +306,21 @@ def render_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Reject an --out path whose directory does not exist, before any work runs."""
+    if out:
+        parent = os.path.dirname(out) or "."
+        if not os.path.isdir(parent):
+            raise UsageError(f"--out {out}: {parent} is not a directory")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -232,7 +355,7 @@ def _collect_overrides(args) -> dict[str, list[int]]:
 
 def cmd_verify(args) -> int:
     if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
+        raise UsageError(f"--workers must be >= 1 (the default is ${WORKERS_ENV} if set)")
     overrides = _collect_overrides(args)
     if args.preset == "desk" and overrides:
         raise UsageError("--preset desk pins the default grids; range overrides conflict")
@@ -341,14 +464,13 @@ def cmd_oracle_diff(args) -> int:
     return code
 
 
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _worker_count(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects an integer (the default is ${WORKERS_ENV} if set), got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +495,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--a-set", default=None, metavar="LIST")
     v.add_argument("--b-set", default=None, metavar="LIST")
     v.add_argument("--c-set", default=None, metavar="LIST")
-    v.add_argument("--workers", type=int, default=_default_workers(), metavar="N")
+    # argparse converts a string default through type only when verify runs
+    # without --workers, so a bad $QPARTID_WORKERS fails verify alone
+    v.add_argument(
+        "--workers",
+        type=_worker_count,
+        default=os.environ.get(WORKERS_ENV) or os.cpu_count() or 1,
+        metavar="N",
+    )
     v.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
     add_common(v)
     v.set_defaults(handler=cmd_verify)
@@ -410,6 +539,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

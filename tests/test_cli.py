@@ -7,8 +7,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from qpartid.cli import main
+from qpartid.cli import main, render_report
 
 
 def run_cli(capsys, *argv):
@@ -427,3 +428,259 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "1 + q + 2q^2 + q^3 + q^4"
+
+
+def test_verify_rejects_unwritable_out_before_any_family_runs(capsys, monkeypatch, tmp_path):
+    from qpartid import cli
+
+    def no_family(*args, **kwargs):
+        raise AssertionError("a family ran")
+
+    monkeypatch.setattr(cli, "run_identity", no_family)
+    monkeypatch.setattr(cli, "oracle_counts", no_family)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    for out in (tmp_path / "missing" / "x.json", not_a_dir / "x.json"):
+        for argv in (
+            ("verify", "--family", "delta", "--format", "json"),
+            ("oracle-diff", "--n-max", "3", "--format", "json"),
+        ):
+            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert code == 2
+            assert stdout == ""
+            assert err.startswith("error: --out") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--func", "Pn", "--n", "5"),
+        ("gauss", "--m", "2", "--p", "2"),
+        ("verify", "--family", "delta", "--n-max", "1", "--m-max", "1"),
+    ],
+)
+def test_unwritable_out_exits_two_with_one_line(capsys, tmp_path, argv):
+    # a missing directory is caught up front; a directory as the file only at the write
+    for out in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: --out") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_bad_workers_env_is_a_verify_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("QPARTID_WORKERS", value)
+    code, out, err = run_cli(capsys, "verify", "--family", "delta", "--n-max", "1", "--m-max", "1")
+    assert code == 2
+    assert out == ""
+    assert "QPARTID_WORKERS" in err and "Traceback" not in err
+    # an explicit --workers wins over the variable, and no other subcommand reads it
+    code, _, _ = run_cli(
+        capsys, "verify", "--family", "delta", "--n-max", "1", "--m-max", "1", "--workers", "1"
+    )
+    assert code == 0
+    assert run_cli(capsys, "table", "--func", "Pn", "--n", "5")[:2] == (0, "7\n")
+    assert run_cli(capsys, "gauss", "--m", "1", "--p", "1")[0] == 0
+    assert run_cli(capsys, "oracle-diff", "--n-max", "2")[0] == 0
+
+
+def json_dumps_report(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def assert_renders_as_json_dumps(report):
+    got, want = render_report(report, "json"), json_dumps_report(report)
+    if got != want:
+        # an excerpt: pytest's own diff of two megabyte strings takes minutes
+        at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+        at = min(len(got), len(want)) if at is None else at
+        pytest.fail(f"differs at {at}: {got[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
+
+
+def rendered_reports(monkeypatch, capsys, *argv):
+    """Run the CLI once and return every report it rendered."""
+    from qpartid import cli
+
+    seen = []
+
+    def spy(report, fmt):
+        seen.append(report)
+        return render_report(report, fmt)
+
+    monkeypatch.setattr(cli, "render_report", spy)
+    code = main([*argv, "--format", "json"])
+    capsys.readouterr()
+    return code, seen
+
+
+def test_json_render_matches_json_dumps_on_a_small_verify_all(capsys, monkeypatch):
+    code, (report,) = rendered_reports(
+        monkeypatch, capsys, "verify", "--all", "--n-max", "3", "--m-max", "3", "--p-max", "3"
+    )
+    assert code == 0
+    assert len(report["results"]) == 4700
+    assert_renders_as_json_dumps(report)
+
+
+def test_json_render_matches_json_dumps_on_injected_failures(capsys, monkeypatch):
+    shapes = set()
+    # a q family fails at an exponent, a count family at a pair of values
+    for family in ("result1", "theorem1"):
+        code, (report,) = rendered_reports(
+            monkeypatch, capsys, "verify", "--family", family,
+            "--n-max", "3", "--m-max", "3", "--p-max", "3", "--inject-failure",
+        )
+        assert code == 1
+        shapes.update(type(r["first_mismatch"]) for r in report["results"] if not r["pass"])
+        assert_renders_as_json_dumps(report)
+    assert shapes == {int, list}
+
+
+def test_json_render_matches_json_dumps_on_an_oracle_mismatch(capsys, monkeypatch):
+    from qpartid import cli
+
+    true_count_P = cli.count_P
+    monkeypatch.setattr(
+        cli, "count_P", lambda n, m, p: true_count_P(n, m, p) - ((n, m, p) == (7, 3, 4))
+    )
+    code, (report,) = rendered_reports(monkeypatch, capsys, "oracle-diff", "--n-max", "8")
+    assert code == 1
+    (failed,) = [r for r in report["results"] if not r["pass"]]
+    assert type(failed["first_mismatch"]) is list
+    assert_renders_as_json_dumps(report)
+
+
+def test_json_render_falls_back_to_json_dumps_per_row(monkeypatch):
+    from qpartid import cli
+
+    row = {
+        "first_mismatch": None,
+        "id": "delta",
+        "lhs_hash": "ab",
+        "params": {"n": 1},
+        "pass": True,
+        "rhs_hash": "ab",
+    }
+    odd = dict(row, params={"n": 1.5})
+    report = {"config": {}, "results": [row, odd, row], "timing": {"total": 0.5}}
+    dumped = []
+    dumps = cli._json_dumps
+
+    def spy(value):
+        dumped.append(value)
+        return dumps(value)
+
+    monkeypatch.setattr(cli, "_json_dumps", spy)
+    assert cli.render_report(report, "json") == json_dumps_report(report)
+    # the frame values and the one row the template does not cover
+    assert [v for v in dumped if v is odd or v is row] == [odd]
+
+
+def json_leaves():
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.text(max_size=6),
+    )
+
+
+# every str, however odd, fits the row template: json's own escaper writes it
+ROW_TEXT = st.one_of(
+    st.text(alphabet="ab\"\\é☃\n\x00", max_size=6),
+    st.text(max_size=6),
+    st.just("0" * 64),
+)
+BIG_INTS = st.one_of(st.integers(), st.integers(min_value=2**64, max_value=2**200), st.just(-1))
+# (fits the template, does not): one row field in sixteen takes the second
+ROW_FIELDS = {
+    "first_mismatch": (
+        st.one_of(st.none(), BIG_INTS, st.lists(BIG_INTS, min_size=2, max_size=2)),
+        st.one_of(
+            st.booleans(),
+            st.lists(BIG_INTS, max_size=3),
+            st.tuples(BIG_INTS, BIG_INTS),
+            st.lists(st.one_of(BIG_INTS, json_leaves()), min_size=2, max_size=2),
+            st.text(max_size=3),
+        ),
+    ),
+    "id": (ROW_TEXT, st.one_of(json_leaves(), st.lists(st.integers(), max_size=2))),
+    "lhs_hash": (ROW_TEXT, json_leaves()),
+    "params": (
+        st.dictionaries(ROW_TEXT, BIG_INTS, max_size=6),
+        st.dictionaries(ROW_TEXT, st.one_of(BIG_INTS, json_leaves()), min_size=1, max_size=4),
+    ),
+    "pass": (st.booleans(), st.one_of(st.integers(0, 1), st.none())),
+    "rhs_hash": (ROW_TEXT, json_leaves()),
+}
+
+
+@st.composite
+def report_rows(draw):
+    row = {
+        key: draw(odd if draw(st.integers(0, 15)) == 0 else fits)
+        for key, (fits, odd) in ROW_FIELDS.items()
+    }
+    if draw(st.integers(0, 9)) == 0:
+        del row[draw(st.sampled_from(sorted(row)))]
+    if draw(st.integers(0, 9)) == 0:
+        row["extra"] = draw(json_leaves())
+    return row
+
+
+REPORTS = st.fixed_dictionaries(
+    {
+        "config": st.dictionaries(st.text(max_size=4), json_leaves(), max_size=4),
+        "results": st.lists(report_rows(), max_size=6),
+        "timing": st.dictionaries(st.text(max_size=4), st.floats(0, 10), max_size=3),
+        "version": st.text(max_size=4),
+    },
+    optional={"totals": st.dictionaries(st.text(max_size=4), st.integers(), max_size=3)},
+)
+
+
+def example_row(**fields):
+    row = {
+        "first_mismatch": None,
+        "id": "delta",
+        "lhs_hash": "0" * 64,
+        "params": {"n": 3, "m": 1},
+        "pass": True,
+        "rhs_hash": "f" * 64,
+    }
+    return {**row, **fields}
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+@example({"config": {}, "results": [], "timing": {}, "version": "0"})
+@example(
+    {
+        "config": {"families": ["delta"], "overrides": {}},
+        "results": [
+            example_row(),
+            example_row(params={}, **{"pass": False}),
+            example_row(first_mismatch=-7, **{"pass": False}),
+            example_row(first_mismatch=2**64 + 1),
+            example_row(first_mismatch=[-(2**70), 2**65]),
+            example_row(id='say "hi"', lhs_hash="back\\slash", rhs_hash="é☃"),
+            # none of these fit the template
+            example_row(first_mismatch=True),
+            example_row(first_mismatch=[1, 2, 3]),
+            example_row(first_mismatch=[1]),
+            example_row(first_mismatch=(1, 2)),
+            example_row(first_mismatch=[1, False]),
+            example_row(params={"n": 1, "m": "2"}),
+            example_row(params={"n": True}),
+            example_row(params={2: 1, 1: 2}),
+            example_row(**{"pass": 1}),
+        ],
+        "timing": {"total": 0.25},
+        "totals": {"cases": 14},
+        "version": "0.1",
+    }
+)
+def test_json_render_is_json_dumps(report):
+    assert_renders_as_json_dumps(report)
