@@ -21,7 +21,6 @@ from .bigpoly import (
 )
 from .identities import (
     CaseResult,
-    IdentityCase,
     IdentityDescriptor,
     check_F_theorem,
     check_genfun,
@@ -29,7 +28,6 @@ from .identities import (
     genfun_table,
     get_descriptor,
     iter_cases,
-    make_case,
     parity_sum_sides,
     q_identity_sides,
     registry,

@@ -1,10 +1,14 @@
 """Batch verification front end.
 
-Subcommands:
-  verify      run identity checks over parameter grids, emit a report
-  table       print one exact partition count
-  gauss       print a Gaussian polynomial
+Subcommands, with the --format values each one renders:
+  verify      run identity checks over parameter grids, emit a report (json, tsv, human)
+  table       print one exact partition count (human, tsv)
+  gauss       print a Gaussian polynomial (no --format)
   oracle-diff exhaustively compare the DP counts against brute-force enumeration
+              (json, tsv, human)
+
+Every subcommand takes --out PATH.  A report row is built in one place,
+_result_row, from a CaseResult whose params dict becomes the row's params.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
 (including an --out path that cannot be written), 3 a family's check raised
@@ -90,7 +94,7 @@ def _result_row(identity_id: str, result: CaseResult) -> dict:
         mismatch = list(mismatch)
     return {
         "id": identity_id,
-        "params": result.case.as_dict(),
+        "params": result.params,
         "pass": result.passed,
         "first_mismatch": mismatch,
         "lhs_hash": result.lhs_hash,
@@ -394,6 +398,9 @@ _TABLE_FUNCS = {
 
 def cmd_table(args) -> int:
     required, optional, func = _TABLE_FUNCS[args.func]
+    for name in ("n", "m", "p"):
+        if getattr(args, name) is not None and name not in required + optional:
+            raise UsageError(f"table --func {args.func} takes no --{name}")
     values = {}
     for name in required:
         v = getattr(args, name)
@@ -446,17 +453,15 @@ def cmd_oracle_diff(args) -> int:
                 plain, distinct = plain_counts[m][p], distinct_counts[m][p]
                 dp_p, dp_q = count_P(n, m, p), count_Q(n, m, p)
                 ok = plain == dp_p and distinct == dp_q
-                mismatch = None if ok else [dp_p, plain] if plain != dp_p else [dp_q, distinct]
-                rows.append(
-                    {
-                        "id": "oracle_diff",
-                        "params": {"n": n, "m": m, "p": p},
-                        "pass": ok,
-                        "first_mismatch": mismatch,
-                        "lhs_hash": "",
-                        "rhs_hash": "",
-                    }
+                mismatch = None if ok else (dp_p, plain) if plain != dp_p else (dp_q, distinct)
+                result = CaseResult(
+                    params={"n": n, "m": m, "p": p},
+                    passed=ok,
+                    lhs_hash="",
+                    rhs_hash="",
+                    first_mismatch=mismatch,
                 )
+                rows.append(_result_row("oracle_diff", result))
     elapsed = round(time.perf_counter() - started, 6)
     config = {"n_max": args.n_max, "oracle_limit": args.oracle_limit}
     report, code = _build_report(config, rows, {"oracle_diff": elapsed, "total": elapsed})
@@ -481,9 +486,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "tsv", "human"), default="human")
+    def add_output(p, formats=()):
+        if formats:
+            p.add_argument("--format", choices=formats, default="human")
         p.add_argument("--out", metavar="PATH", default=None)
+
+    report_formats = ("json", "tsv", "human")
 
     v = sub.add_parser("verify", help="run identity checks over parameter grids")
     v.add_argument("--family", action="append", metavar="ID", help="identity id (repeatable)")
@@ -504,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
     )
     v.add_argument("--inject-failure", action="store_true", help=argparse.SUPPRESS)
-    add_common(v)
+    add_output(v, report_formats)
     v.set_defaults(handler=cmd_verify)
 
     t = sub.add_parser("table", help="print one exact partition count")
@@ -512,20 +520,20 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, default=None)
     t.add_argument("--m", type=int, default=None)
     t.add_argument("--p", type=int, default=None)
-    add_common(t)
+    add_output(t, ("human", "tsv"))
     t.set_defaults(handler=cmd_table)
 
     g = sub.add_parser("gauss", help="print a Gaussian polynomial")
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--base", type=int, default=1)
-    add_common(g)
+    add_output(g)
     g.set_defaults(handler=cmd_gauss)
 
     o = sub.add_parser("oracle-diff", help="compare DP counts against enumeration")
     o.add_argument("--n-max", type=int, required=True, metavar="N")
     o.add_argument("--oracle-limit", type=int, default=ORACLE_LIMIT_DEFAULT, metavar="N")
-    add_common(o)
+    add_output(o, report_formats)
     o.set_defaults(handler=cmd_oracle_diff)
 
     return parser

@@ -34,6 +34,7 @@ vanishing sums are verified through s(j) alone.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -95,33 +96,24 @@ def _weights(weight: str, count: int, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Cases, results, descriptors
+# Results and descriptors
 # ---------------------------------------------------------------------------
+#
+# A case is one params dict, {name: value} in the descriptor's parameter
+# order.  iter_cases makes a fresh one per grid point, the check stores it
+# unchanged in its CaseResult, and the CLI puts that same dict into the
+# report row.
 
 KIND_Q_POLYNOMIAL = "q_polynomial"
 KIND_COUNT_INTEGER = "count_integer"
 KIND_COMBINATORIAL = "combinatorial_q1"
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    """One identity instance: registry id plus bound parameter values."""
-
-    id: str
-    values: tuple[tuple[str, int], ...]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
-
-    def value_tuple(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.values)
-
-
 @dataclass
 class CaseResult:
     """Verdict for one case, with digests for compact reporting."""
 
-    case: IdentityCase
+    params: dict[str, int]
     passed: bool
     lhs_hash: str
     rhs_hash: str
@@ -142,10 +134,6 @@ class IdentityDescriptor:
     default_grid: dict[str, list[int]]
     check: Callable[..., CaseResult]
     core: bool = False
-
-
-def make_case(identity_id: str, params: dict[str, int], order: Sequence[str]) -> IdentityCase:
-    return IdentityCase(identity_id, tuple((name, params[name]) for name in order))
 
 
 def _sha(text: str) -> str:
@@ -170,12 +158,12 @@ def _poly_first_mismatch(lhs: IntPoly, rhs: IntPoly) -> Optional[int]:
     return None
 
 
-def _finish_poly(case: IdentityCase, lhs: IntPoly, rhs: IntPoly, tamper: bool) -> CaseResult:
+def _finish_poly(params: dict[str, int], lhs: IntPoly, rhs: IntPoly, tamper: bool) -> CaseResult:
     if tamper:
         rhs = poly_add(rhs, ONE)
     mismatch = _poly_first_mismatch(lhs, rhs)
     return CaseResult(
-        case=case,
+        params=params,
         passed=mismatch is None,
         lhs_hash=_hash_poly(lhs),
         rhs_hash=_hash_poly(rhs),
@@ -184,7 +172,7 @@ def _finish_poly(case: IdentityCase, lhs: IntPoly, rhs: IntPoly, tamper: bool) -
 
 
 def _finish_pairs(
-    case: IdentityCase, pairs: Sequence[tuple[int, int]], tamper: bool
+    params: dict[str, int], pairs: Sequence[tuple[int, int]], tamper: bool
 ) -> CaseResult:
     pairs = list(pairs)
     if tamper and pairs:
@@ -192,7 +180,7 @@ def _finish_pairs(
         pairs[0] = (l0, r0 + 1)
     mismatch = next(((l, r) for l, r in pairs if l != r), None)
     return CaseResult(
-        case=case,
+        params=params,
         passed=mismatch is None,
         lhs_hash=_hash_ints([l for l, _ in pairs]),
         rhs_hash=_hash_ints([r for _, r in pairs]),
@@ -211,16 +199,15 @@ def _require_q_domain(params: dict[str, int], resdbl: bool) -> None:
         raise ValueError(f"{_Q_PARAM_DOMAIN_MSG}: got {params}")
 
 
-def _sides_check(identity_id: str, kind: str, params: tuple[str, ...], sides: Callable):
+def _sides_check(identity_id: str, kind: str, names: tuple[str, ...], sides: Callable):
     """A check from sides(*values): two polynomials, or a list of (lhs, rhs) integer pairs."""
 
-    def check(values, tamper=False):
-        case = make_case(identity_id, values, params)
-        args = [values[name] for name in params]
+    def check(params, tamper=False):
+        args = [params[name] for name in names]
         if kind != KIND_Q_POLYNOMIAL:
-            return _finish_pairs(case, sides(*args), tamper)
-        _require_q_domain(values, resdbl=identity_id in RESDBL_IDS)
-        return _finish_poly(case, *sides(*args), tamper)
+            return _finish_pairs(params, sides(*args), tamper)
+        _require_q_domain(params, resdbl=identity_id in RESDBL_IDS)
+        return _finish_poly(params, *sides(*args), tamper)
 
     return check
 
@@ -398,17 +385,16 @@ def parity_sum_sides(corollary_id: str, parity: str, n: int, m: int) -> tuple[In
 
 def _check_corollary(corollary_id: str, params, tamper=False):
     # one case covers both the even half and the zero-sided odd one
-    case = make_case(corollary_id, params, _NM)
     _require_q_domain(params, resdbl=False)
     n, m = params["n"], params["m"]
-    even = _finish_poly(case, *parity_sum_sides(corollary_id, "even", n, m), tamper)
-    odd = _finish_poly(case, *parity_sum_sides(corollary_id, "odd", n, m), False)
+    even = _finish_poly(params, *parity_sum_sides(corollary_id, "even", n, m), tamper)
+    odd = _finish_poly(params, *parity_sum_sides(corollary_id, "odd", n, m), False)
     if not even.passed:
         return even
     if not odd.passed:
         return odd
     return CaseResult(
-        case=case,
+        params=params,
         passed=True,
         lhs_hash=_sha(even.lhs_hash + odd.lhs_hash),
         rhs_hash=_sha(even.rhs_hash + odd.rhs_hash),
@@ -447,8 +433,7 @@ def check_F_theorem(
     if n < 0 or m < 0:
         raise ValueError(_Q_PARAM_DOMAIN_MSG)
     lhs = triangle_sum(F, n, m, base, sign_on)
-    case = IdentityCase("f_theorem", (("n", n), ("m", m)))
-    return _finish_poly(case, lhs, F[0], tamper=False)
+    return _finish_poly({"n": n, "m": m}, lhs, F[0], tamper=False)
 
 
 _F_RANDOM_SEED = 74521
@@ -465,14 +450,13 @@ def standard_f_sequences(n: int, m: int) -> list[tuple[str, tuple[IntPoly, ...]]
 
 def _check_f_theorem(params, tamper=False):
     n, m = params["n"], params["m"]
-    case = make_case("f_theorem", params, ("n", "m"))
     lhs_digest, rhs_digest = [], []
     for sign_on in ("k", "l"):
         for _, seq in standard_f_sequences(n, m):
             sub = check_F_theorem(seq, n, m, sign_on)
             if not sub.passed:
                 return CaseResult(
-                    case=case,
+                    params=params,
                     passed=False,
                     lhs_hash=sub.lhs_hash,
                     rhs_hash=sub.rhs_hash,
@@ -481,7 +465,7 @@ def _check_f_theorem(params, tamper=False):
             lhs_digest.append(sub.lhs_hash)
             rhs_digest.append(sub.rhs_hash)
     result = CaseResult(
-        case=case,
+        params=params,
         passed=True,
         lhs_hash=_sha(",".join(lhs_digest)),
         rhs_hash=_sha(",".join(rhs_digest)),
@@ -615,13 +599,7 @@ def genfun_table(p: int, q_order: int, z_degree: int, distinct: bool) -> list[li
     return c
 
 
-def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z_DEGREE,
-                 tamper: bool = False) -> CaseResult:
-    """Expand both bounded-part products and compare every q^n z^m coefficient.
-
-    The reciprocal product must reproduce count_P(n, m, p) and the plain
-    product count_Q(n, m, p), for all n <= q_order, m <= z_degree.
-    """
+def _pairs_genfun(p, q_order=GENFUN_Q_ORDER, z_degree=GENFUN_Z_DEGREE):
     p_table = genfun_table(p, q_order, z_degree, distinct=False)
     q_table = genfun_table(p, q_order, z_degree, distinct=True)
     pairs = []
@@ -629,12 +607,17 @@ def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z
         for nn in range(q_order + 1):
             pairs.append((p_table[mm][nn], count_P(nn, mm, p)))
             pairs.append((q_table[mm][nn], count_Q(nn, mm, p)))
-    case = IdentityCase("genfun", (("p", p),))
-    return _finish_pairs(case, pairs, tamper)
+    return pairs
 
 
-def _check_genfun_registry(params, tamper=False):
-    return check_genfun(params["p"], tamper=tamper)
+def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z_DEGREE,
+                 tamper: bool = False) -> CaseResult:
+    """Expand both bounded-part products and compare every q^n z^m coefficient.
+
+    The reciprocal product must reproduce count_P(n, m, p) and the plain
+    product count_Q(n, m, p), for all n <= q_order, m <= z_degree.
+    """
+    return _finish_pairs({"p": p}, _pairs_genfun(p, q_order, z_degree), tamper)
 
 
 # ---------------------------------------------------------------------------
@@ -835,9 +818,9 @@ def _build_registry() -> list[IdentityDescriptor]:
         ("qn_double_sum", ("n",), {"n": _rng(40)}, _pairs_qn_double_sum),
         ("pnmp_correspondence", _NMP, corr_grid, partial(_count_pairs, ("P*", "P+"))),
         ("qnmp_correspondence", _NMP, corr_grid, _pairs_qnmp_correspondence),
+        ("genfun", ("p",), {"p": _rng(6)}, _pairs_genfun),
     ):
         add_sides(identity_id, count, params, grid, pairs)
-    add("genfun", count, ("p",), {"p": _rng(6)}, _check_genfun_registry)
 
     comb_grid = {"n": _rng(20), "m": _rng(20), "p": _rng(12)}
     for identity_id, spec in _COMB_SUMS.items():
@@ -872,23 +855,17 @@ def get_descriptor(identity_id: str) -> IdentityDescriptor:
 
 
 def iter_cases(desc: IdentityDescriptor, grid: Optional[dict[str, list[int]]] = None):
-    """Yield parameter dicts over the grid in deterministic nested order."""
+    """Yield a fresh params dict per grid point, in descriptor order, the last axis fastest."""
     grid = grid or desc.default_grid
-    axes = [grid[name] for name in desc.params]
-
-    def rec(i: int, acc: dict[str, int]):
-        if i == len(desc.params):
-            yield dict(acc)
-            return
-        for v in axes[i]:
-            acc[desc.params[i]] = v
-            yield from rec(i + 1, acc)
-
-    yield from rec(0, {})
+    names = desc.params
+    for values in itertools.product(*(grid[name] for name in names)):
+        yield dict(zip(names, values))
 
 
 def evaluate_case(identity_id: str, params: dict[str, int], tamper: bool = False) -> CaseResult:
-    return get_descriptor(identity_id).check(params, tamper=tamper)
+    """Check one case; its result's params holds the descriptor's names, in their order."""
+    desc = get_descriptor(identity_id)
+    return desc.check({name: params[name] for name in desc.params}, tamper=tamper)
 
 
 def run_identity(

@@ -34,7 +34,7 @@ def report(criterion, detail, started):
 def run_grid(identity_id, grid=None):
     results = run_identity(identity_id, grid)
     failed = [r for r in results if not r.passed]
-    assert not failed, (identity_id, failed[0].case, failed[0].first_mismatch)
+    assert not failed, (identity_id, failed[0].params, failed[0].first_mismatch)
     return len(results)
 
 

@@ -129,6 +129,28 @@ def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
     assert timing_stripped_digest(out) == SMALL_ORACLE_REPORT_DIGEST
 
 
+# SHA-256 of the whole stdout (TSV carries no timing).  JSON sorts its keys,
+# so TSV is the format where the order of each row's params shows.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("verify", "--all", "--n-max", "3", "--m-max", "3", "--p-max", "3", "--workers", "1"),
+            "06cb4b8252378ad0ab97de7b9d40be9ce5ec492791110693e4c5362b43c84555",
+        ),
+        (
+            ("oracle-diff", "--n-max", "8"),
+            "f38484a45d09cfc4696f07412c0d41b032e0fcb0ef0d646d61d8c2e0322ed0a8",
+        ),
+    ],
+    ids=["verify-all-small", "oracle-diff-8"],
+)
+def test_tsv_report_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_sets_override_abc(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -314,6 +336,22 @@ def test_table_missing_parameter(capsys):
     assert "requires --m" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--func", "Pn", "--n", "5", "--p", "3"), "--p"),
+        (("--func", "Qn", "--n", "6", "--m", "2"), "--m"),
+        (("--func", "Pmost", "--n", "6", "--m", "2", "--p", "3"), "--m"),
+    ],
+)
+def test_table_rejects_a_flag_its_func_does_not_take(capsys, argv, flag):
+    # before, Pn --n 5 --p 3 printed p(5) = 7 and Qn ignored --m, both exiting 0
+    code, out, err = run_cli(capsys, "table", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and flag in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_verify_rejects_workers_below_one_before_any_work(capsys, workers):
     code, out, err = run_cli(capsys, "verify", "--family", "delta", "--workers", workers)
@@ -418,6 +456,15 @@ def test_table_distinct_count_past_the_recursion_limit():
 def test_argparse_usage_error_exit_code(capsys):
     assert run_cli(capsys, "verify", "--format", "yaml")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
+    # table renders human and tsv only, and gauss has one output form
+    for argv in (
+        ("table", "--func", "Pn", "--n", "5", "--format", "json"),
+        ("gauss", "--m", "2", "--p", "2", "--format", "json"),
+        ("gauss", "--m", "2", "--p", "2", "--format", "tsv"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "--format" in err
 
 
 def test_console_entry_point_subprocess():

@@ -11,11 +11,13 @@ from qpartid import identities
 from qpartid.identities import (
     KIND_COMBINATORIAL,
     KIND_Q_POLYNOMIAL,
+    IdentityDescriptor,
     check_F_theorem,
     check_genfun,
     evaluate_case,
     genfun_table,
     get_descriptor,
+    iter_cases,
     parity_sum_sides,
     q_identity_sides,
     registry,
@@ -644,7 +646,46 @@ def test_tampered_case_reports_mismatch():
 
 def test_case_result_fields():
     r = evaluate_case("result3", {"n": 2, "m": 2})
-    assert r.case.id == "result3"
-    assert r.case.as_dict() == {"n": 2, "m": 2}
-    assert r.case.value_tuple() == (2, 2)
+    assert r.params == {"n": 2, "m": 2}
+    # the result's params keep the descriptor's names only, in its order
+    params = evaluate_case("result3", {"m": 2, "n": 2, "p": 9}).params
+    assert list(params.items()) == [("n", 2), ("m", 2)]
     assert len(r.lhs_hash) == 64
+
+
+def iter_cases_by_recursion(desc, grid=None):
+    """Reference oracle: the nested grid walk, one recursion level per axis."""
+    grid = grid or desc.default_grid
+    axes = [grid[name] for name in desc.params]
+
+    def rec(i, acc):
+        if i == len(desc.params):
+            yield dict(acc)
+            return
+        for v in axes[i]:
+            acc[desc.params[i]] = v
+            yield from rec(i + 1, acc)
+
+    yield from rec(0, {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    axes=st.lists(
+        st.lists(st.integers(-3, 9), max_size=4),
+        min_size=1,
+        max_size=6,
+    ),
+    use_default=st.booleans(),
+)
+def test_iter_cases_matches_the_nested_grid_walk(axes, use_default):
+    names = tuple("nmpabc"[: len(axes)])
+    grid = dict(zip(names, axes))
+    desc = IdentityDescriptor("grid", KIND_Q_POLYNOMIAL, names, grid, check=None)
+    given_grid = None if use_default else grid
+    cases = list(iter_cases(desc, given_grid))
+    assert [list(c.items()) for c in cases] == [
+        list(c.items()) for c in iter_cases_by_recursion(desc, given_grid)
+    ]
+    # a fresh dict per case, so a check may keep the one it was given
+    assert len({id(c) for c in cases}) == len(cases)
