@@ -144,6 +144,10 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
         if fam not in known:
             raise UsageError(f"unknown identity id {fam!r}")
     families = sorted(set(config.families))
+    read = {name for fam in families for name in get_descriptor(fam).params}
+    for name in config.overrides:
+        if name not in read:
+            raise UsageError(f"{_OVERRIDE_FLAGS[name]} sets {name}, which no selected family reads")
     tasks = [
         (fam, _grid_for(fam, config.overrides), config.inject_failure and i == 0)
         for i, fam in enumerate(families)
@@ -338,22 +342,35 @@ def _parse_int_list(text: str, flag: str, low: int) -> list[int]:
         raise UsageError(f"{flag} got an empty list")
     if any(v < low for v in values):
         raise UsageError(f"{flag} values must be >= {low}")
+    if len(set(values)) != len(values):
+        raise UsageError(f"{flag} values must be distinct")
     return values
+
+
+# the verify flag that overrides each grid parameter
+_OVERRIDE_FLAGS = {
+    "n": "--n-max",
+    "m": "--m-max",
+    "p": "--p-max",
+    "a": "--a-set",
+    "b": "--b-set",
+    "c": "--c-set",
+}
 
 
 def _collect_overrides(args) -> dict[str, list[int]]:
     overrides: dict[str, list[int]] = {}
-    for name, flag in (("n", "--n-max"), ("m", "--m-max"), ("p", "--p-max")):
+    for name in ("n", "m", "p"):
         hi = getattr(args, name + "_max")
         if hi is not None:
             if hi < 0:
-                raise UsageError(f"{flag} must be >= 0")
+                raise UsageError(f"{_OVERRIDE_FLAGS[name]} must be >= 0")
             overrides[name] = list(range(hi + 1))
     # only the resdbl families read a, b and c; their domain is a >= 0 and b, c >= 1
-    for name, flag, low in (("a", "--a-set", 0), ("b", "--b-set", 1), ("c", "--c-set", 1)):
+    for name, low in (("a", 0), ("b", 1), ("c", 1)):
         raw = getattr(args, name + "_set")
         if raw is not None:
-            overrides[name] = _parse_int_list(raw, flag, low)
+            overrides[name] = _parse_int_list(raw, _OVERRIDE_FLAGS[name], low)
     return overrides
 
 

@@ -14,14 +14,20 @@ compare exactly, in three layers that share no evaluator:
       F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c  (resdbl1: sign on k, resdbl2: on l)
       F(j) = q^(a*C(n-j,2)) [p, n-j]_c    (resdbl3: sign on k, resdbl4: on l),
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
-  and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.
+  and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.  Each
+  F is read from a row H[s] = F(n-s) kept per (top form, p, a, c).
 * counting: the memoized partition counts.  The dilated, signed 2-D
-  convolutions are rows of _COUNT_SUMS, read by _count_side, and
-  genfun_table expands the generating functions into integer tables.
+  convolutions are rows of _COUNT_SUMS, read by _count_side from integer
+  tables t[a][b] = kernel(a, b, p), one per (kernel, p), and genfun_table
+  expands the generating functions into integer tables.
 * combinatorial at q = 1: big-integer binomials that never touch the
   polynomial layer.  Each is a row of _COMB_SUMS naming one of four
-  binomial templates and its dilation, residue or flag; the triangle sums
-  read integer diagonals g_j = sum_{k+l=j} (+-v_k)(+-u_l) built per (sign, m).
+  binomial templates and its dilation, residue or flag.  The templates read
+  binomial rows kept per m or per (p, top form), and the triangle sums read
+  integer diagonals g_j = sum_{k+l=j} (+-v_k)(+-u_l) built per (sign, m).
+
+Every such table, row and diagonal is filled lazily on first read and grows
+in place as larger n or m arrive; none is ever rebuilt.
 
 The remaining count chains are written out.
 
@@ -38,6 +44,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .bigpoly import (
@@ -161,13 +168,15 @@ def _poly_first_mismatch(lhs: IntPoly, rhs: IntPoly) -> Optional[int]:
 def _finish_poly(params: dict[str, int], lhs: IntPoly, rhs: IntPoly, tamper: bool) -> CaseResult:
     if tamper:
         rhs = poly_add(rhs, ONE)
-    mismatch = _poly_first_mismatch(lhs, rhs)
+    lhs_hash = _hash_poly(lhs)
+    if lhs.coeffs == rhs.coeffs:  # equal sides hash alike
+        return CaseResult(params=params, passed=True, lhs_hash=lhs_hash, rhs_hash=lhs_hash)
     return CaseResult(
         params=params,
-        passed=mismatch is None,
-        lhs_hash=_hash_poly(lhs),
+        passed=False,
+        lhs_hash=lhs_hash,
         rhs_hash=_hash_poly(rhs),
-        first_mismatch=mismatch,
+        first_mismatch=_poly_first_mismatch(lhs, rhs),
     )
 
 
@@ -178,13 +187,17 @@ def _finish_pairs(
     if tamper and pairs:
         l0, r0 = pairs[0]
         pairs[0] = (l0, r0 + 1)
-    mismatch = next(((l, r) for l, r in pairs if l != r), None)
+    lhs = [l for l, _ in pairs]
+    rhs = [r for _, r in pairs]
+    lhs_hash = _hash_ints(lhs)
+    if lhs == rhs:  # equal sides hash alike
+        return CaseResult(params=params, passed=True, lhs_hash=lhs_hash, rhs_hash=lhs_hash)
     return CaseResult(
         params=params,
-        passed=mismatch is None,
-        lhs_hash=_hash_ints([l for l, _ in pairs]),
-        rhs_hash=_hash_ints([r for _, r in pairs]),
-        first_mismatch=mismatch,
+        passed=False,
+        lhs_hash=lhs_hash,
+        rhs_hash=_hash_ints(rhs),
+        first_mismatch=next((l, r) for l, r in pairs if l != r),
     )
 
 
@@ -332,15 +345,24 @@ _RESDBL = {
 RESDBL_IDS = tuple(_RESDBL)
 
 
+# F(j) is H[n - j] for the row H[s] = q^(a*C(s,2)) [p+s, p]_c or [p, s]_c,
+# which depends on (top form, p, a, c) alone.  Each row is kept and grown in
+# place, one entry per new s, so every (n, m, b) case of that row shares it.
+_RESDBL_F_ROWS: dict[tuple[bool, int, int, int], list[IntPoly]] = {}
+
+
 def _resdbl_f(variant: str, n: int, p: int, a: int, c: int) -> tuple[IntPoly, ...]:
+    """F(0..n) of a resdbl identity, read from its memoized row H as H[n], ..., H[0]."""
     if variant not in _RESDBL:
         raise ValueError(f"unknown resdbl variant {variant!r}")
+    if n < 0:
+        raise ValueError(f"{_Q_PARAM_DOMAIN_MSG}: got n = {n}")
     shifted_top = _RESDBL[variant][0]
-    F = []
-    for s in range(n, -1, -1):
+    row = _RESDBL_F_ROWS.setdefault((shifted_top, p, a, c), [])
+    for s in range(len(row), n + 1):
         base = bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c)
-        F.append(poly_shift(base, a * binom2(s)))
-    return tuple(F)
+        row.append(poly_shift(base, a * binom2(s)))
+    return tuple(row[n::-1])
 
 
 def _resdbl_sides(variant: str, n, m, p, a, b, c) -> tuple[IntPoly, IntPoly]:
@@ -488,15 +510,35 @@ def _check_f_theorem(params, tamper=False):
 # or a row (scale, A, B, d, w) meaning
 #     scale * sum_{k <= n/d, l <= m/d} w(l) A(n-dk, m-dl) B(k, l).
 # The angle weights read m: 2cos((2l-m)pi/3) and 2sin((m-2l)pi/3)/sqrt(3).
+# A row reads both kernels from integer tables t[a][b] = kernel(a, b, p), one
+# per (kernel, p), so every (n, m) case at that p shares them.  A table is
+# kept rectangular and grown in place: new rows at the bottom, new columns on
+# each row's end, every cell computed once.
 
 _NIL = "zero"
 
 
 def _count_kernel(name: str) -> Callable[[int, int, int], int]:
-    # resolved per call, so a rebinding of the module's count functions is seen
+    # looked up by name when called, so a table is filled through whichever
+    # count functions the module binds when its cells are first read
     if name == "P+":
         return lambda a, b, p: count_P(a + b, b, p + 1)
     return {"P": count_P, "Q": count_Q, "Q*": count_Q_star, "P*": count_P_star}[name]
+
+
+_COUNT_TABLES: dict[tuple[str, int], list[list[int]]] = {}
+
+
+def _count_table(name: str, p: int, rows: int, cols: int) -> list[list[int]]:
+    """t[a][b] = kernel(a, b, p) for at least a < rows and b < cols."""
+    t = _COUNT_TABLES.setdefault((name, p), [])
+    width = max(cols, len(t[0]) if t else 0)
+    if len(t) < rows or len(t[0]) < width:
+        kernel = _count_kernel(name)
+        for a, row in enumerate(t):
+            row.extend(kernel(a, b, p) for b in range(len(row), width))
+        t.extend([kernel(a, b, p) for b in range(width)] for a in range(len(t), rows))
+    return t
 
 
 _COUNT_SUMS = {
@@ -522,13 +564,14 @@ def _count_side(side, n: int, m: int, p: int) -> int:
     if isinstance(side, str):
         return _count_kernel(side)(n, m, p)
     scale, a, b, d, weight = side
-    outer, inner = _count_kernel(a), _count_kernel(b)
+    tops, cols = n // d + 1, m // d + 1
+    outer = _count_table(a, p, n + 1, m + 1)
+    inner = _count_table(b, p, tops, cols)
+    weights = _weights(weight, cols, m)
+    # row k contributes sum_l A(n-dk, m-dl) w(l) B(k, l)
     total = 0
-    for l, w in enumerate(_weights(weight, m // d + 1, m)):
-        if w:
-            total += w * sum(
-                outer(n - d * k, m - d * l, p) * inner(k, l, p) for k in range(n // d + 1)
-            )
+    for k in range(tops):
+        total += sum(map(mul, outer[n - d * k][m::-d], map(mul, weights, inner[k])))
     return scale * total
 
 
@@ -631,14 +674,29 @@ def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z
 #   _comb_triangle(sign_on, shifted_top):  the triangle double sums at a = b = c = 1
 #   _comb_parity(parity, kernel):  the even or odd half of a parity corollary
 # Rows with d = 3 carry cosine weights and are verified doubled.
+#
+# Every template reads binomial rows of two forms, kept per x and grown in
+# place one entry at a time: the upper row C(x+j, x) and the lower row C(x, j).
+# u is the upper row at m and v the lower row at m + 1; the triangle sums'
+# F_s = C(p+s, p) or C(p, s) is the upper or lower row at p.  A returned row
+# may run past the index asked for.
+
+_BINOM_ROWS: dict[tuple[bool, int], list[int]] = {}
+
+
+def _binom_row(upper: bool, x: int, top: int) -> list[int]:
+    """C(x+j, x) (upper) or C(x, j) (lower) for at least j <= top."""
+    row = _BINOM_ROWS.setdefault((upper, x), [])
+    row.extend(binom(x + j, x) if upper else binom(x, j) for j in range(len(row), top + 1))
+    return row
 
 
 def _u(m: int, top: int) -> list[int]:
-    return [binom(m + j, m) for j in range(top + 1)]
+    return _binom_row(True, m, top)
 
 
 def _v(m: int, top: int) -> list[int]:
-    return [binom(m + 1, j) for j in range(top + 1)]
+    return _binom_row(False, m + 1, top)
 
 
 def _signed(xs: list[int]) -> list[int]:
@@ -691,7 +749,7 @@ def _comb_diagonals(sign_on: str, m: int, n: int) -> list[int]:
     """g_0..g_n (at least), g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l; grown as n grows."""
     g = _COMB_DIAGONALS.setdefault((sign_on, m), [])
     if len(g) <= n:
-        u, v = _u(m, n), _v(m, n)
+        u, v = _u(m, n)[: n + 1], _v(m, n)[: n + 1]
         if sign_on == "k":
             v = _signed(v)
         else:
@@ -705,9 +763,9 @@ def _comb_triangle(sign_on: str, shifted_top: bool, n: int, m: int, p: int) -> t
 
     Read as sum_j F_{n-j} g_j over the diagonals k + l = j.
     """
-    f = [binom(p + s, p) if shifted_top else binom(p, s) for s in range(n + 1)]
+    f = _binom_row(shifted_top, p, n)
     g = _comb_diagonals(sign_on, m, n)
-    return sum(f[n - j] * g[j] for j in range(n + 1)), f[n]
+    return sum(map(mul, f[n::-1], g)), f[n]
 
 
 def _comb_parity(parity: int, kernel: str, n: int, m: int) -> tuple[int, int]:
@@ -717,7 +775,7 @@ def _comb_parity(parity: int, kernel: str, n: int, m: int) -> tuple[int, int]:
     """
     u, v = _u(m, n), _v(m, n)
     x, y = (u, v) if kernel == "u" else (v, u)
-    signed_x = _signed(x)
+    signed_x = _signed(x[: n + 1])
     lhs = sum(
         signed_x[k] * sum(x[l] * y[n - k - l] for l in range((parity + k) % 2, n - k + 1, 2))
         for k in range(n + 1)

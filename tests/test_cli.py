@@ -177,6 +177,50 @@ def test_verify_sets_override_abc(capsys):
     assert report["totals"]["cases"] == 3 * 3 * 3 * 1 * 1 * 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--family", "theorem1", "--b-set", "2"), "--b-set"),
+        (("--family", "comb16", "--a-set", "5"), "--a-set"),
+        (("--family", "pn_from_q", "--m-max", "3"), "--m-max"),
+        (("--family", "pn_from_q", "--family", "result1", "--p-max", "2"), "--p-max"),
+    ],
+)
+def test_verify_rejects_an_override_no_selected_family_reads(capsys, monkeypatch, argv, flag):
+    # the override would be echoed in the config without ever being run
+    from qpartid import cli
+
+    def no_family(*args, **kwargs):
+        raise AssertionError("no family may run")
+
+    monkeypatch.setattr(cli, "run_identity", no_family)
+    code, out, err = run_cli(capsys, "verify", *argv, "--workers", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and flag in err
+
+
+def test_verify_all_accepts_every_override(capsys):
+    # the resdbl families read a, b and c, so --all takes every flag
+    code, out, _ = run_cli(
+        capsys, "verify", "--all", "--workers", "1", "--format", "json",
+        *("--n-max", "1", "--m-max", "1", "--p-max", "1"),
+        *("--a-set", "1", "--b-set", "2", "--c-set", "2"),
+    )
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert {(r["params"]["a"], r["params"]["b"]) for r in rows if r["id"] == "resdbl1"} == {(1, 2)}
+
+
+@pytest.mark.parametrize("flag", ["--a-set", "--b-set", "--c-set"])
+def test_verify_rejects_repeated_set_values(capsys, flag):
+    # a repeated value would run and count each of its cases twice
+    code, out, err = run_cli(capsys, "verify", "--family", "resdbl1", flag, "2,1,2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and flag in err and "distinct" in err
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("flag", ["--b-set", "--c-set"])
 def test_verify_rejects_b_c_below_one_before_any_work(capsys, flag, workers):
@@ -573,10 +617,10 @@ def test_json_render_matches_json_dumps_on_a_small_verify_all(capsys, monkeypatc
 def test_json_render_matches_json_dumps_on_injected_failures(capsys, monkeypatch):
     shapes = set()
     # a q family fails at an exponent, a count family at a pair of values
-    for family in ("result1", "theorem1"):
+    for family, p_max in (("result1", ()), ("theorem1", ("--p-max", "3"))):
         code, (report,) = rendered_reports(
             monkeypatch, capsys, "verify", "--family", family,
-            "--n-max", "3", "--m-max", "3", "--p-max", "3", "--inject-failure",
+            "--n-max", "3", "--m-max", "3", *p_max, "--inject-failure",
         )
         assert code == 1
         shapes.update(type(r["first_mismatch"]) for r in report["results"] if not r["pass"])

@@ -4,7 +4,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpartid.bigpoly import IntPoly, ONE, ZERO, poly_add, poly_eval_int, poly_mul, poly_scale, poly_shift
 from qpartid import identities
@@ -27,7 +27,14 @@ from qpartid.identities import (
     twice_cos,
     twice_sin_over_sqrt3,
 )
-from qpartid.partitions import PartitionSpec, count_P, count_Q, enumerate_partitions
+from qpartid.partitions import (
+    PartitionSpec,
+    count_P,
+    count_P_star,
+    count_Q,
+    count_Q_star,
+    enumerate_partitions,
+)
 from qpartid.qbinom import binom, binom2, bracket_base
 
 RESDBL = ("resdbl1", "resdbl2", "resdbl3", "resdbl4")
@@ -630,6 +637,156 @@ def test_q1_specialization_reproduces_combinatorial_sides():
             assert_comb_sides_at_q1(comb_id, {"n": n, "m": m}, sides)
 
 
+# --- per-axis kernel tables -------------------------------------------------
+#
+# Each oracle below is the per-call loop its table replaced.  The queries come
+# in drawn order, large before small as often as not, and each example starts
+# from empty memos, so every way a table can grow is exercised.
+
+COUNT_KERNELS = {
+    "P": count_P,
+    "Q": count_Q,
+    "Q*": count_Q_star,
+    "P*": count_P_star,
+    "P+": lambda a, b, p: count_P(a + b, b, p + 1),
+}
+COUNT_SIDES = sorted(
+    {side for spec in identities._COUNT_SUMS.values() for side in spec if isinstance(side, tuple)}
+)
+
+
+def count_side_by_calls(side, n, m, p):
+    """Reference oracle: a convolution row, one pair of kernel calls per term."""
+    scale, a, b, d, weight = side
+    outer, inner = COUNT_KERNELS[a], COUNT_KERNELS[b]
+    total = 0
+    for l, w in enumerate(identities._weights(weight, m // d + 1, m)):
+        if w:
+            total += w * sum(
+                outer(n - d * k, m - d * l, p) * inner(k, l, p) for k in range(n // d + 1)
+            )
+    return scale * total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    queries=st.lists(
+        st.tuples(
+            st.sampled_from(COUNT_SIDES),
+            st.integers(0, 16),
+            st.integers(0, 16),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example(queries=[(COUNT_SIDES[0], 16, 16, 2), (COUNT_SIDES[0], 3, 9, 2), (COUNT_SIDES[0], 9, 3, 2)])
+def test_count_tables_match_the_per_call_convolution(queries):
+    identities._COUNT_TABLES.clear()
+    for side, n, m, p in queries:
+        assert identities._count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
+    for (name, p), table in identities._COUNT_TABLES.items():
+        # rectangular, and every cell is the kernel's value
+        assert len({len(row) for row in table}) == 1
+        for a, row in enumerate(table):
+            assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))]
+
+
+BINOM_ROWS = {
+    "u": lambda m, top: [binom(m + j, m) for j in range(top + 1)],
+    "v": lambda m, top: [binom(m + 1, j) for j in range(top + 1)],
+    "f_shifted": lambda p, top: [binom(p + s, p) for s in range(top + 1)],
+    "f_plain": lambda p, top: [binom(p, s) for s in range(top + 1)],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    queries=st.lists(
+        st.tuples(st.sampled_from(sorted(BINOM_ROWS)), st.integers(0, 22), st.integers(0, 90)),
+        min_size=1,
+        max_size=10,
+    )
+)
+@example(queries=[("u", 5, 90), ("v", 5, 3), ("f_shifted", 5, 40), ("f_plain", 6, 0)])
+def test_binomial_rows_match_the_comprehensions(queries):
+    identities._BINOM_ROWS.clear()
+    identities._COMB_DIAGONALS.clear()
+    for form, x, top in queries:
+        if form == "u":
+            row = identities._u(x, top)
+        elif form == "v":
+            row = identities._v(x, top)
+        else:
+            row = identities._binom_row(form == "f_shifted", x, top)
+        assert row[: top + 1] == BINOM_ROWS[form](x, top), (form, x, top)
+        # the q = 1 triangle reads the F row and the diagonals from the same memos
+        n = top % 21
+        lhs = comb_triangle_by_terms(BINOM_ROWS["f_plain"](x, n), n, x % 21, "k")
+        assert identities._comb_triangle("k", False, n, x % 21, x) == (lhs, binom(x, n))
+
+
+def resdbl_f_by_loop(variant, n, p, a, c):
+    """Reference oracle: F(0..n) of a resdbl identity, built bracket by bracket."""
+    shifted_top = variant in ("resdbl1", "resdbl2")
+    F = []
+    for s in range(n, -1, -1):
+        base = bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c)
+        F.append(poly_shift(base, a * binom2(s)))
+    return tuple(F)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    queries=st.lists(
+        st.tuples(
+            st.sampled_from(RESDBL),
+            st.integers(0, 9),
+            st.integers(0, 4),
+            st.integers(0, 2),
+            st.integers(1, 2),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example(queries=[("resdbl1", 9, 2, 1, 2), ("resdbl2", 0, 2, 1, 2), ("resdbl2", 4, 2, 1, 2)])
+def test_resdbl_f_rows_match_the_bracket_loop(queries):
+    identities._RESDBL_F_ROWS.clear()
+    for variant, n, p, a, c in queries:
+        assert identities._resdbl_f(variant, n, p, a, c) == resdbl_f_by_loop(variant, n, p, a, c)
+
+
+def test_resdbl_f_rejects_a_negative_n():
+    with pytest.raises(ValueError):
+        identities._resdbl_f("resdbl1", -1, 2, 0, 1)
+
+
+@pytest.mark.parametrize("identity_id", ["theorem6", "comb17", "resdbl3"])
+def test_a_reversed_grid_gives_the_same_results(identity_id):
+    # reversed, every memo first grows at the largest (n, m) of the grid
+    desc = get_descriptor(identity_id)
+    reversed_grid = {name: values[::-1] for name, values in desc.default_grid.items()}
+    outcomes = []
+    for grid in (reversed_grid, desc.default_grid):
+        for memo in (
+            identities._COUNT_TABLES,
+            identities._BINOM_ROWS,
+            identities._COMB_DIAGONALS,
+            identities._RESDBL_F_ROWS,
+        ):
+            memo.clear()
+        outcomes.append(
+            {
+                tuple(r.params.items()): (r.passed, r.lhs_hash, r.rhs_hash, r.first_mismatch)
+                for r in identities.run_identity(identity_id, grid)
+            }
+        )
+    assert len(outcomes[0]) == len(list(iter_cases(desc)))
+    assert outcomes[0] == outcomes[1]
+
+
 # --- result bookkeeping -----------------------------------------------------
 
 
@@ -642,6 +799,31 @@ def test_tampered_case_reports_mismatch():
     r = evaluate_case("theorem1", {"n": 2, "m": 1, "p": 2}, tamper=True)
     assert not r.passed
     assert isinstance(r.first_mismatch, tuple)
+
+
+def sha_of(values):
+    return hashlib.sha256(",".join(str(v) for v in values).encode("ascii")).hexdigest()
+
+
+def test_hashes_are_of_each_side_as_given():
+    # a passing case hashes one side for both; a failing one hashes each side
+    n, m, p = 5, 4, 3
+    lhs, rhs = q_identity_sides("result1", {"n": n, "m": m})
+    for tamper, want_rhs in ((False, rhs), (True, poly_add(rhs, ONE))):
+        r = evaluate_case("result1", {"n": n, "m": m}, tamper=tamper)
+        assert r.passed is not tamper
+        assert (r.lhs_hash, r.rhs_hash) == (sha_of(lhs.coeffs), sha_of(want_rhs.coeffs))
+
+    total = sum(
+        count_Q(n - 2 * k, m - 2 * l, p) * count_P(k, l, p)
+        for k in range(n // 2 + 1)
+        for l in range(m // 2 + 1)
+    )
+    for tamper in (False, True):
+        r = evaluate_case("theorem1", {"n": n, "m": m, "p": p}, tamper=tamper)
+        assert r.passed is not tamper
+        assert r.lhs_hash == sha_of([count_P(n, m, p)])
+        assert r.rhs_hash == sha_of([total + tamper])
 
 
 def test_case_result_fields():
