@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 from . import __version__
-from .bigpoly import format_poly
+from .bigpoly import IntPoly, format_poly, poly_substitute_power
 from .identities import (
     CaseResult,
     get_descriptor,
@@ -47,11 +47,11 @@ from .partitions import (
     box_count_P,
     box_count_Q,
     box_count_Q_star,
+    box_counts,
     count_P,
     count_Q,
     oracle_counts,
 )
-from .qbinom import bracket_base
 
 WORKERS_ENV = "QPARTID_WORKERS"
 
@@ -448,7 +448,8 @@ def cmd_gauss(args) -> int:
         raise UsageError("--m and --p must be >= 0")
     if args.base < 1:
         raise UsageError("--base must be >= 1")
-    poly = bracket_base(args.m + args.p, args.m, args.base)
+    # [m+p, m] counts the partitions in an m-by-p box, by size
+    poly = poly_substitute_power(IntPoly(box_counts(args.m * args.p, args.m, args.p)), args.base)
     coeffs = " ".join(str(c) for c in poly.coeffs) or "0"
     _emit(f"{format_poly(poly)}\ncoeffs: {coeffs}\n", args.out)
     return 0

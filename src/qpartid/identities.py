@@ -5,29 +5,30 @@ default verification grid.  Checks build both sides independently and
 compare exactly, in three layers that share no evaluator:
 
 * q-polynomial: exact q-binomial brackets.  The single sums are rows of
-  _Q_SUMS over two bracket kernels, read by _q_side.  The double sums come
-  from one triangle theorem: for any sequence F(0..n),
+  _Q_SUMS over two bracket kernels U and V, read by _q_side.  The double sums
+  come from one triangle theorem: for any sequence F(0..n),
       sum_{k+l <= n} (-1)^(k or l) F(k+l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b = F(0),
   evaluated by triangle_sum as sum_j F(j) G_j, where the diagonal G_j sums
-  the bracket products over k + l = j and is built once per (m, b, signed
-  index, j, kept parity).  resdbl1-4 are its instances with
+  the kernel products V_k U_l over k + l = j.  resdbl1-4 are its instances with
       F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c  (resdbl1: sign on k, resdbl2: on l)
       F(j) = q^(a*C(n-j,2)) [p, n-j]_c    (resdbl3: sign on k, resdbl4: on l),
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
-  and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.  Each
-  F is read from a row H[s] = F(n-s) kept per (top form, p, a, c).
+  and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.
 * counting: the memoized partition counts.  The dilated, signed 2-D
-  convolutions are rows of _COUNT_SUMS, read by _count_side from integer
-  tables t[a][b] = kernel(a, b, p), one per (kernel, p), and genfun_table
-  expands the generating functions into integer tables.
+  convolutions are rows of _COUNT_SUMS, read by _count_side from the kernel
+  rows kernel(a, b, p) over b, and genfun_table expands the generating
+  functions into integer tables.
 * combinatorial at q = 1: big-integer binomials that never touch the
-  polynomial layer.  Each is a row of _COMB_SUMS naming one of four
-  binomial templates and its dilation, residue or flag.  The templates read
-  binomial rows kept per m or per (p, top form), and the triangle sums read
-  integer diagonals g_j = sum_{k+l=j} (+-v_k)(+-u_l) built per (sign, m).
+  polynomial layer.  Each is a row of _COMB_SUMS naming one of three
+  binomial templates and its dilation, residue or specialised row.
+  comb16-22 are the triangle theorem at q = 1: each names the _RESDBL row,
+  or the half of a _COROLLARIES row, it specialises at a = b = c = 1, and is
+  read as sum_j F_{n-j} g_j over integer diagonals g_j.
 
-Every such table, row and diagonal is filled lazily on first read and grows
-in place as larger n or m arrive; none is ever rebuilt.
+Every kernel a case reads (U and V, the diagonals, the resdbl F rows, the
+count rows, the binomial rows) lives in one store, _ROWS: a row
+[entry(*key, j) for j = 0, 1, ...] per (entry, *key), filled lazily on first
+read and grown in place as larger indices arrive; none is ever rebuilt.
 
 The remaining count chains are written out.
 
@@ -226,6 +227,37 @@ def _sides_check(identity_id: str, kind: str, names: tuple[str, ...], sides: Cal
 
 
 # ---------------------------------------------------------------------------
+# The kernel row store
+# ---------------------------------------------------------------------------
+#
+# Every kernel a case reads is a row [entry(*key, j) for j = 0, 1, ...] of a
+# plain entry function, kept in _ROWS per (entry, *key) and grown in place as
+# larger j arrive, so every case of a grid shares it and no entry is computed
+# twice.  Entries call the functions they read by module-global name, so a
+# row fills through whichever functions the module binds when it first grows.
+
+_ROWS: dict[tuple, list] = {}
+
+
+def _row(entry: Callable, *key, top: int) -> list:
+    """[entry(*key, j) for j = 0, 1, ...] through at least j = top."""
+    row = _ROWS.get((entry, *key))
+    if row is None:
+        row = _ROWS[(entry, *key)] = []
+    if len(row) <= top:
+        row.extend(entry(*key, j) for j in range(len(row), top + 1))
+    return row
+
+
+def _diagonal_terms(sign_on: str, keep: Optional[int], j: int):
+    """(k, l, (-1)^(k or l)) over k + l = j; with keep set, only unsigned index = keep (mod 2)."""
+    for k in range(j + 1):
+        signed, unsigned = (k, j - k) if sign_on == "k" else (j - k, k)
+        if keep is None or unsigned % 2 == keep:
+            yield k, j - k, -1 if signed % 2 else 1
+
+
+# ---------------------------------------------------------------------------
 # q-polynomial identities
 # ---------------------------------------------------------------------------
 #
@@ -233,7 +265,8 @@ def _sides_check(identity_id: str, kind: str, names: tuple[str, ...], sides: Cal
 #     U_j = [m+j, m]_d        V_j = q^(d*C(j,2)) [m+1, j]_d
 # A side is a kernel at index n in base q, _DELTA (1 at n = 0, else 0), or a
 # row (scale, A, B, d, w) meaning scale * sum_{k <= n/d} w(k) A_{n-dk} B_k,
-# with A in base q and B in base q**d.  Cosine rows come back doubled.
+# with A in base q and B in base q**d.  Cosine rows come back doubled.  Each
+# kernel is one row per (name, m, d).
 
 _DELTA = "delta"
 
@@ -248,26 +281,27 @@ _Q_SUMS = {
 }
 
 
-def _q_kernel(name: str, m: int, d: int, indices: Sequence[int]) -> list[IntPoly]:
-    """The kernel U or V at each index j, read in base q**d."""
+def _q_kernel(name: str, m: int, d: int, j: int) -> IntPoly:
+    """The kernel U or V at index j, read in base q**d."""
     if name == "U":
-        return [bracket_base(m + j, m, d) for j in indices]
-    return [poly_shift(bracket_base(m + 1, j, d), d * binom2(j)) for j in indices]
+        return bracket_base(m + j, m, d)
+    return poly_shift(bracket_base(m + 1, j, d), d * binom2(j))
 
 
 def _q_side(side, n: int, m: int) -> IntPoly:
     if side == _DELTA:
         return ONE if n == 0 else ZERO
     if isinstance(side, str):
-        return _q_kernel(side, m, 1, [n])[0]
+        return _row(_q_kernel, side, m, 1, top=n)[n]
     scale, a, b, d, weight = side
-    terms = [(k, scale * w) for k, w in enumerate(_weights(weight, n // d + 1, n)) if w]
-    outer = _q_kernel(a, m, 1, [n - d * k for k, _ in terms])
-    inner = _q_kernel(b, m, d, [k for k, _ in terms])
+    outer = _row(_q_kernel, a, m, 1, top=n)
+    inner = _row(_q_kernel, b, m, d, top=n // d)
     total = ZERO
-    for (_, w), x, y in zip(terms, outer, inner):
-        term = poly_mul(x, y)
-        total = poly_add(total, term if w == 1 else poly_scale(term, w))
+    for k, w in enumerate(_weights(weight, n // d + 1, n)):
+        w *= scale
+        if w:
+            term = poly_mul(outer[n - d * k], inner[k])
+            total = poly_add(total, term if w == 1 else poly_scale(term, w))
     return total
 
 
@@ -282,33 +316,22 @@ def _q_sum_sides(spec, n: int, m: int) -> tuple[IntPoly, IntPoly]:
 # F enters only through F(k+l), so the sum regroups by diagonals j = k + l as
 # sum_j F(j) G_j, with
 #     G_j = sum_{k+l=j} (-1)^(k or l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b.
-# G_j depends on (m, b, the signed index, j) alone, so each diagonal is built
-# once from the brackets and shared across the whole verification grid.  A
-# parity half keeps only the terms whose unsigned index u has u = keep (mod 2),
-# so its diagonals are keyed on keep as well.  The theorem says G_0 = 1 and
-# G_j = 0 for j >= 1; a half's diagonals need not vanish.
+# The summand of G_j is V_k U_l with the single sums' kernels read in base
+# q**b, so the diagonals are one row per (m, b, the signed index) and shared
+# across the whole verification grid.  A parity half keeps only the terms whose
+# unsigned index u has u = keep (mod 2), so its diagonals are keyed on keep as
+# well.  The theorem says G_0 = 1 and G_j = 0 for j >= 1; a half's diagonals
+# need not vanish.
 
-_DIAGONAL_MEMO: dict[tuple[int, int, str, int, Optional[int]], IntPoly] = {}
 
-
-def _diagonal(m: int, b: int, sign_on: str, j: int, keep: Optional[int]) -> IntPoly:
+def _diagonal(m: int, b: int, sign_on: str, keep: Optional[int], j: int) -> IntPoly:
     """G_j, over the unsigned indices u = keep (mod 2) only when keep is set."""
-    key = (m, b, sign_on, j, keep)
-    val = _DIAGONAL_MEMO.get(key)
-    if val is None:
-        val = ZERO
-        for k in range(j + 1):
-            l = j - k
-            signed, unsigned = (k, l) if sign_on == "k" else (l, k)
-            if keep is not None and unsigned % 2 != keep:
-                continue
-            term = poly_shift(
-                poly_mul(bracket_base(m + 1, k, b), bracket_base(m + l, m, b)),
-                b * binom2(k),
-            )
-            val = poly_add(val, poly_scale(term, -1) if signed % 2 else term)
-        _DIAGONAL_MEMO[key] = val
-    return val
+    v, u = _row(_q_kernel, "V", m, b, top=j), _row(_q_kernel, "U", m, b, top=j)
+    total = ZERO
+    for k, l, sign in _diagonal_terms(sign_on, keep, j):
+        term = poly_mul(v[k], u[l])
+        total = poly_add(total, term if sign == 1 else poly_scale(term, -1))
+    return total
 
 
 def triangle_sum(
@@ -326,11 +349,11 @@ def triangle_sum(
     if sign_on not in ("k", "l"):
         raise ValueError(f"sign_on must be 'k' or 'l', got {sign_on!r}")
     keep = None if parity is None else (n - parity) % 2
+    diagonals = _row(_diagonal, m, b, sign_on, keep, top=n)
     total = ZERO
-    for j in range(n + 1):
-        g = _diagonal(m, b, sign_on, j, keep)
+    for f, g in zip(F, diagonals[: n + 1]):
         if not g.is_zero():
-            total = poly_add(total, poly_mul(F[j], g))
+            total = poly_add(total, poly_mul(f, g))
     return total
 
 
@@ -345,24 +368,19 @@ _RESDBL = {
 RESDBL_IDS = tuple(_RESDBL)
 
 
-# F(j) is H[n - j] for the row H[s] = q^(a*C(s,2)) [p+s, p]_c or [p, s]_c,
-# which depends on (top form, p, a, c) alone.  Each row is kept and grown in
-# place, one entry per new s, so every (n, m, b) case of that row shares it.
-_RESDBL_F_ROWS: dict[tuple[bool, int, int, int], list[IntPoly]] = {}
+def _resdbl_h(shifted_top: bool, p: int, a: int, c: int, s: int) -> IntPoly:
+    """H[s] = q^(a*C(s,2)) [p+s, p]_c or [p, s]_c; every (n, m, b) case reads F(j) = H[n - j]."""
+    base = bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c)
+    return poly_shift(base, a * binom2(s))
 
 
 def _resdbl_f(variant: str, n: int, p: int, a: int, c: int) -> tuple[IntPoly, ...]:
-    """F(0..n) of a resdbl identity, read from its memoized row H as H[n], ..., H[0]."""
+    """F(0..n) of a resdbl identity, read from its row H as H[n], ..., H[0]."""
     if variant not in _RESDBL:
         raise ValueError(f"unknown resdbl variant {variant!r}")
     if n < 0:
         raise ValueError(f"{_Q_PARAM_DOMAIN_MSG}: got n = {n}")
-    shifted_top = _RESDBL[variant][0]
-    row = _RESDBL_F_ROWS.setdefault((shifted_top, p, a, c), [])
-    for s in range(len(row), n + 1):
-        base = bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c)
-        row.append(poly_shift(base, a * binom2(s)))
-    return tuple(row[n::-1])
+    return tuple(_row(_resdbl_h, _RESDBL[variant][0], p, a, c, top=n)[n::-1])
 
 
 def _resdbl_sides(variant: str, n, m, p, a, b, c) -> tuple[IntPoly, IntPoly]:
@@ -510,35 +528,17 @@ def _check_f_theorem(params, tamper=False):
 # or a row (scale, A, B, d, w) meaning
 #     scale * sum_{k <= n/d, l <= m/d} w(l) A(n-dk, m-dl) B(k, l).
 # The angle weights read m: 2cos((2l-m)pi/3) and 2sin((m-2l)pi/3)/sqrt(3).
-# A row reads both kernels from integer tables t[a][b] = kernel(a, b, p), one
-# per (kernel, p), so every (n, m) case at that p shares them.  A table is
-# kept rectangular and grown in place: new rows at the bottom, new columns on
-# each row's end, every cell computed once.
+# A row reads both kernels from the rows kernel(a, b, p) over b, one per
+# (kernel, p, a), so every (n, m) case at that p shares them.
 
 _NIL = "zero"
 
 
-def _count_kernel(name: str) -> Callable[[int, int, int], int]:
-    # looked up by name when called, so a table is filled through whichever
-    # count functions the module binds when its cells are first read
+def _count_entry(name: str, p: int, a: int, b: int) -> int:
+    """The kernel named name at (a, b), with part bound p."""
     if name == "P+":
-        return lambda a, b, p: count_P(a + b, b, p + 1)
-    return {"P": count_P, "Q": count_Q, "Q*": count_Q_star, "P*": count_P_star}[name]
-
-
-_COUNT_TABLES: dict[tuple[str, int], list[list[int]]] = {}
-
-
-def _count_table(name: str, p: int, rows: int, cols: int) -> list[list[int]]:
-    """t[a][b] = kernel(a, b, p) for at least a < rows and b < cols."""
-    t = _COUNT_TABLES.setdefault((name, p), [])
-    width = max(cols, len(t[0]) if t else 0)
-    if len(t) < rows or len(t[0]) < width:
-        kernel = _count_kernel(name)
-        for a, row in enumerate(t):
-            row.extend(kernel(a, b, p) for b in range(len(row), width))
-        t.extend([kernel(a, b, p) for b in range(width)] for a in range(len(t), rows))
-    return t
+        return count_P(a + b, b, p + 1)
+    return {"P": count_P, "Q": count_Q, "Q*": count_Q_star, "P*": count_P_star}[name](a, b, p)
 
 
 _COUNT_SUMS = {
@@ -562,16 +562,15 @@ def _count_side(side, n: int, m: int, p: int) -> int:
     if side == _NIL:
         return 0
     if isinstance(side, str):
-        return _count_kernel(side)(n, m, p)
+        return _count_entry(side, p, n, m)
     scale, a, b, d, weight = side
-    tops, cols = n // d + 1, m // d + 1
-    outer = _count_table(a, p, n + 1, m + 1)
-    inner = _count_table(b, p, tops, cols)
-    weights = _weights(weight, cols, m)
+    weights = _weights(weight, m // d + 1, m)
     # row k contributes sum_l A(n-dk, m-dl) w(l) B(k, l)
     total = 0
-    for k in range(tops):
-        total += sum(map(mul, outer[n - d * k][m::-d], map(mul, weights, inner[k])))
+    for k in range(n // d + 1):
+        outer = _row(_count_entry, a, p, n - d * k, top=m)
+        inner = _row(_count_entry, b, p, k, top=m // d)
+        total += sum(map(mul, outer[m::-d], map(mul, weights, inner)))
     return scale * total
 
 
@@ -594,19 +593,24 @@ def _pairs_pmost_chain(n, p):
     ]
 
 
+def _count_of(distinct: bool, x: int) -> int:
+    return count_Q_of(x) if distinct else count_P_of(x)
+
+
 def _pairs_pn_from_q(n):
-    rhs = sum(count_Q_of(n - 2 * k) * count_P_of(k) for k in range(n // 2 + 1))
-    return [(count_P_of(n), rhs)]
+    p_of, q_of = _row(_count_of, False, top=n), _row(_count_of, True, top=n)
+    rhs = sum(q_of[n - 2 * k] * p_of[k] for k in range(n // 2 + 1))
+    return [(p_of[n], rhs)]
 
 
 def _pairs_qn_double_sum(n):
     # l runs to floor(n/2) as stated, although Q(k,l) vanishes for l > k
+    p_of = _row(_count_of, False, top=n)
     rhs = 0
     for k in range(n // 2 + 1):
-        for l in range(n // 2 + 1):
-            term = count_P_of(n - 2 * k) * count_Q_nm(k, l)
-            rhs += term if l % 2 == 0 else -term
-    return [(count_Q_of(n), rhs)]
+        signed = sum(count_Q_nm(k, l) * (1 - 2 * (l % 2)) for l in range(n // 2 + 1))
+        rhs += p_of[n - 2 * k] * signed
+    return [(_row(_count_of, True, top=n)[n], rhs)]
 
 
 def _pairs_qnmp_correspondence(n, m, p):
@@ -671,32 +675,27 @@ def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z
 # and the arguments it takes before (n, m) or (n, m, p):
 #   _comb_top(d, r):     sum_k v_{dk+r} u_{n-k} against a sum over u alone
 #   _comb_bottom(d, r):  sum_k (-1)^k u_{dk+r} v_{n-k} against a sum over v alone
-#   _comb_triangle(sign_on, shifted_top):  the triangle double sums at a = b = c = 1
-#   _comb_parity(parity, kernel):  the even or odd half of a parity corollary
+#   _comb_triangle(row, parity):  the triangle theorem at a = b = c = 1, for a
+#       _RESDBL row (comb16-19, parity None) or a half of a _COROLLARIES row
+#       (comb20-22, parity 0 for the even half and 1 for the odd one)
 # Rows with d = 3 carry cosine weights and are verified doubled.
 #
-# Every template reads binomial rows of two forms, kept per x and grown in
-# place one entry at a time: the upper row C(x+j, x) and the lower row C(x, j).
-# u is the upper row at m and v the lower row at m + 1; the triangle sums'
-# F_s = C(p+s, p) or C(p, s) is the upper or lower row at p.  A returned row
-# may run past the index asked for.
-
-_BINOM_ROWS: dict[tuple[bool, int], list[int]] = {}
+# Every template reads binomial rows of two forms, kept per x in _ROWS: the
+# upper row C(x+j, x) and the lower row C(x, j).  u is the upper row at m and
+# v the lower row at m + 1; the triangle sums' F_s = C(p+s, p) or C(p, s) is
+# the upper or lower row at p.
 
 
-def _binom_row(upper: bool, x: int, top: int) -> list[int]:
-    """C(x+j, x) (upper) or C(x, j) (lower) for at least j <= top."""
-    row = _BINOM_ROWS.setdefault((upper, x), [])
-    row.extend(binom(x + j, x) if upper else binom(x, j) for j in range(len(row), top + 1))
-    return row
+def _binom_entry(upper: bool, x: int, j: int) -> int:
+    return binom(x + j, x) if upper else binom(x, j)
 
 
 def _u(m: int, top: int) -> list[int]:
-    return _binom_row(True, m, top)
+    return _row(_binom_entry, True, m, top=top)
 
 
 def _v(m: int, top: int) -> list[int]:
-    return _binom_row(False, m + 1, top)
+    return _row(_binom_entry, False, m + 1, top=top)
 
 
 def _signed(xs: list[int]) -> list[int]:
@@ -742,45 +741,30 @@ def _comb_bottom(d: int, r: int, n: int, m: int) -> tuple[int, int]:
     return lhs, sign_n * sum(v[2 * k + t] * v[half - k] for k in range(half + 1))
 
 
-_COMB_DIAGONALS: dict[tuple[str, int], list[int]] = {}
+def _comb_diagonal(sign_on: str, m: int, keep: Optional[int], j: int) -> int:
+    """g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l, over the terms _diagonal_terms keeps."""
+    u, v = _u(m, j), _v(m, j)
+    return sum(sign * v[k] * u[l] for k, l, sign in _diagonal_terms(sign_on, keep, j))
 
 
-def _comb_diagonals(sign_on: str, m: int, n: int) -> list[int]:
-    """g_0..g_n (at least), g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l; grown as n grows."""
-    g = _COMB_DIAGONALS.setdefault((sign_on, m), [])
-    if len(g) <= n:
-        u, v = _u(m, n)[: n + 1], _v(m, n)[: n + 1]
-        if sign_on == "k":
-            v = _signed(v)
-        else:
-            u = _signed(u)
-        g.extend(sum(v[k] * u[j - k] for k in range(j + 1)) for j in range(len(g), n + 1))
-    return g
+def _comb_triangle(
+    row: str, parity: Optional[int], n: int, m: int, p: Optional[int] = None
+) -> tuple[int, int]:
+    """16-22: sum_{k+l <= n} (-1)^(k or l) F_{n-k-l} v_k u_l = F_n, F_s = C(p+s, p) or C(p, s).
 
-
-def _comb_triangle(sign_on: str, shifted_top: bool, n: int, m: int, p: int) -> tuple[int, int]:
-    """16-19: sum_{k+l <= n} (-1)^(k or l) F_{n-k-l} v_k u_l = F_n, F_s = C(p+s, p) or C(p, s).
-
+    row is the _RESDBL row this specialises, or a _COROLLARIES row, which sets
+    p = m + its offset and keeps the terms of one half as parity_sum_sides
+    does; the right side is then F_n for the even half and 0 for the odd one.
     Read as sum_j F_{n-j} g_j over the diagonals k + l = j.
     """
-    f = _binom_row(shifted_top, p, n)
-    g = _comb_diagonals(sign_on, m, n)
-    return sum(map(mul, f[n::-1], g)), f[n]
-
-
-def _comb_parity(parity: int, kernel: str, n: int, m: int) -> tuple[int, int]:
-    """20-22: sum_{k+l = parity mod 2} (-1)^k x_k x_l y_{n-k-l} against x_n (even) or 0 (odd).
-
-    (x, y) is (u, v) for kernel "u" and (v, u) for kernel "v".
-    """
-    u, v = _u(m, n), _v(m, n)
-    x, y = (u, v) if kernel == "u" else (v, u)
-    signed_x = _signed(x[: n + 1])
-    lhs = sum(
-        signed_x[k] * sum(x[l] * y[n - k - l] for l in range((parity + k) % 2, n - k + 1, 2))
-        for k in range(n + 1)
-    )
-    return lhs, (0 if parity else x[n])
+    if row in _COROLLARIES:
+        row, p_offset, _ = _COROLLARIES[row]
+        p = m + p_offset
+    shifted_top, sign_on = _RESDBL[row]
+    keep = None if parity is None else (n - parity) % 2
+    f = _row(_binom_entry, shifted_top, p, top=n)
+    g = _row(_comb_diagonal, sign_on, m, keep, top=n)
+    return sum(map(mul, f[n::-1], g)), 0 if parity else f[n]
 
 
 _COMB_SUMS = {
@@ -799,13 +783,13 @@ _COMB_SUMS = {
     "comb13": (_comb_top, 4, 1),
     "comb14": (_comb_top, 4, 2),
     "comb15": (_comb_top, 4, 3),
-    "comb16": (_comb_triangle, "k", True),
-    "comb17": (_comb_triangle, "l", True),
-    "comb18": (_comb_triangle, "k", False),
-    "comb19": (_comb_triangle, "l", False),
-    "comb20": (_comb_parity, 0, "u"),
-    "comb21": (_comb_parity, 0, "v"),
-    "comb22": (_comb_parity, 1, "u"),
+    "comb16": (_comb_triangle, "resdbl1", None),
+    "comb17": (_comb_triangle, "resdbl2", None),
+    "comb18": (_comb_triangle, "resdbl3", None),
+    "comb19": (_comb_triangle, "resdbl4", None),
+    "comb20": (_comb_triangle, "corollary_2_4", 0),
+    "comb21": (_comb_triangle, "corollary_3_4", 0),
+    "comb22": (_comb_triangle, "corollary_2_4", 1),
     "comb23": (_comb_bottom, 4, 0),
     "comb24": (_comb_bottom, 4, 1),
     "comb25": (_comb_bottom, 4, 2),
@@ -882,7 +866,7 @@ def _build_registry() -> list[IdentityDescriptor]:
 
     comb_grid = {"n": _rng(20), "m": _rng(20), "p": _rng(12)}
     for identity_id, spec in _COMB_SUMS.items():
-        params = _NMP if spec[0] is _comb_triangle else _NM
+        params = _NMP if spec[1] in _RESDBL else _NM
         grid = {name: comb_grid[name] for name in params}
         add_sides(identity_id, comb, params, grid, partial(_comb_pairs, spec))
 

@@ -9,10 +9,10 @@ arguments freely.  m == 0 counts the empty partition: 1 if n == 0 else 0,
 for any p.  The unbounded part-size sentinel is UNBOUNDED (p = n suffices,
 since no part of a partition of n can exceed n).
 
-Single queries (the CLI's table command) go through box_count and its
-reductions instead: each expands one rolling list of n+1 integers and never
-touches the memo, which would keep a key for every argument its recurrence
-reaches.
+Single queries (the CLI's table and gauss commands) go through box_counts
+and its reductions instead: each expands one rolling list of n+1 integers
+and never touches the memo, which would keep a key for every argument its
+recurrence reaches.
 
 The enumerator shares no code with the DP recurrences: it generates the
 actual partitions by recursive descent, so it can anchor the counts.
@@ -197,16 +197,16 @@ def count_Q_nm(n: int, m: int) -> int:
 # factors lie past q^N, and the list is the usual count by parts at most a.
 
 
-def box_count(n: int, max_parts: Optional[int], max_part: Optional[int]) -> int:
-    """Partitions of n into at most max_parts parts, each at most max_part.
+def box_counts(n: int, max_parts: Optional[int], max_part: Optional[int]) -> list[int]:
+    """c[t] for t <= n: partitions of t into at most max_parts parts, each at most max_part.
 
     UNBOUNDED leaves a bound off.  The empty partition counts once for any
     part-size bound; a negative part-count bound admits nothing.
     """
-    if n < 0 or (max_parts is not None and max_parts < 0):
-        return 0
-    if n == 0:
-        return 1
+    if n < 0:
+        return []
+    if max_parts is not None and max_parts < 0:
+        return [0] * (n + 1)
     r = n if max_parts is None else min(max_parts, n)
     s = n if max_part is None else min(max_part, n)
     a, b = min(r, s), max(r, s)
@@ -216,7 +216,12 @@ def box_count(n: int, max_parts: Optional[int], max_part: Optional[int]) -> int:
             c[t] -= c[t - b - i]
         for t in range(i, n + 1):  # over 1 - q^i
             c[t] += c[t - i]
-    return c[n]
+    return c
+
+
+def box_count(n: int, max_parts: Optional[int], max_part: Optional[int]) -> int:
+    """Partitions of n into at most max_parts parts, each at most max_part: box_counts at n."""
+    return box_counts(n, max_parts, max_part)[n] if n >= 0 else 0
 
 
 def box_count_P(n: int, m: int, p: Optional[int]) -> int:

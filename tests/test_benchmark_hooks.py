@@ -13,7 +13,7 @@ def test_traced_run_records_the_benchmark_spans_and_leaves(tmp_path):
     trace_out, report_out = tmp_path / "trace.json", tmp_path / "report.json"
     argv = [
         "verify",
-        *("--family", "delta", "--family", "theorem1"),
+        *("--family", "delta", "--family", "theorem1", "--family", "comb20"),
         *("--n-max", "1", "--m-max", "1", "--p-max", "1"),
         *("--workers", "1", "--format", "json", "--out", str(report_out)),
     ]
@@ -32,3 +32,5 @@ def test_traced_run_records_the_benchmark_spans_and_leaves(tmp_path):
     assert {"identities.run_identity", "cli.run_verify", "cli.render_report"} <= spans
     functions = {record["name"] for record in trace["functions"]}
     assert {"partitions.count_P", "bigpoly.poly_mul"} <= functions
+    # the kernels are read through row entries, which call the traced leaves
+    assert {"qbinom.binom", "qbinom.bracket_base", "partitions.count_Q"} <= functions

@@ -1,7 +1,10 @@
 """The batch front end: selection, formats, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -9,7 +12,11 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qpartid.bigpoly import format_poly
 from qpartid.cli import main, render_report
+from qpartid.qbinom import bracket_base
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -429,6 +436,41 @@ def test_gauss_output(capsys):
     code, out, _ = run_cli(capsys, "gauss", "--m", "1", "--p", "2", "--base", "2")
     assert out.splitlines()[0] == "1 + q^2 + q^4"
     assert run_cli(capsys, "gauss", "--m", "1", "--p", "1", "--base", "0")[0] == 2
+
+
+def test_gauss_prints_the_bracket_recurrence(capsys):
+    # gauss reads box counts; the Pascal-type bracket recurrence is the reference
+    for m, p, base in itertools.product(range(13), range(13), (1, 2, 3)):
+        poly = bracket_base(m + p, m, base)
+        expected = f"{format_poly(poly)}\ncoeffs: {' '.join(map(str, poly.coeffs))}\n"
+        argv = ("gauss", "--m", str(m), "--p", str(p), "--base", str(base))
+        assert run_cli(capsys, *argv)[:2] == (0, expected), (m, p, base)
+
+
+GAUSS_PEAK_RSS_CHILD = """
+import contextlib, io, resource
+from qpartid.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["gauss", "--m", "80", "--p", "80"])
+coeffs = out.getvalue().splitlines()[1].split()[1:]
+print(code, len(coeffs), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_gauss_of_a_large_box_stays_small():
+    # Linux keeps a process's peak RSS across exec, so a child started straight
+    # from this (large) test process would report at least the test's own
+    # size; the measured child is started from a fresh, small interpreter.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = [sys.executable, "-c", GAUSS_PEAK_RSS_CHILD]
+    launcher = f"import subprocess; subprocess.run({child!r}, check=True)"
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, n_coeffs, peak_kb = map(int, proc.stdout.split())
+    assert (code, n_coeffs) == (0, 80 * 80 + 1)
+    assert peak_kb < 60 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 def test_oracle_diff(capsys):

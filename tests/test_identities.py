@@ -380,9 +380,10 @@ def test_triangle_diagonals_cancel_past_the_origin():
     for m in range(7):
         for b in (1, 2, 3):
             for sign_on in ("k", "l"):
-                assert identities._diagonal(m, b, sign_on, 0, None) == ONE
+                g = identities._row(identities._diagonal, m, b, sign_on, None, top=8)
+                assert g[0] == ONE
                 for j in range(1, 9):
-                    assert identities._diagonal(m, b, sign_on, j, None) == ZERO, (m, b, sign_on, j)
+                    assert g[j] == ZERO, (m, b, sign_on, j)
 
 
 def comb_triangle_by_terms(f, n, m, sign_on):
@@ -395,6 +396,15 @@ def comb_triangle_by_terms(f, n, m, sign_on):
     return lhs
 
 
+# the resdbl row each q = 1 triangle (sign_on, F uses C(p+s, p)) specialises
+COMB_TRIANGLE_ROWS = {
+    ("k", True): "resdbl1",
+    ("l", True): "resdbl2",
+    ("k", False): "resdbl3",
+    ("l", False): "resdbl4",
+}
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     data=st.data(),
@@ -405,19 +415,20 @@ def comb_triangle_by_terms(f, n, m, sign_on):
 def test_comb_triangle_diagonals_match_the_double_loop(data, n, m, sign_on):
     # any integer sequence f, not only the binomial ones of comb16-19
     f = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n + 1, max_size=n + 1))
-    g = identities._comb_diagonals(sign_on, m, n)
+    g = identities._row(identities._comb_diagonal, sign_on, m, None, top=n)
     assert sum(f[n - j] * g[j] for j in range(n + 1)) == comb_triangle_by_terms(f, n, m, sign_on)
     p = data.draw(st.integers(0, 12))
     for shifted_top in (True, False):
         f = [binom(p + s, p) if shifted_top else binom(p, s) for s in range(n + 1)]
         expected = (comb_triangle_by_terms(f, n, m, sign_on), f[n])
-        assert identities._comb_triangle(sign_on, shifted_top, n, m, p) == expected
+        row = COMB_TRIANGLE_ROWS[sign_on, shifted_top]
+        assert identities._comb_triangle(row, None, n, m, p) == expected
 
 
 def test_comb_triangle_diagonals_vanish_past_the_origin():
     for m in range(21):
         for sign_on in ("k", "l"):
-            g = identities._comb_diagonals(sign_on, m, 20)
+            g = identities._row(identities._comb_diagonal, sign_on, m, None, top=20)
             assert g[0] == 1
             assert g[1:21] == [0] * 20, (m, sign_on)
 
@@ -683,14 +694,15 @@ def count_side_by_calls(side, n, m, p):
 )
 @example(queries=[(COUNT_SIDES[0], 16, 16, 2), (COUNT_SIDES[0], 3, 9, 2), (COUNT_SIDES[0], 9, 3, 2)])
 def test_count_tables_match_the_per_call_convolution(queries):
-    identities._COUNT_TABLES.clear()
+    identities._ROWS.clear()
     for side, n, m, p in queries:
         assert identities._count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
-    for (name, p), table in identities._COUNT_TABLES.items():
-        # rectangular, and every cell is the kernel's value
-        assert len({len(row) for row in table}) == 1
-        for a, row in enumerate(table):
-            assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))]
+    entry = identities._count_entry
+    count_rows = {key: row for key, row in identities._ROWS.items() if key[0] is entry}
+    assert count_rows
+    for (_, name, p, a), row in count_rows.items():
+        # every cell of every count row is its kernel's value
+        assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))]
 
 
 BINOM_ROWS = {
@@ -711,20 +723,112 @@ BINOM_ROWS = {
 )
 @example(queries=[("u", 5, 90), ("v", 5, 3), ("f_shifted", 5, 40), ("f_plain", 6, 0)])
 def test_binomial_rows_match_the_comprehensions(queries):
-    identities._BINOM_ROWS.clear()
-    identities._COMB_DIAGONALS.clear()
+    identities._ROWS.clear()
     for form, x, top in queries:
         if form == "u":
             row = identities._u(x, top)
         elif form == "v":
             row = identities._v(x, top)
         else:
-            row = identities._binom_row(form == "f_shifted", x, top)
+            row = identities._row(identities._binom_entry, form == "f_shifted", x, top=top)
         assert row[: top + 1] == BINOM_ROWS[form](x, top), (form, x, top)
         # the q = 1 triangle reads the F row and the diagonals from the same memos
         n = top % 21
         lhs = comb_triangle_by_terms(BINOM_ROWS["f_plain"](x, n), n, x % 21, "k")
-        assert identities._comb_triangle("k", False, n, x % 21, x) == (lhs, binom(x, n))
+        assert identities._comb_triangle("resdbl3", None, n, x % 21, x) == (lhs, binom(x, n))
+
+
+def q_kernel_by_brackets(name, m, d, indices):
+    """Reference oracle: the kernel U or V at each index, built bracket by bracket."""
+    if name == "U":
+        return [bracket_base(m + j, m, d) for j in indices]
+    return [poly_shift(bracket_base(m + 1, j, d), d * binom2(j)) for j in indices]
+
+
+def q_side_by_kernels(side, n, m):
+    """Reference oracle: a single-sum side with its kernels built for this case alone."""
+    if side == identities._DELTA:
+        return ONE if n == 0 else ZERO
+    if isinstance(side, str):
+        return q_kernel_by_brackets(side, m, 1, [n])[0]
+    scale, a, b, d, weight = side
+    terms = [(k, scale * w) for k, w in enumerate(identities._weights(weight, n // d + 1, n)) if w]
+    outer = q_kernel_by_brackets(a, m, 1, [n - d * k for k, _ in terms])
+    inner = q_kernel_by_brackets(b, m, d, [k for k, _ in terms])
+    total = ZERO
+    for (_, w), x, y in zip(terms, outer, inner):
+        term = poly_mul(x, y)
+        total = poly_add(total, term if w == 1 else poly_scale(term, w))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    queries=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(identities._Q_SUMS)),
+            st.integers(0, 12),
+            st.integers(0, 12),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example(queries=[("result3", 12, 12), ("result3", 2, 12), ("result6", 12, 0), ("delta", 0, 5)])
+def test_q_sum_sides_match_the_per_case_kernel_build(queries):
+    identities._ROWS.clear()
+    for q_id, n, m in queries:
+        expected = tuple(q_side_by_kernels(side, n, m) for side in identities._Q_SUMS[q_id])
+        assert q_identity_sides(q_id, {"n": n, "m": m}) == expected, (q_id, n, m)
+
+
+def comb_parity_by_loops(parity, kernel, n, m):
+    """Reference oracle: a comb20-22 case as its own double loop over u and v.
+
+    sum_{k+l = parity mod 2} (-1)^k x_k x_l y_{n-k-l} against x_n (even) or 0
+    (odd), with (x, y) = (u, v) for kernel "u" and (v, u) for kernel "v".
+    """
+    u = [binom(m + j, m) for j in range(n + 1)]
+    v = [binom(m + 1, j) for j in range(n + 1)]
+    x, y = (u, v) if kernel == "u" else (v, u)
+    lhs = sum(
+        (-1) ** k * x[k] * sum(x[l] * y[n - k - l] for l in range((parity + k) % 2, n - k + 1, 2))
+        for k in range(n + 1)
+    )
+    return lhs, (0 if parity else x[n])
+
+
+COMB_PARITY_CASES = {"comb20": (0, "u"), "comb21": (0, "v"), "comb22": (1, "u")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    queries=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(COMB_PARITY_CASES)),
+            st.integers(0, 20),
+            st.integers(0, 20),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example(queries=[("comb20", 20, 20), ("comb22", 3, 20), ("comb21", 20, 0), ("comb20", 0, 0)])
+def test_comb_parity_halves_match_the_double_loop(queries):
+    # comb20-22 are halves of the q = 1 triangle; the oracle is their own loop
+    identities._ROWS.clear()
+    for comb_id, n, m in queries:
+        spec = identities._COMB_SUMS[comb_id]
+        expected = comb_parity_by_loops(*COMB_PARITY_CASES[comb_id], n, m)
+        assert identities._comb_pairs(spec, n, m) == [expected], (comb_id, n, m)
+
+
+def test_comb_parity_halves_match_the_double_loop_on_the_whole_grid():
+    for comb_id, (parity, kernel) in COMB_PARITY_CASES.items():
+        spec = identities._COMB_SUMS[comb_id]
+        for n, m in itertools.product(range(21), repeat=2):
+            expected = comb_parity_by_loops(parity, kernel, n, m)
+            assert identities._comb_pairs(spec, n, m) == [expected], (comb_id, n, m)
 
 
 def resdbl_f_by_loop(variant, n, p, a, c):
@@ -753,7 +857,7 @@ def resdbl_f_by_loop(variant, n, p, a, c):
 )
 @example(queries=[("resdbl1", 9, 2, 1, 2), ("resdbl2", 0, 2, 1, 2), ("resdbl2", 4, 2, 1, 2)])
 def test_resdbl_f_rows_match_the_bracket_loop(queries):
-    identities._RESDBL_F_ROWS.clear()
+    identities._ROWS.clear()
     for variant, n, p, a, c in queries:
         assert identities._resdbl_f(variant, n, p, a, c) == resdbl_f_by_loop(variant, n, p, a, c)
 
@@ -763,20 +867,14 @@ def test_resdbl_f_rejects_a_negative_n():
         identities._resdbl_f("resdbl1", -1, 2, 0, 1)
 
 
-@pytest.mark.parametrize("identity_id", ["theorem6", "comb17", "resdbl3"])
+@pytest.mark.parametrize("identity_id", ["theorem6", "comb17", "comb20", "resdbl3", "result3"])
 def test_a_reversed_grid_gives_the_same_results(identity_id):
     # reversed, every memo first grows at the largest (n, m) of the grid
     desc = get_descriptor(identity_id)
     reversed_grid = {name: values[::-1] for name, values in desc.default_grid.items()}
     outcomes = []
     for grid in (reversed_grid, desc.default_grid):
-        for memo in (
-            identities._COUNT_TABLES,
-            identities._BINOM_ROWS,
-            identities._COMB_DIAGONALS,
-            identities._RESDBL_F_ROWS,
-        ):
-            memo.clear()
+        identities._ROWS.clear()
         outcomes.append(
             {
                 tuple(r.params.items()): (r.passed, r.lhs_hash, r.rhs_hash, r.first_mismatch)

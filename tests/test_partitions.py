@@ -13,6 +13,7 @@ from qpartid.partitions import (
     box_count_P,
     box_count_Q,
     box_count_Q_star,
+    box_counts,
     count_P,
     count_P_most,
     count_P_nm,
@@ -132,6 +133,9 @@ def test_box_counts_match_the_count_table(data, n):
     assert box_count_P(n, m, p) == table.count_P(n, m, p)
     assert box_count_Q(n, m, p) == table.count_Q(n, m, p)
     assert box_count(n, m, p) == sum(table.count_P(n, k, p) for k in range(m + 1))
+    # the whole rolling list, as gauss reads it
+    stars = [sum(table.count_P(t, k, p) for k in range(m + 1)) for t in range(n + 1)]
+    assert box_counts(n, m, p) == stars
     assert box_count_Q_star(n, m, p) == sum(table.count_Q(n, k, p) for k in range(m + 1))
     assert box_count(n, UNBOUNDED, p) == sum(table.count_P(n, k, p) for k in range(n + 1))
     assert box_count_Q_star(n, n, p) == sum(table.count_Q(n, k, p) for k in range(n + 1))
@@ -140,6 +144,9 @@ def test_box_counts_match_the_count_table(data, n):
 def test_box_counts_out_of_range():
     assert box_count(-1, 3, 3) == 0
     assert box_count(0, -1, 3) == 0
+    assert box_counts(-1, 3, 3) == []
+    assert box_counts(2, -1, 3) == [0, 0, 0]
+    assert box_counts(3, 2, -1) == [1, 0, 0, 0]
     assert box_count(4, 0, 4) == box_count(4, 4, 0) == 0
     assert box_count_P(0, 0, 0) == box_count_Q(0, 0, 0) == 1
     assert box_count_P(3, -1, 3) == box_count_Q(3, -1, 3) == 0
