@@ -140,10 +140,15 @@ def _build_report(config: dict, rows: list[dict], timing: dict) -> tuple[dict, i
 def run_verify(config: RunConfig) -> tuple[dict, int]:
     """Evaluate the selected families and assemble the run report."""
     known = {d.id for d in registry()}
+    seen = set()
     for fam in config.families:
         if fam not in known:
             raise UsageError(f"unknown identity id {fam!r}")
-    families = sorted(set(config.families))
+        if fam in seen:
+            # the config would echo it twice for a family that runs once
+            raise UsageError(f"--family {fam} is given more than once")
+        seen.add(fam)
+    families = sorted(seen)
     read = {name for fam in families for name in get_descriptor(fam).params}
     for name in config.overrides:
         if name not in read:
@@ -156,7 +161,8 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
     started = time.perf_counter()
     outcomes = []
     if config.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a fork-based pool starts all of its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             futures = [pool.submit(_family_task, *t) for t in tasks]
             outcomes = [f.result() for f in futures]
     else:

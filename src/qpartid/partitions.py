@@ -9,6 +9,12 @@ arguments freely.  m == 0 counts the empty partition: 1 if n == 0 else 0,
 for any p.  The unbounded part-size sentinel is UNBOUNDED (p = n suffices,
 since no part of a partition of n can exceed n).
 
+Both counts come from one recurrence that splits on the smallest part:
+either it is 1 and is dropped, or 1 comes off every part.  For P the
+children are (n-1, m-1, p) and (n-m, m, p-1).  For Q a dropped 1 leaves
+distinct parts >= 2, which lose 1 each too, so the children are
+(n-m, m-1, p-1) and (n-m, m, p-1) and n falls by m at every step.
+
 Single queries (the CLI's table and gauss commands) go through box_counts
 and its reductions instead: each expands one rolling list of n+1 integers
 and never touches the memo, which would keep a key for every argument its
@@ -32,95 +38,66 @@ ORACLE_LIMIT_DEFAULT = 30
 
 
 class CountTable:
-    """Memoized P and Q counts.  Memo maps are unbounded; grids keep them small."""
+    """Memoized P and Q counts from the one smallest-part recurrence.
+
+    The memo maps are unbounded.  Every Q step takes m off n, so a fill
+    reaches few keys: the distinct-part count q(300) leaves 3,878.
+    """
 
     def __init__(self):
         self.memo_P: dict[tuple[int, int, int], int] = {}
         self.memo_Q: dict[tuple[int, int, int], int] = {}
 
     def count_P(self, n: int, m: int, p: Optional[int]) -> int:
-        if p is UNBOUNDED:
-            p = n
-        if m == 0:
-            return 1 if n == 0 else 0
-        if n < 0 or m < 0 or p < 0 or n < m or n > m * p:
-            return 0
-        if p > n:
-            p = n  # a part never exceeds n; canonicalizes the memo key
-        key = (n, m, p)
-        val = self.memo_P.get(key)
-        if val is None:
-            val = _fill(self.memo_P, key, _p_children)
-        return val
+        return _count(self.memo_P, False, n, m, p)
 
     def count_Q(self, n: int, m: int, p: Optional[int]) -> int:
-        if p is UNBOUNDED:
-            p = n
-        if m == 0:
-            return 1 if n == 0 else 0
-        if n < 0 or m < 0 or p < 0:
-            return 0
-        if p > n:
-            p = n
-        if n < m * (m + 1) // 2 or n > m * p - m * (m - 1) // 2:
-            return 0
-        key = (n, m, p)
-        val = self.memo_Q.get(key)
-        if val is None:
-            val = _fill(self.memo_Q, key, _q_children)
-        return val
+        return _count(self.memo_Q, True, n, m, p)
 
 
-def _p_entry(n: int, m: int, p: int):
-    """P(n, m, p) when the base rules decide it, else its canonical memo key.
+def _entry(distinct: bool, n: int, m: int, p: Optional[int]):
+    """The count when the base rules decide it, else its canonical memo key.
 
-    The same rules as CountTable.count_P, which inlines them so that a memo
-    hit costs no extra call.
+    m parts fit in n when m <= n <= m*p; distinct parts need the staircase
+    0, 1, ..., m-1 on top of that, which narrows the band by C(m, 2) at
+    both ends.
     """
     if m == 0:
         return 1 if n == 0 else 0
-    if n < 0 or m < 0 or p < 0 or n < m or n > m * p:
-        return 0
-    return (n, m, p if p <= n else n)
-
-
-def _q_entry(n: int, m: int, p: int):
-    """Q(n, m, p) when the base rules decide it, else its canonical memo key.
-
-    The same rules as CountTable.count_Q.
-    """
-    if m == 0:
-        return 1 if n == 0 else 0
-    if n < 0 or m < 0 or p < 0:
-        return 0
-    if p > n:
-        p = n
-    if n < m * (m + 1) // 2 or n > m * p - m * (m - 1) // 2:
+    if p is UNBOUNDED or p > n:
+        p = n  # a part never exceeds n; canonicalizes the memo key
+    stair = m * (m - 1) // 2 if distinct else 0
+    if m < 0 or p < 0 or not m + stair <= n <= m * p - stair:
         return 0
     return (n, m, p)
 
 
-def _p_children(n: int, m: int, p: int):
-    # split on the smallest part: equal to 1, or subtract 1 everywhere
-    return _p_entry(n - 1, m - 1, p), _p_entry(n - m, m, p - 1)
+def _children(distinct: bool, n: int, m: int, p: int):
+    """The two entries that sum to (n, m, p): smallest part 1, or larger."""
+    if distinct:
+        ones = _entry(True, n - m, m - 1, p - 1)
+    else:
+        ones = _entry(False, n - 1, m - 1, p)
+    return ones, _entry(distinct, n - m, m, p - 1)
 
 
-def _q_children(n: int, m: int, p: int):
-    # split on whether the largest allowed part p is used
-    return _q_entry(n, m, p - 1), _q_entry(n - p, m - 1, p - 1)
-
-
-def _fill(memo: dict, key: tuple, children) -> int:
-    """memo[key] as the sum of its two children, filling missing entries first.
+def _count(memo: dict, distinct: bool, n: int, m: int, p: Optional[int]) -> int:
+    """P(n, m, p), or Q(n, m, p) when distinct, from memo, filling it first.
 
     An explicit stack replaces recursion, so a long chain of misses is
     bounded by memory rather than by the interpreter's recursion limit.
     """
-    stack = [key]
+    key = _entry(distinct, n, m, p)
+    if type(key) is int:
+        return key
     get = memo.get
+    val = get(key)
+    if val is not None:
+        return val
+    stack = [key]
     while stack:
         top = stack[-1]
-        a, b = children(*top)
+        a, b = _children(distinct, *top)
         val_a = a if type(a) is int else get(a)
         val_b = b if type(b) is int else get(b)
         if val_a is None or val_b is None:

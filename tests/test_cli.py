@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -360,6 +361,57 @@ def test_parallel_matches_serial(capsys, tmp_path):
     assert a == b
 
 
+def test_worker_pool_is_capped_at_the_family_count(capsys, monkeypatch):
+    # a fork-based pool starts every worker at the first submit
+    from qpartid import cli
+
+    sizes = []
+
+    class InlinePool:
+        """Records max_workers and runs each task inline, starting no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    families = ("--family", "delta", "--family", "result1", "--family", "comb01")
+    for workers in ("5000", "2"):
+        code, out, _ = run_cli(
+            capsys, "verify", *families, "--n-max", "2", "--m-max", "2",
+            "--workers", workers, "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["workers"] == int(workers)
+    assert sizes == [3, 2]
+
+
+def test_verify_rejects_a_repeated_family(capsys, monkeypatch):
+    # the family would run once but be echoed twice in the config
+    from qpartid import cli
+
+    def no_family(*args, **kwargs):
+        raise AssertionError("no family may run")
+
+    monkeypatch.setattr(cli, "run_identity", no_family)
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "delta", "--family", "result1", "--family", "delta"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "delta" in err
+
+
 def test_workers_env_default(monkeypatch):
     from qpartid.cli import build_parser
 
@@ -457,20 +509,42 @@ print(code, len(coeffs), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_gauss_of_a_large_box_stays_small():
-    # Linux keeps a process's peak RSS across exec, so a child started straight
-    # from this (large) test process would report at least the test's own
-    # size; the measured child is started from a fresh, small interpreter.
+def run_small_child(source: str) -> list[int]:
+    """The integers source prints, run in a child of a fresh, small interpreter.
+
+    Linux keeps a process's peak RSS across exec, so a child started straight
+    from this (large) test process would report at least the test's own size.
+    """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    child = [sys.executable, "-c", GAUSS_PEAK_RSS_CHILD]
+    child = [sys.executable, "-c", source]
     launcher = f"import subprocess; subprocess.run({child!r}, check=True)"
     proc = subprocess.run(
         [sys.executable, "-c", launcher], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    code, n_coeffs, peak_kb = map(int, proc.stdout.split())
+    return [int(word) for word in proc.stdout.split()]
+
+
+def test_gauss_of_a_large_box_stays_small():
+    code, n_coeffs, peak_kb = run_small_child(GAUSS_PEAK_RSS_CHILD)
     assert (code, n_coeffs) == (0, 80 * 80 + 1)
     assert peak_kb < 60 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+PN_FROM_Q_PEAK_RSS_CHILD = """
+import contextlib, io, resource
+from qpartid.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "--family", "pn_from_q", "--n-max", "600", "--workers", "1"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_pn_from_q_past_the_default_grid_stays_small():
+    # q(x) for every x <= 600 fills the Q memo in this one process
+    code, peak_kb = run_small_child(PN_FROM_Q_PEAK_RSS_CHILD)
+    assert code == 0
+    assert peak_kb < 150 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 def test_oracle_diff(capsys):
@@ -532,7 +606,7 @@ def test_table_partition_count_past_the_recursion_limit():
 
 
 def test_table_distinct_count_past_the_recursion_limit():
-    # the Q recurrence steps p down by one, about 2,800 levels deep from p = n
+    # table answers from one rolling list of n + 1 integers, with no recursion
     proc = run_module("table", "--func", "Q", "--n", "3000", "--m", "20")
     assert proc.returncode == 0, proc.stderr
     # Q(n, m) = P(n - C(m, 2), m): partitions of 2790 into at most 20 parts

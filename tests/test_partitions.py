@@ -228,6 +228,15 @@ def test_count_table_isolation():
     assert (5, 2, 3) in table.memo_P
 
 
+def test_distinct_part_count_fills_few_memo_keys():
+    # every Q step takes m off n, so the fill reaches a few keys per (n, m)
+    table = CountTable()
+    assert sum(table.count_Q(300, k, UNBOUNDED) for k in range(301)) == 114_872_472_064
+    assert len(table.memo_Q) < 10_000
+    # the band is exact, so every key the fill stores counts some partition
+    assert 0 not in table.memo_Q.values()
+
+
 def test_distinct_nm():
     assert count_Q_nm(5, 2) == 2  # 4+1, 3+2
     assert count_Q_nm(0, 0) == 1
