@@ -7,17 +7,19 @@ Subcommands, with the --format values each one renders:
   oracle-diff exhaustively compare the DP counts against brute-force enumeration
               (json, tsv, human)
 
-Every subcommand takes --out PATH.  A report row is built in one place,
-_result_row, from a CaseResult whose params dict becomes the row's params.
+Every subcommand takes --out PATH.  One runner, _run, builds every report
+(verify and oracle-diff): it times each task, turns the task's CaseResults
+into rows with _result_row, and assembles the report and its exit code.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
-(including an --out path that cannot be written), 3 a family's check raised
-an unexpected exception (verify).
+(including an --out path that cannot be written), 3 an unexpected exception
+(a verify family's check, the oracle-diff comparison, or anything else),
+reported on one error line.
 
 A JSON report is exactly json.dumps(report, indent=2, sort_keys=True)
-followed by a newline.  The frame is rendered by json.dumps; each results row
-of the usual shape is written from a fixed template, and any other row is
-rendered by json.dumps on its own and indented to match.
+followed by a newline.  The frame is rendered by json.dumps; every results
+row has the one shape _result_row makes and is written from one template,
+with no fallback.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
@@ -61,31 +62,7 @@ class UsageError(Exception):
 
 
 class FamilyError(Exception):
-    """A family's check raised; the message names the family and the exception."""
-
-
-@dataclass
-class RunConfig:
-    families: list[str]
-    preset: Optional[str] = None
-    overrides: dict[str, list[int]] = field(default_factory=dict)
-    fmt: str = "human"
-    out: Optional[str] = None
-    workers: int = 1
-    inject_failure: bool = False
-
-    def echo(self) -> dict:
-        return {
-            "families": list(self.families),
-            "preset": self.preset,
-            "overrides": {k: list(v) for k, v in sorted(self.overrides.items())},
-            "format": self.fmt,
-            "workers": self.workers,
-            # verify never reads the oracle limit; the key stays so the
-            # pinned report digests stay valid
-            "oracle_limit": ORACLE_LIMIT_DEFAULT,
-            "inject_failure": self.inject_failure,
-        }
+    """A report task raised; the message names the task and the exception."""
 
 
 def _result_row(identity_id: str, result: CaseResult) -> dict:
@@ -102,26 +79,33 @@ def _result_row(identity_id: str, result: CaseResult) -> dict:
     }
 
 
-def _family_task(identity_id: str, grid: dict, tamper_first: bool):
+def _run_task(label: str, func, *args):
+    """Call func(*args); its elapsed seconds and its CaseResults as rows with id label."""
     start = time.perf_counter()
     try:
-        results = run_identity(identity_id, grid, tamper_first=tamper_first)
+        rows = [_result_row(label, r) for r in func(*args)]
     except Exception as exc:
-        raise FamilyError(f"{identity_id}: {type(exc).__name__}: {exc}") from None
-    elapsed = time.perf_counter() - start
-    return identity_id, elapsed, [_result_row(identity_id, r) for r in results]
+        raise FamilyError(f"{label}: {type(exc).__name__}: {exc}") from None
+    return time.perf_counter() - start, rows
 
 
-def _grid_for(identity_id: str, overrides: dict[str, list[int]]) -> dict[str, list[int]]:
-    desc = get_descriptor(identity_id)
-    return {
-        name: list(overrides.get(name, desc.default_grid[name]))
-        for name in desc.params
-    }
+def _run(config: dict, tasks: list[tuple], workers: int = 1) -> tuple[dict, int]:
+    """Run each (label, function, *args) task; the report echoing config, and its exit code."""
+    started = time.perf_counter()
+    if workers > 1 and len(tasks) > 1:
+        # a fork-based pool starts all of its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            futures = [pool.submit(_run_task, *t) for t in tasks]
+            outcomes = [f.result() for f in futures]
+    else:
+        outcomes = [_run_task(*t) for t in tasks]
 
-
-def _build_report(config: dict, rows: list[dict], timing: dict) -> tuple[dict, int]:
-    """The run report around rows (kept, not copied), and its exit code."""
+    rows = []
+    timing = {}
+    for (label, *_), (elapsed, task_rows) in zip(tasks, outcomes):
+        timing[label] = round(elapsed, 6)
+        rows.extend(task_rows)
+    timing["total"] = round(time.perf_counter() - started, 6)
     failures = sum(1 for r in rows if not r["pass"])
     report = {
         "version": __version__,
@@ -137,11 +121,19 @@ def _build_report(config: dict, rows: list[dict], timing: dict) -> tuple[dict, i
     return report, (0 if failures == 0 else 1)
 
 
-def run_verify(config: RunConfig) -> tuple[dict, int]:
-    """Evaluate the selected families and assemble the run report."""
+def _grid_for(identity_id: str, overrides: dict[str, list[int]]) -> dict[str, list[int]]:
+    desc = get_descriptor(identity_id)
+    return {
+        name: list(overrides.get(name, desc.default_grid[name]))
+        for name in desc.params
+    }
+
+
+def run_verify(config: dict) -> tuple[dict, int]:
+    """Evaluate the families config names and assemble the run report around config."""
     known = {d.id for d in registry()}
     seen = set()
-    for fam in config.families:
+    for fam in config["families"]:
         if fam not in known:
             raise UsageError(f"unknown identity id {fam!r}")
         if fam in seen:
@@ -149,106 +141,50 @@ def run_verify(config: RunConfig) -> tuple[dict, int]:
             raise UsageError(f"--family {fam} is given more than once")
         seen.add(fam)
     families = sorted(seen)
+    overrides = config["overrides"]
     read = {name for fam in families for name in get_descriptor(fam).params}
-    for name in config.overrides:
+    for name in overrides:
         if name not in read:
             raise UsageError(f"{_OVERRIDE_FLAGS[name]} sets {name}, which no selected family reads")
     tasks = [
-        (fam, _grid_for(fam, config.overrides), config.inject_failure and i == 0)
+        (fam, run_identity, fam, _grid_for(fam, overrides), config["inject_failure"] and i == 0)
         for i, fam in enumerate(families)
     ]
-
-    started = time.perf_counter()
-    outcomes = []
-    if config.workers > 1 and len(tasks) > 1:
-        # a fork-based pool starts all of its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
-            futures = [pool.submit(_family_task, *t) for t in tasks]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [_family_task(*t) for t in tasks]
-
-    rows = []
-    timing = {}
-    for identity_id, elapsed, family_rows in outcomes:
-        timing[identity_id] = round(elapsed, 6)
-        rows.extend(family_rows)
-    timing["total"] = round(time.perf_counter() - started, 6)
-    return _build_report(config.echo(), rows, timing)
+    return _run(config, tasks, config["workers"])
 
 
-_ROW_KEYS = frozenset(("first_mismatch", "id", "lhs_hash", "params", "pass", "rhs_hash"))
+def _row_json(row: dict, layouts: dict) -> str:
+    """The row as json.dumps nests it in a report.
 
-
-def _json_dumps(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True)
-
-
-def _params_layout(keys: tuple) -> Optional[list[tuple[str, str]]]:
-    """The sorted (key, '"key": ') pairs of a params dict, or None for a non-str key."""
-    if not all(type(k) is str for k in keys):
-        return None
-    return [(k, f"{_json_str(k)}: ") for k in sorted(keys)]
-
-
-def _row_json(row, layouts: dict) -> Optional[str]:
-    """The row as json.dumps nests it in a report, or None where the template does not fit.
-
-    The template covers str id and hashes, a bool pass, a params dict of str
-    keys and int values, and a first_mismatch that is None, an int or a list
-    of two ints.  The checks are on exact types, so a bool never prints as an
-    int.  Strings go through json's own escaper.  layouts caches the sorted
-    key prefixes of each params key order seen.
+    A row has the shape _result_row makes: str id and hashes, a bool pass, a
+    params dict of str keys and int values, and a first_mismatch that is
+    None, an int or a list of two ints.  Strings go through json's own
+    escaper.  layouts caches the sorted key prefixes of each params key order
+    seen.
     """
-    if type(row) is not dict or row.keys() != _ROW_KEYS:
-        return None
-    ident, lhs, rhs, passed = row["id"], row["lhs_hash"], row["rhs_hash"], row["pass"]
     mismatch, params = row["first_mismatch"], row["params"]
-    if not (
-        type(ident) is str
-        and type(lhs) is str
-        and type(rhs) is str
-        and type(passed) is bool
-        and type(params) is dict
-    ):
-        return None
     if mismatch is None:
         mismatch_s = "null"
-    elif type(mismatch) is int:
-        mismatch_s = str(mismatch)
-    elif (
-        type(mismatch) is list
-        and len(mismatch) == 2
-        and type(mismatch[0]) is int
-        and type(mismatch[1]) is int
-    ):
+    elif type(mismatch) is list:
         mismatch_s = f"[\n        {mismatch[0]},\n        {mismatch[1]}\n      ]"
     else:
-        return None
+        mismatch_s = str(mismatch)
     if params:
         keys = tuple(params)
-        try:
-            layout = layouts[keys]
-        except KeyError:
-            layout = layouts[keys] = _params_layout(keys)
+        layout = layouts.get(keys)
         if layout is None:
-            return None
-        items = []
-        for key, prefix in layout:
-            value = params[key]
-            if type(value) is not int:
-                return None
-            items.append(f"{prefix}{value}")
-        params_s = "{\n        " + ",\n        ".join(items) + "\n      }"
+            layout = layouts[keys] = [(k, f"{_json_str(k)}: ") for k in sorted(keys)]
+        items = ",\n        ".join([f"{prefix}{params[key]}" for key, prefix in layout])
+        params_s = "{\n        " + items + "\n      }"
     else:
         params_s = "{}"
     return (
         f'    {{\n      "first_mismatch": {mismatch_s},'
-        f'\n      "id": {_json_str(ident)},'
-        f'\n      "lhs_hash": {_json_str(lhs)},'
+        f'\n      "id": {_json_str(row["id"])},'
+        f'\n      "lhs_hash": {_json_str(row["lhs_hash"])},'
         f'\n      "params": {params_s},'
-        f'\n      "pass": {"true" if passed else "false"},'
-        f'\n      "rhs_hash": {_json_str(rhs)}\n    }}'
+        f'\n      "pass": {"true" if row["pass"] else "false"},'
+        f'\n      "rhs_hash": {_json_str(row["rhs_hash"])}\n    }}'
     )
 
 
@@ -256,26 +192,21 @@ def _render_json(report: dict) -> str:
     """Exactly json.dumps(report, indent=2, sort_keys=True) + "\\n", with rows templated.
 
     The frame (every top-level value but results) is rendered by json.dumps,
-    and each row is placed into it from _row_json's template or, where the
-    template does not fit, from json.dumps of that row alone.
+    and each row is placed into it from _row_json's template.
     """
-    rows = report.get("results") if type(report) is dict else None
-    if type(rows) is not list or not all(type(k) is str for k in report):
-        return _json_dumps(report) + "\n"
     out = ["{"]
     for i, key in enumerate(sorted(report)):
         out.append(f"{',' if i else ''}\n  {_json_str(key)}: ")
         if key != "results":
-            out.append(_json_dumps(report[key]).replace("\n", "\n  "))
-        elif not rows:
+            out.append(json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  "))
+        elif not report[key]:
             out.append("[]")
         else:
+            # one piece per row: a joined copy of every row would double the peak
             out.append("[\n")
             layouts: dict = {}
-            for j, row in enumerate(rows):
+            for j, row in enumerate(report[key]):
                 text = _row_json(row, layouts)
-                if text is None:
-                    text = "    " + _json_dumps(row).replace("\n", "\n    ")
                 out.append(f",\n{text}" if j else text)
             out.append("\n  ]")
     out.append("\n}\n")
@@ -321,8 +252,10 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def _check_out(out: Optional[str]) -> None:
-    """Reject an --out path whose directory does not exist, before any work runs."""
+    """Reject an --out path that is a directory or lies in a missing one, before any work runs."""
     if out:
+        if os.path.isdir(out):
+            raise UsageError(f"--out {out}: is a directory")
         parent = os.path.dirname(out) or "."
         if not os.path.isdir(parent):
             raise UsageError(f"--out {out}: {parent} is not a directory")
@@ -392,17 +325,19 @@ def cmd_verify(args) -> int:
         families = list(args.family)
     else:
         raise UsageError("select identities with --family ID (repeatable) or --all")
-    config = RunConfig(
-        families=families,
-        preset=args.preset,
-        overrides=overrides,
-        fmt=args.format,
-        out=args.out,
-        workers=args.workers,
-        inject_failure=args.inject_failure,
-    )
+    config = {
+        "families": families,
+        "preset": args.preset,
+        "overrides": dict(sorted(overrides.items())),
+        "format": args.format,
+        "workers": args.workers,
+        # verify never reads the oracle limit; the key stays so the
+        # pinned report digests stay valid
+        "oracle_limit": ORACLE_LIMIT_DEFAULT,
+        "inject_failure": args.inject_failure,
+    }
     report, code = run_verify(config)
-    _emit(render_report(report, config.fmt), config.out)
+    _emit(render_report(report, args.format), args.out)
     return code
 
 
@@ -461,6 +396,25 @@ def cmd_gauss(args) -> int:
     return 0
 
 
+def _oracle_cases(n_max: int, oracle_limit: int):
+    """Yield one case per (n, m, p), n <= n_max: the DP counts against enumeration."""
+    for n in range(n_max + 1):
+        plain_counts, distinct_counts = oracle_counts(n, oracle_limit)
+        for m in range(n + 1):
+            for p in range(n + 1):
+                plain, distinct = plain_counts[m][p], distinct_counts[m][p]
+                dp_p, dp_q = count_P(n, m, p), count_Q(n, m, p)
+                ok = plain == dp_p and distinct == dp_q
+                mismatch = None if ok else (dp_p, plain) if plain != dp_p else (dp_q, distinct)
+                yield CaseResult(
+                    params={"n": n, "m": m, "p": p},
+                    passed=ok,
+                    lhs_hash="",
+                    rhs_hash="",
+                    first_mismatch=mismatch,
+                )
+
+
 def cmd_oracle_diff(args) -> int:
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
@@ -468,27 +422,8 @@ def cmd_oracle_diff(args) -> int:
         raise UsageError(
             f"--n-max {args.n_max} exceeds the oracle limit {args.oracle_limit}"
         )
-    started = time.perf_counter()
-    rows = []
-    for n in range(args.n_max + 1):
-        plain_counts, distinct_counts = oracle_counts(n, args.oracle_limit)
-        for m in range(n + 1):
-            for p in range(n + 1):
-                plain, distinct = plain_counts[m][p], distinct_counts[m][p]
-                dp_p, dp_q = count_P(n, m, p), count_Q(n, m, p)
-                ok = plain == dp_p and distinct == dp_q
-                mismatch = None if ok else (dp_p, plain) if plain != dp_p else (dp_q, distinct)
-                result = CaseResult(
-                    params={"n": n, "m": m, "p": p},
-                    passed=ok,
-                    lhs_hash="",
-                    rhs_hash="",
-                    first_mismatch=mismatch,
-                )
-                rows.append(_result_row("oracle_diff", result))
-    elapsed = round(time.perf_counter() - started, 6)
     config = {"n_max": args.n_max, "oracle_limit": args.oracle_limit}
-    report, code = _build_report(config, rows, {"oracle_diff": elapsed, "total": elapsed})
+    report, code = _run(config, [("oracle_diff", _oracle_cases, args.n_max, args.oracle_limit)])
     _emit(render_report(report, args.format), args.out)
     return code
 
@@ -578,6 +513,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        # exit 1 means a failed check; a crash is a different outcome
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

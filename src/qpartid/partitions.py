@@ -112,16 +112,18 @@ def _count(memo: dict, distinct: bool, n: int, m: int, p: Optional[int]) -> int:
 
 
 _default_table = CountTable()
+# read straight from the module functions, so a memo hit skips the method call
+_memo_P, _memo_Q = _default_table.memo_P, _default_table.memo_Q
 
 
 def count_P(n: int, m: int, p: Optional[int]) -> int:
     """Partitions of n into exactly m parts, each at most p (UNBOUNDED allowed)."""
-    return _default_table.count_P(n, m, p)
+    return _count(_memo_P, False, n, m, p)
 
 
 def count_Q(n: int, m: int, p: Optional[int]) -> int:
     """Partitions of n into exactly m distinct parts, each at most p."""
-    return _default_table.count_Q(n, m, p)
+    return _count(_memo_Q, True, n, m, p)
 
 
 def count_P_star(n: int, m: int, p: Optional[int]) -> int:

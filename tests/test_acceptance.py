@@ -5,6 +5,8 @@ criterion with its grid size and wall time.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -173,9 +175,11 @@ def test_criterion_8_combinatorial_identities():
 def test_criterion_9_cli_contract():
     started = time.perf_counter()
 
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
     def cli(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "qpartid", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "qpartid", *argv], capture_output=True, text=True, env=env
         )
 
     full = cli("verify", "--all", "--preset", "desk", "--format", "json")
