@@ -3,6 +3,9 @@
 Coefficients are Python ints throughout, so every operation is exact at any
 size.  IntPoly values are immutable and canonical (no trailing zeros); the
 zero polynomial is the empty coefficient sequence and its degree is None.
+Since no value can change, a sum or product may return an operand unchanged:
+poly_add with a zero operand and poly_mul with a unit operand (coefficients
+exactly (1,)) hand back the other operand itself, not a copy.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ ONE = IntPoly((1,))
 
 def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
     ca, cb = a.coeffs, b.coeffs
+    if not ca:
+        return b
+    if not cb:
+        return a
     if len(ca) < len(cb):
         ca, cb = cb, ca
     out = list(ca)
@@ -68,6 +75,10 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     ca, cb = a.coeffs, b.coeffs
     if not ca or not cb:
         return ZERO
+    if ca == (1,):
+        return b
+    if cb == (1,):
+        return a
     out = [0] * (len(ca) + len(cb) - 1)
     for i, ai in enumerate(ca):
         if ai:

@@ -273,12 +273,13 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _parse_int_list(text: str, flag: str, low: int) -> list[int]:
+    parts = text.split(",")
+    if any(part.strip() == "" for part in parts):
+        raise UsageError(f"{flag} has an empty item in {text!r}")
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [int(part) for part in parts]
     except ValueError:
         raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}")
-    if not values:
-        raise UsageError(f"{flag} got an empty list")
     if any(v < low for v in values):
         raise UsageError(f"{flag} values must be >= {low}")
     if len(set(values)) != len(values):

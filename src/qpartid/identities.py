@@ -148,12 +148,33 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
+# Digests of the sides seen so far in the family that run_identity is running,
+# keyed on the exact tuple of ints.  Many cases of a family share a side (every
+# resdbl case at one (p, a, c, n) has left side F(0)), so each distinct side is
+# hashed once.  The memo is scoped to one family run: run_identity sets it to a
+# fresh dict and back to None when the run ends, however it ends, so memory is
+# bounded by one family's distinct sides, a family's timing does not depend on
+# which family ran before it, and a check called outside a run stores nothing.
+_digests: Optional[dict[tuple, str]] = None
+
+
+def _digest(values: tuple) -> str:
+    """SHA-256 of the comma-joined decimal text of values."""
+    memo = _digests
+    if memo is None:
+        return _sha(",".join(map(str, values)))
+    digest = memo.get(values)
+    if digest is None:
+        digest = memo[values] = _sha(",".join(map(str, values)))
+    return digest
+
+
 def _hash_poly(p: IntPoly) -> str:
-    return _sha(",".join(str(c) for c in p.coeffs))
+    return _digest(p.coeffs)
 
 
 def _hash_ints(values: Sequence[int]) -> str:
-    return _sha(",".join(str(v) for v in values))
+    return _digest(tuple(values))
 
 
 def _poly_first_mismatch(lhs: IntPoly, rhs: IntPoly) -> Optional[int]:
@@ -342,7 +363,9 @@ def triangle_sum(
     With parity set, only the terms whose unsigned index u (l when the sign
     is on k, k when it is on l) has n - u = parity (mod 2) are kept.  The sum
     is read as sum_j F(j) G_j over the memoized diagonals G_j; a product is
-    skipped only when G_j is the zero polynomial.
+    skipped only when G_j is the zero polynomial.  The product with G_0 = 1
+    and the sum onto zero pass their operand through (see bigpoly), so when
+    the theorem holds the result is the object F(0) itself, not a copy.
     """
     if len(F) < n + 1:
         raise ValueError(f"F must provide at least n+1 = {n + 1} values, got {len(F)}")
@@ -468,7 +491,8 @@ def check_F_theorem(
 
     The sum is read as sum_j F(j) G_j over the diagonals k + l = j.  Every
     G_j with j >= 1 is the zero polynomial and G_0 = 1, so the check costs
-    one product; the diagonals themselves are still built from the brackets.
+    one product, a pass-through of F(0); the diagonals themselves are still
+    built from the brackets.
     """
     if n < 0 or m < 0:
         raise ValueError(_Q_PARAM_DOMAIN_MSG)
@@ -916,10 +940,15 @@ def run_identity(
     tamper_first: bool = False,
 ) -> list[CaseResult]:
     """Evaluate one identity over a grid; module-level so worker pools can import it."""
+    global _digests
     desc = get_descriptor(identity_id)
     results = []
     first = True
-    for params in iter_cases(desc, grid):
-        results.append(desc.check(params, tamper=tamper_first and first))
-        first = False
+    _digests = {}
+    try:
+        for params in iter_cases(desc, grid):
+            results.append(desc.check(params, tamper=tamper_first and first))
+            first = False
+    finally:
+        _digests = None
     return results

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpartid.bigpoly import (
     IntPoly,
+    ONE,
     ZERO,
     coeff_at,
     format_poly,
@@ -115,6 +117,51 @@ def test_ring_axioms_on_random_small_polys():
             poly_substitute_power(a, rng.randint(1, 3)),
         ):
             assert is_canonical(out)
+
+
+def schoolbook_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def schoolbook_mul(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# coefficient lists, trailing zeros allowed so the constructor must strip them
+coeff_lists = st.lists(st.integers(-(10**30), 10**30) | st.integers(-2, 2), max_size=6)
+operands = st.one_of(
+    st.just(ZERO),
+    st.just(ONE),
+    st.builds(IntPoly, st.sampled_from([(), (0,), (1,), (1, 0), (0, 0, 0)])),
+    st.builds(IntPoly, coeff_lists),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=operands, b=operands)
+def test_add_and_mul_match_the_schoolbook_loops(a, b):
+    # a zero or unit operand may be handed back as the result itself; the
+    # result must still equal the reference loop and be canonical
+    for op, ref in ((poly_add, schoolbook_add), (poly_mul, schoolbook_mul)):
+        for x, y in ((a, b), (b, a)):
+            out = op(x, y)
+            want = IntPoly(ref(list(x.coeffs), list(y.coeffs)))
+            assert is_canonical(out)
+            assert out == want and out.coeffs == want.coeffs
+            assert hash(out) == hash(want)
+    if a.is_zero() and not b.is_zero():
+        assert poly_add(a, b) is b and poly_add(b, a) is b
+    if a.coeffs == (1,) and b.coeffs not in ((), (1,)):
+        assert poly_mul(a, b) is b and poly_mul(b, a) is b
 
 
 def test_substitute_preserves_value_at_one():

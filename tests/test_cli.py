@@ -64,6 +64,16 @@ def test_verify_rejects_malformed_set(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["1,,2", "1,", ",1", " ", ""])
+@pytest.mark.parametrize("flag", ["--a-set", "--b-set", "--c-set"])
+def test_verify_rejects_an_empty_set_item(capsys, flag, value):
+    # an empty item used to be dropped, so "1,,2" ran {1, 2} and exited 0
+    code, out, err = run_cli(capsys, "verify", "--family", "resdbl1", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
 def test_verify_json_report_shape(capsys):
     code, out, _ = run_cli(
         capsys,

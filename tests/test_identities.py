@@ -924,6 +924,75 @@ def test_hashes_are_of_each_side_as_given():
         assert r.rhs_hash == sha_of([total + tamper])
 
 
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.integers(-(10**40), 10**40) | st.integers(-3, 3), max_size=6))
+@example(values=[])
+@example(values=[-(2**200), 0, 2**200])
+def test_side_digests_are_the_sha_of_the_decimal_text(values):
+    # outside a family run and inside one (a memo that may already hold the
+    # key), a digest is the SHA-256 of the comma-joined decimal text
+    want = sha_of(values)
+    poly = IntPoly(values)
+    try:
+        for memo in (None, {}):
+            identities._digests = memo
+            assert identities._hash_ints(values) == want
+            assert identities._hash_ints(iter(values)) == want
+            assert identities._hash_poly(poly) == sha_of(poly.coeffs)
+            assert identities._hash_ints(values) == want
+    finally:
+        identities._digests = None
+
+
+def test_the_digest_memo_lives_for_one_family_run_only(monkeypatch):
+    seen = []
+    finish = identities._finish_poly
+
+    def spy(*args, **kwargs):
+        memo = identities._digests
+        seen.append(None if memo is None else dict(memo))
+        return finish(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "_finish_poly", spy)
+    grid = {"n": [2, 3], "m": [0, 1, 2], "p": [1], "a": [0], "b": [1, 2], "c": [1]}
+    results = identities.run_identity("resdbl1", grid)
+    assert identities._digests is None
+    # every (m, b) case at one n shares its left side, so the memo holds far
+    # fewer digests than there are cases
+    assert len(seen) == len(results) == 12
+    assert seen[0] == {} and 0 < len(seen[-1]) <= 4
+
+    # a case checked outside a family run neither reads nor keeps a memo
+    evaluate_case("resdbl1", {"n": 3, "m": 1, "p": 1, "a": 0, "b": 1, "c": 1})
+    check_F_theorem((ONE, ZERO, ONE), 2, 1, "k")
+    assert seen[12:] == [None, None]
+    check_genfun(1, 4, 2)
+    assert identities._digests is None
+
+    calls = []
+
+    def fails_on_the_third_case(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("injected")
+        return finish(*args)
+
+    monkeypatch.setattr(identities, "_finish_poly", fails_on_the_third_case)
+    with pytest.raises(RuntimeError, match="injected"):
+        identities.run_identity("resdbl1", grid)
+    assert identities._digests is None
+
+
+def test_family_results_do_not_depend_on_which_family_ran_first():
+    runs = {}
+    for order in (("resdbl1", "resdbl3"), ("resdbl3", "resdbl1")):
+        for identity_id in order:
+            runs.setdefault(identity_id, []).append(identities.run_identity(identity_id))
+    for identity_id, (first, second) in runs.items():
+        assert first == second
+        assert all(r.passed for r in first)
+
+
 def test_case_result_fields():
     r = evaluate_case("result3", {"n": 2, "m": 2})
     assert r.params == {"n": 2, "m": 2}
