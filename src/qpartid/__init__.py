@@ -31,7 +31,6 @@ from .identities import (
     parity_sum_sides,
     q_identity_sides,
     registry,
-    resdbl_lhs,
     run_identity,
     standard_f_sequences,
     triangle_sum,

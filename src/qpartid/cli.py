@@ -320,6 +320,8 @@ def cmd_verify(args) -> int:
     overrides = _collect_overrides(args)
     if args.preset == "desk" and overrides:
         raise UsageError("--preset desk pins the default grids; range overrides conflict")
+    if args.all and args.family:
+        raise UsageError("--all selects every identity; drop it or the --family flags")
     if args.all:
         families = [d.id for d in registry()]
     elif args.family:

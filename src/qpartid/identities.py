@@ -19,11 +19,10 @@ compare exactly, in three layers that share no evaluator:
   rows kernel(a, b, p) over b, and genfun_table expands the generating
   functions into integer tables.
 * combinatorial at q = 1: big-integer binomials that never touch the
-  polynomial layer.  Each is a row of _COMB_SUMS naming one of three
-  binomial templates and its dilation, residue or specialised row.
-  comb16-22 are the triangle theorem at q = 1: each names the _RESDBL row,
-  or the half of a _COROLLARIES row, it specialises at a = b = c = 1, and is
-  read as sum_j F_{n-j} g_j over integer diagonals g_j.
+  polynomial layer.  Each row of _COMB_SUMS names the q row it specialises:
+  comb01-15 and comb23-26 a _Q_SUMS row and a residue r, read by _comb_side
+  at index d*n + r; comb16-22 the _RESDBL row, or the half of a _COROLLARIES
+  row, at a = b = c = 1, read as sum_j F_{n-j} g_j over integer diagonals g_j.
 
 Every kernel a case reads (U and V, the diagonals, the resdbl F rows, the
 count rows, the binomial rows) lives in one store, _ROWS: a row
@@ -43,10 +42,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .bigpoly import (
     IntPoly,
@@ -58,8 +57,9 @@ from .bigpoly import (
     poly_shift,
 )
 from .partitions import (
+    UNBOUNDED,
+    box_count,
     count_P,
-    count_P_most,
     count_P_nm,
     count_P_of,
     count_P_star,
@@ -130,18 +130,13 @@ class CaseResult:
 
 @dataclass
 class IdentityDescriptor:
-    """Registry entry: an executable check plus its default grid.
-
-    core marks the ten labeled single- and double-sum q-binomial results
-    (result1..result6, resdbl1..resdbl4).
-    """
+    """Registry entry: an executable check plus its default grid."""
 
     id: str
     kind: str
     params: tuple[str, ...]
     default_grid: dict[str, list[int]]
     check: Callable[..., CaseResult]
-    core: bool = False
 
 
 def _sha(text: str) -> str:
@@ -169,14 +164,6 @@ def _digest(values: tuple) -> str:
     return digest
 
 
-def _hash_poly(p: IntPoly) -> str:
-    return _digest(p.coeffs)
-
-
-def _hash_ints(values: Sequence[int]) -> str:
-    return _digest(tuple(values))
-
-
 def _poly_first_mismatch(lhs: IntPoly, rhs: IntPoly) -> Optional[int]:
     top = max(len(lhs.coeffs), len(rhs.coeffs))
     for e in range(top):
@@ -190,14 +177,14 @@ def _poly_first_mismatch(lhs: IntPoly, rhs: IntPoly) -> Optional[int]:
 def _finish_poly(params: dict[str, int], lhs: IntPoly, rhs: IntPoly, tamper: bool) -> CaseResult:
     if tamper:
         rhs = poly_add(rhs, ONE)
-    lhs_hash = _hash_poly(lhs)
+    lhs_hash = _digest(lhs.coeffs)
     if lhs.coeffs == rhs.coeffs:  # equal sides hash alike
         return CaseResult(params=params, passed=True, lhs_hash=lhs_hash, rhs_hash=lhs_hash)
     return CaseResult(
         params=params,
         passed=False,
         lhs_hash=lhs_hash,
-        rhs_hash=_hash_poly(rhs),
+        rhs_hash=_digest(rhs.coeffs),
         first_mismatch=_poly_first_mismatch(lhs, rhs),
     )
 
@@ -211,15 +198,30 @@ def _finish_pairs(
         pairs[0] = (l0, r0 + 1)
     lhs = [l for l, _ in pairs]
     rhs = [r for _, r in pairs]
-    lhs_hash = _hash_ints(lhs)
+    lhs_hash = _digest(tuple(lhs))
     if lhs == rhs:  # equal sides hash alike
         return CaseResult(params=params, passed=True, lhs_hash=lhs_hash, rhs_hash=lhs_hash)
     return CaseResult(
         params=params,
         passed=False,
         lhs_hash=lhs_hash,
-        rhs_hash=_hash_ints(rhs),
+        rhs_hash=_digest(tuple(rhs)),
         first_mismatch=next((l, r) for l, r in pairs if l != r),
+    )
+
+
+def _combine(params: dict[str, int], subs: Iterable[CaseResult], sep: str) -> CaseResult:
+    """The first failing sub-result, under params; else a pass over the sep-joined digests."""
+    done = []
+    for sub in subs:
+        if not sub.passed:
+            return replace(sub, params=params)
+        done.append(sub)
+    return CaseResult(
+        params=params,
+        passed=True,
+        lhs_hash=_sha(sep.join(sub.lhs_hash for sub in done)),
+        rhs_hash=_sha(sep.join(sub.rhs_hash for sub in done)),
     )
 
 
@@ -399,8 +401,6 @@ def _resdbl_h(shifted_top: bool, p: int, a: int, c: int, s: int) -> IntPoly:
 
 def _resdbl_f(variant: str, n: int, p: int, a: int, c: int) -> tuple[IntPoly, ...]:
     """F(0..n) of a resdbl identity, read from its row H as H[n], ..., H[0]."""
-    if variant not in _RESDBL:
-        raise ValueError(f"unknown resdbl variant {variant!r}")
     if n < 0:
         raise ValueError(f"{_Q_PARAM_DOMAIN_MSG}: got n = {n}")
     return tuple(_row(_resdbl_h, _RESDBL[variant][0], p, a, c, top=n)[n::-1])
@@ -409,11 +409,6 @@ def _resdbl_f(variant: str, n: int, p: int, a: int, c: int) -> tuple[IntPoly, ..
 def _resdbl_sides(variant: str, n, m, p, a, b, c) -> tuple[IntPoly, IntPoly]:
     F = _resdbl_f(variant, n, p, a, c)
     return triangle_sum(F, n, m, b, _RESDBL[variant][1]), F[0]
-
-
-def resdbl_lhs(variant: str, n: int, m: int, p: int, a: int, b: int, c: int) -> IntPoly:
-    """Triangle double sum for one resdbl identity."""
-    return _resdbl_sides(variant, n, m, p, a, b, c)[0]
 
 
 _NM = ("n", "m")
@@ -452,16 +447,7 @@ def _check_corollary(corollary_id: str, params, tamper=False):
     n, m = params["n"], params["m"]
     even = _finish_poly(params, *parity_sum_sides(corollary_id, "even", n, m), tamper)
     odd = _finish_poly(params, *parity_sum_sides(corollary_id, "odd", n, m), False)
-    if not even.passed:
-        return even
-    if not odd.passed:
-        return odd
-    return CaseResult(
-        params=params,
-        passed=True,
-        lhs_hash=_sha(even.lhs_hash + odd.lhs_hash),
-        rhs_hash=_sha(even.rhs_hash + odd.rhs_hash),
-    )
+    return _combine(params, (even, odd), "")
 
 
 def q_identity_sides(identity_id: str, params: dict[str, int]) -> tuple[IntPoly, IntPoly]:
@@ -514,26 +500,12 @@ def standard_f_sequences(n: int, m: int) -> list[tuple[str, tuple[IntPoly, ...]]
 
 def _check_f_theorem(params, tamper=False):
     n, m = params["n"], params["m"]
-    lhs_digest, rhs_digest = [], []
-    for sign_on in ("k", "l"):
-        for _, seq in standard_f_sequences(n, m):
-            sub = check_F_theorem(seq, n, m, sign_on)
-            if not sub.passed:
-                return CaseResult(
-                    params=params,
-                    passed=False,
-                    lhs_hash=sub.lhs_hash,
-                    rhs_hash=sub.rhs_hash,
-                    first_mismatch=sub.first_mismatch,
-                )
-            lhs_digest.append(sub.lhs_hash)
-            rhs_digest.append(sub.rhs_hash)
-    result = CaseResult(
-        params=params,
-        passed=True,
-        lhs_hash=_sha(",".join(lhs_digest)),
-        rhs_hash=_sha(",".join(rhs_digest)),
+    subs = (
+        check_F_theorem(seq, n, m, sign_on)
+        for sign_on in ("k", "l")
+        for _, seq in standard_f_sequences(n, m)
     )
+    result = _combine(params, subs, ",")
     if tamper:
         result.passed = False
         result.first_mismatch = 0
@@ -603,7 +575,8 @@ def _count_pairs(spec, n: int, m: int, p: int) -> list[tuple[int, int]]:
 
 
 def _pairs_pmost_chain(n, p):
-    most = count_P_most(n, p)
+    # the one-shot box count, so pairs 1 and 2 test the memo rather than restate it
+    most = box_count(n, UNBOUNDED, p)
     exact_sum = sum(count_P(n, k, p) for k in range(n + 1))
     convolution = sum(
         count_Q_most(n - 2 * k, p) * count_P_nm(p + k, p) for k in range(n // 2 + 1)
@@ -695,19 +668,20 @@ def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z
 # Combinatorial identities at q = 1 (independent big-integer binomials)
 # ---------------------------------------------------------------------------
 #
-# With u_j = C(m+j, m) and v_j = C(m+1, j), a _COMB_SUMS row names a template
-# and the arguments it takes before (n, m) or (n, m, p):
-#   _comb_top(d, r):     sum_k v_{dk+r} u_{n-k} against a sum over u alone
-#   _comb_bottom(d, r):  sum_k (-1)^k u_{dk+r} v_{n-k} against a sum over v alone
+# Every _COMB_SUMS row names the q row it specialises at q = 1 and reads it
+# through its own integer evaluator; the two layers share spec rows, never an
+# evaluator.  With u_j = C(m+j, m) and v_j = C(m+1, j), the q = 1 values of
+# the kernels U and V, a row is one of
+#   _comb_sum(row, r):  the _Q_SUMS row at index d*n + r, d its own dilation
+#       (comb01-15, comb23-26); cosine rows are verified doubled
 #   _comb_triangle(row, parity):  the triangle theorem at a = b = c = 1, for a
 #       _RESDBL row (comb16-19, parity None) or a half of a _COROLLARIES row
 #       (comb20-22, parity 0 for the even half and 1 for the odd one)
-# Rows with d = 3 carry cosine weights and are verified doubled.
 #
-# Every template reads binomial rows of two forms, kept per x in _ROWS: the
-# upper row C(x+j, x) and the lower row C(x, j).  u is the upper row at m and
-# v the lower row at m + 1; the triangle sums' F_s = C(p+s, p) or C(p, s) is
-# the upper or lower row at p.
+# Both read binomial rows of two forms, kept per x in _ROWS: the upper row
+# C(x+j, x) and the lower row C(x, j).  u is the upper row at m and v the
+# lower row at m + 1; the triangle sums' F_s = C(p+s, p) or C(p, s) is the
+# upper or lower row at p.
 
 
 def _binom_entry(upper: bool, x: int, j: int) -> int:
@@ -722,47 +696,28 @@ def _v(m: int, top: int) -> list[int]:
     return _row(_binom_entry, False, m + 1, top=top)
 
 
-def _signed(xs: list[int]) -> list[int]:
-    """(-1)^k x_k."""
-    return [x if k % 2 == 0 else -x for k, x in enumerate(xs)]
+def _comb_side(side, N: int, u: list[int], v: list[int]) -> int:
+    """A _Q_SUMS side at q = 1 and index N, as _q_side reads it over u and v."""
+    if side == _DELTA:
+        return int(N == 0)
+    rows = {"U": u, "V": v}
+    if isinstance(side, str):
+        return rows[side][N]
+    scale, a, b, d, weight = side
+    weights = _weights(weight, N // d + 1, N)
+    return scale * sum(map(mul, weights, map(mul, rows[a][N::-d], rows[b])))
 
 
-def _cos_conv(y: list[int], top: int, r: int) -> int:
-    """sum_{k <= top} 2cos((2k-r)pi/3) y_{top-k} y_k."""
-    weights = _weights(_COS, top + 1, r)
-    return sum(w * y[top - k] * y[k] for k, w in enumerate(weights) if w)
-
-
-def _comb_top(d: int, r: int, n: int, m: int) -> tuple[int, int]:
-    """02-03 (d = 2), 06-08 (d = 3, alternating) and 12-15 (d = 4)."""
-    top = d * n + r
-    u, v = _u(m, top), _v(m, top)
-    terms = [v[d * k + r] * u[n - k] for k in range(n + 1)]
-    if d == 2:
-        return sum(terms), u[top]
-    if d == 3:
-        return 2 * sum(_signed(terms)), _cos_conv(u, top, r)
-    s, t = divmod(r, 2)
-    half = 2 * n + s
-    rhs = sum(_signed([u[2 * k + t] * u[half - k] for k in range(half + 1)]))
-    return sum(terms), -rhs if s else rhs
-
-
-def _comb_bottom(d: int, r: int, n: int, m: int) -> tuple[int, int]:
-    """01 (d = 1), 04-05 (d = 2), 09-11 (d = 3) and 23-26 (d = 4)."""
-    top = d * n + r
-    u, v = _u(m, top), _v(m, top)
-    lhs = sum(_signed([u[d * k + r] * v[n - k] for k in range(n + 1)]))
-    sign_n = -1 if n % 2 else 1
-    if d == 1:
-        return lhs, int(n == 0)
-    if d == 2:
-        return lhs, sign_n * v[top]
-    if d == 3:
-        return 2 * lhs, _cos_conv(v, top, r)
-    s, t = divmod(r, 2)
-    half = 2 * n + s
-    return lhs, sign_n * sum(v[2 * k + t] * v[half - k] for k in range(half + 1))
+def _comb_sum(row: str, r: int, n: int, m: int) -> tuple[int, int]:
+    """01-15 and 23-26: both sides of the _Q_SUMS row at q = 1 and index d*n + r."""
+    lhs, rhs = _Q_SUMS[row]
+    N = lhs[3] * n + r
+    u, v = _u(m, N), _v(m, N)
+    # The paper puts (-1)^k on the index d*k + r and the row on the other
+    # index; k -> n - k maps one to the other and multiplies both sides by
+    # (-1)^n whenever the row's left sum is _ALT.
+    sign = -1 if lhs[4] == _ALT and n % 2 else 1
+    return sign * _comb_side(lhs, N, u, v), sign * _comb_side(rhs, N, u, v)
 
 
 def _comb_diagonal(sign_on: str, m: int, keep: Optional[int], j: int) -> int:
@@ -792,21 +747,21 @@ def _comb_triangle(
 
 
 _COMB_SUMS = {
-    "comb01": (_comb_bottom, 1, 0),
-    "comb02": (_comb_top, 2, 0),
-    "comb03": (_comb_top, 2, 1),
-    "comb04": (_comb_bottom, 2, 0),
-    "comb05": (_comb_bottom, 2, 1),
-    "comb06": (_comb_top, 3, 0),
-    "comb07": (_comb_top, 3, 1),
-    "comb08": (_comb_top, 3, 2),
-    "comb09": (_comb_bottom, 3, 0),
-    "comb10": (_comb_bottom, 3, 1),
-    "comb11": (_comb_bottom, 3, 2),
-    "comb12": (_comb_top, 4, 0),
-    "comb13": (_comb_top, 4, 1),
-    "comb14": (_comb_top, 4, 2),
-    "comb15": (_comb_top, 4, 3),
+    "comb01": (_comb_sum, "delta", 0),
+    "comb02": (_comb_sum, "result1", 0),
+    "comb03": (_comb_sum, "result1", 1),
+    "comb04": (_comb_sum, "result2", 0),
+    "comb05": (_comb_sum, "result2", 1),
+    "comb06": (_comb_sum, "result3", 0),
+    "comb07": (_comb_sum, "result3", 1),
+    "comb08": (_comb_sum, "result3", 2),
+    "comb09": (_comb_sum, "result4", 0),
+    "comb10": (_comb_sum, "result4", 1),
+    "comb11": (_comb_sum, "result4", 2),
+    "comb12": (_comb_sum, "result5", 0),
+    "comb13": (_comb_sum, "result5", 1),
+    "comb14": (_comb_sum, "result5", 2),
+    "comb15": (_comb_sum, "result5", 3),
     "comb16": (_comb_triangle, "resdbl1", None),
     "comb17": (_comb_triangle, "resdbl2", None),
     "comb18": (_comb_triangle, "resdbl3", None),
@@ -814,10 +769,10 @@ _COMB_SUMS = {
     "comb20": (_comb_triangle, "corollary_2_4", 0),
     "comb21": (_comb_triangle, "corollary_3_4", 0),
     "comb22": (_comb_triangle, "corollary_2_4", 1),
-    "comb23": (_comb_bottom, 4, 0),
-    "comb24": (_comb_bottom, 4, 1),
-    "comb25": (_comb_bottom, 4, 2),
-    "comb26": (_comb_bottom, 4, 3),
+    "comb23": (_comb_sum, "result6", 0),
+    "comb24": (_comb_sum, "result6", 1),
+    "comb25": (_comb_sum, "result6", 2),
+    "comb26": (_comb_sum, "result6", 3),
 }
 
 
@@ -838,7 +793,7 @@ def _rng(hi: int) -> list[int]:
 def _build_registry() -> list[IdentityDescriptor]:
     entries: list[IdentityDescriptor] = []
 
-    def add(identity_id, kind, params, grid, check, core=False):
+    def add(identity_id, kind, params, grid, check):
         entries.append(
             IdentityDescriptor(
                 id=identity_id,
@@ -846,18 +801,17 @@ def _build_registry() -> list[IdentityDescriptor]:
                 params=tuple(params),
                 default_grid=dict(grid),
                 check=check,
-                core=core,
             )
         )
 
-    def add_sides(identity_id, kind, params, grid, sides, core=False):
-        add(identity_id, kind, params, grid, _sides_check(identity_id, kind, params, sides), core)
+    def add_sides(identity_id, kind, params, grid, sides):
+        add(identity_id, kind, params, grid, _sides_check(identity_id, kind, params, sides))
 
     q, count, comb = KIND_Q_POLYNOMIAL, KIND_COUNT_INTEGER, KIND_COMBINATORIAL
     nm10 = {"n": _rng(10), "m": _rng(10)}
     for identity_id, spec in _Q_SUMS.items():
         sides = partial(_q_sum_sides, spec)
-        add_sides(identity_id, q, _NM, nm10, sides, core=identity_id != "delta")
+        add_sides(identity_id, q, _NM, nm10, sides)
     resdbl_grid = {
         "n": _rng(6),
         "m": _rng(6),
@@ -868,7 +822,7 @@ def _build_registry() -> list[IdentityDescriptor]:
     }
     for identity_id in RESDBL_IDS:
         sides = partial(_resdbl_sides, identity_id)
-        add_sides(identity_id, q, _RESDBL_PARAMS, resdbl_grid, sides, core=True)
+        add_sides(identity_id, q, _RESDBL_PARAMS, resdbl_grid, sides)
     nm8 = {"n": _rng(8), "m": _rng(8)}
     for identity_id in _COROLLARIES:
         add(identity_id, q, _NM, nm8, partial(_check_corollary, identity_id))

@@ -46,6 +46,17 @@ def test_verify_requires_selection(capsys):
     assert "--family" in err
 
 
+def test_verify_all_conflicts_with_family(capsys, monkeypatch):
+    # --all used to win silently and run every family
+    from qpartid import cli
+
+    monkeypatch.setattr(cli, "run_verify", lambda config: pytest.fail("a family ran"))
+    code, out, err = run_cli(capsys, "verify", "--all", "--family", "delta")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --all ") and err.count("\n") == 1
+
+
 def test_verify_preset_conflicts_with_overrides(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--preset", "desk", "--family", "delta", "--n-max", "3"

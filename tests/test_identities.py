@@ -21,7 +21,6 @@ from qpartid.identities import (
     parity_sum_sides,
     q_identity_sides,
     registry,
-    resdbl_lhs,
     standard_f_sequences,
     triangle_sum,
     twice_cos,
@@ -66,9 +65,8 @@ def test_registry_ids_unique():
 
 
 def test_registry_core_q_identities():
-    core = [d for d in registry() if d.kind == KIND_Q_POLYNOMIAL and d.core]
-    assert len(core) == 10
-    assert {d.id for d in core} == {
+    # the ten labelled single- and double-sum q-binomial results
+    labelled = {
         "result1",
         "result2",
         "result3",
@@ -80,12 +78,19 @@ def test_registry_core_q_identities():
         "resdbl3",
         "resdbl4",
     }
+    core = [d for d in registry() if d.id in labelled]
+    assert len(core) == 10
+    assert {d.kind for d in core} == {KIND_Q_POLYNOMIAL}
+    assert labelled == (set(identities._Q_SUMS) - {"delta"}) | set(identities.RESDBL_IDS)
 
 
 def test_registry_combinatorial_count():
     combs = [d for d in registry() if d.kind == KIND_COMBINATORIAL]
     assert len(combs) == 26
     assert [d.id for d in combs] == [f"comb{i:02d}" for i in range(1, 27)]
+    # each names the q row it specialises
+    q_rows = {**identities._Q_SUMS, **identities._RESDBL, **identities._COROLLARIES}
+    assert all(spec[1] in q_rows for spec in identities._COMB_SUMS.values())
 
 
 def test_registry_expected_ids_present():
@@ -175,9 +180,9 @@ def test_q_identity_domain_rejection():
         evaluate_case("resdbl1", {"n": 1, "m": 1, "p": 1, "a": 0, "b": 0, "c": 1})
 
 
-def test_resdbl_lhs_rejects_unknowns():
-    with pytest.raises(ValueError):
-        resdbl_lhs("resdbl9", 1, 1, 1, 0, 1, 1)
+def test_q_identity_sides_rejects_unknowns():
+    with pytest.raises(KeyError):
+        q_identity_sides("resdbl9", {"n": 1, "m": 1, "p": 1, "a": 0, "b": 1, "c": 1})
 
 
 # --- parity corollaries -----------------------------------------------------
@@ -341,7 +346,8 @@ def test_triangle_sum_property(data, n, m, b, sign_on):
     ):
         even, _ = parity_sum_sides(corollary_id, "even", n, m)
         odd, _ = parity_sum_sides(corollary_id, "odd", n, m)
-        assert poly_add(even, odd) == resdbl_lhs(variant, n, m, p, a, 1, 1)
+        params = {"n": n, "m": m, "p": p, "a": a, "b": 1, "c": 1}
+        assert poly_add(even, odd) == q_identity_sides(variant, params)[0]
 
 
 def triangle_sum_by_terms(F, n, m, b, sign_on, parity=None):
@@ -491,6 +497,21 @@ def test_chain_and_special_cases():
         assert evaluate_case("qn_double_sum", {"n": n}).passed
 
 
+def test_pmost_chain_takes_its_left_side_from_the_one_shot_box_count(monkeypatch):
+    # sum_k P(n, k, p) and P*(n, n, p) read the memo, so the left side must
+    # not: with one memo entry bumped, pair 1 is the first to fail
+    from qpartid import partitions
+
+    memo = {}
+    monkeypatch.setattr(partitions, "_memo_P", memo)
+    monkeypatch.setattr(partitions, "_memo_Q", {})
+    assert count_P(6, 3, 3) == 2
+    memo[(6, 3, 3)] += 1
+    r = evaluate_case("pmost_chain", {"n": 6, "p": 3})
+    assert not r.passed
+    assert r.first_mismatch == (7, 8)
+
+
 def test_theorem2_specializes_to_the_chain():
     # at m=n the double sum collapses onto the bounded-part convolution
     from qpartid.partitions import count_P_nm, count_Q_star
@@ -624,8 +645,8 @@ def assert_comb_sides_at_q1(comb_id, params, q_sides, sign=1):
 
 def test_q1_specialization_reproduces_combinatorial_sides():
     # every binomial identity is a polynomial one evaluated at q = 1, so a slip
-    # in either table shows here although the two layers share no code; every
-    # single sum runs to q-index 21 and m = 10
+    # in either evaluator shows here: the two layers read the same spec rows
+    # but share no evaluator; every single sum runs to q-index 21 and m = 10
     for q_id, d, eps, comb_ids in Q1_SINGLE_SUMS:
         for r, comb_id in enumerate(comb_ids):
             for n, m in itertools.product(range((21 - r) // d + 1), range(11)):
@@ -831,6 +852,106 @@ def test_comb_parity_halves_match_the_double_loop_on_the_whole_grid():
             assert identities._comb_pairs(spec, n, m) == [expected], (comb_id, n, m)
 
 
+def alternate(xs):
+    """(-1)^k x_k."""
+    return [x if k % 2 == 0 else -x for k, x in enumerate(xs)]
+
+
+def cos_convolution(y, top, r):
+    """sum_{k <= top} 2cos((2k-r)pi/3) y_{top-k} y_k."""
+    weights = [twice_cos(2 * k - r) for k in range(top + 1)]
+    return sum(w * y[top - k] * y[k] for k, w in enumerate(weights) if w)
+
+
+def binomial_kernels(m, top):
+    return [binom(m + j, m) for j in range(top + 1)], [binom(m + 1, j) for j in range(top + 1)]
+
+
+def template_top(d, r, n, m):
+    """02-03 (d = 2), 06-08 (d = 3, alternating) and 12-15 (d = 4)."""
+    top = d * n + r
+    u, v = binomial_kernels(m, top)
+    terms = [v[d * k + r] * u[n - k] for k in range(n + 1)]
+    if d == 2:
+        return sum(terms), u[top]
+    if d == 3:
+        return 2 * sum(alternate(terms)), cos_convolution(u, top, r)
+    s, t = divmod(r, 2)
+    half = 2 * n + s
+    rhs = sum(alternate([u[2 * k + t] * u[half - k] for k in range(half + 1)]))
+    return sum(terms), -rhs if s else rhs
+
+
+def template_bottom(d, r, n, m):
+    """01 (d = 1), 04-05 (d = 2), 09-11 (d = 3) and 23-26 (d = 4)."""
+    top = d * n + r
+    u, v = binomial_kernels(m, top)
+    lhs = sum(alternate([u[d * k + r] * v[n - k] for k in range(n + 1)]))
+    sign_n = -1 if n % 2 else 1
+    if d == 1:
+        return lhs, int(n == 0)
+    if d == 2:
+        return lhs, sign_n * v[top]
+    if d == 3:
+        return 2 * lhs, cos_convolution(v, top, r)
+    s, t = divmod(r, 2)
+    half = 2 * n + s
+    return lhs, sign_n * sum(v[2 * k + t] * v[half - k] for k in range(half + 1))
+
+
+# (template, d, r) of each q = 1 single sum, written out as binomial sums
+COMB_TEMPLATES = {
+    "comb01": (template_bottom, 1, 0),
+    "comb02": (template_top, 2, 0),
+    "comb03": (template_top, 2, 1),
+    "comb04": (template_bottom, 2, 0),
+    "comb05": (template_bottom, 2, 1),
+    "comb06": (template_top, 3, 0),
+    "comb07": (template_top, 3, 1),
+    "comb08": (template_top, 3, 2),
+    "comb09": (template_bottom, 3, 0),
+    "comb10": (template_bottom, 3, 1),
+    "comb11": (template_bottom, 3, 2),
+    "comb12": (template_top, 4, 0),
+    "comb13": (template_top, 4, 1),
+    "comb14": (template_top, 4, 2),
+    "comb15": (template_top, 4, 3),
+    "comb23": (template_bottom, 4, 0),
+    "comb24": (template_bottom, 4, 1),
+    "comb25": (template_bottom, 4, 2),
+    "comb26": (template_bottom, 4, 3),
+}
+
+
+def comb_by_templates(comb_id, n, m):
+    """Reference oracle: a q = 1 single sum from its hand-written binomial template."""
+    template, d, r = COMB_TEMPLATES[comb_id]
+    return template(d, r, n, m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    queries=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(COMB_TEMPLATES)),
+            st.integers(0, 40),
+            st.integers(0, 30),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example(queries=[("comb15", 40, 30), ("comb06", 3, 30), ("comb26", 40, 0), ("comb01", 0, 0)])
+def test_comb_sums_match_the_binomial_templates(queries):
+    # each row is its _Q_SUMS row at q = 1; the oracle is the template it replaced
+    identities._ROWS.clear()
+    for comb_id, n, m in queries:
+        spec = identities._COMB_SUMS[comb_id]
+        assert spec[1] in identities._Q_SUMS
+        expected = comb_by_templates(comb_id, n, m)
+        assert identities._comb_pairs(spec, n, m) == [expected], (comb_id, n, m)
+
+
 def resdbl_f_by_loop(variant, n, p, a, c):
     """Reference oracle: F(0..n) of a resdbl identity, built bracket by bracket."""
     shifted_top = variant in ("resdbl1", "resdbl2")
@@ -936,12 +1057,72 @@ def test_side_digests_are_the_sha_of_the_decimal_text(values):
     try:
         for memo in (None, {}):
             identities._digests = memo
-            assert identities._hash_ints(values) == want
-            assert identities._hash_ints(iter(values)) == want
-            assert identities._hash_poly(poly) == sha_of(poly.coeffs)
-            assert identities._hash_ints(values) == want
+            assert identities._digest(tuple(values)) == want
+            assert identities._digest(tuple(iter(values))) == want
+            assert identities._digest(poly.coeffs) == sha_of(poly.coeffs)
+            assert identities._digest(tuple(values)) == want
     finally:
         identities._digests = None
+
+
+def test_combine_returns_the_first_failing_corollary_half(monkeypatch):
+    # an odd half patched to a nonzero right side comes back as the verdict
+    real = identities.parity_sum_sides
+
+    def odd_fails(corollary_id, parity, n, m):
+        lhs, rhs = real(corollary_id, parity, n, m)
+        return (lhs, ONE if parity == "odd" else rhs)
+
+    monkeypatch.setattr(identities, "parity_sum_sides", odd_fails)
+    params = {"n": 3, "m": 2}
+    r = get_descriptor("corollary_2_4").check(params)
+    odd_lhs, _ = real("corollary_2_4", "odd", 3, 2)
+    assert r.params is params and not r.passed
+    assert (r.lhs_hash, r.rhs_hash) == (sha_of(odd_lhs.coeffs), sha_of(ONE.coeffs))
+    assert r.first_mismatch == 0
+
+
+def test_combine_returns_the_first_failing_f_theorem_sub_check(monkeypatch):
+    real = identities.check_F_theorem
+    calls = []
+    failing = identities.CaseResult(
+        params={"n": 2, "m": 1}, passed=False, lhs_hash="a" * 64, rhs_hash="b" * 64,
+        first_mismatch=7,
+    )
+
+    def fourth_fails(F, n, m, sign_on):
+        calls.append(sign_on)
+        return failing if len(calls) == 4 else real(F, n, m, sign_on)
+
+    monkeypatch.setattr(identities, "check_F_theorem", fourth_fails)
+    params = {"n": 2, "m": 1}
+    r = get_descriptor("f_theorem").check(params)
+    assert r.params is params and not r.passed
+    assert (r.lhs_hash, r.rhs_hash, r.first_mismatch) == ("a" * 64, "b" * 64, 7)
+    # the sub-checks after the failing one are not run
+    assert calls == ["k", "k", "k", "l"]
+
+
+def test_combine_hashes_the_joined_sub_digests_of_a_pass():
+    def sha(text):
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    n, m = 3, 2
+    for corollary_id in ("corollary_2_4", "corollary_3_4"):
+        halves = [parity_sum_sides(corollary_id, parity, n, m) for parity in ("even", "odd")]
+        r = evaluate_case(corollary_id, {"n": n, "m": m})
+        assert r.passed
+        assert r.lhs_hash == sha("".join(sha_of(lhs.coeffs) for lhs, _ in halves))
+        assert r.rhs_hash == sha("".join(sha_of(rhs.coeffs) for _, rhs in halves))
+
+    lhs_six, rhs_six = [], []
+    for sign_on in ("k", "l"):
+        for _, F in standard_f_sequences(n, m):
+            lhs_six.append(sha_of(triangle_sum(F, n, m, 1, sign_on).coeffs))
+            rhs_six.append(sha_of(F[0].coeffs))
+    r = evaluate_case("f_theorem", {"n": n, "m": m})
+    assert r.passed
+    assert (r.lhs_hash, r.rhs_hash) == (sha(",".join(lhs_six)), sha(",".join(rhs_six)))
 
 
 def test_the_digest_memo_lives_for_one_family_run_only(monkeypatch):
