@@ -8,27 +8,39 @@ Subcommands, with the --format values each one renders:
               (json, tsv, human)
 
 Every subcommand takes --out PATH.  One runner, _run, builds every report
-(verify and oracle-diff): it times each task, turns the task's CaseResults
-into rows with _result_row, and assembles the report and its exit code.
+(verify and oracle-diff): it times each task and streams the report, writing
+each task's rows (its CaseResults, made rows by _result_row) as soon as that
+task finishes and then dropping them.  Memory is therefore bounded by the
+largest task, which for verify is one identity family, not by the whole run.
+The report is streamed into an anonymous temporary file and copied to --out
+or stdout only after the last task, so a run that crashes writes nothing.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
 (including an --out path that cannot be written), 3 an unexpected exception
 (a verify family's check, the oracle-diff comparison, or anything else),
-reported on one error line.
+reported on one error line, with no report written and an existing --out
+file left as it was.
 
 A JSON report is exactly json.dumps(report, indent=2, sort_keys=True)
-followed by a newline.  The frame is rendered by json.dumps; every results
-row has the one shape _result_row makes and is written from one template,
-with no fallback.
+followed by a newline.  Its top-level keys sort as config, results, timing,
+totals, version, so the head (config and the opening of results) is written
+first and timing, totals and version last.  The frame is rendered by
+json.dumps; every results row has the one shape _result_row makes and is
+written from one template, with no fallback.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
@@ -80,45 +92,52 @@ def _result_row(identity_id: str, result: CaseResult) -> dict:
 
 
 def _run_task(label: str, func, *args):
-    """Call func(*args); its elapsed seconds and its CaseResults as rows with id label."""
+    """Call func(*args); label, the elapsed seconds and the CaseResults as rows with id label."""
     start = time.perf_counter()
     try:
         rows = [_result_row(label, r) for r in func(*args)]
     except Exception as exc:
         raise FamilyError(f"{label}: {type(exc).__name__}: {exc}") from None
-    return time.perf_counter() - start, rows
+    return label, time.perf_counter() - start, rows
 
 
-def _run(config: dict, tasks: list[tuple], workers: int = 1) -> tuple[dict, int]:
-    """Run each (label, function, *args) task; the report echoing config, and its exit code."""
-    started = time.perf_counter()
+def _outcomes(tasks: list[tuple], workers: int):
+    """Yield each task's _run_task outcome in task order, holding none once it is yielded."""
     if workers > 1 and len(tasks) > 1:
         # a fork-based pool starts all of its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [pool.submit(_run_task, *t) for t in tasks]
-            outcomes = [f.result() for f in futures]
+            futures = deque(pool.submit(_run_task, *t) for t in tasks)
+            while futures:
+                yield futures.popleft().result()
     else:
-        outcomes = [_run_task(*t) for t in tasks]
+        for t in tasks:
+            yield _run_task(*t)
 
-    rows = []
+
+def _run(config: dict, tasks: list[tuple], fmt: str, out: Optional[str], workers: int = 1) -> int:
+    """Run each (label, function, *args) task, write the report echoing config; its exit code.
+
+    Each task's rows are rendered and written as soon as the task finishes,
+    then dropped, so memory is bounded by the largest task.  They go to an
+    anonymous temporary file, which is copied to out (or stdout) after the
+    last task: a task that raises leaves nothing written.
+    """
+    started = time.perf_counter()
     timing = {}
-    for (label, *_), (elapsed, task_rows) in zip(tasks, outcomes):
-        timing[label] = round(elapsed, 6)
-        rows.extend(task_rows)
-    timing["total"] = round(time.perf_counter() - started, 6)
-    failures = sum(1 for r in rows if not r["pass"])
-    report = {
-        "version": __version__,
-        "config": config,
-        "results": rows,
-        "totals": {
-            "cases": len(rows),
-            "passes": len(rows) - failures,
-            "failures": failures,
-        },
-        "timing": timing,
-    }
-    return report, (0 if failures == 0 else 1)
+    failures = 0
+    with tempfile.TemporaryFile("w+") as sink:
+        writer = _ReportWriter(sink, fmt, {"config": config})
+        for label, elapsed, rows in _outcomes(tasks, workers):
+            timing[label] = round(elapsed, 6)
+            failures += sum(1 for r in rows if not r["pass"])
+            writer.add(rows, elapsed)
+            del rows  # so the next task runs without this one's rows held
+        timing["total"] = round(time.perf_counter() - started, 6)
+        totals = {"cases": writer.cases, "passes": writer.cases - failures, "failures": failures}
+        writer.close({"timing": timing, "totals": totals, "version": __version__})
+        sink.seek(0)
+        _emit(sink, out)
+    return 0 if failures == 0 else 1
 
 
 def _grid_for(identity_id: str, overrides: dict[str, list[int]]) -> dict[str, list[int]]:
@@ -129,8 +148,8 @@ def _grid_for(identity_id: str, overrides: dict[str, list[int]]) -> dict[str, li
     }
 
 
-def run_verify(config: dict) -> tuple[dict, int]:
-    """Evaluate the families config names and assemble the run report around config."""
+def run_verify(config: dict, out: Optional[str]) -> int:
+    """Evaluate the families config names, write the report to out (or stdout); its exit code."""
     known = {d.id for d in registry()}
     seen = set()
     for fam in config["families"]:
@@ -150,7 +169,7 @@ def run_verify(config: dict) -> tuple[dict, int]:
         (fam, run_identity, fam, _grid_for(fam, overrides), config["inject_failure"] and i == 0)
         for i, fam in enumerate(families)
     ]
-    return _run(config, tasks, config["workers"])
+    return _run(config, tasks, config["format"], out, config["workers"])
 
 
 def _row_json(row: dict, layouts: dict) -> str:
@@ -188,67 +207,91 @@ def _row_json(row: dict, layouts: dict) -> str:
     )
 
 
-def _render_json(report: dict) -> str:
-    """Exactly json.dumps(report, indent=2, sort_keys=True) + "\\n", with rows templated.
-
-    The frame (every top-level value but results) is rendered by json.dumps,
-    and each row is placed into it from _row_json's template.
-    """
-    out = ["{"]
-    for i, key in enumerate(sorted(report)):
-        out.append(f"{',' if i else ''}\n  {_json_str(key)}: ")
-        if key != "results":
-            out.append(json.dumps(report[key], indent=2, sort_keys=True).replace("\n", "\n  "))
-        elif not report[key]:
-            out.append("[]")
-        else:
-            # one piece per row: a joined copy of every row would double the peak
-            out.append("[\n")
-            layouts: dict = {}
-            for j, row in enumerate(report[key]):
-                text = _row_json(row, layouts)
-                out.append(f",\n{text}" if j else text)
-            out.append("\n  ]")
-    out.append("\n}\n")
+def _json_members(members: dict, before: str, after: str) -> str:
+    """Each top-level member, in sorted key order, as json.dumps(..., indent=2) writes it."""
+    out = []
+    for key, value in sorted(members.items()):
+        text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        out.append(f"{before}\n  {_json_str(key)}: {text}{after}")
     return "".join(out)
 
 
-def render_report(report: dict, fmt: str) -> str:
+def render_report(rows: list[dict], fmt: str, took: float) -> str:
+    """One block of a report: the rows of one finished task, which ran for took seconds.
+
+    A JSON block is the rows as json.dumps nests them in the results list,
+    with no separator before the first row or after the last.  A human block
+    is the task's summary line and at most 10 of its failures.
+    """
     if fmt == "json":
-        return _render_json(report)
+        layouts: dict = {}
+        return ",\n".join([_row_json(row, layouts) for row in rows])
     if fmt == "tsv":
-        lines = ["id\tparams\tpass\tfirst_mismatch\tlhs_hash\trhs_hash"]
-        for row in report["results"]:
+        lines = []
+        for row in rows:
             params = ",".join(f"{k}={v}" for k, v in row["params"].items())
             mismatch = row["first_mismatch"]
             mismatch_s = "" if mismatch is None else json.dumps(mismatch)
             lines.append(
                 f"{row['id']}\t{params}\t{int(row['pass'])}\t{mismatch_s}"
-                f"\t{row['lhs_hash']}\t{row['rhs_hash']}"
+                f"\t{row['lhs_hash']}\t{row['rhs_hash']}\n"
             )
-        return "\n".join(lines) + "\n"
-    # human: per-family summary, at most 10 failures listed per family
-    lines = []
-    by_family: dict[str, list[dict]] = {}
-    for row in report["results"]:
-        by_family.setdefault(row["id"], []).append(row)
-    for fam in sorted(by_family):
-        rows = by_family[fam]
-        failed = [r for r in rows if not r["pass"]]
-        took = report["timing"].get(fam, 0.0)
-        status = "ok" if not failed else f"{len(failed)} FAILED"
-        lines.append(f"{fam}: {len(rows)} cases, {status} ({took:.2f}s)")
-        for r in failed[:10]:
-            params = ",".join(f"{k}={v}" for k, v in r["params"].items())
-            lines.append(f"  FAIL {params} first_mismatch={r['first_mismatch']}")
-    totals = report["totals"]
-    verdict = "PASS" if totals["failures"] == 0 else "FAIL"
-    lines.append(
-        f"TOTAL: {totals['cases']} cases, {totals['passes']} passed, "
-        f"{totals['failures']} failed -> {verdict} "
-        f"({report['timing']['total']:.2f}s)"
-    )
+        return "".join(lines)
+    failed = [r for r in rows if not r["pass"]]
+    status = "ok" if not failed else f"{len(failed)} FAILED"
+    lines = [f"{rows[0]['id']}: {len(rows)} cases, {status} ({took:.2f}s)"]
+    for r in failed[:10]:
+        params = ",".join(f"{k}={v}" for k, v in r["params"].items())
+        lines.append(f"  FAIL {params} first_mismatch={r['first_mismatch']}")
     return "\n".join(lines) + "\n"
+
+
+class _ReportWriter:
+    """Writes one report to sink in fmt: the head, one block per task, the tail.
+
+    The head holds the top-level keys that sort before "results" and the tail
+    those after it, so a JSON report is exactly
+    json.dumps(report, indent=2, sort_keys=True) + "\n" although its rows
+    arrive a block at a time.  The frame is rendered by json.dumps, each row
+    by render_report.
+    """
+
+    def __init__(self, sink, fmt: str, head: dict):
+        self.sink, self.fmt, self.cases = sink, fmt, 0
+        if fmt == "json":
+            sink.write("{" + _json_members(head, "", ",") + '\n  "results": [')
+        elif fmt == "tsv":
+            sink.write("id\tparams\tpass\tfirst_mismatch\tlhs_hash\trhs_hash\n")
+
+    def add(self, rows: list[dict], took: float) -> None:
+        """Write the block of one task's rows."""
+        if self.fmt == "json":
+            self.sink.write(",\n" if self.cases else "\n")
+        self.sink.write(render_report(rows, self.fmt, took))
+        self.cases += len(rows)
+
+    def close(self, tail: dict) -> None:
+        """Write the tail; the human tail is the TOTAL line."""
+        if self.fmt == "json":
+            close = "\n  ]" if self.cases else "]"
+            self.sink.write(close + _json_members(tail, ",", "") + "\n}\n")
+        elif self.fmt == "human":
+            totals = tail["totals"]
+            verdict = "PASS" if totals["failures"] == 0 else "FAIL"
+            self.sink.write(
+                f"TOTAL: {totals['cases']} cases, {totals['passes']} passed, "
+                f"{totals['failures']} failed -> {verdict} ({tail['timing']['total']:.2f}s)\n"
+            )
+
+
+def _render(report: dict, fmt: str) -> str:
+    """The whole report in fmt, written by _ReportWriter with one block per run of equal ids."""
+    sink = io.StringIO()
+    writer = _ReportWriter(sink, fmt, {k: v for k, v in report.items() if k < "results"})
+    for label, rows in itertools.groupby(report["results"], key=lambda row: row["id"]):
+        writer.add(list(rows), report["timing"].get(label, 0.0))
+    writer.close({k: v for k, v in report.items() if k > "results"})
+    return sink.getvalue()
 
 
 def _check_out(out: Optional[str]) -> None:
@@ -261,15 +304,16 @@ def _check_out(out: Optional[str]) -> None:
             raise UsageError(f"--out {out}: {parent} is not a directory")
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(source, out: Optional[str]) -> None:
+    """Copy the text file source, from where it stands, to the --out path or else stdout."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                shutil.copyfileobj(source, fh)
         except OSError as exc:
             raise UsageError(f"--out {out}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        shutil.copyfileobj(source, sys.stdout)
 
 
 def _parse_int_list(text: str, flag: str, low: int) -> list[int]:
@@ -339,9 +383,7 @@ def cmd_verify(args) -> int:
         "oracle_limit": ORACLE_LIMIT_DEFAULT,
         "inject_failure": args.inject_failure,
     }
-    report, code = run_verify(config)
-    _emit(render_report(report, args.format), args.out)
-    return code
+    return run_verify(config, args.out)
 
 
 # one query each, so the one-shot box counts answer without filling the memo
@@ -383,7 +425,7 @@ def cmd_table(args) -> int:
         text = "n\tm\tp\tvalue\n" + "\t".join(cells + [str(value)]) + "\n"
     else:
         text = f"{value}\n"
-    _emit(text, args.out)
+    _emit(io.StringIO(text), args.out)
     return 0
 
 
@@ -395,7 +437,7 @@ def cmd_gauss(args) -> int:
     # [m+p, m] counts the partitions in an m-by-p box, by size
     poly = poly_substitute_power(IntPoly(box_counts(args.m * args.p, args.m, args.p)), args.base)
     coeffs = " ".join(str(c) for c in poly.coeffs) or "0"
-    _emit(f"{format_poly(poly)}\ncoeffs: {coeffs}\n", args.out)
+    _emit(io.StringIO(f"{format_poly(poly)}\ncoeffs: {coeffs}\n"), args.out)
     return 0
 
 
@@ -426,9 +468,8 @@ def cmd_oracle_diff(args) -> int:
             f"--n-max {args.n_max} exceeds the oracle limit {args.oracle_limit}"
         )
     config = {"n_max": args.n_max, "oracle_limit": args.oracle_limit}
-    report, code = _run(config, [("oracle_diff", _oracle_cases, args.n_max, args.oracle_limit)])
-    _emit(render_report(report, args.format), args.out)
-    return code
+    tasks = [("oracle_diff", _oracle_cases, args.n_max, args.oracle_limit)]
+    return _run(config, tasks, args.format, args.out)
 
 
 def _worker_count(text: str) -> int:

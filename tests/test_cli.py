@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpartid.bigpoly import format_poly
-from qpartid.cli import main, render_report
+from qpartid.cli import _render, main
 from qpartid.qbinom import bracket_base
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -306,6 +306,31 @@ def test_verify_family_exception_exits_three_with_one_line(capsys, monkeypatch, 
     assert err == "error: delta: RuntimeError: injected fault\n"
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_later_family_that_raises_writes_nothing(capsys, monkeypatch, tmp_path, workers):
+    # delta's rows are streamed before result1 raises; none of them may reach the output
+    from qpartid.identities import get_descriptor
+
+    def broken(values, tamper=False):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(get_descriptor("result1"), "check", broken)
+    argv = (
+        "verify",
+        *("--family", "delta", "--family", "result1", "--n-max", "2", "--m-max", "2"),
+        *("--workers", workers, "--format", "json"),
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: result1: RuntimeError: injected fault\n"
+    old = tmp_path / "old.json"
+    old.write_bytes(b"an earlier report\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(old))
+    assert (code, out) == (3, "")
+    assert err == "error: result1: RuntimeError: injected fault\n"
+    assert old.read_bytes() == b"an earlier report\n"
+
+
 def test_json_determinism_modulo_timing(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -568,6 +593,25 @@ def test_pn_from_q_past_the_default_grid_stays_small():
     assert peak_kb < 150 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
+VERIFY_ALL_PEAK_RSS_CHILD = """
+import os, resource, sys, tempfile
+from qpartid.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "report.json")
+    code = main(["verify", "--all", "--workers", "1", "--format", "json", "--out", out])
+    size = os.path.getsize(out)
+print(code, size, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_verify_all_json_report_is_streamed():
+    # 75,456 rows and about 26 MB of JSON: held whole, they peaked above 110 MB
+    code, size, peak_kb = run_small_child(VERIFY_ALL_PEAK_RSS_CHILD)
+    assert code == 0
+    assert size > 25 * 10**6
+    assert peak_kb < 60 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
 def test_oracle_diff(capsys):
     code, out, _ = run_cli(capsys, "oracle-diff", "--n-max", "8")
     assert code == 0
@@ -740,8 +784,7 @@ def json_dumps_report(report) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def assert_renders_as_json_dumps(report):
-    got, want = render_report(report, "json"), json_dumps_report(report)
+def assert_same_text(got, want):
     if got != want:
         # an excerpt: pytest's own diff of two megabyte strings takes minutes
         at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
@@ -749,37 +792,37 @@ def assert_renders_as_json_dumps(report):
         pytest.fail(f"differs at {at}: {got[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
 
 
-def rendered_reports(monkeypatch, capsys, *argv):
-    """Run the CLI once and return every report it rendered."""
-    from qpartid import cli
-
-    seen = []
-
-    def spy(report, fmt):
-        seen.append(report)
-        return render_report(report, fmt)
-
-    monkeypatch.setattr(cli, "render_report", spy)
-    code = main([*argv, "--format", "json"])
-    capsys.readouterr()
-    return code, seen
+def assert_renders_as_json_dumps(report):
+    assert_same_text(_render(report, "json"), json_dumps_report(report))
 
 
-def test_json_render_matches_json_dumps_on_a_small_verify_all(capsys, monkeypatch):
-    code, (report,) = rendered_reports(
-        monkeypatch, capsys, "verify", "--all", "--n-max", "3", "--m-max", "3", "--p-max", "3"
+def rendered_reports(capsys, *argv):
+    """Run the CLI once; its exit code and the JSON report it wrote, parsed.
+
+    The bytes the CLI wrote, streamed a family at a time, must already be
+    json.dumps of the report they parse to.
+    """
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    report = json.loads(out)
+    assert_same_text(out, json_dumps_report(report))
+    return code, report
+
+
+def test_json_render_matches_json_dumps_on_a_small_verify_all(capsys):
+    code, report = rendered_reports(
+        capsys, "verify", "--all", "--n-max", "3", "--m-max", "3", "--p-max", "3"
     )
     assert code == 0
     assert len(report["results"]) == 4700
     assert_renders_as_json_dumps(report)
 
 
-def test_json_render_matches_json_dumps_on_injected_failures(capsys, monkeypatch):
+def test_json_render_matches_json_dumps_on_injected_failures(capsys):
     shapes = set()
     # a q family fails at an exponent, a count family at a pair of values
     for family, p_max in (("result1", ()), ("theorem1", ("--p-max", "3"))):
-        code, (report,) = rendered_reports(
-            monkeypatch, capsys, "verify", "--family", family,
+        code, report = rendered_reports(
+            capsys, "verify", "--family", family,
             "--n-max", "3", "--m-max", "3", *p_max, "--inject-failure",
         )
         assert code == 1
@@ -795,7 +838,7 @@ def test_json_render_matches_json_dumps_on_an_oracle_mismatch(capsys, monkeypatc
     monkeypatch.setattr(
         cli, "count_P", lambda n, m, p: true_count_P(n, m, p) - ((n, m, p) == (7, 3, 4))
     )
-    code, (report,) = rendered_reports(monkeypatch, capsys, "oracle-diff", "--n-max", "8")
+    code, report = rendered_reports(capsys, "oracle-diff", "--n-max", "8")
     assert code == 1
     (failed,) = [r for r in report["results"] if not r["pass"]]
     assert type(failed["first_mismatch"]) is list
