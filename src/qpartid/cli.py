@@ -8,12 +8,14 @@ Subcommands, with the --format values each one renders:
               (json, tsv, human)
 
 Every subcommand takes --out PATH.  One runner, _run, builds every report
-(verify and oracle-diff): it times each task and streams the report, writing
-each task's rows (its CaseResults, made rows by _result_row) as soon as that
-task finishes and then dropping them.  Memory is therefore bounded by the
-largest task, which for verify is one identity family, not by the whole run.
-The report is streamed into an anonymous temporary file and copied to --out
-or stdout only after the last task, so a run that crashes writes nothing.
+(verify and oracle-diff): it times each task and streams the report.  A task
+returns CaseResults, which render_report turns into the task's block of text
+in the process that ran the task; the block is written as soon as the task
+finishes and then dropped.  Memory is therefore bounded by the largest task,
+which for verify is one identity family, not by the whole run.  The report
+is streamed into an anonymous temporary file and copied to --out or stdout
+only after the last task, so a run that crashes writes nothing, and a task
+that raises cancels the tasks still queued in the pool.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
 (including an --out path that cannot be written), 3 an unexpected exception
@@ -25,8 +27,8 @@ A JSON report is exactly json.dumps(report, indent=2, sort_keys=True)
 followed by a newline.  Its top-level keys sort as config, results, timing,
 totals, version, so the head (config and the opening of results) is written
 first and timing, totals and version last.  The frame is rendered by
-json.dumps; every results row has the one shape _result_row makes and is
-written from one template, with no fallback.
+json.dumps; every results row is written from the fields of one CaseResult
+through one template, with no fallback.
 """
 
 from __future__ import annotations
@@ -77,61 +79,56 @@ class FamilyError(Exception):
     """A report task raised; the message names the task and the exception."""
 
 
-def _result_row(identity_id: str, result: CaseResult) -> dict:
-    mismatch = result.first_mismatch
-    if isinstance(mismatch, tuple):
-        mismatch = list(mismatch)
-    return {
-        "id": identity_id,
-        "params": result.params,
-        "pass": result.passed,
-        "first_mismatch": mismatch,
-        "lhs_hash": result.lhs_hash,
-        "rhs_hash": result.rhs_hash,
-    }
+def _run_task(label: str, fmt: str, func, *args):
+    """Call func(*args) and render its CaseResults as one fmt block of the report.
 
-
-def _run_task(label: str, func, *args):
-    """Call func(*args); label, the elapsed seconds and the CaseResults as rows with id label."""
+    Returns label, the elapsed seconds, the case and failure counts and the
+    block, so a pool worker sends back one string, not one object per case.
+    """
     start = time.perf_counter()
     try:
-        rows = [_result_row(label, r) for r in func(*args)]
+        results = func(*args)
     except Exception as exc:
         raise FamilyError(f"{label}: {type(exc).__name__}: {exc}") from None
-    return label, time.perf_counter() - start, rows
+    took = time.perf_counter() - start
+    failures = sum(1 for r in results if not r.passed)
+    return label, took, len(results), failures, render_report(label, results, fmt, took)
 
 
-def _outcomes(tasks: list[tuple], workers: int):
+def _outcomes(tasks: list[tuple], fmt: str, workers: int):
     """Yield each task's _run_task outcome in task order, holding none once it is yielded."""
     if workers > 1 and len(tasks) > 1:
         # a fork-based pool starts all of its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = deque(pool.submit(_run_task, *t) for t in tasks)
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+        try:
+            futures = deque(pool.submit(_run_task, label, fmt, *t) for label, *t in tasks)
             while futures:
                 yield futures.popleft().result()
+        finally:
+            # when a task raises, wait only for the tasks already started
+            pool.shutdown(cancel_futures=True)
     else:
-        for t in tasks:
-            yield _run_task(*t)
+        for label, *t in tasks:
+            yield _run_task(label, fmt, *t)
 
 
 def _run(config: dict, tasks: list[tuple], fmt: str, out: Optional[str], workers: int = 1) -> int:
     """Run each (label, function, *args) task, write the report echoing config; its exit code.
 
-    Each task's rows are rendered and written as soon as the task finishes,
-    then dropped, so memory is bounded by the largest task.  They go to an
-    anonymous temporary file, which is copied to out (or stdout) after the
-    last task: a task that raises leaves nothing written.
+    Each task's block is written as soon as the task finishes, so memory is
+    bounded by the largest task.  Blocks go to an anonymous temporary file,
+    which is copied to out (or stdout) after the last task: a task that
+    raises leaves nothing written.
     """
     started = time.perf_counter()
     timing = {}
     failures = 0
     with tempfile.TemporaryFile("w+") as sink:
         writer = _ReportWriter(sink, fmt, {"config": config})
-        for label, elapsed, rows in _outcomes(tasks, workers):
+        for label, elapsed, cases, failed, block in _outcomes(tasks, fmt, workers):
             timing[label] = round(elapsed, 6)
-            failures += sum(1 for r in rows if not r["pass"])
-            writer.add(rows, elapsed)
-            del rows  # so the next task runs without this one's rows held
+            failures += failed
+            writer.add(block, cases)
         timing["total"] = round(time.perf_counter() - started, 6)
         totals = {"cases": writer.cases, "passes": writer.cases - failures, "failures": failures}
         writer.close({"timing": timing, "totals": totals, "version": __version__})
@@ -172,22 +169,22 @@ def run_verify(config: dict, out: Optional[str]) -> int:
     return _run(config, tasks, config["format"], out, config["workers"])
 
 
-def _row_json(row: dict, layouts: dict) -> str:
-    """The row as json.dumps nests it in a report.
+def _row_json(id_s: str, r: CaseResult, layouts: dict) -> str:
+    """The report row of r, whose id id_s is already JSON text, as json.dumps nests it.
 
-    A row has the shape _result_row makes: str id and hashes, a bool pass, a
-    params dict of str keys and int values, and a first_mismatch that is
-    None, an int or a list of two ints.  Strings go through json's own
-    escaper.  layouts caches the sorted key prefixes of each params key order
-    seen.
+    r has str hashes, a params dict of str keys and int values, and a
+    first_mismatch that is None, an int or a pair of ints (a tuple, or the
+    list a parsed report holds), written as a two-item list.  Strings go
+    through json's own escaper.  layouts caches the sorted key prefixes of
+    each params key order seen.
     """
-    mismatch, params = row["first_mismatch"], row["params"]
+    mismatch, params = r.first_mismatch, r.params
     if mismatch is None:
         mismatch_s = "null"
-    elif type(mismatch) is list:
-        mismatch_s = f"[\n        {mismatch[0]},\n        {mismatch[1]}\n      ]"
-    else:
+    elif type(mismatch) is int:
         mismatch_s = str(mismatch)
+    else:
+        mismatch_s = f"[\n        {mismatch[0]},\n        {mismatch[1]}\n      ]"
     if params:
         keys = tuple(params)
         layout = layouts.get(keys)
@@ -199,11 +196,11 @@ def _row_json(row: dict, layouts: dict) -> str:
         params_s = "{}"
     return (
         f'    {{\n      "first_mismatch": {mismatch_s},'
-        f'\n      "id": {_json_str(row["id"])},'
-        f'\n      "lhs_hash": {_json_str(row["lhs_hash"])},'
+        f'\n      "id": {id_s},'
+        f'\n      "lhs_hash": {_json_str(r.lhs_hash)},'
         f'\n      "params": {params_s},'
-        f'\n      "pass": {"true" if row["pass"] else "false"},'
-        f'\n      "rhs_hash": {_json_str(row["rhs_hash"])}\n    }}'
+        f'\n      "pass": {"true" if r.passed else "false"},'
+        f'\n      "rhs_hash": {_json_str(r.rhs_hash)}\n    }}'
     )
 
 
@@ -216,33 +213,32 @@ def _json_members(members: dict, before: str, after: str) -> str:
     return "".join(out)
 
 
-def render_report(rows: list[dict], fmt: str, took: float) -> str:
-    """One block of a report: the rows of one finished task, which ran for took seconds.
+def render_report(label: str, results: list[CaseResult], fmt: str, took: float) -> str:
+    """One block of a report: the CaseResults of task label, which ran for took seconds.
 
     A JSON block is the rows as json.dumps nests them in the results list,
     with no separator before the first row or after the last.  A human block
-    is the task's summary line and at most 10 of its failures.
+    is the task's summary line and at most 10 of its failures.  TSV and
+    human output write a mismatch as json.dumps does.
     """
     if fmt == "json":
-        layouts: dict = {}
-        return ",\n".join([_row_json(row, layouts) for row in rows])
+        id_s, layouts = _json_str(label), {}
+        return ",\n".join([_row_json(id_s, r, layouts) for r in results])
     if fmt == "tsv":
         lines = []
-        for row in rows:
-            params = ",".join(f"{k}={v}" for k, v in row["params"].items())
-            mismatch = row["first_mismatch"]
-            mismatch_s = "" if mismatch is None else json.dumps(mismatch)
+        for r in results:
+            params = ",".join(f"{k}={v}" for k, v in r.params.items())
+            mismatch = "" if r.first_mismatch is None else json.dumps(r.first_mismatch)
             lines.append(
-                f"{row['id']}\t{params}\t{int(row['pass'])}\t{mismatch_s}"
-                f"\t{row['lhs_hash']}\t{row['rhs_hash']}\n"
+                f"{label}\t{params}\t{int(r.passed)}\t{mismatch}\t{r.lhs_hash}\t{r.rhs_hash}\n"
             )
         return "".join(lines)
-    failed = [r for r in rows if not r["pass"]]
+    failed = [r for r in results if not r.passed]
     status = "ok" if not failed else f"{len(failed)} FAILED"
-    lines = [f"{rows[0]['id']}: {len(rows)} cases, {status} ({took:.2f}s)"]
+    lines = [f"{label}: {len(results)} cases, {status} ({took:.2f}s)"]
     for r in failed[:10]:
-        params = ",".join(f"{k}={v}" for k, v in r["params"].items())
-        lines.append(f"  FAIL {params} first_mismatch={r['first_mismatch']}")
+        params = ",".join(f"{k}={v}" for k, v in r.params.items())
+        lines.append(f"  FAIL {params} first_mismatch={json.dumps(r.first_mismatch)}")
     return "\n".join(lines) + "\n"
 
 
@@ -252,8 +248,8 @@ class _ReportWriter:
     The head holds the top-level keys that sort before "results" and the tail
     those after it, so a JSON report is exactly
     json.dumps(report, indent=2, sort_keys=True) + "\n" although its rows
-    arrive a block at a time.  The frame is rendered by json.dumps, each row
-    by render_report.
+    arrive a block at a time.  The frame is rendered by json.dumps, each
+    block by render_report.
     """
 
     def __init__(self, sink, fmt: str, head: dict):
@@ -263,12 +259,12 @@ class _ReportWriter:
         elif fmt == "tsv":
             sink.write("id\tparams\tpass\tfirst_mismatch\tlhs_hash\trhs_hash\n")
 
-    def add(self, rows: list[dict], took: float) -> None:
-        """Write the block of one task's rows."""
+    def add(self, block: str, cases: int) -> None:
+        """Write the render_report block of one task, which holds cases rows."""
         if self.fmt == "json":
             self.sink.write(",\n" if self.cases else "\n")
-        self.sink.write(render_report(rows, self.fmt, took))
-        self.cases += len(rows)
+        self.sink.write(block)
+        self.cases += cases
 
     def close(self, tail: dict) -> None:
         """Write the tail; the human tail is the TOTAL line."""
@@ -285,11 +281,18 @@ class _ReportWriter:
 
 
 def _render(report: dict, fmt: str) -> str:
-    """The whole report in fmt, written by _ReportWriter with one block per run of equal ids."""
+    """The whole report in fmt, written by _ReportWriter with one block per run of equal ids.
+
+    The report is a parsed one, whose rows are made CaseResults again; a
+    pair mismatch stays the two-item list it was parsed as.
+    """
     sink = io.StringIO()
     writer = _ReportWriter(sink, fmt, {k: v for k, v in report.items() if k < "results"})
+    fields = ("params", "pass", "lhs_hash", "rhs_hash", "first_mismatch")
     for label, rows in itertools.groupby(report["results"], key=lambda row: row["id"]):
-        writer.add(list(rows), report["timing"].get(label, 0.0))
+        results = [CaseResult(*(row[key] for key in fields)) for row in rows]
+        took = report["timing"].get(label, 0.0)
+        writer.add(render_report(label, results, fmt, took), len(results))
     writer.close({k: v for k, v in report.items() if k > "results"})
     return sink.getvalue()
 
@@ -441,8 +444,9 @@ def cmd_gauss(args) -> int:
     return 0
 
 
-def _oracle_cases(n_max: int, oracle_limit: int):
-    """Yield one case per (n, m, p), n <= n_max: the DP counts against enumeration."""
+def _oracle_cases(n_max: int, oracle_limit: int) -> list[CaseResult]:
+    """One case per (n, m, p), n <= n_max: the DP counts against enumeration."""
+    results = []
     for n in range(n_max + 1):
         plain_counts, distinct_counts = oracle_counts(n, oracle_limit)
         for m in range(n + 1):
@@ -451,13 +455,16 @@ def _oracle_cases(n_max: int, oracle_limit: int):
                 dp_p, dp_q = count_P(n, m, p), count_Q(n, m, p)
                 ok = plain == dp_p and distinct == dp_q
                 mismatch = None if ok else (dp_p, plain) if plain != dp_p else (dp_q, distinct)
-                yield CaseResult(
-                    params={"n": n, "m": m, "p": p},
-                    passed=ok,
-                    lhs_hash="",
-                    rhs_hash="",
-                    first_mismatch=mismatch,
+                results.append(
+                    CaseResult(
+                        params={"n": n, "m": m, "p": p},
+                        passed=ok,
+                        lhs_hash="",
+                        rhs_hash="",
+                        first_mismatch=mismatch,
+                    )
                 )
+    return results
 
 
 def cmd_oracle_diff(args) -> int:

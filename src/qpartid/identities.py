@@ -192,21 +192,19 @@ def _finish_poly(params: dict[str, int], lhs: IntPoly, rhs: IntPoly, tamper: boo
 def _finish_pairs(
     params: dict[str, int], pairs: Sequence[tuple[int, int]], tamper: bool
 ) -> CaseResult:
-    pairs = list(pairs)
-    if tamper and pairs:
-        l0, r0 = pairs[0]
-        pairs[0] = (l0, r0 + 1)
-    lhs = [l for l, _ in pairs]
-    rhs = [r for _, r in pairs]
-    lhs_hash = _digest(tuple(lhs))
+    """The verdict on a non-empty list of (lhs, rhs) integer pairs."""
+    lhs, rhs = zip(*pairs)
+    if tamper:
+        rhs = (rhs[0] + 1, *rhs[1:])
+    lhs_hash = _digest(lhs)
     if lhs == rhs:  # equal sides hash alike
         return CaseResult(params=params, passed=True, lhs_hash=lhs_hash, rhs_hash=lhs_hash)
     return CaseResult(
         params=params,
         passed=False,
         lhs_hash=lhs_hash,
-        rhs_hash=_digest(tuple(rhs)),
-        first_mismatch=next((l, r) for l, r in pairs if l != r),
+        rhs_hash=_digest(rhs),
+        first_mismatch=next((l, r) for l, r in zip(lhs, rhs) if l != r),
     )
 
 
@@ -600,13 +598,19 @@ def _pairs_pn_from_q(n):
     return [(p_of[n], rhs)]
 
 
+def _signed_distinct(k: int) -> int:
+    """sum_l (-1)^l Q(k, l), over the l with C(l+1, 2) <= k: past them Q(k, l) is 0."""
+    total, l = 0, 0
+    while l * (l + 1) // 2 <= k:
+        total += count_Q_nm(k, l) * (1 - 2 * (l % 2))
+        l += 1
+    return total
+
+
 def _pairs_qn_double_sum(n):
-    # l runs to floor(n/2) as stated, although Q(k,l) vanishes for l > k
-    p_of = _row(_count_of, False, top=n)
-    rhs = 0
-    for k in range(n // 2 + 1):
-        signed = sum(count_Q_nm(k, l) * (1 - 2 * (l % 2)) for l in range(n // 2 + 1))
-        rhs += p_of[n - 2 * k] * signed
+    # the statement runs l to floor(n/2); that sum does not depend on n, so it is one row over k
+    p_of, signed = _row(_count_of, False, top=n), _row(_signed_distinct, top=n // 2)
+    rhs = sum(p_of[n - 2 * k] * signed[k] for k in range(n // 2 + 1))
     return [(_row(_count_of, True, top=n)[n], rhs)]
 
 

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -331,6 +332,96 @@ def test_a_later_family_that_raises_writes_nothing(capsys, monkeypatch, tmp_path
     assert old.read_bytes() == b"an earlier report\n"
 
 
+ONE_HASH = "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"
+TWO_HASH = "d4735e3a265e16eee03f59718b9b5d03019c07d8b6c51f90da3a666eec13ab35"
+
+
+def failing_lines(out: str, fmt: str) -> list[str]:
+    """The failing rows of a TSV report, or the FAIL lines of a human one."""
+    if fmt == "tsv":
+        return [line for line in out.splitlines()[1:] if line.split("\t")[2] == "0"]
+    return [line for line in out.splitlines() if line.startswith("  FAIL")]
+
+
+# the second family of each pair makes --workers 2 go through the pool
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "families, tsv, human",
+    [
+        (
+            ("result1", "result2"),
+            f"result1\tn=0,m=0\t0\t0\t{ONE_HASH}\t{TWO_HASH}",
+            "  FAIL n=0,m=0 first_mismatch=0",
+        ),
+        (
+            ("theorem1", "theorem2"),
+            f"theorem1\tn=0,m=0,p=0\t0\t[1, 2]\t{ONE_HASH}\t{TWO_HASH}",
+            "  FAIL n=0,m=0,p=0 first_mismatch=[1, 2]",
+        ),
+    ],
+    ids=["int-mismatch", "pair-mismatch"],
+)
+def test_failing_row_text_is_pinned(capsys, families, tsv, human, workers):
+    p_max = ("--p-max", "3") if families[0].startswith("theorem") else ()
+    argv = ["verify", "--n-max", "3", "--m-max", "3", *p_max, "--inject-failure"]
+    argv += [arg for family in families for arg in ("--family", family)]
+    for fmt, want in (("tsv", tsv), ("human", human)):
+        code, out, _ = run_cli(capsys, *argv, "--workers", workers, "--format", fmt)
+        assert code == 1
+        assert failing_lines(out, fmt) == [want]
+
+
+def test_failing_oracle_row_text_is_pinned(capsys, monkeypatch):
+    from qpartid import cli
+
+    true_count_P = cli.count_P
+    monkeypatch.setattr(
+        cli, "count_P", lambda n, m, p: true_count_P(n, m, p) - ((n, m, p) == (7, 3, 4))
+    )
+    for fmt, want in (
+        ("tsv", "oracle_diff\tn=7,m=3,p=4\t0\t[2, 3]\t\t"),
+        ("human", "  FAIL n=7,m=3,p=4 first_mismatch=[2, 3]"),
+    ):
+        code, out, _ = run_cli(capsys, "oracle-diff", "--n-max", "8", "--format", fmt)
+        assert code == 1
+        assert failing_lines(out, fmt) == [want]
+
+
+def test_a_family_that_raises_cancels_the_queued_families(capsys, monkeypatch, tmp_path):
+    # the queued families would otherwise all run before the exit 3
+    from qpartid.identities import get_descriptor, registry
+
+    first, *others = sorted(d.id for d in registry())
+
+    def broken(values, tamper=False):
+        raise RuntimeError("injected fault")
+
+    def recording(desc):
+        # the pool forks, so each family marks its start with a file
+        check, mark = desc.check, tmp_path / desc.id
+
+        def started(values, tamper=False):
+            if not mark.exists():
+                mark.touch()
+                time.sleep(0.05)
+            return check(values, tamper)
+
+        return started
+
+    monkeypatch.setattr(get_descriptor(first), "check", broken)
+    for family in others:
+        monkeypatch.setattr(get_descriptor(family), "check", recording(get_descriptor(family)))
+    code, out, err = run_cli(
+        capsys, "verify", "--all", "--n-max", "1", "--m-max", "1", "--p-max", "1",
+        "--workers", "2",
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: {first}: RuntimeError: injected fault\n"
+    # two running and the pool's few queued calls may start; the rest are cancelled
+    started = sorted(path.name for path in tmp_path.iterdir())
+    assert len(started) < 10 < len(others), started
+
+
 def test_json_determinism_modulo_timing(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -419,11 +510,8 @@ def test_worker_pool_is_capped_at_the_family_count(capsys, monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, cancel_futures=False):
+            pass
 
         def submit(self, fn, *args):
             future = Future()

@@ -29,8 +29,11 @@ from qpartid.identities import (
 from qpartid.partitions import (
     PartitionSpec,
     count_P,
+    count_P_of,
     count_P_star,
     count_Q,
+    count_Q_nm,
+    count_Q_of,
     count_Q_star,
     enumerate_partitions,
 )
@@ -495,6 +498,16 @@ def test_chain_and_special_cases():
     for n in range(15):
         assert evaluate_case("pn_from_q", {"n": n}).passed
         assert evaluate_case("qn_double_sum", {"n": n}).passed
+
+
+def test_qn_double_sum_row_is_the_sum_as_stated():
+    # the statement runs l to floor(n/2); the row stops where Q(k, l) is 0
+    for n in range(61):
+        stated = sum(
+            count_P_of(n - 2 * k) * sum((-1) ** l * count_Q_nm(k, l) for l in range(n // 2 + 1))
+            for k in range(n // 2 + 1)
+        )
+        assert identities._pairs_qn_double_sum(n) == [(count_Q_of(n), stated)]
 
 
 def test_pmost_chain_takes_its_left_side_from_the_one_shot_box_count(monkeypatch):
