@@ -17,7 +17,9 @@ compare exactly, in three layers that share no evaluator:
 * counting: the memoized partition counts.  The dilated, signed 2-D
   convolutions are rows of _COUNT_SUMS, read by _count_side from the kernel
   rows kernel(a, b, p) over b, and genfun_table expands the generating
-  functions into integer tables.
+  functions into integer tables.  Nine _COUNT_SUMS rows are _Q_SUMS rows
+  read over count kernels (see the count section); only theorem2 and
+  qstar_relation keep spec rows of their own.
 * combinatorial at q = 1: big-integer binomials that never touch the
   polynomial layer.  Each row of _COMB_SUMS names the q row it specialises:
   comb01-15 and comb23-26 a _Q_SUMS row and a residue r, read by _comb_side
@@ -515,15 +517,21 @@ def _check_f_theorem(params, tamper=False):
 # Counting identities
 # ---------------------------------------------------------------------------
 #
-# The convolutions pair two count kernels at the case's p: P, Q, Q* and P* are
-# count_P, count_Q, count_Q_star and count_P_star, and P+ is
-# (a, b) -> count_P(a+b, b, p+1).
+# A count side reads the _Q_SUMS grammar over count kernels at the case's p.
+# The kernels are named after the q kernels they stand in for, so a _Q_SUMS
+# row reads here as it stands: U is count_P and V is count_Q.  Q*, P* and P+
+# are count_Q_star, count_P_star and (a, b) -> count_P(a+b, b, p+1).
 # A side is a kernel at (n, m), _DELTA (1 at n = m = 0, else 0), _NIL (zero),
 # or a row (scale, A, B, d, w) meaning
 #     scale * sum_{k <= n/d, l <= m/d} w(l) A(n-dk, m-dl) B(k, l).
 # The angle weights read m: 2cos((2l-m)pi/3) and 2sin((m-2l)pi/3)/sqrt(3).
 # A row reads both kernels from the rows kernel(a, b, p) over b, one per
 # (kernel, p, a), so every (n, m) case at that p shares them.
+#
+# So the count rows are _Q_SUMS rows, with the sides swapped where the paper
+# states them the other way round, except theorem2 and qstar_relation: no q
+# kernel stands for P+ or Q*.  The sine rows take a cosine row's right side
+# with the weight _SIN; the paper sets that sum equal to zero.
 
 _NIL = "zero"
 
@@ -532,21 +540,21 @@ def _count_entry(name: str, p: int, a: int, b: int) -> int:
     """The kernel named name at (a, b), with part bound p."""
     if name == "P+":
         return count_P(a + b, b, p + 1)
-    return {"P": count_P, "Q": count_Q, "Q*": count_Q_star, "P*": count_P_star}[name](a, b, p)
+    return {"U": count_P, "V": count_Q, "Q*": count_Q_star, "P*": count_P_star}[name](a, b, p)
 
 
 _COUNT_SUMS = {
-    "theorem1": ("P", (1, "Q", "P", 2, _PLAIN)),
-    "theorem2": ("P+", (1, "Q*", "P", 2, _PLAIN)),
-    "theorem3": ("Q", (1, "P", "Q", 2, _ALT)),
-    "theorem6": ((2, "Q", "P", 3, _ALT), (1, "P", "P", 1, _COS)),
-    "theorem7": ((2, "P", "Q", 3, _ALT), (1, "Q", "Q", 1, _COS)),
-    "theorem8": ((1, "Q", "P", 4, _PLAIN), (1, "P", "P", 2, _ALT)),
-    "theorem9": ((1, "P", "Q", 4, _ALT), (1, "Q", "Q", 2, _PLAIN)),
-    "theorem_simple": ((1, "P", "Q", 1, _ALT), _DELTA),
-    "qstar_relation": ("Q*", (1, "P+", "Q", 2, _ALT)),
-    "sine_vanishing_6": ((1, "P", "P", 1, _SIN), _NIL),
-    "sine_vanishing_7": ((1, "Q", "Q", 1, _SIN), _NIL),
+    "theorem1": _Q_SUMS["result1"][::-1],
+    "theorem2": ("P+", (1, "Q*", "U", 2, _PLAIN)),
+    "theorem3": _Q_SUMS["result2"][::-1],
+    "theorem6": _Q_SUMS["result3"],
+    "theorem7": _Q_SUMS["result4"],
+    "theorem8": _Q_SUMS["result5"],
+    "theorem9": _Q_SUMS["result6"],
+    "theorem_simple": _Q_SUMS["delta"],
+    "qstar_relation": ("Q*", (1, "P+", "V", 2, _ALT)),
+    "sine_vanishing_6": (_Q_SUMS["result3"][1][:4] + (_SIN,), _NIL),
+    "sine_vanishing_7": (_Q_SUMS["result4"][1][:4] + (_SIN,), _NIL),
 }
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -689,8 +690,8 @@ def test_q1_specialization_reproduces_combinatorial_sides():
 # from empty memos, so every way a table can grow is exercised.
 
 COUNT_KERNELS = {
-    "P": count_P,
-    "Q": count_Q,
+    "U": count_P,
+    "V": count_Q,
     "Q*": count_Q_star,
     "P*": count_P_star,
     "P+": lambda a, b, p: count_P(a + b, b, p + 1),
@@ -737,6 +738,69 @@ def test_count_tables_match_the_per_call_convolution(queries):
     for (_, name, p, a), row in count_rows.items():
         # every cell of every count row is its kernel's value
         assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))]
+
+
+# The eleven _COUNT_SUMS rows as they were written out before nine of them were
+# derived from _Q_SUMS, over the count kernel names P (count_P) and Q (count_Q).
+LITERAL_COUNT_SUMS = {
+    "theorem1": ("P", (1, "Q", "P", 2, "plain")),
+    "theorem2": ("P+", (1, "Q*", "P", 2, "plain")),
+    "theorem3": ("Q", (1, "P", "Q", 2, "alt")),
+    "theorem6": ((2, "Q", "P", 3, "alt"), (1, "P", "P", 1, "cos")),
+    "theorem7": ((2, "P", "Q", 3, "alt"), (1, "Q", "Q", 1, "cos")),
+    "theorem8": ((1, "Q", "P", 4, "plain"), (1, "P", "P", 2, "alt")),
+    "theorem9": ((1, "P", "Q", 4, "alt"), (1, "Q", "Q", 2, "plain")),
+    "theorem_simple": ((1, "P", "Q", 1, "alt"), "delta"),
+    "qstar_relation": ("Q*", (1, "P+", "Q", 2, "alt")),
+    "sine_vanishing_6": ((1, "P", "P", 1, "sin"), "zero"),
+    "sine_vanishing_7": ((1, "Q", "Q", 1, "sin"), "zero"),
+}
+
+
+def over_q_kernel_names(spec):
+    """spec with P and Q renamed U and V, the q kernels they stand in for."""
+    if isinstance(spec, tuple):
+        return tuple(over_q_kernel_names(part) for part in spec)
+    return {"P": "U", "Q": "V"}.get(spec, spec)
+
+
+def literal_count_entry(name, p, a, b):
+    """The count kernel under its literal name, in _count_entry's signature."""
+    return COUNT_KERNELS[over_q_kernel_names(name)](a, b, p)
+
+
+def test_count_rows_are_the_literal_rows_under_the_q_kernel_names():
+    literal = [(i, over_q_kernel_names(spec)) for i, spec in LITERAL_COUNT_SUMS.items()]
+    assert list(identities._COUNT_SUMS.items()) == literal
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cases=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(LITERAL_COUNT_SUMS)),
+            st.integers(0, 16),
+            st.integers(0, 16),
+            st.integers(0, 4),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@example(cases=[(identity_id, 16, 16, 4) for identity_id in LITERAL_COUNT_SUMS])
+def test_count_rows_derived_from_q_rows_read_as_the_literal_rows(cases):
+    # the literal rows go through _count_side too, over kernels under their old names
+    identities._ROWS.clear()
+    derived = [
+        [identities._count_side(side, n, m, p) for side in identities._COUNT_SUMS[i]]
+        for i, n, m, p in cases
+    ]
+    with mock.patch.object(identities, "_count_entry", literal_count_entry):
+        literal = [
+            [identities._count_side(side, n, m, p) for side in LITERAL_COUNT_SUMS[i]]
+            for i, n, m, p in cases
+        ]
+    assert derived == literal, cases
 
 
 BINOM_ROWS = {
