@@ -14,10 +14,8 @@ in the process that ran the task; the block is written as soon as the task
 finishes and then dropped.  Memory is therefore bounded by the largest task,
 which for verify is one identity family, not by the whole run.  The report
 is streamed into an anonymous temporary file and copied to --out or stdout
-only after the last task, so a run that crashes writes nothing.  A pool has
-at most one task more than its workers submitted and unfinished, and submits
-the next as one finishes; once a task raises it submits nothing more, so
-only those few tasks run on before the exit.
+only after the last task, so a run that crashes writes nothing, and a task
+that raises cancels the tasks still queued in the pool.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
 (including an --out path that cannot be written), 3 an unexpected exception
@@ -45,7 +43,7 @@ import sys
 import tempfile
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
@@ -100,26 +98,14 @@ def _run_task(label: str, fmt: str, func, *args):
 def _outcomes(tasks: list[tuple], fmt: str, workers: int):
     """Yield each task's _run_task outcome in task order, holding none once it is yielded."""
     if workers > 1 and len(tasks) > 1:
-        size = min(workers, len(tasks))
         # a fork-based pool starts all of its workers at the first submit
-        pool = ProcessPoolExecutor(max_workers=size)
-        queued, futures = deque(tasks), deque()  # futures: submitted, not yet yielded
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
         try:
-            while queued or futures:
-                if any(future.done() and future.exception() for future in futures):
-                    # submit nothing more; reading on in order raises the first failure
-                    queued.clear()
-                running = [future for future in futures if not future.done()]
-                # one task beyond the workers waits in the pool, so none idles behind a slow head
-                while queued and len(running) <= size:
-                    label, *rest = queued.popleft()
-                    futures.append(pool.submit(_run_task, label, fmt, *rest))
-                    running.append(futures[-1])
-                if futures[0].done():
-                    yield futures.popleft().result()
-                else:
-                    wait(running, return_when=FIRST_COMPLETED)
+            futures = deque(pool.submit(_run_task, label, fmt, *t) for label, *t in tasks)
+            while futures:
+                yield futures.popleft().result()
         finally:
+            # when a task raises, wait only for the tasks already started
             pool.shutdown(cancel_futures=True)
     else:
         for label, *t in tasks:
