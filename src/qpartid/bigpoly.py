@@ -6,11 +6,16 @@ zero polynomial is the empty coefficient sequence and its degree is None.
 Since no value can change, a sum or product may return an operand unchanged:
 poly_add with a zero operand and poly_mul with a unit operand (coefficients
 exactly (1,)) hand back the other operand itself, not a copy.
+
+grid_mul multiplies two bivariate polynomials held as grids of nonnegative
+coefficients by packing each into one integer; this module is the only one
+that knows the packing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import struct
+from typing import Iterable, Sequence
 
 
 class IntPoly:
@@ -112,6 +117,70 @@ def poly_substitute_power(a: IntPoly, c: int) -> IntPoly:
     for i, ai in enumerate(a.coeffs):
         out[i * c] = ai
     return IntPoly(out)
+
+
+def grid_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], d: int = 1) -> list[list[int]]:
+    """c[i][j] = sum over k, l of a[i - d*k][j - d*l] * b[k][l], in the shape of a.
+
+    a is a rectangular grid and b a grid of rows; every cell of both is a
+    nonnegative int.  This is the product A(x, y) * B(x**d, y**d) of the two
+    bivariate polynomials whose coefficients they hold, truncated to the
+    shape of a, and it costs one integer product (Kronecker substitution in
+    two variables).  Cell (i, j) goes to slot i*stride + j, b's at (d*k, d*l),
+    with stride = 2*cols - 1, so a row of the product never runs into the
+    next one.  No product cell exceeds max(a) * max(b) * (the cells of b that
+    reach the shape), so a slot that holds that bound never carries.
+    """
+    if d < 1:
+        raise ValueError(f"dilation must be >= 1, got {d}")
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    b = [row[: (cols - 1) // d + 1] for row in b[: (rows - 1) // d + 1]]
+    cells_a = [x for row in a for x in row]
+    cells_b = [x for row in b for x in row]
+    if min(cells_a + cells_b, default=0) < 0:
+        raise ValueError("grid_mul takes nonnegative cells only")
+    bound = max(cells_a, default=0) * max(cells_b, default=0) * len(cells_b)
+    if not bound:
+        return [[0] * cols for _ in range(rows)]
+    width = (bound.bit_length() + 7) // 8  # bytes per slot
+    stride = 2 * cols - 1
+    slots_b = []
+    for row in b:
+        line = [0] * stride
+        line[: len(row) * d : d] = row
+        slots_b += line
+        slots_b += [0] * (stride * (d - 1))
+    pad = [0] * (stride - cols)
+    slots_a = [x for row in a for x in (*row, *pad)]
+    product = _encode(slots_a, width) * _encode(slots_b, width)
+    slots = _decode(product, width, rows * stride)
+    return [slots[i : i + cols] for i in range(0, rows * stride, stride)]
+
+
+# A slot of up to 8 bytes moves through struct's 8-byte words, one strided byte
+# copy per byte of the slot; wider slots go one int at a time.
+def _encode(slots: list[int], width: int) -> int:
+    """The int whose little-endian width-byte slots hold slots[0], slots[1], ..."""
+    if width > 8:
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in slots), "little")
+    words = struct.pack(f"<{len(slots)}Q", *slots)
+    data = bytearray(len(slots) * width)
+    for t in range(width):
+        data[t::width] = words[t::8]
+    return int.from_bytes(data, "little")
+
+
+def _decode(value: int, width: int, count: int) -> list[int]:
+    """The first count width-byte slots of value, as _encode lays them out."""
+    size = max((value.bit_length() + 7) // 8, count * width)
+    data = value.to_bytes(size, "little")[: count * width]
+    if width > 8:
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    words = bytearray(count * 8)
+    for t in range(width):
+        words[t::8] = data[t::width]
+    return list(struct.unpack(f"<{count}Q", words))
 
 
 def coeff_at(a: IntPoly, n: int) -> int:

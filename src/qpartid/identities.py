@@ -15,11 +15,13 @@ compare exactly, in three layers that share no evaluator:
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
   and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.
 * counting: the memoized partition counts.  The dilated, signed 2-D
-  convolutions are rows of _COUNT_SUMS, read by _count_side from the kernel
-  rows kernel(a, b, p) over b, and genfun_table expands the generating
-  functions into integer tables.  Nine _COUNT_SUMS rows are _Q_SUMS rows
-  read over count kernels (see the count section); only theorem2 and
-  qstar_relation keep spec rows of their own.
+  convolutions are rows of _COUNT_SUMS.  At one p a row side over every
+  (n, m) is the coefficient table of A(x, y) B(x^d, y^d), so _count_side
+  reads a case from one plane per (side, p), built by packed integer products
+  (bigpoly.grid_mul), and genfun_table expands the generating functions into
+  integer tables.  Nine _COUNT_SUMS rows are _Q_SUMS rows read over count
+  kernels (see the count section); only theorem2 and qstar_relation keep
+  spec rows of their own.
 * combinatorial at q = 1: big-integer binomials that never touch the
   polynomial layer.  Each row of _COMB_SUMS names the q row it specialises:
   comb01-15 and comb23-26 a _Q_SUMS row and a residue r, read by _comb_side
@@ -27,9 +29,11 @@ compare exactly, in three layers that share no evaluator:
   row, at a = b = c = 1, read as sum_j F_{n-j} g_j over integer diagonals g_j.
 
 Every kernel a case reads (U and V, the diagonals, the resdbl F rows, the
-count rows, the binomial rows) lives in one store, _ROWS: a row
-[entry(*key, j) for j = 0, 1, ...] per (entry, *key), filled lazily on first
-read and grown in place as larger indices arrive; none is ever rebuilt.
+binomial rows) lives in one store, _ROWS: a row [entry(*key, j) for j = 0,
+1, ...] per (entry, *key), filled lazily on first read and grown in place as
+larger indices arrive; none is ever rebuilt.  The count layer keeps its
+square kernel tables there too, grown in place the same way, and its count
+planes, each rebuilt at double the side when a case falls outside it.
 
 The remaining count chains are written out.
 
@@ -53,6 +57,7 @@ from .bigpoly import (
     IntPoly,
     ONE,
     ZERO,
+    grid_mul,
     poly_add,
     poly_mul,
     poly_scale,
@@ -258,6 +263,8 @@ def _sides_check(identity_id: str, kind: str, names: tuple[str, ...], sides: Cal
 # larger j arrive, so every case of a grid shares it and no entry is computed
 # twice.  Entries call the functions they read by module-global name, so a
 # row fills through whichever functions the module binds when it first grows.
+# The count layer keeps its 2-D kernel tables and count planes here as well,
+# under (_count_entry, name, p) and (_count_plane, side, p).
 
 _ROWS: dict[tuple, list] = {}
 
@@ -525,8 +532,18 @@ def _check_f_theorem(params, tamper=False):
 # or a row (scale, A, B, d, w) meaning
 #     scale * sum_{k <= n/d, l <= m/d} w(l) A(n-dk, m-dl) B(k, l).
 # The angle weights read m: 2cos((2l-m)pi/3) and 2sin((m-2l)pi/3)/sqrt(3).
-# A row reads both kernels from the rows kernel(a, b, p) over b, one per
-# (kernel, p, a), so every (n, m) case at that p shares them.
+#
+# At one p, a row side over every (n, m) is the coefficient table of the
+# product A(x, y) B(x^d, y^d), weighted.  Once m is fixed a weight depends on
+# l only through l mod its period: 1, 2 for the sign, and 3 for the angles,
+# since 2l mod 6 is 2(l mod 3).  So B splits into nonnegative classes by
+# l mod the period, each class is one bigpoly.grid_mul, and the classes are
+# summed per column m with their integer weights.  A side is then one plane
+# S[n][m] per (side, p) and a case is one lookup.  A plane is a square whose
+# side is a power of two, at least 16; a case outside it rebuilds it at
+# double the side, or more.  The kernels are read from one square table
+# t[a][b] = kernel(a, b) per (kernel, p), grown in place, whose cells fill
+# through _count_entry.
 #
 # So the count rows are _Q_SUMS rows, with the sides swapped where the paper
 # states them the other way round, except theorem2 and qstar_relation: no q
@@ -535,12 +552,19 @@ def _check_f_theorem(params, tamper=False):
 
 _NIL = "zero"
 
+# Each kernel calls its count by module-global name, as row entries do.
+_COUNT_KERNELS = {
+    "U": lambda a, b, p: count_P(a, b, p),
+    "V": lambda a, b, p: count_Q(a, b, p),
+    "Q*": lambda a, b, p: count_Q_star(a, b, p),
+    "P*": lambda a, b, p: count_P_star(a, b, p),
+    "P+": lambda a, b, p: count_P(a + b, b, p + 1),
+}
+
 
 def _count_entry(name: str, p: int, a: int, b: int) -> int:
     """The kernel named name at (a, b), with part bound p."""
-    if name == "P+":
-        return count_P(a + b, b, p + 1)
-    return {"U": count_P, "V": count_Q, "Q*": count_Q_star, "P*": count_P_star}[name](a, b, p)
+    return _COUNT_KERNELS[name](a, b, p)
 
 
 _COUNT_SUMS = {
@@ -558,6 +582,40 @@ _COUNT_SUMS = {
 }
 
 
+def _count_table(name: str, p: int, size: int) -> list[list[int]]:
+    """t[a][b] = kernel(a, b) at part bound p for a, b < size, one square table per (name, p)."""
+    entry = _count_entry
+    table = _ROWS.setdefault((entry, name, p), [])
+    if len(table) < size:
+        for a, row in enumerate(table):
+            row.extend(entry(name, p, a, b) for b in range(len(row), size))
+        table.extend([entry(name, p, a, b) for b in range(size)] for a in range(len(table), size))
+    return table
+
+
+_WEIGHT_PERIOD = {_PLAIN: 1, _ALT: 2, _COS: 3, _SIN: 3}
+_PLANE_MIN = 16
+
+
+def _count_plane(side, p: int, size: int) -> list[list[int]]:
+    """S[n][m], the row side at every n, m < size, from one grid product per weight class."""
+    scale, a, b, d, weight = side
+    period = _WEIGHT_PERIOD[weight]
+    outer = [row[:size] for row in _count_table(a, p, size)[:size]]
+    small = (size - 1) // d + 1
+    inner = [row[:small] for row in _count_table(b, p, small)[:small]]
+    # class c keeps B's cells at l = c (mod period) and weighs w(c) at column m
+    classes = []
+    for c in range(period):
+        part = [[x if l % period == c else 0 for l, x in enumerate(row)] for row in inner]
+        classes.append(grid_mul(outer, part, d))
+    weights = [[scale * w for w in _weights(weight, period, m)] for m in range(size)]
+    return [
+        [sum(map(mul, w, cells)) for w, cells in zip(weights, zip(*class_rows))]
+        for class_rows in zip(*classes)
+    ]
+
+
 def _count_side(side, n: int, m: int, p: int) -> int:
     if side == _DELTA:
         return int(n == 0 and m == 0)
@@ -565,15 +623,17 @@ def _count_side(side, n: int, m: int, p: int) -> int:
         return 0
     if isinstance(side, str):
         return _count_entry(side, p, n, m)
-    scale, a, b, d, weight = side
-    weights = _weights(weight, m // d + 1, m)
-    # row k contributes sum_l A(n-dk, m-dl) w(l) B(k, l)
-    total = 0
-    for k in range(n // d + 1):
-        outer = _row(_count_entry, a, p, n - d * k, top=m)
-        inner = _row(_count_entry, b, p, k, top=m // d)
-        total += sum(map(mul, outer[m::-d], map(mul, weights, inner)))
-    return scale * total
+    if n < 0 or m < 0:
+        return 0
+    key = (_count_plane, side, p)
+    plane = _ROWS.get(key, ())
+    if len(plane) <= max(n, m):
+        # a case outside the plane rebuilds it at double the side, or more
+        size = max(_PLANE_MIN, 2 * len(plane))
+        while size <= max(n, m):
+            size *= 2
+        plane = _ROWS[key] = _count_plane(side, p, size)
+    return plane[n][m]
 
 
 def _count_pairs(spec, n: int, m: int, p: int) -> list[tuple[int, int]]:

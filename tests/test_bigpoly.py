@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpartid.bigpoly import (
     IntPoly,
@@ -11,6 +11,7 @@ from qpartid.bigpoly import (
     ZERO,
     coeff_at,
     format_poly,
+    grid_mul,
     poly_add,
     poly_eval_int,
     poly_mul,
@@ -178,3 +179,50 @@ def test_format_poly():
     assert format_poly(IntPoly([-1, 0, 2])) == "-1 + 2q^2"
     assert format_poly(IntPoly([0, -1])) == "-q"
 
+
+
+def schoolbook_grid_mul(a, b, d):
+    """c[i][j] = sum of a[i - d*k][j - d*l] * b[k][l], in the shape of a, term by term."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    out = [[0] * cols for _ in range(rows)]
+    for k, row in enumerate(b):
+        for l, y in enumerate(row):
+            for i in range(d * k, rows):
+                for j in range(d * l, cols):
+                    out[i][j] += a[i - d * k][j - d * l] * y
+    return out
+
+
+# 2**k - 1 fills k bits and 2**k needs one more; k = 8 and 64 straddle a byte
+# and the machine word, so sums of them land exactly where a slot one bit
+# narrower would carry into its neighbour
+EDGE_CELLS = [2**k + e for k in (7, 8, 16, 63, 64, 100) for e in (-1, 0)]
+grid_cells = st.integers(0, 3) | st.sampled_from(EDGE_CELLS)
+
+
+# rectangular grids of 0-5 rows by 0-5 columns, the empty grid included
+grids = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda shape: st.lists(
+        st.lists(grid_cells, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=grids, b=grids, d=st.integers(1, 4))
+@example(a=[], b=[[1]], d=1)
+@example(a=[[5]], b=[], d=1)
+@example(a=[[7]], b=[[9]], d=1)
+@example(a=[[0, 0], [0, 0]], b=[[0, 3]], d=2)
+@example(a=[[128, 128]], b=[[1, 1]], d=1)  # 256 needs a ninth bit
+@example(a=[[2**32, 2**32]], b=[[2**31, 2**31]], d=1)  # 2**64 needs a second word
+@example(a=[[2**64 - 1] * 5] * 5, b=[[2**64 - 1] * 2] * 2, d=4)
+def test_grid_mul_matches_the_schoolbook_convolution(a, b, d):
+    assert grid_mul(a, b, d) == schoolbook_grid_mul(a, b, d)
+
+
+def test_grid_mul_rejects_negative_cells_and_dilations_below_one():
+    with pytest.raises(ValueError):
+        grid_mul([[1, -1]], [[1]])
+    with pytest.raises(ValueError):
+        grid_mul([[1]], [[1]], 0)

@@ -779,6 +779,24 @@ def run_module(*argv):
     )
 
 
+COUNT_SUM_FAMILIES = (
+    "theorem1", "theorem2", "theorem3", "theorem6", "theorem7", "theorem8", "theorem9",
+    "theorem_simple", "qstar_relation", "sine_vanishing_6", "sine_vanishing_7",
+)
+
+
+def test_wide_count_sum_tsv_report_bytes_are_pinned():
+    # 89,375 cases; n, m up to 24 outgrow the first 16-square count planes, so
+    # every plane a case reads past 15 is a rebuilt one
+    families = [arg for family in COUNT_SUM_FAMILIES for arg in ("--family", family)]
+    grid = ("--n-max", "24", "--m-max", "24", "--p-max", "12")
+    proc = run_module("verify", *families, *grid, "--workers", "1", "--format", "tsv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 89_375 + 1
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "10ca7fb35ade4b96461c32cacc0787e711f6f8ae8e9605ccf8004976fd59a867"
+
+
 def test_table_partition_count_past_the_recursion_limit():
     proc = run_module("table", "--func", "Pn", "--n", "2000")
     assert proc.returncode == 0, proc.stderr

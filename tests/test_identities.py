@@ -1,5 +1,6 @@
 """The identity registry: transcriptions, weights, and cross-checks."""
 
+import functools
 import hashlib
 import itertools
 from unittest import mock
@@ -714,6 +715,16 @@ def count_side_by_calls(side, n, m, p):
     return scale * total
 
 
+@functools.lru_cache(maxsize=None)
+def count_plane_by_calls(side, p, size):
+    """count_side_by_calls at every n, m < size; a plane's cells do not depend on when it was built."""
+    return [[count_side_by_calls(side, n, m, p) for m in range(size)] for n in range(size)]
+
+
+# a side whose 64-square plane the oracle fills in well under a second (d = 4)
+WIDE_SIDE = identities._COUNT_SUMS["theorem9"][0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     queries=st.lists(
@@ -728,16 +739,29 @@ def count_side_by_calls(side, n, m, p):
     )
 )
 @example(queries=[(COUNT_SIDES[0], 16, 16, 2), (COUNT_SIDES[0], 3, 9, 2), (COUNT_SIDES[0], 9, 3, 2)])
+@example(queries=[(WIDE_SIDE, 3, 9, 1), (WIDE_SIDE, 15, 15, 1), (WIDE_SIDE, 40, 5, 1)])
 def test_count_tables_match_the_per_call_convolution(queries):
     identities._ROWS.clear()
     for side, n, m, p in queries:
         assert identities._count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
-    entry = identities._count_entry
-    count_rows = {key: row for key, row in identities._ROWS.items() if key[0] is entry}
-    assert count_rows
-    for (_, name, p, a), row in count_rows.items():
-        # every cell of every count row is its kernel's value
-        assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))]
+    tables = {key[1:]: t for key, t in identities._ROWS.items() if key[0] is identities._count_entry}
+    planes = {key[1:]: t for key, t in identities._ROWS.items() if key[0] is identities._count_plane}
+    assert tables and planes
+    for (name, p), table in tables.items():
+        # every cell of every kernel table is its kernel's value
+        assert table == [[COUNT_KERNELS[name](a, b, p) for b in range(len(table))] for a in range(len(table))]
+    for (side, p), plane in planes.items():
+        # every plane is the smallest power-of-two square, at least 16, that its queries fit
+        top = max(max(n, m) for s, n, m, q in queries if (s, q) == (side, p))
+        assert len(plane) == max(16, 1 << top.bit_length())
+        assert plane == count_plane_by_calls(side, p, len(plane))
+
+
+def test_count_sides_are_zero_at_negative_indices():
+    # a plane is indexed from 0, so a negative index must not wrap to its far edge
+    for side in COUNT_SIDES:
+        for n, m in ((-1, 5), (5, -1), (-3, -3)):
+            assert identities._count_side(side, n, m, 2) == count_side_by_calls(side, n, m, 2) == 0
 
 
 # The eleven _COUNT_SUMS rows as they were written out before nine of them were
