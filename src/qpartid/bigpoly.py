@@ -14,7 +14,6 @@ that knows the packing.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable, Sequence
 
 
@@ -145,42 +144,24 @@ def grid_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], d: int = 1)
         return [[0] * cols for _ in range(rows)]
     width = (bound.bit_length() + 7) // 8  # bytes per slot
     stride = 2 * cols - 1
-    slots_b = []
-    for row in b:
-        line = [0] * stride
-        line[: len(row) * d : d] = row
-        slots_b += line
-        slots_b += [0] * (stride * (d - 1))
-    pad = [0] * (stride - cols)
-    slots_a = [x for row in a for x in (*row, *pad)]
-    product = _encode(slots_a, width) * _encode(slots_b, width)
-    slots = _decode(product, width, rows * stride)
-    return [slots[i : i + cols] for i in range(0, rows * stride, stride)]
+    product = _pack(a, width, 1, stride) * _pack(b, width, d, d * stride)
+    data = product.to_bytes(max((product.bit_length() + 7) // 8, rows * stride * width), "little")
+    return [
+        [int.from_bytes(data[s : s + width], "little") for s in range(i * width, (i + cols) * width, width)]
+        for i in range(0, rows * stride, stride)
+    ]
 
 
-# A slot of up to 8 bytes moves through struct's 8-byte words, one strided byte
-# copy per byte of the slot; wider slots go one int at a time.
-def _encode(slots: list[int], width: int) -> int:
-    """The int whose little-endian width-byte slots hold slots[0], slots[1], ..."""
-    if width > 8:
-        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in slots), "little")
-    words = struct.pack(f"<{len(slots)}Q", *slots)
-    data = bytearray(len(slots) * width)
-    for t in range(width):
-        data[t::width] = words[t::8]
-    return int.from_bytes(data, "little")
-
-
-def _decode(value: int, width: int, count: int) -> list[int]:
-    """The first count width-byte slots of value, as _encode lays them out."""
-    size = max((value.bit_length() + 7) // 8, count * width)
-    data = value.to_bytes(size, "little")[: count * width]
-    if width > 8:
-        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-    words = bytearray(count * 8)
-    for t in range(width):
-        words[t::8] = data[t::width]
-    return list(struct.unpack(f"<{count}Q", words))
+def _pack(grid: Sequence[Sequence[int]], width: int, step: int, pitch: int) -> int:
+    """The int whose little-endian width-byte slot i*pitch + j*step holds grid[i][j], zero elsewhere."""
+    cell = width * step  # a cell and the step - 1 empty slots after it
+    return int.from_bytes(
+        b"".join(
+            b"".join(x.to_bytes(cell, "little") for x in row) + bytes((pitch - step * len(row)) * width)
+            for row in grid
+        ),
+        "little",
+    )
 
 
 def coeff_at(a: IntPoly, n: int) -> int:

@@ -32,8 +32,8 @@ Every kernel a case reads (U and V, the diagonals, the resdbl F rows, the
 binomial rows) lives in one store, _ROWS: a row [entry(*key, j) for j = 0,
 1, ...] per (entry, *key), filled lazily on first read and grown in place as
 larger indices arrive; none is ever rebuilt.  The count layer keeps its
-square kernel tables there too, grown in place the same way, and its count
-planes, each rebuilt at double the side when a case falls outside it.
+kernel tables there too, grown in place the same way, and its count planes,
+each rebuilt with its rows or columns doubled when a case falls outside it.
 
 The remaining count chains are written out.
 
@@ -539,11 +539,11 @@ def _check_f_theorem(params, tamper=False):
 # since 2l mod 6 is 2(l mod 3).  So B splits into nonnegative classes by
 # l mod the period, each class is one bigpoly.grid_mul, and the classes are
 # summed per column m with their integer weights.  A side is then one plane
-# S[n][m] per (side, p) and a case is one lookup.  A plane is a square whose
-# side is a power of two, at least 16; a case outside it rebuilds it at
-# double the side, or more.  The kernels are read from one square table
-# t[a][b] = kernel(a, b) per (kernel, p), grown in place, whose cells fill
-# through _count_entry.
+# S[n][m] per (side, p) and a case is one lookup.  A plane's row and column
+# counts are set apart from n and from m, each a power of two, at least 16; a
+# case past either edge rebuilds it with that count doubled, or more.  The
+# kernels are read from one table t[a][b] = kernel(a, b) per (kernel, p),
+# grown in place in both directions, whose cells fill through _count_entry.
 #
 # So the count rows are _Q_SUMS rows, with the sides swapped where the paper
 # states them the other way round, except theorem2 and qstar_relation: no q
@@ -582,14 +582,13 @@ _COUNT_SUMS = {
 }
 
 
-def _count_table(name: str, p: int, size: int) -> list[list[int]]:
-    """t[a][b] = kernel(a, b) at part bound p for a, b < size, one square table per (name, p)."""
+def _count_table(name: str, p: int, rows: int, cols: int) -> list[list[int]]:
+    """t[a][b] = kernel(a, b) at part bound p, through at least a < rows, b < cols; one table per (name, p)."""
     entry = _count_entry
     table = _ROWS.setdefault((entry, name, p), [])
-    if len(table) < size:
-        for a, row in enumerate(table):
-            row.extend(entry(name, p, a, b) for b in range(len(row), size))
-        table.extend([entry(name, p, a, b) for b in range(size)] for a in range(len(table), size))
+    for a, row in enumerate(table[:rows]):
+        row.extend(entry(name, p, a, b) for b in range(len(row), cols))
+    table.extend([entry(name, p, a, b) for b in range(cols)] for a in range(len(table), rows))
     return table
 
 
@@ -597,23 +596,31 @@ _WEIGHT_PERIOD = {_PLAIN: 1, _ALT: 2, _COS: 3, _SIN: 3}
 _PLANE_MIN = 16
 
 
-def _count_plane(side, p: int, size: int) -> list[list[int]]:
-    """S[n][m], the row side at every n, m < size, from one grid product per weight class."""
+def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
+    """S[n][m], the row side at every n < rows, m < cols, from one grid product per weight class."""
     scale, a, b, d, weight = side
     period = _WEIGHT_PERIOD[weight]
-    outer = [row[:size] for row in _count_table(a, p, size)[:size]]
-    small = (size - 1) // d + 1
-    inner = [row[:small] for row in _count_table(b, p, small)[:small]]
+    outer = [row[:cols] for row in _count_table(a, p, rows, cols)[:rows]]
+    inner_rows, inner_cols = (rows - 1) // d + 1, (cols - 1) // d + 1
+    inner = [row[:inner_cols] for row in _count_table(b, p, inner_rows, inner_cols)[:inner_rows]]
     # class c keeps B's cells at l = c (mod period) and weighs w(c) at column m
     classes = []
     for c in range(period):
         part = [[x if l % period == c else 0 for l, x in enumerate(row)] for row in inner]
         classes.append(grid_mul(outer, part, d))
-    weights = [[scale * w for w in _weights(weight, period, m)] for m in range(size)]
+    weights = [[scale * w for w in _weights(weight, period, m)] for m in range(cols)]
     return [
         [sum(map(mul, w, cells)) for w, cells in zip(weights, zip(*class_rows))]
         for class_rows in zip(*classes)
     ]
+
+
+def _plane_span(have: int, index: int) -> int:
+    """The smallest power of two, at least have and _PLANE_MIN, above index."""
+    span = max(_PLANE_MIN, have)
+    while span <= index:
+        span *= 2
+    return span
 
 
 def _count_side(side, n: int, m: int, p: int) -> int:
@@ -626,13 +633,10 @@ def _count_side(side, n: int, m: int, p: int) -> int:
     if n < 0 or m < 0:
         return 0
     key = (_count_plane, side, p)
-    plane = _ROWS.get(key, ())
-    if len(plane) <= max(n, m):
-        # a case outside the plane rebuilds it at double the side, or more
-        size = max(_PLANE_MIN, 2 * len(plane))
-        while size <= max(n, m):
-            size *= 2
-        plane = _ROWS[key] = _count_plane(side, p, size)
+    plane = _ROWS.get(key, [[]])
+    if n >= len(plane) or m >= len(plane[0]):
+        rows, cols = _plane_span(len(plane), n), _plane_span(len(plane[0]), m)
+        plane = _ROWS[key] = _count_plane(side, p, rows, cols)
     return plane[n][m]
 
 

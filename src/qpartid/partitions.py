@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isqrt
 from typing import Optional
 
 UNBOUNDED = None
@@ -128,12 +129,15 @@ def count_Q(n: int, m: int, p: Optional[int]) -> int:
 
 def count_P_star(n: int, m: int, p: Optional[int]) -> int:
     """Partitions of n into at most m parts, each at most p."""
-    return sum(count_P(n, k, p) for k in range(0, m + 1)) if m >= 0 else 0
+    # P(n, k, p) is 0 once k > n
+    return sum(count_P(n, k, p) for k in range(min(m, n) + 1))
 
 
 def count_Q_star(n: int, m: int, p: Optional[int]) -> int:
     """Partitions of n into at most m distinct parts, each at most p."""
-    return sum(count_Q(n, k, p) for k in range(0, m + 1)) if m >= 0 else 0
+    # Q(n, k, p) is 0 once 1 + 2 + ... + k = C(k+1, 2) > n
+    top = min(m, (isqrt(8 * n + 1) - 1) // 2) if n >= 0 else -1
+    return sum(count_Q(n, k, p) for k in range(top + 1))
 
 
 def count_P_most(n: int, p: Optional[int]) -> int:

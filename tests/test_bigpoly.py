@@ -193,8 +193,8 @@ def schoolbook_grid_mul(a, b, d):
     return out
 
 
-# 2**k - 1 fills k bits and 2**k needs one more; k = 8 and 64 straddle a byte
-# and the machine word, so sums of them land exactly where a slot one bit
+# 2**k - 1 fills k bits and 2**k needs one more; k = 8 and 64 straddle one byte
+# and eight, so sums of them land exactly where a slot one bit
 # narrower would carry into its neighbour
 EDGE_CELLS = [2**k + e for k in (7, 8, 16, 63, 64, 100) for e in (-1, 0)]
 grid_cells = st.integers(0, 3) | st.sampled_from(EDGE_CELLS)
@@ -215,7 +215,7 @@ grids = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
 @example(a=[[7]], b=[[9]], d=1)
 @example(a=[[0, 0], [0, 0]], b=[[0, 3]], d=2)
 @example(a=[[128, 128]], b=[[1, 1]], d=1)  # 256 needs a ninth bit
-@example(a=[[2**32, 2**32]], b=[[2**31, 2**31]], d=1)  # 2**64 needs a second word
+@example(a=[[2**32, 2**32]], b=[[2**31, 2**31]], d=1)  # 2**64 needs a ninth byte
 @example(a=[[2**64 - 1] * 5] * 5, b=[[2**64 - 1] * 2] * 2, d=4)
 def test_grid_mul_matches_the_schoolbook_convolution(a, b, d):
     assert grid_mul(a, b, d) == schoolbook_grid_mul(a, b, d)

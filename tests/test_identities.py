@@ -716,12 +716,12 @@ def count_side_by_calls(side, n, m, p):
 
 
 @functools.lru_cache(maxsize=None)
-def count_plane_by_calls(side, p, size):
-    """count_side_by_calls at every n, m < size; a plane's cells do not depend on when it was built."""
-    return [[count_side_by_calls(side, n, m, p) for m in range(size)] for n in range(size)]
+def count_plane_by_calls(side, p, rows, cols):
+    """count_side_by_calls at every n < rows, m < cols; a plane's cells do not depend on when it was built."""
+    return [[count_side_by_calls(side, n, m, p) for m in range(cols)] for n in range(rows)]
 
 
-# a side whose 64-square plane the oracle fills in well under a second (d = 4)
+# a side whose 64-row plane the oracle fills in well under a second (d = 4)
 WIDE_SIDE = identities._COUNT_SUMS["theorem9"][0]
 
 
@@ -740,6 +740,7 @@ WIDE_SIDE = identities._COUNT_SUMS["theorem9"][0]
 )
 @example(queries=[(COUNT_SIDES[0], 16, 16, 2), (COUNT_SIDES[0], 3, 9, 2), (COUNT_SIDES[0], 9, 3, 2)])
 @example(queries=[(WIDE_SIDE, 3, 9, 1), (WIDE_SIDE, 15, 15, 1), (WIDE_SIDE, 40, 5, 1)])
+@example(queries=[(WIDE_SIDE, 40, 5, 3), (WIDE_SIDE, 3, 20, 3), (WIDE_SIDE, 2, 2, 0)])
 def test_count_tables_match_the_per_call_convolution(queries):
     identities._ROWS.clear()
     for side, n, m, p in queries:
@@ -749,12 +750,14 @@ def test_count_tables_match_the_per_call_convolution(queries):
     assert tables and planes
     for (name, p), table in tables.items():
         # every cell of every kernel table is its kernel's value
-        assert table == [[COUNT_KERNELS[name](a, b, p) for b in range(len(table))] for a in range(len(table))]
+        for a, row in enumerate(table):
+            assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))]
     for (side, p), plane in planes.items():
-        # every plane is the smallest power-of-two square, at least 16, that its queries fit
-        top = max(max(n, m) for s, n, m, q in queries if (s, q) == (side, p))
-        assert len(plane) == max(16, 1 << top.bit_length())
-        assert plane == count_plane_by_calls(side, p, len(plane))
+        # rows and columns are each the smallest power of two, at least 16, that its queries fit
+        asked = [(n, m) for s, n, m, q in queries if (s, q) == (side, p)]
+        rows, cols = (max(16, 1 << max(top).bit_length()) for top in zip(*asked))
+        assert (len(plane), len(plane[0])) == (rows, cols)
+        assert plane == count_plane_by_calls(side, p, rows, cols)
 
 
 def test_count_sides_are_zero_at_negative_indices():

@@ -153,6 +153,16 @@ def test_box_counts_out_of_range():
     assert box_count_P(1, 1, 0) == box_count_Q(3, 2, 1) == 0
 
 
+def test_star_counts_match_the_box_counts_past_their_last_nonzero_term():
+    # the star sums stop at k = n, or where C(k+1, 2) > n for distinct parts;
+    # m runs far past both, and n and m below zero, so no dropped term counts
+    for n in range(-2, 30):
+        for m in range(-2, 40):
+            for p in (0, 1, 3, UNBOUNDED):
+                assert count_P_star(n, m, p) == box_count(n, m, p)
+                assert count_Q_star(n, m, p) == box_count_Q_star(n, m, p)
+
+
 def test_enumerate_max_parts_matches_star_counts():
     for n in range(11):
         for m in range(n + 1):
