@@ -43,7 +43,6 @@ import sys
 import tempfile
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
@@ -93,6 +92,13 @@ def _run_task(label: str, fmt: str, func, *args):
     took = time.perf_counter() - start
     failures = sum(1 for r in results if not r.passed)
     return label, took, len(results), failures, render_report(label, results, fmt, took)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool, imported here so a serial run never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _outcomes(tasks: list[tuple], fmt: str, workers: int):

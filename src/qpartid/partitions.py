@@ -20,11 +20,14 @@ and its reductions instead: each expands one rolling list of n+1 integers
 and never touches the memo, which would keep a key for every argument its
 recurrence reaches.
 
-The enumerator shares no code with the DP recurrences: it generates the
-actual partitions by recursive descent, so it can anchor the counts.
-oracle_counts is the one-pass oracle built on it: it enumerates the
-partitions of n once and tabulates every count_P(n, m, p) and
-count_Q(n, m, p) by reading each partition directly.
+The enumerators share no code with the DP recurrences: they generate the
+actual partitions, so they can anchor the counts.  enumerate_partitions
+lists the partitions that one PartitionSpec admits, by recursive descent.
+oracle_counts is the one-pass oracle: it generates the partitions of n in
+place with ZS1 (Zoghbi and Stojmenovic, 1998; Knuth, TAOCP 4A 7.2.1.4), in
+the same order, and tabulates every count_P(n, m, p) and count_Q(n, m, p) as
+each partition appears, holding no list of them.  The two are independent,
+so the tests check one against the other.
 """
 
 from __future__ import annotations
@@ -304,18 +307,47 @@ def oracle_counts(
 
     Returns (plain, distinct): two (n+1)x(n+1) tables whose entry [m][p]
     counts the partitions of n into exactly m parts, each at most p, and
-    those among them with distinct parts.  The partitions of n are
-    enumerated once and each is read directly (its length, its largest
-    part, whether its parts strictly decrease); prefix sums over p give
-    the caps.  Shares no code with the DP recurrences.
+    those among them with distinct parts.  ZS1 (Zoghbi and Stojmenovic,
+    1998) rewrites one list of parts in place, in the order of
+    enumerate_partitions, and each partition is tallied as it appears by its
+    length and its largest part; prefix sums over p give the caps.  Memory
+    is the two tables and the one list.  Refuses n above oracle_limit, as
+    enumerate_partitions does.  Shares no code with the DP recurrences.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n > oracle_limit:
+        raise ValueError(f"n={n} exceeds the oracle limit {oracle_limit}")
     plain = [[0] * (n + 1) for _ in range(n + 1)]
     distinct = [[0] * (n + 1) for _ in range(n + 1)]
-    for parts in enumerate_partitions(PartitionSpec(n), oracle_limit):
-        m, largest = len(parts), parts[0] if parts else 0
-        plain[m][largest] += 1
-        if all(a > b for a, b in zip(parts, parts[1:])):
-            distinct[m][largest] += 1
+    # x[:k] is the partition, x[:h] its parts above 1; past h it holds 1s
+    x = [n] + [1] * n
+    k, h = (1, 1) if n > 1 else (n, 0)
+    plain[k][n] = distinct[k][n] = 1
+    while x[0] > 1:
+        if x[h - 1] == 2:
+            # a trailing 2 splits into 1 + 1
+            x[h - 1] = 1
+            h -= 1
+            k += 1
+        else:
+            # the last part above 1 falls by one, and it and the 1s after it
+            # are dealt out again as copies of the new part r and a remainder
+            r = x[h - 1] - 1
+            t = k - h + 1
+            x[h - 1] = r
+            while t >= r:
+                x[h] = r
+                h += 1
+                t -= r
+            k = h + (t > 0)
+            if t > 1:
+                x[h] = t
+                h += 1
+        plain[k][x[0]] += 1
+        # two 1s repeat a part; otherwise the parts above 1 must all differ
+        if k - h <= 1 and len(set(x[:h])) == h:
+            distinct[k][x[0]] += 1
     return (
         [list(accumulate(row)) for row in plain],
         [list(accumulate(row)) for row in distinct],

@@ -530,6 +530,21 @@ def test_worker_pool_is_capped_at_the_family_count(capsys, monkeypatch):
     assert sizes == [3, 2]
 
 
+SERIAL_IMPORTS_CHILD = """
+import contextlib, io, sys
+from qpartid.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["oracle-diff", "--n-max", "3"])]
+    codes.append(main(["verify", "--family", "delta", "--workers", "1"]))
+print(*codes, int("multiprocessing" in sys.modules))
+"""
+
+
+def test_a_serial_run_never_imports_multiprocessing():
+    # the pool's import is about 19 ms of every run's start-up otherwise
+    assert run_small_child(SERIAL_IMPORTS_CHILD) == [0, 0, 0]
+
+
 def test_verify_rejects_a_repeated_family(capsys, monkeypatch):
     # the family would run once but be echoed twice in the config
     from qpartid import cli
@@ -724,6 +739,14 @@ def test_oracle_diff_reaches_past_the_default_limit(capsys):
     code, out, _ = run_cli(capsys, "oracle-diff", "--n-max", "35", "--oracle-limit", "35")
     assert code == 0
     assert "16206 cases" in out  # sum over n<=35 of (n+1)^2
+
+
+def test_oracle_diff_past_the_default_limit_report_bytes_are_pinned():
+    # 33,511 (n, m, p) triples; n = 45 has 89,134 partitions
+    proc = run_module("oracle-diff", "--n-max", "45", "--oracle-limit", "45", "--format", "tsv")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "a31761f1906ca63f0043cab0c60f12a477bae6911f67fce7da628b7304a7b66a"
 
 
 def test_oracle_diff_names_a_dp_mismatch(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Partition counts, the enumeration oracle, and the count correspondences."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -118,6 +120,28 @@ def test_oracle_counts_respects_the_oracle_limit():
     with pytest.raises(ValueError):
         oracle_counts(31)
     assert oracle_counts(31, oracle_limit=31)[0][1][31] == 1
+
+
+def test_oracle_counts_matches_enumeration_by_part_count_for_every_n_to_30():
+    # every n <= 30 exhaustively: the uncapped column against one spec per m
+    for n in range(31):
+        plain, distinct = oracle_counts(n)
+        for m in range(n + 1):
+            spec = PartitionSpec(n, exact_parts=m)
+            assert plain[m][n] == len(enumerate_partitions(spec)), (n, m)
+            spec = PartitionSpec(n, exact_parts=m, distinct=True)
+            assert distinct[m][n] == len(enumerate_partitions(spec)), (n, m)
+
+
+def test_oracle_counts_streams():
+    # ZS1 rewrites one list in place; a list per partition peaked at 6.2 MB
+    tracemalloc.start()
+    try:
+        oracle_counts(40, oracle_limit=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, f"tracemalloc peak {peak / 1024:.0f} KB"
 
 
 _BOX_REFERENCE = CountTable()
