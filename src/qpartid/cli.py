@@ -27,8 +27,10 @@ A JSON report is exactly json.dumps(report, indent=2, sort_keys=True)
 followed by a newline.  Its top-level keys sort as config, results, timing,
 totals, version, so the head (config and the opening of results) is written
 first and timing, totals and version last.  The frame is rendered by
-json.dumps; every results row is written from the fields of one CaseResult
-through one template, with no fallback.
+json.dumps.  Every row, of every format, passing or failing, is written from
+the fields of one CaseResult by one writer, _rows: each params key order
+gets one template, and the text around params is cached per digest within
+one render_report call.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import tempfile
 import time
 from collections import deque
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import Optional
 
 from . import __version__
@@ -175,39 +178,101 @@ def run_verify(config: dict, out: Optional[str]) -> int:
     return _run(config, tasks, config["format"], out, config["workers"])
 
 
-def _row_json(id_s: str, r: CaseResult, layouts: dict) -> str:
-    """The report row of r, whose id id_s is already JSON text, as json.dumps nests it.
+def _no_values(params: dict) -> tuple:
+    return ()
 
-    r has str hashes, a params dict of str keys and int values, and a
-    first_mismatch that is None, an int or a pair of ints (a tuple, or the
-    list a parsed report holds), written as a two-item list.  Strings go
-    through json's own escaper.  layouts caches the sorted key prefixes of
-    each params key order seen.
+
+def _json_params(keys: tuple) -> tuple:
+    """The params object of a row with these keys, as json.dumps nests it, and its values' reader.
+
+    The text is a %-template with one %s slot per key, in sorted key order,
+    so the key text is escaped for % as well as for JSON.
     """
-    mismatch, params = r.first_mismatch, r.params
+    if not keys:
+        return "{}", _no_values
+    ordered = sorted(keys)
+    slots = ",\n        ".join(_json_str(k).replace("%", "%%") + ": %s" for k in ordered)
+    return "{\n        " + slots + "\n      }", itemgetter(*ordered)
+
+
+def _text_params(keys: tuple) -> tuple:
+    """The k=v,... params text of TSV and human rows, in the params' own order, and its reader."""
+    if not keys:
+        return "", _no_values
+    return ",".join(k.replace("%", "%%") + "=%s" for k in keys), itemgetter(*keys)
+
+
+def _json_fixed(label: str, r: CaseResult) -> tuple[str, str]:
+    """The JSON row text of r before and after its params object.
+
+    A first_mismatch is None, an int or a pair of ints (a tuple, or the
+    list a parsed report holds), written as a two-item list.  Strings go
+    through json's own escaper.
+    """
+    mismatch = r.first_mismatch
     if mismatch is None:
         mismatch_s = "null"
     elif type(mismatch) is int:
         mismatch_s = str(mismatch)
     else:
         mismatch_s = f"[\n        {mismatch[0]},\n        {mismatch[1]}\n      ]"
-    if params:
-        keys = tuple(params)
-        layout = layouts.get(keys)
-        if layout is None:
-            layout = layouts[keys] = [(k, f"{_json_str(k)}: ") for k in sorted(keys)]
-        items = ",\n        ".join([f"{prefix}{params[key]}" for key, prefix in layout])
-        params_s = "{\n        " + items + "\n      }"
-    else:
-        params_s = "{}"
     return (
         f'    {{\n      "first_mismatch": {mismatch_s},'
-        f'\n      "id": {id_s},'
+        f'\n      "id": {_json_str(label)},'
         f'\n      "lhs_hash": {_json_str(r.lhs_hash)},'
-        f'\n      "params": {params_s},'
-        f'\n      "pass": {"true" if r.passed else "false"},'
-        f'\n      "rhs_hash": {_json_str(r.rhs_hash)}\n    }}'
+        '\n      "params": ',
+        f',\n      "pass": {"true" if r.passed else "false"},'
+        f'\n      "rhs_hash": {_json_str(r.rhs_hash)}\n    }}',
     )
+
+
+def _tsv_fixed(label: str, r: CaseResult) -> tuple[str, str]:
+    mismatch = "" if r.first_mismatch is None else json.dumps(r.first_mismatch)
+    return f"{label}\t", f"\t{int(r.passed)}\t{mismatch}\t{r.lhs_hash}\t{r.rhs_hash}\n"
+
+
+def _fail_fixed(label: str, r: CaseResult) -> tuple[str, str]:
+    return "  FAIL ", f" first_mismatch={json.dumps(r.first_mismatch)}\n"
+
+
+# per format: the params template of a key order, the text around params, the row separator
+_ROW_FORMATS = {
+    "json": (_json_params, _json_fixed, ",\n"),
+    "tsv": (_text_params, _tsv_fixed, ""),
+    "human": (_text_params, _fail_fixed, ""),
+}
+
+
+def _rows(label: str, results: list[CaseResult], fmt: str) -> str:
+    """The fmt rows of results, a task label's CaseResults, each the text before, params, after.
+
+    Each row is written from two caches that live for this call only.  A
+    params key order gets one template, built once: its text with one %s
+    slot per value, and an itemgetter of the values in slot order.  The text
+    before and after params is built once per (pass, lhs_hash, rhs_hash) of
+    a row with no first_mismatch, which covers every passing row the runner
+    makes; a row with a first_mismatch builds its own.  Only the key text,
+    escaped, goes into a %-template; the id and the digests are concatenated.
+    """
+    template_of, fixed_of, sep = _ROW_FORMATS[fmt]
+    templates, fixed = {}, {}
+    rows = []
+    for r in results:
+        params = r.params
+        keys = tuple(params)
+        template = templates.get(keys)
+        if template is None:
+            template = templates[keys] = template_of(keys)
+        if r.first_mismatch is None:
+            digests = (r.passed, r.lhs_hash, r.rhs_hash)
+            around = fixed.get(digests)
+            if around is None:
+                around = fixed[digests] = fixed_of(label, r)
+        else:
+            around = fixed_of(label, r)
+        text, values = template
+        rows.append(around[0] + text % values(params) + around[1])
+    return sep.join(rows)
 
 
 def _json_members(members: dict, before: str, after: str) -> str:
@@ -225,27 +290,14 @@ def render_report(label: str, results: list[CaseResult], fmt: str, took: float) 
     A JSON block is the rows as json.dumps nests them in the results list,
     with no separator before the first row or after the last.  A human block
     is the task's summary line and at most 10 of its failures.  TSV and
-    human output write a mismatch as json.dumps does.
+    human output write a mismatch as json.dumps does.  Every row, of every
+    format, is written by _rows.
     """
-    if fmt == "json":
-        id_s, layouts = _json_str(label), {}
-        return ",\n".join([_row_json(id_s, r, layouts) for r in results])
-    if fmt == "tsv":
-        lines = []
-        for r in results:
-            params = ",".join(f"{k}={v}" for k, v in r.params.items())
-            mismatch = "" if r.first_mismatch is None else json.dumps(r.first_mismatch)
-            lines.append(
-                f"{label}\t{params}\t{int(r.passed)}\t{mismatch}\t{r.lhs_hash}\t{r.rhs_hash}\n"
-            )
-        return "".join(lines)
+    if fmt != "human":
+        return _rows(label, results, fmt)
     failed = [r for r in results if not r.passed]
     status = "ok" if not failed else f"{len(failed)} FAILED"
-    lines = [f"{label}: {len(results)} cases, {status} ({took:.2f}s)"]
-    for r in failed[:10]:
-        params = ",".join(f"{k}={v}" for k, v in r.params.items())
-        lines.append(f"  FAIL {params} first_mismatch={json.dumps(r.first_mismatch)}")
-    return "\n".join(lines) + "\n"
+    return f"{label}: {len(results)} cases, {status} ({took:.2f}s)\n" + _rows(label, failed[:10], fmt)
 
 
 class _ReportWriter:

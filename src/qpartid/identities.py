@@ -34,6 +34,8 @@ binomial rows) lives in one store, _ROWS: a row [entry(*key, j) for j = 0,
 larger indices arrive; none is ever rebuilt.  The count layer keeps its
 kernel tables there too, grown in place the same way, and its count planes,
 each rebuilt with its rows or columns doubled when a case falls outside it.
+The weight rows w(0..count-1) are kept there as well, one tuple per
+(weight, count, n mod 6), built once and never changed.
 
 The remaining count chains are written out.
 
@@ -50,7 +52,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bigpoly import (
@@ -99,15 +101,26 @@ def twice_sin_over_sqrt3(j: int) -> int:
 _PLAIN, _ALT, _COS, _SIN = "plain", "alt", "cos", "sin"
 
 
-def _weights(weight: str, count: int, n: int) -> list[int]:
-    """w(0..count-1): 1, (-1)^k, 2cos((2k-n)pi/3) or 2sin((n-2k)pi/3)/sqrt(3)."""
-    if weight == _ALT:
-        return [1 - 2 * (k % 2) for k in range(count)]
-    if weight == _COS:
-        return [twice_cos(2 * k - n) for k in range(count)]
-    if weight == _SIN:
-        return [twice_sin_over_sqrt3(n - 2 * k) for k in range(count)]
-    return [1] * count
+def _weights(weight: str, count: int, n: int) -> tuple[int, ...]:
+    """w(0..count-1): 1, (-1)^k, 2cos((2k-n)pi/3) or 2sin((n-2k)pi/3)/sqrt(3).
+
+    The weights depend on n only through n mod 6, so each (weight, count,
+    n mod 6) is built once and kept in _ROWS as a tuple, which every case
+    that reads it shares.
+    """
+    key = (_weights, weight, count, n % 6)
+    row = _ROWS.get(key)
+    if row is None:
+        if weight == _ALT:
+            row = tuple(1 - 2 * (k % 2) for k in range(count))
+        elif weight == _COS:
+            row = tuple(twice_cos(2 * k - n) for k in range(count))
+        elif weight == _SIN:
+            row = tuple(twice_sin_over_sqrt3(n - 2 * k) for k in range(count))
+        else:
+            row = (1,) * count
+        _ROWS[key] = row
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +199,9 @@ def _finish_poly(params: dict[str, int], lhs: IntPoly, rhs: IntPoly, tamper: boo
         rhs = poly_add(rhs, ONE)
     lhs_hash = _digest(lhs.coeffs)
     if lhs.coeffs == rhs.coeffs:  # equal sides hash alike
-        return CaseResult(params=params, passed=True, lhs_hash=lhs_hash, rhs_hash=lhs_hash)
+        return CaseResult(params, True, lhs_hash, lhs_hash)
     return CaseResult(
-        params=params,
-        passed=False,
-        lhs_hash=lhs_hash,
-        rhs_hash=_digest(rhs.coeffs),
-        first_mismatch=_poly_first_mismatch(lhs, rhs),
+        params, False, lhs_hash, _digest(rhs.coeffs), _poly_first_mismatch(lhs, rhs)
     )
 
 
@@ -200,18 +209,18 @@ def _finish_pairs(
     params: dict[str, int], pairs: Sequence[tuple[int, int]], tamper: bool
 ) -> CaseResult:
     """The verdict on a non-empty list of (lhs, rhs) integer pairs."""
-    lhs, rhs = zip(*pairs)
-    if tamper:
-        rhs = (rhs[0] + 1, *rhs[1:])
+    if len(pairs) == 1:
+        ((l, r),) = pairs
+        lhs, rhs = (l,), (r + 1 if tamper else r,)
+    else:
+        lhs, rhs = zip(*pairs)
+        if tamper:
+            rhs = (rhs[0] + 1, *rhs[1:])
     lhs_hash = _digest(lhs)
     if lhs == rhs:  # equal sides hash alike
-        return CaseResult(params=params, passed=True, lhs_hash=lhs_hash, rhs_hash=lhs_hash)
+        return CaseResult(params, True, lhs_hash, lhs_hash)
     return CaseResult(
-        params=params,
-        passed=False,
-        lhs_hash=lhs_hash,
-        rhs_hash=_digest(rhs),
-        first_mismatch=next((l, r) for l, r in zip(lhs, rhs) if l != r),
+        params, False, lhs_hash, _digest(rhs), next((l, r) for l, r in zip(lhs, rhs) if l != r)
     )
 
 
@@ -242,14 +251,30 @@ def _require_q_domain(params: dict[str, int], resdbl: bool) -> None:
 
 
 def _sides_check(identity_id: str, kind: str, names: tuple[str, ...], sides: Callable):
-    """A check from sides(*values): two polynomials, or a list of (lhs, rhs) integer pairs."""
+    """A check from sides(*values): two polynomials, or a list of (lhs, rhs) integer pairs.
+
+    Everything a case does not change is settled here, once per descriptor:
+    the reader of the values at names and, for a q identity, its domain.
+    """
+    if len(names) == 1:
+        (name,) = names
+
+        def values(params):
+            return (params[name],)
+
+    else:
+        values = itemgetter(*names)
+    if kind != KIND_Q_POLYNOMIAL:
+
+        def check(params, tamper=False):
+            return _finish_pairs(params, sides(*values(params)), tamper)
+
+        return check
+    resdbl = identity_id in RESDBL_IDS
 
     def check(params, tamper=False):
-        args = [params[name] for name in names]
-        if kind != KIND_Q_POLYNOMIAL:
-            return _finish_pairs(params, sides(*args), tamper)
-        _require_q_domain(params, resdbl=identity_id in RESDBL_IDS)
-        return _finish_poly(params, *sides(*args), tamper)
+        _require_q_domain(params, resdbl)
+        return _finish_poly(params, *sides(*values(params)), tamper)
 
     return check
 
@@ -264,9 +289,10 @@ def _sides_check(identity_id: str, kind: str, names: tuple[str, ...], sides: Cal
 # twice.  Entries call the functions they read by module-global name, so a
 # row fills through whichever functions the module binds when it first grows.
 # The count layer keeps its 2-D kernel tables and count planes here as well,
-# under (_count_entry, name, p) and (_count_plane, side, p).
+# under (_count_entry, name, p) and (_count_plane, side, p), and _weights its
+# tuples under (_weights, weight, count, n mod 6).
 
-_ROWS: dict[tuple, list] = {}
+_ROWS: dict[tuple, Sequence] = {}
 
 
 def _row(entry: Callable, *key, top: int) -> list:
@@ -384,7 +410,7 @@ def triangle_sum(
     diagonals = _row(_diagonal, m, b, sign_on, keep, top=n)
     total = ZERO
     for f, g in zip(F, diagonals[: n + 1]):
-        if not g.is_zero():
+        if g.coeffs:
             total = poly_add(total, poly_mul(f, g))
     return total
 
@@ -972,13 +998,13 @@ def run_identity(
     """Evaluate one identity over a grid; module-level so worker pools can import it."""
     global _digests
     desc = get_descriptor(identity_id)
-    results = []
-    first = True
+    check, cases = desc.check, iter_cases(desc, grid)
     _digests = {}
     try:
-        for params in iter_cases(desc, grid):
-            results.append(desc.check(params, tamper=tamper_first and first))
-            first = False
+        results = []
+        if tamper_first:
+            results.extend(check(params, True) for params in itertools.islice(cases, 1))
+        results.extend(map(check, cases))
     finally:
         _digests = None
     return results

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpartid.bigpoly import format_poly
-from qpartid.cli import _render, main
+from qpartid.cli import _render, main, render_report
+from qpartid.identities import CaseResult
 from qpartid.qbinom import bracket_base
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -172,8 +173,18 @@ def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
             ("oracle-diff", "--n-max", "8"),
             "f38484a45d09cfc4696f07412c0d41b032e0fcb0ef0d646d61d8c2e0322ed0a8",
         ),
+        (
+            # the qpoly benchmark's grid: 24,576 resdbl1-4 rows
+            (
+                "verify",
+                *("--family", "resdbl1", "--family", "resdbl2"),
+                *("--family", "resdbl3", "--family", "resdbl4"),
+                *("--n-max", "7", "--m-max", "7", "--p-max", "7", "--workers", "1"),
+            ),
+            "41768b82e50796a316218feca8eddfb0ebc60aac26ac630337d88412ae6f0c20",
+        ),
     ],
-    ids=["verify-all-small", "oracle-diff-8"],
+    ids=["verify-all-small", "oracle-diff-8", "qpoly-grid"],
 )
 def test_tsv_report_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
@@ -1035,6 +1046,44 @@ def example_row(**fields):
 @example({"config": {}, "results": [], "timing": {}, "version": "0"})
 @example(
     {
+        # "%" in a params key and in the id, which the row writer must not read as a slot
+        "config": {},
+        "results": [example_row(params={"%": 0}), example_row(id="%d %s %%", params={"%s": 1})],
+        "timing": {},
+        "version": "0",
+    }
+)
+@example(
+    {
+        # rows of one block that share a digest but not the text around their params
+        "config": {},
+        "results": [
+            example_row(),
+            example_row(first_mismatch=3, **{"pass": False}),
+            example_row(first_mismatch=[1, 2], **{"pass": False}),
+            example_row(lhs_hash="a" * 64, **{"pass": False}),
+            example_row(lhs_hash="b" * 64),
+        ],
+        "timing": {},
+        "version": "0",
+    }
+)
+@example(
+    {
+        # two params key orders, and a third key set, in one block
+        "config": {},
+        "results": [
+            example_row(params={"n": 1, "m": 2}),
+            example_row(params={"m": 2, "n": 1}),
+            example_row(params={"n": 1, "m": 2, "p": 3}),
+            example_row(params={"m": 5, "n": 4}),
+        ],
+        "timing": {},
+        "version": "0",
+    }
+)
+@example(
+    {
         "config": {"families": ["delta"], "overrides": {}},
         "results": [
             example_row(),
@@ -1052,3 +1101,39 @@ def example_row(**fields):
 )
 def test_json_render_is_json_dumps(report):
     assert_renders_as_json_dumps(report)
+
+
+def text_block_by_fstring(label, results, fmt):
+    """Reference: a TSV or human block of a task that took no time, one f-string per line."""
+    failures = sum(1 for r in results if not r.passed)
+    status = f"{failures} FAILED" if failures else "ok"
+    lines = [] if fmt == "tsv" else [f"{label}: {len(results)} cases, {status} (0.00s)\n"]
+    for r in results:
+        params = ",".join(f"{k}={v}" for k, v in r.params.items())
+        if fmt == "tsv":
+            mismatch = "" if r.first_mismatch is None else json.dumps(r.first_mismatch)
+            lines.append(
+                f"{label}\t{params}\t{int(r.passed)}\t{mismatch}\t{r.lhs_hash}\t{r.rhs_hash}\n"
+            )
+        elif not r.passed and len(lines) <= 10:
+            lines.append(f"  FAIL {params} first_mismatch={json.dumps(r.first_mismatch)}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROW_TEXT, st.lists(REPORT_ROWS, max_size=12))
+@example("%s", [example_row(params={"%": 0}), example_row(params={"%d": 1}, **{"pass": False})])
+@example(
+    "delta",
+    [
+        example_row(),
+        example_row(first_mismatch=[1, 2], **{"pass": False}),
+        example_row(params={"m": 1, "n": 3}),
+        example_row(rhs_hash="0" * 64, first_mismatch=0, **{"pass": False}),
+    ],
+)
+def test_text_render_is_the_row_fstring(label, rows):
+    fields = ("params", "pass", "lhs_hash", "rhs_hash", "first_mismatch")
+    results = [CaseResult(*(row[key] for key in fields)) for row in rows]
+    for fmt in ("tsv", "human"):
+        assert render_report(label, results, fmt, 0.0) == text_block_by_fstring(label, results, fmt)

@@ -61,6 +61,23 @@ def test_twice_sin_table():
         assert twice_sin_over_sqrt3(-j) == -twice_sin_over_sqrt3(j)
 
 
+def test_weight_rows_are_shared_tuples_of_their_formulas():
+    formulas = {
+        identities._PLAIN: lambda k, n: 1,
+        identities._ALT: lambda k, n: (-1) ** k,
+        identities._COS: lambda k, n: twice_cos(2 * k - n),
+        identities._SIN: lambda k, n: twice_sin_over_sqrt3(n - 2 * k),
+    }
+    for weight, w in formulas.items():
+        for count in range(41):
+            for n in range(41):
+                row = identities._weights(weight, count, n)
+                # a tuple, so no caller can change the row every case shares
+                assert type(row) is tuple
+                assert row == tuple(w(k, n) for k in range(count)), (weight, count, n)
+                assert identities._weights(weight, count, n + 6) is row
+
+
 # --- registry shape ---------------------------------------------------------
 
 
