@@ -7,9 +7,17 @@ Since no value can change, a sum or product may return an operand unchanged:
 poly_add with a zero operand and poly_mul with a unit operand (coefficients
 exactly (1,)) hand back the other operand itself, not a copy.
 
-grid_mul multiplies two bivariate polynomials held as grids of nonnegative
-coefficients by packing each into one integer; this module is the only one
-that knows the packing.
+Packing (Kronecker substitution).  Evaluating at q = 2**(8*width) is a ring
+homomorphism, so a polynomial can be carried as one int: pack puts
+coefficient i in the little-endian slot i of width bytes, sums and products
+of packed ints are the packed sums and products, and unpack reads the slots
+back as balanced digits, |c| < 2**(8*width - 1), once for the whole result.
+The width must come from a proven bound on every coefficient of that result
+(slot_width), never from a guess: a coefficient outside half a slot borrows
+from its neighbour and unpacks wrong.
+poly_mul stays the schoolbook loop; grid_mul packs two bivariate grids the
+same way.  This module is the only one that knows the slot layout; its
+callers hold the packed values as opaque ints.
 """
 
 from __future__ import annotations
@@ -150,6 +158,61 @@ def grid_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], d: int = 1)
         [int.from_bytes(data[s : s + width], "little") for s in range(i * width, (i + cols) * width, width)]
         for i in range(0, rows * stride, stride)
     ]
+
+
+def slot_width(bound: int) -> int:
+    """The fewest bytes per slot that hold every coefficient c with |c| <= bound.
+
+    A slot of w bytes unpacks the balanced digits |c| < 2**(8w - 1), so w is
+    the least width with bound < 2**(8w - 1).
+    """
+    if bound < 0:
+        raise ValueError(f"a coefficient bound must be >= 0, got {bound}")
+    return bound.bit_length() // 8 + 1
+
+
+def pack(a: IntPoly, width: int, step: int = 1) -> int:
+    """a(q**step) at q = 2**(8*width): coefficient i in slot i*step, width bytes per slot.
+
+    The value is exact whatever the coefficients: negative ones are packed
+    apart and subtracted, and the bits of a coefficient past its slot are
+    packed again one slot up.  Only unpack needs the coefficients of its
+    result bounded.
+    """
+    cs = a.coeffs
+    if not cs:
+        return 0
+    if min(cs) < 0:
+        return _pack_row([c if c > 0 else 0 for c in cs], width, step) - _pack_row(
+            [-c if c < 0 else 0 for c in cs], width, step
+        )
+    return _pack_row(cs, width, step)
+
+
+def _pack_row(cs: Sequence[int], width: int, step: int) -> int:
+    """pack of nonnegative coefficients, one slot-wide digit of each per pass."""
+    bits, total, shift = 8 * width, 0, 0
+    while max(cs) >> bits:
+        mask = (1 << bits) - 1
+        total += _pack(([c & mask for c in cs],), width, step, step * len(cs)) << shift
+        cs, shift = [c >> bits for c in cs], shift + bits
+    return total + (_pack((cs,), width, step, step * len(cs)) << shift)
+
+
+def unpack(x: int, width: int) -> IntPoly:
+    """The polynomial that pack(..., width) packed into x, read with balanced digits.
+
+    Adding half a slot to every slot makes each digit c + 2**(8*width - 1)
+    nonnegative and less than a slot, so each slot is read unsigned and the
+    half taken off again.  A nonzero top coefficient at slot D puts |x| above
+    2**(8*width*D - 1), so the bit length of x bounds the slots to read.
+    """
+    bits = 8 * width
+    slots = abs(x).bit_length() // bits + 1
+    half = 1 << (bits - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")  # half in every slot
+    data = (x + bias).to_bytes(slots * width, "little")
+    return IntPoly([int.from_bytes(data[s : s + width], "little") - half for s in range(0, slots * width, width)])
 
 
 def _pack(grid: Sequence[Sequence[int]], width: int, step: int, pitch: int) -> int:

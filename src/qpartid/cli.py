@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import json
 import os
 import shutil
@@ -336,23 +335,6 @@ class _ReportWriter:
                 f"TOTAL: {totals['cases']} cases, {totals['passes']} passed, "
                 f"{totals['failures']} failed -> {verdict} ({tail['timing']['total']:.2f}s)\n"
             )
-
-
-def _render(report: dict, fmt: str) -> str:
-    """The whole report in fmt, written by _ReportWriter with one block per run of equal ids.
-
-    The report is a parsed one, whose rows are made CaseResults again; a
-    pair mismatch stays the two-item list it was parsed as.
-    """
-    sink = io.StringIO()
-    writer = _ReportWriter(sink, fmt, {k: v for k, v in report.items() if k < "results"})
-    fields = ("params", "pass", "lhs_hash", "rhs_hash", "first_mismatch")
-    for label, rows in itertools.groupby(report["results"], key=lambda row: row["id"]):
-        results = [CaseResult(*(row[key] for key in fields)) for row in rows]
-        took = report["timing"].get(label, 0.0)
-        writer.add(render_report(label, results, fmt, took), len(results))
-    writer.close({k: v for k, v in report.items() if k > "results"})
-    return sink.getvalue()
 
 
 def _check_out(out: Optional[str]) -> None:

@@ -5,11 +5,15 @@ default verification grid.  Checks build both sides independently and
 compare exactly, in three layers that share no evaluator:
 
 * q-polynomial: exact q-binomial brackets.  The single sums are rows of
-  _Q_SUMS over two bracket kernels U and V, read by _q_side.  The double sums
-  come from one triangle theorem: for any sequence F(0..n),
+  _Q_SUMS over two bracket kernels U and V, read by _q_side.  Each side is
+  summed as one int, with every kernel packed at q = 2**(8*width) (see
+  bigpoly), so a term costs one integer product, and the side is unpacked
+  once, for its digest and a first mismatch.  The double sums come from one
+  triangle theorem: for any sequence F(0..n),
       sum_{k+l <= n} (-1)^(k or l) F(k+l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b = F(0),
   evaluated by triangle_sum as sum_j F(j) G_j, where the diagonal G_j sums
-  the kernel products V_k U_l over k + l = j.  resdbl1-4 are its instances with
+  the kernel products V_k U_l over k + l = j, packed in the same way, and a
+  case visits only the nonzero diagonals.  resdbl1-4 are its instances with
       F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c  (resdbl1: sign on k, resdbl2: on l)
       F(j) = q^(a*C(n-j,2)) [p, n-j]_c    (resdbl3: sign on k, resdbl4: on l),
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
@@ -28,12 +32,14 @@ compare exactly, in three layers that share no evaluator:
   at index d*n + r; comb16-22 the _RESDBL row, or the half of a _COROLLARIES
   row, at a = b = c = 1, read as sum_j F_{n-j} g_j over integer diagonals g_j.
 
-Every kernel a case reads (U and V, the diagonals, the resdbl F rows, the
-binomial rows) lives in one store, _ROWS: a row [entry(*key, j) for j = 0,
-1, ...] per (entry, *key), filled lazily on first read and grown in place as
-larger indices arrive; none is ever rebuilt.  The count layer keeps its
-kernel tables there too, grown in place the same way, and its count planes,
-each rebuilt with its rows or columns doubled when a case falls outside it.
+Every kernel a case reads (U and V, their coefficient sums and their packed
+values, the diagonals, the resdbl F rows, the binomial rows) lives in one
+store, _ROWS: a row [entry(*key, j) for j = 0, 1, ...] per (entry, *key),
+filled lazily on first read and grown in place as larger indices arrive;
+none is rebuilt but a packed row, packed again when its slot width grows.
+The count layer keeps its kernel tables there too, grown in place the same
+way, and its count planes, each rebuilt with its rows or columns doubled
+when a case falls outside it.
 The weight rows w(0..count-1) are kept there as well, one tuple per
 (weight, count, n mod 6), built once and never changed.
 
@@ -60,10 +66,13 @@ from .bigpoly import (
     ONE,
     ZERO,
     grid_mul,
+    pack,
     poly_add,
     poly_mul,
-    poly_scale,
     poly_shift,
+    poly_substitute_power,
+    slot_width,
+    unpack,
 )
 from .partitions import (
     UNBOUNDED,
@@ -288,8 +297,17 @@ def _sides_check(identity_id: str, kind: str, names: tuple[str, ...], sides: Cal
 # larger j arrive, so every case of a grid shares it and no entry is computed
 # twice.  Entries call the functions they read by module-global name, so a
 # row fills through whichever functions the module binds when it first grows.
-# The count layer keeps its 2-D kernel tables and count planes here as well,
-# under (_count_entry, name, p) and (_count_plane, side, p), and _weights its
+# The q kernels are rows under (_q_kernel, name, m), their coefficient sums
+# under (_q_norm, name, m) and their packed values under (_q_packed, name, m,
+# d), one row with its slot width; the packed ints are opaque here, and only
+# bigpoly reads their slots.  The cases at m read every packed row at one
+# width, kept under (_q_width, m), which only grows: a case whose bound needs
+# a wider slot widens it, and each row is packed again at the new width the
+# next time it is read, replacing the narrower one.  Each
+# triangle diagonal row sits under (_diagonals, m, b, sign_on, keep) with
+# the ascending indices of its nonzero diagonals beside it.  The count layer
+# keeps its 2-D kernel tables and count planes here as well, under
+# (_count_entry, name, p) and (_count_plane, side, p), and _weights its
 # tuples under (_weights, weight, count, n mod 6).
 
 _ROWS: dict[tuple, Sequence] = {}
@@ -321,8 +339,17 @@ def _diagonal_terms(sign_on: str, keep: Optional[int], j: int):
 #     U_j = [m+j, m]_d        V_j = q^(d*C(j,2)) [m+1, j]_d
 # A side is a kernel at index n in base q, _DELTA (1 at n = 0, else 0), or a
 # row (scale, A, B, d, w) meaning scale * sum_{k <= n/d} w(k) A_{n-dk} B_k,
-# with A in base q and B in base q**d.  Cosine rows come back doubled.  Each
-# kernel is one row per (name, m, d).
+# with A in base q and B in base q**d.  Cosine rows come back doubled.
+#
+# Both sides of a case are evaluated as packed ints (see bigpoly): a row side
+# is scale * sum_k w(k) * pack(A_{n-dk}) * pack(B_k), one integer product per
+# term, and only the finished side is unpacked, once, for its digest and a
+# first mismatch.  The slot width of a case is at least the one set by a
+# proven bound on every coefficient of either side, sum_k |scale * w(k)| *
+# |A_{n-dk}|_1 * |B_k|_1, where |.|_1, the coefficient sum, is read off the
+# kernels themselves; a wider slot unpacks the same polynomial, so a case
+# takes the widest any case at its m has taken (_q_width).  B is packed from
+# its base-q row with its slots d apart.
 
 _DELTA = "delta"
 
@@ -337,32 +364,76 @@ _Q_SUMS = {
 }
 
 
-def _q_kernel(name: str, m: int, d: int, j: int) -> IntPoly:
-    """The kernel U or V at index j, read in base q**d."""
+def _q_kernel(name: str, m: int, j: int) -> IntPoly:
+    """The kernel U or V at index j, in base q."""
     if name == "U":
-        return bracket_base(m + j, m, d)
-    return poly_shift(bracket_base(m + 1, j, d), d * binom2(j))
+        return bracket_base(m + j, m)
+    return poly_shift(bracket_base(m + 1, j), binom2(j))
 
 
-def _q_side(side, n: int, m: int) -> IntPoly:
+def _q_norm(name: str, m: int, j: int) -> int:
+    """|kernel_j|_1, the sum of its (nonnegative) coefficients, in any base."""
+    return sum(_row(_q_kernel, name, m, top=j)[j].coeffs)
+
+
+def _q_packed(name: str, m: int, d: int, width: int, top: int) -> list[int]:
+    """The kernels 0..top (at least) in base q**d, packed at width.
+
+    One row per (name, m, d) is kept, with its width: a read at another
+    width drops it and packs it again at that one.
+    """
+    key = (_q_packed, name, m, d)
+    entry = _ROWS.get(key)
+    if entry is None or entry[0] != width:
+        entry = _ROWS[key] = (width, [])
+    row = entry[1]
+    if len(row) <= top:
+        kernels = _row(_q_kernel, name, m, top=top)
+        row.extend(pack(kernels[j], width, d) for j in range(len(row), top + 1))
+    return row
+
+
+def _q_width(m: int, bound: int) -> int:
+    """The slot width of a case at m: the one its bound sets, or the widest any case at m took before.
+
+    Every case at m reads its packed rows at this width, so it only grows,
+    and each row is packed again only when it does.
+    """
+    held = _ROWS.setdefault((_q_width, m), [0])
+    held[0] = max(held[0], slot_width(bound))
+    return held[0]
+
+
+def _q_bound(side, n: int, m: int) -> int:
+    """A bound on every |coefficient| of the side at (n, m)."""
     if side == _DELTA:
-        return ONE if n == 0 else ZERO
+        return 1
     if isinstance(side, str):
-        return _row(_q_kernel, side, m, 1, top=n)[n]
+        return _row(_q_norm, side, m, top=n)[n]
     scale, a, b, d, weight = side
-    outer = _row(_q_kernel, a, m, 1, top=n)
-    inner = _row(_q_kernel, b, m, d, top=n // d)
-    total = ZERO
-    for k, w in enumerate(_weights(weight, n // d + 1, n)):
-        w *= scale
-        if w:
-            term = poly_mul(outer[n - d * k], inner[k])
-            total = poly_add(total, term if w == 1 else poly_scale(term, w))
-    return total
+    outer, inner = _row(_q_norm, a, m, top=n), _row(_q_norm, b, m, top=n // d)
+    weights = map(abs, _weights(weight, n // d + 1, n))
+    return abs(scale) * sum(map(mul, weights, map(mul, outer[n::-d], inner)))
+
+
+def _q_side(side, n: int, m: int, width: int) -> int:
+    """The side at (n, m), packed at width."""
+    if side == _DELTA:
+        return int(n == 0)
+    if isinstance(side, str):
+        return _q_packed(side, m, 1, width, n)[n]
+    scale, a, b, d, weight = side
+    outer, inner = _q_packed(a, m, 1, width, n), _q_packed(b, m, d, width, n // d)
+    return scale * sum(map(mul, _weights(weight, n // d + 1, n), map(mul, outer[n::-d], inner)))
 
 
 def _q_sum_sides(spec, n: int, m: int) -> tuple[IntPoly, IntPoly]:
-    return _q_side(spec[0], n, m), _q_side(spec[1], n, m)
+    lhs, rhs = spec
+    width = _q_width(m, max(_q_bound(lhs, n, m), _q_bound(rhs, n, m)))
+    x, y = _q_side(lhs, n, m, width), _q_side(rhs, n, m, width)
+    left = unpack(x, width)
+    # at one width, equal packed ints are equal polynomials
+    return left, left if x == y else unpack(y, width)
 
 
 # --- the triangle theorem and its instances ---------------------------------
@@ -373,20 +444,59 @@ def _q_sum_sides(spec, n: int, m: int) -> tuple[IntPoly, IntPoly]:
 # sum_j F(j) G_j, with
 #     G_j = sum_{k+l=j} (-1)^(k or l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b.
 # The summand of G_j is V_k U_l with the single sums' kernels read in base
-# q**b, so the diagonals are one row per (m, b, the signed index) and shared
-# across the whole verification grid.  A parity half keeps only the terms whose
+# q**b, so G_j in base q**b is G_j in base q dilated by b.  A diagonal in base
+# q is summed packed, as a single-sum side is: sum_{k+l=j} +-pack(V_k) *
+# pack(U_l) at a width that holds sum_{k+l=j} |V_k|_1 * |U_l|_1 (_q_width),
+# unpacked once.
+# The diagonals are one row per (m, b, the signed index) and shared across
+# the whole verification grid.  A parity half keeps only the terms whose
 # unsigned index u has u = keep (mod 2), so its diagonals are keyed on keep as
 # well.  The theorem says G_0 = 1 and G_j = 0 for j >= 1; a half's diagonals
-# need not vanish.
+# need not vanish.  Each row keeps the ascending indices of its nonzero
+# diagonals beside it, so a case visits only those.
 
 
 def _diagonal(m: int, b: int, sign_on: str, keep: Optional[int], j: int) -> IntPoly:
     """G_j, over the unsigned indices u = keep (mod 2) only when keep is set."""
-    v, u = _row(_q_kernel, "V", m, b, top=j), _row(_q_kernel, "U", m, b, top=j)
+    if b > 1:
+        return poly_substitute_power(_diagonals(m, 1, sign_on, keep, j)[0][j], b)
+    terms = list(_diagonal_terms(sign_on, keep, j))
+    v_norm, u_norm = _row(_q_norm, "V", m, top=j), _row(_q_norm, "U", m, top=j)
+    width = _q_width(m, sum(v_norm[k] * u_norm[l] for k, l, _ in terms))
+    v, u = _q_packed("V", m, 1, width, j), _q_packed("U", m, 1, width, j)
+    return unpack(sum(sign * v[k] * u[l] for k, l, sign in terms), width)
+
+
+def _diagonals(m: int, b: int, sign_on: str, keep: Optional[int], top: int) -> tuple[list, list]:
+    """The row G_0, G_1, ... through at least top, and the ascending j whose G_j is nonzero."""
+    key = (_diagonals, m, b, sign_on, keep)
+    entry = _ROWS.get(key)
+    if entry is None:
+        entry = _ROWS[key] = ([], [])
+    row, nonzero = entry
+    for j in range(len(row), top + 1):
+        g = _diagonal(m, b, sign_on, keep, j)
+        if g.coeffs:
+            nonzero.append(j)
+        row.append(g)
+    return entry
+
+
+def _triangle(H: Sequence[IntPoly], n: int, m: int, b: int, sign_on: str, keep: Optional[int]) -> IntPoly:
+    """sum_j H[n - j] G_j over the nonzero diagonals j <= n: the triangle sum of F(j) = H[n - j].
+
+    The product with G_0 = 1 and the sum onto zero pass their operand
+    through (see bigpoly), so when the theorem holds the result is the
+    object H[n] itself, not a copy.
+    """
+    if n < 0:
+        raise ValueError(f"{_Q_PARAM_DOMAIN_MSG}: got n = {n}")
+    row, nonzero = _diagonals(m, b, sign_on, keep, n)
     total = ZERO
-    for k, l, sign in _diagonal_terms(sign_on, keep, j):
-        term = poly_mul(v[k], u[l])
-        total = poly_add(total, term if sign == 1 else poly_scale(term, -1))
+    for j in nonzero:
+        if j > n:
+            break
+        total = poly_add(total, poly_mul(H[n - j], row[j]))
     return total
 
 
@@ -397,22 +507,16 @@ def triangle_sum(
 
     With parity set, only the terms whose unsigned index u (l when the sign
     is on k, k when it is on l) has n - u = parity (mod 2) are kept.  The sum
-    is read as sum_j F(j) G_j over the memoized diagonals G_j; a product is
-    skipped only when G_j is the zero polynomial.  The product with G_0 = 1
-    and the sum onto zero pass their operand through (see bigpoly), so when
-    the theorem holds the result is the object F(0) itself, not a copy.
+    is read as sum_j F(j) G_j over the memoized diagonals G_j, with a product
+    only for each nonzero G_j.  When the theorem holds the result is the
+    object F(0) itself, not a copy.
     """
     if len(F) < n + 1:
         raise ValueError(f"F must provide at least n+1 = {n + 1} values, got {len(F)}")
     if sign_on not in ("k", "l"):
         raise ValueError(f"sign_on must be 'k' or 'l', got {sign_on!r}")
     keep = None if parity is None else (n - parity) % 2
-    diagonals = _row(_diagonal, m, b, sign_on, keep, top=n)
-    total = ZERO
-    for f, g in zip(F, diagonals[: n + 1]):
-        if g.coeffs:
-            total = poly_add(total, poly_mul(f, g))
-    return total
+    return _triangle(F[n::-1], n, m, b, sign_on, keep)
 
 
 # The four double sums take F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c or [p, n-j]_c;
@@ -427,21 +531,15 @@ RESDBL_IDS = tuple(_RESDBL)
 
 
 def _resdbl_h(shifted_top: bool, p: int, a: int, c: int, s: int) -> IntPoly:
-    """H[s] = q^(a*C(s,2)) [p+s, p]_c or [p, s]_c; every (n, m, b) case reads F(j) = H[n - j]."""
+    """H[s] = q^(a*C(s,2)) [p+s, p]_c or [p, s]_c; every (n, m, b) case reads F(j) = H[n - j] in place."""
     base = bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c)
     return poly_shift(base, a * binom2(s))
 
 
-def _resdbl_f(variant: str, n: int, p: int, a: int, c: int) -> tuple[IntPoly, ...]:
-    """F(0..n) of a resdbl identity, read from its row H as H[n], ..., H[0]."""
-    if n < 0:
-        raise ValueError(f"{_Q_PARAM_DOMAIN_MSG}: got n = {n}")
-    return tuple(_row(_resdbl_h, _RESDBL[variant][0], p, a, c, top=n)[n::-1])
-
-
 def _resdbl_sides(variant: str, n, m, p, a, b, c) -> tuple[IntPoly, IntPoly]:
-    F = _resdbl_f(variant, n, p, a, c)
-    return triangle_sum(F, n, m, b, _RESDBL[variant][1]), F[0]
+    shifted_top, sign_on = _RESDBL[variant]
+    H = _row(_resdbl_h, shifted_top, p, a, c, top=n)
+    return _triangle(H, n, m, b, sign_on, None), H[n]
 
 
 _NM = ("n", "m")
@@ -468,10 +566,11 @@ def parity_sum_sides(corollary_id: str, parity: str, n: int, m: int) -> tuple[In
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     variant, p_offset, a = _COROLLARIES[corollary_id]
-    F = _resdbl_f(variant, n, m + p_offset, a, 1)
+    shifted_top, sign_on = _RESDBL[variant]
+    H = _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=n)
     odd = parity == "odd"
-    lhs = triangle_sum(F, n, m, 1, _RESDBL[variant][1], parity=int(odd))
-    return lhs, ZERO if odd else F[0]
+    lhs = _triangle(H, n, m, 1, sign_on, (n - odd) % 2)
+    return lhs, ZERO if odd else H[n]
 
 
 def _check_corollary(corollary_id: str, params, tamper=False):

@@ -14,6 +14,8 @@ def test_traced_run_records_the_benchmark_spans_and_leaves(tmp_path):
     argv = [
         "verify",
         *("--family", "delta", "--family", "theorem1", "--family", "comb20"),
+        # the single sums multiply packed; the parity halves still go through poly_mul
+        *("--family", "corollary_2_4"),
         *("--n-max", "1", "--m-max", "1", "--p-max", "1"),
         *("--workers", "1", "--format", "json", "--out", str(report_out)),
     ]
@@ -31,6 +33,6 @@ def test_traced_run_records_the_benchmark_spans_and_leaves(tmp_path):
     spans = {span["name"] for span in trace["spans"]}
     assert {"identities.run_identity", "cli.run_verify", "cli.render_report"} <= spans
     functions = {record["name"] for record in trace["functions"]}
-    assert {"partitions.count_P", "bigpoly.poly_mul"} <= functions
+    assert {"partitions.count_P", "bigpoly.poly_mul", "bigpoly.pack"} <= functions
     # the kernels are read through row entries, which call the traced leaves
     assert {"qbinom.binom", "qbinom.bracket_base", "partitions.count_Q"} <= functions

@@ -12,12 +12,15 @@ from qpartid.bigpoly import (
     coeff_at,
     format_poly,
     grid_mul,
+    pack,
     poly_add,
     poly_eval_int,
     poly_mul,
     poly_scale,
     poly_shift,
     poly_substitute_power,
+    slot_width,
+    unpack,
 )
 
 P_1_PLUS_Q = IntPoly([1, 1])
@@ -163,6 +166,100 @@ def test_add_and_mul_match_the_schoolbook_loops(a, b):
         assert poly_add(a, b) is b and poly_add(b, a) is b
     if a.coeffs == (1,) and b.coeffs not in ((), (1,)):
         assert poly_mul(a, b) is b and poly_mul(b, a) is b
+
+
+# signed operands longer and shorter than the kernels a case packs, with
+# coefficients at the edges of one, two and eight bytes
+EDGE_COEFFS = [s * (2**k + e) for k in (7, 8, 15, 63, 64) for e in (-1, 0) for s in (1, -1)]
+long_operands = st.one_of(
+    st.just(ZERO),
+    st.just(ONE),
+    st.builds(
+        IntPoly,
+        st.lists(
+            st.integers(-3, 3) | st.integers(-(10**20), 10**20) | st.sampled_from(EDGE_COEFFS),
+            max_size=40,
+        ),
+    ),
+)
+
+
+def product_width(a, b):
+    # no coefficient of a*b exceeds max|a| * max|b| * (the shorter length)
+    terms = min(len(a.coeffs), len(b.coeffs))
+    return slot_width(max(map(abs, a.coeffs), default=0) * max(map(abs, b.coeffs), default=0) * terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=long_operands, b=long_operands)
+@example(a=IntPoly([1] * 15), b=IntPoly([-1] * 16))
+# 32 * 32**2 = 2**15 is half of two bytes, so its product needs a third
+@example(a=IntPoly([32] * 32), b=IntPoly([32] * 32))
+@example(a=IntPoly([-32] * 32), b=IntPoly([32] * 32))
+def test_packed_product_matches_the_schoolbook_loop(a, b):
+    want = poly_mul(a, b)
+    assert want == IntPoly(schoolbook_mul(list(a.coeffs), list(b.coeffs)))
+    w = product_width(a, b)
+    out = unpack(pack(a, w) * pack(b, w), w)
+    assert out == want and is_canonical(out)
+
+
+def test_a_product_packed_one_byte_too_narrow_unpacks_wrong():
+    # the middle coefficient 32 * 32**2 = 2**15 is one past the edge of two bytes
+    a = b = IntPoly([32] * 32)
+    w = product_width(a, b)
+    assert w == 3
+    assert unpack(pack(a, w - 1) * pack(b, w - 1), w - 1) != poly_mul(a, b)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
+def test_unpack_reads_balanced_digits_out_to_the_edge_of_a_slot(width):
+    edge = 2 ** (8 * width - 1) - 1
+    # the edge is the largest coefficient a width holds: one more needs a byte more
+    assert slot_width(edge) == width
+    assert slot_width(edge + 1) == width + 1
+    for coeffs in (
+        [edge],
+        [-edge],
+        [edge, -edge, 0, edge],
+        [-edge, 0, 0, -edge],
+        [0, 1, -1, edge],
+        [-1] * 5,
+        [edge] * 5 + [-edge],
+        [1, -edge, edge - 1, -(edge - 1)],
+    ):
+        a = IntPoly(coeffs)
+        for step in (1, 3):
+            dilated = poly_substitute_power(a, step)
+            x = pack(a, width, step)
+            assert x == poly_eval_int(dilated, 2 ** (8 * width))
+            assert unpack(x, width) == dilated
+    # one past the edge is read as a digit of the other sign, with a carry
+    assert unpack(pack(IntPoly([edge + 1]), width), width) != IntPoly([edge + 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=long_operands,
+    b=long_operands,
+    c=long_operands,
+    width=st.integers(1, 3),
+    step=st.integers(1, 3),
+)
+def test_pack_is_exact_evaluation_and_a_ring_map(a, b, c, width, step):
+    # pack evaluates any coefficients exactly, whatever the width; the
+    # packed a*b + c unpacks at the width its own bound sets
+    for p in (a, b, c):
+        assert pack(p, width, step) == poly_eval_int(poly_substitute_power(p, step), 2 ** (8 * width))
+    want = poly_add(IntPoly(schoolbook_mul(list(a.coeffs), list(b.coeffs))), c)
+    bound = max(map(abs, want.coeffs), default=0)
+    w = slot_width(bound)
+    assert unpack(pack(a, w) * pack(b, w) + pack(c, w), w) == want
+
+
+def test_slot_width_rejects_a_negative_bound():
+    with pytest.raises(ValueError):
+        slot_width(-1)
 
 
 def test_substitute_preserves_value_at_one():

@@ -1,6 +1,7 @@
 """The batch front end: selection, formats, exit codes, determinism."""
 
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpartid.bigpoly import format_poly
-from qpartid.cli import _render, main, render_report
+from qpartid.cli import _ReportWriter, main, render_report
 from qpartid.identities import CaseResult
 from qpartid.qbinom import bracket_base
 
@@ -183,8 +184,28 @@ def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
             ),
             "41768b82e50796a316218feca8eddfb0ebc60aac26ac630337d88412ae6f0c20",
         ),
+        (
+            # the seven single sums past the default grid: 2,024 lines
+            (
+                "verify",
+                *("--family", "delta", "--family", "result1", "--family", "result2"),
+                *("--family", "result3", "--family", "result4"),
+                *("--family", "result5", "--family", "result6"),
+                *("--n-max", "16", "--m-max", "16", "--workers", "1"),
+            ),
+            "c850cde56bcf6a50f432db017b8be5983c641420508dd95da371f4be13dc14df",
+        ),
+        (
+            # the parity halves and the triangle theorem past the default grid: 508 lines
+            (
+                "verify",
+                *("--family", "corollary_2_4", "--family", "corollary_3_4", "--family", "f_theorem"),
+                *("--n-max", "12", "--m-max", "12", "--workers", "1"),
+            ),
+            "61eade12937446411262e81473ef5aea6398042658198465b0e881ae739a6b48",
+        ),
     ],
-    ids=["verify-all-small", "oracle-diff-8", "qpoly-grid"],
+    ids=["verify-all-small", "oracle-diff-8", "qpoly-grid", "single-sums-16", "triangles-12"],
 )
 def test_tsv_report_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
@@ -918,6 +939,23 @@ def test_bad_workers_env_is_a_verify_usage_error(capsys, monkeypatch, value):
     assert run_cli(capsys, "table", "--func", "Pn", "--n", "5")[:2] == (0, "7\n")
     assert run_cli(capsys, "gauss", "--m", "1", "--p", "1")[0] == 0
     assert run_cli(capsys, "oracle-diff", "--n-max", "2")[0] == 0
+
+
+def _render(report: dict, fmt: str) -> str:
+    """The whole report in fmt, written by _ReportWriter with one block per run of equal ids.
+
+    The report is a parsed one, whose rows are made CaseResults again; a
+    pair mismatch stays the two-item list it was parsed as.
+    """
+    sink = io.StringIO()
+    writer = _ReportWriter(sink, fmt, {k: v for k, v in report.items() if k < "results"})
+    fields = ("params", "pass", "lhs_hash", "rhs_hash", "first_mismatch")
+    for label, rows in itertools.groupby(report["results"], key=lambda row: row["id"]):
+        results = [CaseResult(*(row[key] for key in fields)) for row in rows]
+        took = report["timing"].get(label, 0.0)
+        writer.add(render_report(label, results, fmt, took), len(results))
+    writer.close({k: v for k, v in report.items() if k > "results"})
+    return sink.getvalue()
 
 
 def json_dumps_report(report) -> str:

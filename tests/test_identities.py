@@ -8,7 +8,18 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpartid.bigpoly import IntPoly, ONE, ZERO, poly_add, poly_eval_int, poly_mul, poly_scale, poly_shift
+from qpartid.bigpoly import (
+    IntPoly,
+    ONE,
+    ZERO,
+    poly_add,
+    poly_eval_int,
+    poly_mul,
+    poly_scale,
+    poly_shift,
+    slot_width,
+    unpack,
+)
 from qpartid import identities
 from qpartid.identities import (
     KIND_COMBINATORIAL,
@@ -889,8 +900,8 @@ def q_kernel_by_brackets(name, m, d, indices):
     return [poly_shift(bracket_base(m + 1, j, d), d * binom2(j)) for j in indices]
 
 
-def q_side_by_kernels(side, n, m):
-    """Reference oracle: a single-sum side with its kernels built for this case alone."""
+def q_side_by_terms(side, n, m):
+    """Reference oracle: a single-sum side folded with poly_mul, poly_add and poly_scale, its kernels built for this case alone."""
     if side == identities._DELTA:
         return ONE if n == 0 else ZERO
     if isinstance(side, str):
@@ -922,8 +933,74 @@ def q_side_by_kernels(side, n, m):
 def test_q_sum_sides_match_the_per_case_kernel_build(queries):
     identities._ROWS.clear()
     for q_id, n, m in queries:
-        expected = tuple(q_side_by_kernels(side, n, m) for side in identities._Q_SUMS[q_id])
+        expected = tuple(q_side_by_terms(side, n, m) for side in identities._Q_SUMS[q_id])
         assert q_identity_sides(q_id, {"n": n, "m": m}) == expected, (q_id, n, m)
+
+
+def test_packed_q_sides_match_the_term_by_term_fold():
+    # every side of every single sum at n, m <= 14, where the slot widths run
+    # from 1 to 5 bytes: each side alone at the width its own bound sets, and
+    # two sides as a case reads them, at the wider of the two.  Pairing each
+    # side with delta, in either order, makes pairs whose sides differ.
+    identities._ROWS.clear()
+    widths = set()
+    for q_id, spec in identities._Q_SUMS.items():
+        for n, m in itertools.product(range(15), repeat=2):
+            want = {side: q_side_by_terms(side, n, m) for side in (*spec, identities._DELTA)}
+            for side, poly in want.items():
+                width = slot_width(identities._q_bound(side, n, m))
+                widths.add(width)
+                assert unpack(identities._q_side(side, n, m, width), width) == poly, (q_id, side, n, m)
+            for pair in itertools.permutations(want, 2):
+                assert identities._q_sum_sides(pair, n, m) == tuple(map(want.get, pair)), (pair, n, m)
+    assert widths == set(range(1, 6))
+
+
+def test_packed_kernel_rows_keep_one_width_per_m():
+    # a grid leaves one packed row per (name, m, d), and the cases at m end
+    # at the widest slot any of them needed, whatever order they came in
+    identities._ROWS.clear()
+    grid = {"n": list(range(15)), "m": list(range(15))}
+    for q_id in ("result5", "result3", "delta"):
+        assert all(case.passed for case in identities.run_identity(q_id, grid))
+    widths = {key[1]: held[0] for key, held in identities._ROWS.items() if key[0] is identities._q_width}
+    widest = {
+        m: max(
+            slot_width(identities._q_bound(side, n, m))
+            for q_id in ("delta", "result3", "result5")
+            for side in identities._Q_SUMS[q_id]
+            for n in range(15)
+        )
+        for m in range(15)
+    }
+    assert widths == widest
+    assert list(widths.values()) == sorted(widths.values()) and widths[14] > 1
+    packed = {key: entry for key, entry in identities._ROWS.items() if key[0] is identities._q_packed}
+    assert packed and all(len(key) == 4 for key in packed)
+    # a row not read since its m widened is still at the narrower width
+    assert all(width <= widths[key[2]] for key, (width, _) in packed.items())
+
+
+def diagonal_by_terms(m, b, sign_on, keep, j):
+    """Reference oracle: G_j in base q**b folded over _diagonal_terms with poly_mul, poly_add and poly_scale."""
+    total = ZERO
+    for k, l, sign in identities._diagonal_terms(sign_on, keep, j):
+        v = poly_shift(bracket_base(m + 1, k, b), b * binom2(k))
+        total = poly_add(total, poly_scale(poly_mul(v, bracket_base(m + l, m, b)), sign))
+    return total
+
+
+def test_packed_diagonals_match_the_term_by_term_fold():
+    # the diagonals of the whole triangle and of both parity halves, with the
+    # nonzero indices kept beside each row
+    identities._ROWS.clear()
+    for m, b, sign_on, keep in itertools.product(range(9), (1, 2, 3), ("k", "l"), (None, 0, 1)):
+        row, nonzero = identities._diagonals(m, b, sign_on, keep, 10)
+        expected = [diagonal_by_terms(m, b, sign_on, keep, j) for j in range(11)]
+        assert row == expected, (m, b, sign_on, keep)
+        assert nonzero == [j for j, g in enumerate(expected) if g.coeffs]
+        if keep is None:
+            assert nonzero == [0]
 
 
 def comb_parity_by_loops(parity, kernel, n, m):
@@ -1101,14 +1178,27 @@ def resdbl_f_by_loop(variant, n, p, a, c):
 )
 @example(queries=[("resdbl1", 9, 2, 1, 2), ("resdbl2", 0, 2, 1, 2), ("resdbl2", 4, 2, 1, 2)])
 def test_resdbl_f_rows_match_the_bracket_loop(queries):
+    # a case reads F(j) = H[n - j] in place from the row H of its (top form, p, a, c)
     identities._ROWS.clear()
     for variant, n, p, a, c in queries:
-        assert identities._resdbl_f(variant, n, p, a, c) == resdbl_f_by_loop(variant, n, p, a, c)
+        shifted_top = identities._RESDBL[variant][0]
+        H = identities._row(identities._resdbl_h, shifted_top, p, a, c, top=n)
+        F = resdbl_f_by_loop(variant, n, p, a, c)
+        assert tuple(H[n - j] for j in range(n + 1)) == F
+        params = {"n": n, "m": 2, "p": p, "a": a, "b": 1, "c": c}
+        assert q_identity_sides(variant, params)[1] == F[0]
 
 
 def test_resdbl_f_rejects_a_negative_n():
+    # a negative n must not read the F row from its far end
     with pytest.raises(ValueError):
-        identities._resdbl_f("resdbl1", -1, 2, 0, 1)
+        q_identity_sides("resdbl1", {"n": -1, "m": 2, "p": 2, "a": 0, "b": 1, "c": 1})
+    with pytest.raises(ValueError):
+        parity_sum_sides("corollary_2_4", "even", -1, 2)
+    # the public triangle sum too, whatever F it is given
+    for F in ((), (ONE,), (ONE, ZERO, ONE)):
+        with pytest.raises(ValueError):
+            triangle_sum(F, -1, 2, 1, "k")
 
 
 @pytest.mark.parametrize("identity_id", ["theorem6", "comb17", "comb20", "resdbl3", "result3"])
