@@ -3,7 +3,7 @@
 Run:  python demos/identity_verification.py
 """
 
-from qpartid import evaluate_case, format_poly, iter_cases, q_identity_sides, registry
+from qpartid import evaluate_case, format_poly, q_identity_sides, registry, run_identity
 
 # The registry holds every identity as an executable descriptor with its
 # parameter names and default verification grid.
@@ -26,7 +26,7 @@ print("  equal:", lhs == rhs)
 # Running a descriptor over a small slice of its grid.
 desc = next(d for d in entries if d.id == "theorem1")
 small_grid = {"n": list(range(6)), "m": list(range(6)), "p": list(range(4))}
-results = [desc.check(p) for p in iter_cases(desc, small_grid)]
+results = run_identity(desc.id, small_grid)
 print(f"\ntheorem1 over {len(results)} small cases: all pass =", all(r.passed for r in results))
 
 # A failing comparison is reported with the first mismatch location; forcing

@@ -32,10 +32,9 @@ so the tests check one against the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 UNBOUNDED = None
 ORACLE_LIMIT_DEFAULT = 30
@@ -130,16 +129,29 @@ def count_Q(n: int, m: int, p: Optional[int]) -> int:
     return _count(_memo_Q, True, n, m, p)
 
 
+def fewest_parts(n: int, p: Optional[int]) -> int:
+    """The least part count k that can hold n in parts of size at most p, which hold at most k*p.
+
+    0 for n <= 0 or an unbounded p, and n + 1, past every k <= n, when n > 0 and p <= 0.
+    """
+    if n <= 0 or p is UNBOUNDED:
+        return 0
+    return -(-n // p) if p > 0 else n + 1
+
+
 def count_P_star(n: int, m: int, p: Optional[int]) -> int:
     """Partitions of n into at most m parts, each at most p."""
-    # P(n, k, p) is 0 once k > n
-    return sum(count_P(n, k, p) for k in range(min(m, n) + 1))
+    # P(n, k, p) is 0 once k > n, and while k*p < n
+    return sum(count_P(n, k, p) for k in range(fewest_parts(n, p), min(m, n) + 1))
 
 
 def count_Q_star(n: int, m: int, p: Optional[int]) -> int:
     """Partitions of n into at most m distinct parts, each at most p."""
-    # Q(n, k, p) is 0 once 1 + 2 + ... + k = C(k+1, 2) > n
+    # Q(n, k, p) is 0 once 1 + 2 + ... + k = C(k+1, 2) > n, and once k > p:
+    # k distinct parts need k sizes of at most p
     top = min(m, (isqrt(8 * n + 1) - 1) // 2) if n >= 0 else -1
+    if p is not UNBOUNDED:
+        top = min(top, max(p, 0))
     return sum(count_Q(n, k, p) for k in range(top + 1))
 
 
@@ -245,21 +257,40 @@ def box_count_Q_star(n: int, m: int, p: Optional[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """What to enumerate: weight n plus optional part-count/part-size bounds."""
-
+class _SpecFields(NamedTuple):
     n: int
     exact_parts: Optional[int] = None
     max_parts: Optional[int] = None
     max_part: Optional[int] = None
     distinct: bool = False
 
-    def __post_init__(self):
-        if self.exact_parts is not None and self.max_parts is not None:
+
+class PartitionSpec(_SpecFields):
+    """What to enumerate: weight n plus optional part-count/part-size bounds.
+
+    An immutable tuple, validated wherever one is made: by the constructor,
+    by _replace, and by pickle and copy, which rebuild it through __new__.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        exact_parts: Optional[int] = None,
+        max_parts: Optional[int] = None,
+        max_part: Optional[int] = None,
+        distinct: bool = False,
+    ):
+        if exact_parts is not None and max_parts is not None:
             raise ValueError("at most one of exact_parts/max_parts may be set")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be >= 0")
+        return super().__new__(cls, n, exact_parts, max_parts, max_part, distinct)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def enumerate_partitions(

@@ -204,8 +204,22 @@ def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
             ),
             "61eade12937446411262e81473ef5aea6398042658198465b0e881ae739a6b48",
         ),
+        (
+            # resdbl1-4 over sparse, non-contiguous a, b and c sets: 11,520 rows
+            (
+                "verify",
+                *("--family", "resdbl1", "--family", "resdbl2"),
+                *("--family", "resdbl3", "--family", "resdbl4"),
+                *("--n-max", "9", "--m-max", "5", "--p-max", "5"),
+                *("--a-set", "0,3", "--b-set", "1,3", "--c-set", "2,3", "--workers", "1"),
+            ),
+            "3eb5746ce0a34c1cf23b35694c7eea42d2b5d15c11565ba2615247217c2b4a75",
+        ),
     ],
-    ids=["verify-all-small", "oracle-diff-8", "qpoly-grid", "single-sums-16", "triangles-12"],
+    ids=[
+        "verify-all-small", "oracle-diff-8", "qpoly-grid", "single-sums-16", "triangles-12",
+        "sparse-resdbl",
+    ],
 )
 def test_tsv_report_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
@@ -323,11 +337,11 @@ def test_verify_family_exception_exits_three_with_one_line(capsys, monkeypatch, 
     # exit 1 means an identity failed; a check that raises is a different outcome
     from qpartid.identities import get_descriptor
 
-    def broken(values, tamper=False):
+    def broken(*axes):
         raise RuntimeError("injected fault")
 
     # the pool forks, so the workers see the patched descriptor too
-    monkeypatch.setattr(get_descriptor("delta"), "check", broken)
+    monkeypatch.setattr(get_descriptor("delta"), "prepare", broken)
     code, out, err = run_cli(
         capsys,
         "verify",
@@ -344,10 +358,10 @@ def test_a_later_family_that_raises_writes_nothing(capsys, monkeypatch, tmp_path
     # delta's rows are streamed before result1 raises; none of them may reach the output
     from qpartid.identities import get_descriptor
 
-    def broken(values, tamper=False):
+    def broken(*axes):
         raise RuntimeError("injected fault")
 
-    monkeypatch.setattr(get_descriptor("result1"), "check", broken)
+    monkeypatch.setattr(get_descriptor("result1"), "prepare", broken)
     argv = (
         "verify",
         *("--family", "delta", "--family", "result1", "--n-max", "2", "--m-max", "2"),
@@ -425,24 +439,24 @@ def test_a_family_that_raises_cancels_the_queued_families(capsys, monkeypatch, t
 
     first, *others = sorted(d.id for d in registry())
 
-    def broken(values, tamper=False):
+    def broken(*axes):
         raise RuntimeError("injected fault")
 
     def recording(desc):
         # the pool forks, so each family marks its start with a file
-        check, mark = desc.check, tmp_path / desc.id
+        prepare, mark = desc.prepare, tmp_path / desc.id
 
-        def started(values, tamper=False):
+        def started(*axes):
             if not mark.exists():
                 mark.touch()
                 time.sleep(0.05)
-            return check(values, tamper)
+            return prepare(*axes)
 
         return started
 
-    monkeypatch.setattr(get_descriptor(first), "check", broken)
+    monkeypatch.setattr(get_descriptor(first), "prepare", broken)
     for family in others:
-        monkeypatch.setattr(get_descriptor(family), "check", recording(get_descriptor(family)))
+        monkeypatch.setattr(get_descriptor(family), "prepare", recording(get_descriptor(family)))
     code, out, err = run_cli(
         capsys, "verify", "--all", "--n-max", "1", "--m-max", "1", "--p-max", "1",
         "--workers", "2",
@@ -841,8 +855,8 @@ COUNT_SUM_FAMILIES = (
 
 
 def test_wide_count_sum_tsv_report_bytes_are_pinned():
-    # 89,375 cases; n, m up to 24 outgrow the first 16-square count planes, so
-    # every plane a case reads past 15 is a rebuilt one
+    # 89,375 cases; n, m up to 24 reach past 16, so every count plane is
+    # built 32 by 32, at the grid's extent
     families = [arg for family in COUNT_SUM_FAMILIES for arg in ("--family", family)]
     grid = ("--n-max", "24", "--m-max", "24", "--p-max", "12")
     proc = run_module("verify", *families, *grid, "--workers", "1", "--format", "tsv")

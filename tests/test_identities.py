@@ -55,6 +55,12 @@ from qpartid.qbinom import binom, binom2, bracket_base
 RESDBL = ("resdbl1", "resdbl2", "resdbl3", "resdbl4")
 
 
+def case_sides(identity_id, *values):
+    """One case's sides, as the family's prepare builds them for the one-point grid at values."""
+    sides, _ = get_descriptor(identity_id).prepare(*([value] for value in values))
+    return sides(*values)
+
+
 # --- weight tables ----------------------------------------------------------
 
 
@@ -435,12 +441,12 @@ def comb_triangle_by_terms(f, n, m, sign_on):
     return lhs
 
 
-# the resdbl row each q = 1 triangle (sign_on, F uses C(p+s, p)) specialises
+# the q = 1 triangle (sign_on, F uses C(p+s, p)) that specialises each resdbl row
 COMB_TRIANGLE_ROWS = {
-    ("k", True): "resdbl1",
-    ("l", True): "resdbl2",
-    ("k", False): "resdbl3",
-    ("l", False): "resdbl4",
+    ("k", True): "comb16",
+    ("l", True): "comb17",
+    ("k", False): "comb18",
+    ("l", False): "comb19",
 }
 
 
@@ -460,8 +466,8 @@ def test_comb_triangle_diagonals_match_the_double_loop(data, n, m, sign_on):
     for shifted_top in (True, False):
         f = [binom(p + s, p) if shifted_top else binom(p, s) for s in range(n + 1)]
         expected = (comb_triangle_by_terms(f, n, m, sign_on), f[n])
-        row = COMB_TRIANGLE_ROWS[sign_on, shifted_top]
-        assert identities._comb_triangle(row, None, n, m, p) == expected
+        comb_id = COMB_TRIANGLE_ROWS[sign_on, shifted_top]
+        assert case_sides(comb_id, n, m, p) == [expected]
 
 
 def test_comb_triangle_diagonals_vanish_past_the_origin():
@@ -658,9 +664,9 @@ def test_all_combinatorial_identities_small_grid():
                 params = {"n": n, "m": m}
                 if "p" in d.params:
                     for p in range(5):
-                        assert d.check({**params, "p": p}).passed, (d.id, n, m, p)
+                        assert evaluate_case(d.id, {**params, "p": p}).passed, (d.id, n, m, p)
                 else:
-                    assert d.check(params).passed, (d.id, n, m)
+                    assert evaluate_case(d.id, params).passed, (d.id, n, m)
 
 
 # (q identity, dilation d, sign eps, comb ids for r = 0, 1, ...):
@@ -730,6 +736,12 @@ COUNT_SIDES = sorted(
 )
 
 
+def count_side(side, n, m, p):
+    """One count side at one case, read as the count prepare of the one-point grid reads it."""
+    sides, _ = identities._count_sums((side, identities._NIL), [n], [m], [p])
+    return sides(n, m, p)[0][0]
+
+
 def count_side_by_calls(side, n, m, p):
     """Reference oracle: a convolution row, one pair of kernel calls per term."""
     scale, a, b, d, weight = side
@@ -772,7 +784,7 @@ WIDE_SIDE = identities._COUNT_SUMS["theorem9"][0]
 def test_count_tables_match_the_per_call_convolution(queries):
     identities._ROWS.clear()
     for side, n, m, p in queries:
-        assert identities._count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
+        assert count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
     tables = {key[1:]: t for key, t in identities._ROWS.items() if key[0] is identities._count_entry}
     planes = {key[1:]: t for key, t in identities._ROWS.items() if key[0] is identities._count_plane}
     assert tables and planes
@@ -792,7 +804,11 @@ def test_count_sides_are_zero_at_negative_indices():
     # a plane is indexed from 0, so a negative index must not wrap to its far edge
     for side in COUNT_SIDES:
         for n, m in ((-1, 5), (5, -1), (-3, -3)):
-            assert identities._count_side(side, n, m, 2) == count_side_by_calls(side, n, m, 2) == 0
+            assert count_side(side, n, m, 2) == count_side_by_calls(side, n, m, 2) == 0
+    # nor a kernel table's: the prepare returns zero there, as every kernel is
+    for name, kernel in COUNT_KERNELS.items():
+        for n, m in ((-1, 5), (5, -1), (-3, -3), (-1, 0)):
+            assert count_side(name, n, m, 2) == kernel(n, m, 2) == 0, (name, n, m)
 
 
 # The eleven _COUNT_SUMS rows as they were written out before nine of them were
@@ -847,12 +863,12 @@ def test_count_rows_derived_from_q_rows_read_as_the_literal_rows(cases):
     # the literal rows go through _count_side too, over kernels under their old names
     identities._ROWS.clear()
     derived = [
-        [identities._count_side(side, n, m, p) for side in identities._COUNT_SUMS[i]]
+        [count_side(side, n, m, p) for side in identities._COUNT_SUMS[i]]
         for i, n, m, p in cases
     ]
     with mock.patch.object(identities, "_count_entry", literal_count_entry):
         literal = [
-            [identities._count_side(side, n, m, p) for side in LITERAL_COUNT_SUMS[i]]
+            [count_side(side, n, m, p) for side in LITERAL_COUNT_SUMS[i]]
             for i, n, m, p in cases
         ]
     # leave no rows kept under the patched entry behind
@@ -890,7 +906,7 @@ def test_binomial_rows_match_the_comprehensions(queries):
         # the q = 1 triangle reads the F row and the diagonals from the same memos
         n = top % 21
         lhs = comb_triangle_by_terms(BINOM_ROWS["f_plain"](x, n), n, x % 21, "k")
-        assert identities._comb_triangle("resdbl3", None, n, x % 21, x) == (lhs, binom(x, n))
+        assert case_sides("comb18", n, x % 21, x) == [(lhs, binom(x, n))]
 
 
 def q_kernel_by_brackets(name, m, d, indices):
@@ -950,9 +966,11 @@ def test_packed_q_sides_match_the_term_by_term_fold():
             for side, poly in want.items():
                 width = slot_width(identities._q_bound(side, n, m))
                 widths.add(width)
-                assert unpack(identities._q_side(side, n, m, width), width) == poly, (q_id, side, n, m)
+                read = identities._q_reader(side, m, width, n)
+                assert unpack(read(n), width) == poly, (q_id, side, n, m)
             for pair in itertools.permutations(want, 2):
-                assert identities._q_sum_sides(pair, n, m) == tuple(map(want.get, pair)), (pair, n, m)
+                sides, _ = identities._q_sums(pair, [n], [m])
+                assert sides(n, m) == tuple(map(want.get, pair)), (pair, n, m)
     assert widths == set(range(1, 6))
 
 
@@ -1039,17 +1057,17 @@ def test_comb_parity_halves_match_the_double_loop(queries):
     # comb20-22 are halves of the q = 1 triangle; the oracle is their own loop
     identities._ROWS.clear()
     for comb_id, n, m in queries:
-        spec = identities._COMB_SUMS[comb_id]
         expected = comb_parity_by_loops(*COMB_PARITY_CASES[comb_id], n, m)
-        assert identities._comb_pairs(spec, n, m) == [expected], (comb_id, n, m)
+        assert case_sides(comb_id, n, m) == [expected], (comb_id, n, m)
 
 
 def test_comb_parity_halves_match_the_double_loop_on_the_whole_grid():
+    # one prepare over the whole grid, as a family run makes it
     for comb_id, (parity, kernel) in COMB_PARITY_CASES.items():
-        spec = identities._COMB_SUMS[comb_id]
+        sides, _ = get_descriptor(comb_id).prepare(range(21), range(21))
         for n, m in itertools.product(range(21), repeat=2):
             expected = comb_parity_by_loops(parity, kernel, n, m)
-            assert identities._comb_pairs(spec, n, m) == [expected], (comb_id, n, m)
+            assert sides(n, m) == [expected], (comb_id, n, m)
 
 
 def alternate(xs):
@@ -1146,10 +1164,9 @@ def test_comb_sums_match_the_binomial_templates(queries):
     # each row is its _Q_SUMS row at q = 1; the oracle is the template it replaced
     identities._ROWS.clear()
     for comb_id, n, m in queries:
-        spec = identities._COMB_SUMS[comb_id]
-        assert spec[1] in identities._Q_SUMS
+        assert identities._COMB_SUMS[comb_id][1] in identities._Q_SUMS
         expected = comb_by_templates(comb_id, n, m)
-        assert identities._comb_pairs(spec, n, m) == [expected], (comb_id, n, m)
+        assert case_sides(comb_id, n, m) == [expected], (comb_id, n, m)
 
 
 def resdbl_f_by_loop(variant, n, p, a, c):
@@ -1217,6 +1234,99 @@ def test_a_reversed_grid_gives_the_same_results(identity_id):
         )
     assert len(outcomes[0]) == len(list(iter_cases(desc)))
     assert outcomes[0] == outcomes[1]
+
+
+# --- the grid runner --------------------------------------------------------
+
+ALL_IDS = [d.id for d in registry()]
+
+
+@pytest.mark.parametrize("identity_id", ALL_IDS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_the_grid_runner_matches_each_case_run_alone(identity_id, data):
+    # a sub-grid of the default grid, each axis a non-empty subset in any
+    # order, so its rows are built to an extent no single case reaches
+    desc = get_descriptor(identity_id)
+    size = 2 if len(desc.params) > 3 else 3
+    grid = {
+        name: data.draw(
+            st.lists(st.sampled_from(values), min_size=1, max_size=size, unique=True), label=name
+        )
+        for name, values in desc.default_grid.items()
+    }
+    identities._ROWS.clear()
+    together = identities.run_identity(identity_id, grid)
+    alone = []
+    for params in iter_cases(desc, grid):
+        # each case from empty rows, so it builds only what it reads
+        identities._ROWS.clear()
+        alone.append(evaluate_case(identity_id, params))
+    assert together == alone
+    assert all(list(r.params) == list(desc.params) for r in together)
+
+
+@pytest.mark.parametrize("identity_id", ALL_IDS)
+def test_tamper_first_fails_exactly_the_first_case(identity_id):
+    desc = get_descriptor(identity_id)
+    grid = {name: values[:2] for name, values in desc.default_grid.items()}
+    honest = identities.run_identity(identity_id, grid)
+    tampered = identities.run_identity(identity_id, grid, tamper_first=True)
+    assert [r.passed for r in tampered] == [False] + [True] * (len(honest) - 1)
+    assert tampered[0].params == honest[0].params and tampered[0].lhs_hash != tampered[0].rhs_hash
+    assert tampered[1:] == honest[1:]
+
+
+Q_IDS = [d.id for d in registry() if d.kind == KIND_Q_POLYNOMIAL]
+
+
+@pytest.mark.parametrize("identity_id", Q_IDS)
+def test_one_value_outside_the_q_domain_fails_the_grid_before_any_case(identity_id, monkeypatch):
+    desc = get_descriptor(identity_id)
+    prepare, prepared = desc.prepare, []
+
+    def spy(*axes):
+        prepared.append(axes)
+        return prepare(*axes)
+
+    monkeypatch.setattr(desc, "prepare", spy)
+    small = {name: values[:2] for name, values in desc.default_grid.items()}
+    assert identities.run_identity(identity_id, small) and prepared
+    for name in desc.params:
+        # the bad value last, where a per-case loop would reach it only at the end
+        bad = 0 if name in ("b", "c") else -1
+        prepared.clear()
+        with pytest.raises(ValueError, match=f"got {name} = {bad}"):
+            identities.run_identity(identity_id, {**small, name: [*small[name], bad]})
+        assert prepared == []
+        with pytest.raises(ValueError):
+            evaluate_case(identity_id, {key: values[0] for key, values in small.items()} | {name: bad})
+        assert prepared == []
+
+
+def test_count_planes_are_built_once_at_the_grid_extent(monkeypatch):
+    # n, m <= 40 reach past 16 and 32: a plane grown case by case is rebuilt
+    # at each, and one built at the grid's extent is 64 by 64 from the start
+    calls = []
+    real = identities.grid_mul
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(identities, "grid_mul", counted)
+    identities._ROWS.clear()
+    grid = {"n": list(range(41)), "m": list(range(41)), "p": list(range(4))}
+    families = ("theorem6", "theorem_simple")
+    for identity_id in families:
+        assert all(r.passed for r in identities.run_identity(identity_id, grid))
+    row_sides = [side for i in families for side in identities._COUNT_SUMS[i] if isinstance(side, tuple)]
+    classes = sum(identities._WEIGHT_PERIOD[side[4]] for side in row_sides)
+    assert len(calls) == classes * len(grid["p"]) == 28
+    planes = [t for key, t in identities._ROWS.items() if key[0] is identities._count_plane]
+    assert len(planes) == len(row_sides) * len(grid["p"])
+    assert all((len(plane), len(plane[0])) == (64, 64) for plane in planes)
+    identities._ROWS.clear()
 
 
 # --- result bookkeeping -----------------------------------------------------
@@ -1288,7 +1398,8 @@ def test_combine_returns_the_first_failing_corollary_half(monkeypatch):
 
     monkeypatch.setattr(identities, "parity_sum_sides", odd_fails)
     params = {"n": 3, "m": 2}
-    r = get_descriptor("corollary_2_4").check(params)
+    sides, finish = get_descriptor("corollary_2_4").prepare([3], [2])
+    r = finish(params, sides(3, 2), False)
     odd_lhs, _ = real("corollary_2_4", "odd", 3, 2)
     assert r.params is params and not r.passed
     assert (r.lhs_hash, r.rhs_hash) == (sha_of(odd_lhs.coeffs), sha_of(ONE.coeffs))
@@ -1309,7 +1420,8 @@ def test_combine_returns_the_first_failing_f_theorem_sub_check(monkeypatch):
 
     monkeypatch.setattr(identities, "check_F_theorem", fourth_fails)
     params = {"n": 2, "m": 1}
-    r = get_descriptor("f_theorem").check(params)
+    sides, finish = get_descriptor("f_theorem").prepare([2], [1])
+    r = finish(params, sides(2, 1), False)
     assert r.params is params and not r.passed
     assert (r.lhs_hash, r.rhs_hash, r.first_mismatch) == ("a" * 64, "b" * 64, 7)
     # the sub-checks after the failing one are not run
@@ -1424,7 +1536,7 @@ def iter_cases_by_recursion(desc, grid=None):
 def test_iter_cases_matches_the_nested_grid_walk(axes, use_default):
     names = tuple("nmpabc"[: len(axes)])
     grid = dict(zip(names, axes))
-    desc = IdentityDescriptor("grid", KIND_Q_POLYNOMIAL, names, grid, check=None)
+    desc = IdentityDescriptor("grid", KIND_Q_POLYNOMIAL, names, grid, prepare=None)
     given_grid = None if use_default else grid
     cases = list(iter_cases(desc, given_grid))
     assert [list(c.items()) for c in cases] == [

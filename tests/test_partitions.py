@@ -1,5 +1,7 @@
 """Partition counts, the enumeration oracle, and the count correspondences."""
 
+import copy
+import pickle
 import tracemalloc
 
 import pytest
@@ -27,6 +29,7 @@ from qpartid.partitions import (
     count_Q_of,
     count_Q_star,
     enumerate_partitions,
+    fewest_parts,
     oracle_counts,
 )
 from qpartid.qbinom import gaussian
@@ -87,6 +90,23 @@ def test_enumerate_guards():
         PartitionSpec(4, exact_parts=2, max_parts=3)
     with pytest.raises(ValueError):
         PartitionSpec(-1)
+    # a validated spec stays valid: it cannot be changed, and it is a value
+    spec = PartitionSpec(4, exact_parts=2)
+    with pytest.raises(AttributeError):
+        spec.max_parts = 3
+    assert spec == PartitionSpec(4, 2) and hash(spec) == hash(PartitionSpec(4, 2))
+    assert spec != PartitionSpec(4, max_parts=2)
+
+
+def test_partition_spec_survives_pickle_copy_and_replace():
+    spec = PartitionSpec(7, max_parts=3, max_part=4, distinct=True)
+    for again in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert type(again) is PartitionSpec and again == spec
+        assert enumerate_partitions(again) == enumerate_partitions(spec)
+    assert spec._replace(max_part=None) == PartitionSpec(7, max_parts=3, distinct=True)
+    # a copy is made through the constructor, so it is validated too
+    with pytest.raises(ValueError):
+        spec._replace(exact_parts=2)
 
 
 def test_oracle_equivalence_small():
@@ -185,6 +205,26 @@ def test_star_counts_match_the_box_counts_past_their_last_nonzero_term():
             for p in (0, 1, 3, UNBOUNDED):
                 assert count_P_star(n, m, p) == box_count(n, m, p)
                 assert count_Q_star(n, m, p) == box_count_Q_star(n, m, p)
+
+
+def test_star_sums_stopped_at_their_support_match_the_unbounded_sums():
+    # count_P_star starts at the fewest parts that can hold n (k*p >= n), and
+    # count_Q_star stops at k = p, since k distinct parts need k sizes up to p;
+    # the oracle is the sum over every k <= min(m, n)
+    from qpartid.identities import _pairs_pmost_chain
+
+    for n in range(-1, 61):
+        for p in (-1, 0, 1, 2, 3, 5, 8, n, UNBOUNDED):
+            plain = [count_P(n, k, p) for k in range(n + 1)]
+            distinct = [count_Q(n, k, p) for k in range(n + 1)]
+            for m in sorted({-1, 0, 1, 2, n // 3, n // 2, n, n + 1}):
+                assert count_P_star(n, m, p) == sum(plain[: max(m + 1, 0)]), (n, m, p)
+                assert count_Q_star(n, m, p) == sum(distinct[: max(m + 1, 0)]), (n, m, p)
+            if n >= 0 and p in (0, 1, 2, 3):
+                # pmost_chain's exact sum stops at the same support
+                assert _pairs_pmost_chain(n, p)[0][1] == sum(plain), (n, p)
+    assert [fewest_parts(n, 3) for n in (-1, 0, 1, 3, 4, 6, 7)] == [0, 0, 1, 1, 2, 2, 3]
+    assert fewest_parts(5, 0) == fewest_parts(5, -1) == 6 and fewest_parts(5, UNBOUNDED) == 0
 
 
 def test_enumerate_max_parts_matches_star_counts():
