@@ -510,6 +510,8 @@ def _oracle_cases(n_max: int, oracle_limit: int) -> list[CaseResult]:
 def cmd_oracle_diff(args) -> int:
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
+    if args.oracle_limit < 0:
+        raise UsageError("--oracle-limit must be >= 0")
     if args.n_max > args.oracle_limit:
         raise UsageError(
             f"--n-max {args.n_max} exceeds the oracle limit {args.oracle_limit}"

@@ -5,7 +5,7 @@ default verification grid and a prepare hook.  A family runs over its grid
 in two steps (_run_grid): the hook is handed the grid's values per axis,
 builds every row the grid reaches to the grid's extent and binds them in
 locals, and then one loop over the grid points reads each case's sides
-from those rows and finishes it into a CaseResult.  A q grid's domain is
+from those rows and finishes it into a CaseResult.  A grid's domain is
 checked once per axis, before anything is built, and one case alone is the
 run of its one-point grid (evaluate_case).  Checks build both sides
 independently and compare exactly, in three layers that share no evaluator:
@@ -25,10 +25,11 @@ independently and compare exactly, in three layers that share no evaluator:
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
   and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.
 * counting: the memoized partition counts.  The dilated, signed 2-D
-  convolutions are rows of _COUNT_SUMS.  At one p a row side over every
-  (n, m) is the coefficient table of A(x, y) B(x^d, y^d), so _count_sums
-  reads a case from one plane per (side, p), built by packed integer products
-  (bigpoly.grid_mul), and genfun_table expands the generating functions into
+  convolutions are rows of _COUNT_SUMS.  At one p a side over every (n, m)
+  is one grid g[n][m]: a row side is the coefficient table of
+  A(x, y) B(x^d, y^d), built by packed integer products (bigpoly.grid_mul),
+  a kernel alone its kernel table.  _count_sums reads both sides of a case
+  from those grids, and genfun_table expands the generating functions into
   integer tables.  Nine _COUNT_SUMS rows are _Q_SUMS rows read over count
   kernels (see the count section); only theorem2 and qstar_relation keep
   spec rows of their own.
@@ -45,8 +46,8 @@ built by a family's prepare hook to its grid's extent and grown in place
 when a later grid reaches further; none is rebuilt but a packed row, packed
 again when its slot width grows.  The count layer keeps its kernel tables
 there too, grown in place the same way, and its count planes, each built
-at the power of two that holds its grid's extent and rebuilt larger only
-for a grid past it.
+at exactly its grid's extent and rebuilt, to the larger size on each axis,
+only for a later grid past an edge.
 The weight rows w(0..count-1) are kept there as well, one tuple per
 (weight, count, n mod 6), built once and never changed.
 
@@ -303,17 +304,17 @@ def _combine(params: dict[str, int], subs: Iterable[CaseResult], sep: str) -> Ca
     )
 
 
-_Q_PARAM_DOMAIN_MSG = "q-identity parameters must satisfy n, m >= 0 (and p >= 0, a >= 0, b, c >= 1)"
-# the least value each q parameter takes
-_Q_LOW = {"n": 0, "m": 0, "p": 0, "a": 0, "b": 1, "c": 1}
+_PARAM_DOMAIN_MSG = "identity parameters must satisfy n, m >= 0 (and p >= 0, a >= 0, b, c >= 1)"
+# the least value each parameter takes, in every kind of family
+_PARAM_LOW = {"n": 0, "m": 0, "p": 0, "a": 0, "b": 1, "c": 1}
 
 
-def _require_q_domain(names: Sequence[str], axes: Sequence[Sequence[int]]) -> None:
-    """A q grid is a box, so its domain is checked once per axis, at the axis's least value."""
+def _require_domain(names: Sequence[str], axes: Sequence[Sequence[int]]) -> None:
+    """A grid is a box, so its domain is checked once per axis, at the axis's least value."""
     for name, axis in zip(names, axes):
         low = min(axis)
-        if low < _Q_LOW[name]:
-            raise ValueError(f"{_Q_PARAM_DOMAIN_MSG}: got {name} = {low}")
+        if low < _PARAM_LOW[name]:
+            raise ValueError(f"{_PARAM_DOMAIN_MSG}: got {name} = {low}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +337,9 @@ def _require_q_domain(names: Sequence[str], axes: Sequence[Sequence[int]]) -> No
 # narrower ones.  Each
 # triangle diagonal row sits under (_diagonals, m, b, sign_on, keep) with
 # the ascending indices of its nonzero diagonals beside it.  The count layer
-# keeps its 2-D kernel tables and count planes here as well, under
-# (_count_entry, name, p) and (_count_plane, side, p), and _weights its
+# keeps its 2-D kernel tables here as well, under (_count_entry, name, p),
+# grown in place, and its count planes under (_count_plane, side, p), each
+# replaced whole when a grid reaches past its edge; _weights keeps its
 # tuples under (_weights, weight, count, n mod 6).
 
 _ROWS: dict[tuple, Sequence] = {}
@@ -547,7 +549,7 @@ def _diagonal_sum(H: Sequence[IntPoly], n: int, row: list, nonzero: list) -> Int
 def _triangle(H: Sequence[IntPoly], n: int, m: int, b: int, sign_on: str, keep: Optional[int]) -> IntPoly:
     """The triangle sum of F(j) = H[n - j], over the diagonals grown to n."""
     if n < 0:
-        raise ValueError(f"{_Q_PARAM_DOMAIN_MSG}: got n = {n}")
+        raise ValueError(f"{_PARAM_DOMAIN_MSG}: got n = {n}")
     return _diagonal_sum(H, n, *_diagonals(m, b, sign_on, keep, n))
 
 
@@ -680,7 +682,7 @@ def check_F_theorem(
     built from the brackets.
     """
     if n < 0 or m < 0:
-        raise ValueError(_Q_PARAM_DOMAIN_MSG)
+        raise ValueError(_PARAM_DOMAIN_MSG)
     lhs = triangle_sum(F, n, m, base, sign_on)
     return _finish_poly({"n": n, "m": m}, (lhs, F[0]), False)
 
@@ -735,14 +737,14 @@ def _finish_f_theorem(params, subs, tamper: bool) -> CaseResult:
 # l only through l mod its period: 1, 2 for the sign, and 3 for the angles,
 # since 2l mod 6 is 2(l mod 3).  So B splits into nonnegative classes by
 # l mod the period, each class is one bigpoly.grid_mul, and the classes are
-# summed per column m with their integer weights.  A side is then one plane
-# S[n][m] per (side, p) and a case is one lookup.  A plane's row and column
-# counts are set apart from n and from m, each the smallest power of two, at
-# least 16, that the grid's extent fits, so a family builds each plane once,
-# before its first case; a later grid past either edge rebuilds it with that
-# count doubled, or more.  The planes read their kernels from one table
-# t[a][b] = kernel(a, b) per (kernel, p), grown in place in both directions,
-# whose cells fill through _count_entry.
+# summed per column m with their integer weights.  A row side is then one
+# plane S[n][m] per (side, p), built by the family's prepare at exactly
+# max(ns) + 1 rows and max(ms) + 1 columns; a later grid past either edge
+# rebuilds it to the larger of the two sizes on each axis.  The planes read
+# their kernels from one table t[a][b] = kernel(a, b) per (kernel, p), grown
+# in place in both directions, whose cells fill through _count_entry, and a
+# side that is a kernel alone is that table.  So every side is a grid
+# g[n][m] (_count_grid) and a case is one lookup per side.
 #
 # So the count rows are _Q_SUMS rows, with the sides swapped where the paper
 # states them the other way round, except theorem2 and qstar_relation: no q
@@ -792,7 +794,6 @@ def _count_table(name: str, p: int, rows: int, cols: int) -> list[list[int]]:
 
 
 _WEIGHT_PERIOD = {_PLAIN: 1, _ALT: 2, _COS: 3, _SIN: 3}
-_PLANE_MIN = 16
 
 
 def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
@@ -814,61 +815,37 @@ def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
     ]
 
 
-def _plane_span(have: int, index: int) -> int:
-    """The smallest power of two, at least have and _PLANE_MIN, above index."""
-    span = max(_PLANE_MIN, have)
-    while span <= index:
-        span *= 2
-    return span
-
-
-def _plane(side, p: int, n: int, m: int) -> list[list[int]]:
-    """The plane of the row side at p, built, or rebuilt larger, so that it holds (n, m)."""
+def _plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
+    """The plane of the row side at p, built rows by cols, or rebuilt to the larger size on each axis."""
     key = (_count_plane, side, p)
     plane = _ROWS.get(key, [[]])
-    if n >= len(plane) or m >= len(plane[0]):
-        rows, cols = _plane_span(len(plane), n), _plane_span(len(plane[0]), m)
-        plane = _ROWS[key] = _count_plane(side, p, rows, cols)
+    if rows > len(plane) or cols > len(plane[0]):
+        plane = _ROWS[key] = _count_plane(side, p, max(rows, len(plane)), max(cols, len(plane[0])))
     return plane
 
 
-def _count_delta(n: int, m: int) -> int:
-    return int(n == 0 and m == 0)
+def _count_grid(side, p: int, rows: int, cols: int) -> Sequence[Sequence[int]]:
+    """g[n][m], the side at (n, m, p), for every n < rows and m < cols.
 
-
-def _count_nil(n: int, m: int) -> int:
-    return 0
-
-
-def _count_reader(side, p: int, rows: int, cols: int) -> Callable[[int, int], int]:
-    """(n, m) -> the side at (n, m, p), for every 0 <= n < rows, 0 <= m < cols.
-
-    A row side reads its plane, built here; a kernel alone reads the kernel,
-    through the count memo, as the planes' tables fill theirs: a table of its
-    own would hold every cell of a grid that reads each cell once.
+    A kernel alone is its table, a row side its plane, and _DELTA or _NIL
+    a constant grid whose all-zero rows are one shared list.
     """
     if side == _DELTA:
-        return _count_delta
+        return [[1] + [0] * (cols - 1)] + [[0] * cols] * (rows - 1)
     if side == _NIL:
-        return _count_nil
+        return [[0] * cols] * rows
     if isinstance(side, str):
-        return partial(_count_entry, side, p)
-    plane = _plane(side, p, rows - 1, cols - 1)
-    return lambda n, m: plane[n][m]
+        return _count_table(side, p, rows, cols)
+    return _plane(side, p, rows, cols)
 
 
 def _count_sums(spec, ns, ms, ps):
-    """The prepare of a count row: each side's reader per p, its plane built through max(ns) and max(ms).
-
-    Every count side is zero at a negative n or m, where no plane reaches.
-    """
+    """The prepare of a count row: each side's grid per p, built through max(ns) and max(ms)."""
     rows, cols = max(ns) + 1, max(ms) + 1
-    left, right = ({p: _count_reader(side, p, rows, cols) for p in ps} for side in spec)
+    left, right = ({p: _count_grid(side, p, rows, cols) for p in ps} for side in spec)
 
     def sides(n, m, p):
-        if n < 0 or m < 0:
-            return [(0, 0)]
-        return [(left[p](n, m), right[p](n, m))]
+        return [(left[p][n][m], right[p][n][m])]
 
     return sides, _finish_pairs
 
@@ -1197,9 +1174,8 @@ def iter_cases(desc: IdentityDescriptor, grid: Optional[dict[str, list[int]]] = 
 
 
 def _prepared(desc: IdentityDescriptor, axes: Sequence[Sequence[int]]) -> tuple[Callable, Callable]:
-    """desc's (sides, finish) over non-empty axes, once a q grid's domain has been checked."""
-    if desc.kind == KIND_Q_POLYNOMIAL:
-        _require_q_domain(desc.params, axes)
+    """desc's (sides, finish) over non-empty axes, once the grid's domain has been checked."""
+    _require_domain(desc.params, axes)
     return desc.prepare(*axes)
 
 

@@ -781,6 +781,13 @@ def test_oracle_diff_over_limit(capsys):
     assert code == 0
 
 
+def test_oracle_diff_rejects_a_negative_limit_by_its_own_flag(capsys):
+    code, _, err = run_cli(capsys, "oracle-diff", "--n-max", "5", "--oracle-limit", "-1")
+    assert code == 2
+    assert "--oracle-limit must be >= 0" in err
+    assert "exceeds" not in err
+
+
 def test_oracle_diff_reaches_past_the_default_limit(capsys):
     code, out, _ = run_cli(capsys, "oracle-diff", "--n-max", "35", "--oracle-limit", "35")
     assert code == 0
@@ -855,8 +862,7 @@ COUNT_SUM_FAMILIES = (
 
 
 def test_wide_count_sum_tsv_report_bytes_are_pinned():
-    # 89,375 cases; n, m up to 24 reach past 16, so every count plane is
-    # built 32 by 32, at the grid's extent
+    # 89,375 cases; every count plane is built 25 by 25, at the grid's extent
     families = [arg for family in COUNT_SUM_FAMILIES for arg in ("--family", family)]
     grid = ("--n-max", "24", "--m-max", "24", "--p-max", "12")
     proc = run_module("verify", *families, *grid, "--workers", "1", "--format", "tsv")

@@ -761,7 +761,7 @@ def count_plane_by_calls(side, p, rows, cols):
     return [[count_side_by_calls(side, n, m, p) for m in range(cols)] for n in range(rows)]
 
 
-# a side whose 64-row plane the oracle fills in well under a second (d = 4)
+# a side whose 41-row plane the oracle fills in well under a second (d = 4)
 WIDE_SIDE = identities._COUNT_SUMS["theorem9"][0]
 
 
@@ -793,22 +793,27 @@ def test_count_tables_match_the_per_call_convolution(queries):
         for a, row in enumerate(table):
             assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))]
     for (side, p), plane in planes.items():
-        # rows and columns are each the smallest power of two, at least 16, that its queries fit
+        # rows and columns are each the running maximum of the n + 1 and m + 1 asked
         asked = [(n, m) for s, n, m, q in queries if (s, q) == (side, p)]
-        rows, cols = (max(16, 1 << max(top).bit_length()) for top in zip(*asked))
+        rows, cols = (max(top) + 1 for top in zip(*asked))
         assert (len(plane), len(plane[0])) == (rows, cols)
         assert plane == count_plane_by_calls(side, p, rows, cols)
 
 
 def test_count_sides_are_zero_at_negative_indices():
-    # a plane is indexed from 0, so a negative index must not wrap to its far edge
+    # every kernel, and so every convolution row, is zero at a negative index
     for side in COUNT_SIDES:
         for n, m in ((-1, 5), (5, -1), (-3, -3)):
-            assert count_side(side, n, m, 2) == count_side_by_calls(side, n, m, 2) == 0
-    # nor a kernel table's: the prepare returns zero there, as every kernel is
+            assert count_side_by_calls(side, n, m, 2) == 0
     for name, kernel in COUNT_KERNELS.items():
         for n, m in ((-1, 5), (5, -1), (-3, -3), (-1, 0)):
-            assert count_side(name, n, m, 2) == kernel(n, m, 2) == 0, (name, n, m)
+            assert kernel(n, m, 2) == 0, (name, n, m)
+    # but a grid is indexed from 0, so the runner rejects a negative index
+    # rather than let it wrap to the grid's far edge
+    for identity_id in ("theorem6", "theorem_simple", "pnmp_correspondence"):
+        for n, m in ((-1, 5), (5, -1), (-3, -3)):
+            with pytest.raises(ValueError):
+                evaluate_case(identity_id, {"n": n, "m": m, "p": 2})
 
 
 # The eleven _COUNT_SUMS rows as they were written out before nine of them were
@@ -1277,11 +1282,9 @@ def test_tamper_first_fails_exactly_the_first_case(identity_id):
     assert tampered[1:] == honest[1:]
 
 
-Q_IDS = [d.id for d in registry() if d.kind == KIND_Q_POLYNOMIAL]
-
-
-@pytest.mark.parametrize("identity_id", Q_IDS)
+@pytest.mark.parametrize("identity_id", ALL_IDS)
 def test_one_value_outside_the_q_domain_fails_the_grid_before_any_case(identity_id, monkeypatch):
+    # every kind of family shares the q families' parameter domain
     desc = get_descriptor(identity_id)
     prepare, prepared = desc.prepare, []
 
@@ -1305,8 +1308,8 @@ def test_one_value_outside_the_q_domain_fails_the_grid_before_any_case(identity_
 
 
 def test_count_planes_are_built_once_at_the_grid_extent(monkeypatch):
-    # n, m <= 40 reach past 16 and 32: a plane grown case by case is rebuilt
-    # at each, and one built at the grid's extent is 64 by 64 from the start
+    # a plane grown case by case is rebuilt at each new extent; one built at
+    # the grid's extent is 41 by 41 from the start
     calls = []
     real = identities.grid_mul
 
@@ -1325,8 +1328,32 @@ def test_count_planes_are_built_once_at_the_grid_extent(monkeypatch):
     assert len(calls) == classes * len(grid["p"]) == 28
     planes = [t for key, t in identities._ROWS.items() if key[0] is identities._count_plane]
     assert len(planes) == len(row_sides) * len(grid["p"])
-    assert all((len(plane), len(plane[0])) == (64, 64) for plane in planes)
+    assert all((len(plane), len(plane[0])) == (41, 41) for plane in planes)
     identities._ROWS.clear()
+
+
+@pytest.mark.parametrize(
+    "identity_id, name, bad",
+    [
+        ("pn_from_q", "n", -1),
+        ("qn_double_sum", "n", -3),
+        ("comb20", "n", -1),
+        ("comb16", "m", -1),
+        ("theorem6", "m", -1),
+        ("pmost_chain", "p", -1),
+    ],
+)
+def test_a_negative_index_fails_every_kind_of_family(identity_id, name, bad):
+    # the rows a family reads are indexed from 0, so once they are built a
+    # negative index would wrap to their far end rather than fail
+    desc = get_descriptor(identity_id)
+    params = {key: values[0] for key, values in desc.default_grid.items()} | {name: bad}
+    identities._ROWS.clear()
+    with pytest.raises(ValueError, match=f"got {name} = {bad}"):
+        evaluate_case(identity_id, params)
+    assert all(r.passed for r in identities.run_identity(identity_id))
+    with pytest.raises(ValueError):
+        evaluate_case(identity_id, params)
 
 
 # --- result bookkeeping -----------------------------------------------------
