@@ -28,9 +28,10 @@ followed by a newline.  Its top-level keys sort as config, results, timing,
 totals, version, so the head (config and the opening of results) is written
 first and timing, totals and version last.  The frame is rendered by
 json.dumps.  Every row, of every format, passing or failing, is written from
-the fields of one CaseResult by one writer, _rows: each params key order
-gets one template, and the text around params is cached per digest within
-one render_report call.
+one CaseResult, the tuple (names, values, verdict), by one writer, _rows:
+each names tuple gets one params template, found by identity while a
+family's cases share it, and the text around params is built once per
+verdict, within one render_report call.
 """
 
 from __future__ import annotations
@@ -177,38 +178,34 @@ def run_verify(config: dict, out: Optional[str]) -> int:
     return _run(config, tasks, config["format"], out, config["workers"])
 
 
-def _no_values(params: dict) -> tuple:
-    return ()
+def _json_params(names: tuple) -> tuple:
+    """The params object of a row with these names, as json.dumps nests it, and its values' order.
 
-
-def _json_params(keys: tuple) -> tuple:
-    """The params object of a row with these keys, as json.dumps nests it, and its values' reader.
-
-    The text is a %-template with one %s slot per key, in sorted key order,
-    so the key text is escaped for % as well as for JSON.
+    The text is a %-template with one %s slot per name, in sorted name order,
+    so the name text is escaped for % as well as for JSON.  The order is an
+    itemgetter that puts a row's values into slot order, or None when they
+    are in that order already.
     """
-    if not keys:
-        return "{}", _no_values
-    ordered = sorted(keys)
-    slots = ",\n        ".join(_json_str(k).replace("%", "%%") + ": %s" for k in ordered)
-    return "{\n        " + slots + "\n      }", itemgetter(*ordered)
+    if not names:
+        return "{}", None
+    order = sorted(range(len(names)), key=names.__getitem__)
+    slots = ",\n        ".join(_json_str(names[i]).replace("%", "%%") + ": %s" for i in order)
+    return "{\n        " + slots + "\n      }", None if order == sorted(order) else itemgetter(*order)
 
 
-def _text_params(keys: tuple) -> tuple:
-    """The k=v,... params text of TSV and human rows, in the params' own order, and its reader."""
-    if not keys:
-        return "", _no_values
-    return ",".join(k.replace("%", "%%") + "=%s" for k in keys), itemgetter(*keys)
+def _text_params(names: tuple) -> tuple:
+    """The k=v,... params text of TSV and human rows, whose slots are in the values' own order."""
+    return ",".join(k.replace("%", "%%") + "=%s" for k in names), None
 
 
-def _json_fixed(label: str, r: CaseResult) -> tuple[str, str]:
-    """The JSON row text of r before and after its params object.
+def _json_fixed(label: str, verdict: tuple) -> tuple[str, str]:
+    """The JSON row text of a verdict before and after its params object.
 
     A first_mismatch is None, an int or a pair of ints (a tuple, or the
     list a parsed report holds), written as a two-item list.  Strings go
     through json's own escaper.
     """
-    mismatch = r.first_mismatch
+    passed, lhs_hash, rhs_hash, mismatch = verdict
     if mismatch is None:
         mismatch_s = "null"
     elif type(mismatch) is int:
@@ -218,23 +215,24 @@ def _json_fixed(label: str, r: CaseResult) -> tuple[str, str]:
     return (
         f'    {{\n      "first_mismatch": {mismatch_s},'
         f'\n      "id": {_json_str(label)},'
-        f'\n      "lhs_hash": {_json_str(r.lhs_hash)},'
+        f'\n      "lhs_hash": {_json_str(lhs_hash)},'
         '\n      "params": ',
-        f',\n      "pass": {"true" if r.passed else "false"},'
-        f'\n      "rhs_hash": {_json_str(r.rhs_hash)}\n    }}',
+        f',\n      "pass": {"true" if passed else "false"},'
+        f'\n      "rhs_hash": {_json_str(rhs_hash)}\n    }}',
     )
 
 
-def _tsv_fixed(label: str, r: CaseResult) -> tuple[str, str]:
-    mismatch = "" if r.first_mismatch is None else json.dumps(r.first_mismatch)
-    return f"{label}\t", f"\t{int(r.passed)}\t{mismatch}\t{r.lhs_hash}\t{r.rhs_hash}\n"
+def _tsv_fixed(label: str, verdict: tuple) -> tuple[str, str]:
+    passed, lhs_hash, rhs_hash, mismatch = verdict
+    mismatch = "" if mismatch is None else json.dumps(mismatch)
+    return f"{label}\t", f"\t{int(passed)}\t{mismatch}\t{lhs_hash}\t{rhs_hash}\n"
 
 
-def _fail_fixed(label: str, r: CaseResult) -> tuple[str, str]:
-    return "  FAIL ", f" first_mismatch={json.dumps(r.first_mismatch)}\n"
+def _fail_fixed(label: str, verdict: tuple) -> tuple[str, str]:
+    return "  FAIL ", f" first_mismatch={json.dumps(verdict[3])}\n"
 
 
-# per format: the params template of a key order, the text around params, the row separator
+# per format: the params template of a names tuple, the text around params, the row separator
 _ROW_FORMATS = {
     "json": (_json_params, _json_fixed, ",\n"),
     "tsv": (_text_params, _tsv_fixed, ""),
@@ -245,32 +243,35 @@ _ROW_FORMATS = {
 def _rows(label: str, results: list[CaseResult], fmt: str) -> str:
     """The fmt rows of results, a task label's CaseResults, each the text before, params, after.
 
-    Each row is written from two caches that live for this call only.  A
-    params key order gets one template, built once: its text with one %s
-    slot per value, and an itemgetter of the values in slot order.  The text
-    before and after params is built once per (pass, lhs_hash, rhs_hash) of
-    a row with no first_mismatch, which covers every passing row the runner
-    makes; a row with a first_mismatch builds its own.  Only the key text,
-    escaped, goes into a %-template; the id and the digests are concatenated.
+    A CaseResult is (names, values, verdict), and each row is written from
+    two caches that live for this call only.  A names tuple gets one params
+    template, built once and found by identity while the names stay the
+    same object, as they do across a family run: its text with one %s slot
+    per value, and the order of the values in the slots.  A verdict gets the
+    text before and after params, built once: the runner shares a verdict
+    across the cases with the same sides, so a family's rows build few.  A
+    verdict that cannot be a key (a pair mismatch parsed back as a list)
+    builds its own.  Only the names, escaped, go into a %-template; the id
+    and the digests are concatenated.
     """
     template_of, fixed_of, sep = _ROW_FORMATS[fmt]
     templates, fixed = {}, {}
+    names = None
     rows = []
-    for r in results:
-        params = r.params
-        keys = tuple(params)
-        template = templates.get(keys)
-        if template is None:
-            template = templates[keys] = template_of(keys)
-        if r.first_mismatch is None:
-            digests = (r.passed, r.lhs_hash, r.rhs_hash)
-            around = fixed.get(digests)
-            if around is None:
-                around = fixed[digests] = fixed_of(label, r)
-        else:
-            around = fixed_of(label, r)
-        text, values = template
-        rows.append(around[0] + text % values(params) + around[1])
+    append = rows.append
+    for case_names, values, verdict in results:
+        if case_names is not names:
+            names = case_names
+            if names not in templates:
+                templates[names] = template_of(names)
+            text, order = templates[names]
+        try:
+            around = fixed.get(verdict)
+        except TypeError:
+            around = fixed_of(label, verdict)
+        if around is None:
+            around = fixed[verdict] = fixed_of(label, verdict)
+        append(around[0] + text % (order(values) if order else values) + around[1])
     return sep.join(rows)
 
 
@@ -484,26 +485,28 @@ def cmd_gauss(args) -> int:
     return 0
 
 
+_ORACLE_NAMES = ("n", "m", "p")
+_ORACLE_PASS = (True, "", "", None)
+
+
 def _oracle_cases(n_max: int, oracle_limit: int) -> list[CaseResult]:
-    """One case per (n, m, p), n <= n_max: the DP counts against enumeration."""
+    """One case per (n, m, p), n <= n_max: the DP counts against enumeration.
+
+    Every case shares one names tuple, and every passing case one verdict.
+    """
     results = []
+    append, make = results.append, CaseResult._make
     for n in range(n_max + 1):
         plain_counts, distinct_counts = oracle_counts(n, oracle_limit)
         for m in range(n + 1):
             for p in range(n + 1):
                 plain, distinct = plain_counts[m][p], distinct_counts[m][p]
                 dp_p, dp_q = count_P(n, m, p), count_Q(n, m, p)
-                ok = plain == dp_p and distinct == dp_q
-                mismatch = None if ok else (dp_p, plain) if plain != dp_p else (dp_q, distinct)
-                results.append(
-                    CaseResult(
-                        params={"n": n, "m": m, "p": p},
-                        passed=ok,
-                        lhs_hash="",
-                        rhs_hash="",
-                        first_mismatch=mismatch,
-                    )
-                )
+                if plain == dp_p and distinct == dp_q:
+                    verdict = _ORACLE_PASS
+                else:
+                    verdict = (False, "", "", (dp_p, plain) if plain != dp_p else (dp_q, distinct))
+                append(make((_ORACLE_NAMES, (n, m, p), verdict)))
     return results
 
 

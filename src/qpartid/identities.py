@@ -4,11 +4,15 @@ Each identity lives in a registry entry carrying its parameter names, a
 default verification grid and a prepare hook.  A family runs over its grid
 in two steps (_run_grid): the hook is handed the grid's values per axis,
 builds every row the grid reaches to the grid's extent and binds them in
-locals, and then one loop over the grid points reads each case's sides
-from those rows and finishes it into a CaseResult.  A grid's domain is
-checked once per axis, before anything is built, and one case alone is the
-run of its one-point grid (evaluate_case).  Checks build both sides
-independently and compare exactly, in three layers that share no evaluator:
+locals, and then one pass over the grid points reads each case's sides
+from those rows.  A case's sides are its verdict's key: the verdict
+(passed, lhs_hash, rhs_hash, first_mismatch) is worked out once per
+distinct sides in a family run and shared by every case with those sides,
+and each case's CaseResult is the family's names, the case's values and
+that verdict.  A grid's domain is checked once per axis, before anything
+is built, and one case alone is the run of its one-point grid
+(evaluate_case).  Checks build both sides independently and compare
+exactly, in three layers that share no evaluator:
 
 * q-polynomial: exact q-binomial brackets.  The single sums are rows of
   _Q_SUMS over two bracket kernels U and V, read by _q_reader.  Each side is
@@ -65,7 +69,7 @@ import hashlib
 import itertools
 import random
 from functools import partial
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .bigpoly import (
@@ -92,7 +96,6 @@ from .partitions import (
     count_Q_most,
     count_Q_nm,
     count_Q_of,
-    count_Q_star,
     fewest_parts,
 )
 from .qbinom import binom, binom2, bracket_base
@@ -144,10 +147,17 @@ def _weights(weight: str, count: int, n: int) -> tuple[int, ...]:
 # Results and descriptors
 # ---------------------------------------------------------------------------
 #
-# A case is one params dict, {name: value} in the descriptor's parameter
-# order.  The runner makes a fresh one per grid point, the finish stores it
-# unchanged in its CaseResult, and the CLI puts that same dict into the
-# report row.
+# A case is the values tuple itertools.product makes for its grid point, in
+# the descriptor's parameter order; no case builds a params dict.  Its sides,
+# read from the family's prepared rows, come back as the key of its verdict:
+# lhs.coeffs when both polynomial sides are one object (a side passed through
+# because the identity holds), else (lhs.coeffs, rhs.coeffs); the pair
+# (lhs, rhs) of a one-pair count or q = 1 family; the tuple of pairs of a
+# many-pair one.  The family's finish turns a key into a verdict, the tuple
+# (passed, lhs_hash, rhs_hash, first_mismatch), and the verdict memo of the
+# family run (_Verdicts) finishes each distinct key once.  A CaseResult is
+# the tuple (names, values, verdict), so a case adds one small tuple to what
+# its family holds already, and the CLI writes its row from those three.
 
 KIND_Q_POLYNOMIAL = "q_polynomial"
 KIND_COUNT_INTEGER = "count_integer"
@@ -155,45 +165,79 @@ KIND_COMBINATORIAL = "combinatorial_q1"
 
 
 class _Record:
-    """A __slots__ record compared by value, field by field, and shown with its fields.
+    """A record compared by value, field by field over _FIELDS, and shown with those fields.
 
-    Mutable, so unhashable.  A plain class, so constructing one costs one
-    __init__ call: about 0.2 us against 0.3 us for a NamedTuple, over the
-    tens of thousands of CaseResults a grid makes.
+    Unhashable, since a field may be mutable.
     """
 
     __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        return all(getattr(self, name) == getattr(other, name) for name in self._FIELDS)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"{type(self).__name__}({fields})"
 
 
-class CaseResult(_Record):
-    """Verdict for one case, with digests for compact reporting."""
+class CaseResult(_Record, tuple):
+    """Verdict for one case, with digests for compact reporting.
 
-    __slots__ = ("params", "passed", "lhs_hash", "rhs_hash", "first_mismatch")
+    The tuple (names, values, verdict): the parameter names, the case's values
+    in their order, and (passed, lhs_hash, rhs_hash, first_mismatch).  A
+    family run shares one names tuple across its cases and one verdict across
+    the cases with the same sides.  params, a fresh dict, and the verdict's
+    four fields read as attributes, and the constructor takes those five.
+    """
 
-    def __init__(
-        self,
+    __slots__ = ()
+    _FIELDS = ("params", "passed", "lhs_hash", "rhs_hash", "first_mismatch")
+
+    def __new__(
+        cls,
         params: dict[str, int],
         passed: bool,
         lhs_hash: str,
         rhs_hash: str,
         first_mismatch: Optional[object] = None,
     ):
-        self.params = params
-        self.passed = passed
-        self.lhs_hash = lhs_hash
-        self.rhs_hash = rhs_hash
-        self.first_mismatch = first_mismatch
+        verdict = (passed, lhs_hash, rhs_hash, first_mismatch)
+        return tuple.__new__(cls, (tuple(params), tuple(params.values()), verdict))
+
+    # CaseResult._make((names, values, verdict)), as the grid runner builds each case
+    _make = classmethod(tuple.__new__)
+
+    def __getnewargs__(self):
+        return (self.params, *self[2])
+
+    names = property(itemgetter(0), doc="The parameter names, in the order of values.")
+    values = property(itemgetter(1), doc="The case's parameter values.")
+    verdict = property(itemgetter(2), doc="(passed, lhs_hash, rhs_hash, first_mismatch).")
+
+    @property
+    def params(self) -> dict[str, int]:
+        return dict(zip(self[0], self[1]))
+
+    @property
+    def passed(self) -> bool:
+        return self[2][0]
+
+    @property
+    def lhs_hash(self) -> str:
+        return self[2][1]
+
+    @property
+    def rhs_hash(self) -> str:
+        return self[2][2]
+
+    @property
+    def first_mismatch(self) -> Optional[object]:
+        return self[2][3]
 
 
 class IdentityDescriptor(_Record):
@@ -201,11 +245,11 @@ class IdentityDescriptor(_Record):
 
     prepare(*axes), called with the grid's values per parameter in params
     order, builds what the family's cases read over that grid and returns
-    (sides, finish): sides(*values) gives one case's sides, and
-    finish(params, sides, tamper) its CaseResult.
+    (sides, finish): sides(*values) gives one case's sides as its verdict's
+    key, and finish(sides, tamper=False) that verdict.
     """
 
-    __slots__ = ("id", "kind", "params", "default_grid", "prepare")
+    __slots__ = _FIELDS = ("id", "kind", "params", "default_grid", "prepare")
 
     def __init__(
         self,
@@ -226,82 +270,93 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-# Digests of the sides seen so far in the family that run_identity is running,
-# keyed on the exact tuple of ints.  Many cases of a family share a side (every
-# resdbl case at one (p, a, c, n) has left side F(0)), so each distinct side is
-# hashed once.  The memo is scoped to one family run: run_identity sets it to a
-# fresh dict and back to None when the run ends, however it ends, so memory is
-# bounded by one family's distinct sides, a family's timing does not depend on
-# which family ran before it, and a case run outside a family run stores nothing.
-_digests: Optional[dict[tuple, str]] = None
-
-
-def _digest(values: tuple) -> str:
+def _digest(values: Sequence[int]) -> str:
     """SHA-256 of the comma-joined decimal text of values."""
-    memo = _digests
-    if memo is None:
-        return _sha(",".join(map(str, values)))
-    digest = memo.get(values)
-    if digest is None:
-        digest = memo[values] = _sha(",".join(map(str, values)))
-    return digest
+    return _sha(",".join(map(str, values)))
 
 
-def _poly_first_mismatch(lhs: IntPoly, rhs: IntPoly) -> Optional[int]:
-    top = max(len(lhs.coeffs), len(rhs.coeffs))
+class _Verdicts(dict):
+    """sides -> verdict over one family run: a key not yet seen is finished and kept."""
+
+    __slots__ = ("finish",)
+
+    def __missing__(self, sides):
+        verdict = self[sides] = self.finish(sides)
+        return verdict
+
+
+# The verdict memo of the family that run_identity is running.  Many cases of
+# a family share their sides (every resdbl case at one (n, p, a, c) has both
+# sides F(0), whatever its m and b), so each distinct sides is hashed and
+# compared once, and every later case with them costs one lookup.  The memo is
+# scoped to one family run: run_identity sets it to a fresh _Verdicts and back
+# to None when the run ends, however it ends, so memory is bounded by one
+# family's distinct sides, a family's timing does not depend on which family
+# ran before it, and a case run outside a family run stores nothing.
+_verdicts: Optional[_Verdicts] = None
+
+
+def _poly_key(lhs: IntPoly, rhs: IntPoly) -> tuple:
+    """The verdict key of two polynomial sides: lhs.coeffs when they are one object, else both coefficient tuples."""
+    return lhs.coeffs if lhs is rhs else (lhs.coeffs, rhs.coeffs)
+
+
+def _poly_unkey(key: tuple) -> tuple[tuple, tuple]:
+    """The two coefficient tuples of a _poly_key; a tuple of coefficients holds ints, never tuples."""
+    return key if key and type(key[0]) is tuple else (key, key)
+
+
+def _poly_first_mismatch(lhs: tuple, rhs: tuple) -> Optional[int]:
+    top = max(len(lhs), len(rhs))
     for e in range(top):
-        a = lhs.coeffs[e] if e < len(lhs.coeffs) else 0
-        b = rhs.coeffs[e] if e < len(rhs.coeffs) else 0
+        a = lhs[e] if e < len(lhs) else 0
+        b = rhs[e] if e < len(rhs) else 0
         if a != b:
             return e
     return None
 
 
-def _finish_poly(params: dict[str, int], sides: tuple[IntPoly, IntPoly], tamper: bool) -> CaseResult:
-    """The verdict on two polynomial sides."""
-    lhs, rhs = sides
+def _finish_poly(key: tuple, tamper: bool = False) -> tuple:
+    """The verdict on two polynomial sides, given as their _poly_key."""
+    lhs, rhs = _poly_unkey(key)
     if tamper:
-        rhs = poly_add(rhs, ONE)
-    lhs_hash = _digest(lhs.coeffs)
-    if lhs.coeffs == rhs.coeffs:  # equal sides hash alike
-        return CaseResult(params, True, lhs_hash, lhs_hash)
-    return CaseResult(
-        params, False, lhs_hash, _digest(rhs.coeffs), _poly_first_mismatch(lhs, rhs)
-    )
-
-
-def _finish_pairs(
-    params: dict[str, int], pairs: Sequence[tuple[int, int]], tamper: bool
-) -> CaseResult:
-    """The verdict on a non-empty list of (lhs, rhs) integer pairs."""
-    if len(pairs) == 1:
-        ((l, r),) = pairs
-        lhs, rhs = (l,), (r + 1 if tamper else r,)
-    else:
-        lhs, rhs = zip(*pairs)
-        if tamper:
-            rhs = (rhs[0] + 1, *rhs[1:])
+        rhs = poly_add(IntPoly(rhs), ONE).coeffs
     lhs_hash = _digest(lhs)
     if lhs == rhs:  # equal sides hash alike
-        return CaseResult(params, True, lhs_hash, lhs_hash)
-    return CaseResult(
-        params, False, lhs_hash, _digest(rhs), next((l, r) for l, r in zip(lhs, rhs) if l != r)
-    )
+        return (True, lhs_hash, lhs_hash, None)
+    return (False, lhs_hash, _digest(rhs), _poly_first_mismatch(lhs, rhs))
 
 
-def _combine(params: dict[str, int], subs: Iterable[CaseResult], sep: str) -> CaseResult:
-    """The first failing sub-result, under params; else a pass over the sep-joined digests."""
+def _finish_pair(pair: tuple[int, int], tamper: bool = False) -> tuple:
+    """The verdict on one (lhs, rhs) integer pair."""
+    lhs, rhs = pair
+    if tamper:
+        rhs += 1
+    lhs_hash = _sha(str(lhs))  # the _digest of (lhs,)
+    if lhs == rhs:
+        return (True, lhs_hash, lhs_hash, None)
+    return (False, lhs_hash, _sha(str(rhs)), (lhs, rhs))
+
+
+def _finish_pairs(pairs: tuple[tuple[int, int], ...], tamper: bool = False) -> tuple:
+    """The verdict on a non-empty tuple of (lhs, rhs) integer pairs."""
+    lhs, rhs = zip(*pairs)
+    if tamper:
+        rhs = (rhs[0] + 1, *rhs[1:])
+    lhs_hash = _digest(lhs)
+    if lhs == rhs:  # equal sides hash alike
+        return (True, lhs_hash, lhs_hash, None)
+    return (False, lhs_hash, _digest(rhs), next((l, r) for l, r in zip(lhs, rhs) if l != r))
+
+
+def _combine(verdicts: Iterable[tuple], sep: str) -> tuple:
+    """The first failing verdict; else a pass over the sep-joined digests."""
     done = []
-    for sub in subs:
-        if not sub.passed:
-            return CaseResult(params, False, sub.lhs_hash, sub.rhs_hash, sub.first_mismatch)
-        done.append(sub)
-    return CaseResult(
-        params,
-        True,
-        _sha(sep.join(sub.lhs_hash for sub in done)),
-        _sha(sep.join(sub.rhs_hash for sub in done)),
-    )
+    for verdict in verdicts:
+        if not verdict[0]:
+            return verdict
+        done.append(verdict)
+    return (True, _sha(sep.join(v[1] for v in done)), _sha(sep.join(v[2] for v in done)), None)
 
 
 _PARAM_DOMAIN_MSG = "identity parameters must satisfy n, m >= 0 (and p >= 0, a >= 0, b, c >= 1)"
@@ -478,9 +533,9 @@ def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
     def sides(n, m):
         width, lhs, rhs = at[m]
         x, y = lhs(n), rhs(n)
-        left = unpack(x, width)
-        # at one width, equal packed ints are equal polynomials
-        return left, left if x == y else unpack(y, width)
+        left = unpack(x, width).coeffs
+        # at one width, equal packed ints are equal polynomials: the _poly_key of one object
+        return left if x == y else (left, unpack(y, width).coeffs)
 
     return sides, _finish_poly
 
@@ -598,7 +653,9 @@ def _resdbl_sums(variant: str, ns, ms, ps, as_, bs, cs):
 
     def sides(n, m, p, a, b, c):
         H = h_rows[p, a, c]
-        return _diagonal_sum(H, n, *diagonals[m, b]), H[n]
+        lhs, rhs = _diagonal_sum(H, n, *diagonals[m, b]), H[n]
+        # _poly_key written out, as this runs once per case
+        return rhs.coeffs if lhs is rhs else (lhs.coeffs, rhs.coeffs)
 
     return sides, _finish_poly
 
@@ -644,9 +701,9 @@ def _parity_halves(corollary_id: str, ns, ms):
     return sides, _finish_halves
 
 
-def _finish_halves(params, halves, tamper: bool) -> CaseResult:
+def _finish_halves(halves, tamper: bool = False) -> tuple:
     even, odd = halves
-    return _combine(params, (_finish_poly(params, even, tamper), _finish_poly(params, odd, False)), "")
+    return _combine((_finish_poly(_poly_key(*even), tamper), _finish_poly(_poly_key(*odd))), "")
 
 
 def q_identity_sides(identity_id: str, params: dict[str, int]) -> tuple[IntPoly, IntPoly]:
@@ -664,7 +721,8 @@ def q_identity_sides(identity_id: str, params: dict[str, int]) -> tuple[IntPoly,
     desc = get_descriptor(identity_id)
     values = [params[name] for name in desc.params]
     sides, _ = _prepared(desc, [[value] for value in values])
-    return sides(*values)
+    lhs, rhs = _poly_unkey(sides(*values))
+    return IntPoly(lhs), IntPoly(rhs)
 
 
 def check_F_theorem(
@@ -684,7 +742,7 @@ def check_F_theorem(
     if n < 0 or m < 0:
         raise ValueError(_PARAM_DOMAIN_MSG)
     lhs = triangle_sum(F, n, m, base, sign_on)
-    return _finish_poly({"n": n, "m": m}, (lhs, F[0]), False)
+    return CaseResult._make((_NM, (n, m), _finish_poly(_poly_key(lhs, F[0]))))
 
 
 _F_RANDOM_SEED = 74521
@@ -700,11 +758,11 @@ def standard_f_sequences(n: int, m: int) -> list[tuple[str, tuple[IntPoly, ...]]
 
 
 def _f_theorem(ns, ms):
-    """The prepare of f_theorem: nothing to build ahead, a case is six lazy check_F_theorem calls."""
+    """The prepare of f_theorem: nothing to build ahead, a case is the verdicts of six lazy check_F_theorem calls."""
 
     def sides(n, m):
         return (
-            check_F_theorem(seq, n, m, sign_on)
+            check_F_theorem(seq, n, m, sign_on).verdict
             for sign_on in ("k", "l")
             for _, seq in standard_f_sequences(n, m)
         )
@@ -712,11 +770,11 @@ def _f_theorem(ns, ms):
     return sides, _finish_f_theorem
 
 
-def _finish_f_theorem(params, subs, tamper: bool) -> CaseResult:
-    result = _combine(params, subs, ",")
+def _finish_f_theorem(verdicts, tamper: bool = False) -> tuple:
+    verdict = _combine(verdicts, ",")
     if tamper:
-        return CaseResult(params, False, result.lhs_hash, _sha(result.rhs_hash), 0)
-    return result
+        return (False, verdict[1], _sha(verdict[2]), 0)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +784,8 @@ def _finish_f_theorem(params, subs, tamper: bool) -> CaseResult:
 # A count side reads the _Q_SUMS grammar over count kernels at the case's p.
 # The kernels are named after the q kernels they stand in for, so a _Q_SUMS
 # row reads here as it stands: U is count_P and V is count_Q.  Q*, P* and P+
-# are count_Q_star, count_P_star and (a, b) -> count_P(a+b, b, p+1).
+# are count_Q_star, count_P_star and (a, b) -> count_P(a+b, b, p+1); the star
+# tables are running sums of V and U along b (_RUNNING_SUMS).
 # A side is a kernel at (n, m), _DELTA (1 at n = m = 0, else 0), _NIL (zero),
 # or a row (scale, A, B, d, w) meaning
 #     scale * sum_{k <= n/d, l <= m/d} w(l) A(n-dk, m-dl) B(k, l).
@@ -757,10 +816,11 @@ _NIL = "zero"
 _COUNT_KERNELS = {
     "U": lambda a, b, p: count_P(a, b, p),
     "V": lambda a, b, p: count_Q(a, b, p),
-    "Q*": lambda a, b, p: count_Q_star(a, b, p),
-    "P*": lambda a, b, p: count_P_star(a, b, p),
     "P+": lambda a, b, p: count_P(a + b, b, p + 1),
 }
+# P*(a, b) = sum_{k <= b} P(a, k) and Q*(a, b) = sum_{k <= b} Q(a, k): each
+# star table is the running sum along b of the table it names
+_RUNNING_SUMS = {"P*": "U", "Q*": "V"}
 
 
 def _count_entry(name: str, p: int, a: int, b: int) -> int:
@@ -784,12 +844,25 @@ _COUNT_SUMS = {
 
 
 def _count_table(name: str, p: int, rows: int, cols: int) -> list[list[int]]:
-    """t[a][b] = kernel(a, b) at part bound p, through at least a < rows, b < cols; one table per (name, p)."""
+    """t[a][b] = kernel(a, b) at part bound p, through at least a < rows, b < cols; one table per (name, p).
+
+    A star table grows as a running sum, t[a][b] = t[a][b-1] + terms[a][b],
+    over the table of its terms grown first to the same extent.
+    """
     entry = _count_entry
     table = _ROWS.setdefault((entry, name, p), [])
-    for a, row in enumerate(table[:rows]):
-        row.extend(entry(name, p, a, b) for b in range(len(row), cols))
-    table.extend([entry(name, p, a, b) for b in range(cols)] for a in range(len(table), rows))
+    table.extend([] for _ in range(len(table), rows))
+    summed = _RUNNING_SUMS.get(name)
+    if summed is None:
+        for a, row in enumerate(table[:rows]):
+            row.extend(entry(name, p, a, b) for b in range(len(row), cols))
+        return table
+    terms = _count_table(summed, p, rows, cols)
+    for row, term_row in zip(table[:rows], terms):
+        total = row[-1] if row else 0
+        for term in term_row[len(row):cols]:
+            total += term
+            row.append(total)
     return table
 
 
@@ -845,14 +918,14 @@ def _count_sums(spec, ns, ms, ps):
     left, right = ({p: _count_grid(side, p, rows, cols) for p in ps} for side in spec)
 
     def sides(n, m, p):
-        return [(left[p][n][m], right[p][n][m])]
+        return left[p][n][m], right[p][n][m]
 
-    return sides, _finish_pairs
+    return sides, _finish_pair
 
 
-def _each_case(sides, *axes):
+def _each_case(sides, finish, *axes):
     """The prepare of a family with nothing to build ahead: its cases call sides as they come."""
-    return sides, _finish_pairs
+    return sides, finish
 
 
 def _pairs_pmost_chain(n, p):
@@ -862,23 +935,23 @@ def _pairs_pmost_chain(n, p):
     convolution = sum(
         count_Q_most(n - 2 * k, p) * count_P_nm(p + k, p) for k in range(n // 2 + 1)
     )
-    return [
+    return (
         (most, exact_sum),
         (most, count_P_star(n, n, p)),
         (most, count_P(2 * n, n, p + 1)),
         (most, count_P_nm(n + p, p)),
         (count_P_nm(n + p, p), convolution),
-    ]
+    )
 
 
 def _count_of(distinct: bool, x: int) -> int:
     return count_Q_of(x) if distinct else count_P_of(x)
 
 
-def _pairs_pn_from_q(n):
+def _pair_pn_from_q(n):
     p_of, q_of = _row(_count_of, False, top=n), _row(_count_of, True, top=n)
     rhs = sum(q_of[n - 2 * k] * p_of[k] for k in range(n // 2 + 1))
-    return [(p_of[n], rhs)]
+    return p_of[n], rhs
 
 
 def _signed_distinct(k: int) -> int:
@@ -890,15 +963,15 @@ def _signed_distinct(k: int) -> int:
     return total
 
 
-def _pairs_qn_double_sum(n):
+def _pair_qn_double_sum(n):
     # the statement runs l to floor(n/2); that sum does not depend on n, so it is one row over k
     p_of, signed = _row(_count_of, False, top=n), _row(_signed_distinct, top=n // 2)
     rhs = sum(p_of[n - 2 * k] * signed[k] for k in range(n // 2 + 1))
-    return [(_row(_count_of, True, top=n)[n], rhs)]
+    return _row(_count_of, True, top=n)[n], rhs
 
 
-def _pairs_qnmp_correspondence(n, m, p):
-    return [(count_Q(n, m, p), count_P(n - m * (m - 1) // 2, m, p - m + 1))]
+def _pair_qnmp_correspondence(n, m, p):
+    return count_Q(n, m, p), count_P(n - m * (m - 1) // 2, m, p - m + 1)
 
 
 # --- generating functions ---------------------------------------------------
@@ -938,7 +1011,7 @@ def _pairs_genfun(p, q_order=GENFUN_Q_ORDER, z_degree=GENFUN_Z_DEGREE):
         for nn in range(q_order + 1):
             pairs.append((p_table[mm][nn], count_P(nn, mm, p)))
             pairs.append((q_table[mm][nn], count_Q(nn, mm, p)))
-    return pairs
+    return tuple(pairs)
 
 
 def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z_DEGREE,
@@ -948,7 +1021,7 @@ def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z
     The reciprocal product must reproduce count_P(n, m, p) and the plain
     product count_Q(n, m, p), for all n <= q_order, m <= z_degree.
     """
-    return _finish_pairs({"p": p}, _pairs_genfun(p, q_order, z_degree), tamper)
+    return CaseResult._make((("p",), (p,), _finish_pairs(_pairs_genfun(p, q_order, z_degree), tamper)))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,9 +1084,9 @@ def _comb_sums(row: str, r: int, ns, ms):
     def sides(n, m):
         N, at_m = d * n + r, kernels[m]
         sign = -1 if alternating and n % 2 else 1
-        return [(sign * _comb_side(lhs, N, at_m), sign * _comb_side(rhs, N, at_m))]
+        return sign * _comb_side(lhs, N, at_m), sign * _comb_side(rhs, N, at_m)
 
-    return sides, _finish_pairs
+    return sides, _finish_pair
 
 
 def _comb_diagonal(sign_on: str, m: int, keep: Optional[int], j: int) -> int:
@@ -1039,9 +1112,9 @@ def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):
 
         def sides(n, m, p):
             f = f_rows[p]
-            return [(sum(map(mul, f[n::-1], g_rows[m])), f[n])]
+            return sum(map(mul, f[n::-1], g_rows[m])), f[n]
 
-        return sides, _finish_pairs
+        return sides, _finish_pair
     variant, p_offset, _ = _COROLLARIES[row]
     shifted_top, sign_on = _RESDBL[variant]
     keeps = {(n - parity) % 2 for n in ns}
@@ -1050,9 +1123,9 @@ def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):
 
     def half(n, m):
         f = f_rows[m]
-        return [(sum(map(mul, f[n::-1], g_rows[m, (n - parity) % 2])), 0 if parity else f[n])]
+        return sum(map(mul, f[n::-1], g_rows[m, (n - parity) % 2])), 0 if parity else f[n]
 
-    return half, _finish_pairs
+    return half, _finish_pair
 
 
 _COMB_SUMS = {
@@ -1124,12 +1197,17 @@ def _build_registry() -> list[IdentityDescriptor]:
         add(identity_id, count, _NMP, nmp, partial(_count_sums, spec))
     corr_grid = {"n": _rng(15), "m": _rng(15), "p": _rng(15)}
     for identity_id, params, grid, prepare in (
-        ("pmost_chain", ("n", "p"), {"n": _rng(15), "p": _rng(15)}, partial(_each_case, _pairs_pmost_chain)),
-        ("pn_from_q", ("n",), {"n": _rng(40)}, partial(_each_case, _pairs_pn_from_q)),
-        ("qn_double_sum", ("n",), {"n": _rng(40)}, partial(_each_case, _pairs_qn_double_sum)),
+        (
+            "pmost_chain",
+            ("n", "p"),
+            {"n": _rng(15), "p": _rng(15)},
+            partial(_each_case, _pairs_pmost_chain, _finish_pairs),
+        ),
+        ("pn_from_q", ("n",), {"n": _rng(40)}, partial(_each_case, _pair_pn_from_q, _finish_pair)),
+        ("qn_double_sum", ("n",), {"n": _rng(40)}, partial(_each_case, _pair_qn_double_sum, _finish_pair)),
         ("pnmp_correspondence", _NMP, corr_grid, partial(_count_sums, ("P*", "P+"))),
-        ("qnmp_correspondence", _NMP, corr_grid, partial(_each_case, _pairs_qnmp_correspondence)),
-        ("genfun", ("p",), {"p": _rng(6)}, partial(_each_case, _pairs_genfun)),
+        ("qnmp_correspondence", _NMP, corr_grid, partial(_each_case, _pair_qnmp_correspondence, _finish_pair)),
+        ("genfun", ("p",), {"p": _rng(6)}, partial(_each_case, _pairs_genfun, _finish_pairs)),
     ):
         add(identity_id, count, params, grid, prepare)
 
@@ -1179,29 +1257,39 @@ def _prepared(desc: IdentityDescriptor, axes: Sequence[Sequence[int]]) -> tuple[
     return desc.prepare(*axes)
 
 
-def _run_grid(desc: IdentityDescriptor, grid: dict[str, list[int]], tamper_first: bool) -> list[CaseResult]:
-    """Every case of grid, in iter_cases order: prepare once, then one loop over the grid points.
+# the families whose sides are sub-verdicts, finished by _combine: never a memo key
+_COMBINED = (_finish_halves, _finish_f_theorem)
 
-    The loop walks the value tuples itself, as iter_cases does, rather than
-    read each case's values back out of an iter_cases dict: that read costs
-    a tenth of the loop on the double sums.  With tamper_first, the first
-    case is finished with its right side tampered.
+
+def _run_grid(desc: IdentityDescriptor, grid: dict[str, list[int]], tamper_first: bool) -> list[CaseResult]:
+    """Every case of grid, in iter_cases order: prepare once, then one pass over the grid points.
+
+    Each case's sides go to the verdict memo of the family run, which
+    finishes only sides it has not seen; with no memo (a case run alone), or
+    for a _COMBINED family, every case is finished.  With tamper_first the
+    first case is finished with its right side tampered, outside the memo, so
+    no later case with the same sides reads its verdict.  A second pass over
+    the grid points makes each CaseResult from the family's names, the case's
+    values and its verdict.
     """
     names = desc.params
     axes = [grid[name] for name in names]
     if not all(axes):
         return []
     sides, finish = _prepared(desc, axes)
-    results = []
-    append, tamper = results.append, tamper_first
-    for values in itertools.product(*axes):
-        append(finish(dict(zip(names, values)), sides(*values), tamper))
-        tamper = False
-    return results
+    cases = itertools.starmap(sides, itertools.product(*axes))
+    verdicts = [finish(next(cases), True)] if tamper_first else []
+    memo = _verdicts
+    if memo is None or finish in _COMBINED:
+        verdicts.extend(map(finish, cases))
+    else:
+        memo.finish = finish
+        verdicts.extend(map(memo.__getitem__, cases))
+    return list(map(CaseResult._make, zip(itertools.repeat(names), itertools.product(*axes), verdicts)))
 
 
 def evaluate_case(identity_id: str, params: dict[str, int], tamper: bool = False) -> CaseResult:
-    """Check one case, as the run of its one-point grid, with no digest memo.
+    """Check one case, as the run of its one-point grid, with no verdict memo.
 
     Its result's params holds the descriptor's names, in their order.
     """
@@ -1215,10 +1303,10 @@ def run_identity(
     tamper_first: bool = False,
 ) -> list[CaseResult]:
     """Evaluate one identity over a grid; module-level so worker pools can import it."""
-    global _digests
+    global _verdicts
     desc = get_descriptor(identity_id)
-    _digests = {}
+    _verdicts = _Verdicts()
     try:
         return _run_grid(desc, grid or desc.default_grid, tamper_first)
     finally:
-        _digests = None
+        _verdicts = None

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -872,6 +873,25 @@ def test_wide_count_sum_tsv_report_bytes_are_pinned():
     assert digest == "10ca7fb35ade4b96461c32cacc0787e711f6f8ae8e9605ccf8004976fd59a867"
 
 
+# TSV of verify --all --inject-failure: 75,456 rows, comb01's first one failing
+INJECTED_ALL_TSV_DIGEST = "d06301de115ca8b0aa470deaca3add6ba65bb53978f831d37986c094fe046937"
+
+
+def test_injected_failure_tsv_is_pinned_across_worker_counts():
+    # the failing row goes through the row writer outside the verdict memo,
+    # in the parent at --workers 1 and in a pool worker at --workers 2
+    outs = []
+    for workers in ("1", "2"):
+        proc = run_module("verify", "--all", "--inject-failure", "--format", "tsv", "--workers", workers)
+        assert proc.returncode == 1, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0].encode()).hexdigest() == INJECTED_ALL_TSV_DIGEST
+    assert [line.split("\t")[:3] for line in outs[0].splitlines() if line.split("\t")[2] == "0"] == [
+        ["comb01", "n=0,m=0", "0"]
+    ]
+
+
 def test_table_partition_count_past_the_recursion_limit():
     proc = run_module("table", "--func", "Pn", "--n", "2000")
     assert proc.returncode == 0, proc.stderr
@@ -1159,6 +1179,37 @@ def example_row(**fields):
 )
 def test_json_render_is_json_dumps(report):
     assert_renders_as_json_dumps(report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(["%", "%s", "%%d", "n", "m", "p"]) | ROW_TEXT, BIG_INTS, max_size=6),
+    st.tuples(
+        st.booleans(),
+        ROW_TEXT,
+        ROW_TEXT,
+        st.one_of(st.none(), BIG_INTS, st.tuples(BIG_INTS, BIG_INTS)),
+    ),
+    ROW_TEXT,
+)
+@example({"%": 0, "n": 1, "%s": 2}, (True, "0" * 64, "0" * 64, None), "%d")
+@example({}, (False, "a", "b", (1, 2)), "delta")
+def test_a_case_result_from_a_dict_is_the_runner_record_of_its_content(params, verdict, label):
+    # the public constructor and the runner's record of the same content are
+    # one value, and every format writes them as the same bytes
+    from_dict = CaseResult(params, *verdict)
+    record = CaseResult._make((tuple(params), tuple(params.values()), verdict))
+    assert from_dict == record and repr(from_dict) == repr(record)
+    assert (from_dict.params, from_dict.verdict) == (params, verdict)
+    assert pickle.loads(pickle.dumps(record)) == record
+    # the keys in another order are the same params, and the same JSON row
+    reordered = CaseResult(dict(reversed(params.items())), *verdict)
+    assert reordered == record
+    for fmt in ("json", "tsv", "human"):
+        want = render_report(label, [record, record], fmt, 0.0)
+        assert render_report(label, [from_dict, record], fmt, 0.0) == want
+        assert render_report(label, [from_dict, from_dict], fmt, 0.0) == want
+    assert render_report(label, [reordered], "json", 0.0) == render_report(label, [record], "json", 0.0)
 
 
 def text_block_by_fstring(label, results, fmt):

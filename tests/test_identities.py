@@ -467,7 +467,7 @@ def test_comb_triangle_diagonals_match_the_double_loop(data, n, m, sign_on):
         f = [binom(p + s, p) if shifted_top else binom(p, s) for s in range(n + 1)]
         expected = (comb_triangle_by_terms(f, n, m, sign_on), f[n])
         comb_id = COMB_TRIANGLE_ROWS[sign_on, shifted_top]
-        assert case_sides(comb_id, n, m, p) == [expected]
+        assert case_sides(comb_id, n, m, p) == expected
 
 
 def test_comb_triangle_diagonals_vanish_past_the_origin():
@@ -543,7 +543,7 @@ def test_qn_double_sum_row_is_the_sum_as_stated():
             count_P_of(n - 2 * k) * sum((-1) ** l * count_Q_nm(k, l) for l in range(n // 2 + 1))
             for k in range(n // 2 + 1)
         )
-        assert identities._pairs_qn_double_sum(n) == [(count_Q_of(n), stated)]
+        assert identities._pair_qn_double_sum(n) == (count_Q_of(n), stated)
 
 
 def test_pmost_chain_takes_its_left_side_from_the_one_shot_box_count(monkeypatch):
@@ -739,7 +739,7 @@ COUNT_SIDES = sorted(
 def count_side(side, n, m, p):
     """One count side at one case, read as the count prepare of the one-point grid reads it."""
     sides, _ = identities._count_sums((side, identities._NIL), [n], [m], [p])
-    return sides(n, m, p)[0][0]
+    return sides(n, m, p)[0]
 
 
 def count_side_by_calls(side, n, m, p):
@@ -798,6 +798,33 @@ def test_count_tables_match_the_per_call_convolution(queries):
         rows, cols = (max(top) + 1 for top in zip(*asked))
         assert (len(plane), len(plane[0])) == (rows, cols)
         assert plane == count_plane_by_calls(side, p, rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(0, 5),
+    queries=st.lists(
+        st.tuples(st.sampled_from(["P*", "Q*", "U", "V"]), st.integers(1, 14), st.integers(1, 14)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(p=2, queries=[("P*", 3, 9), ("Q*", 9, 3), ("P*", 12, 12), ("Q*", 12, 12)])
+@example(p=3, queries=[("U", 14, 14), ("P*", 2, 2), ("V", 5, 14), ("Q*", 14, 4), ("Q*", 6, 14)])
+def test_star_tables_are_running_sums_cell_by_cell(p, queries):
+    # P* and Q* grow in place as running sums of U and V along b, in either
+    # direction and after their term tables have grown on their own
+    identities._ROWS.clear()
+    counts = {"P*": count_P_star, "Q*": count_Q_star, "U": count_P, "V": count_Q}
+    for name, rows, cols in queries:
+        identities._count_table(name, p, rows, cols)
+        for star in ("P*", "Q*"):
+            table = identities._ROWS.get((identities._count_entry, star, p), [])
+            for a, row in enumerate(table):
+                assert row == [counts[star](a, b, p) for b in range(len(row))], (star, a)
+        table = identities._ROWS[(identities._count_entry, name, p)]
+        assert len(table) >= rows and all(len(row) >= cols for row in table[:rows])
+    identities._ROWS.clear()
 
 
 def test_count_sides_are_zero_at_negative_indices():
@@ -911,7 +938,7 @@ def test_binomial_rows_match_the_comprehensions(queries):
         # the q = 1 triangle reads the F row and the diagonals from the same memos
         n = top % 21
         lhs = comb_triangle_by_terms(BINOM_ROWS["f_plain"](x, n), n, x % 21, "k")
-        assert case_sides("comb18", n, x % 21, x) == [(lhs, binom(x, n))]
+        assert case_sides("comb18", n, x % 21, x) == (lhs, binom(x, n))
 
 
 def q_kernel_by_brackets(name, m, d, indices):
@@ -975,7 +1002,8 @@ def test_packed_q_sides_match_the_term_by_term_fold():
                 assert unpack(read(n), width) == poly, (q_id, side, n, m)
             for pair in itertools.permutations(want, 2):
                 sides, _ = identities._q_sums(pair, [n], [m])
-                assert sides(n, m) == tuple(map(want.get, pair)), (pair, n, m)
+                got = identities._poly_unkey(sides(n, m))
+                assert got == tuple(want[side].coeffs for side in pair), (pair, n, m)
     assert widths == set(range(1, 6))
 
 
@@ -1063,7 +1091,7 @@ def test_comb_parity_halves_match_the_double_loop(queries):
     identities._ROWS.clear()
     for comb_id, n, m in queries:
         expected = comb_parity_by_loops(*COMB_PARITY_CASES[comb_id], n, m)
-        assert case_sides(comb_id, n, m) == [expected], (comb_id, n, m)
+        assert case_sides(comb_id, n, m) == expected, (comb_id, n, m)
 
 
 def test_comb_parity_halves_match_the_double_loop_on_the_whole_grid():
@@ -1072,7 +1100,7 @@ def test_comb_parity_halves_match_the_double_loop_on_the_whole_grid():
         sides, _ = get_descriptor(comb_id).prepare(range(21), range(21))
         for n, m in itertools.product(range(21), repeat=2):
             expected = comb_parity_by_loops(parity, kernel, n, m)
-            assert sides(n, m) == [expected], (comb_id, n, m)
+            assert sides(n, m) == expected, (comb_id, n, m)
 
 
 def alternate(xs):
@@ -1171,7 +1199,7 @@ def test_comb_sums_match_the_binomial_templates(queries):
     for comb_id, n, m in queries:
         assert identities._COMB_SUMS[comb_id][1] in identities._Q_SUMS
         expected = comb_by_templates(comb_id, n, m)
-        assert case_sides(comb_id, n, m) == [expected], (comb_id, n, m)
+        assert case_sides(comb_id, n, m) == expected, (comb_id, n, m)
 
 
 def resdbl_f_by_loop(variant, n, p, a, c):
@@ -1400,19 +1428,17 @@ def test_hashes_are_of_each_side_as_given():
 @example(values=[])
 @example(values=[-(2**200), 0, 2**200])
 def test_side_digests_are_the_sha_of_the_decimal_text(values):
-    # outside a family run and inside one (a memo that may already hold the
-    # key), a digest is the SHA-256 of the comma-joined decimal text
+    # a digest is the SHA-256 of the comma-joined decimal text, of a tuple or
+    # of a polynomial's coefficients, and a verdict holds exactly those digests
     want = sha_of(values)
     poly = IntPoly(values)
-    try:
-        for memo in (None, {}):
-            identities._digests = memo
-            assert identities._digest(tuple(values)) == want
-            assert identities._digest(tuple(iter(values))) == want
-            assert identities._digest(poly.coeffs) == sha_of(poly.coeffs)
-            assert identities._digest(tuple(values)) == want
-    finally:
-        identities._digests = None
+    assert identities._digest(tuple(values)) == want
+    assert identities._digest(poly.coeffs) == sha_of(poly.coeffs)
+    assert identities._finish_poly(poly.coeffs) == (True, sha_of(poly.coeffs), sha_of(poly.coeffs), None)
+    if values:
+        pairs = tuple((v, v) for v in values)
+        assert identities._finish_pairs(pairs) == (True, want, want, None)
+        assert identities._finish_pair(pairs[0]) == identities._finish_pairs(pairs[:1])
 
 
 def test_combine_returns_the_first_failing_corollary_half(monkeypatch):
@@ -1424,13 +1450,12 @@ def test_combine_returns_the_first_failing_corollary_half(monkeypatch):
         return (lhs, ONE if parity == "odd" else rhs)
 
     monkeypatch.setattr(identities, "parity_sum_sides", odd_fails)
-    params = {"n": 3, "m": 2}
     sides, finish = get_descriptor("corollary_2_4").prepare([3], [2])
-    r = finish(params, sides(3, 2), False)
+    passed, lhs_hash, rhs_hash, first_mismatch = finish(sides(3, 2))
     odd_lhs, _ = real("corollary_2_4", "odd", 3, 2)
-    assert r.params is params and not r.passed
-    assert (r.lhs_hash, r.rhs_hash) == (sha_of(odd_lhs.coeffs), sha_of(ONE.coeffs))
-    assert r.first_mismatch == 0
+    assert not passed
+    assert (lhs_hash, rhs_hash) == (sha_of(odd_lhs.coeffs), sha_of(ONE.coeffs))
+    assert first_mismatch == 0
 
 
 def test_combine_returns_the_first_failing_f_theorem_sub_check(monkeypatch):
@@ -1446,11 +1471,8 @@ def test_combine_returns_the_first_failing_f_theorem_sub_check(monkeypatch):
         return failing if len(calls) == 4 else real(F, n, m, sign_on)
 
     monkeypatch.setattr(identities, "check_F_theorem", fourth_fails)
-    params = {"n": 2, "m": 1}
     sides, finish = get_descriptor("f_theorem").prepare([2], [1])
-    r = finish(params, sides(2, 1), False)
-    assert r.params is params and not r.passed
-    assert (r.lhs_hash, r.rhs_hash, r.first_mismatch) == ("a" * 64, "b" * 64, 7)
+    assert finish(sides(2, 1)) == (False, "a" * 64, "b" * 64, 7)
     # the sub-checks after the failing one are not run
     assert calls == ["k", "k", "k", "l"]
 
@@ -1477,43 +1499,61 @@ def test_combine_hashes_the_joined_sub_digests_of_a_pass():
     assert (r.lhs_hash, r.rhs_hash) == (sha(",".join(lhs_six)), sha(",".join(rhs_six)))
 
 
-def test_the_digest_memo_lives_for_one_family_run_only(monkeypatch):
+def test_the_verdict_memo_lives_for_one_family_run_only(monkeypatch):
     seen = []
     finish = identities._finish_poly
 
     def spy(*args, **kwargs):
-        memo = identities._digests
+        memo = identities._verdicts
         seen.append(None if memo is None else dict(memo))
         return finish(*args, **kwargs)
 
     monkeypatch.setattr(identities, "_finish_poly", spy)
     grid = {"n": [2, 3], "m": [0, 1, 2], "p": [1], "a": [0], "b": [1, 2], "c": [1]}
     results = identities.run_identity("resdbl1", grid)
-    assert identities._digests is None
-    # every (m, b) case at one n shares its left side, so the memo holds far
-    # fewer digests than there are cases
-    assert len(seen) == len(results) == 12
-    assert seen[0] == {} and 0 < len(seen[-1]) <= 4
+    assert identities._verdicts is None
+    # every (m, b) case at one n has the sides F(0), F(0): two distinct sides
+    # over 12 cases, each finished once, and every case shares its verdict
+    assert len(results) == 12
+    assert len(seen) == 2 and seen[0] == {} and len(seen[1]) == 1
+    assert len({id(r.verdict) for r in results}) == 2
+    assert all(r.names is results[0].names for r in results)
 
     # a case checked outside a family run neither reads nor keeps a memo
     evaluate_case("resdbl1", {"n": 3, "m": 1, "p": 1, "a": 0, "b": 1, "c": 1})
     check_F_theorem((ONE, ZERO, ONE), 2, 1, "k")
-    assert seen[12:] == [None, None]
+    assert seen[2:] == [None, None]
     check_genfun(1, 4, 2)
-    assert identities._digests is None
+    assert identities._verdicts is None
 
     calls = []
 
-    def fails_on_the_third_case(*args):
+    def fails_on_the_second_sides(*args):
         calls.append(1)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise RuntimeError("injected")
         return finish(*args)
 
-    monkeypatch.setattr(identities, "_finish_poly", fails_on_the_third_case)
+    monkeypatch.setattr(identities, "_finish_poly", fails_on_the_second_sides)
     with pytest.raises(RuntimeError, match="injected"):
         identities.run_identity("resdbl1", grid)
-    assert identities._digests is None
+    assert identities._verdicts is None
+
+
+def test_the_verdict_memo_never_keeps_a_tampered_verdict():
+    # theorem_simple at n, m, p <= 3 has the sides (0, 0) at case 0's
+    # neighbours and far beyond: a tampered verdict kept in the memo would
+    # fail every later case with case 0's sides
+    grid = {"n": [0, 1, 2, 3], "m": [0, 1, 2, 3], "p": [0, 1, 2, 3]}
+    sides, _ = get_descriptor("theorem_simple").prepare(*grid.values())
+    first = sides(0, 0, 0)
+    repeats = sum(sides(*values) == first for values in itertools.product(*grid.values()))
+    assert repeats > 1
+    honest = identities.run_identity("theorem_simple", grid)
+    tampered = identities.run_identity("theorem_simple", grid, tamper_first=True)
+    assert all(r.passed for r in honest)
+    assert [r.passed for r in tampered] == [False] + [True] * (len(honest) - 1)
+    assert tampered[1:] == honest[1:]
 
 
 def test_family_results_do_not_depend_on_which_family_ran_first():
