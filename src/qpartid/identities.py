@@ -43,17 +43,16 @@ exactly, in three layers that share no evaluator:
   at index d*n + r; comb16-22 the _RESDBL row, or the half of a _COROLLARIES
   row, at a = b = c = 1, read as sum_j F_{n-j} g_j over integer diagonals g_j.
 
-Every kernel a case reads (U and V, their coefficient sums and their packed
-values, the diagonals, the resdbl F rows, the binomial rows) lives in one
-store, _ROWS: a row [entry(*key, j) for j = 0, 1, ...] per (entry, *key),
-built by a family's prepare hook to its grid's extent and grown in place
-when a later grid reaches further; none is rebuilt but a packed row, packed
-again when its slot width grows.  The count layer keeps its kernel tables
-there too, grown in place the same way, and its count planes, each built
-at exactly its grid's extent and rebuilt, to the larger size on each axis,
-only for a later grid past an edge.
-The weight rows w(0..count-1) are kept there as well, one tuple per
-(weight, count, n mod 6), built once and never changed.
+Every exact row a case reads (U and V and their coefficient sums, the
+diagonals, the resdbl F rows, the binomial rows) lives in one store, _ROWS:
+a row [entry(*key, j) for j = 0, 1, ...] per (entry, *key), built by a
+family's prepare hook to its grid's extent and grown in place when a later
+grid reaches further, never rebuilt.  The count layer keeps its kernel
+tables there too, grown in place the same way, and the weight rows
+w(0..count-1), one tuple per (weight, count, n mod 6), built once and never
+changed.  What is sized to one grid belongs to that grid's run alone: its
+verdict memo, the kernels it packs at the slot width its own grid needs,
+and its count planes, built at exactly its grid's extent.
 
 The remaining count chains are written out.
 
@@ -151,9 +150,11 @@ def _weights(weight: str, count: int, n: int) -> tuple[int, ...]:
 # the descriptor's parameter order; no case builds a params dict.  Its sides,
 # read from the family's prepared rows, come back as the key of its verdict:
 # lhs.coeffs when both polynomial sides are one object (a side passed through
-# because the identity holds), else (lhs.coeffs, rhs.coeffs); the pair
-# (lhs, rhs) of a one-pair count or q = 1 family; the tuple of pairs of a
-# many-pair one.  The family's finish turns a key into a verdict, the tuple
+# because the identity holds), else (lhs.coeffs, rhs.coeffs); the tuple of
+# such keys of a many-part polynomial check (the two halves of a parity
+# corollary, the six checks of f_theorem); the pair (lhs, rhs) of a one-pair
+# count or q = 1 family; the tuple of pairs of a many-pair one.  The family's
+# finish turns a key into a verdict, the tuple
 # (passed, lhs_hash, rhs_hash, first_mismatch), and the verdict memo of the
 # family run (_Verdicts) finishes each distinct key once.  A CaseResult is
 # the tuple (names, values, verdict), so a case adds one small tuple to what
@@ -276,24 +277,24 @@ def _digest(values: Sequence[int]) -> str:
 
 
 class _Verdicts(dict):
-    """sides -> verdict over one family run: a key not yet seen is finished and kept."""
+    """sides -> verdict over one family run: a key not yet seen is finished and kept.
+
+    Many cases of a family share their sides (every resdbl case at one
+    (n, p, a, c) has both sides F(0), whatever its m and b), so each distinct
+    sides is hashed and compared once, and every later case with them costs
+    one lookup.  Each grid run makes its own, so memory is bounded by one
+    family's distinct sides and a family's timing does not depend on which
+    family ran before it.
+    """
 
     __slots__ = ("finish",)
+
+    def __init__(self, finish: Callable[[tuple], tuple]):
+        self.finish = finish
 
     def __missing__(self, sides):
         verdict = self[sides] = self.finish(sides)
         return verdict
-
-
-# The verdict memo of the family that run_identity is running.  Many cases of
-# a family share their sides (every resdbl case at one (n, p, a, c) has both
-# sides F(0), whatever its m and b), so each distinct sides is hashed and
-# compared once, and every later case with them costs one lookup.  The memo is
-# scoped to one family run: run_identity sets it to a fresh _Verdicts and back
-# to None when the run ends, however it ends, so memory is bounded by one
-# family's distinct sides, a family's timing does not depend on which family
-# ran before it, and a case run outside a family run stores nothing.
-_verdicts: Optional[_Verdicts] = None
 
 
 def _poly_key(lhs: IntPoly, rhs: IntPoly) -> tuple:
@@ -383,19 +384,15 @@ def _require_domain(names: Sequence[str], axes: Sequence[Sequence[int]]) -> None
 # that reaches further grows the same row in place, so no entry is computed
 # twice.  Entries call the functions they read by module-global name, so a
 # row fills through whichever functions the module binds when it first grows.
-# The q kernels are rows under (_q_kernel, name, m), their coefficient sums
-# under (_q_norm, name, m) and their packed values under (_q_packed, name, m,
-# d), one row with its slot width; the packed ints are opaque here, and only
-# bigpoly reads their slots.  Every packed row at m is read at one width,
-# kept under (_q_width, m), which only grows: a family whose grid needs a
-# wider slot at m widens it and packs its rows at m again, replacing the
-# narrower ones.  Each
-# triangle diagonal row sits under (_diagonals, m, b, sign_on, keep) with
-# the ascending indices of its nonzero diagonals beside it.  The count layer
-# keeps its 2-D kernel tables here as well, under (_count_entry, name, p),
-# grown in place, and its count planes under (_count_plane, side, p), each
-# replaced whole when a grid reaches past its edge; _weights keeps its
-# tuples under (_weights, weight, count, n mod 6).
+# The q kernels are rows under (_q_kernel, name, m) and their coefficient sums
+# under (_q_norm, name, m).  Each triangle diagonal row sits under
+# (_diagonals, m, b, sign_on, keep) with the ascending indices of its nonzero
+# diagonals beside it.  The count layer keeps its 2-D kernel tables here as
+# well, under (_count_entry, name, p), grown in place, and _weights keeps its
+# tuples under (_weights, weight, count, n mod 6).  Every row here is exact,
+# so what a family reads does not depend on which family grew it.  What is
+# sized to one grid stays with that grid's run: the packed kernels, read at
+# the slot width the family's own bound sets, and the count planes.
 
 _ROWS: dict[tuple, Sequence] = {}
 
@@ -431,12 +428,12 @@ def _diagonal_terms(sign_on: str, keep: Optional[int], j: int):
 # Both sides of a case are evaluated as packed ints (see bigpoly): a row side
 # is scale * sum_k w(k) * pack(A_{n-dk}) * pack(B_k), one integer product per
 # term, and only the finished side is unpacked, once, for its digest and a
-# first mismatch.  The slot width at m is at least the one set by a proven
-# bound on every coefficient of either side at every n of the grid,
+# first mismatch.  The slot width at m is the one set by a proven bound on
+# every coefficient of either side at every n of the family's grid,
 # sum_k |scale * w(k)| * |A_{n-dk}|_1 * |B_k|_1, where |.|_1, the coefficient
-# sum, is read off the kernels themselves; a wider slot unpacks the same
-# polynomial, so the grid takes the widest any grid at its m has taken
-# (_q_width).  B is packed from its base-q row with its slots d apart.
+# sum, is read off the kernels themselves.  The family's prepare packs each
+# kernel it reads at m once, at that width, and the packed rows live as long
+# as its run.  B is packed from its base-q row with its slots d apart.
 
 _DELTA = "delta"
 
@@ -464,31 +461,9 @@ def _q_norm(name: str, m: int, j: int) -> int:
 
 
 def _q_packed(name: str, m: int, d: int, width: int, top: int) -> list[int]:
-    """The kernels 0..top (at least) in base q**d, packed at width.
-
-    One row per (name, m, d) is kept, with its width: a read at another
-    width drops it and packs it again at that one.
-    """
-    key = (_q_packed, name, m, d)
-    entry = _ROWS.get(key)
-    if entry is None or entry[0] != width:
-        entry = _ROWS[key] = (width, [])
-    row = entry[1]
-    if len(row) <= top:
-        kernels = _row(_q_kernel, name, m, top=top)
-        row.extend(pack(kernels[j], width, d) for j in range(len(row), top + 1))
-    return row
-
-
-def _q_width(m: int, bound: int) -> int:
-    """The slot width at m: the one bound sets, or the widest any grid at m took before.
-
-    Every case at m reads its packed rows at this width, so it only grows,
-    and each row is packed again only when it does.
-    """
-    held = _ROWS.setdefault((_q_width, m), [0])
-    held[0] = max(held[0], slot_width(bound))
-    return held[0]
+    """The kernels 0..top in base q**d, packed at width: a fresh row, kept by its reader."""
+    kernels = _row(_q_kernel, name, m, top=top)
+    return [pack(kernels[j], width, d) for j in range(top + 1)]
 
 
 def _q_bound(side, n: int, m: int) -> int:
@@ -514,7 +489,8 @@ def _q_reader(side, m: int, width: int, top: int) -> Callable[[int], int]:
     if isinstance(side, str):
         return _q_packed(side, m, 1, width, top).__getitem__
     scale, a, b, d, weight = side
-    outer, inner = _q_packed(a, m, 1, width, top), _q_packed(b, m, d, width, top // d)
+    outer = _q_packed(a, m, 1, width, top)
+    inner = outer if (b, d) == (a, 1) else _q_packed(b, m, d, width, top // d)
 
     def read(n):
         return scale * sum(map(mul, _weights(weight, n // d + 1, n), map(mul, outer[n::-d], inner)))
@@ -523,11 +499,11 @@ def _q_reader(side, m: int, width: int, top: int) -> Callable[[int], int]:
 
 
 def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
-    """The prepare of a single sum: per m, both sides' packed rows through max(ns), at one width."""
+    """The prepare of a single sum: per m, both sides' packed rows through max(ns), at the width its grid needs."""
     top = max(ns)
     at = {}
     for m in ms:
-        width = _q_width(m, max(_q_bound(side, n, m) for side in spec for n in ns))
+        width = slot_width(max(_q_bound(side, n, m) for side in spec for n in ns))
         at[m] = (width, *(_q_reader(side, m, width, top) for side in spec))
 
     def sides(n, m):
@@ -550,8 +526,9 @@ def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
 # The summand of G_j is V_k U_l with the single sums' kernels read in base
 # q**b, so G_j in base q**b is G_j in base q dilated by b.  A diagonal in base
 # q is summed packed, as a single-sum side is: sum_{k+l=j} +-pack(V_k) *
-# pack(U_l) at a width that holds sum_{k+l=j} |V_k|_1 * |U_l|_1 (_q_width),
-# unpacked once.
+# pack(U_l), unpacked once.  Each time a row grows, V and U are packed once,
+# at the width that holds sum_{k+l=j} |V_k|_1 * |U_l|_1 for every diagonal j
+# it adds, so a prepare grows its rows to the grid's max(ns) in one step.
 # The diagonals are one row per (m, b, the signed index) and shared across
 # the whole verification grid.  A parity half keeps only the terms whose
 # unsigned index u has u = keep (mod 2), so its diagonals are keyed on keep as
@@ -560,29 +537,30 @@ def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
 # diagonals beside it, so a case visits only those.
 
 
-def _diagonal(m: int, b: int, sign_on: str, keep: Optional[int], j: int) -> IntPoly:
-    """G_j, over the unsigned indices u = keep (mod 2) only when keep is set."""
-    if b > 1:
-        return poly_substitute_power(_diagonals(m, 1, sign_on, keep, j)[0][j], b)
-    terms = list(_diagonal_terms(sign_on, keep, j))
-    v_norm, u_norm = _row(_q_norm, "V", m, top=j), _row(_q_norm, "U", m, top=j)
-    width = _q_width(m, sum(v_norm[k] * u_norm[l] for k, l, _ in terms))
-    v, u = _q_packed("V", m, 1, width, j), _q_packed("U", m, 1, width, j)
-    return unpack(sum(sign * v[k] * u[l] for k, l, sign in terms), width)
-
-
 def _diagonals(m: int, b: int, sign_on: str, keep: Optional[int], top: int) -> tuple[list, list]:
-    """The row G_0, G_1, ... through at least top, and the ascending j whose G_j is nonzero."""
+    """The row G_0, G_1, ... through at least top, and the ascending j whose G_j is nonzero.
+
+    G_j keeps only the unsigned indices u = keep (mod 2) when keep is set.
+    """
     key = (_diagonals, m, b, sign_on, keep)
     entry = _ROWS.get(key)
     if entry is None:
         entry = _ROWS[key] = ([], [])
     row, nonzero = entry
-    for j in range(len(row), top + 1):
-        g = _diagonal(m, b, sign_on, keep, j)
-        if g.coeffs:
-            nonzero.append(j)
-        row.append(g)
+    added = range(len(row), top + 1)
+    if not added:
+        return entry
+    if b > 1:
+        base_q = _diagonals(m, 1, sign_on, keep, top)[0]
+        new = [poly_substitute_power(base_q[j], b) for j in added]
+    else:
+        terms = [list(_diagonal_terms(sign_on, keep, j)) for j in added]
+        v_norm, u_norm = _row(_q_norm, "V", m, top=top), _row(_q_norm, "U", m, top=top)
+        width = slot_width(max(sum(v_norm[k] * u_norm[l] for k, l, _ in t) for t in terms))
+        v, u = _q_packed("V", m, 1, width, top), _q_packed("U", m, 1, width, top)
+        new = [unpack(sum(sign * v[k] * u[l] for k, l, sign in t), width) for t in terms]
+    nonzero.extend(j for j, g in zip(added, new) if g.coeffs)
+    row.extend(new)
     return entry
 
 
@@ -601,13 +579,6 @@ def _diagonal_sum(H: Sequence[IntPoly], n: int, row: list, nonzero: list) -> Int
     return total
 
 
-def _triangle(H: Sequence[IntPoly], n: int, m: int, b: int, sign_on: str, keep: Optional[int]) -> IntPoly:
-    """The triangle sum of F(j) = H[n - j], over the diagonals grown to n."""
-    if n < 0:
-        raise ValueError(f"{_PARAM_DOMAIN_MSG}: got n = {n}")
-    return _diagonal_sum(H, n, *_diagonals(m, b, sign_on, keep, n))
-
-
 def triangle_sum(
     F: Sequence[IntPoly], n: int, m: int, b: int, sign_on: str, parity: Optional[int] = None
 ) -> IntPoly:
@@ -619,12 +590,13 @@ def triangle_sum(
     only for each nonzero G_j.  When the theorem holds the result is the
     object F(0) itself, not a copy.
     """
+    _require_domain(("n", "m", "b"), ([n], [m], [b]))
     if len(F) < n + 1:
         raise ValueError(f"F must provide at least n+1 = {n + 1} values, got {len(F)}")
     if sign_on not in ("k", "l"):
         raise ValueError(f"sign_on must be 'k' or 'l', got {sign_on!r}")
     keep = None if parity is None else (n - parity) % 2
-    return _triangle(F[n::-1], n, m, b, sign_on, keep)
+    return _diagonal_sum(F[n::-1], n, *_diagonals(m, b, sign_on, keep, n))
 
 
 # The four double sums take F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c or [p, n-j]_c;
@@ -683,27 +655,40 @@ def parity_sum_sides(corollary_id: str, parity: str, n: int, m: int) -> tuple[In
         raise ValueError(f"corollary must be one of {tuple(_COROLLARIES)}, got {corollary_id!r}")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    _require_domain(_NM, ([n], [m]))
     variant, p_offset, a = _COROLLARIES[corollary_id]
     shifted_top, sign_on = _RESDBL[variant]
     H = _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=n)
     odd = parity == "odd"
-    lhs = _triangle(H, n, m, 1, sign_on, (n - odd) % 2)
+    lhs = _diagonal_sum(H, n, *_diagonals(m, 1, sign_on, (n - odd) % 2, n))
     return lhs, ZERO if odd else H[n]
 
 
 def _parity_halves(corollary_id: str, ns, ms):
-    """The prepare of a parity corollary: nothing to build ahead, each case reads parity_sum_sides."""
+    """The prepare of a parity corollary: its F rows and both halves' diagonal rows per m, through max(ns).
+
+    Each case then reads both halves through parity_sum_sides, which finds
+    its rows grown already.
+    """
+    variant, p_offset, a = _COROLLARIES[corollary_id]
+    shifted_top, sign_on = _RESDBL[variant]
+    top = max(ns)
+    for m in ms:
+        _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=top)
+        for keep in (0, 1):
+            _diagonals(m, 1, sign_on, keep, top)
 
     def sides(n, m):
         # one case covers both the even half and the zero-sided odd one
-        return parity_sum_sides(corollary_id, "even", n, m), parity_sum_sides(corollary_id, "odd", n, m)
+        even, odd = (parity_sum_sides(corollary_id, parity, n, m) for parity in ("even", "odd"))
+        return _poly_key(*even), _poly_key(*odd)
 
     return sides, _finish_halves
 
 
-def _finish_halves(halves, tamper: bool = False) -> tuple:
-    even, odd = halves
-    return _combine((_finish_poly(_poly_key(*even), tamper), _finish_poly(_poly_key(*odd))), "")
+def _finish_halves(keys, tamper: bool = False) -> tuple:
+    even, odd = keys
+    return _combine((_finish_poly(even, tamper), _finish_poly(odd)), "")
 
 
 def q_identity_sides(identity_id: str, params: dict[str, int]) -> tuple[IntPoly, IntPoly]:
@@ -739,8 +724,6 @@ def check_F_theorem(
     one product, a pass-through of F(0); the diagonals themselves are still
     built from the brackets.
     """
-    if n < 0 or m < 0:
-        raise ValueError(_PARAM_DOMAIN_MSG)
     lhs = triangle_sum(F, n, m, base, sign_on)
     return CaseResult._make((_NM, (n, m), _finish_poly(_poly_key(lhs, F[0]))))
 
@@ -758,20 +741,27 @@ def standard_f_sequences(n: int, m: int) -> list[tuple[str, tuple[IntPoly, ...]]
 
 
 def _f_theorem(ns, ms):
-    """The prepare of f_theorem: nothing to build ahead, a case is the verdicts of six lazy check_F_theorem calls."""
+    """The prepare of f_theorem: the diagonal rows per (m, signed index), through max(ns).
+
+    A case's sides are the _poly_keys of its six checks, check_F_theorem's
+    for each stock sequence with the sign on k and then on l.
+    """
+    top = max(ns)
+    diagonals = {(m, sign_on): _diagonals(m, 1, sign_on, None, top) for m in ms for sign_on in ("k", "l")}
 
     def sides(n, m):
-        return (
-            check_F_theorem(seq, n, m, sign_on).verdict
+        sequences = [F for _, F in standard_f_sequences(n, m)]
+        return tuple(
+            _poly_key(_diagonal_sum(F[n::-1], n, *diagonals[m, sign_on]), F[0])
             for sign_on in ("k", "l")
-            for _, seq in standard_f_sequences(n, m)
+            for F in sequences
         )
 
     return sides, _finish_f_theorem
 
 
-def _finish_f_theorem(verdicts, tamper: bool = False) -> tuple:
-    verdict = _combine(verdicts, ",")
+def _finish_f_theorem(keys, tamper: bool = False) -> tuple:
+    verdict = _combine(map(_finish_poly, keys), ",")
     if tamper:
         return (False, verdict[1], _sha(verdict[2]), 0)
     return verdict
@@ -798,8 +788,8 @@ def _finish_f_theorem(verdicts, tamper: bool = False) -> tuple:
 # l mod the period, each class is one bigpoly.grid_mul, and the classes are
 # summed per column m with their integer weights.  A row side is then one
 # plane S[n][m] per (side, p), built by the family's prepare at exactly
-# max(ns) + 1 rows and max(ms) + 1 columns; a later grid past either edge
-# rebuilds it to the larger of the two sizes on each axis.  The planes read
+# max(ns) + 1 rows and max(ms) + 1 columns and held by that family run
+# alone, so it is freed when the run ends.  The planes read
 # their kernels from one table t[a][b] = kernel(a, b) per (kernel, p), grown
 # in place in both directions, whose cells fill through _count_entry, and a
 # side that is a kernel alone is that table.  So every side is a grid
@@ -888,20 +878,12 @@ def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
     ]
 
 
-def _plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
-    """The plane of the row side at p, built rows by cols, or rebuilt to the larger size on each axis."""
-    key = (_count_plane, side, p)
-    plane = _ROWS.get(key, [[]])
-    if rows > len(plane) or cols > len(plane[0]):
-        plane = _ROWS[key] = _count_plane(side, p, max(rows, len(plane)), max(cols, len(plane[0])))
-    return plane
-
-
 def _count_grid(side, p: int, rows: int, cols: int) -> Sequence[Sequence[int]]:
     """g[n][m], the side at (n, m, p), for every n < rows and m < cols.
 
-    A kernel alone is its table, a row side its plane, and _DELTA or _NIL
-    a constant grid whose all-zero rows are one shared list.
+    A kernel alone is its table, a row side a plane built rows by cols for
+    the caller alone, and _DELTA or _NIL a constant grid whose all-zero rows
+    are one shared list.
     """
     if side == _DELTA:
         return [[1] + [0] * (cols - 1)] + [[0] * cols] * (rows - 1)
@@ -909,7 +891,7 @@ def _count_grid(side, p: int, rows: int, cols: int) -> Sequence[Sequence[int]]:
         return [[0] * cols] * rows
     if isinstance(side, str):
         return _count_table(side, p, rows, cols)
-    return _plane(side, p, rows, cols)
+    return _count_plane(side, p, rows, cols)
 
 
 def _count_sums(spec, ns, ms, ps):
@@ -948,10 +930,15 @@ def _count_of(distinct: bool, x: int) -> int:
     return count_Q_of(x) if distinct else count_P_of(x)
 
 
-def _pair_pn_from_q(n):
-    p_of, q_of = _row(_count_of, False, top=n), _row(_count_of, True, top=n)
-    rhs = sum(q_of[n - 2 * k] * p_of[k] for k in range(n // 2 + 1))
-    return p_of[n], rhs
+def _pn_from_q(ns):
+    """The prepare of pn_from_q: the rows p(x) and q(x) through max(ns)."""
+    top = max(ns)
+    p_of, q_of = _row(_count_of, False, top=top), _row(_count_of, True, top=top)
+
+    def pair(n):
+        return p_of[n], sum(q_of[n - 2 * k] * p_of[k] for k in range(n // 2 + 1))
+
+    return pair, _finish_pair
 
 
 def _signed_distinct(k: int) -> int:
@@ -963,11 +950,17 @@ def _signed_distinct(k: int) -> int:
     return total
 
 
-def _pair_qn_double_sum(n):
+def _qn_double_sum(ns):
+    """The prepare of qn_double_sum: the rows p(x) and q(x) through max(ns), and the signed sums through max(ns) // 2."""
+    top = max(ns)
+    p_of, q_of = _row(_count_of, False, top=top), _row(_count_of, True, top=top)
     # the statement runs l to floor(n/2); that sum does not depend on n, so it is one row over k
-    p_of, signed = _row(_count_of, False, top=n), _row(_signed_distinct, top=n // 2)
-    rhs = sum(p_of[n - 2 * k] * signed[k] for k in range(n // 2 + 1))
-    return _row(_count_of, True, top=n)[n], rhs
+    signed = _row(_signed_distinct, top=top // 2)
+
+    def pair(n):
+        return q_of[n], sum(p_of[n - 2 * k] * signed[k] for k in range(n // 2 + 1))
+
+    return pair, _finish_pair
 
 
 def _pair_qnmp_correspondence(n, m, p):
@@ -1203,8 +1196,8 @@ def _build_registry() -> list[IdentityDescriptor]:
             {"n": _rng(15), "p": _rng(15)},
             partial(_each_case, _pairs_pmost_chain, _finish_pairs),
         ),
-        ("pn_from_q", ("n",), {"n": _rng(40)}, partial(_each_case, _pair_pn_from_q, _finish_pair)),
-        ("qn_double_sum", ("n",), {"n": _rng(40)}, partial(_each_case, _pair_qn_double_sum, _finish_pair)),
+        ("pn_from_q", ("n",), {"n": _rng(40)}, _pn_from_q),
+        ("qn_double_sum", ("n",), {"n": _rng(40)}, _qn_double_sum),
         ("pnmp_correspondence", _NMP, corr_grid, partial(_count_sums, ("P*", "P+"))),
         ("qnmp_correspondence", _NMP, corr_grid, partial(_each_case, _pair_qnmp_correspondence, _finish_pair)),
         ("genfun", ("p",), {"p": _rng(6)}, partial(_each_case, _pairs_genfun, _finish_pairs)),
@@ -1257,20 +1250,15 @@ def _prepared(desc: IdentityDescriptor, axes: Sequence[Sequence[int]]) -> tuple[
     return desc.prepare(*axes)
 
 
-# the families whose sides are sub-verdicts, finished by _combine: never a memo key
-_COMBINED = (_finish_halves, _finish_f_theorem)
-
-
 def _run_grid(desc: IdentityDescriptor, grid: dict[str, list[int]], tamper_first: bool) -> list[CaseResult]:
     """Every case of grid, in iter_cases order: prepare once, then one pass over the grid points.
 
-    Each case's sides go to the verdict memo of the family run, which
-    finishes only sides it has not seen; with no memo (a case run alone), or
-    for a _COMBINED family, every case is finished.  With tamper_first the
-    first case is finished with its right side tampered, outside the memo, so
-    no later case with the same sides reads its verdict.  A second pass over
-    the grid points makes each CaseResult from the family's names, the case's
-    values and its verdict.
+    Each case's sides go to the run's own verdict memo, which finishes only
+    sides it has not seen.  With tamper_first the first case is finished
+    with its right side tampered, outside the memo, so no later case with
+    the same sides reads its verdict.  A second pass over the grid points
+    makes each CaseResult from the family's names, the case's values and
+    its verdict.
     """
     names = desc.params
     axes = [grid[name] for name in names]
@@ -1279,17 +1267,12 @@ def _run_grid(desc: IdentityDescriptor, grid: dict[str, list[int]], tamper_first
     sides, finish = _prepared(desc, axes)
     cases = itertools.starmap(sides, itertools.product(*axes))
     verdicts = [finish(next(cases), True)] if tamper_first else []
-    memo = _verdicts
-    if memo is None or finish in _COMBINED:
-        verdicts.extend(map(finish, cases))
-    else:
-        memo.finish = finish
-        verdicts.extend(map(memo.__getitem__, cases))
+    verdicts.extend(map(_Verdicts(finish).__getitem__, cases))
     return list(map(CaseResult._make, zip(itertools.repeat(names), itertools.product(*axes), verdicts)))
 
 
 def evaluate_case(identity_id: str, params: dict[str, int], tamper: bool = False) -> CaseResult:
-    """Check one case, as the run of its one-point grid, with no verdict memo.
+    """Check one case, as the run of its one-point grid.
 
     Its result's params holds the descriptor's names, in their order.
     """
@@ -1303,10 +1286,5 @@ def run_identity(
     tamper_first: bool = False,
 ) -> list[CaseResult]:
     """Evaluate one identity over a grid; module-level so worker pools can import it."""
-    global _verdicts
     desc = get_descriptor(identity_id)
-    _verdicts = _Verdicts()
-    try:
-        return _run_grid(desc, grid or desc.default_grid, tamper_first)
-    finally:
-        _verdicts = None
+    return _run_grid(desc, grid or desc.default_grid, tamper_first)

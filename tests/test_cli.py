@@ -873,6 +873,17 @@ def test_wide_count_sum_tsv_report_bytes_are_pinned():
     assert digest == "10ca7fb35ade4b96461c32cacc0787e711f6f8ae8e9605ccf8004976fd59a867"
 
 
+def test_triangle_family_tsv_report_bytes_are_pinned_in_a_fresh_process():
+    # the parity halves and f_theorem at n, m <= 12, from an empty row store:
+    # each prepare grows its diagonal rows to n = 12 before its first case
+    families = ("--family", "corollary_2_4", "--family", "corollary_3_4", "--family", "f_theorem")
+    proc = run_module("verify", *families, "--n-max", "12", "--m-max", "12", "--workers", "1", "--format", "tsv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 507 + 1
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "61eade12937446411262e81473ef5aea6398042658198465b0e881ae739a6b48"
+
+
 # TSV of verify --all --inject-failure: 75,456 rows, comb01's first one failing
 INJECTED_ALL_TSV_DIGEST = "d06301de115ca8b0aa470deaca3add6ba65bb53978f831d37986c094fe046937"
 

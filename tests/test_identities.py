@@ -421,14 +421,41 @@ def test_triangle_sum_diagonals_match_the_term_by_term_sum(data, n, m, b, sign_o
 
 
 def test_triangle_diagonals_cancel_past_the_origin():
-    # the paper's cancellation, read off the diagonals themselves
+    # the paper's cancellation, read off the diagonals themselves, each row
+    # grown in two steps: through j = 3, then through j = 8
+    identities._ROWS.clear()
     for m in range(7):
         for b in (1, 2, 3):
             for sign_on in ("k", "l"):
-                g = identities._row(identities._diagonal, m, b, sign_on, None, top=8)
-                assert g[0] == ONE
-                for j in range(1, 9):
-                    assert g[j] == ZERO, (m, b, sign_on, j)
+                identities._diagonals(m, b, sign_on, None, 3)
+                g, nonzero = identities._diagonals(m, b, sign_on, None, 8)
+                assert g == [ONE] + [ZERO] * 8, (m, b, sign_on)
+                assert nonzero == [0]
+
+
+@pytest.mark.parametrize(
+    "call, got",
+    [
+        (lambda F: triangle_sum(F, 2, 1, 0, "k"), "b = 0"),
+        (lambda F: triangle_sum(F, 2, 1, -3, "k"), "b = -3"),
+        (lambda F: triangle_sum(F, 2, -1, 1, "k"), "m = -1"),
+        (lambda F: check_F_theorem(F, 2, 1, "k", base=0), "b = 0"),
+        (lambda F: check_F_theorem(F, 2, -1, "l"), "m = -1"),
+        (lambda F: parity_sum_sides("corollary_2_4", "even", 2, -1), "m = -1"),
+        (lambda F: parity_sum_sides("corollary_3_4", "odd", -1, 2), "n = -1"),
+    ],
+    ids=[
+        "triangle_sum-b0", "triangle_sum-b-3", "triangle_sum-m-1", "check_F_theorem-b0",
+        "check_F_theorem-m-1", "parity_sum_sides-m-1", "parity_sum_sides-n-1",
+    ],
+)
+def test_the_public_triangle_entry_points_check_m_and_b(call, got):
+    # a base below 1 is not read as base 1, nor a negative m as an empty sum,
+    # and nothing is built for the value that fails
+    identities._ROWS.clear()
+    with pytest.raises(ValueError, match=f"got {got}$"):
+        call((ONE, ZERO, ONE))
+    assert identities._ROWS == {}
 
 
 def comb_triangle_by_terms(f, n, m, sign_on):
@@ -538,12 +565,13 @@ def test_chain_and_special_cases():
 
 def test_qn_double_sum_row_is_the_sum_as_stated():
     # the statement runs l to floor(n/2); the row stops where Q(k, l) is 0
+    pair, _ = get_descriptor("qn_double_sum").prepare(range(61))
     for n in range(61):
         stated = sum(
             count_P_of(n - 2 * k) * sum((-1) ** l * count_Q_nm(k, l) for l in range(n // 2 + 1))
             for k in range(n // 2 + 1)
         )
-        assert identities._pair_qn_double_sum(n) == (count_Q_of(n), stated)
+        assert pair(n) == (count_Q_of(n), stated)
 
 
 def test_pmost_chain_takes_its_left_side_from_the_one_shot_box_count(monkeypatch):
@@ -786,17 +814,20 @@ def test_count_tables_match_the_per_call_convolution(queries):
     for side, n, m, p in queries:
         assert count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
     tables = {key[1:]: t for key, t in identities._ROWS.items() if key[0] is identities._count_entry}
-    planes = {key[1:]: t for key, t in identities._ROWS.items() if key[0] is identities._count_plane}
-    assert tables and planes
+    assert tables
+    # the store keeps the kernel tables and weights, never a plane
+    assert {key[0] for key in identities._ROWS} <= {identities._count_entry, identities._weights}
     for (name, p), table in tables.items():
-        # every cell of every kernel table is its kernel's value
+        # every cell of every kernel table is its kernel's value, grown by
+        # the queries in their order
         for a, row in enumerate(table):
             assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))]
-    for (side, p), plane in planes.items():
-        # rows and columns are each the running maximum of the n + 1 and m + 1 asked
+    for side, p in {(side, p) for side, _, _, p in queries}:
+        # a plane built over the grown tables, at the largest n + 1 and m + 1
+        # asked, is the oracle's at every cell
         asked = [(n, m) for s, n, m, q in queries if (s, q) == (side, p)]
         rows, cols = (max(top) + 1 for top in zip(*asked))
-        assert (len(plane), len(plane[0])) == (rows, cols)
+        plane = identities._count_plane(side, p, rows, cols)
         assert plane == count_plane_by_calls(side, p, rows, cols)
 
 
@@ -1007,29 +1038,42 @@ def test_packed_q_sides_match_the_term_by_term_fold():
     assert widths == set(range(1, 6))
 
 
-def test_packed_kernel_rows_keep_one_width_per_m():
-    # a grid leaves one packed row per (name, m, d), and the cases at m end
-    # at the widest slot any of them needed, whatever order they came in
+def test_packed_kernel_rows_keep_one_width_per_m(monkeypatch):
+    # a family run packs each kernel it reads at m once, every one at the
+    # slot its own grid needs at m, whichever family ran before it
+    packed = []
+    real = identities._q_packed
+
+    def spy(name, m, d, width, top):
+        packed.append((m, name, d, width))
+        return real(name, m, d, width, top)
+
+    monkeypatch.setattr(identities, "_q_packed", spy)
     identities._ROWS.clear()
     grid = {"n": list(range(15)), "m": list(range(15))}
+    widths = {}
     for q_id in ("result5", "result3", "delta"):
-        assert all(case.passed for case in identities.run_identity(q_id, grid))
-    widths = {key[1]: held[0] for key, held in identities._ROWS.items() if key[0] is identities._q_width}
-    widest = {
-        m: max(
-            slot_width(identities._q_bound(side, n, m))
-            for q_id in ("delta", "result3", "result5")
-            for side in identities._Q_SUMS[q_id]
-            for n in range(15)
-        )
-        for m in range(15)
-    }
-    assert widths == widest
-    assert list(widths.values()) == sorted(widths.values()) and widths[14] > 1
-    packed = {key: entry for key, entry in identities._ROWS.items() if key[0] is identities._q_packed}
-    assert packed and all(len(key) == 4 for key in packed)
-    # a row not read since its m widened is still at the narrower width
-    assert all(width <= widths[key[2]] for key, (width, _) in packed.items())
+        packed.clear()
+        results = identities.run_identity(q_id, grid)
+        assert all(case.passed for case in results)
+        # the value oracle: every case's sides are the term-by-term fold's
+        for case in results[::7]:
+            lhs, rhs = (q_side_by_terms(side, *case.values).coeffs for side in identities._Q_SUMS[q_id])
+            assert case.verdict == identities._finish_poly((lhs, rhs)), (q_id, case.values)
+        assert len(packed) == len(set(packed))
+        widths[q_id] = {m: {width for at, *_, width in packed if at == m} for m in range(15)}
+        for m, held in widths[q_id].items():
+            need = max(
+                slot_width(identities._q_bound(side, n, m))
+                for side in identities._Q_SUMS[q_id]
+                for n in range(15)
+            )
+            assert held == {need}, (q_id, m)
+    # delta, after the wider result3, packs at its own narrower width
+    assert any(max(widths["delta"][m]) < max(widths["result3"][m]) for m in range(15))
+    assert widths["result5"][14] != {1}
+    # and the store keeps no packed row
+    assert not any(key[0] is identities._q_packed for key in identities._ROWS)
 
 
 def diagonal_by_terms(m, b, sign_on, keep, j):
@@ -1337,15 +1381,20 @@ def test_one_value_outside_the_q_domain_fails_the_grid_before_any_case(identity_
 
 def test_count_planes_are_built_once_at_the_grid_extent(monkeypatch):
     # a plane grown case by case is rebuilt at each new extent; one built at
-    # the grid's extent is 41 by 41 from the start
-    calls = []
-    real = identities.grid_mul
+    # the grid's extent is 41 by 41 from the start, and only its run holds it
+    calls, planes = [], []
+    real_mul, real_plane = identities.grid_mul, identities._count_plane
 
     def counted(*args):
         calls.append(1)
-        return real(*args)
+        return real_mul(*args)
+
+    def kept(*args):
+        planes.append(real_plane(*args))
+        return planes[-1]
 
     monkeypatch.setattr(identities, "grid_mul", counted)
+    monkeypatch.setattr(identities, "_count_plane", kept)
     identities._ROWS.clear()
     grid = {"n": list(range(41)), "m": list(range(41)), "p": list(range(4))}
     families = ("theorem6", "theorem_simple")
@@ -1354,9 +1403,12 @@ def test_count_planes_are_built_once_at_the_grid_extent(monkeypatch):
     row_sides = [side for i in families for side in identities._COUNT_SUMS[i] if isinstance(side, tuple)]
     classes = sum(identities._WEIGHT_PERIOD[side[4]] for side in row_sides)
     assert len(calls) == classes * len(grid["p"]) == 28
-    planes = [t for key, t in identities._ROWS.items() if key[0] is identities._count_plane]
     assert len(planes) == len(row_sides) * len(grid["p"])
     assert all((len(plane), len(plane[0])) == (41, 41) for plane in planes)
+    # the value oracle, at the far corner of one plane
+    assert planes[0][40][40] == count_side_by_calls(row_sides[0], 40, 40, 0)
+    stored = [id(row) for row in identities._ROWS.values()]
+    assert not any(id(plane) in stored for plane in planes)
     identities._ROWS.clear()
 
 
@@ -1458,23 +1510,19 @@ def test_combine_returns_the_first_failing_corollary_half(monkeypatch):
     assert first_mismatch == 0
 
 
-def test_combine_returns_the_first_failing_f_theorem_sub_check(monkeypatch):
-    real = identities.check_F_theorem
-    calls = []
-    failing = identities.CaseResult(
-        params={"n": 2, "m": 1}, passed=False, lhs_hash="a" * 64, rhs_hash="b" * 64,
-        first_mismatch=7,
-    )
-
-    def fourth_fails(F, n, m, sign_on):
-        calls.append(sign_on)
-        return failing if len(calls) == 4 else real(F, n, m, sign_on)
-
-    monkeypatch.setattr(identities, "check_F_theorem", fourth_fails)
+def test_combine_returns_the_first_failing_f_theorem_sub_check():
     sides, finish = get_descriptor("f_theorem").prepare([2], [1])
-    assert finish(sides(2, 1)) == (False, "a" * 64, "b" * 64, 7)
-    # the sub-checks after the failing one are not run
-    assert calls == ["k", "k", "k", "l"]
+    keys = sides(2, 1)
+    # the six checks, sign on k then on l, each check_F_theorem's verdict
+    want = [
+        check_F_theorem(F, 2, 1, sign_on).verdict
+        for sign_on in ("k", "l")
+        for _, F in standard_f_sequences(2, 1)
+    ]
+    assert [identities._finish_poly(key) for key in keys] == want
+    # with the fourth and fifth checks failing, the fourth is the verdict
+    bad = (*keys[:3], ((1, 2), (1, 3)), ((5,), (6,)), keys[5])
+    assert finish(bad) == (False, sha_of((1, 2)), sha_of((1, 3)), 1)
 
 
 def test_combine_hashes_the_joined_sub_digests_of_a_pass():
@@ -1500,31 +1548,33 @@ def test_combine_hashes_the_joined_sub_digests_of_a_pass():
 
 
 def test_the_verdict_memo_lives_for_one_family_run_only(monkeypatch):
-    seen = []
+    finished = []
     finish = identities._finish_poly
 
     def spy(*args, **kwargs):
-        memo = identities._verdicts
-        seen.append(None if memo is None else dict(memo))
+        finished.append(args[0])
         return finish(*args, **kwargs)
 
     monkeypatch.setattr(identities, "_finish_poly", spy)
     grid = {"n": [2, 3], "m": [0, 1, 2], "p": [1], "a": [0], "b": [1, 2], "c": [1]}
     results = identities.run_identity("resdbl1", grid)
-    assert identities._verdicts is None
     # every (m, b) case at one n has the sides F(0), F(0): two distinct sides
     # over 12 cases, each finished once, and every case shares its verdict
     assert len(results) == 12
-    assert len(seen) == 2 and seen[0] == {} and len(seen[1]) == 1
+    assert len(finished) == 2 and finished[0] != finished[1]
     assert len({id(r.verdict) for r in results}) == 2
     assert all(r.names is results[0].names for r in results)
+    # the value oracle: each verdict is the one of its case's own sides
+    for r in results:
+        lhs, rhs = q_identity_sides("resdbl1", r.params)
+        assert r.verdict == finish((lhs.coeffs, rhs.coeffs)), r.params
 
-    # a case checked outside a family run neither reads nor keeps a memo
+    # a second run keeps nothing of the first, nor does a case run alone
+    finished.clear()
+    assert identities.run_identity("resdbl1", grid) == results
+    assert len(finished) == 2
     evaluate_case("resdbl1", {"n": 3, "m": 1, "p": 1, "a": 0, "b": 1, "c": 1})
-    check_F_theorem((ONE, ZERO, ONE), 2, 1, "k")
-    assert seen[2:] == [None, None]
-    check_genfun(1, 4, 2)
-    assert identities._verdicts is None
+    assert len(finished) == 3
 
     calls = []
 
@@ -1537,7 +1587,54 @@ def test_the_verdict_memo_lives_for_one_family_run_only(monkeypatch):
     monkeypatch.setattr(identities, "_finish_poly", fails_on_the_second_sides)
     with pytest.raises(RuntimeError, match="injected"):
         identities.run_identity("resdbl1", grid)
-    assert identities._verdicts is None
+    # a run that failed leaves no verdict for the next one to read
+    monkeypatch.setattr(identities, "_finish_poly", spy)
+    finished.clear()
+    assert identities.run_identity("resdbl1", grid) == results
+    assert len(finished) == 2
+
+
+@pytest.mark.parametrize("identity_id, finish_name", [
+    ("corollary_3_4", "_finish_halves"),
+    ("f_theorem", "_finish_f_theorem"),
+])
+def test_a_many_part_check_finishes_each_distinct_sides_once(identity_id, finish_name, monkeypatch):
+    # the halves of a corollary and the six checks of f_theorem share the
+    # run's verdict memo; tamper_first still fails case 0 alone
+    grid = {"n": list(range(9)), "m": list(range(9))}
+    sides, _ = get_descriptor(identity_id).prepare(grid["n"], grid["m"])
+    keys = [sides(n, m) for n, m in itertools.product(grid["n"], grid["m"])]
+    finished = []
+    finish = getattr(identities, finish_name)
+
+    def spy(key, tamper=False):
+        finished.append((key, tamper))
+        return finish(key, tamper)
+
+    monkeypatch.setattr(identities, finish_name, spy)
+    honest = identities.run_identity(identity_id, grid)
+    assert all(r.passed for r in honest)
+    assert sorted(map(repr, finished)) == sorted(repr((key, False)) for key in set(keys))
+    assert [r.verdict for r in honest] == [finish(key) for key in keys]
+    finished.clear()
+    tampered = identities.run_identity(identity_id, grid, tamper_first=True)
+    assert [r.passed for r in tampered] == [False] + [True] * (len(honest) - 1)
+    assert tampered[1:] == honest[1:]
+    assert finished[0] == (keys[0], True) and len(finished) == 1 + len(set(keys[1:]))
+
+
+def test_the_row_store_does_not_depend_on_family_order():
+    # the store keeps exact rows only, so two orders of the same families
+    # leave it equal, entry for entry
+    grid = {"n": list(range(15)), "m": list(range(15))}
+    stores = []
+    for order in (("result5", "result3", "delta"), ("delta", "result3", "result5")):
+        identities._ROWS.clear()
+        for q_id in order:
+            assert all(r.passed for r in identities.run_identity(q_id, grid))
+        stores.append(dict(identities._ROWS))
+    assert stores[0] == stores[1]
+    identities._ROWS.clear()
 
 
 def test_the_verdict_memo_never_keeps_a_tampered_verdict():
