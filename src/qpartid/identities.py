@@ -11,8 +11,10 @@ distinct sides in a family run and shared by every case with those sides,
 and each case's CaseResult is the family's names, the case's values and
 that verdict.  A grid's domain is checked once per axis, before anything
 is built, and one case alone is the run of its one-point grid
-(evaluate_case).  Checks build both sides independently and compare
-exactly, in three layers that share no evaluator:
+(evaluate_case); the public one-case readers q_identity_sides and
+parity_sum_sides return the sides that run reads.  Checks build both sides
+independently and compare exactly, in three layers that share no
+evaluator:
 
 * q-polynomial: exact q-binomial brackets.  The single sums are rows of
   _Q_SUMS over two bracket kernels U and V, read by _q_reader.  Each side is
@@ -21,13 +23,15 @@ exactly, in three layers that share no evaluator:
   once, for its digest and a first mismatch.  The double sums come from one
   triangle theorem: for any sequence F(0..n),
       sum_{k+l <= n} (-1)^(k or l) F(k+l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b = F(0),
-  evaluated by triangle_sum as sum_j F(j) G_j, where the diagonal G_j sums
-  the kernel products V_k U_l over k + l = j, packed in the same way, and a
-  case visits only the nonzero diagonals.  resdbl1-4 are its instances with
+  read as sum_j F(j) G_j (_diagonal_sum), where the diagonal G_j sums the
+  kernel products V_k U_l over k + l = j, packed in the same way, and a case
+  visits only the nonzero diagonals.  resdbl1-4 are its instances with
       F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c  (resdbl1: sign on k, resdbl2: on l)
       F(j) = q^(a*C(n-j,2)) [p, n-j]_c    (resdbl3: sign on k, resdbl4: on l),
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
-  and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.
+  and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.  Each of
+  these families' prepares binds its F rows and diagonal rows, and its cases
+  sum in place from them; triangle_sum is the same sum for a caller's F.
 * counting: the memoized partition counts.  The dilated, signed 2-D
   convolutions are rows of _COUNT_SUMS.  At one p a side over every (n, m)
   is one grid g[n][m]: a row side is the coefficient table of
@@ -36,7 +40,8 @@ exactly, in three layers that share no evaluator:
   from those grids, and genfun_table expands the generating functions into
   integer tables.  Nine _COUNT_SUMS rows are _Q_SUMS rows read over count
   kernels (see the count section); only theorem2 and qstar_relation keep
-  spec rows of their own.
+  spec rows of their own.  Euler's two convolutions, pn_from_q and
+  qn_double_sum, are the two rows of _SERIES_SUMS, read by _series_sums.
 * combinatorial at q = 1: big-integer binomials that never touch the
   polynomial layer.  Each row of _COMB_SUMS names the q row it specialises:
   comb01-15 and comb23-26 a _Q_SUMS row and a residue r, read by _comb_side
@@ -44,10 +49,10 @@ exactly, in three layers that share no evaluator:
   row, at a = b = c = 1, read as sum_j F_{n-j} g_j over integer diagonals g_j.
 
 Every exact row a case reads (U and V and their coefficient sums, the
-diagonals, the resdbl F rows, the binomial rows) lives in one store, _ROWS:
-a row [entry(*key, j) for j = 0, 1, ...] per (entry, *key), built by a
-family's prepare hook to its grid's extent and grown in place when a later
-grid reaches further, never rebuilt.  The count layer keeps its kernel
+diagonals, the resdbl F rows, the series p(x), q(x) and s(k), the binomial
+rows) lives in one store, _ROWS: a row [entry(*key, j) for j = 0, 1, ...]
+per (entry, *key), built by a family's prepare hook to its grid's extent
+and grown in place when a later grid reaches further, never rebuilt.  The count layer keeps its kernel
 tables there too, grown in place the same way, and the weight rows
 w(0..count-1), one tuple per (weight, count, n mod 6), built once and never
 changed.  What is sized to one grid belongs to that grid's run alone: its
@@ -387,12 +392,15 @@ def _require_domain(names: Sequence[str], axes: Sequence[Sequence[int]]) -> None
 # The q kernels are rows under (_q_kernel, name, m) and their coefficient sums
 # under (_q_norm, name, m).  Each triangle diagonal row sits under
 # (_diagonals, m, b, sign_on, keep) with the ascending indices of its nonzero
-# diagonals beside it.  The count layer keeps its 2-D kernel tables here as
-# well, under (_count_entry, name, p), grown in place, and _weights keeps its
-# tuples under (_weights, weight, count, n mod 6).  Every row here is exact,
-# so what a family reads does not depend on which family grew it.  What is
-# sized to one grid stays with that grid's run: the packed kernels, read at
-# the slot width the family's own bound sets, and the count planes.
+# diagonals beside it, and each double sum's or corollary's F row under
+# (_resdbl_h, top form, p, a, c).  The count layer keeps its 2-D kernel
+# tables here as well, under (_count_entry, name, p), grown in place; the
+# series rows p(x) and q(x) sit under (_count_of, distinct) and the signed
+# sums s(k) = sum_l (-1)^l Q(k, l) under (_signed_distinct,); and _weights
+# keeps its tuples under (_weights, weight, count, n mod 6).  Every row here
+# is exact, so what a family reads does not depend on which family grew it.
+# What is sized to one grid stays with that grid's run: the packed kernels,
+# read at the slot width the family's own bound sets, and the count planes.
 
 _ROWS: dict[tuple, Sequence] = {}
 
@@ -641,7 +649,9 @@ _RESDBL_PARAMS = ("n", "m", "p", "a", "b", "c")
 #
 # Each corollary is a resdbl at b = c = 1; a row is (variant, p - m, a).  Its
 # even half keeps the terms with n - u even (u the unsigned index) and has
-# right side F(0); its odd half keeps n - u odd and has right side zero.
+# right side F(0); its odd half keeps n - u odd and has right side zero.  A
+# half reads the diagonals keyed on keep = u mod 2, so both halves of a case
+# are summed, as a double sum is, from the F row and the two rows per m.
 
 _COROLLARIES = {
     "corollary_2_4": ("resdbl2", 0, 0),
@@ -649,39 +659,24 @@ _COROLLARIES = {
 }
 
 
-def parity_sum_sides(corollary_id: str, parity: str, n: int, m: int) -> tuple[IntPoly, IntPoly]:
-    """Both sides of the even or odd half of a parity corollary."""
-    if corollary_id not in _COROLLARIES:
-        raise ValueError(f"corollary must be one of {tuple(_COROLLARIES)}, got {corollary_id!r}")
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    _require_domain(_NM, ([n], [m]))
-    variant, p_offset, a = _COROLLARIES[corollary_id]
-    shifted_top, sign_on = _RESDBL[variant]
-    H = _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=n)
-    odd = parity == "odd"
-    lhs = _diagonal_sum(H, n, *_diagonals(m, 1, sign_on, (n - odd) % 2, n))
-    return lhs, ZERO if odd else H[n]
-
-
 def _parity_halves(corollary_id: str, ns, ms):
-    """The prepare of a parity corollary: its F rows and both halves' diagonal rows per m, through max(ns).
+    """The prepare of a parity corollary: the F row per m and both halves' diagonal rows per (m, keep), through max(ns).
 
-    Each case then reads both halves through parity_sum_sides, which finds
-    its rows grown already.
+    A case's sides are its even half's _poly_key and then its odd half's;
+    each half is summed in place from those rows, as a double sum is.
     """
     variant, p_offset, a = _COROLLARIES[corollary_id]
     shifted_top, sign_on = _RESDBL[variant]
     top = max(ns)
-    for m in ms:
-        _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=top)
-        for keep in (0, 1):
-            _diagonals(m, 1, sign_on, keep, top)
+    h_rows = {m: _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=top) for m in ms}
+    diagonals = {(m, keep): _diagonals(m, 1, sign_on, keep, top) for m in ms for keep in (0, 1)}
 
     def sides(n, m):
-        # one case covers both the even half and the zero-sided odd one
-        even, odd = (parity_sum_sides(corollary_id, parity, n, m) for parity in ("even", "odd"))
-        return _poly_key(*even), _poly_key(*odd)
+        # keep is u mod 2: the even half keeps u = n (mod 2), the odd half u = n - 1
+        H = h_rows[m]
+        even = _diagonal_sum(H, n, *diagonals[m, n % 2])
+        odd = _diagonal_sum(H, n, *diagonals[m, 1 - n % 2])
+        return _poly_key(even, H[n]), _poly_key(odd, ZERO)
 
     return sides, _finish_halves
 
@@ -691,23 +686,43 @@ def _finish_halves(keys, tamper: bool = False) -> tuple:
     return _combine((_finish_poly(even, tamper), _finish_poly(odd)), "")
 
 
+def _one_point_sides(identity_id: str, values: Sequence[int]):
+    """The sides of the case at values, as the run of its one-point grid reads them."""
+    sides, _ = _prepared(get_descriptor(identity_id), [[value] for value in values])
+    return sides(*values)
+
+
+def _poly_pair(key: tuple) -> tuple[IntPoly, IntPoly]:
+    """The two polynomial sides of a _poly_key."""
+    lhs, rhs = _poly_unkey(key)
+    return IntPoly(lhs), IntPoly(rhs)
+
+
+def parity_sum_sides(corollary_id: str, parity: str, n: int, m: int) -> tuple[IntPoly, IntPoly]:
+    """Both sides of the even or odd half of a parity corollary.
+
+    They are read as the family's cases read them, over the one-point grid
+    at (n, m): the even half has right side F(0), the odd half zero.
+    """
+    if corollary_id not in _COROLLARIES:
+        raise ValueError(f"corollary must be one of {tuple(_COROLLARIES)}, got {corollary_id!r}")
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return _poly_pair(_one_point_sides(corollary_id, (n, m))[parity == "odd"])
+
+
 def q_identity_sides(identity_id: str, params: dict[str, int]) -> tuple[IntPoly, IntPoly]:
     """Both sides of a q-polynomial identity as exact polynomials.
 
     Covers the single-sum identities, the four double sums, and the two
-    parity corollaries (even combination); cosine-weighted identities come
+    parity corollaries (their even half); cosine-weighted identities come
     back in their doubled form.  A sum is read as its family's cases read
     it, over the one-point grid at params.
     """
-    if identity_id in _COROLLARIES:
-        return parity_sum_sides(identity_id, "even", params["n"], params["m"])
-    if identity_id not in _Q_SUMS and identity_id not in _RESDBL:
+    if identity_id not in _Q_SUMS and identity_id not in _RESDBL and identity_id not in _COROLLARIES:
         raise KeyError(f"no polynomial sides for {identity_id!r}")
-    desc = get_descriptor(identity_id)
-    values = [params[name] for name in desc.params]
-    sides, _ = _prepared(desc, [[value] for value in values])
-    lhs, rhs = _poly_unkey(sides(*values))
-    return IntPoly(lhs), IntPoly(rhs)
+    key = _one_point_sides(identity_id, [params[name] for name in get_descriptor(identity_id).params])
+    return _poly_pair(key[0] if identity_id in _COROLLARIES else key)
 
 
 def check_F_theorem(
@@ -930,17 +945,6 @@ def _count_of(distinct: bool, x: int) -> int:
     return count_Q_of(x) if distinct else count_P_of(x)
 
 
-def _pn_from_q(ns):
-    """The prepare of pn_from_q: the rows p(x) and q(x) through max(ns)."""
-    top = max(ns)
-    p_of, q_of = _row(_count_of, False, top=top), _row(_count_of, True, top=top)
-
-    def pair(n):
-        return p_of[n], sum(q_of[n - 2 * k] * p_of[k] for k in range(n // 2 + 1))
-
-    return pair, _finish_pair
-
-
 def _signed_distinct(k: int) -> int:
     """sum_l (-1)^l Q(k, l), over the l with C(l+1, 2) <= k: past them Q(k, l) is 0."""
     total, l = 0, 0
@@ -950,15 +954,26 @@ def _signed_distinct(k: int) -> int:
     return total
 
 
-def _qn_double_sum(ns):
-    """The prepare of qn_double_sum: the rows p(x) and q(x) through max(ns), and the signed sums through max(ns) // 2."""
+# Euler's two convolutions, P(x) = Q(x) P(x^2) and Q(x) = P(x) (x^2; x^2)_inf,
+# read at x^n: a row (left, A, B) states left[n] = sum_k A[n-2k] B[k] over the
+# series p(x), q(x) and s(k) = sum_l (-1)^l Q(k, l).  qn_double_sum's statement
+# runs l to floor(n/2); that sum does not depend on n, so it is one row over k.
+_SERIES = {"p": (_count_of, False), "q": (_count_of, True), "s": (_signed_distinct,)}
+
+_SERIES_SUMS = {
+    "pn_from_q": ("p", "q", "p"),
+    "qn_double_sum": ("q", "p", "s"),
+}
+
+
+def _series_sums(identity_id: str, ns):
+    """The prepare of a series row: left and A through max(ns), B through max(ns) // 2."""
+    lhs, a, b = (_SERIES[name] for name in _SERIES_SUMS[identity_id])
     top = max(ns)
-    p_of, q_of = _row(_count_of, False, top=top), _row(_count_of, True, top=top)
-    # the statement runs l to floor(n/2); that sum does not depend on n, so it is one row over k
-    signed = _row(_signed_distinct, top=top // 2)
+    left, outer, inner = _row(*lhs, top=top), _row(*a, top=top), _row(*b, top=top // 2)
 
     def pair(n):
-        return q_of[n], sum(p_of[n - 2 * k] * signed[k] for k in range(n // 2 + 1))
+        return left[n], sum(map(mul, outer[n::-2], inner))
 
     return pair, _finish_pair
 
@@ -1092,8 +1107,9 @@ def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):
     """16-22: sum_{k+l <= n} (-1)^(k or l) F_{n-k-l} v_k u_l = F_n, F_s = C(p+s, p) or C(p, s).
 
     row is the _RESDBL row this specialises, or a _COROLLARIES row, which sets
-    p = m + its offset and keeps the terms of one half as parity_sum_sides
-    does; the right side is then F_n for the even half and 0 for the odd one.
+    p = m + its offset and keeps the terms of one half as the corollary's q
+    prepare does; the right side is then F_n for the even half and 0 for the
+    odd one.
     Read as sum_j F_{n-j} g_j over the diagonals k + l = j; the prepare binds
     the F rows and the diagonal rows g through max(ns).
     """
@@ -1188,16 +1204,12 @@ def _build_registry() -> list[IdentityDescriptor]:
     nmp = {"n": _rng(12), "m": _rng(12), "p": _rng(8)}
     for identity_id, spec in _COUNT_SUMS.items():
         add(identity_id, count, _NMP, nmp, partial(_count_sums, spec))
+    pmost_grid = {"n": _rng(15), "p": _rng(15)}
+    add("pmost_chain", count, ("n", "p"), pmost_grid, partial(_each_case, _pairs_pmost_chain, _finish_pairs))
+    for identity_id in _SERIES_SUMS:
+        add(identity_id, count, ("n",), {"n": _rng(40)}, partial(_series_sums, identity_id))
     corr_grid = {"n": _rng(15), "m": _rng(15), "p": _rng(15)}
     for identity_id, params, grid, prepare in (
-        (
-            "pmost_chain",
-            ("n", "p"),
-            {"n": _rng(15), "p": _rng(15)},
-            partial(_each_case, _pairs_pmost_chain, _finish_pairs),
-        ),
-        ("pn_from_q", ("n",), {"n": _rng(40)}, _pn_from_q),
-        ("qn_double_sum", ("n",), {"n": _rng(40)}, _qn_double_sum),
         ("pnmp_correspondence", _NMP, corr_grid, partial(_count_sums, ("P*", "P+"))),
         ("qnmp_correspondence", _NMP, corr_grid, partial(_each_case, _pair_qnmp_correspondence, _finish_pair)),
         ("genfun", ("p",), {"p": _rng(6)}, partial(_each_case, _pairs_genfun, _finish_pairs)),

@@ -884,6 +884,17 @@ def test_triangle_family_tsv_report_bytes_are_pinned_in_a_fresh_process():
     assert digest == "61eade12937446411262e81473ef5aea6398042658198465b0e881ae739a6b48"
 
 
+def test_series_family_tsv_report_bytes_are_pinned_in_a_fresh_process():
+    # pn_from_q and qn_double_sum at n <= 600, read from one spec table:
+    # the left row and A through 600, B through 300
+    families = ("--family", "pn_from_q", "--family", "qn_double_sum")
+    proc = run_module("verify", *families, "--n-max", "600", "--workers", "1", "--format", "tsv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 1_202 + 1
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "76bfb51982040fd43b392edbd958fd8b2d49353c70c1d79704a6d3544325ffce"
+
+
 # TSV of verify --all --inject-failure: 75,456 rows, comb01's first one failing
 INJECTED_ALL_TSV_DIGEST = "d06301de115ca8b0aa470deaca3add6ba65bb53978f831d37986c094fe046937"
 

@@ -1493,21 +1493,48 @@ def test_side_digests_are_the_sha_of_the_decimal_text(values):
         assert identities._finish_pair(pairs[0]) == identities._finish_pairs(pairs[:1])
 
 
-def test_combine_returns_the_first_failing_corollary_half(monkeypatch):
-    # an odd half patched to a nonzero right side comes back as the verdict
-    real = identities.parity_sum_sides
-
-    def odd_fails(corollary_id, parity, n, m):
-        lhs, rhs = real(corollary_id, parity, n, m)
-        return (lhs, ONE if parity == "odd" else rhs)
-
-    monkeypatch.setattr(identities, "parity_sum_sides", odd_fails)
+def test_combine_returns_the_first_failing_corollary_half():
+    # an odd half tampered to a nonzero right side comes back as the verdict
     sides, finish = get_descriptor("corollary_2_4").prepare([3], [2])
-    passed, lhs_hash, rhs_hash, first_mismatch = finish(sides(3, 2))
-    odd_lhs, _ = real("corollary_2_4", "odd", 3, 2)
+    even, odd = sides(3, 2)
+    odd_lhs, _ = identities._poly_unkey(odd)
+    assert identities._finish_poly(even)[0]
+    passed, lhs_hash, rhs_hash, first_mismatch = finish((even, (odd_lhs, ONE.coeffs)))
+    assert odd_lhs == parity_sum_sides("corollary_2_4", "odd", 3, 2)[0].coeffs
     assert not passed
-    assert (lhs_hash, rhs_hash) == (sha_of(odd_lhs.coeffs), sha_of(ONE.coeffs))
+    assert (lhs_hash, rhs_hash) == (sha_of(odd_lhs), sha_of(ONE.coeffs))
     assert first_mismatch == 0
+
+
+@pytest.mark.parametrize("corollary_id", ["corollary_2_4", "corollary_3_4"])
+def test_a_corollary_case_reads_its_prepared_rows_and_the_public_readers_are_its_one_point_runs(
+    corollary_id, monkeypatch
+):
+    # no case goes back through parity_sum_sides or the domain check: the
+    # run checks its domain once and reads both halves from the bound rows
+    calls = {"parity_sum_sides": 0, "_require_domain": 0}
+    for name in calls:
+        real = getattr(identities, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(identities, name, spy)
+    results = identities.run_identity(corollary_id)
+    assert len(results) == 81 and all(r.passed for r in results)
+    assert calls == {"parity_sum_sides": 0, "_require_domain": 1}
+    monkeypatch.undo()
+    # the public readers return the sides a case reads, half by half
+    grid = get_descriptor(corollary_id).default_grid
+    sides, _ = get_descriptor(corollary_id).prepare(grid["n"], grid["m"])
+    for n, m in itertools.product(grid["n"], grid["m"]):
+        even, odd = map(identities._poly_unkey, sides(n, m))
+        for parity, half in (("even", even), ("odd", odd)):
+            lhs, rhs = parity_sum_sides(corollary_id, parity, n, m)
+            assert (lhs.coeffs, rhs.coeffs) == half, (parity, n, m)
+        lhs, rhs = q_identity_sides(corollary_id, {"n": n, "m": m})
+        assert (lhs.coeffs, rhs.coeffs) == even, (n, m)
 
 
 def test_combine_returns_the_first_failing_f_theorem_sub_check():
@@ -1708,3 +1735,49 @@ def test_iter_cases_matches_the_nested_grid_walk(axes, use_default):
     ]
     # a fresh dict per case, so a check may keep the one it was given
     assert len({id(c) for c in cases}) == len(cases)
+
+
+# --- sensitivity: the default grids reject wrong spec rows -------------------
+
+
+def survivors(table, mutants):
+    """The (id, row) mutants of a spec table under which the family still passes its default grid."""
+    alive = set()
+    for identity_id, row in mutants:
+        with mock.patch.dict(table, {identity_id: row}):
+            if all(r.passed for r in identities.run_identity(identity_id)):
+                alive.add((identity_id, row))
+    return alive
+
+
+def test_every_corollary_spec_mutant_fails_the_default_grid_but_the_equivalents():
+    # a row is (variant, p - m, a): another variant, p - m +- 1, a +- 1 (a >= 0)
+    mutants = []
+    for corollary_id, (variant, offset, a) in identities._COROLLARIES.items():
+        mutants += [(corollary_id, (other, offset, a)) for other in RESDBL if other != variant]
+        mutants += [(corollary_id, (variant, offset + d, a)) for d in (-1, 1)]
+        mutants += [(corollary_id, (variant, offset, a + d)) for d in (-1, 1) if a + d >= 0]
+    assert len(mutants) == 13
+    # The other signed index is equivalent: a half is (full +- (-1)^n twisted) / 2,
+    # the twisted sum sum (-1)^(k+l) F(k+l) V_k U_l does not depend on which index
+    # carries the sign, and the full sum is F(0) for either sign.
+    assert survivors(identities._COROLLARIES, mutants) == {
+        ("corollary_2_4", ("resdbl1", 0, 0)),
+        ("corollary_3_4", ("resdbl4", 1, 1)),
+    }
+
+
+def test_every_series_spec_mutant_fails_the_default_grid_but_the_other_true_row():
+    table = identities._SERIES_SUMS
+    mutants = [
+        (identity_id, row)
+        for identity_id, spec in table.items()
+        for row in itertools.product("pqs", repeat=3)
+        if row != spec
+    ]
+    assert len(mutants) == 52
+    # each family's row, read as the other's, is still Euler's other convolution
+    assert survivors(table, mutants) == {
+        ("pn_from_q", table["qn_double_sum"]),
+        ("qn_double_sum", table["pn_from_q"]),
+    }
