@@ -52,19 +52,23 @@ Every exact row a case reads (U and V and their coefficient sums, the
 diagonals, the resdbl F rows, the series p(x), q(x) and s(k), the binomial
 rows) lives in one store, _ROWS: a row [entry(*key, j) for j = 0, 1, ...]
 per (entry, *key), built by a family's prepare hook to its grid's extent
-and grown in place when a later grid reaches further, never rebuilt.  The count layer keeps its kernel
-tables there too, grown in place the same way, and the weight rows
-w(0..count-1), one tuple per (weight, count, n mod 6), built once and never
-changed.  What is sized to one grid belongs to that grid's run alone: its
-verdict memo, the kernels it packs at the slot width its own grid needs,
-and its count planes, built at exactly its grid's extent.
+and grown in place when a later grid reaches further, never rebuilt.  The
+count layer keeps its kernel tables there too, grown in place the same way.
+What is sized to one grid belongs to that grid's run alone: its verdict
+memo, the kernels it packs at the slot width its own grid needs, and its
+count planes, built at exactly its grid's extent.
 
 The remaining count chains are written out.
 
 Sixth-root-of-unity weights stay float-free: cos(j*pi/3) is a half-integer,
 so cosine-weighted identities are verified doubled with the integer table
 twice_cos; sin(j*pi/3) = (sqrt(3)/2) * s(j) with integer s(j), so the
-vanishing sums are verified through s(j) alone.
+vanishing sums are verified through s(j) alone.  Each weight is periodic in
+its summation index, so one constant table, _PERIOD_WEIGHTS, holds it over
+one period per n mod 6, and one integer sum, _weighted_sum, reads every
+weighted or signed row of every layer: a single-sum side, its coefficient
+bound, a q = 1 side and each triangle diagonal, whose signs per parity of k
+come from _diagonal_weights.
 """
 
 from __future__ import annotations
@@ -124,27 +128,25 @@ def twice_sin_over_sqrt3(j: int) -> int:
 
 _PLAIN, _ALT, _COS, _SIN = "plain", "alt", "cos", "sin"
 
+# The weights w(k) at n: 1, (-1)^k, 2cos((2k-n)pi/3) and 2sin((n-2k)pi/3)/sqrt(3).
+# w depends on k only through k mod its period (1, 2, or 3 for the angles,
+# since 2k mod 6 is 2(k mod 3)) and on n only through n mod 6, so
+# _PERIOD_WEIGHTS[weight][n % 6] holds w over one period of k.  Built here once,
+# never written.
+_PERIOD_WEIGHTS = {
+    _PLAIN: ((1,),) * 6,
+    _ALT: ((1, -1),) * 6,
+    _COS: tuple(tuple(twice_cos(2 * k - n) for k in range(3)) for n in range(6)),
+    _SIN: tuple(tuple(twice_sin_over_sqrt3(n - 2 * k) for k in range(3)) for n in range(6)),
+}
 
-def _weights(weight: str, count: int, n: int) -> tuple[int, ...]:
-    """w(0..count-1): 1, (-1)^k, 2cos((2k-n)pi/3) or 2sin((n-2k)pi/3)/sqrt(3).
 
-    The weights depend on n only through n mod 6, so each (weight, count,
-    n mod 6) is built once and kept in _ROWS as a tuple, which every case
-    that reads it shares.
+def _weighted_sum(weights: Iterable[int], outer: Sequence[int], inner: Sequence[int], n: int, d: int) -> int:
+    """sum_{k <= n/d} weights[k mod len(weights)] * outer[n - d*k] * inner[k].
+
+    Every weighted or signed row sum of every layer is this one sum.
     """
-    key = (_weights, weight, count, n % 6)
-    row = _ROWS.get(key)
-    if row is None:
-        if weight == _ALT:
-            row = tuple(1 - 2 * (k % 2) for k in range(count))
-        elif weight == _COS:
-            row = tuple(twice_cos(2 * k - n) for k in range(count))
-        elif weight == _SIN:
-            row = tuple(twice_sin_over_sqrt3(n - 2 * k) for k in range(count))
-        else:
-            row = (1,) * count
-        _ROWS[key] = row
-    return row
+    return sum(map(mul, itertools.cycle(weights), map(mul, outer[n::-d], inner)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +398,8 @@ def _require_domain(names: Sequence[str], axes: Sequence[Sequence[int]]) -> None
 # (_resdbl_h, top form, p, a, c).  The count layer keeps its 2-D kernel
 # tables here as well, under (_count_entry, name, p), grown in place; the
 # series rows p(x) and q(x) sit under (_count_of, distinct) and the signed
-# sums s(k) = sum_l (-1)^l Q(k, l) under (_signed_distinct,); and _weights
-# keeps its tuples under (_weights, weight, count, n mod 6).  Every row here
+# sums s(k) = sum_l (-1)^l Q(k, l) under (_signed_distinct,).  No weight is
+# kept here: the weights are the constant _PERIOD_WEIGHTS.  Every row here
 # is exact, so what a family reads does not depend on which family grew it.
 # What is sized to one grid stays with that grid's run: the packed kernels,
 # read at the slot width the family's own bound sets, and the count planes.
@@ -415,12 +417,18 @@ def _row(entry: Callable, *key, top: int) -> list:
     return row
 
 
-def _diagonal_terms(sign_on: str, keep: Optional[int], j: int):
-    """(k, l, (-1)^(k or l)) over k + l = j; with keep set, only unsigned index = keep (mod 2)."""
-    for k in range(j + 1):
+def _diagonal_weights(sign_on: str, keep: Optional[int], j: int) -> tuple[int, int]:
+    """The weights of diagonal j's terms (k, l = j - k) for k even and for k odd.
+
+    A class weighs (-1)^(k or l), or 0 when keep is set and its unsigned
+    index is not keep (mod 2), so diagonal j over the kernel rows U and V is
+    _weighted_sum(_diagonal_weights(sign_on, keep, j), U, V, j, 1).
+    """
+    weights = []
+    for k in (0, 1):
         signed, unsigned = (k, j - k) if sign_on == "k" else (j - k, k)
-        if keep is None or unsigned % 2 == keep:
-            yield k, j - k, -1 if signed % 2 else 1
+        weights.append(0 if keep is not None and unsigned % 2 != keep else 1 - 2 * (signed % 2))
+    return tuple(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +490,7 @@ def _q_bound(side, n: int, m: int) -> int:
         return _row(_q_norm, side, m, top=n)[n]
     scale, a, b, d, weight = side
     outer, inner = _row(_q_norm, a, m, top=n), _row(_q_norm, b, m, top=n // d)
-    weights = map(abs, _weights(weight, n // d + 1, n))
-    return abs(scale) * sum(map(mul, weights, map(mul, outer[n::-d], inner)))
+    return abs(scale) * _weighted_sum(map(abs, _PERIOD_WEIGHTS[weight][n % 6]), outer, inner, n, d)
 
 
 def _delta(n: int) -> int:
@@ -499,9 +506,10 @@ def _q_reader(side, m: int, width: int, top: int) -> Callable[[int], int]:
     scale, a, b, d, weight = side
     outer = _q_packed(a, m, 1, width, top)
     inner = outer if (b, d) == (a, 1) else _q_packed(b, m, d, width, top // d)
+    periods = _PERIOD_WEIGHTS[weight]
 
     def read(n):
-        return scale * sum(map(mul, _weights(weight, n // d + 1, n), map(mul, outer[n::-d], inner)))
+        return scale * _weighted_sum(periods[n % 6], outer, inner, n, d)
 
     return read
 
@@ -533,16 +541,18 @@ def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
 #     G_j = sum_{k+l=j} (-1)^(k or l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b.
 # The summand of G_j is V_k U_l with the single sums' kernels read in base
 # q**b, so G_j in base q**b is G_j in base q dilated by b.  A diagonal in base
-# q is summed packed, as a single-sum side is: sum_{k+l=j} +-pack(V_k) *
-# pack(U_l), unpacked once.  Each time a row grows, V and U are packed once,
-# at the width that holds sum_{k+l=j} |V_k|_1 * |U_l|_1 for every diagonal j
-# it adds, so a prepare grows its rows to the grid's max(ns) in one step.
-# The diagonals are one row per (m, b, the signed index) and shared across
-# the whole verification grid.  A parity half keeps only the terms whose
-# unsigned index u has u = keep (mod 2), so its diagonals are keyed on keep as
-# well.  The theorem says G_0 = 1 and G_j = 0 for j >= 1; a half's diagonals
-# need not vanish.  Each row keeps the ascending indices of its nonzero
-# diagonals beside it, so a case visits only those.
+# q is summed packed, as a single-sum side is, by the same _weighted_sum:
+# sum_{k+l=j} +-pack(V_k) * pack(U_l), unpacked once, with the sign of each
+# parity class of k from _diagonal_weights.  Each time a row grows, V and U
+# are packed once, at the width that holds sum_{k+l=j} |V_k|_1 * |U_l|_1 for
+# every diagonal j it adds, so a prepare grows its rows to the grid's max(ns)
+# in one step.  The diagonals are one row per (m, b, the signed index) and
+# shared across the whole verification grid.  A parity half keeps only the
+# terms whose unsigned index u has u = keep (mod 2), so its diagonals are
+# keyed on keep as well, and the class of k that keep drops weighs 0.  The
+# theorem says G_0 = 1 and G_j = 0 for j >= 1; a half's diagonals need not
+# vanish.  Each row keeps the ascending indices of its nonzero diagonals
+# beside it, so a case visits only those.
 
 
 def _diagonals(m: int, b: int, sign_on: str, keep: Optional[int], top: int) -> tuple[list, list]:
@@ -562,11 +572,12 @@ def _diagonals(m: int, b: int, sign_on: str, keep: Optional[int], top: int) -> t
         base_q = _diagonals(m, 1, sign_on, keep, top)[0]
         new = [poly_substitute_power(base_q[j], b) for j in added]
     else:
-        terms = [list(_diagonal_terms(sign_on, keep, j)) for j in added]
+        signs = [_diagonal_weights(sign_on, keep, j) for j in added]
         v_norm, u_norm = _row(_q_norm, "V", m, top=top), _row(_q_norm, "U", m, top=top)
-        width = slot_width(max(sum(v_norm[k] * u_norm[l] for k, l, _ in t) for t in terms))
+        bounds = (_weighted_sum(map(abs, w), u_norm, v_norm, j, 1) for j, w in zip(added, signs))
+        width = slot_width(max(bounds))
         v, u = _q_packed("V", m, 1, width, top), _q_packed("U", m, 1, width, top)
-        new = [unpack(sum(sign * v[k] * u[l] for k, l, sign in t), width) for t in terms]
+        new = [unpack(_weighted_sum(w, u, v, j, 1), width) for j, w in zip(added, signs)]
     nonzero.extend(j for j, g in zip(added, new) if g.coeffs)
     row.extend(new)
     return entry
@@ -587,24 +598,19 @@ def _diagonal_sum(H: Sequence[IntPoly], n: int, row: list, nonzero: list) -> Int
     return total
 
 
-def triangle_sum(
-    F: Sequence[IntPoly], n: int, m: int, b: int, sign_on: str, parity: Optional[int] = None
-) -> IntPoly:
+def triangle_sum(F: Sequence[IntPoly], n: int, m: int, b: int, sign_on: str) -> IntPoly:
     """The triangle sum of F over k + l <= n, with the brackets read in base q**b.
 
-    With parity set, only the terms whose unsigned index u (l when the sign
-    is on k, k when it is on l) has n - u = parity (mod 2) are kept.  The sum
-    is read as sum_j F(j) G_j over the memoized diagonals G_j, with a product
-    only for each nonzero G_j.  When the theorem holds the result is the
-    object F(0) itself, not a copy.
+    The sum is read as sum_j F(j) G_j over the memoized diagonals G_j, with
+    a product only for each nonzero G_j.  When the theorem holds the result
+    is the object F(0) itself, not a copy.
     """
     _require_domain(("n", "m", "b"), ([n], [m], [b]))
     if len(F) < n + 1:
         raise ValueError(f"F must provide at least n+1 = {n + 1} values, got {len(F)}")
     if sign_on not in ("k", "l"):
         raise ValueError(f"sign_on must be 'k' or 'l', got {sign_on!r}")
-    keep = None if parity is None else (n - parity) % 2
-    return _diagonal_sum(F[n::-1], n, *_diagonals(m, b, sign_on, keep, n))
+    return _diagonal_sum(F[n::-1], n, *_diagonals(m, b, sign_on, None, n))
 
 
 # The four double sums take F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c or [p, n-j]_c;
@@ -871,13 +877,11 @@ def _count_table(name: str, p: int, rows: int, cols: int) -> list[list[int]]:
     return table
 
 
-_WEIGHT_PERIOD = {_PLAIN: 1, _ALT: 2, _COS: 3, _SIN: 3}
-
-
 def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
     """S[n][m], the row side at every n < rows, m < cols, from one grid product per weight class."""
     scale, a, b, d, weight = side
-    period = _WEIGHT_PERIOD[weight]
+    periods = _PERIOD_WEIGHTS[weight]
+    period = len(periods[0])
     outer = [row[:cols] for row in _count_table(a, p, rows, cols)[:rows]]
     inner_rows, inner_cols = (rows - 1) // d + 1, (cols - 1) // d + 1
     inner = [row[:inner_cols] for row in _count_table(b, p, inner_rows, inner_cols)[:inner_rows]]
@@ -886,7 +890,7 @@ def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
     for c in range(period):
         part = [[x if l % period == c else 0 for l, x in enumerate(row)] for row in inner]
         classes.append(grid_mul(outer, part, d))
-    weights = [[scale * w for w in _weights(weight, period, m)] for m in range(cols)]
+    weights = [[scale * w for w in periods[m % 6]] for m in range(cols)]
     return [
         [sum(map(mul, w, cells)) for w, cells in zip(weights, zip(*class_rows))]
         for class_rows in zip(*classes)
@@ -973,7 +977,7 @@ def _series_sums(identity_id: str, ns):
     left, outer, inner = _row(*lhs, top=top), _row(*a, top=top), _row(*b, top=top // 2)
 
     def pair(n):
-        return left[n], sum(map(mul, outer[n::-2], inner))
+        return left[n], _weighted_sum((1,), outer, inner, n, 2)
 
     return pair, _finish_pair
 
@@ -1071,8 +1075,7 @@ def _comb_side(side, N: int, kernels: dict[str, list[int]]) -> int:
     if isinstance(side, str):
         return kernels[side][N]
     scale, a, b, d, weight = side
-    weights = _weights(weight, N // d + 1, N)
-    return scale * sum(map(mul, weights, map(mul, kernels[a][N::-d], kernels[b])))
+    return scale * _weighted_sum(_PERIOD_WEIGHTS[weight][N % 6], kernels[a], kernels[b], N, d)
 
 
 def _comb_sums(row: str, r: int, ns, ms):
@@ -1098,9 +1101,8 @@ def _comb_sums(row: str, r: int, ns, ms):
 
 
 def _comb_diagonal(sign_on: str, m: int, keep: Optional[int], j: int) -> int:
-    """g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l, over the terms _diagonal_terms keeps."""
-    u, v = _u(m, j), _v(m, j)
-    return sum(sign * v[k] * u[l] for k, l, sign in _diagonal_terms(sign_on, keep, j))
+    """g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l, over the terms keep keeps, as the q diagonal G_j is summed."""
+    return _weighted_sum(_diagonal_weights(sign_on, keep, j), _u(m, j), _v(m, j), j, 1)
 
 
 def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):

@@ -895,6 +895,21 @@ def test_series_family_tsv_report_bytes_are_pinned_in_a_fresh_process():
     assert digest == "76bfb51982040fd43b392edbd958fd8b2d49353c70c1d79704a6d3544325ffce"
 
 
+def test_q1_family_tsv_report_bytes_are_pinned_past_the_default_grid_in_a_fresh_process():
+    # comb01-26 at n, m <= 40 (p <= 12 for comb16-19), twice their default
+    # extent: each side a weighted sum over the binomial rows, each triangle
+    # diagonal one too
+    families = [arg for i in range(1, 27) for arg in ("--family", f"comb{i:02d}")]
+    proc = run_module(
+        "verify", *families, "--n-max", "40", "--m-max", "40", "--p-max", "12",
+        "--workers", "1", "--format", "tsv",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 124_395
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "649ae437e3063f94766add9e1c56df5d5f355f7ab638428bece888f6e6f896f2"
+
+
 # TSV of verify --all --inject-failure: 75,456 rows, comb01's first one failing
 INJECTED_ALL_TSV_DIGEST = "d06301de115ca8b0aa470deaca3add6ba65bb53978f831d37986c094fe046937"
 

@@ -78,21 +78,55 @@ def test_twice_sin_table():
         assert twice_sin_over_sqrt3(-j) == -twice_sin_over_sqrt3(j)
 
 
-def test_weight_rows_are_shared_tuples_of_their_formulas():
-    formulas = {
-        identities._PLAIN: lambda k, n: 1,
-        identities._ALT: lambda k, n: (-1) ** k,
-        identities._COS: lambda k, n: twice_cos(2 * k - n),
-        identities._SIN: lambda k, n: twice_sin_over_sqrt3(n - 2 * k),
+# the weights w(k) at n, from their formulas: the reference oracles below read
+# these, never the table under test
+WEIGHT_FORMULAS = {
+    identities._PLAIN: lambda k, n: 1,
+    identities._ALT: lambda k, n: (-1) ** k,
+    identities._COS: lambda k, n: twice_cos(2 * k - n),
+    identities._SIN: lambda k, n: twice_sin_over_sqrt3(n - 2 * k),
+}
+
+
+def weight_period(weight):
+    """The least period in k of a weight's formula, at every n."""
+    w = WEIGHT_FORMULAS[weight]
+    return next(t for t in range(1, 7) if all(w(k + t, n) == w(k, n) for k in range(6) for n in range(6)))
+
+
+def test_the_period_table_is_each_weight_formula_over_one_period():
+    table = identities._PERIOD_WEIGHTS
+    assert set(table) == set(WEIGHT_FORMULAS)
+    assert {weight: weight_period(weight) for weight in table} == {
+        identities._PLAIN: 1, identities._ALT: 2, identities._COS: 3, identities._SIN: 3,
     }
-    for weight, w in formulas.items():
-        for count in range(41):
-            for n in range(41):
-                row = identities._weights(weight, count, n)
-                # a tuple, so no caller can change the row every case shares
-                assert type(row) is tuple
-                assert row == tuple(w(k, n) for k in range(count)), (weight, count, n)
-                assert identities._weights(weight, count, n + 6) is row
+    for weight, w in WEIGHT_FORMULAS.items():
+        # tuples, so no reader can change the table every reader shares
+        assert type(table[weight]) is tuple and len(table[weight]) == 6
+        for n in range(41):
+            period = table[weight][n % 6]
+            assert type(period) is tuple and len(period) == weight_period(weight)
+            assert [period[k % len(period)] for k in range(41)] == [w(k, n) for k in range(41)], (weight, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    outer=st.lists(st.integers(-9, 9), min_size=24, max_size=24),
+    inner=st.lists(st.integers(-9, 9), min_size=24, max_size=24),
+    n=st.integers(0, 20),
+    d=st.integers(1, 4),
+    extra=st.integers(0, 3),
+)
+@example(weights=[-2, 1, 0], outer=[5] * 24, inner=[7] * 24, n=2, d=3, extra=0)
+@example(weights=[1, -1], outer=list(range(24)), inner=list(range(-12, 12)), n=20, d=1, extra=3)
+def test_weighted_sum_is_the_literal_sum(weights, outer, inner, n, d, extra):
+    # rows may run past the terms the sum reads; n < d reads k = 0 alone
+    outer, inner = outer[: n + 1 + extra], inner[: n // d + 1 + extra]
+    expected = sum(weights[k % len(weights)] * outer[n - d * k] * inner[k] for k in range(n // d + 1))
+    assert identities._weighted_sum(weights, outer, inner, n, d) == expected
+    # any iterable of weights, read once
+    assert identities._weighted_sum(iter(weights), outer, inner, n, d) == expected
 
 
 # --- registry shape ---------------------------------------------------------
@@ -417,7 +451,12 @@ def triangle_sum_by_terms(F, n, m, b, sign_on, parity=None):
 def test_triangle_sum_diagonals_match_the_term_by_term_sum(data, n, m, b, sign_on, parity):
     F = data.draw(st.lists(_INT_POLY, min_size=n + 1, max_size=n + 1))
     expected = triangle_sum_by_terms(F, n, m, b, sign_on, parity)
-    assert triangle_sum(F, n, m, b, sign_on, parity) == expected
+    if parity is None:
+        assert triangle_sum(F, n, m, b, sign_on) == expected
+    else:
+        # a half reads the diagonals that keep its unsigned index u = n - parity (mod 2)
+        keep = (n - parity) % 2
+        assert identities._diagonal_sum(F[n::-1], n, *identities._diagonals(m, b, sign_on, keep, n)) == expected
 
 
 def test_triangle_diagonals_cancel_past_the_origin():
@@ -775,7 +814,8 @@ def count_side_by_calls(side, n, m, p):
     scale, a, b, d, weight = side
     outer, inner = COUNT_KERNELS[a], COUNT_KERNELS[b]
     total = 0
-    for l, w in enumerate(identities._weights(weight, m // d + 1, m)):
+    for l in range(m // d + 1):
+        w = WEIGHT_FORMULAS[weight](l, m)
         if w:
             total += w * sum(
                 outer(n - d * k, m - d * l, p) * inner(k, l, p) for k in range(n // d + 1)
@@ -815,8 +855,8 @@ def test_count_tables_match_the_per_call_convolution(queries):
         assert count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
     tables = {key[1:]: t for key, t in identities._ROWS.items() if key[0] is identities._count_entry}
     assert tables
-    # the store keeps the kernel tables and weights, never a plane
-    assert {key[0] for key in identities._ROWS} <= {identities._count_entry, identities._weights}
+    # the store keeps the kernel tables, never a plane or a weight
+    assert {key[0] for key in identities._ROWS} == {identities._count_entry}
     for (name, p), table in tables.items():
         # every cell of every kernel table is its kernel's value, grown by
         # the queries in their order
@@ -986,7 +1026,8 @@ def q_side_by_terms(side, n, m):
     if isinstance(side, str):
         return q_kernel_by_brackets(side, m, 1, [n])[0]
     scale, a, b, d, weight = side
-    terms = [(k, scale * w) for k, w in enumerate(identities._weights(weight, n // d + 1, n)) if w]
+    weights = (WEIGHT_FORMULAS[weight](k, n) for k in range(n // d + 1))
+    terms = [(k, scale * w) for k, w in enumerate(weights) if w]
     outer = q_kernel_by_brackets(a, m, 1, [n - d * k for k, _ in terms])
     inner = q_kernel_by_brackets(b, m, d, [k for k, _ in terms])
     total = ZERO
@@ -1077,11 +1118,19 @@ def test_packed_kernel_rows_keep_one_width_per_m(monkeypatch):
 
 
 def diagonal_by_terms(m, b, sign_on, keep, j):
-    """Reference oracle: G_j in base q**b folded over _diagonal_terms with poly_mul, poly_add and poly_scale."""
+    """Reference oracle: G_j in base q**b folded over k + l = j with poly_mul, poly_add and poly_scale.
+
+    The term (k, l) has sign (-1)^(k or l), and with keep set only the terms
+    whose unsigned index is keep (mod 2) are summed.
+    """
     total = ZERO
-    for k, l, sign in identities._diagonal_terms(sign_on, keep, j):
+    for k in range(j + 1):
+        l = j - k
+        signed, unsigned = (k, l) if sign_on == "k" else (l, k)
+        if keep is not None and unsigned % 2 != keep:
+            continue
         v = poly_shift(bracket_base(m + 1, k, b), b * binom2(k))
-        total = poly_add(total, poly_scale(poly_mul(v, bracket_base(m + l, m, b)), sign))
+        total = poly_add(total, poly_scale(poly_mul(v, bracket_base(m + l, m, b)), (-1) ** signed))
     return total
 
 
@@ -1401,7 +1450,7 @@ def test_count_planes_are_built_once_at_the_grid_extent(monkeypatch):
     for identity_id in families:
         assert all(r.passed for r in identities.run_identity(identity_id, grid))
     row_sides = [side for i in families for side in identities._COUNT_SUMS[i] if isinstance(side, tuple)]
-    classes = sum(identities._WEIGHT_PERIOD[side[4]] for side in row_sides)
+    classes = sum(weight_period(side[4]) for side in row_sides)
     assert len(calls) == classes * len(grid["p"]) == 28
     assert len(planes) == len(row_sides) * len(grid["p"])
     assert all((len(plane), len(plane[0])) == (41, 41) for plane in planes)
@@ -1781,3 +1830,79 @@ def test_every_series_spec_mutant_fails_the_default_grid_but_the_other_true_row(
         ("pn_from_q", table["qn_double_sum"]),
         ("qn_double_sum", table["pn_from_q"]),
     }
+
+
+# --- sensitivity: the default grids reject a wrong weight or diagonal sign ---
+
+
+def first_failing(families):
+    """The first of families that fails its default grid, read from a cleared store; None when all pass."""
+    identities._ROWS.clear()
+    return next(
+        (i for i in families if not all(r.passed for r in identities.run_identity(i))), None
+    )
+
+
+def test_every_period_table_entry_mutant_fails_the_default_grid():
+    # each entry of the table, 1 off either way; a cosine or sign weight is
+    # caught by a single sum, a sine weight by the count rows it weighs
+    table = identities._PERIOD_WEIGHTS
+    q_sums, sine_rows = tuple(identities._Q_SUMS), ("sine_vanishing_6", "sine_vanishing_7")
+    mutants = 0
+    try:
+        for weight, periods in table.items():
+            for r, period in enumerate(periods):
+                for k, step in itertools.product(range(len(period)), (-1, 1)):
+                    wrong = period[:k] + (period[k] + step,) + period[k + 1:]
+                    mutant = periods[:r] + (wrong,) + periods[r + 1:]
+                    with mock.patch.dict(table, {weight: mutant}):
+                        failed = first_failing(q_sums + sine_rows)
+                    expected = sine_rows if weight == identities._SIN else q_sums
+                    assert failed in expected, (weight, r, k, step, failed)
+                    mutants += 1
+    finally:
+        identities._ROWS.clear()
+    assert mutants == 108
+
+
+def test_every_diagonal_sign_mutant_fails_a_q_and_a_q1_family():
+    # flip the sign of one class of k mod 2 at one (signed index, keep, j mod 2),
+    # or give a class that a parity half drops the weight 1
+    real = identities._diagonal_weights
+    q_families = (*RESDBL, *identities._COROLLARIES, "f_theorem")
+    comb_families = tuple(f"comb{i}" for i in range(16, 23))
+    mutants = list(itertools.product(("k", "l"), (None, 0, 1), (0, 1), (0, 1)))
+    assert len(mutants) == 24
+
+    def mutated(sign_on, keep, parity, c):
+        def weights(*args):
+            w = list(real(*args))
+            if args[:2] == (sign_on, keep) and args[2] % 2 == parity:
+                w[c] = -w[c] if w[c] else 1
+            return tuple(w)
+
+        return weights
+
+    try:
+        for target in mutants:
+            with mock.patch.object(identities, "_diagonal_weights", mutated(*target)):
+                assert first_failing(q_families) is not None, target
+                assert first_failing(comb_families) is not None, target
+    finally:
+        identities._ROWS.clear()
+
+
+def test_the_store_keeps_no_weight_and_the_period_table_is_never_written():
+    identities._ROWS.clear()
+    before = dict(identities._PERIOD_WEIGHTS)
+    assert all(all(r.passed for r in identities.run_identity(d.id)) for d in registry())
+    assert identities._PERIOD_WEIGHTS == before
+    assert all(identities._PERIOD_WEIGHTS[weight] is periods for weight, periods in before.items())
+    # only exact rows, one per (entry, *key), for every family on its default grid
+    entries = {key[0] for key in identities._ROWS}
+    assert entries == {
+        identities._q_kernel, identities._q_norm, identities._diagonals, identities._resdbl_h,
+        identities._count_entry, identities._count_of, identities._signed_distinct,
+        identities._binom_entry, identities._comb_diagonal,
+    }
+    assert len(identities._ROWS) == 439
