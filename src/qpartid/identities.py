@@ -25,7 +25,8 @@ evaluator:
       sum_{k+l <= n} (-1)^(k or l) F(k+l) q^(b*C(k,2)) [m+1, k]_b [m+l, m]_b = F(0),
   read as sum_j F(j) G_j (_diagonal_sum), where the diagonal G_j sums the
   kernel products V_k U_l over k + l = j, packed in the same way, and a case
-  visits only the nonzero diagonals.  resdbl1-4 are its instances with
+  visits only the nonzero diagonals, whose pairs (j, G_j) its prepare
+  binds.  resdbl1-4 are its instances with
       F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c  (resdbl1: sign on k, resdbl2: on l)
       F(j) = q^(a*C(n-j,2)) [p, n-j]_c    (resdbl3: sign on k, resdbl4: on l),
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
@@ -36,27 +37,31 @@ evaluator:
   convolutions are rows of _COUNT_SUMS.  At one p a side over every (n, m)
   is one grid g[n][m]: a row side is the coefficient table of
   A(x, y) B(x^d, y^d), built by packed integer products (bigpoly.grid_mul),
-  a kernel alone its kernel table.  _count_sums reads both sides of a case
-  from those grids, and genfun_table expands the generating functions into
-  integer tables.  Nine _COUNT_SUMS rows are _Q_SUMS rows read over count
-  kernels (see the count section); only theorem2 and qstar_relation keep
-  spec rows of their own.  Euler's two convolutions, pn_from_q and
+  a kernel alone (delta and zero among them) its kernel table.  _count_sums
+  reads both sides of a case from those grids, and genfun_table expands the
+  generating functions into integer tables.  Nine _COUNT_SUMS rows are
+  _Q_SUMS rows read over count kernels (see the count section); only
+  theorem2 and qstar_relation keep spec rows of their own.  Euler's two convolutions, pn_from_q and
   qn_double_sum, are the two rows of _SERIES_SUMS, read by _series_sums.
 * combinatorial at q = 1: big-integer binomials that never touch the
   polynomial layer.  Each row of _COMB_SUMS names the q row it specialises:
   comb01-15 and comb23-26 a _Q_SUMS row and a residue r, read by _comb_side
   at index d*n + r; comb16-22 the _RESDBL row, or the half of a _COROLLARIES
-  row, at a = b = c = 1, read as sum_j F_{n-j} g_j over integer diagonals g_j.
+  row, at a = b = c = 1, read as sum_j F_{n-j} g_j over the nonzero integer
+  diagonals g_j.
 
-Every exact row a case reads (U and V and their coefficient sums, the
-diagonals, the resdbl F rows, the series p(x), q(x) and s(k), the binomial
-rows) lives in one store, _ROWS: a row [entry(*key, j) for j = 0, 1, ...]
-per (entry, *key), built by a family's prepare hook to its grid's extent
-and grown in place when a later grid reaches further, never rebuilt.  The
-count layer keeps its kernel tables there too, grown in place the same way.
-What is sized to one grid belongs to that grid's run alone: its verdict
-memo, the kernels it packs at the slot width its own grid needs, and its
-count planes, built at exactly its grid's extent.
+A side of every layer is a kernel name or a row; delta (1 at index 0, else
+0) and, on the count side, zero are kernels like any other, so no reader
+has a case of its own for them.  Every exact row a case reads (the kernels
+and their coefficient sums, the diagonals, the resdbl F rows, the rows of
+the count tables, the series p(x), q(x) and s(k), the binomial rows) is a
+plain list in one store, _ROWS, and _row is its one writer: the row under
+(fill, *key) is filled by range, fill(*key, js) giving its entries at the
+indices js, built by a family's prepare hook to its grid's extent and
+grown in place when a later grid reaches further, never rebuilt.  What is
+sized to one grid belongs to that grid's run alone: its verdict memo, the
+kernels it packs at the slot width its own grid needs, and its count
+planes, built at exactly its grid's extent.
 
 The remaining count chains are written out.
 
@@ -335,17 +340,6 @@ def _finish_poly(key: tuple, tamper: bool = False) -> tuple:
     return (False, lhs_hash, _digest(rhs), _poly_first_mismatch(lhs, rhs))
 
 
-def _finish_pair(pair: tuple[int, int], tamper: bool = False) -> tuple:
-    """The verdict on one (lhs, rhs) integer pair."""
-    lhs, rhs = pair
-    if tamper:
-        rhs += 1
-    lhs_hash = _sha(str(lhs))  # the _digest of (lhs,)
-    if lhs == rhs:
-        return (True, lhs_hash, lhs_hash, None)
-    return (False, lhs_hash, _sha(str(rhs)), (lhs, rhs))
-
-
 def _finish_pairs(pairs: tuple[tuple[int, int], ...], tamper: bool = False) -> tuple:
     """The verdict on a non-empty tuple of (lhs, rhs) integer pairs."""
     lhs, rhs = zip(*pairs)
@@ -355,6 +349,11 @@ def _finish_pairs(pairs: tuple[tuple[int, int], ...], tamper: bool = False) -> t
     if lhs == rhs:  # equal sides hash alike
         return (True, lhs_hash, lhs_hash, None)
     return (False, lhs_hash, _digest(rhs), next((l, r) for l, r in zip(lhs, rhs) if l != r))
+
+
+def _finish_pair(pair: tuple[int, int], tamper: bool = False) -> tuple:
+    """The verdict on one (lhs, rhs) integer pair, as a tuple of one pair."""
+    return _finish_pairs((pair,), tamper)
 
 
 def _combine(verdicts: Iterable[tuple], sep: str) -> tuple:
@@ -384,36 +383,40 @@ def _require_domain(names: Sequence[str], axes: Sequence[Sequence[int]]) -> None
 # The kernel row store
 # ---------------------------------------------------------------------------
 #
-# Every kernel a case reads is a row [entry(*key, j) for j = 0, 1, ...] of a
-# plain entry function, kept in _ROWS per (entry, *key).  A family's prepare
-# hook builds each row its grid reaches to the grid's extent before the first
-# case runs and binds it in locals, so the cases only read; a later family
-# that reaches further grows the same row in place, so no entry is computed
-# twice.  Entries call the functions they read by module-global name, so a
-# row fills through whichever functions the module binds when it first grows.
-# The q kernels are rows under (_q_kernel, name, m) and their coefficient sums
-# under (_q_norm, name, m).  Each triangle diagonal row sits under
-# (_diagonals, m, b, sign_on, keep) with the ascending indices of its nonzero
-# diagonals beside it, and each double sum's or corollary's F row under
-# (_resdbl_h, top form, p, a, c).  The count layer keeps its 2-D kernel
-# tables here as well, under (_count_entry, name, p), grown in place; the
-# series rows p(x) and q(x) sit under (_count_of, distinct) and the signed
-# sums s(k) = sum_l (-1)^l Q(k, l) under (_signed_distinct,).  No weight is
-# kept here: the weights are the constant _PERIOD_WEIGHTS.  Every row here
-# is exact, so what a family reads does not depend on which family grew it.
+# Every row a case reads is a plain list kept in _ROWS under (fill, *key), and
+# _row is the only code that writes it: fill(*key, js) returns the row's
+# entries at the indices of the range js, so a row grows by one fill call
+# over the indices it lacks.  A fill may read other rows through _row but
+# never its own.  A family's prepare hook builds each row its grid reaches to
+# the grid's extent before the first case runs and binds it in locals, so the
+# cases only read; a later family that reaches further grows the same row in
+# place, so no entry is computed twice.  Fills call the functions they read
+# by module-global name, so a row fills through whichever functions the
+# module binds when it grows.  The q kernels are rows under
+# (_q_kernel, name, m) and their coefficient sums under (_q_norm, name, m).
+# Each triangle diagonal row sits under (_diagonal, m, b, sign_on, keep), and
+# each double sum's or corollary's F row under (_resdbl_h, top form, p, a, c).
+# The count layer keeps each kernel table as one row per a, under
+# (_count_entry, name, p, a); the series rows p(x) and q(x) sit under
+# (_count_of, distinct) and the signed sums s(k) = sum_l (-1)^l Q(k, l) under
+# (_signed_distinct,).  delta and zero are kernels here like any other, with
+# rows of their own, so no reader builds a constant grid.  No weight is kept
+# here: the weights are the constant _PERIOD_WEIGHTS.  Every row here is
+# exact, so what a family reads does not depend on which family grew it.
 # What is sized to one grid stays with that grid's run: the packed kernels,
-# read at the slot width the family's own bound sets, and the count planes.
+# read at the slot width the family's own bound sets, the count planes, and
+# the nonzero diagonals its prepare binds.
 
-_ROWS: dict[tuple, Sequence] = {}
+_ROWS: dict[tuple, list] = {}
 
 
-def _row(entry: Callable, *key, top: int) -> list:
-    """[entry(*key, j) for j = 0, 1, ...] through at least j = top."""
-    row = _ROWS.get((entry, *key))
+def _row(fill: Callable, *key, top: int) -> list:
+    """The row under (fill, *key) through at least index top, grown by fill(*key, js) over the indices js it lacks."""
+    row = _ROWS.get((fill, *key))
     if row is None:
-        row = _ROWS[(entry, *key)] = []
+        row = _ROWS[(fill, *key)] = []
     if len(row) <= top:
-        row.extend(entry(*key, j) for j in range(len(row), top + 1))
+        row.extend(fill(*key, range(len(row), top + 1)))
     return row
 
 
@@ -431,14 +434,19 @@ def _diagonal_weights(sign_on: str, keep: Optional[int], j: int) -> tuple[int, i
     return tuple(weights)
 
 
+def _nonzero(row: Sequence, top: int, zero) -> list[tuple]:
+    """The pairs (j, row[j]) with row[j] != zero, for j = 0..top ascending: the diagonals a triangle sum visits."""
+    return [(j, x) for j, x in enumerate(row[: top + 1]) if x != zero]
+
+
 # ---------------------------------------------------------------------------
 # q-polynomial identities
 # ---------------------------------------------------------------------------
 #
-# The single sums combine two bracket kernels at fixed m, read in base q**d:
+# The single sums combine kernels at fixed m, read in base q**d:
 #     U_j = [m+j, m]_d        V_j = q^(d*C(j,2)) [m+1, j]_d
-# A side is a kernel at index n in base q, _DELTA (1 at n = 0, else 0), or a
-# row (scale, A, B, d, w) meaning scale * sum_{k <= n/d} w(k) A_{n-dk} B_k,
+# and delta_j (1 at j = 0, else 0).  A side is a kernel at index n in base q
+# or a row (scale, A, B, d, w) meaning scale * sum_{k <= n/d} w(k) A_{n-dk} B_k,
 # with A in base q and B in base q**d.  Cosine rows come back doubled.
 #
 # Both sides of a case are evaluated as packed ints (see bigpoly): a row side
@@ -464,16 +472,23 @@ _Q_SUMS = {
 }
 
 
-def _q_kernel(name: str, m: int, j: int) -> IntPoly:
-    """The kernel U or V at index j, in base q."""
-    if name == "U":
-        return bracket_base(m + j, m)
-    return poly_shift(bracket_base(m + 1, j), binom2(j))
+_Q_KERNELS = {
+    "U": lambda m, j: bracket_base(m + j, m),
+    "V": lambda m, j: poly_shift(bracket_base(m + 1, j), binom2(j)),
+    _DELTA: lambda m, j: ONE if j == 0 else ZERO,
+}
 
 
-def _q_norm(name: str, m: int, j: int) -> int:
-    """|kernel_j|_1, the sum of its (nonnegative) coefficients, in any base."""
-    return sum(_row(_q_kernel, name, m, top=j)[j].coeffs)
+def _q_kernel(name: str, m: int, js: range) -> list[IntPoly]:
+    """The kernel named name at each index j in js, in base q."""
+    kernel = _Q_KERNELS[name]
+    return [kernel(m, j) for j in js]
+
+
+def _q_norm(name: str, m: int, js: range) -> list[int]:
+    """|kernel_j|_1 for j in js, the sum of its (nonnegative) coefficients, in any base."""
+    kernels = _row(_q_kernel, name, m, top=js.stop - 1)
+    return [sum(kernels[j].coeffs) for j in js]
 
 
 def _q_packed(name: str, m: int, d: int, width: int, top: int) -> list[int]:
@@ -484,8 +499,6 @@ def _q_packed(name: str, m: int, d: int, width: int, top: int) -> list[int]:
 
 def _q_bound(side, n: int, m: int) -> int:
     """A bound on every |coefficient| of the side at (n, m)."""
-    if side == _DELTA:
-        return 1
     if isinstance(side, str):
         return _row(_q_norm, side, m, top=n)[n]
     scale, a, b, d, weight = side
@@ -493,14 +506,8 @@ def _q_bound(side, n: int, m: int) -> int:
     return abs(scale) * _weighted_sum(map(abs, _PERIOD_WEIGHTS[weight][n % 6]), outer, inner, n, d)
 
 
-def _delta(n: int) -> int:
-    return int(n == 0)
-
-
 def _q_reader(side, m: int, width: int, top: int) -> Callable[[int], int]:
     """n -> the side at (n, m), packed at width, for every n <= top."""
-    if side == _DELTA:
-        return _delta
     if isinstance(side, str):
         return _q_packed(side, m, 1, width, top).__getitem__
     scale, a, b, d, weight = side
@@ -543,58 +550,47 @@ def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
 # q**b, so G_j in base q**b is G_j in base q dilated by b.  A diagonal in base
 # q is summed packed, as a single-sum side is, by the same _weighted_sum:
 # sum_{k+l=j} +-pack(V_k) * pack(U_l), unpacked once, with the sign of each
-# parity class of k from _diagonal_weights.  Each time a row grows, V and U
-# are packed once, at the width that holds sum_{k+l=j} |V_k|_1 * |U_l|_1 for
-# every diagonal j it adds, so a prepare grows its rows to the grid's max(ns)
-# in one step.  The diagonals are one row per (m, b, the signed index) and
-# shared across the whole verification grid.  A parity half keeps only the
-# terms whose unsigned index u has u = keep (mod 2), so its diagonals are
-# keyed on keep as well, and the class of k that keep drops weighs 0.  The
-# theorem says G_0 = 1 and G_j = 0 for j >= 1; a half's diagonals need not
-# vanish.  Each row keeps the ascending indices of its nonzero diagonals
-# beside it, so a case visits only those.
+# parity class of k from _diagonal_weights.  Each fill packs V and U once,
+# at the width that holds sum_{k+l=j} |V_k|_1 * |U_l|_1 for every diagonal j
+# it adds, so a prepare grows its rows to the grid's max(ns) in one step.  The
+# diagonals are one row per (m, b, the signed index) and shared across the
+# whole verification grid.  A parity half keeps only the terms whose unsigned
+# index u has u = keep (mod 2), so its diagonals are keyed on keep as well,
+# and the class of k that keep drops weighs 0.  The theorem says G_0 = 1 and
+# G_j = 0 for j >= 1; a half's diagonals need not vanish.  Each prepare binds
+# the nonzero pairs (j, G_j) of the rows it reads, so a case visits only those.
 
 
-def _diagonals(m: int, b: int, sign_on: str, keep: Optional[int], top: int) -> tuple[list, list]:
-    """The row G_0, G_1, ... through at least top, and the ascending j whose G_j is nonzero.
-
-    G_j keeps only the unsigned indices u = keep (mod 2) when keep is set.
-    """
-    key = (_diagonals, m, b, sign_on, keep)
-    entry = _ROWS.get(key)
-    if entry is None:
-        entry = _ROWS[key] = ([], [])
-    row, nonzero = entry
-    added = range(len(row), top + 1)
-    if not added:
-        return entry
+def _diagonal(m: int, b: int, sign_on: str, keep: Optional[int], js: range) -> list[IntPoly]:
+    """G_j in base q**b for j in js; G_j keeps only the unsigned indices u = keep (mod 2) when keep is set."""
+    top = js.stop - 1
     if b > 1:
-        base_q = _diagonals(m, 1, sign_on, keep, top)[0]
-        new = [poly_substitute_power(base_q[j], b) for j in added]
-    else:
-        signs = [_diagonal_weights(sign_on, keep, j) for j in added]
-        v_norm, u_norm = _row(_q_norm, "V", m, top=top), _row(_q_norm, "U", m, top=top)
-        bounds = (_weighted_sum(map(abs, w), u_norm, v_norm, j, 1) for j, w in zip(added, signs))
-        width = slot_width(max(bounds))
-        v, u = _q_packed("V", m, 1, width, top), _q_packed("U", m, 1, width, top)
-        new = [unpack(_weighted_sum(w, u, v, j, 1), width) for j, w in zip(added, signs)]
-    nonzero.extend(j for j, g in zip(added, new) if g.coeffs)
-    row.extend(new)
-    return entry
+        base_q = _row(_diagonal, m, 1, sign_on, keep, top=top)
+        return [poly_substitute_power(base_q[j], b) for j in js]
+    signs = [_diagonal_weights(sign_on, keep, j) for j in js]
+    u_norm, v_norm = _row(_q_norm, "U", m, top=top), _row(_q_norm, "V", m, top=top)
+    width = slot_width(max(_weighted_sum(map(abs, w), u_norm, v_norm, j, 1) for j, w in zip(js, signs)))
+    u, v = _q_packed("U", m, 1, width, top), _q_packed("V", m, 1, width, top)
+    return [unpack(_weighted_sum(w, u, v, j, 1), width) for j, w in zip(js, signs)]
 
 
-def _diagonal_sum(H: Sequence[IntPoly], n: int, row: list, nonzero: list) -> IntPoly:
-    """sum_j H[n - j] G_j over the nonzero diagonals j <= n of one _diagonals entry.
+def _diagonal_pairs(m: int, b: int, sign_on: str, keep: Optional[int], top: int) -> list[tuple[int, IntPoly]]:
+    """The pairs (j, G_j) with G_j nonzero, for j <= top ascending."""
+    return _nonzero(_row(_diagonal, m, b, sign_on, keep, top=top), top, ZERO)
+
+
+def _diagonal_sum(H: Sequence[IntPoly], n: int, pairs: list[tuple[int, IntPoly]]) -> IntPoly:
+    """sum_j H[n - j] G_j over the nonzero diagonals j <= n, given as their ascending pairs (j, G_j).
 
     The product with G_0 = 1 and the sum onto zero pass their operand
     through (see bigpoly), so when the theorem holds the result is the
     object H[n] itself, not a copy.
     """
     total = ZERO
-    for j in nonzero:
+    for j, g in pairs:
         if j > n:
             break
-        total = poly_add(total, poly_mul(H[n - j], row[j]))
+        total = poly_add(total, poly_mul(H[n - j], g))
     return total
 
 
@@ -610,7 +606,7 @@ def triangle_sum(F: Sequence[IntPoly], n: int, m: int, b: int, sign_on: str) -> 
         raise ValueError(f"F must provide at least n+1 = {n + 1} values, got {len(F)}")
     if sign_on not in ("k", "l"):
         raise ValueError(f"sign_on must be 'k' or 'l', got {sign_on!r}")
-    return _diagonal_sum(F[n::-1], n, *_diagonals(m, b, sign_on, None, n))
+    return _diagonal_sum(F[n::-1], n, _diagonal_pairs(m, b, sign_on, None, n))
 
 
 # The four double sums take F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c or [p, n-j]_c;
@@ -624,10 +620,11 @@ _RESDBL = {
 RESDBL_IDS = tuple(_RESDBL)
 
 
-def _resdbl_h(shifted_top: bool, p: int, a: int, c: int, s: int) -> IntPoly:
-    """H[s] = q^(a*C(s,2)) [p+s, p]_c or [p, s]_c; every (n, m, b) case reads F(j) = H[n - j] in place."""
-    base = bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c)
-    return poly_shift(base, a * binom2(s))
+def _resdbl_h(shifted_top: bool, p: int, a: int, c: int, ss: range) -> list[IntPoly]:
+    """H[s] = q^(a*C(s,2)) [p+s, p]_c or [p, s]_c for s in ss; every (n, m, b) case reads F(j) = H[n - j] in place."""
+    return [
+        poly_shift(bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c), a * binom2(s)) for s in ss
+    ]
 
 
 def _resdbl_sums(variant: str, ns, ms, ps, as_, bs, cs):
@@ -635,11 +632,11 @@ def _resdbl_sums(variant: str, ns, ms, ps, as_, bs, cs):
     shifted_top, sign_on = _RESDBL[variant]
     top = max(ns)
     h_rows = {(p, a, c): _row(_resdbl_h, shifted_top, p, a, c, top=top) for p in ps for a in as_ for c in cs}
-    diagonals = {(m, b): _diagonals(m, b, sign_on, None, top) for m in ms for b in bs}
+    diagonals = {(m, b): _diagonal_pairs(m, b, sign_on, None, top) for m in ms for b in bs}
 
     def sides(n, m, p, a, b, c):
         H = h_rows[p, a, c]
-        lhs, rhs = _diagonal_sum(H, n, *diagonals[m, b]), H[n]
+        lhs, rhs = _diagonal_sum(H, n, diagonals[m, b]), H[n]
         # _poly_key written out, as this runs once per case
         return rhs.coeffs if lhs is rhs else (lhs.coeffs, rhs.coeffs)
 
@@ -675,13 +672,13 @@ def _parity_halves(corollary_id: str, ns, ms):
     shifted_top, sign_on = _RESDBL[variant]
     top = max(ns)
     h_rows = {m: _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=top) for m in ms}
-    diagonals = {(m, keep): _diagonals(m, 1, sign_on, keep, top) for m in ms for keep in (0, 1)}
+    diagonals = {(m, keep): _diagonal_pairs(m, 1, sign_on, keep, top) for m in ms for keep in (0, 1)}
 
     def sides(n, m):
         # keep is u mod 2: the even half keeps u = n (mod 2), the odd half u = n - 1
         H = h_rows[m]
-        even = _diagonal_sum(H, n, *diagonals[m, n % 2])
-        odd = _diagonal_sum(H, n, *diagonals[m, 1 - n % 2])
+        even = _diagonal_sum(H, n, diagonals[m, n % 2])
+        odd = _diagonal_sum(H, n, diagonals[m, 1 - n % 2])
         return _poly_key(even, H[n]), _poly_key(odd, ZERO)
 
     return sides, _finish_halves
@@ -768,12 +765,12 @@ def _f_theorem(ns, ms):
     for each stock sequence with the sign on k and then on l.
     """
     top = max(ns)
-    diagonals = {(m, sign_on): _diagonals(m, 1, sign_on, None, top) for m in ms for sign_on in ("k", "l")}
+    diagonals = {(m, sign_on): _diagonal_pairs(m, 1, sign_on, None, top) for m in ms for sign_on in ("k", "l")}
 
     def sides(n, m):
         sequences = [F for _, F in standard_f_sequences(n, m)]
         return tuple(
-            _poly_key(_diagonal_sum(F[n::-1], n, *diagonals[m, sign_on]), F[0])
+            _poly_key(_diagonal_sum(F[n::-1], n, diagonals[m, sign_on]), F[0])
             for sign_on in ("k", "l")
             for F in sequences
         )
@@ -796,9 +793,9 @@ def _finish_f_theorem(keys, tamper: bool = False) -> tuple:
 # The kernels are named after the q kernels they stand in for, so a _Q_SUMS
 # row reads here as it stands: U is count_P and V is count_Q.  Q*, P* and P+
 # are count_Q_star, count_P_star and (a, b) -> count_P(a+b, b, p+1); the star
-# tables are running sums of V and U along b (_RUNNING_SUMS).
-# A side is a kernel at (n, m), _DELTA (1 at n = m = 0, else 0), _NIL (zero),
-# or a row (scale, A, B, d, w) meaning
+# rows are running sums of V and U along b (_RUNNING_SUMS).  delta is 1 at
+# (0, 0), else 0, and zero is 0 everywhere.
+# A side is a kernel at (n, m) or a row (scale, A, B, d, w) meaning
 #     scale * sum_{k <= n/d, l <= m/d} w(l) A(n-dk, m-dl) B(k, l).
 # The angle weights read m: 2cos((2l-m)pi/3) and 2sin((m-2l)pi/3)/sqrt(3).
 #
@@ -810,11 +807,11 @@ def _finish_f_theorem(keys, tamper: bool = False) -> tuple:
 # summed per column m with their integer weights.  A row side is then one
 # plane S[n][m] per (side, p), built by the family's prepare at exactly
 # max(ns) + 1 rows and max(ms) + 1 columns and held by that family run
-# alone, so it is freed when the run ends.  The planes read
-# their kernels from one table t[a][b] = kernel(a, b) per (kernel, p), grown
-# in place in both directions, whose cells fill through _count_entry, and a
-# side that is a kernel alone is that table.  So every side is a grid
-# g[n][m] (_count_grid) and a case is one lookup per side.
+# alone, so it is freed when the run ends.  The planes read their kernels
+# from the table t[a][b] = kernel(a, b) per (kernel, p), whose row a is the
+# stored row under (_count_entry, kernel, p, a), and a side that is a kernel
+# alone is that table.  So every side is a grid g[n][m] and a case is one
+# lookup per side.
 #
 # So the count rows are _Q_SUMS rows, with the sides swapped where the paper
 # states them the other way round, except theorem2 and qstar_relation: no q
@@ -823,20 +820,31 @@ def _finish_f_theorem(keys, tamper: bool = False) -> tuple:
 
 _NIL = "zero"
 
-# Each kernel calls its count by module-global name, as row entries do.
+# Each kernel calls its count by module-global name, as fills do.
 _COUNT_KERNELS = {
     "U": lambda a, b, p: count_P(a, b, p),
     "V": lambda a, b, p: count_Q(a, b, p),
     "P+": lambda a, b, p: count_P(a + b, b, p + 1),
+    _DELTA: lambda a, b, p: int(a == b == 0),
+    _NIL: lambda a, b, p: 0,
 }
 # P*(a, b) = sum_{k <= b} P(a, k) and Q*(a, b) = sum_{k <= b} Q(a, k): each
-# star table is the running sum along b of the table it names
+# star row is the running sum along b of the row it names
 _RUNNING_SUMS = {"P*": "U", "Q*": "V"}
 
 
-def _count_entry(name: str, p: int, a: int, b: int) -> int:
-    """The kernel named name at (a, b), with part bound p."""
-    return _COUNT_KERNELS[name](a, b, p)
+def _count_entry(name: str, p: int, a: int, bs: range) -> list[int]:
+    """The kernel named name at (a, b) for b in bs, with part bound p.
+
+    A star row is summed afresh from b = 0 over its term row, so a fill never
+    reads the row it is filling.
+    """
+    terms = _RUNNING_SUMS.get(name)
+    if terms is not None:
+        summed = _row(_count_entry, terms, p, a, top=bs.stop - 1)
+        return list(itertools.accumulate(summed[: bs.stop]))[bs.start :]
+    kernel = _COUNT_KERNELS[name]
+    return [kernel(a, b, p) for b in bs]
 
 
 _COUNT_SUMS = {
@@ -855,26 +863,8 @@ _COUNT_SUMS = {
 
 
 def _count_table(name: str, p: int, rows: int, cols: int) -> list[list[int]]:
-    """t[a][b] = kernel(a, b) at part bound p, through at least a < rows, b < cols; one table per (name, p).
-
-    A star table grows as a running sum, t[a][b] = t[a][b-1] + terms[a][b],
-    over the table of its terms grown first to the same extent.
-    """
-    entry = _count_entry
-    table = _ROWS.setdefault((entry, name, p), [])
-    table.extend([] for _ in range(len(table), rows))
-    summed = _RUNNING_SUMS.get(name)
-    if summed is None:
-        for a, row in enumerate(table[:rows]):
-            row.extend(entry(name, p, a, b) for b in range(len(row), cols))
-        return table
-    terms = _count_table(summed, p, rows, cols)
-    for row, term_row in zip(table[:rows], terms):
-        total = row[-1] if row else 0
-        for term in term_row[len(row):cols]:
-            total += term
-            row.append(total)
-    return table
+    """t[a][b] = kernel(a, b) at part bound p, for a < rows and at least b < cols: the stored rows a < rows."""
+    return [_row(_count_entry, name, p, a, top=cols - 1) for a in range(rows)]
 
 
 def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
@@ -882,9 +872,9 @@ def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
     scale, a, b, d, weight = side
     periods = _PERIOD_WEIGHTS[weight]
     period = len(periods[0])
-    outer = [row[:cols] for row in _count_table(a, p, rows, cols)[:rows]]
+    outer = [row[:cols] for row in _count_table(a, p, rows, cols)]
     inner_rows, inner_cols = (rows - 1) // d + 1, (cols - 1) // d + 1
-    inner = [row[:inner_cols] for row in _count_table(b, p, inner_rows, inner_cols)[:inner_rows]]
+    inner = [row[:inner_cols] for row in _count_table(b, p, inner_rows, inner_cols)]
     # class c keeps B's cells at l = c (mod period) and weighs w(c) at column m
     classes = []
     for c in range(period):
@@ -897,26 +887,16 @@ def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
     ]
 
 
-def _count_grid(side, p: int, rows: int, cols: int) -> Sequence[Sequence[int]]:
-    """g[n][m], the side at (n, m, p), for every n < rows and m < cols.
-
-    A kernel alone is its table, a row side a plane built rows by cols for
-    the caller alone, and _DELTA or _NIL a constant grid whose all-zero rows
-    are one shared list.
-    """
-    if side == _DELTA:
-        return [[1] + [0] * (cols - 1)] + [[0] * cols] * (rows - 1)
-    if side == _NIL:
-        return [[0] * cols] * rows
-    if isinstance(side, str):
-        return _count_table(side, p, rows, cols)
-    return _count_plane(side, p, rows, cols)
-
-
 def _count_sums(spec, ns, ms, ps):
-    """The prepare of a count row: each side's grid per p, built through max(ns) and max(ms)."""
+    """The prepare of a count row: each side's grid per p through max(ns) and max(ms).
+
+    A kernel's grid is its table, a row's its plane.
+    """
     rows, cols = max(ns) + 1, max(ms) + 1
-    left, right = ({p: _count_grid(side, p, rows, cols) for p in ps} for side in spec)
+    left, right = (
+        {p: (_count_table if isinstance(side, str) else _count_plane)(side, p, rows, cols) for p in ps}
+        for side in spec
+    )
 
     def sides(n, m, p):
         return left[p][n][m], right[p][n][m]
@@ -945,17 +925,21 @@ def _pairs_pmost_chain(n, p):
     )
 
 
-def _count_of(distinct: bool, x: int) -> int:
-    return count_Q_of(x) if distinct else count_P_of(x)
+def _count_of(distinct: bool, xs: range) -> list[int]:
+    count = count_Q_of if distinct else count_P_of
+    return [count(x) for x in xs]
 
 
-def _signed_distinct(k: int) -> int:
-    """sum_l (-1)^l Q(k, l), over the l with C(l+1, 2) <= k: past them Q(k, l) is 0."""
-    total, l = 0, 0
-    while l * (l + 1) // 2 <= k:
-        total += count_Q_nm(k, l) * (1 - 2 * (l % 2))
-        l += 1
-    return total
+def _signed_distinct(ks: range) -> list[int]:
+    """sum_l (-1)^l Q(k, l) for k in ks, over the l with C(l+1, 2) <= k: past them Q(k, l) is 0."""
+    row = []
+    for k in ks:
+        total, l = 0, 0
+        while l * (l + 1) // 2 <= k:
+            total += count_Q_nm(k, l) * (1 - 2 * (l % 2))
+            l += 1
+        row.append(total)
+    return row
 
 
 # Euler's two convolutions, P(x) = Q(x) P(x^2) and Q(x) = P(x) (x^2; x^2)_inf,
@@ -1053,11 +1037,12 @@ def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z
 # Both read binomial rows of two forms, kept per x in _ROWS: the upper row
 # C(x+j, x) and the lower row C(x, j).  u is the upper row at m and v the
 # lower row at m + 1; the triangle sums' F_s = C(p+s, p) or C(p, s) is the
-# upper or lower row at p.
+# upper or lower row at p.  delta, 1 at index 0 and else 0, is a row of the
+# prepare that reads it.
 
 
-def _binom_entry(upper: bool, x: int, j: int) -> int:
-    return binom(x + j, x) if upper else binom(x, j)
+def _binom_entry(upper: bool, x: int, js: range) -> list[int]:
+    return [binom(x + j, x) for j in js] if upper else [binom(x, j) for j in js]
 
 
 def _u(m: int, top: int) -> list[int]:
@@ -1069,9 +1054,7 @@ def _v(m: int, top: int) -> list[int]:
 
 
 def _comb_side(side, N: int, kernels: dict[str, list[int]]) -> int:
-    """A _Q_SUMS side at q = 1 and index N, as _q_reader reads it, over the rows U = u and V = v."""
-    if side == _DELTA:
-        return int(N == 0)
+    """A _Q_SUMS side at q = 1 and index N, as _q_reader reads it, over the kernel rows named in kernels."""
     if isinstance(side, str):
         return kernels[side][N]
     scale, a, b, d, weight = side
@@ -1081,12 +1064,13 @@ def _comb_side(side, N: int, kernels: dict[str, list[int]]) -> int:
 def _comb_sums(row: str, r: int, ns, ms):
     """01-15 and 23-26: both sides of the _Q_SUMS row at q = 1 and index d*n + r.
 
-    The prepare binds u and v per m, through d*max(ns) + r.
+    The prepare binds u and v per m, and delta, through d*max(ns) + r.
     """
     lhs, rhs = _Q_SUMS[row]
     d = lhs[3]
     top = d * max(ns) + r
-    kernels = {m: {"U": _u(m, top), "V": _v(m, top)} for m in ms}
+    delta = [int(j == 0) for j in range(top + 1)]
+    kernels = {m: {"U": _u(m, top), "V": _v(m, top), _DELTA: delta} for m in ms}
     # The paper puts (-1)^k on the index d*k + r and the row on the other
     # index; k -> n - k maps one to the other and multiplies both sides by
     # (-1)^n whenever the row's left sum is _ALT.
@@ -1100,9 +1084,10 @@ def _comb_sums(row: str, r: int, ns, ms):
     return sides, _finish_pair
 
 
-def _comb_diagonal(sign_on: str, m: int, keep: Optional[int], j: int) -> int:
-    """g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l, over the terms keep keeps, as the q diagonal G_j is summed."""
-    return _weighted_sum(_diagonal_weights(sign_on, keep, j), _u(m, j), _v(m, j), j, 1)
+def _comb_diagonal(sign_on: str, m: int, keep: Optional[int], js: range) -> list[int]:
+    """g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l for j in js, over the terms keep keeps, as G_j is summed."""
+    u, v = _u(m, js.stop - 1), _v(m, js.stop - 1)
+    return [_weighted_sum(_diagonal_weights(sign_on, keep, j), u, v, j, 1) for j in js]
 
 
 def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):
@@ -1113,28 +1098,31 @@ def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):
     prepare does; the right side is then F_n for the even half and 0 for the
     odd one.
     Read as sum_j F_{n-j} g_j over the diagonals k + l = j; the prepare binds
-    the F rows and the diagonal rows g through max(ns).
+    the F rows and the nonzero pairs (j, g_j) through max(ns), as the q
+    prepares do.
     """
     top = max(ns)
     if parity is None:
         shifted_top, sign_on = _RESDBL[row]
         f_rows = {p: _row(_binom_entry, shifted_top, p, top=top) for p in ps}
-        g_rows = {m: _row(_comb_diagonal, sign_on, m, None, top=top) for m in ms}
+        g_pairs = {m: _nonzero(_row(_comb_diagonal, sign_on, m, None, top=top), top, 0) for m in ms}
 
         def sides(n, m, p):
             f = f_rows[p]
-            return sum(map(mul, f[n::-1], g_rows[m])), f[n]
+            return sum(f[n - j] * g for j, g in g_pairs[m] if j <= n), f[n]
 
         return sides, _finish_pair
     variant, p_offset, _ = _COROLLARIES[row]
     shifted_top, sign_on = _RESDBL[variant]
     keeps = {(n - parity) % 2 for n in ns}
     f_rows = {m: _row(_binom_entry, shifted_top, m + p_offset, top=top) for m in ms}
-    g_rows = {(m, keep): _row(_comb_diagonal, sign_on, m, keep, top=top) for m in ms for keep in keeps}
+    g_pairs = {
+        (m, keep): _nonzero(_row(_comb_diagonal, sign_on, m, keep, top=top), top, 0) for m in ms for keep in keeps
+    }
 
     def half(n, m):
         f = f_rows[m]
-        return sum(map(mul, f[n::-1], g_rows[m, (n - parity) % 2])), 0 if parity else f[n]
+        return sum(f[n - j] * g for j, g in g_pairs[m, (n - parity) % 2] if j <= n), 0 if parity else f[n]
 
     return half, _finish_pair
 

@@ -1,8 +1,11 @@
 """The identity registry: transcriptions, weights, and cross-checks."""
 
+import ast
 import functools
 import hashlib
+import inspect
 import itertools
+import types
 from unittest import mock
 
 import pytest
@@ -456,7 +459,8 @@ def test_triangle_sum_diagonals_match_the_term_by_term_sum(data, n, m, b, sign_o
     else:
         # a half reads the diagonals that keep its unsigned index u = n - parity (mod 2)
         keep = (n - parity) % 2
-        assert identities._diagonal_sum(F[n::-1], n, *identities._diagonals(m, b, sign_on, keep, n)) == expected
+        pairs = identities._diagonal_pairs(m, b, sign_on, keep, n)
+        assert identities._diagonal_sum(F[n::-1], n, pairs) == expected
 
 
 def test_triangle_diagonals_cancel_past_the_origin():
@@ -466,10 +470,10 @@ def test_triangle_diagonals_cancel_past_the_origin():
     for m in range(7):
         for b in (1, 2, 3):
             for sign_on in ("k", "l"):
-                identities._diagonals(m, b, sign_on, None, 3)
-                g, nonzero = identities._diagonals(m, b, sign_on, None, 8)
+                identities._row(identities._diagonal, m, b, sign_on, None, top=3)
+                g = identities._row(identities._diagonal, m, b, sign_on, None, top=8)
                 assert g == [ONE] + [ZERO] * 8, (m, b, sign_on)
-                assert nonzero == [0]
+                assert identities._diagonal_pairs(m, b, sign_on, None, 8) == [(0, ONE)]
 
 
 @pytest.mark.parametrize(
@@ -797,6 +801,8 @@ COUNT_KERNELS = {
     "Q*": count_Q_star,
     "P*": count_P_star,
     "P+": lambda a, b, p: count_P(a + b, b, p + 1),
+    "delta": lambda a, b, p: int((a, b) == (0, 0)),
+    "zero": lambda a, b, p: 0,
 }
 COUNT_SIDES = sorted(
     {side for spec in identities._COUNT_SUMS.values() for side in spec if isinstance(side, tuple)}
@@ -853,15 +859,13 @@ def test_count_tables_match_the_per_call_convolution(queries):
     identities._ROWS.clear()
     for side, n, m, p in queries:
         assert count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
-    tables = {key[1:]: t for key, t in identities._ROWS.items() if key[0] is identities._count_entry}
-    assert tables
-    # the store keeps the kernel tables, never a plane or a weight
+    # the store keeps the kernel tables as one row per (kernel, p, a), never a
+    # plane or a weight
     assert {key[0] for key in identities._ROWS} == {identities._count_entry}
-    for (name, p), table in tables.items():
-        # every cell of every kernel table is its kernel's value, grown by
-        # the queries in their order
-        for a, row in enumerate(table):
-            assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))]
+    for (_, name, p, a), row in identities._ROWS.items():
+        # every cell of every kernel row is its kernel's value, grown by the
+        # queries in their order
+        assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))], (name, p, a)
     for side, p in {(side, p) for side, _, _, p in queries}:
         # a plane built over the grown tables, at the largest n + 1 and m + 1
         # asked, is the oracle's at every cell
@@ -884,17 +888,15 @@ def test_count_tables_match_the_per_call_convolution(queries):
 @example(p=3, queries=[("U", 14, 14), ("P*", 2, 2), ("V", 5, 14), ("Q*", 14, 4), ("Q*", 6, 14)])
 def test_star_tables_are_running_sums_cell_by_cell(p, queries):
     # P* and Q* grow in place as running sums of U and V along b, in either
-    # direction and after their term tables have grown on their own
+    # direction and after their term rows have grown on their own
     identities._ROWS.clear()
     counts = {"P*": count_P_star, "Q*": count_Q_star, "U": count_P, "V": count_Q}
     for name, rows, cols in queries:
-        identities._count_table(name, p, rows, cols)
-        for star in ("P*", "Q*"):
-            table = identities._ROWS.get((identities._count_entry, star, p), [])
-            for a, row in enumerate(table):
-                assert row == [counts[star](a, b, p) for b in range(len(row))], (star, a)
-        table = identities._ROWS[(identities._count_entry, name, p)]
-        assert len(table) >= rows and all(len(row) >= cols for row in table[:rows])
+        table = identities._count_table(name, p, rows, cols)
+        assert len(table) == rows and all(len(row) >= cols for row in table)
+        for (_, kernel, q, a), row in identities._ROWS.items():
+            assert q == p and row == [counts[kernel](a, b, p) for b in range(len(row))], (kernel, a)
+        assert table == [identities._ROWS[identities._count_entry, name, p, a] for a in range(rows)]
     identities._ROWS.clear()
 
 
@@ -938,9 +940,10 @@ def over_q_kernel_names(spec):
     return {"P": "U", "Q": "V"}.get(spec, spec)
 
 
-def literal_count_entry(name, p, a, b):
-    """The count kernel under its literal name, in _count_entry's signature."""
-    return COUNT_KERNELS[over_q_kernel_names(name)](a, b, p)
+def literal_count_entry(name, p, a, bs):
+    """The count kernel under its literal name at (a, b) for b in bs, in _count_entry's fill signature."""
+    kernel = COUNT_KERNELS[over_q_kernel_names(name)]
+    return [kernel(a, b, p) for b in bs]
 
 
 def test_count_rows_are_the_literal_rows_under_the_q_kernel_names():
@@ -1135,16 +1138,17 @@ def diagonal_by_terms(m, b, sign_on, keep, j):
 
 
 def test_packed_diagonals_match_the_term_by_term_fold():
-    # the diagonals of the whole triangle and of both parity halves, with the
-    # nonzero indices kept beside each row
+    # the diagonals of the whole triangle and of both parity halves, and the
+    # nonzero pairs (j, G_j) a prepare binds from them
     identities._ROWS.clear()
     for m, b, sign_on, keep in itertools.product(range(9), (1, 2, 3), ("k", "l"), (None, 0, 1)):
-        row, nonzero = identities._diagonals(m, b, sign_on, keep, 10)
+        row = identities._row(identities._diagonal, m, b, sign_on, keep, top=10)
         expected = [diagonal_by_terms(m, b, sign_on, keep, j) for j in range(11)]
         assert row == expected, (m, b, sign_on, keep)
-        assert nonzero == [j for j, g in enumerate(expected) if g.coeffs]
+        pairs = identities._diagonal_pairs(m, b, sign_on, keep, 10)
+        assert pairs == [(j, g) for j, g in enumerate(expected) if g.coeffs]
         if keep is None:
-            assert nonzero == [0]
+            assert pairs == [(0, ONE)]
 
 
 def comb_parity_by_loops(parity, kernel, n, m):
@@ -1790,10 +1794,18 @@ def test_iter_cases_matches_the_nested_grid_walk(axes, use_default):
 
 
 def survivors(table, mutants):
-    """The (id, row) mutants of a spec table under which the family still passes its default grid."""
+    """The (id, row) mutants of a spec table under which the family still passes its default grid.
+
+    The registry is rebuilt under each mutant, so a row that a descriptor
+    binds when the registry is built is read as patched too.
+    """
     alive = set()
     for identity_id, row in mutants:
-        with mock.patch.dict(table, {identity_id: row}):
+        with (
+            mock.patch.dict(table, {identity_id: row}),
+            mock.patch.object(identities, "_REGISTRY", None),
+            mock.patch.dict(identities._REGISTRY_BY_ID, clear=True),
+        ):
             if all(r.passed for r in identities.run_identity(identity_id)):
                 alive.add((identity_id, row))
     return alive
@@ -1830,6 +1842,148 @@ def test_every_series_spec_mutant_fails_the_default_grid_but_the_other_true_row(
         ("pn_from_q", table["qn_double_sum"]),
         ("qn_double_sum", table["pn_from_q"]),
     }
+
+
+# The count kernels a side may name, in two classes: the counts, and the
+# constant kernels delta and zero.
+COUNT_KERNEL_CLASSES = (("U", "V", "P+", "P*", "Q*"), ("delta", "zero"))
+
+
+def count_side_mutants(side):
+    """A count side's mutants.
+
+    A kernel is renamed to each other kernel of its class; a row takes another
+    weight, d +- 1 or scale + 1, or has A and B, or U and V, swapped.
+    """
+    if isinstance(side, str):
+        kernels = next(names for names in COUNT_KERNEL_CLASSES if side in names)
+        return [name for name in kernels if name != side]
+    scale, a, b, d, weight = side
+    swap = {"U": "V", "V": "U"}
+    return [
+        *((scale, a, b, d, other) for other in identities._PERIOD_WEIGHTS if other != weight),
+        *((scale, a, b, d + step, weight) for step in (-1, 1) if d + step >= 1),
+        (scale + 1, a, b, d, weight),
+        (scale, b, a, d, weight),
+        (scale, swap.get(a, a), swap.get(b, b), d, weight),
+    ]
+
+
+def test_every_count_spec_mutant_fails_the_default_grid_but_the_equivalents():
+    table = identities._COUNT_SUMS
+    mutants = {
+        (identity_id, row)
+        for identity_id, (lhs, rhs) in table.items()
+        for row in (
+            *((side, rhs) for side in count_side_mutants(lhs)),
+            *((lhs, side) for side in count_side_mutants(rhs)),
+        )
+        if row != table[identity_id]
+    }
+    assert len(mutants) == 121
+    plain, alt, sin = identities._PLAIN, identities._ALT, identities._SIN
+    assert survivors(table, mutants) == {
+        # P+(n, m) = P(n+m, m, p+1) = P*(n, m, p): take one off each part
+        ("theorem2", ("P*", (1, "Q*", "U", 2, plain))),
+        # k -> n - k, l -> m - l maps the swapped sum onto (-1)^m times the
+        # row, and the right side is zero unless m = 0
+        ("theorem_simple", ((1, "V", "U", 1, alt), "delta")),
+        # twice a zero sum is zero
+        ("sine_vanishing_6", ((2, "U", "U", 1, sin), "zero")),
+        ("sine_vanishing_7", ((2, "V", "V", 1, sin), "zero")),
+        # the sine weight is odd under l -> m - l and K(n-k, m-l) K(k, l) is
+        # symmetric under (k, l) -> (n-k, m-l), so the sum vanishes for any
+        # kernel K read as both A and B
+        ("sine_vanishing_6", ((1, "V", "V", 1, sin), "zero")),
+        ("sine_vanishing_7", ((1, "U", "U", 1, sin), "zero")),
+    }
+
+
+# --- sensitivity: the default grids and the growth check reject wrong code ---
+
+
+def mutant_module(old, new, occurrence=0):
+    """identities with the occurrence-th copy of old in its source replaced by new.
+
+    It is loaded afresh, with a store and a registry of its own.
+    """
+    source = inspect.getsource(identities)
+    at = -1
+    for _ in range(occurrence + 1):
+        at = source.index(old, at + 1)
+    module = types.ModuleType("qpartid.mutant")
+    module.__package__ = "qpartid"
+    exec(compile(source[:at] + new + source[at + len(old):], identities.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "old, new, occurrence, family",
+    [
+        # delta at index 1, on each layer
+        ("_DELTA: lambda m, j: ONE if j == 0 else ZERO", "_DELTA: lambda m, j: ONE if j == 1 else ZERO", 0, "delta"),
+        ("_DELTA: lambda a, b, p: int(a == b == 0)", "_DELTA: lambda a, b, p: int(a == b == 1)", 0, "theorem_simple"),
+        ("delta = [int(j == 0)", "delta = [int(j == 1)", 0, "comb01"),
+        # the last nonzero diagonal a case may read, j = n, dropped: in the
+        # q pairs and in each q = 1 closure
+        ("if j > n:", "if j >= n:", 0, "resdbl1"),
+        ("if j <= n)", "if j < n)", 0, "comb16"),
+        ("if j <= n)", "if j < n)", 1, "comb20"),
+        # the part bound of P+
+        ("count_P(a + b, b, p + 1)", "count_P(a + b, b, p)", 0, "theorem2"),
+    ],
+    ids=["q-delta", "count-delta", "q1-delta", "q-pairs", "q1-triangle", "q1-half", "p-plus-bound"],
+)
+def test_every_code_mutant_fails_a_default_grid(old, new, occurrence, family):
+    assert all(r.passed for r in identities.run_identity(family))
+    module = mutant_module(old, new, occurrence)
+    assert not all(r.passed for r in module.run_identity(family))
+
+
+def grown_in_two_steps(module, fill, key, first, second):
+    """fill's row at key grown through first and then through second, and its row of one fill through second.
+
+    Each is built from a cleared store.
+    """
+    module._ROWS.clear()
+    module._row(fill, *key, top=first)
+    grown = module._row(fill, *key, top=second)
+    module._ROWS.clear()
+    whole = fill(*key, range(second + 1))
+    module._ROWS.clear()
+    return grown, whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.one_of(
+        st.tuples(
+            st.just("_diagonal"),
+            st.integers(0, 6),
+            st.integers(1, 3),
+            st.sampled_from(["k", "l"]),
+            st.sampled_from([None, 0, 1]),
+        ),
+        st.tuples(st.just("_count_entry"), st.sampled_from(["P*", "Q*"]), st.integers(0, 5), st.integers(0, 12)),
+    ),
+    first=st.integers(0, 12),
+    second=st.integers(0, 12),
+)
+@example(key=("_count_entry", "P*", 2, 0), first=3, second=8)
+@example(key=("_diagonal", 4, 3, "l", 1), first=0, second=12)
+def test_a_row_grown_in_two_steps_is_the_row_of_one_fill(key, first, second):
+    # at any split point; the default grids grow no star row, so only this
+    # check sees a star fill that restarts its sum where the row left off
+    name, *key = key
+    first, second = sorted((first, second))
+    grown, whole = grown_in_two_steps(identities, getattr(identities, name), key, first, second)
+    assert grown == whole
+
+
+def test_a_star_fill_that_restarts_its_sum_fails_the_growth_check():
+    module = mutant_module("[: bs.stop]))[bs.start :]", "[bs.start : bs.stop]))")
+    grown, whole = grown_in_two_steps(module, module._count_entry, ("P*", 2, 0), 3, 8)
+    assert grown != whole
 
 
 # --- sensitivity: the default grids reject a wrong weight or diagonal sign ---
@@ -1892,17 +2046,34 @@ def test_every_diagonal_sign_mutant_fails_a_q_and_a_q1_family():
         identities._ROWS.clear()
 
 
-def test_the_store_keeps_no_weight_and_the_period_table_is_never_written():
+# The fills of the rows the 57 families read on their default grids.
+FILLS = (
+    "_q_kernel", "_q_norm", "_diagonal", "_resdbl_h", "_count_entry",
+    "_count_of", "_signed_distinct", "_binom_entry", "_comb_diagonal",
+)
+
+
+def test_every_stored_row_is_its_fill_over_its_range_and_only_row_writes_the_store():
     identities._ROWS.clear()
     before = dict(identities._PERIOD_WEIGHTS)
     assert all(all(r.passed for r in identities.run_identity(d.id)) for d in registry())
+    # the weights are a constant table, never written
     assert identities._PERIOD_WEIGHTS == before
     assert all(identities._PERIOD_WEIGHTS[weight] is periods for weight, periods in before.items())
-    # only exact rows, one per (entry, *key), for every family on its default grid
-    entries = {key[0] for key in identities._ROWS}
-    assert entries == {
-        identities._q_kernel, identities._q_norm, identities._diagonals, identities._resdbl_h,
-        identities._count_entry, identities._count_of, identities._signed_distinct,
-        identities._binom_entry, identities._comb_diagonal,
+    stored = dict(identities._ROWS)
+    assert {key[0] for key in stored} == {getattr(identities, name) for name in FILLS}
+    assert all(type(row) is list for row in stored.values())
+    assert len(stored) == 1631
+    # every row is what its fill gives over its whole range, from nothing
+    for (fill, *key), row in stored.items():
+        identities._ROWS.clear()
+        assert fill(*key, range(len(row))) == row, (fill.__name__, key)
+    identities._ROWS.clear()
+    # and no other function names the store
+    tree = ast.parse(inspect.getsource(identities))
+    named = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and any(getattr(n, "id", None) == "_ROWS" for n in ast.walk(node))
     }
-    assert len(identities._ROWS) == 439
+    assert named == {"_row"}
