@@ -9,13 +9,17 @@ Subcommands, with the --format values each one renders:
 
 Every subcommand takes --out PATH.  One runner, _run, builds every report
 (verify and oracle-diff): it times each task and streams the report.  A task
-returns CaseResults, which render_report turns into the task's block of text
-in the process that ran the task; the block is written as soon as the task
-finishes and then dropped.  Memory is therefore bounded by the largest task,
-which for verify is one identity family, not by the whole run.  The report
-is streamed into an anonymous temporary file and copied to --out or stdout
-only after the last task, so a run that crashes writes nothing, and a task
-that raises cancels the tasks still queued in the pool.
+returns CaseResults, which are written as the task's block of ASCII bytes,
+_CHUNK rows at a time, by the process that ran the task: the runner writes a
+serial task's block straight into the report, and a pool worker writes its
+task's block to a file of its own in a private temporary directory and sends
+back the path, which the runner appends in task order and deletes.  Either
+way the CaseResults are dropped once written, so memory is bounded by the
+largest task, which for verify is one identity family, not by the whole run.
+The report is streamed into an anonymous binary temporary file and copied,
+as bytes, to --out or stdout only after the last task, so a run that crashes
+writes nothing, and a task that raises cancels the tasks still queued in the
+pool.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
 (including an --out path that cannot be written), 3 an unexpected exception
@@ -29,14 +33,16 @@ totals, version, so the head (config and the opening of results) is written
 first and timing, totals and version last.  The frame is rendered by
 json.dumps.  Every row, of every format, passing or failing, is written from
 one CaseResult, the tuple (names, values, verdict), by one writer, _rows:
-each names tuple gets one params template, found by identity while a
-family's cases share it, and the text around params is built once per
-verdict, within one render_report call.
+each names tuple gets one params template, the text around params is built
+once per verdict within one render_report call, and a run of more than one
+task keeps a memo of params texts, so families that share a grid format each
+params text once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -72,6 +78,32 @@ from .partitions import (
 
 WORKERS_ENV = "QPARTID_WORKERS"
 
+# Rows per render_report call when a task's block is written.  It bounds the
+# row text held at once, whatever the size of the task: 1,024 JSON rows are
+# about 270 kB, held as rows, joined and encoded, where 4,096 rows left serial
+# verify --all and the resdbl1-4 grid 3 MB higher at their peak, and no faster.
+_CHUNK = 1024
+
+# The params memo of the run in progress: {(fmt, names): (template, order,
+# texts)}, at most one entry, where texts maps each values tuple to its params
+# text.  _run opens it for a run of more than one task, and each pool worker
+# for the tasks it runs, so that families sharing a grid format each params
+# text once.  A task whose names differ from the last one's starts the entry
+# afresh, so the memo never holds more than one family's grid, nor more than
+# _MEMO_TEXTS texts.  It is None outside such a run, and then each
+# render_report call keeps its own templates and formats every params text.
+# It is module state, not an argument, because every block is written through
+# render_report, whose signature is public.
+_params: Optional[dict] = None
+
+# The most params texts one memo entry keeps; past it the entry keeps only its
+# template.  comb16-19 at n, m <= 120, p <= 40 share 600,281 values, and a memo
+# of them all peaked 94 MB higher (208 MB against 114 MB) and ran about 10 %
+# slower than none, on Python 3.11 on x86-64.  The default grids stay far below
+# it: an entry of verify --all holds at most 5,733 texts, and one of the
+# resdbl1-4 grid at n, m, p <= 7 holds 6,144.
+_MEMO_TEXTS = 1 << 15
+
 
 class UsageError(Exception):
     pass
@@ -81,11 +113,16 @@ class FamilyError(Exception):
     """A report task raised; the message names the task and the exception."""
 
 
-def _run_task(label: str, fmt: str, func, *args):
-    """Call func(*args) and render its CaseResults as one fmt block of the report.
+def _open_params_memo() -> None:
+    """Start an empty params memo for the tasks this process runs next."""
+    global _params
+    _params = {}
 
-    Returns label, the elapsed seconds, the case and failure counts and the
-    block, so a pool worker sends back one string, not one object per case.
+
+def _run_task(label: str, func, *args):
+    """Call func(*args) for task label: the elapsed seconds, the case and failure counts, the CaseResults.
+
+    The failures are counted from each verdict's first field, as tuple items.
     """
     start = time.perf_counter()
     try:
@@ -93,56 +130,92 @@ def _run_task(label: str, fmt: str, func, *args):
     except Exception as exc:
         raise FamilyError(f"{label}: {type(exc).__name__}: {exc}") from None
     took = time.perf_counter() - start
-    failures = sum(1 for r in results if not r.passed)
-    return label, took, len(results), failures, render_report(label, results, fmt, took)
+    return took, len(results), sum(1 for case in results if not case[2][0]), results
+
+
+def _spool_task(path: str, fmt: str, label: str, func, *args):
+    """Run one task in a pool worker and write its fmt block to the new file path.
+
+    Returns the task's outcome with the case count and path in place of its
+    CaseResults, so the worker sends back a few scalars, not the rows.
+    """
+    took, cases, failures, results = _run_task(label, func, *args)
+    with open(path, "xb") as sink:
+        _write_block(sink, label, results, fmt, took)
+    return label, took, cases, failures, path
 
 
 def ProcessPoolExecutor(max_workers: int):
-    """A concurrent.futures process pool, imported here so a serial run never loads multiprocessing."""
+    """A concurrent.futures process pool, imported here so a serial run never loads multiprocessing.
+
+    Each worker opens its own params memo, which ends with the worker.
+    """
     from concurrent.futures import ProcessPoolExecutor as pool
 
-    return pool(max_workers=max_workers)
+    return pool(max_workers=max_workers, initializer=_open_params_memo)
 
 
 def _outcomes(tasks: list[tuple], fmt: str, workers: int):
-    """Yield each task's _run_task outcome in task order, holding none once it is yielded."""
+    """Yield each task's outcome in task order: label, seconds, cases, failures and block.
+
+    A serial task's block is its CaseResults, written by the caller.  A pooled
+    task's block is the path of the file its worker wrote; the file, and the
+    private directory that holds them all, are deleted once the caller has
+    them, or when the generator is closed.
+    """
     if workers > 1 and len(tasks) > 1:
-        # a fork-based pool starts all of its workers at the first submit
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
-        try:
-            futures = deque(pool.submit(_run_task, label, fmt, *t) for label, *t in tasks)
-            while futures:
-                yield futures.popleft().result()
-        finally:
-            # when a task raises, wait only for the tasks already started
-            pool.shutdown(cancel_futures=True)
+        with tempfile.TemporaryDirectory(prefix="qpartid-") as spool:
+            # a fork-based pool starts all of its workers at the first submit
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+            try:
+                futures = deque(
+                    pool.submit(_spool_task, os.path.join(spool, str(i)), fmt, label, *t)
+                    for i, (label, *t) in enumerate(tasks)
+                )
+                while futures:
+                    outcome = futures.popleft().result()
+                    yield outcome
+                    os.remove(outcome[-1])
+            finally:
+                # when a task raises, wait only for the tasks already started
+                pool.shutdown(cancel_futures=True)
     else:
         for label, *t in tasks:
-            yield _run_task(label, fmt, *t)
+            yield (label, *_run_task(label, *t))
 
 
 def _run(config: dict, tasks: list[tuple], fmt: str, out: Optional[str], workers: int = 1) -> int:
     """Run each (label, function, *args) task, write the report echoing config; its exit code.
 
     Each task's block is written as soon as the task finishes, so memory is
-    bounded by the largest task.  Blocks go to an anonymous temporary file,
-    which is copied to out (or stdout) after the last task: a task that
-    raises leaves nothing written.
+    bounded by the largest task.  Blocks go, as bytes, to an anonymous
+    temporary file, which is copied to out (or stdout) after the last task: a
+    task that raises leaves nothing written.  A run of more than one task
+    keeps the params memo for as long as it runs, and no longer.
     """
+    global _params
     started = time.perf_counter()
     timing = {}
     failures = 0
-    with tempfile.TemporaryFile("w+") as sink:
-        writer = _ReportWriter(sink, fmt, {"config": config})
-        for label, elapsed, cases, failed, block in _outcomes(tasks, fmt, workers):
-            timing[label] = round(elapsed, 6)
-            failures += failed
-            writer.add(block, cases)
-        timing["total"] = round(time.perf_counter() - started, 6)
-        totals = {"cases": writer.cases, "passes": writer.cases - failures, "failures": failures}
-        writer.close({"timing": timing, "totals": totals, "version": __version__})
-        sink.seek(0)
-        _emit(sink, out)
+    _params = {} if len(tasks) > 1 else None
+    try:
+        with tempfile.TemporaryFile() as sink, contextlib.closing(
+            _outcomes(tasks, fmt, workers)
+        ) as outcomes:
+            writer = _ReportWriter(sink, fmt, {"config": config})
+            for label, took, cases, failed, block in outcomes:
+                timing[label] = round(took, 6)
+                failures += failed
+                writer.add(label, took, cases, block)
+                # the next task runs before the loop rebinds block: drop its rows first
+                del block
+            timing["total"] = round(time.perf_counter() - started, 6)
+            totals = {"cases": writer.cases, "passes": writer.cases - failures, "failures": failures}
+            writer.close({"timing": timing, "totals": totals, "version": __version__})
+            sink.seek(0)
+            _emit(sink, out)
+    finally:
+        _params = None
     return 0 if failures == 0 else 1
 
 
@@ -243,35 +316,52 @@ _ROW_FORMATS = {
 def _rows(label: str, results: list[CaseResult], fmt: str) -> str:
     """The fmt rows of results, a task label's CaseResults, each the text before, params, after.
 
-    A CaseResult is (names, values, verdict), and each row is written from
-    two caches that live for this call only.  A names tuple gets one params
-    template, built once and found by identity while the names stay the
-    same object, as they do across a family run: its text with one %s slot
-    per value, and the order of the values in the slots.  A verdict gets the
-    text before and after params, built once: the runner shares a verdict
-    across the cases with the same sides, so a family's rows build few.  A
-    verdict that cannot be a key (a pair mismatch parsed back as a list)
-    builds its own.  Only the names, escaped, go into a %-template; the id
-    and the digests are concatenated.
+    A CaseResult is (names, values, verdict).  A names tuple gets one params
+    template, found by identity while the names stay the same object, as they
+    do across a family run: its text with one %s slot per value, and the
+    order of the values in the slots.  The templates live in the run's params
+    memo, which also keeps each params text once formatted, up to _MEMO_TEXTS
+    of them, or else in a dict of this call's own.  A verdict gets the text
+    before and after params, built once per call: the runner shares a
+    verdict across the cases with the same sides, so a family's rows build
+    few.  A verdict that cannot be a key (a pair mismatch parsed back as a
+    list) builds its own.  Only the names, escaped, go into a %-template; the
+    id and the digests are concatenated.
     """
     template_of, fixed_of, sep = _ROW_FORMATS[fmt]
-    templates, fixed = {}, {}
+    shared = _params is not None
+    memo, fixed = _params if shared else {}, {}
     names = None
     rows = []
     append = rows.append
     for case_names, values, verdict in results:
         if case_names is not names:
             names = case_names
-            if names not in templates:
-                templates[names] = template_of(names)
-            text, order = templates[names]
+            entry = memo.get((fmt, names))
+            if entry is None:
+                # one entry at a time, so the memo holds at most one family's grid
+                memo.clear()
+                entry = memo[fmt, names] = (*template_of(names), {} if shared else None)
+            text, order, texts = entry
+        if texts is None:
+            params = text % (order(values) if order else values)
+        else:
+            params = texts.get(values)
+            if params is None:
+                params = text % (order(values) if order else values)
+                if len(texts) < _MEMO_TEXTS:
+                    texts[values] = params
+                else:
+                    # an entry this large costs more than it saves: format these names' rows
+                    texts = None
+                    memo[fmt, names] = (text, order, None)
         try:
             around = fixed.get(verdict)
         except TypeError:
             around = fixed_of(label, verdict)
         if around is None:
             around = fixed[verdict] = fixed_of(label, verdict)
-        append(around[0] + text % (order(values) if order else values) + around[1])
+        append(around[0] + params + around[1])
     return sep.join(rows)
 
 
@@ -291,50 +381,73 @@ def render_report(label: str, results: list[CaseResult], fmt: str, took: float) 
     with no separator before the first row or after the last.  A human block
     is the task's summary line and at most 10 of its failures.  TSV and
     human output write a mismatch as json.dumps does.  Every row, of every
-    format, is written by _rows.
+    format, is written by _rows.  The JSON or TSV block of a list is the
+    blocks of its consecutive slices joined by the row separator, which is
+    how _write_block writes a task's rows a chunk at a time.
     """
     if fmt != "human":
         return _rows(label, results, fmt)
-    failed = [r for r in results if not r.passed]
+    failed = [case for case in results if not case[2][0]]
     status = "ok" if not failed else f"{len(failed)} FAILED"
     return f"{label}: {len(results)} cases, {status} ({took:.2f}s)\n" + _rows(label, failed[:10], fmt)
 
 
+def _write_block(sink, label: str, results: list[CaseResult], fmt: str, took: float) -> None:
+    """Write render_report's block of results to the binary sink, as ASCII, _CHUNK rows at a time."""
+    if fmt == "human":
+        sink.write(render_report(label, results, fmt, took).encode("ascii"))
+        return
+    sep = _ROW_FORMATS[fmt][2].encode("ascii")
+    for start in range(0, len(results), _CHUNK):
+        if start:
+            sink.write(sep)
+        sink.write(render_report(label, results[start : start + _CHUNK], fmt, took).encode("ascii"))
+
+
 class _ReportWriter:
-    """Writes one report to sink in fmt: the head, one block per task, the tail.
+    """Writes one report to the binary sink in fmt: the head, one block per task, the tail.
 
     The head holds the top-level keys that sort before "results" and the tail
     those after it, so a JSON report is exactly
     json.dumps(report, indent=2, sort_keys=True) + "\n" although its rows
-    arrive a block at a time.  The frame is rendered by json.dumps, each
-    block by render_report.
+    arrive a block at a time.  The frame is rendered by json.dumps and each
+    block by _write_block, here or in the pool worker that ran the task, and
+    everything reaches the sink as ASCII bytes.
     """
 
     def __init__(self, sink, fmt: str, head: dict):
         self.sink, self.fmt, self.cases = sink, fmt, 0
         if fmt == "json":
-            sink.write("{" + _json_members(head, "", ",") + '\n  "results": [')
+            sink.write(("{" + _json_members(head, "", ",") + '\n  "results": [').encode("ascii"))
         elif fmt == "tsv":
-            sink.write("id\tparams\tpass\tfirst_mismatch\tlhs_hash\trhs_hash\n")
+            sink.write(b"id\tparams\tpass\tfirst_mismatch\tlhs_hash\trhs_hash\n")
 
-    def add(self, block: str, cases: int) -> None:
-        """Write the render_report block of one task, which holds cases rows."""
-        if self.fmt == "json":
-            self.sink.write(",\n" if self.cases else "\n")
-        self.sink.write(block)
+    def add(self, label: str, took: float, cases: int, block) -> None:
+        """Write the block of task label, which ran for took seconds and holds cases rows.
+
+        The block is the task's CaseResults, or the path of the file that a
+        pool worker wrote them to, which is copied as it stands.
+        """
+        if self.fmt == "json" and cases:
+            self.sink.write(b",\n" if self.cases else b"\n")
+        if isinstance(block, str):
+            with open(block, "rb") as spooled:
+                shutil.copyfileobj(spooled, self.sink)
+        else:
+            _write_block(self.sink, label, block, self.fmt, took)
         self.cases += cases
 
     def close(self, tail: dict) -> None:
         """Write the tail; the human tail is the TOTAL line."""
         if self.fmt == "json":
             close = "\n  ]" if self.cases else "]"
-            self.sink.write(close + _json_members(tail, ",", "") + "\n}\n")
+            self.sink.write((close + _json_members(tail, ",", "") + "\n}\n").encode("ascii"))
         elif self.fmt == "human":
             totals = tail["totals"]
             verdict = "PASS" if totals["failures"] == 0 else "FAIL"
             self.sink.write(
                 f"TOTAL: {totals['cases']} cases, {totals['passes']} passed, "
-                f"{totals['failures']} failed -> {verdict} ({tail['timing']['total']:.2f}s)\n"
+                f"{totals['failures']} failed -> {verdict} ({tail['timing']['total']:.2f}s)\n".encode("ascii")
             )
 
 
@@ -349,15 +462,23 @@ def _check_out(out: Optional[str]) -> None:
 
 
 def _emit(source, out: Optional[str]) -> None:
-    """Copy the text file source, from where it stands, to the --out path or else stdout."""
+    """Copy the binary file source, from where it stands, to the --out path or else stdout."""
     if out:
         try:
-            with open(out, "w") as fh:
+            with open(out, "wb") as fh:
                 shutil.copyfileobj(source, fh)
         except OSError as exc:
             raise UsageError(f"--out {out}: {exc.strerror or exc}") from None
+        return
+    stdout = sys.stdout
+    buffer = getattr(stdout, "buffer", None)
+    if buffer is None:
+        # a text stream with no bytes beneath it, such as an io.StringIO
+        stdout.write(source.read().decode("ascii"))
     else:
-        shutil.copyfileobj(source, sys.stdout)
+        stdout.flush()
+        shutil.copyfileobj(source, buffer)
+        buffer.flush()
 
 
 def _parse_int_list(text: str, flag: str, low: int) -> list[int]:
@@ -469,7 +590,7 @@ def cmd_table(args) -> int:
         text = "n\tm\tp\tvalue\n" + "\t".join(cells + [str(value)]) + "\n"
     else:
         text = f"{value}\n"
-    _emit(io.StringIO(text), args.out)
+    _emit(io.BytesIO(text.encode("ascii")), args.out)
     return 0
 
 
@@ -481,7 +602,7 @@ def cmd_gauss(args) -> int:
     # [m+p, m] counts the partitions in an m-by-p box, by size
     poly = poly_substitute_power(IntPoly(box_counts(args.m * args.p, args.m, args.p)), args.base)
     coeffs = " ".join(str(c) for c in poly.coeffs) or "0"
-    _emit(io.StringIO(f"{format_poly(poly)}\ncoeffs: {coeffs}\n"), args.out)
+    _emit(io.BytesIO(f"{format_poly(poly)}\ncoeffs: {coeffs}\n".encode("ascii")), args.out)
     return 0
 
 

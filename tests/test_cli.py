@@ -10,14 +10,17 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import Future
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qpartid import __version__, cli
 from qpartid.bigpoly import format_poly
-from qpartid.cli import _ReportWriter, main, render_report
+from qpartid.cli import _CHUNK, _ReportWriter, main, render_report
 from qpartid.identities import CaseResult
 from qpartid.qbinom import bracket_base
 
@@ -1024,15 +1027,14 @@ def _render(report: dict, fmt: str) -> str:
     The report is a parsed one, whose rows are made CaseResults again; a
     pair mismatch stays the two-item list it was parsed as.
     """
-    sink = io.StringIO()
+    sink = io.BytesIO()
     writer = _ReportWriter(sink, fmt, {k: v for k, v in report.items() if k < "results"})
     fields = ("params", "pass", "lhs_hash", "rhs_hash", "first_mismatch")
     for label, rows in itertools.groupby(report["results"], key=lambda row: row["id"]):
         results = [CaseResult(*(row[key] for key in fields)) for row in rows]
-        took = report["timing"].get(label, 0.0)
-        writer.add(render_report(label, results, fmt, took), len(results))
+        writer.add(label, report["timing"].get(label, 0.0), len(results), results)
     writer.close({k: v for k, v in report.items() if k > "results"})
-    return sink.getvalue()
+    return sink.getvalue().decode("ascii")
 
 
 def json_dumps_report(report) -> str:
@@ -1283,3 +1285,221 @@ def test_text_render_is_the_row_fstring(label, rows):
     results = [CaseResult(*(row[key] for key in fields)) for row in rows]
     for fmt in ("tsv", "human"):
         assert render_report(label, results, fmt, 0.0) == text_block_by_fstring(label, results, fmt)
+
+
+# names shared by several tasks, the same names in another order, other names,
+# and a name that the %-template must escape
+TASK_NAMES = (("n", "m"), ("m", "n"), ("n", "m", "p"), ("%s", "n"))
+TASK_VERDICTS = (
+    (True, ONE_HASH, ONE_HASH, None),
+    (False, ONE_HASH, TWO_HASH, 0),
+    (False, ONE_HASH, TWO_HASH, (1, -2)),
+    # a pair mismatch parsed back as a list cannot key a dict
+    (False, TWO_HASH, ONE_HASH, [3, 4]),
+)
+
+
+def task_results(names: tuple, size: int, offset: int) -> list[CaseResult]:
+    """size CaseResults sharing one names tuple, whose values recur within the task and across tasks."""
+    return [
+        CaseResult._make(
+            (
+                names,
+                tuple((i + offset) * (j + 1) % 37 for j in range(len(names))),
+                TASK_VERDICTS[(i + offset) % 5 % len(TASK_VERDICTS)],
+            )
+        )
+        for i in range(size)
+    ]
+
+
+def json_report_of(config: dict, tasks: list[tuple]) -> str:
+    """The JSON report of tasks that each took no time, through json.dumps."""
+    results = [
+        {
+            "first_mismatch": r.first_mismatch,
+            "id": label,
+            "lhs_hash": r.lhs_hash,
+            "params": r.params,
+            "pass": r.passed,
+            "rhs_hash": r.rhs_hash,
+        }
+        for label, _, results in tasks
+        for r in results
+    ]
+    failures = sum(not row["pass"] for row in results)
+    return json_dumps_report(
+        {
+            "config": config,
+            "results": results,
+            "timing": {**{label: 0.0 for label, *_ in tasks}, "total": 0.0},
+            "totals": {"cases": len(results), "passes": len(results) - failures, "failures": failures},
+            "version": __version__,
+        }
+    )
+
+
+def text_report_of(tasks: list[tuple], fmt: str) -> str:
+    """The TSV or human report of tasks that each took no time, one f-string per line."""
+    blocks = "".join(text_block_by_fstring(label, results, fmt) for label, _, results in tasks)
+    if fmt == "tsv":
+        return "id\tparams\tpass\tfirst_mismatch\tlhs_hash\trhs_hash\n" + blocks
+    cases = sum(len(results) for _, _, results in tasks)
+    failures = sum(not r.passed for _, _, results in tasks for r in results)
+    verdict = "FAIL" if failures else "PASS"
+    return blocks + f"TOTAL: {cases} cases, {cases - failures} passed, {failures} failed -> {verdict} (0.00s)\n"
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(range(len(TASK_NAMES))),
+            st.sampled_from((0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1)),
+            st.integers(0, 3),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from((cli._MEMO_TEXTS, 5)),
+)
+@example([(0, 0, 0, False), (0, _CHUNK + 1, 0, False), (0, 0, 0, True), (0, _CHUNK, 1, True)], 5)
+@example(
+    [(0, 1, 0, False), (1, _CHUNK - 1, 0, False), (2, 2, 0, False), (3, _CHUNK, 0, False), (0, 2, 0, True)],
+    cli._MEMO_TEXTS,
+)
+def test_a_run_sharing_one_params_memo_writes_every_block_as_the_reference(specs, memo_texts):
+    # tasks of 0 rows, 1 row and the chunk size +- 1 rows, whose values recur
+    # under the same names, the same names in another order and other names;
+    # a names tuple that is an equal copy must find the same memo entry, and
+    # an entry that outgrows a memo of 5 texts gives them up midway
+    tasks = []
+    for k, (which, size, offset, copy) in enumerate(specs):
+        names = TASK_NAMES[which]
+        results = task_results(tuple(list(names)) if copy else names, size, offset)
+        tasks.append((f"t{k}%s", list, results))
+    config = {"families": [label for label, *_ in tasks]}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        # every task and the run take no time, so the timing text is known
+        mp.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        mp.setattr(cli, "_MEMO_TEXTS", memo_texts)
+        out = os.path.join(tmp, "report")
+        for fmt in ("json", "tsv", "human"):
+            code = cli._run(config, tasks, fmt, out)
+            assert cli._params is None
+            failed = any(not r.passed for _, _, results in tasks for r in results)
+            assert code == int(failed)
+            with open(out, "rb") as fh:
+                got = fh.read().decode("ascii")
+            want = json_report_of(config, tasks) if fmt == "json" else text_report_of(tasks, fmt)
+            assert_same_text(got, want)
+
+
+@pytest.fixture
+def private_tmpdir(tmp_path, monkeypatch):
+    """An empty TMPDIR of this test's own, for this process and the pool workers it forks."""
+    tmp = tmp_path / "tmpdir"
+    tmp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmp))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    return tmp
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("outcome", ["pass", "inject", "raise"])
+def test_no_spool_file_and_no_params_memo_outlive_a_run(
+    capsys, monkeypatch, tmp_path, private_tmpdir, outcome, workers
+):
+    from qpartid.identities import get_descriptor
+
+    argv = [
+        "verify",
+        *("--family", "delta", "--family", "result1", "--family", "comb01"),
+        *("--n-max", "3", "--m-max", "3", "--workers", workers, "--format", "tsv"),
+    ]
+    if outcome == "inject":
+        argv.append("--inject-failure")
+    if outcome == "raise":
+
+        def broken(*axes):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(get_descriptor("result1"), "prepare", broken)
+    out = tmp_path / "report.tsv"
+    out.write_bytes(b"an earlier report\n")
+    code, stdout, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == ({"pass": 0, "inject": 1, "raise": 3}[outcome], "")
+    if outcome == "raise":
+        assert out.read_bytes() == b"an earlier report\n"
+    else:
+        assert out.read_bytes().count(b"\n") == 1 + 16 + 16 + 16
+    assert list(private_tmpdir.iterdir()) == []
+    assert cli._params is None
+
+
+def test_a_pool_worker_sends_back_the_path_of_its_spooled_block(capsys, monkeypatch, private_tmpdir):
+    # the pool runs each task inline here, so its outcomes can be read
+    outcomes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            outcomes.append(future.result())
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    argv = ("verify", "--family", "delta", "--family", "result1", "--n-max", "2", "--m-max", "2")
+    code, pooled, _ = run_cli(capsys, *argv, "--workers", "2", "--format", "tsv")
+    assert code == 0
+    assert [outcome[:4:2] for outcome in outcomes] == [("delta", 9), ("result1", 9)]
+    for *_, path in outcomes:
+        spool = pathlib.Path(path).parent
+        assert spool.parent == private_tmpdir and not spool.exists()
+    assert list(private_tmpdir.iterdir()) == []
+    assert pooled == run_cli(capsys, *argv, "--workers", "1", "--format", "tsv")[1]
+
+
+def test_only_a_run_of_more_than_one_task_keeps_a_params_memo(capsys, monkeypatch):
+    memos = []
+    render = cli.render_report
+
+    def recording(*args):
+        text = render(*args)
+        memos.append(cli._params if cli._params is None else dict(cli._params))
+        return text
+
+    monkeypatch.setattr(cli, "render_report", recording)
+    for argv in (
+        ("oracle-diff", "--n-max", "3"),
+        ("verify", "--family", "delta", "--n-max", "3", "--m-max", "3", "--workers", "1"),
+    ):
+        memos.clear()
+        assert run_cli(capsys, *argv, "--format", "tsv")[0] == 0
+        assert memos and all(memo is None for memo in memos)
+    memos.clear()
+    argv = ("verify", "--family", "delta", "--family", "result1", "--family", "theorem1")
+    grid = ("--n-max", "3", "--m-max", "3", "--p-max", "1")
+    assert run_cli(capsys, *argv, *grid, "--workers", "1", "--format", "tsv")[0] == 0
+    assert cli._params is None
+    # one entry at a time: delta fills it, result1 reads the same one, theorem1's names replace it
+    assert [len(memo) for memo in memos] == [1, 1, 1]
+    (delta_key, delta), (result1_key, result1), (theorem1_key, theorem1) = (
+        next(iter(memo.items())) for memo in memos
+    )
+    assert delta_key == result1_key == ("tsv", ("n", "m")) and theorem1_key[1] == ("n", "m", "p")
+    assert result1 is delta and len(delta[2]) == 16 and theorem1 is not delta
+    # an entry that outgrows the memo keeps its template and gives up its texts
+    memos.clear()
+    monkeypatch.setattr(cli, "_MEMO_TEXTS", 10)
+    assert run_cli(capsys, *argv, *grid, "--workers", "1", "--format", "tsv")[0] == 0
+    for memo in memos[:2]:
+        (entry,) = memo.values()
+        assert entry[:2] == delta[:2] and entry[2] is None
