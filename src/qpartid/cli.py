@@ -32,11 +32,13 @@ followed by a newline.  Its top-level keys sort as config, results, timing,
 totals, version, so the head (config and the opening of results) is written
 first and timing, totals and version last.  The frame is rendered by
 json.dumps.  Every row, of every format, passing or failing, is written from
-one CaseResult, the tuple (names, values, verdict), by one writer, _rows:
-each names tuple gets one params template, the text around params is built
-once per verdict within one render_report call, and a run of more than one
-task keeps a memo of params texts, so families that share a grid format each
-params text once.
+one CaseResult, the tuple (names, values, verdict), by a _RowWriter, which
+owns the row text caches and lives as long as the run or the pooled task
+that made it: the template of the last names tuple it met, the text around
+params of each verdict of the task it is writing, and, for a serial run of
+more than one task, up to _MEMO_TEXTS params texts of the last names, so
+families that share a grid format each params text once.  No cache is
+module state.
 """
 
 from __future__ import annotations
@@ -84,24 +86,16 @@ WORKERS_ENV = "QPARTID_WORKERS"
 # verify --all and the resdbl1-4 grid 3 MB higher at their peak, and no faster.
 _CHUNK = 1024
 
-# The params memo of the run in progress: {(fmt, names): (template, order,
-# texts)}, at most one entry, where texts maps each values tuple to its params
-# text.  _run opens it for a run of more than one task, and each pool worker
-# for the tasks it runs, so that families sharing a grid format each params
-# text once.  A task whose names differ from the last one's starts the entry
-# afresh, so the memo never holds more than one family's grid, nor more than
-# _MEMO_TEXTS texts.  It is None outside such a run, and then each
-# render_report call keeps its own templates and formats every params text.
-# It is module state, not an argument, because every block is written through
-# render_report, whose signature is public.
-_params: Optional[dict] = None
-
-# The most params texts one memo entry keeps; past it the entry keeps only its
-# template.  comb16-19 at n, m <= 120, p <= 40 share 600,281 values, and a memo
-# of them all peaked 94 MB higher (208 MB against 114 MB) and ran about 10 %
-# slower than none, on Python 3.11 on x86-64.  The default grids stay far below
-# it: an entry of verify --all holds at most 5,733 texts, and one of the
-# resdbl1-4 grid at n, m, p <= 7 holds 6,144.
+# The most params texts a _RowWriter keeps, all for one names tuple; past it
+# the writer keeps only the names' template until other names arrive.  Only
+# the writer that _run makes for a run of more than one task keeps texts, for
+# the whole run; the writer of a one-task run, of a pooled task or of a lone
+# render_report call keeps none, since no family repeats its own values.
+# comb16-19 at n, m <= 120, p <= 40 share 600,281 values, and a memo of them
+# all peaked 94 MB higher (208 MB against 114 MB) and ran about 10 % slower
+# than none, on Python 3.11 on x86-64.  The default grids stay far below it:
+# verify --all keeps at most 5,733 texts for one names tuple, and the
+# resdbl1-4 grid at n, m, p <= 7 keeps 6,144.
 _MEMO_TEXTS = 1 << 15
 
 
@@ -111,12 +105,6 @@ class UsageError(Exception):
 
 class FamilyError(Exception):
     """A report task raised; the message names the task and the exception."""
-
-
-def _open_params_memo() -> None:
-    """Start an empty params memo for the tasks this process runs next."""
-    global _params
-    _params = {}
 
 
 def _run_task(label: str, func, *args):
@@ -141,18 +129,16 @@ def _spool_task(path: str, fmt: str, label: str, func, *args):
     """
     took, cases, failures, results = _run_task(label, func, *args)
     with open(path, "xb") as sink:
-        _write_block(sink, label, results, fmt, took)
+        # a family never repeats its own values, so the task keeps no params texts
+        _RowWriter(fmt, memo=False).write(sink, label, results, took)
     return label, took, cases, failures, path
 
 
 def ProcessPoolExecutor(max_workers: int):
-    """A concurrent.futures process pool, imported here so a serial run never loads multiprocessing.
-
-    Each worker opens its own params memo, which ends with the worker.
-    """
+    """A concurrent.futures process pool, imported here so a serial run never loads multiprocessing."""
     from concurrent.futures import ProcessPoolExecutor as pool
 
-    return pool(max_workers=max_workers, initializer=_open_params_memo)
+    return pool(max_workers=max_workers)
 
 
 def _outcomes(tasks: list[tuple], fmt: str, workers: int):
@@ -190,32 +176,25 @@ def _run(config: dict, tasks: list[tuple], fmt: str, out: Optional[str], workers
     Each task's block is written as soon as the task finishes, so memory is
     bounded by the largest task.  Blocks go, as bytes, to an anonymous
     temporary file, which is copied to out (or stdout) after the last task: a
-    task that raises leaves nothing written.  A run of more than one task
-    keeps the params memo for as long as it runs, and no longer.
+    task that raises leaves nothing written.  The run's writer keeps params
+    texts across tasks only when there is more than one task.
     """
-    global _params
     started = time.perf_counter()
     timing = {}
     failures = 0
-    _params = {} if len(tasks) > 1 else None
-    try:
-        with tempfile.TemporaryFile() as sink, contextlib.closing(
-            _outcomes(tasks, fmt, workers)
-        ) as outcomes:
-            writer = _ReportWriter(sink, fmt, {"config": config})
-            for label, took, cases, failed, block in outcomes:
-                timing[label] = round(took, 6)
-                failures += failed
-                writer.add(label, took, cases, block)
-                # the next task runs before the loop rebinds block: drop its rows first
-                del block
-            timing["total"] = round(time.perf_counter() - started, 6)
-            totals = {"cases": writer.cases, "passes": writer.cases - failures, "failures": failures}
-            writer.close({"timing": timing, "totals": totals, "version": __version__})
-            sink.seek(0)
-            _emit(sink, out)
-    finally:
-        _params = None
+    with tempfile.TemporaryFile() as sink, contextlib.closing(_outcomes(tasks, fmt, workers)) as outcomes:
+        writer = _ReportWriter(sink, fmt, {"config": config}, memo=len(tasks) > 1)
+        for label, took, cases, failed, block in outcomes:
+            timing[label] = round(took, 6)
+            failures += failed
+            writer.add(label, took, cases, block)
+            # the next task runs before the loop rebinds block: drop its rows first
+            del block
+        timing["total"] = round(time.perf_counter() - started, 6)
+        totals = {"cases": writer.cases, "passes": writer.cases - failures, "failures": failures}
+        writer.close({"timing": timing, "totals": totals, "version": __version__})
+        sink.seek(0)
+        _emit(sink, out)
     return 0 if failures == 0 else 1
 
 
@@ -313,58 +292,6 @@ _ROW_FORMATS = {
 }
 
 
-def _rows(label: str, results: list[CaseResult], fmt: str) -> str:
-    """The fmt rows of results, a task label's CaseResults, each the text before, params, after.
-
-    A CaseResult is (names, values, verdict).  A names tuple gets one params
-    template, found by identity while the names stay the same object, as they
-    do across a family run: its text with one %s slot per value, and the
-    order of the values in the slots.  The templates live in the run's params
-    memo, which also keeps each params text once formatted, up to _MEMO_TEXTS
-    of them, or else in a dict of this call's own.  A verdict gets the text
-    before and after params, built once per call: the runner shares a
-    verdict across the cases with the same sides, so a family's rows build
-    few.  A verdict that cannot be a key (a pair mismatch parsed back as a
-    list) builds its own.  Only the names, escaped, go into a %-template; the
-    id and the digests are concatenated.
-    """
-    template_of, fixed_of, sep = _ROW_FORMATS[fmt]
-    shared = _params is not None
-    memo, fixed = _params if shared else {}, {}
-    names = None
-    rows = []
-    append = rows.append
-    for case_names, values, verdict in results:
-        if case_names is not names:
-            names = case_names
-            entry = memo.get((fmt, names))
-            if entry is None:
-                # one entry at a time, so the memo holds at most one family's grid
-                memo.clear()
-                entry = memo[fmt, names] = (*template_of(names), {} if shared else None)
-            text, order, texts = entry
-        if texts is None:
-            params = text % (order(values) if order else values)
-        else:
-            params = texts.get(values)
-            if params is None:
-                params = text % (order(values) if order else values)
-                if len(texts) < _MEMO_TEXTS:
-                    texts[values] = params
-                else:
-                    # an entry this large costs more than it saves: format these names' rows
-                    texts = None
-                    memo[fmt, names] = (text, order, None)
-        try:
-            around = fixed.get(verdict)
-        except TypeError:
-            around = fixed_of(label, verdict)
-        if around is None:
-            around = fixed[verdict] = fixed_of(label, verdict)
-        append(around[0] + params + around[1])
-    return sep.join(rows)
-
-
 def _json_members(members: dict, before: str, after: str) -> str:
     """Each top-level member, in sorted key order, as json.dumps(..., indent=2) writes it."""
     out = []
@@ -374,34 +301,96 @@ def _json_members(members: dict, before: str, after: str) -> str:
     return "".join(out)
 
 
-def render_report(label: str, results: list[CaseResult], fmt: str, took: float) -> str:
+class _RowWriter:
+    """Writes the fmt rows of CaseResults, and owns their text caches for as long as it lives.
+
+    A CaseResult is (names, values, verdict).  The writer keeps the template
+    of the last names tuple it met: its text with one %s slot per value, and
+    the order of the values in the slots.  A names tuple is found by identity
+    while it stays the same object, as it does across a family run, and an
+    equal copy keeps the template too.  With memo on it also keeps each
+    params text of those names once formatted, up to _MEMO_TEXTS of them;
+    other names start both afresh.  The text before and after params is
+    built once per verdict of the task in hand, since the runner shares a
+    verdict across the cases with the same sides; write starts each task's
+    verdict texts afresh, as a lone render_report call does.  A verdict that
+    cannot be a key (a pair mismatch parsed back as a list) builds its own.
+    Only the names, escaped, go into a %-template; the id and the digests
+    are concatenated.
+    """
+
+    def __init__(self, fmt: str, memo: bool):
+        self.fmt, self.memo = fmt, memo
+        self.names = self.template = self.texts = None
+        self.fixed = {}
+
+    def rows(self, label: str, results: list[CaseResult]) -> str:
+        """The rows of results, a task label's CaseResults, each the text before, params, after."""
+        template_of, fixed_of, sep = _ROW_FORMATS[self.fmt]
+        fixed = self.fixed
+        names = None
+        rows = []
+        append = rows.append
+        for case_names, values, verdict in results:
+            if case_names is not names:
+                names = case_names
+                if names != self.names:
+                    self.names, self.template = names, template_of(names)
+                    self.texts = {} if self.memo else None
+                (text, order), texts = self.template, self.texts
+            if texts is None:
+                params = text % (order(values) if order else values)
+            else:
+                params = texts.get(values)
+                if params is None:
+                    params = text % (order(values) if order else values)
+                    if len(texts) < _MEMO_TEXTS:
+                        texts[values] = params
+                    else:
+                        # this many texts cost more than they save: format these names' rows
+                        texts = self.texts = None
+            try:
+                around = fixed.get(verdict)
+            except TypeError:
+                around = fixed_of(label, verdict)
+            if around is None:
+                around = fixed[verdict] = fixed_of(label, verdict)
+            append(around[0] + params + around[1])
+        return sep.join(rows)
+
+    def write(self, sink, label: str, results: list[CaseResult], took: float) -> None:
+        """Write render_report's block of task label to the binary sink, as ASCII, _CHUNK rows per call."""
+        self.fixed = {}
+        if self.fmt == "human":
+            sink.write(render_report(label, results, self.fmt, took, self).encode("ascii"))
+            return
+        sep = _ROW_FORMATS[self.fmt][2].encode("ascii")
+        for start in range(0, len(results), _CHUNK):
+            if start:
+                sink.write(sep)
+            sink.write(render_report(label, results[start : start + _CHUNK], self.fmt, took, self).encode("ascii"))
+
+
+def render_report(
+    label: str, results: list[CaseResult], fmt: str, took: float, writer: Optional[_RowWriter] = None
+) -> str:
     """One block of a report: the CaseResults of task label, which ran for took seconds.
 
     A JSON block is the rows as json.dumps nests them in the results list,
     with no separator before the first row or after the last.  A human block
     is the task's summary line and at most 10 of its failures.  TSV and
     human output write a mismatch as json.dumps does.  Every row, of every
-    format, is written by _rows.  The JSON or TSV block of a list is the
+    format, is written by writer, the caller's _RowWriter, or else by a new
+    one that keeps no params texts.  The JSON or TSV block of a list is the
     blocks of its consecutive slices joined by the row separator, which is
-    how _write_block writes a task's rows a chunk at a time.
+    how _RowWriter.write writes a task's rows a chunk at a time.
     """
+    rows = (_RowWriter(fmt, memo=False) if writer is None else writer).rows
     if fmt != "human":
-        return _rows(label, results, fmt)
+        return rows(label, results)
     failed = [case for case in results if not case[2][0]]
     status = "ok" if not failed else f"{len(failed)} FAILED"
-    return f"{label}: {len(results)} cases, {status} ({took:.2f}s)\n" + _rows(label, failed[:10], fmt)
-
-
-def _write_block(sink, label: str, results: list[CaseResult], fmt: str, took: float) -> None:
-    """Write render_report's block of results to the binary sink, as ASCII, _CHUNK rows at a time."""
-    if fmt == "human":
-        sink.write(render_report(label, results, fmt, took).encode("ascii"))
-        return
-    sep = _ROW_FORMATS[fmt][2].encode("ascii")
-    for start in range(0, len(results), _CHUNK):
-        if start:
-            sink.write(sep)
-        sink.write(render_report(label, results[start : start + _CHUNK], fmt, took).encode("ascii"))
+    return f"{label}: {len(results)} cases, {status} ({took:.2f}s)\n" + rows(label, failed[:10])
 
 
 class _ReportWriter:
@@ -411,12 +400,14 @@ class _ReportWriter:
     those after it, so a JSON report is exactly
     json.dumps(report, indent=2, sort_keys=True) + "\n" although its rows
     arrive a block at a time.  The frame is rendered by json.dumps and each
-    block by _write_block, here or in the pool worker that ran the task, and
-    everything reaches the sink as ASCII bytes.
+    block by a _RowWriter: this writer's own, which keeps params texts across
+    tasks when memo is on, or the one of the pool worker that ran the task.
+    Everything reaches the sink as ASCII bytes.
     """
 
-    def __init__(self, sink, fmt: str, head: dict):
+    def __init__(self, sink, fmt: str, head: dict, memo: bool = False):
         self.sink, self.fmt, self.cases = sink, fmt, 0
+        self.rows = _RowWriter(fmt, memo)
         if fmt == "json":
             sink.write(("{" + _json_members(head, "", ",") + '\n  "results": [').encode("ascii"))
         elif fmt == "tsv":
@@ -434,7 +425,7 @@ class _ReportWriter:
             with open(block, "rb") as spooled:
                 shutil.copyfileobj(spooled, self.sink)
         else:
-            _write_block(self.sink, label, block, self.fmt, took)
+            self.rows.write(self.sink, label, block, took)
         self.cases += cases
 
     def close(self, tail: dict) -> None:

@@ -1,5 +1,7 @@
 """The batch front end: selection, formats, exit codes, determinism."""
 
+import ast
+import collections
 import hashlib
 import io
 import itertools
@@ -546,6 +548,25 @@ def test_parallel_matches_serial(capsys, tmp_path):
     a.pop("timing"), b.pop("timing")
     a["config"].pop("workers"), b["config"].pop("workers")
     assert a == b
+
+
+def inline_pool(outcomes: list):
+    """A stand-in for cli.ProcessPoolExecutor: runs each task inline at submit and appends its outcome to outcomes."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            outcomes.append(future.result())
+            return future
+
+    return InlinePool
 
 
 def test_worker_pool_is_capped_at_the_family_count(capsys, monkeypatch):
@@ -1372,8 +1393,10 @@ def text_report_of(tasks: list[tuple], fmt: str) -> str:
 def test_a_run_sharing_one_params_memo_writes_every_block_as_the_reference(specs, memo_texts):
     # tasks of 0 rows, 1 row and the chunk size +- 1 rows, whose values recur
     # under the same names, the same names in another order and other names;
-    # a names tuple that is an equal copy must find the same memo entry, and
-    # an entry that outgrows a memo of 5 texts gives them up midway
+    # a names tuple that is an equal copy must keep the writer's texts, and
+    # a writer that outgrows a memo of 5 texts gives them up midway.  The
+    # serial run shares one writer across the tasks, and the pooled run, in
+    # process, writes each task with a writer of its own.
     tasks = []
     for k, (which, size, offset, copy) in enumerate(specs):
         names = TASK_NAMES[which]
@@ -1384,10 +1407,10 @@ def test_a_run_sharing_one_params_memo_writes_every_block_as_the_reference(specs
         # every task and the run take no time, so the timing text is known
         mp.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
         mp.setattr(cli, "_MEMO_TEXTS", memo_texts)
+        mp.setattr(cli, "ProcessPoolExecutor", inline_pool([]))
         out = os.path.join(tmp, "report")
-        for fmt in ("json", "tsv", "human"):
-            code = cli._run(config, tasks, fmt, out)
-            assert cli._params is None
+        for fmt, workers in itertools.product(("json", "tsv", "human"), (1, 2)):
+            code = cli._run(config, tasks, fmt, out, workers)
             failed = any(not r.passed for _, _, results in tasks for r in results)
             assert code == int(failed)
             with open(out, "rb") as fh:
@@ -1404,6 +1427,20 @@ def private_tmpdir(tmp_path, monkeypatch):
     monkeypatch.setenv("TMPDIR", str(tmp))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp))
     return tmp
+
+
+def cli_state() -> dict:
+    """Each module attribute of cli, with a copy of its contents if it is a dict, list or set."""
+    return {
+        name: (value, value.copy() if isinstance(value, (dict, list, set)) else None)
+        for name, value in vars(cli).items()
+    }
+
+
+def assert_same_state(before: dict, after: dict) -> None:
+    assert after.keys() == before.keys()
+    changed = [name for name, pair in before.items() if after[name][0] is not pair[0] or after[name][1] != pair[1]]
+    assert changed == []
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -1428,34 +1465,27 @@ def test_no_spool_file_and_no_params_memo_outlive_a_run(
         monkeypatch.setattr(get_descriptor("result1"), "prepare", broken)
     out = tmp_path / "report.tsv"
     out.write_bytes(b"an earlier report\n")
+    # every cache lives in the run's writers, so no run, serial or pooled, writes a module attribute
+    before = cli_state()
     code, stdout, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert_same_state(before, cli_state())
     assert (code, stdout) == ({"pass": 0, "inject": 1, "raise": 3}[outcome], "")
     if outcome == "raise":
         assert out.read_bytes() == b"an earlier report\n"
     else:
         assert out.read_bytes().count(b"\n") == 1 + 16 + 16 + 16
     assert list(private_tmpdir.iterdir()) == []
-    assert cli._params is None
+
+
+def test_cli_has_no_global_statement():
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
 
 
 def test_a_pool_worker_sends_back_the_path_of_its_spooled_block(capsys, monkeypatch, private_tmpdir):
     # the pool runs each task inline here, so its outcomes can be read
     outcomes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            outcomes.append(future.result())
-            return future
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(outcomes))
     argv = ("verify", "--family", "delta", "--family", "result1", "--n-max", "2", "--m-max", "2")
     code, pooled, _ = run_cli(capsys, *argv, "--workers", "2", "--format", "tsv")
     assert code == 0
@@ -1468,38 +1498,62 @@ def test_a_pool_worker_sends_back_the_path_of_its_spooled_block(capsys, monkeypa
 
 
 def test_only_a_run_of_more_than_one_task_keeps_a_params_memo(capsys, monkeypatch):
-    memos = []
+    # each render_report call of a run: its label, the run's writer and the writer's caches after the call
+    calls = []
     render = cli.render_report
 
-    def recording(*args):
-        text = render(*args)
-        memos.append(cli._params if cli._params is None else dict(cli._params))
+    def recording(label, results, fmt, took, writer=None):
+        text = render(label, results, fmt, took, writer)
+        calls.append((label, writer, writer.memo, writer.template, writer.texts))
         return text
 
     monkeypatch.setattr(cli, "render_report", recording)
+    # a one-task run, and each task of a pooled run, run in process here, keep no params texts
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool([]))
     for argv in (
         ("oracle-diff", "--n-max", "3"),
         ("verify", "--family", "delta", "--n-max", "3", "--m-max", "3", "--workers", "1"),
+        ("verify", "--family", "delta", "--family", "result1", "--n-max", "3", "--m-max", "3", "--workers", "2"),
     ):
-        memos.clear()
+        calls.clear()
         assert run_cli(capsys, *argv, "--format", "tsv")[0] == 0
-        assert memos and all(memo is None for memo in memos)
-    memos.clear()
+        assert calls and all(not memo and texts is None for _, _, memo, _, texts in calls)
+    calls.clear()
     argv = ("verify", "--family", "delta", "--family", "result1", "--family", "theorem1")
     grid = ("--n-max", "3", "--m-max", "3", "--p-max", "1")
     assert run_cli(capsys, *argv, *grid, "--workers", "1", "--format", "tsv")[0] == 0
-    assert cli._params is None
-    # one entry at a time: delta fills it, result1 reads the same one, theorem1's names replace it
-    assert [len(memo) for memo in memos] == [1, 1, 1]
-    (delta_key, delta), (result1_key, result1), (theorem1_key, theorem1) = (
-        next(iter(memo.items())) for memo in memos
-    )
-    assert delta_key == result1_key == ("tsv", ("n", "m")) and theorem1_key[1] == ("n", "m", "p")
-    assert result1 is delta and len(delta[2]) == 16 and theorem1 is not delta
-    # an entry that outgrows the memo keeps its template and gives up its texts
-    memos.clear()
+    # one writer for the run: delta fills its texts, result1 reads the same ones, theorem1's names replace them
+    (_, writer, memo, delta, delta_texts), (_, *result1), (_, *theorem1) = calls
+    assert memo and [label for label, *_ in calls] == ["delta", "result1", "theorem1"]
+    assert result1[0] is writer and result1[2] is delta and result1[3] is delta_texts and len(delta_texts) == 16
+    assert theorem1[0] is writer and theorem1[2] != delta and theorem1[3] is not delta_texts
+    # past the cap the writer keeps the names' template and gives up their texts
+    calls.clear()
     monkeypatch.setattr(cli, "_MEMO_TEXTS", 10)
     assert run_cli(capsys, *argv, *grid, "--workers", "1", "--format", "tsv")[0] == 0
-    for memo in memos[:2]:
-        (entry,) = memo.values()
-        assert entry[:2] == delta[:2] and entry[2] is None
+    for _, _, memo, template, texts in calls[:2]:
+        assert memo and template == delta and texts is None
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_each_verdict_text_is_built_once_per_task(capsys, monkeypatch, workers):
+    # the text around params of a verdict outlives the 1,024-row chunk it was
+    # built in, for the rest of its task: on the qpoly workload's grid each
+    # resdbl family builds its distinct verdicts' texts once
+    built = collections.Counter()
+    template_of, fixed_of, sep = cli._ROW_FORMATS["json"]
+
+    def counting(label, verdict):
+        built[label] += 1
+        return fixed_of(label, verdict)
+
+    monkeypatch.setitem(cli._ROW_FORMATS, "json", (template_of, counting, sep))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool([]))
+    families = [arg for i in range(1, 5) for arg in ("--family", f"resdbl{i}")]
+    grid = ("--n-max", "7", "--m-max", "7", "--p-max", "7")
+    assert run_cli(capsys, "verify", *families, *grid, "--workers", workers, "--format", "json")[0] == 0
+    assert built == {"resdbl1": 234, "resdbl2": 234, "resdbl3": 95, "resdbl4": 95}
+    if workers == "1":
+        built.clear()
+        assert run_cli(capsys, "verify", "--all", "--workers", "1", "--format", "json")[0] == 0
+        assert sum(built.values()) == 7061

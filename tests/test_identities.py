@@ -1793,9 +1793,10 @@ def test_iter_cases_matches_the_nested_grid_walk(axes, use_default):
 # --- sensitivity: the default grids reject wrong spec rows -------------------
 
 
-def survivors(table, mutants):
-    """The (id, row) mutants of a spec table under which the family still passes its default grid.
+def survivors(table, mutants, readers=None):
+    """The (family, row) pairs where a family passes its default grid under a mutant (id, row) of a spec table.
 
+    Each mutant runs its own family, and also the families readers[id] names.
     The registry is rebuilt under each mutant, so a row that a descriptor
     binds when the registry is built is read as patched too.
     """
@@ -1806,8 +1807,9 @@ def survivors(table, mutants):
             mock.patch.object(identities, "_REGISTRY", None),
             mock.patch.dict(identities._REGISTRY_BY_ID, clear=True),
         ):
-            if all(r.passed for r in identities.run_identity(identity_id)):
-                alive.add((identity_id, row))
+            for family in (identity_id, *(readers or {}).get(identity_id, ())):
+                if all(r.passed for r in identities.run_identity(family)):
+                    alive.add((family, row))
     return alive
 
 
@@ -1867,6 +1869,38 @@ def count_side_mutants(side):
         (scale, b, a, d, weight),
         (scale, swap.get(a, a), swap.get(b, b), d, weight),
     ]
+
+
+def q_side_mutants(side):
+    """A q side's mutants: a kernel U or V renamed to the other, or a row's, as count_side_mutants makes them."""
+    if isinstance(side, str):
+        return [{"U": "V", "V": "U"}[side]] if side in ("U", "V") else []
+    return count_side_mutants(side)
+
+
+def test_every_q_spec_mutant_fails_the_default_grid_but_the_equivalents():
+    table = identities._Q_SUMS
+    mutants = {
+        (identity_id, row)
+        for identity_id, (lhs, rhs) in table.items()
+        for row in (
+            *((side, rhs) for side in q_side_mutants(lhs)),
+            *((lhs, side) for side in q_side_mutants(rhs)),
+        )
+        if row != table[identity_id]
+    }
+    assert len(mutants) == 76
+    # the comb prepares read _Q_SUMS when they run, so each mutant is also
+    # read at q = 1 by every _COMB_SUMS family that names its row
+    readers = {
+        identity_id: [comb_id for comb_id, (_, row, _) in identities._COMB_SUMS.items() if row == identity_id]
+        for identity_id in table
+    }
+    assert sum(map(len, readers.values())) == 19
+    # k -> n - k maps sum (-1)^k V_{n-k} U_k onto (-1)^n sum (-1)^k U_{n-k} V_k,
+    # and the right side delta_n is zero unless n = 0, at q and at q = 1 alike
+    swapped = ((1, "V", "U", 1, identities._ALT), identities._DELTA)
+    assert survivors(table, mutants, readers) == {("delta", swapped), ("comb01", swapped)}
 
 
 def test_every_count_spec_mutant_fails_the_default_grid_but_the_equivalents():
