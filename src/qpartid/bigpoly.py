@@ -14,15 +14,35 @@ of packed ints are the packed sums and products, and unpack reads the slots
 back as balanced digits, |c| < 2**(8*width - 1), once for the whole result.
 The width must come from a proven bound on every coefficient of that result
 (slot_width), never from a guess: a coefficient outside half a slot borrows
-from its neighbour and unpacks wrong.
-poly_mul stays the schoolbook loop; grid_mul packs two bivariate grids the
-same way.  This module is the only one that knows the slot layout; its
-callers hold the packed values as opaque ints.
+from its neighbour and unpacks wrong.  grid_mul packs two bivariate grids
+the same way.  A slot of at most 8 bytes moves as a machine word: the cells
+are laid into an array of the narrowest word that holds the slot, one
+strided slice per row, and the words are cut to the slot's width by one
+strided deletion per surplus byte; read back, the slots are widened to
+words by one strided byte copy per byte of the slot and read through
+memoryview.cast.  Wider slots, a cell wider than its
+slot, and every slot on a big-endian host, where the words would not be in
+the slots' byte order, go through int.to_bytes and int.from_bytes one cell
+at a time.  Both paths give the same ints.  poly_mul is the schoolbook loop,
+for the products that are cheaper unpacked.  Callers choose the width and
+may add, multiply and compare packed ints, but only this module reads or
+writes a slot.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Iterable, Sequence
+
+# _WORDS[width] is the type code of the narrowest machine word that holds a
+# slot of width bytes, for width <= 8.  Slots are little-endian and the words
+# are in the host's byte order, so a big-endian host keeps the table empty.
+_WORDS = (
+    {width: next(code for code in "BHILQ" if array(code).itemsize >= width) for width in range(1, 9)}
+    if sys.byteorder == "little"
+    else {}
+)
 
 
 class IntPoly:
@@ -147,17 +167,15 @@ def grid_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], d: int = 1)
     cells_b = [x for row in b for x in row]
     if min(cells_a + cells_b, default=0) < 0:
         raise ValueError("grid_mul takes nonnegative cells only")
-    bound = max(cells_a, default=0) * max(cells_b, default=0) * len(cells_b)
+    top_a, top_b = max(cells_a, default=0), max(cells_b, default=0)
+    bound = top_a * top_b * len(cells_b)
     if not bound:
         return [[0] * cols for _ in range(rows)]
     width = (bound.bit_length() + 7) // 8  # bytes per slot
     stride = 2 * cols - 1
-    product = _pack(a, width, 1, stride) * _pack(b, width, d, d * stride)
+    product = _pack(a, width, 1, stride, top_a) * _pack(b, width, d, d * stride, top_b)
     data = product.to_bytes(max((product.bit_length() + 7) // 8, rows * stride * width), "little")
-    return [
-        [int.from_bytes(data[s : s + width], "little") for s in range(i * width, (i + cols) * width, width)]
-        for i in range(0, rows * stride, stride)
-    ]
+    return _unpack(data, width, rows, cols, stride)
 
 
 def slot_width(bound: int) -> int:
@@ -191,12 +209,12 @@ def pack(a: IntPoly, width: int, step: int = 1) -> int:
 
 def _pack_row(cs: Sequence[int], width: int, step: int) -> int:
     """pack of nonnegative coefficients, one slot-wide digit of each per pass."""
-    bits, total, shift = 8 * width, 0, 0
-    while max(cs) >> bits:
+    bits, total, shift, top = 8 * width, 0, 0, max(cs)
+    while top >> bits:
         mask = (1 << bits) - 1
-        total += _pack(([c & mask for c in cs],), width, step, step * len(cs)) << shift
-        cs, shift = [c >> bits for c in cs], shift + bits
-    return total + (_pack((cs,), width, step, step * len(cs)) << shift)
+        total += _pack(([c & mask for c in cs],), width, step, step * len(cs), mask) << shift
+        cs, shift, top = [c >> bits for c in cs], shift + bits, top >> bits
+    return total + (_pack((cs,), width, step, step * len(cs), top) << shift)
 
 
 def unpack(x: int, width: int) -> IntPoly:
@@ -205,26 +223,72 @@ def unpack(x: int, width: int) -> IntPoly:
     Adding half a slot to every slot makes each digit c + 2**(8*width - 1)
     nonnegative and less than a slot, so each slot is read unsigned and the
     half taken off again.  A nonzero top coefficient at slot D puts |x| above
-    2**(8*width*D - 1), so the bit length of x bounds the slots to read.
+    2**(8*width*D - 1), so the bit length of x bounds the slots to read.  A
+    coefficient outside half a slot may carry the biased value one slot
+    further; that slot is read too, and the digits borrow as they fall.
     """
     bits = 8 * width
     slots = abs(x).bit_length() // bits + 1
     half = 1 << (bits - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")  # half in every slot
-    data = (x + bias).to_bytes(slots * width, "little")
-    return IntPoly([int.from_bytes(data[s : s + width], "little") - half for s in range(0, slots * width, width)])
+    biased = x + int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")  # half in every slot
+    if biased >> (slots * bits):
+        biased += half << (slots * bits)
+        slots += 1
+    data = biased.to_bytes(slots * width, "little")
+    return IntPoly([c - half for c in _unpack(data, width, 1, slots, slots)[0]])
 
 
-def _pack(grid: Sequence[Sequence[int]], width: int, step: int, pitch: int) -> int:
-    """The int whose little-endian width-byte slot i*pitch + j*step holds grid[i][j], zero elsewhere."""
-    cell = width * step  # a cell and the step - 1 empty slots after it
-    return int.from_bytes(
-        b"".join(
-            b"".join(x.to_bytes(cell, "little") for x in row) + bytes((pitch - step * len(row)) * width)
-            for row in grid
-        ),
-        "little",
-    )
+def _pack(grid: Sequence[Sequence[int]], width: int, step: int, pitch: int, top: int) -> int:
+    """The int whose little-endian width-byte slot i*pitch + j*step holds grid[i][j], zero elsewhere.
+
+    Every cell is a nonnegative int no larger than top.  When top fits a
+    slot and the slot fits a word, each row is one strided slice of an array
+    of words, cut to width bytes; otherwise each cell is written as bytes,
+    and one that spills past its slot fills the step - 1 empty slots after it.
+    """
+    code = _WORDS.get(width)
+    if code is None or top >> (8 * width):
+        cell = width * step  # a cell and the step - 1 empty slots after it
+        return int.from_bytes(
+            b"".join(
+                b"".join(x.to_bytes(cell, "little") for x in row) + bytes((pitch - step * len(row)) * width)
+                for row in grid
+            ),
+            "little",
+        )
+    words, start = array(code, [0]) * (len(grid) * pitch), 0
+    for row in grid:
+        words[start : start + step * len(row) : step] = array(code, row)
+        start += pitch
+    data = bytearray(words)
+    for size in range(words.itemsize, width, -1):  # cut each word's top byte until width bytes are left
+        del data[size - 1 :: size]
+    return int.from_bytes(data, "little")
+
+
+def _unpack(data: bytes, width: int, rows: int, cols: int, pitch: int) -> list[list[int]]:
+    """cells[i][j] = the little-endian width-byte slot i*pitch + j of data, read unsigned, for i < rows, j < cols.
+
+    A slot that fits a word is widened to one by a strided byte copy per
+    byte of the slot and read through memoryview.cast; a wider one is read
+    through int.from_bytes.
+    """
+    code = _WORDS.get(width)
+    if code is None:
+        return [
+            [int.from_bytes(data[s : s + width], "little") for s in range(i * width, (i + cols) * width, width)]
+            for i in range(0, rows * pitch, pitch)
+        ]
+    size = array(code).itemsize
+    count = rows * pitch  # slots to read, the padding after each row's cols included
+    if size == width:
+        words = memoryview(data)[: count * width].cast(code)
+    else:
+        wide = bytearray(count * size)
+        for byte in range(width):  # widen each slot to a word, its high bytes zero
+            wide[byte::size] = data[byte : count * width : width]
+        words = memoryview(wide).cast(code)
+    return [words[i : i + cols].tolist() for i in range(0, count, pitch)]
 
 
 def coeff_at(a: IntPoly, n: int) -> int:

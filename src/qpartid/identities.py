@@ -33,6 +33,11 @@ evaluator:
   and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.  Each of
   these families' prepares binds its F rows and diagonal rows, and its cases
   sum in place from them; triangle_sum is the same sum for a caller's F.
+  Where G_0 = 1 is the only nonzero diagonal (resdbl1-4, f_theorem,
+  triangle_sum) the sum is one poly_mul that passes F(0) through; a parity
+  half has many nonzero diagonals, so its prepare packs F and them, and a
+  half is summed as packed ints and unpacked only when it differs from its
+  right side.
 * counting: the memoized partition counts.  The dilated, signed 2-D
   convolutions are rows of _COUNT_SUMS.  At one p a side over every (n, m)
   is one grid g[n][m]: a row side is the coefficient table of
@@ -559,6 +564,9 @@ def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
 # and the class of k that keep drops weighs 0.  The theorem says G_0 = 1 and
 # G_j = 0 for j >= 1; a half's diagonals need not vanish.  Each prepare binds
 # the nonzero pairs (j, G_j) of the rows it reads, so a case visits only those.
+# A whole triangle's only nonzero diagonal is G_0 = 1, so resdbl1-4, f_theorem
+# and triangle_sum sum with poly_mul (_diagonal_sum), whose product with 1
+# hands F(0) back; a parity half sums its many nonzero diagonals packed.
 
 
 def _diagonal(m: int, b: int, sign_on: str, keep: Optional[int], js: range) -> list[IntPoly]:
@@ -653,8 +661,14 @@ _RESDBL_PARAMS = ("n", "m", "p", "a", "b", "c")
 # Each corollary is a resdbl at b = c = 1; a row is (variant, p - m, a).  Its
 # even half keeps the terms with n - u even (u the unsigned index) and has
 # right side F(0); its odd half keeps n - u odd and has right side zero.  A
-# half reads the diagonals keyed on keep = u mod 2, so both halves of a case
-# are summed, as a double sum is, from the F row and the two rows per m.
+# half reads the diagonals keyed on keep = u mod 2.  Unlike a double sum, a
+# half has many nonzero diagonals, so it is summed packed, as a single-sum
+# side is: the prepare packs the F row and both halves' nonzero diagonals per
+# m at one width, a case's half is sum_j pack(H[n - j]) * pack(G_j), and a
+# half is unpacked only when it differs from its right side.  The width at m
+# holds the largest of |H[n]|_1 and sum_j |H[n - j]|_1 * |G_j|_1 over either
+# half's diagonals, at every n of the grid, so both halves and F(0) unpack
+# exactly and equal packed ints are equal polynomials.
 
 _COROLLARIES = {
     "corollary_2_4": ("resdbl2", 0, 0),
@@ -663,23 +677,37 @@ _COROLLARIES = {
 
 
 def _parity_halves(corollary_id: str, ns, ms):
-    """The prepare of a parity corollary: the F row per m and both halves' diagonal rows per (m, keep), through max(ns).
+    """The prepare of a parity corollary: per m, the F row and both halves' nonzero diagonals, packed through max(ns).
 
-    A case's sides are its even half's _poly_key and then its odd half's;
-    each half is summed in place from those rows, as a double sum is.
+    A case's sides are its even half's _poly_key and then its odd half's,
+    each half one packed sum over those rows.
     """
     variant, p_offset, a = _COROLLARIES[corollary_id]
     shifted_top, sign_on = _RESDBL[variant]
     top = max(ns)
-    h_rows = {m: _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=top) for m in ms}
-    diagonals = {(m, keep): _diagonal_pairs(m, 1, sign_on, keep, top) for m in ms for keep in (0, 1)}
+    at = {}
+    for m in ms:
+        H = _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=top)
+        diagonals = [_row(_diagonal, m, 1, sign_on, keep, top=top) for keep in (0, 1)]
+        h_norm = [sum(h.coeffs) for h in H[: top + 1]]  # F's coefficients are nonnegative
+        g_norms = [[sum(map(abs, g.coeffs)) for g in row[: top + 1]] for row in diagonals]
+        width = slot_width(
+            max(max(h_norm[n], *(_weighted_sum((1,), h_norm, g, n, 1) for g in g_norms)) for n in ns)
+        )
+        halves = [[(j, pack(g, width)) for j, g in _nonzero(row, top, ZERO)] for row in diagonals]
+        at[m] = (width, H, [pack(h, width) for h in H[: top + 1]], halves)
 
     def sides(n, m):
         # keep is u mod 2: the even half keeps u = n (mod 2), the odd half u = n - 1
-        H = h_rows[m]
-        even = _diagonal_sum(H, n, diagonals[m, n % 2])
-        odd = _diagonal_sum(H, n, diagonals[m, 1 - n % 2])
-        return _poly_key(even, H[n]), _poly_key(odd, ZERO)
+        width, H, h, halves = at[m]
+        even = sum(h[n - j] * g for j, g in halves[n % 2] if j <= n)
+        odd = sum(h[n - j] * g for j, g in halves[1 - n % 2] if j <= n)
+        # at one width, equal packed ints are equal polynomials: the _poly_key of one object
+        rhs = H[n].coeffs
+        return (
+            rhs if even == h[n] else (unpack(even, width).coeffs, rhs),
+            (unpack(odd, width).coeffs, ()) if odd else (),
+        )
 
     return sides, _finish_halves
 

@@ -14,8 +14,9 @@ def test_traced_run_records_the_benchmark_spans_and_leaves(tmp_path):
     argv = [
         "verify",
         *("--family", "delta", "--family", "theorem1", "--family", "comb20"),
-        # the single sums multiply packed; the parity halves still go through poly_mul
-        *("--family", "corollary_2_4"),
+        # the single sums and the parity halves multiply packed; a double sum
+        # still multiplies F(0) by G_0 = 1 through poly_mul
+        *("--family", "corollary_2_4", "--family", "resdbl1"),
         *("--n-max", "1", "--m-max", "1", "--p-max", "1"),
         *("--workers", "1", "--format", "json", "--out", str(report_out)),
     ]

@@ -1,10 +1,12 @@
 """Exact polynomial arithmetic."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qpartid import bigpoly
 from qpartid.bigpoly import (
     IntPoly,
     ONE,
@@ -323,3 +325,80 @@ def test_grid_mul_rejects_negative_cells_and_dilations_below_one():
         grid_mul([[1, -1]], [[1]])
     with pytest.raises(ValueError):
         grid_mul([[1]], [[1]], 0)
+
+
+# --- the word path and the byte path pack the same ints ---------------------
+
+
+def byte_path():
+    """Every slot through int.to_bytes and int.from_bytes, as on a big-endian host."""
+    return mock.patch.dict(bigpoly._WORDS, clear=True)
+
+
+# the word-sized widths, the widths cut from or widened to a wider word (3,
+# 5, 6, 7), and two wider than any word
+SLOT_WIDTHS = [*range(1, 10), 16]
+
+
+def edge_values(width):
+    """Cells at the edges of a slot: half a slot +- 1 and a full slot, either sign."""
+    half, full = 2 ** (8 * width - 1), 2 ** (8 * width)
+    return [v * sign for v in (half - 1, half + 1, full - 1, full, full + 1) for sign in (1, -1)]
+
+
+@st.composite
+def widths_and_polys(draw):
+    width = draw(st.sampled_from(SLOT_WIDTHS))
+    coeffs = draw(
+        st.lists(
+            st.integers(-3, 3)
+            | st.sampled_from(edge_values(width))
+            | st.integers(-(2 ** (8 * width + 20)), 2 ** (8 * width + 20)),
+            max_size=12,
+        )
+    )
+    return width, IntPoly(coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(width_and_poly=widths_and_polys(), step=st.integers(1, 3))
+@example(width_and_poly=(3, IntPoly([2**23 - 1, -(2**23 + 1), 2**24 - 1])), step=2)
+@example(width_and_poly=(16, IntPoly([2**127 + 1, -(2**128 - 1)])), step=3)
+@example(width_and_poly=(1, IntPoly([129, 127])), step=1)  # the biased value carries one slot further
+def test_pack_and_unpack_agree_on_the_word_and_the_byte_path(width_and_poly, step):
+    width, a = width_and_poly
+    dilated = poly_substitute_power(a, step)
+    x = pack(a, width, step)
+    with byte_path():
+        assert pack(a, width, step) == x
+        by_bytes = unpack(x, width)
+    assert x == poly_eval_int(dilated, 2 ** (8 * width))
+    # out of half a slot the digits borrow, on both paths alike
+    assert unpack(x, width) == by_bytes
+    if all(abs(c) < 2 ** (8 * width - 1) for c in a.coeffs):
+        assert by_bytes == dilated
+
+
+@pytest.mark.parametrize("width", SLOT_WIDTHS)
+@pytest.mark.parametrize("step", [2, 3])
+def test_a_cell_that_spills_past_its_slot_is_packed_exactly(width, step):
+    # a cell wider than its slot is refused by the word path and carried
+    # into the empty slots after it by the byte path
+    spill = 2 ** (8 * width * step) - 1
+    grid = [[1, spill, 2 ** (8 * width) - 1], [spill, 0, 5]]
+    pitch = 3 * step + 1
+    want = sum(x << (8 * width * (i * pitch + j * step)) for i, row in enumerate(grid) for j, x in enumerate(row))
+    assert bigpoly._pack(grid, width, step, pitch, spill) == want
+    with byte_path():
+        assert bigpoly._pack(grid, width, step, pitch, spill) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=grids, b=grids, d=st.integers(1, 3))
+@example(a=[[2**23, 2**23]], b=[[1, 1]], d=1)  # three-byte slots, widened from four-byte words
+@example(a=[[2**63] * 3] * 3, b=[[1]], d=2)  # a ninth byte: the byte path
+def test_grid_mul_agrees_on_the_word_and_the_byte_path(a, b, d):
+    want = schoolbook_grid_mul(a, b, d)
+    assert grid_mul(a, b, d) == want
+    with byte_path():
+        assert grid_mul(a, b, d) == want

@@ -16,11 +16,12 @@ import tempfile
 import time
 from concurrent.futures import Future
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpartid import __version__, cli
+from qpartid import __version__, bigpoly, cli, identities
 from qpartid.bigpoly import format_poly
 from qpartid.cli import _CHUNK, _ReportWriter, main, render_report
 from qpartid.identities import CaseResult
@@ -211,6 +212,24 @@ def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
             "61eade12937446411262e81473ef5aea6398042658198465b0e881ae739a6b48",
         ),
         (
+            # the same at n, m <= 16: 867 lines, every half summed packed
+            (
+                "verify",
+                *("--family", "corollary_2_4", "--family", "corollary_3_4", "--family", "f_theorem"),
+                *("--n-max", "16", "--m-max", "16", "--workers", "1"),
+            ),
+            "0d61659fc449546d42d73a36a754ce25d6e9b0ee2412b55caf48d8760b17cc31",
+        ),
+        (
+            # count planes 41 by 41, packed at slots of 1 to 5 bytes
+            (
+                "verify",
+                *("--family", "theorem6", "--family", "theorem_simple"),
+                *("--n-max", "40", "--m-max", "40", "--p-max", "20", "--workers", "1"),
+            ),
+            "c6d1ed25734c81b0645c586b09349b99d52bb2f1471c6700fdcb0785a857ddc6",
+        ),
+        (
             # resdbl1-4 over sparse, non-contiguous a, b and c sets: 11,520 rows
             (
                 "verify",
@@ -224,13 +243,27 @@ def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
     ],
     ids=[
         "verify-all-small", "oracle-diff-8", "qpoly-grid", "single-sums-16", "triangles-12",
-        "sparse-resdbl",
+        "triangles-16", "wide-count-sums", "sparse-resdbl",
     ],
 )
 def test_tsv_report_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "tsv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of serial `verify --all --format tsv` at the default grids
+ALL_TSV_DIGEST = "f6a31a45a93ed08249f95bdf36de7bcb34120344145179e143ddf901999ee798"
+
+
+@pytest.mark.parametrize("words", [dict(bigpoly._WORDS), {}], ids=["word-path", "byte-path"])
+def test_verify_all_tsv_bytes_do_not_depend_on_the_packing_path(capsys, words):
+    # with the word table empty, as on a big-endian host, every slot moves
+    # through bytes; the store is emptied so that every row is rebuilt that way
+    with mock.patch.dict(bigpoly._WORDS, words, clear=True), mock.patch.dict(identities._ROWS, clear=True):
+        code, out, _ = run_cli(capsys, "verify", "--all", "--workers", "1", "--format", "tsv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_TSV_DIGEST
 
 
 def test_verify_sets_override_abc(capsys):

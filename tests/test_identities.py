@@ -1813,13 +1813,21 @@ def survivors(table, mutants, readers=None):
     return alive
 
 
-def test_every_corollary_spec_mutant_fails_the_default_grid_but_the_equivalents():
-    # a row is (variant, p - m, a): another variant, p - m +- 1, a +- 1 (a >= 0)
+def corollary_spec_mutants(table):
+    """(id, row) for each mutant row of a _COROLLARIES table.
+
+    A row is (variant, p - m, a): another variant, p - m +- 1, a +- 1 (a >= 0).
+    """
     mutants = []
-    for corollary_id, (variant, offset, a) in identities._COROLLARIES.items():
+    for corollary_id, (variant, offset, a) in table.items():
         mutants += [(corollary_id, (other, offset, a)) for other in RESDBL if other != variant]
         mutants += [(corollary_id, (variant, offset + d, a)) for d in (-1, 1)]
         mutants += [(corollary_id, (variant, offset, a + d)) for d in (-1, 1) if a + d >= 0]
+    return mutants
+
+
+def test_every_corollary_spec_mutant_fails_the_default_grid_but_the_equivalents():
+    mutants = corollary_spec_mutants(identities._COROLLARIES)
     assert len(mutants) == 13
     # The other signed index is equivalent: a half is (full +- (-1)^n twisted) / 2,
     # the twisted sum sum (-1)^(k+l) F(k+l) V_k U_l does not depend on which index
@@ -1828,6 +1836,45 @@ def test_every_corollary_spec_mutant_fails_the_default_grid_but_the_equivalents(
         ("corollary_2_4", ("resdbl1", 0, 0)),
         ("corollary_3_4", ("resdbl4", 1, 1)),
     }
+
+
+def halves_unlike_the_poly_mul_sums(module):
+    """The (id, row, n, m) where the packed halves of a corollary row differ from the halves summed through poly_mul.
+
+    Every row of module._COROLLARIES and every mutant row is read over its
+    default grid.  A false row's halves are not H[n] and zero, so only the
+    halves' own width bound makes them unpack to the poly_mul sums.
+    """
+    table = module._COROLLARIES
+    rows = [*table.items(), *corollary_spec_mutants(table)]
+    unlike = []
+    for corollary_id, row in rows:
+        grid = module.get_descriptor(corollary_id).default_grid
+        ns, ms = grid["n"], grid["m"]
+        with mock.patch.dict(table, {corollary_id: row}):
+            sides, _ = module._parity_halves(corollary_id, ns, ms)
+        variant, offset, a = row
+        shifted_top, sign_on = module._RESDBL[variant]
+        for n, m in itertools.product(ns, ms):
+            H = module._row(module._resdbl_h, shifted_top, m + offset, a, 1, top=n)
+            want = [
+                (module._diagonal_sum(H, n, module._diagonal_pairs(m, 1, sign_on, keep, n)).coeffs, rhs.coeffs)
+                for keep, rhs in ((n % 2, H[n]), (1 - n % 2, ZERO))
+            ]
+            if [module._poly_unkey(key) for key in sides(n, m)] != want:
+                unlike.append((corollary_id, row, n, m))
+    return unlike
+
+
+def test_the_packed_halves_are_the_poly_mul_sums_on_true_and_false_rows():
+    assert halves_unlike_the_poly_mul_sums(identities) == []
+
+
+def test_a_halves_width_bound_without_abs_fails_the_poly_mul_check():
+    # while a corollary holds its halves are H[n] and zero, which either bound
+    # holds, so no default grid sees this mutant; a false row's halves do
+    module = mutant_module("map(abs, g.coeffs)", "g.coeffs")
+    assert halves_unlike_the_poly_mul_sums(module)
 
 
 def test_every_series_spec_mutant_fails_the_default_grid_but_the_other_true_row():
@@ -1936,15 +1983,21 @@ def test_every_count_spec_mutant_fails_the_default_grid_but_the_equivalents():
 # --- sensitivity: the default grids and the growth check reject wrong code ---
 
 
+def occurrence_at(source, old, occurrence):
+    """The index of the occurrence-th copy of old in source, counting from 0."""
+    at = -1
+    for _ in range(occurrence + 1):
+        at = source.index(old, at + 1)
+    return at
+
+
 def mutant_module(old, new, occurrence=0):
     """identities with the occurrence-th copy of old in its source replaced by new.
 
     It is loaded afresh, with a store and a registry of its own.
     """
     source = inspect.getsource(identities)
-    at = -1
-    for _ in range(occurrence + 1):
-        at = source.index(old, at + 1)
+    at = occurrence_at(source, old, occurrence)
     module = types.ModuleType("qpartid.mutant")
     module.__package__ = "qpartid"
     exec(compile(source[:at] + new + source[at + len(old):], identities.__file__, "exec"), module.__dict__)
@@ -1958,20 +2011,45 @@ def mutant_module(old, new, occurrence=0):
         ("_DELTA: lambda m, j: ONE if j == 0 else ZERO", "_DELTA: lambda m, j: ONE if j == 1 else ZERO", 0, "delta"),
         ("_DELTA: lambda a, b, p: int(a == b == 0)", "_DELTA: lambda a, b, p: int(a == b == 1)", 0, "theorem_simple"),
         ("delta = [int(j == 0)", "delta = [int(j == 1)", 0, "comb01"),
+        # the q-shift of the V kernel, one step too far: q^C(j+1, 2)
+        ("binom2(j))", "binom2(j + 1))", 0, "delta"),
         # the last nonzero diagonal a case may read, j = n, dropped: in the
-        # q pairs and in each q = 1 closure
+        # q pairs, in the even and the odd packed half, and in each q = 1
+        # closure; occurrences count from the top of the module
         ("if j > n:", "if j >= n:", 0, "resdbl1"),
-        ("if j <= n)", "if j < n)", 0, "comb16"),
-        ("if j <= n)", "if j < n)", 1, "comb20"),
+        ("if j <= n)", "if j < n)", 0, "corollary_2_4"),
+        ("if j <= n)", "if j < n)", 1, "corollary_3_4"),
+        ("if j <= n)", "if j < n)", 2, "comb16"),
+        ("if j <= n)", "if j < n)", 3, "comb20"),
         # the part bound of P+
         ("count_P(a + b, b, p + 1)", "count_P(a + b, b, p)", 0, "theorem2"),
     ],
-    ids=["q-delta", "count-delta", "q1-delta", "q-pairs", "q1-triangle", "q1-half", "p-plus-bound"],
+    ids=[
+        "q-delta", "count-delta", "q1-delta", "v-shift", "q-pairs", "even-half", "odd-half", "q1-triangle",
+        "q1-half", "p-plus-bound",
+    ],
 )
 def test_every_code_mutant_fails_a_default_grid(old, new, occurrence, family):
     assert all(r.passed for r in identities.run_identity(family))
     module = mutant_module(old, new, occurrence)
     assert not all(r.passed for r in module.run_identity(family))
+
+
+@pytest.mark.parametrize(
+    "old, occurrence, line",
+    [
+        ("binom2(j))", 0, '"V": lambda m, j:'),
+        ("if j <= n)", 0, "even = sum("),
+        ("if j <= n)", 1, "odd = sum("),
+        ("if j <= n)", 2, "return sum(f[n - j] * g for j, g in g_pairs[m] if j <= n), f[n]"),
+        ("if j <= n)", 3, "return sum(f[n - j] * g for j, g in g_pairs[m, (n - parity) % 2] if j <= n)"),
+    ],
+)
+def test_each_code_mutant_sits_on_the_line_it_names(old, occurrence, line):
+    # a mutant that shifts onto other code when the module grows tests that code instead
+    source = inspect.getsource(identities)
+    at = occurrence_at(source, old, occurrence)
+    assert line in source[source.rindex("\n", 0, at) : source.index("\n", at)]
 
 
 def grown_in_two_steps(module, fill, key, first, second):
