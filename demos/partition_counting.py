@@ -10,16 +10,25 @@ from qpartid import (
     count_P_star,
     count_Q,
     count_Q_of,
+    count_tables,
     enumerate_partitions,
     evaluate_case,
 )
 
 # count_P(n, m, p): partitions of n into exactly m parts, each at most p.
-# count_Q is the same with distinct parts.  Both are exact memoized counts.
+# count_Q is the same with distinct parts.  Both are exact one-shot counts,
+# each expanded from one rolling list of n + 1 integers.
 print("P(10, m, 4) and Q(10, m, 4) by number of parts m")
 print("  m   P   Q")
 for m in range(8):
     print(f"  {m}  {count_P(10, m, 4):2d}  {count_Q(10, m, 4):2d}")
+
+# A verification run reads its counts from one fill instead: the tables
+# t_p[n][m] for every p up to a bound, built layer by layer from the
+# smallest-part recurrence, which shares no code with the one-shot counts.
+P, Q = (count_tables(11, 8, 4, distinct) for distinct in (False, True))
+print("the fill agrees at n = 10, p = 4:", P[4][10] == [count_P(10, m, 4) for m in range(8)]
+      and Q[4][10] == [count_Q(10, m, 4) for m in range(8)])
 
 # The enumeration oracle produces the actual partitions, so any count can be
 # spot-checked against a list you can read.

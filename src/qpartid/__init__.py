@@ -2,7 +2,8 @@
 
 The polynomial layer (bigpoly) and the bracket constructors (qbinom) build
 both sides of every q-identity; the counting layer (partitions) carries the
-memoized counts and the brute-force enumeration oracle that anchors them;
+count table fill, the one-shot counts and the brute-force enumeration oracle
+that anchors them;
 identities holds the executable registry the CLI iterates over.
 """
 
@@ -40,12 +41,8 @@ from .identities import (
 from .partitions import (
     ORACLE_LIMIT_DEFAULT,
     UNBOUNDED,
-    CountTable,
     PartitionSpec,
     box_count,
-    box_count_P,
-    box_count_Q,
-    box_count_Q_star,
     count_P,
     count_P_most,
     count_P_nm,
@@ -56,6 +53,7 @@ from .partitions import (
     count_Q_nm,
     count_Q_of,
     count_Q_star,
+    count_tables,
     enumerate_partitions,
     oracle_counts,
 )

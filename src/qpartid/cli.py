@@ -68,13 +68,16 @@ from .identities import (
 from .partitions import (
     ORACLE_LIMIT_DEFAULT,
     UNBOUNDED,
-    box_count,
-    box_count_P,
-    box_count_Q,
-    box_count_Q_star,
     box_counts,
     count_P,
+    count_P_most,
+    count_P_of,
+    count_P_star,
     count_Q,
+    count_Q_most,
+    count_Q_of,
+    count_Q_star,
+    count_tables,
     oracle_counts,
 )
 
@@ -542,16 +545,16 @@ def cmd_verify(args) -> int:
     return run_verify(config, args.out)
 
 
-# one query each, so the one-shot box counts answer without filling the memo
+# one query each, answered by the one-shot counts
 _TABLE_FUNCS = {
-    "P": (("n", "m"), ("p",), box_count_P),
-    "Q": (("n", "m"), ("p",), box_count_Q),
-    "Pstar": (("n", "m"), ("p",), box_count),
-    "Qstar": (("n", "m"), ("p",), box_count_Q_star),
-    "Pmost": (("n",), ("p",), lambda n, p: box_count(n, UNBOUNDED, p)),
-    "Qmost": (("n",), ("p",), lambda n, p: box_count_Q_star(n, n, p)),
-    "Pn": (("n",), (), lambda n: box_count(n, UNBOUNDED, UNBOUNDED)),
-    "Qn": (("n",), (), lambda n: box_count_Q_star(n, n, UNBOUNDED)),
+    "P": (("n", "m"), ("p",), count_P),
+    "Q": (("n", "m"), ("p",), count_Q),
+    "Pstar": (("n", "m"), ("p",), count_P_star),
+    "Qstar": (("n", "m"), ("p",), count_Q_star),
+    "Pmost": (("n",), ("p",), count_P_most),
+    "Qmost": (("n",), ("p",), count_Q_most),
+    "Pn": (("n",), (), count_P_of),
+    "Qn": (("n",), (), count_Q_of),
 }
 
 
@@ -602,18 +605,19 @@ _ORACLE_PASS = (True, "", "", None)
 
 
 def _oracle_cases(n_max: int, oracle_limit: int) -> list[CaseResult]:
-    """One case per (n, m, p), n <= n_max: the DP counts against enumeration.
+    """One case per (n, m, p), n <= n_max: the DP counts, from one fill of P and one of Q, against enumeration.
 
     Every case shares one names tuple, and every passing case one verdict.
     """
     results = []
     append, make = results.append, CaseResult._make
+    P, Q = (count_tables(n_max + 1, n_max + 1, n_max, distinct) for distinct in (False, True))
     for n in range(n_max + 1):
         plain_counts, distinct_counts = oracle_counts(n, oracle_limit)
         for m in range(n + 1):
             for p in range(n + 1):
                 plain, distinct = plain_counts[m][p], distinct_counts[m][p]
-                dp_p, dp_q = count_P(n, m, p), count_Q(n, m, p)
+                dp_p, dp_q = P[p][n][m], Q[p][n][m]
                 if plain == dp_p and distinct == dp_q:
                     verdict = _ORACLE_PASS
                 else:

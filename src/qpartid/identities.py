@@ -38,16 +38,18 @@ evaluator:
   half has many nonzero diagonals, so its prepare packs F and them, and a
   half is summed as packed ints and unpacked only when it differs from its
   right side.
-* counting: the memoized partition counts.  The dilated, signed 2-D
-  convolutions are rows of _COUNT_SUMS.  At one p a side over every (n, m)
-  is one grid g[n][m]: a row side is the coefficient table of
-  A(x, y) B(x^d, y^d), built by packed integer products (bigpoly.grid_mul),
-  a kernel alone (delta and zero among them) its kernel table.  _count_sums
-  reads both sides of a case from those grids, and genfun_table expands the
-  generating functions into integer tables.  Nine _COUNT_SUMS rows are
-  _Q_SUMS rows read over count kernels (see the count section); only
-  theorem2 and qstar_relation keep spec rows of their own.  Euler's two convolutions, pn_from_q and
-  qn_double_sum, are the two rows of _SERIES_SUMS, read by _series_sums.
+* counting: exact partition counts, read from the P and Q tables that each
+  family's prepare fills once for its own grid (partitions.count_tables).
+  The dilated, signed 2-D convolutions are rows of _COUNT_SUMS.  At one p a
+  side over every (n, m) is one grid g[n][m]: a row side is the coefficient
+  table of A(x, y) B(x^d, y^d), built by packed integer products
+  (bigpoly.grid_mul), a kernel alone (delta and zero among them) its kernel
+  table.  _count_sums reads both sides of a case from those grids, and
+  genfun_table expands the generating functions into integer tables.  Nine
+  _COUNT_SUMS rows are _Q_SUMS rows read over count kernels (see the count
+  section); only theorem2 and qstar_relation keep spec rows of their own.
+  Euler's two convolutions, pn_from_q and qn_double_sum, are the two rows of
+  _SERIES_SUMS, read by _series_sums over series expanded from products.
 * combinatorial at q = 1: big-integer binomials that never touch the
   polynomial layer.  Each row of _COMB_SUMS names the q row it specialises:
   comb01-15 and comb23-26 a _Q_SUMS row and a residue r, read by _comb_side
@@ -57,18 +59,19 @@ evaluator:
 
 A side of every layer is a kernel name or a row; delta (1 at index 0, else
 0) and, on the count side, zero are kernels like any other, so no reader
-has a case of its own for them.  Every exact row a case reads (the kernels
-and their coefficient sums, the diagonals, the resdbl F rows, the rows of
-the count tables, the series p(x), q(x) and s(k), the binomial rows) is a
-plain list in one store, _ROWS, and _row is its one writer: the row under
-(fill, *key) is filled by range, fill(*key, js) giving its entries at the
-indices js, built by a family's prepare hook to its grid's extent and
-grown in place when a later grid reaches further, never rebuilt.  What is
-sized to one grid belongs to that grid's run alone: its verdict memo, the
-kernels it packs at the slot width its own grid needs, and its count
-planes, built at exactly its grid's extent.
+has a case of its own for them.  Every exact row a q or q = 1 case reads
+(the kernels and their coefficient sums, the diagonals, the resdbl F rows,
+the binomial rows) is a plain list in one store, _ROWS, and _row is its one
+writer: the row under (fill, *key) is filled by range, fill(*key, js)
+giving its entries at the indices js, built by a family's prepare hook to
+its grid's extent and grown in place when a later grid reaches further,
+never rebuilt.  What is sized to one grid belongs to that grid's run alone:
+its verdict memo, the kernels it packs at the slot width its own grid
+needs, and every count it reads: its count tables, kernel tables, planes
+and series, built at exactly its grid's extent.
 
-The remaining count chains are written out.
+pmost_chain, qnmp_correspondence and genfun have prepares of their own,
+each reading P and Q tables filled for its run.
 
 Sixth-root-of-unity weights stay float-free: cos(j*pi/3) is a half-integer,
 so cosine-weighted identities are verified doubled with the integer table
@@ -103,19 +106,7 @@ from .bigpoly import (
     slot_width,
     unpack,
 )
-from .partitions import (
-    UNBOUNDED,
-    box_count,
-    count_P,
-    count_P_nm,
-    count_P_of,
-    count_P_star,
-    count_Q,
-    count_Q_most,
-    count_Q_nm,
-    count_Q_of,
-    fewest_parts,
-)
+from .partitions import UNBOUNDED, box_counts, count_tables, distinct_series
 from .qbinom import binom, binom2, bracket_base
 
 # ---------------------------------------------------------------------------
@@ -401,16 +392,12 @@ def _require_domain(names: Sequence[str], axes: Sequence[Sequence[int]]) -> None
 # (_q_kernel, name, m) and their coefficient sums under (_q_norm, name, m).
 # Each triangle diagonal row sits under (_diagonal, m, b, sign_on, keep), and
 # each double sum's or corollary's F row under (_resdbl_h, top form, p, a, c).
-# The count layer keeps each kernel table as one row per a, under
-# (_count_entry, name, p, a); the series rows p(x) and q(x) sit under
-# (_count_of, distinct) and the signed sums s(k) = sum_l (-1)^l Q(k, l) under
-# (_signed_distinct,).  delta and zero are kernels here like any other, with
-# rows of their own, so no reader builds a constant grid.  No weight is kept
-# here: the weights are the constant _PERIOD_WEIGHTS.  Every row here is
+# delta is a kernel here like any other, with rows of its own.  No weight is
+# kept here: the weights are the constant _PERIOD_WEIGHTS.  Every row here is
 # exact, so what a family reads does not depend on which family grew it.
 # What is sized to one grid stays with that grid's run: the packed kernels,
-# read at the slot width the family's own bound sets, the count planes, and
-# the nonzero diagonals its prepare binds.
+# read at the slot width the family's own bound sets, the nonzero diagonals
+# its prepare binds, and the whole count layer, which keeps nothing here.
 
 _ROWS: dict[tuple, list] = {}
 
@@ -819,10 +806,9 @@ def _finish_f_theorem(keys, tamper: bool = False) -> tuple:
 #
 # A count side reads the _Q_SUMS grammar over count kernels at the case's p.
 # The kernels are named after the q kernels they stand in for, so a _Q_SUMS
-# row reads here as it stands: U is count_P and V is count_Q.  Q*, P* and P+
-# are count_Q_star, count_P_star and (a, b) -> count_P(a+b, b, p+1); the star
-# rows are running sums of V and U along b (_RUNNING_SUMS).  delta is 1 at
-# (0, 0), else 0, and zero is 0 everywhere.
+# row reads here as it stands: U is P(a, b, p) and V is Q(a, b, p).  Q*, P*
+# and P+ are the running sums of V and U along b and (a, b) -> P(a+b, b, p+1).
+# delta is 1 at (0, 0), else 0, and zero is 0 everywhere.
 # A side is a kernel at (n, m) or a row (scale, A, B, d, w) meaning
 #     scale * sum_{k <= n/d, l <= m/d} w(l) A(n-dk, m-dl) B(k, l).
 # The angle weights read m: 2cos((2l-m)pi/3) and 2sin((m-2l)pi/3)/sqrt(3).
@@ -833,13 +819,14 @@ def _finish_f_theorem(keys, tamper: bool = False) -> tuple:
 # since 2l mod 6 is 2(l mod 3).  So B splits into nonnegative classes by
 # l mod the period, each class is one bigpoly.grid_mul, and the classes are
 # summed per column m with their integer weights.  A row side is then one
-# plane S[n][m] per (side, p), built by the family's prepare at exactly
-# max(ns) + 1 rows and max(ms) + 1 columns and held by that family run
-# alone, so it is freed when the run ends.  The planes read their kernels
-# from the table t[a][b] = kernel(a, b) per (kernel, p), whose row a is the
-# stored row under (_count_entry, kernel, p, a), and a side that is a kernel
-# alone is that table.  So every side is a grid g[n][m] and a case is one
-# lookup per side.
+# plane S[n][m] per (side, p).  Every count a family reads, here and in
+# pmost_chain, qnmp_correspondence and genfun, comes from the P and Q layers
+# that its prepare fills once with partitions.count_tables, at exactly its
+# grid's extent; they, the kernel tables t[a][b] read from them, and the
+# planes are held by that family run alone, so they are freed when the run
+# ends and a family's timing does not depend on which family ran before it.
+# A side that is a kernel alone is its table, so every side is a grid
+# g[n][m] and a case is one lookup per side.
 #
 # So the count rows are _Q_SUMS rows, with the sides swapped where the paper
 # states them the other way round, except theorem2 and qstar_relation: no q
@@ -848,31 +835,26 @@ def _finish_f_theorem(keys, tamper: bool = False) -> tuple:
 
 _NIL = "zero"
 
-# Each kernel calls its count by module-global name, as fills do.
+# Each kernel's table at part bound p, t[a][b] for a < rows and b < cols, read
+# from the run's P and Q layers; P reaches row rows + cols - 2 and layer p + 1
+# when P+ is read.  P*(a, b) = sum_{k <= b} P(a, k) and Q*(a, b) likewise.
 _COUNT_KERNELS = {
-    "U": lambda a, b, p: count_P(a, b, p),
-    "V": lambda a, b, p: count_Q(a, b, p),
-    "P+": lambda a, b, p: count_P(a + b, b, p + 1),
-    _DELTA: lambda a, b, p: int(a == b == 0),
-    _NIL: lambda a, b, p: 0,
+    "U": lambda P, Q, p, rows, cols: P[p][:rows],
+    "V": lambda P, Q, p, rows, cols: Q[p],
+    "P+": lambda P, Q, p, rows, cols: [[P[p + 1][a + b][b] for b in range(cols)] for a in range(rows)],
+    "P*": lambda P, Q, p, rows, cols: [list(itertools.accumulate(row)) for row in P[p][:rows]],
+    "Q*": lambda P, Q, p, rows, cols: [list(itertools.accumulate(row)) for row in Q[p]],
+    _DELTA: lambda P, Q, p, rows, cols: [[int(a == b == 0) for b in range(cols)] for a in range(rows)],
+    _NIL: lambda P, Q, p, rows, cols: [[0] * cols] * rows,
 }
-# P*(a, b) = sum_{k <= b} P(a, k) and Q*(a, b) = sum_{k <= b} Q(a, k): each
-# star row is the running sum along b of the row it names
-_RUNNING_SUMS = {"P*": "U", "Q*": "V"}
 
 
-def _count_entry(name: str, p: int, a: int, bs: range) -> list[int]:
-    """The kernel named name at (a, b) for b in bs, with part bound p.
-
-    A star row is summed afresh from b = 0 over its term row, so a fill never
-    reads the row it is filling.
-    """
-    terms = _RUNNING_SUMS.get(name)
-    if terms is not None:
-        summed = _row(_count_entry, terms, p, a, top=bs.stop - 1)
-        return list(itertools.accumulate(summed[: bs.stop]))[bs.start :]
-    kernel = _COUNT_KERNELS[name]
-    return [kernel(a, b, p) for b in bs]
+def _count_kernels(names: set, ps, rows: int, cols: int) -> dict[int, dict[str, list[list[int]]]]:
+    """Per p in ps, each named kernel's table t[a][b] for a < rows and b < cols, from one P fill and one Q fill."""
+    wide = "P+" in names
+    P = count_tables(rows + (cols - 1) * wide, cols, max(ps) + wide)
+    Q = count_tables(rows, cols, max(ps), distinct=True)
+    return {p: {name: _COUNT_KERNELS[name](P, Q, p, rows, cols) for name in names} for p in ps}
 
 
 _COUNT_SUMS = {
@@ -890,19 +872,17 @@ _COUNT_SUMS = {
 }
 
 
-def _count_table(name: str, p: int, rows: int, cols: int) -> list[list[int]]:
-    """t[a][b] = kernel(a, b) at part bound p, for a < rows and at least b < cols: the stored rows a < rows."""
-    return [_row(_count_entry, name, p, a, top=cols - 1) for a in range(rows)]
+def _count_plane(side, kernels: dict[str, list[list[int]]], rows: int, cols: int) -> list[list[int]]:
+    """S[n][m], the row side at every n < rows, m < cols, from one grid product per weight class.
 
-
-def _count_plane(side, p: int, rows: int, cols: int) -> list[list[int]]:
-    """S[n][m], the row side at every n < rows, m < cols, from one grid product per weight class."""
+    kernels holds the kernel tables of one p.
+    """
     scale, a, b, d, weight = side
     periods = _PERIOD_WEIGHTS[weight]
     period = len(periods[0])
-    outer = [row[:cols] for row in _count_table(a, p, rows, cols)]
+    outer = kernels[a]
     inner_rows, inner_cols = (rows - 1) // d + 1, (cols - 1) // d + 1
-    inner = [row[:inner_cols] for row in _count_table(b, p, inner_rows, inner_cols)]
+    inner = [row[:inner_cols] for row in kernels[b][:inner_rows]]
     # class c keeps B's cells at l = c (mod period) and weighs w(c) at column m
     classes = []
     for c in range(period):
@@ -921,8 +901,10 @@ def _count_sums(spec, ns, ms, ps):
     A kernel's grid is its table, a row's its plane.
     """
     rows, cols = max(ns) + 1, max(ms) + 1
+    names = {name for side in spec for name in ((side,) if isinstance(side, str) else side[1:3])}
+    kernels = _count_kernels(names, ps, rows, cols)
     left, right = (
-        {p: (_count_table if isinstance(side, str) else _count_plane)(side, p, rows, cols) for p in ps}
+        {p: kernels[p][side] if isinstance(side, str) else _count_plane(side, kernels[p], rows, cols) for p in ps}
         for side in spec
     )
 
@@ -932,49 +914,52 @@ def _count_sums(spec, ns, ms, ps):
     return sides, _finish_pair
 
 
-def _each_case(sides, finish, *axes):
-    """The prepare of a family with nothing to build ahead: its cases call sides as they come."""
-    return sides, finish
+def _pmost_chain(ns, ps):
+    """The prepare of pmost_chain: per p, the one-shot box counts, and P layers through p + 1 and Q layers through p.
 
+    Pair 1's left side is box_counts, so pairs 1 and 2 test the fill rather
+    than restate it.  P(x, p) with unbounded parts is read by conjugation as
+    the partitions of x with largest part exactly p, the difference of two
+    layers' row sums, so no layer past p + 1 is filled.
+    """
+    top, p_top = max(ns), max(ps)
+    # pair 3 reads row 2n, and the row sums reach x = n + p, which has at most x parts
+    P = count_tables(max(2 * top, top + p_top) + 1, top + p_top + 1, p_top + 1)
+    # m distinct parts of size at most p need m <= p
+    Q = count_tables(top + 1, min(top, p_top) + 1, p_top, distinct=True)
+    most = [[sum(row) for row in layer[: top + p_top + 1]] for layer in P]
+    distinct_most = [[sum(row) for row in layer] for layer in Q]
+    boxes = {p: box_counts(top, UNBOUNDED, p) for p in ps}
 
-def _pairs_pmost_chain(n, p):
-    # the one-shot box count, so pairs 1 and 2 test the memo rather than restate it
-    most = box_count(n, UNBOUNDED, p)
-    exact_sum = sum(count_P(n, k, p) for k in range(fewest_parts(n, p), n + 1))
-    convolution = sum(
-        count_Q_most(n - 2 * k, p) * count_P_nm(p + k, p) for k in range(n // 2 + 1)
-    )
-    return (
-        (most, exact_sum),
-        (most, count_P_star(n, n, p)),
-        (most, count_P(2 * n, n, p + 1)),
-        (most, count_P_nm(n + p, p)),
-        (count_P_nm(n + p, p), convolution),
-    )
+    def exactly(x, p):
+        return most[p][x] - (most[p - 1][x] if p else 0)
 
+    def pairs(n, p):
+        box, unbounded = boxes[p][n], exactly(n + p, p)
+        convolution = sum(distinct_most[p][n - 2 * k] * exactly(p + k, p) for k in range(n // 2 + 1))
+        return (
+            (box, most[p][n]),
+            (box, sum(P[p][n][: n + 1])),
+            (box, P[p + 1][2 * n][n]),
+            (box, unbounded),
+            (unbounded, convolution),
+        )
 
-def _count_of(distinct: bool, xs: range) -> list[int]:
-    count = count_Q_of if distinct else count_P_of
-    return [count(x) for x in xs]
-
-
-def _signed_distinct(ks: range) -> list[int]:
-    """sum_l (-1)^l Q(k, l) for k in ks, over the l with C(l+1, 2) <= k: past them Q(k, l) is 0."""
-    row = []
-    for k in ks:
-        total, l = 0, 0
-        while l * (l + 1) // 2 <= k:
-            total += count_Q_nm(k, l) * (1 - 2 * (l % 2))
-            l += 1
-        row.append(total)
-    return row
+    return pairs, _finish_pairs
 
 
 # Euler's two convolutions, P(x) = Q(x) P(x^2) and Q(x) = P(x) (x^2; x^2)_inf,
 # read at x^n: a row (left, A, B) states left[n] = sum_k A[n-2k] B[k] over the
-# series p(x), q(x) and s(k) = sum_l (-1)^l Q(k, l).  qn_double_sum's statement
-# runs l to floor(n/2); that sum does not depend on n, so it is one row over k.
-_SERIES = {"p": (_count_of, False), "q": (_count_of, True), "s": (_signed_distinct,)}
+# series p(x), q(x) and s(k) = sum_l (-1)^l Q(k, l), which is [x^k] prod (1 - x^j)
+# by the distinct-part generating function at z = -1.  qn_double_sum's
+# statement runs l to floor(n/2); that sum does not depend on n, so it is one
+# row over k.  Each series is one rolling list, expanded by the family's
+# prepare to its grid's extent.
+_SERIES = {
+    "p": lambda top: box_counts(top, UNBOUNDED, UNBOUNDED),
+    "q": lambda top: distinct_series(top, 1),
+    "s": lambda top: distinct_series(top, -1),
+}
 
 _SERIES_SUMS = {
     "pn_from_q": ("p", "q", "p"),
@@ -986,7 +971,7 @@ def _series_sums(identity_id: str, ns):
     """The prepare of a series row: left and A through max(ns), B through max(ns) // 2."""
     lhs, a, b = (_SERIES[name] for name in _SERIES_SUMS[identity_id])
     top = max(ns)
-    left, outer, inner = _row(*lhs, top=top), _row(*a, top=top), _row(*b, top=top // 2)
+    left, outer, inner = lhs(top), a(top), b(top // 2)
 
     def pair(n):
         return left[n], _weighted_sum((1,), outer, inner, n, 2)
@@ -994,8 +979,20 @@ def _series_sums(identity_id: str, ns):
     return pair, _finish_pair
 
 
-def _pair_qnmp_correspondence(n, m, p):
-    return count_Q(n, m, p), count_P(n - m * (m - 1) // 2, m, p - m + 1)
+def _qnmp_correspondence(ns, ms, ps):
+    """The prepare of qnmp_correspondence, Q(n, m, p) = P(n - C(m, 2), m, p - m + 1).
+
+    Q is filled through layer max(ps) and P through max(ps) + 1.
+    """
+    rows, cols, p_top = max(ns) + 1, max(ms) + 1, max(ps)
+    Q = count_tables(rows, cols, p_top, distinct=True)
+    P = count_tables(rows, cols, p_top + 1)
+
+    def pair(n, m, p):
+        a, q = n - m * (m - 1) // 2, p - m + 1
+        return Q[p][n][m], P[q][a][m] if a >= 0 and q >= 0 else 0
+
+    return pair, _finish_pair
 
 
 # --- generating functions ---------------------------------------------------
@@ -1027,25 +1024,37 @@ def genfun_table(p: int, q_order: int, z_degree: int, distinct: bool) -> list[li
     return c
 
 
-def _pairs_genfun(p, q_order=GENFUN_Q_ORDER, z_degree=GENFUN_Z_DEGREE):
-    p_table = genfun_table(p, q_order, z_degree, distinct=False)
-    q_table = genfun_table(p, q_order, z_degree, distinct=True)
-    pairs = []
-    for mm in range(z_degree + 1):
-        for nn in range(q_order + 1):
-            pairs.append((p_table[mm][nn], count_P(nn, mm, p)))
-            pairs.append((q_table[mm][nn], count_Q(nn, mm, p)))
-    return tuple(pairs)
+def _genfun(ps, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z_DEGREE):
+    """The prepare of genfun: P and Q layers through max(ps) at n <= q_order and m <= z_degree.
+
+    A case's pairs set each coefficient of the two expanded products against
+    the count it should be, P(n, m, p) and Q(n, m, p) in turn.
+    """
+    P, Q = (count_tables(q_order + 1, z_degree + 1, max(ps), distinct) for distinct in (False, True))
+
+    def pairs(p):
+        p_table = genfun_table(p, q_order, z_degree, distinct=False)
+        q_table = genfun_table(p, q_order, z_degree, distinct=True)
+        return tuple(
+            pair
+            for mm in range(z_degree + 1)
+            for nn in range(q_order + 1)
+            for pair in ((p_table[mm][nn], P[p][nn][mm]), (q_table[mm][nn], Q[p][nn][mm]))
+        )
+
+    return pairs, _finish_pairs
 
 
 def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z_DEGREE,
                  tamper: bool = False) -> CaseResult:
     """Expand both bounded-part products and compare every q^n z^m coefficient.
 
-    The reciprocal product must reproduce count_P(n, m, p) and the plain
-    product count_Q(n, m, p), for all n <= q_order, m <= z_degree.
+    The reciprocal product must reproduce P(n, m, p) and the plain product
+    Q(n, m, p), for all n <= q_order, m <= z_degree, as partitions.count_tables
+    fills them.
     """
-    return CaseResult._make((("p",), (p,), _finish_pairs(_pairs_genfun(p, q_order, z_degree), tamper)))
+    pairs, finish = _genfun([p], q_order, z_degree)
+    return CaseResult._make((("p",), (p,), finish(pairs(p), tamper)))
 
 
 # ---------------------------------------------------------------------------
@@ -1223,14 +1232,14 @@ def _build_registry() -> list[IdentityDescriptor]:
     for identity_id, spec in _COUNT_SUMS.items():
         add(identity_id, count, _NMP, nmp, partial(_count_sums, spec))
     pmost_grid = {"n": _rng(15), "p": _rng(15)}
-    add("pmost_chain", count, ("n", "p"), pmost_grid, partial(_each_case, _pairs_pmost_chain, _finish_pairs))
+    add("pmost_chain", count, ("n", "p"), pmost_grid, _pmost_chain)
     for identity_id in _SERIES_SUMS:
         add(identity_id, count, ("n",), {"n": _rng(40)}, partial(_series_sums, identity_id))
     corr_grid = {"n": _rng(15), "m": _rng(15), "p": _rng(15)}
     for identity_id, params, grid, prepare in (
         ("pnmp_correspondence", _NMP, corr_grid, partial(_count_sums, ("P*", "P+"))),
-        ("qnmp_correspondence", _NMP, corr_grid, partial(_each_case, _pair_qnmp_correspondence, _finish_pair)),
-        ("genfun", ("p",), {"p": _rng(6)}, partial(_each_case, _pairs_genfun, _finish_pairs)),
+        ("qnmp_correspondence", _NMP, corr_grid, _qnmp_correspondence),
+        ("genfun", ("p",), {"p": _rng(6)}, _genfun),
     ):
         add(identity_id, count, params, grid, prepare)
 

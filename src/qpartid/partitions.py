@@ -9,16 +9,20 @@ arguments freely.  m == 0 counts the empty partition: 1 if n == 0 else 0,
 for any p.  The unbounded part-size sentinel is UNBOUNDED (p = n suffices,
 since no part of a partition of n can exceed n).
 
-Both counts come from one recurrence that splits on the smallest part:
-either it is 1 and is dropped, or 1 comes off every part.  For P the
-children are (n-1, m-1, p) and (n-m, m, p-1).  For Q a dropped 1 leaves
-distinct parts >= 2, which lose 1 each too, so the children are
-(n-m, m-1, p-1) and (n-m, m, p-1) and n falls by m at every step.
+Counts come from two independent sources, and neither keeps anything
+between calls:
 
-Single queries (the CLI's table and gauss commands) go through box_counts
-and its reductions instead: each expands one rolling list of n+1 integers
-and never touches the memo, which would keep a key for every argument its
-recurrence reaches.
+* count_tables fills the tables t_p[n][m] = P(n, m, p), or Q(n, m, p), for
+  p = 0..p_max, one layer at a time, from the recurrence that splits on the
+  smallest part: either it is 1 and is dropped, or 1 comes off every part.
+  For P that gives P(n, m, p) = P(n-1, m-1, p) + P(n-m, m, p-1).  For Q a
+  dropped 1 leaves distinct parts >= 2, which lose 1 each too, so
+  Q(n, m, p) = Q(n-m, m-1, p-1) + Q(n-m, m, p-1).  A verification run fills
+  the tables its grid reaches, once, and reads every count from them.
+* The one-shot counts (box_counts and the count_* functions built on it)
+  expand one rolling list of n+1 integers per query, and distinct_series
+  expands the signed products prod (1 +- x^j), which give the distinct-part
+  series.
 
 The enumerators share no code with the DP recurrences: they generate the
 actual partitions, so they can anchor the counts.  enumerate_partitions
@@ -33,161 +37,41 @@ so the tests check one against the other.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import isqrt
 from typing import NamedTuple, Optional
 
 UNBOUNDED = None
 ORACLE_LIMIT_DEFAULT = 30
 
 
-class CountTable:
-    """Memoized P and Q counts from the one smallest-part recurrence.
+def count_tables(rows: int, cols: int, p_max: int, distinct: bool = False) -> list[list[list[int]]]:
+    """[t_0, ..., t_p_max]: t_p[n][m] = P(n, m, p), or Q(n, m, p) when distinct, for n < rows and m < cols.
 
-    The memo maps are unbounded.  Every Q step takes m off n, so a fill
-    reaches few keys: the distinct-part count q(300) leaves 3,878.
+    Layer 0 holds the empty partition alone, and each later layer is filled
+    from itself and the layer below by the smallest-part recurrence, row n
+    ascending.  No part of an n < rows exceeds rows - 1, so every layer past
+    rows - 1 is that layer, one list object.
     """
-
-    def __init__(self):
-        self.memo_P: dict[tuple[int, int, int], int] = {}
-        self.memo_Q: dict[tuple[int, int, int], int] = {}
-
-    def count_P(self, n: int, m: int, p: Optional[int]) -> int:
-        return _count(self.memo_P, False, n, m, p)
-
-    def count_Q(self, n: int, m: int, p: Optional[int]) -> int:
-        return _count(self.memo_Q, True, n, m, p)
-
-
-def _entry(distinct: bool, n: int, m: int, p: Optional[int]):
-    """The count when the base rules decide it, else its canonical memo key.
-
-    m parts fit in n when m <= n <= m*p; distinct parts need the staircase
-    0, 1, ..., m-1 on top of that, which narrows the band by C(m, 2) at
-    both ends.
-    """
-    if m == 0:
-        return 1 if n == 0 else 0
-    if p is UNBOUNDED or p > n:
-        p = n  # a part never exceeds n; canonicalizes the memo key
-    stair = m * (m - 1) // 2 if distinct else 0
-    if m < 0 or p < 0 or not m + stair <= n <= m * p - stair:
-        return 0
-    return (n, m, p)
+    layers = [[[int(n == m == 0) for m in range(cols)] for n in range(rows)]]
+    top = min(p_max, rows - 1)
+    for p in range(1, top + 1):
+        lower, layer = layers[-1], []
+        for n in range(rows):
+            # m parts need n >= m, so cells past column n stay 0
+            reach = range(1, min(n, cols - 1) + 1)
+            if distinct:
+                row = [int(n == 0)] + [lower[n - m][m - 1] + lower[n - m][m] for m in reach]
+            else:
+                prev = layer[n - 1] if n else None
+                row = [int(n == 0)] + [prev[m - 1] + lower[n - m][m] for m in reach]
+            layer.append(row + [0] * (cols - len(row)))
+        layers.append(layer)
+    layers += [layers[-1]] * (p_max - top)
+    return layers[: p_max + 1]
 
 
-def _children(distinct: bool, n: int, m: int, p: int):
-    """The two entries that sum to (n, m, p): smallest part 1, or larger."""
-    if distinct:
-        ones = _entry(True, n - m, m - 1, p - 1)
-    else:
-        ones = _entry(False, n - 1, m - 1, p)
-    return ones, _entry(distinct, n - m, m, p - 1)
-
-
-def _count(memo: dict, distinct: bool, n: int, m: int, p: Optional[int]) -> int:
-    """P(n, m, p), or Q(n, m, p) when distinct, from memo, filling it first.
-
-    An explicit stack replaces recursion, so a long chain of misses is
-    bounded by memory rather than by the interpreter's recursion limit.
-    """
-    key = _entry(distinct, n, m, p)
-    if type(key) is int:
-        return key
-    get = memo.get
-    val = get(key)
-    if val is not None:
-        return val
-    stack = [key]
-    while stack:
-        top = stack[-1]
-        a, b = _children(distinct, *top)
-        val_a = a if type(a) is int else get(a)
-        val_b = b if type(b) is int else get(b)
-        if val_a is None or val_b is None:
-            if val_a is None:
-                stack.append(a)
-            if val_b is None:
-                stack.append(b)
-            continue
-        memo[top] = val_a + val_b
-        stack.pop()
-    return memo[key]
-
-
-_default_table = CountTable()
-# read straight from the module functions, so a memo hit skips the method call
-_memo_P, _memo_Q = _default_table.memo_P, _default_table.memo_Q
-
-
-def count_P(n: int, m: int, p: Optional[int]) -> int:
-    """Partitions of n into exactly m parts, each at most p (UNBOUNDED allowed)."""
-    return _count(_memo_P, False, n, m, p)
-
-
-def count_Q(n: int, m: int, p: Optional[int]) -> int:
-    """Partitions of n into exactly m distinct parts, each at most p."""
-    return _count(_memo_Q, True, n, m, p)
-
-
-def fewest_parts(n: int, p: Optional[int]) -> int:
-    """The least part count k that can hold n in parts of size at most p, which hold at most k*p.
-
-    0 for n <= 0 or an unbounded p, and n + 1, past every k <= n, when n > 0 and p <= 0.
-    """
-    if n <= 0 or p is UNBOUNDED:
-        return 0
-    return -(-n // p) if p > 0 else n + 1
-
-
-def count_P_star(n: int, m: int, p: Optional[int]) -> int:
-    """Partitions of n into at most m parts, each at most p."""
-    # P(n, k, p) is 0 once k > n, and while k*p < n
-    return sum(count_P(n, k, p) for k in range(fewest_parts(n, p), min(m, n) + 1))
-
-
-def count_Q_star(n: int, m: int, p: Optional[int]) -> int:
-    """Partitions of n into at most m distinct parts, each at most p."""
-    # Q(n, k, p) is 0 once 1 + 2 + ... + k = C(k+1, 2) > n, and once k > p:
-    # k distinct parts need k sizes of at most p
-    top = min(m, (isqrt(8 * n + 1) - 1) // 2) if n >= 0 else -1
-    if p is not UNBOUNDED:
-        top = min(top, max(p, 0))
-    return sum(count_Q(n, k, p) for k in range(top + 1))
-
-
-def count_P_most(n: int, p: Optional[int]) -> int:
-    """Partitions of n with each part at most p, any number of parts."""
-    return count_P_star(n, n, p)
-
-
-def count_Q_most(n: int, p: Optional[int]) -> int:
-    """Partitions of n into distinct parts, each at most p."""
-    return count_Q_star(n, n, p)
-
-
-def count_P_of(n: int) -> int:
-    """The unrestricted partition count."""
-    return count_P_most(n, UNBOUNDED)
-
-
-def count_Q_of(n: int) -> int:
-    """Partitions of n into distinct parts."""
-    return count_Q_most(n, UNBOUNDED)
-
-
-def count_P_nm(n: int, m: int) -> int:
-    """Partitions of n into exactly m parts, part size unbounded."""
-    return count_P(n, m, UNBOUNDED)
-
-
-def count_Q_nm(n: int, m: int) -> int:
-    """Partitions of n into exactly m distinct parts, part size unbounded."""
-    return count_Q(n, m, UNBOUNDED)
-
-
-# --- one-shot counts for single queries --------------------------------------
+# --- one-shot counts ---------------------------------------------------------
 #
-# A single query needs no memo: the partitions of N into at most r parts,
+# A single query needs no table: the partitions of N into at most r parts,
 # each at most s, fill an r-by-s box, so by conjugation their count is the
 # coefficient of q^N in the Gaussian polynomial [a+b, a] with a = min(r, s)
 # and b = max(r, s).  That polynomial is prod_{i=1..a} (1 - q^(b+i)) / (1 - q^i),
@@ -222,8 +106,22 @@ def box_count(n: int, max_parts: Optional[int], max_part: Optional[int]) -> int:
     return box_counts(n, max_parts, max_part)[n] if n >= 0 else 0
 
 
-def box_count_P(n: int, m: int, p: Optional[int]) -> int:
-    """count_P(n, m, p) without the memo.
+def distinct_series(n: int, sign: int) -> list[int]:
+    """c[t] = sum_l sign^l Q(t, l) for t <= n: the coefficients of prod_{j>=1} (1 + sign x^j).
+
+    sign = 1 counts the partitions of t into distinct parts; sign = -1 gives
+    Euler's pentagonal series.  Each factor is multiplied in place, t
+    descending, so c[t - j] is still the product before that factor.
+    """
+    c = [1] + [0] * n
+    for j in range(1, n + 1):
+        for t in range(n, j - 1, -1):
+            c[t] += sign * c[t - j]
+    return c
+
+
+def count_P(n: int, m: int, p: Optional[int]) -> int:
+    """Partitions of n into exactly m parts, each at most p (UNBOUNDED allowed).
 
     Taking one off each of the m parts leaves n - m in an m-by-(p-1) box.
     """
@@ -234,8 +132,8 @@ def box_count_P(n: int, m: int, p: Optional[int]) -> int:
     return box_count(n - m, m, None if p is None else p - 1)
 
 
-def box_count_Q(n: int, m: int, p: Optional[int]) -> int:
-    """count_Q(n, m, p) without the memo.
+def count_Q(n: int, m: int, p: Optional[int]) -> int:
+    """Partitions of n into exactly m distinct parts, each at most p.
 
     Taking m, m-1, ..., 1 off the distinct parts, largest first, leaves
     n - m(m+1)/2 in an m-by-(p-m) box.
@@ -247,14 +145,50 @@ def box_count_Q(n: int, m: int, p: Optional[int]) -> int:
     return box_count(n - m * (m + 1) // 2, m, None if p is None else p - m)
 
 
-def box_count_Q_star(n: int, m: int, p: Optional[int]) -> int:
-    """count_Q_star(n, m, p) without the memo, summed over the feasible part counts."""
+def count_P_star(n: int, m: int, p: Optional[int]) -> int:
+    """Partitions of n into at most m parts, each at most p."""
+    return box_count(n, m, p)
+
+
+def count_Q_star(n: int, m: int, p: Optional[int]) -> int:
+    """Partitions of n into at most m distinct parts, each at most p, summed over the feasible part counts."""
+    # Q(n, k, p) is 0 once 1 + 2 + ... + k = C(k+1, 2) > n
     k = 0
     total = 0
     while k <= m and k * (k + 1) // 2 <= n:
-        total += box_count_Q(n, k, p)
+        total += count_Q(n, k, p)
         k += 1
     return total
+
+
+def count_P_most(n: int, p: Optional[int]) -> int:
+    """Partitions of n with each part at most p, any number of parts."""
+    return count_P_star(n, n, p)
+
+
+def count_Q_most(n: int, p: Optional[int]) -> int:
+    """Partitions of n into distinct parts, each at most p."""
+    return count_Q_star(n, n, p)
+
+
+def count_P_of(n: int) -> int:
+    """The unrestricted partition count."""
+    return count_P_most(n, UNBOUNDED)
+
+
+def count_Q_of(n: int) -> int:
+    """Partitions of n into distinct parts."""
+    return count_Q_most(n, UNBOUNDED)
+
+
+def count_P_nm(n: int, m: int) -> int:
+    """Partitions of n into exactly m parts, part size unbounded."""
+    return count_P(n, m, UNBOUNDED)
+
+
+def count_Q_nm(n: int, m: int) -> int:
+    """Partitions of n into exactly m distinct parts, part size unbounded."""
+    return count_Q(n, m, UNBOUNDED)
 
 
 class _SpecFields(NamedTuple):

@@ -34,6 +34,7 @@ def test_traced_run_records_the_benchmark_spans_and_leaves(tmp_path):
     spans = {span["name"] for span in trace["spans"]}
     assert {"identities.run_identity", "cli.run_verify", "cli.render_report"} <= spans
     functions = {record["name"] for record in trace["functions"]}
-    assert {"partitions.count_P", "bigpoly.poly_mul", "bigpoly.pack"} <= functions
-    # the kernels are read through row entries, which call the traced leaves
-    assert {"qbinom.binom", "qbinom.bracket_base", "partitions.count_Q"} <= functions
+    # theorem1 reads its counts from the P and Q fills of its own run
+    assert {"partitions.count_tables", "bigpoly.poly_mul", "bigpoly.pack"} <= functions
+    # the q kernels are read through row entries, which call the traced leaves
+    assert {"qbinom.binom", "qbinom.bracket_base"} <= functions

@@ -168,6 +168,12 @@ def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
     assert timing_stripped_digest(out) == SMALL_ORACLE_REPORT_DIGEST
 
 
+COUNT_SUM_FAMILIES = (
+    "theorem1", "theorem2", "theorem3", "theorem6", "theorem7", "theorem8", "theorem9",
+    "theorem_simple", "qstar_relation", "sine_vanishing_6", "sine_vanishing_7",
+)
+
+
 # SHA-256 of the whole stdout (TSV carries no timing).  JSON sorts its keys,
 # so TSV is the format where the order of each row's params shows.
 @pytest.mark.parametrize(
@@ -240,10 +246,26 @@ def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
             ),
             "3eb5746ce0a34c1cf23b35694c7eea42d2b5d15c11565ba2615247217c2b4a75",
         ),
+        (
+            # all 13 (n, m, p) count families at n, m <= 40, p <= 20: 458,913 rows,
+            # each family reading the P and Q tables its own run fills
+            (
+                "verify",
+                *(arg for family in COUNT_SUM_FAMILIES for arg in ("--family", family)),
+                *("--family", "pnmp_correspondence", "--family", "qnmp_correspondence"),
+                *("--n-max", "40", "--m-max", "40", "--p-max", "20", "--workers", "1"),
+            ),
+            "8e31418843c130b43ba374a5a4e959113921bc08a3eb15d365842587ce546a84",
+        ),
+        (
+            # every n <= 30 tabulated from its ZS1 partitions against one fill of P and Q
+            ("oracle-diff", "--n-max", "30"),
+            "5cd8f60c7f9f331e9027b841ba12ad02e00b00a6d9f3a38910686060cd505a74",
+        ),
     ],
     ids=[
         "verify-all-small", "oracle-diff-8", "qpoly-grid", "single-sums-16", "triangles-12",
-        "triangles-16", "wide-count-sums", "sparse-resdbl",
+        "triangles-16", "wide-count-sums", "sparse-resdbl", "wide-count-families", "oracle-diff-30",
     ],
 )
 def test_tsv_report_bytes_are_pinned(capsys, argv, digest):
@@ -456,13 +478,23 @@ def test_failing_row_text_is_pinned(capsys, families, tsv, human, workers):
         assert failing_lines(out, fmt) == [want]
 
 
-def test_failing_oracle_row_text_is_pinned(capsys, monkeypatch):
+def bump_the_oracle_fill(monkeypatch, distinct, n, m, p, step):
+    """Make oracle-diff's DP side read P(n, m, p), or Q(n, m, p) when distinct, off by step from its fill."""
     from qpartid import cli
 
-    true_count_P = cli.count_P
-    monkeypatch.setattr(
-        cli, "count_P", lambda n, m, p: true_count_P(n, m, p) - ((n, m, p) == (7, 3, 4))
-    )
+    fill = cli.count_tables
+
+    def bumped(rows, cols, p_max, fill_distinct=False):
+        layers = fill(rows, cols, p_max, fill_distinct)
+        if fill_distinct == distinct:
+            layers[p][n][m] += step
+        return layers
+
+    monkeypatch.setattr(cli, "count_tables", bumped)
+
+
+def test_failing_oracle_row_text_is_pinned(capsys, monkeypatch):
+    bump_the_oracle_fill(monkeypatch, False, 7, 3, 4, -1)
     for fmt, want in (
         ("tsv", "oracle_diff\tn=7,m=3,p=4\t0\t[2, 3]\t\t"),
         ("human", "  FAIL n=7,m=3,p=4 first_mismatch=[2, 3]"),
@@ -794,7 +826,7 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
 def test_pn_from_q_past_the_default_grid_stays_small():
-    # q(x) for every x <= 600 fills the Q memo in this one process
+    # p(x) and q(x) for every x <= 600 are two rolling lists
     code, peak_kb = run_small_child(PN_FROM_Q_PEAK_RSS_CHILD)
     assert code == 0
     assert peak_kb < 150 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
@@ -861,14 +893,7 @@ def test_oracle_diff_past_the_default_limit_report_bytes_are_pinned():
 
 
 def test_oracle_diff_names_a_dp_mismatch(capsys, monkeypatch):
-    from qpartid import cli
-
-    true_count_Q = cli.count_Q
-
-    def off_by_one(n, m, p):
-        return true_count_Q(n, m, p) + ((n, m, p) == (5, 2, 3))
-
-    monkeypatch.setattr(cli, "count_Q", off_by_one)
+    bump_the_oracle_fill(monkeypatch, True, 5, 2, 3, 1)
     code, out, _ = run_cli(capsys, "oracle-diff", "--n-max", "6", "--format", "json")
     assert code == 1
     report = json.loads(out)
@@ -906,17 +931,11 @@ def test_unexpected_exception_exits_three_with_one_line(capsys, monkeypatch, arg
 
 
 def run_module(*argv):
-    # a child process, so the large memo the count fills leaves with it
+    # a child process, so whatever a large run holds leaves with it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, "-m", "qpartid", *argv], capture_output=True, text=True, env=env
     )
-
-
-COUNT_SUM_FAMILIES = (
-    "theorem1", "theorem2", "theorem3", "theorem6", "theorem7", "theorem8", "theorem9",
-    "theorem_simple", "qstar_relation", "sine_vanishing_6", "sine_vanishing_7",
-)
 
 
 def test_wide_count_sum_tsv_report_bytes_are_pinned():
@@ -984,6 +1003,69 @@ def test_injected_failure_tsv_is_pinned_across_worker_counts():
     assert [line.split("\t")[:3] for line in outs[0].splitlines() if line.split("\t")[2] == "0"] == [
         ["comb01", "n=0,m=0", "0"]
     ]
+
+
+def test_series_families_at_n_2000_are_pinned():
+    # p(x) from one box count list, q(x) and s(k) from the signed products
+    families = ("--family", "pn_from_q", "--family", "qn_double_sum")
+    proc = run_module("verify", *families, "--n-max", "2000", "--workers", "1", "--format", "tsv")
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "1028d2cf516dad6fec12430740c3afc66dcfdc0fbea8b6a9da25514c414ed313"
+
+
+AS_LIMITED_CHILD = """
+import contextlib, io, resource, sys
+limit = 400_000 * 1024
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from qpartid.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code)
+"""
+
+
+def test_pn_from_q_at_n_4000_runs_in_400_mb_of_address_space():
+    # the limit is set in the child alone, before qpartid is imported
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["verify", "--family", "pn_from_q", "--n-max", "4000", "--workers", "1", "--format", "tsv"]
+    proc = subprocess.run(
+        [sys.executable, "-c", AS_LIMITED_CHILD, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+PMOST_CHAIN_PEAK_RSS_CHILD = """
+import contextlib, hashlib, io, resource
+from qpartid.cli import main
+argv = ["verify", "--family", "pmost_chain", "--n-max", "800", "--p-max", "3", "--workers", "1", "--format", "tsv"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(argv)
+digest = int(hashlib.sha256(out.getvalue().encode()).hexdigest(), 16)
+print(code, digest, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_pmost_chain_at_n_800_is_pinned_and_fills_few_layers():
+    # P layers 0..4 at rows 2n <= 1600, so about 90 MB; the unbounded counts
+    # are read by conjugation, with no layer past p + 1
+    code, digest, peak_kb = run_small_child(PMOST_CHAIN_PEAK_RSS_CHILD)
+    assert code == 0
+    assert digest == int("3235354be20e9fdbf7a99d5ad42a6f288b0c3f631ac2613f9f5c1c24ca29a349", 16)
+    assert peak_kb < 120 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+def test_count_families_past_the_recursion_limit():
+    # every count is read from iterative fills, so n past the interpreter's
+    # recursion limit is just a longer table
+    n_max = str(sys.getrecursionlimit() + 1)
+    families = ("theorem1", "theorem2", "pnmp_correspondence", "qnmp_correspondence")
+    argv = [arg for family in families for arg in ("--family", family)]
+    grid = ("--n-max", n_max, "--m-max", "2", "--p-max", "2")
+    proc = run_module("verify", *argv, *grid, "--workers", "1", "--format", "tsv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 1 + 4 * (int(n_max) + 1) * 3 * 3
 
 
 def test_table_partition_count_past_the_recursion_limit():
@@ -1143,12 +1225,7 @@ def test_json_render_matches_json_dumps_on_injected_failures(capsys):
 
 
 def test_json_render_matches_json_dumps_on_an_oracle_mismatch(capsys, monkeypatch):
-    from qpartid import cli
-
-    true_count_P = cli.count_P
-    monkeypatch.setattr(
-        cli, "count_P", lambda n, m, p: true_count_P(n, m, p) - ((n, m, p) == (7, 3, 4))
-    )
+    bump_the_oracle_fill(monkeypatch, False, 7, 3, 4, -1)
     code, report = rendered_reports(capsys, "oracle-diff", "--n-max", "8")
     assert code == 1
     (failed,) = [r for r in report["results"] if not r["pass"]]

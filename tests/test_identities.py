@@ -5,6 +5,7 @@ import functools
 import hashlib
 import inspect
 import itertools
+import sys
 import types
 from unittest import mock
 
@@ -23,7 +24,7 @@ from qpartid.bigpoly import (
     slot_width,
     unpack,
 )
-from qpartid import identities
+from qpartid import identities, partitions
 from qpartid.identities import (
     KIND_COMBINATORIAL,
     KIND_Q_POLYNOMIAL,
@@ -618,15 +619,18 @@ def test_qn_double_sum_row_is_the_sum_as_stated():
 
 
 def test_pmost_chain_takes_its_left_side_from_the_one_shot_box_count(monkeypatch):
-    # sum_k P(n, k, p) and P*(n, n, p) read the memo, so the left side must
-    # not: with one memo entry bumped, pair 1 is the first to fail
-    from qpartid import partitions
+    # sum_k P(n, k, p) and P*(n, n, p) read the fill, so the left side must
+    # not: with one cell of the fill bumped, pair 1 is the first to fail
+    fill = identities.count_tables
 
-    memo = {}
-    monkeypatch.setattr(partitions, "_memo_P", memo)
-    monkeypatch.setattr(partitions, "_memo_Q", {})
-    assert count_P(6, 3, 3) == 2
-    memo[(6, 3, 3)] += 1
+    def bumped(rows, cols, p_max, distinct=False):
+        layers = fill(rows, cols, p_max, distinct)
+        if not distinct:
+            assert layers[3][6][3] == count_P(6, 3, 3) == 2
+            layers[3][6][3] += 1
+        return layers
+
+    monkeypatch.setattr(identities, "count_tables", bumped)
     r = evaluate_case("pmost_chain", {"n": 6, "p": 3})
     assert not r.passed
     assert r.first_mismatch == (7, 8)
@@ -789,11 +793,11 @@ def test_q1_specialization_reproduces_combinatorial_sides():
             assert_comb_sides_at_q1(comb_id, {"n": n, "m": m}, sides)
 
 
-# --- per-axis kernel tables -------------------------------------------------
+# --- per-run kernel tables --------------------------------------------------
 #
-# Each oracle below is the per-call loop its table replaced.  The queries come
-# in drawn order, large before small as often as not, and each example starts
-# from empty memos, so every way a table can grow is exercised.
+# Each oracle below is the per-call loop its table replaced, over the one-shot
+# counts, which share no code with the fill.  The queries come in drawn
+# order, large before small as often as not, and each builds its own tables.
 
 COUNT_KERNELS = {
     "U": count_P,
@@ -859,19 +863,18 @@ def test_count_tables_match_the_per_call_convolution(queries):
     identities._ROWS.clear()
     for side, n, m, p in queries:
         assert count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
-    # the store keeps the kernel tables as one row per (kernel, p, a), never a
-    # plane or a weight
-    assert {key[0] for key in identities._ROWS} == {identities._count_entry}
-    for (_, name, p, a), row in identities._ROWS.items():
-        # every cell of every kernel row is its kernel's value, grown by the
-        # queries in their order
-        assert row == [COUNT_KERNELS[name](a, b, p) for b in range(len(row))], (name, p, a)
+    # the count layer keeps nothing in the store: no kernel row, plane or weight
+    assert identities._ROWS == {}
     for side, p in {(side, p) for side, _, _, p in queries}:
-        # a plane built over the grown tables, at the largest n + 1 and m + 1
-        # asked, is the oracle's at every cell
+        # at the largest n + 1 and m + 1 asked, every cell of every kernel
+        # table is its kernel's value, and the plane built over them is the
+        # oracle's at every cell
         asked = [(n, m) for s, n, m, q in queries if (s, q) == (side, p)]
         rows, cols = (max(top) + 1 for top in zip(*asked))
-        plane = identities._count_plane(side, p, rows, cols)
+        kernels = identities._count_kernels(set(COUNT_KERNELS), [p], rows, cols)[p]
+        for name, table in kernels.items():
+            assert table == [[COUNT_KERNELS[name](a, b, p) for b in range(cols)] for a in range(rows)], (name, p)
+        plane = identities._count_plane(side, kernels, rows, cols)
         assert plane == count_plane_by_calls(side, p, rows, cols)
 
 
@@ -887,17 +890,17 @@ def test_count_tables_match_the_per_call_convolution(queries):
 @example(p=2, queries=[("P*", 3, 9), ("Q*", 9, 3), ("P*", 12, 12), ("Q*", 12, 12)])
 @example(p=3, queries=[("U", 14, 14), ("P*", 2, 2), ("V", 5, 14), ("Q*", 14, 4), ("Q*", 6, 14)])
 def test_star_tables_are_running_sums_cell_by_cell(p, queries):
-    # P* and Q* grow in place as running sums of U and V along b, in either
-    # direction and after their term rows have grown on their own
-    identities._ROWS.clear()
+    # P* and Q* are the running sums of U and V along b, at whatever extent a
+    # run asks for, and every cell is the one-shot count
     counts = {"P*": count_P_star, "Q*": count_Q_star, "U": count_P, "V": count_Q}
+    terms = {"P*": "U", "Q*": "V"}
     for name, rows, cols in queries:
-        table = identities._count_table(name, p, rows, cols)
-        assert len(table) == rows and all(len(row) >= cols for row in table)
-        for (_, kernel, q, a), row in identities._ROWS.items():
-            assert q == p and row == [counts[kernel](a, b, p) for b in range(len(row))], (kernel, a)
-        assert table == [identities._ROWS[identities._count_entry, name, p, a] for a in range(rows)]
-    identities._ROWS.clear()
+        tables = identities._count_kernels({name, terms.get(name, name)}, [p], rows, cols)[p]
+        table = tables[name]
+        assert len(table) == rows and all(len(row) == cols for row in table)
+        assert table == [[counts[name](a, b, p) for b in range(cols)] for a in range(rows)], (name, rows, cols)
+        if name in terms:
+            assert table == [list(itertools.accumulate(row)) for row in tables[terms[name]]]
 
 
 def test_count_sides_are_zero_at_negative_indices():
@@ -940,10 +943,13 @@ def over_q_kernel_names(spec):
     return {"P": "U", "Q": "V"}.get(spec, spec)
 
 
-def literal_count_entry(name, p, a, bs):
-    """The count kernel under its literal name at (a, b) for b in bs, in _count_entry's fill signature."""
+def literal_count_kernel(name):
+    """The count kernel under its literal name, as a table of per-call counts in the signature of _COUNT_KERNELS."""
     kernel = COUNT_KERNELS[over_q_kernel_names(name)]
-    return [kernel(a, b, p) for b in bs]
+    return lambda P, Q, p, rows, cols: [[kernel(a, b, p) for b in range(cols)] for a in range(rows)]
+
+
+LITERAL_KERNELS = {"P", "Q", "P+", "P*", "Q*", "delta", "zero"}
 
 
 def test_count_rows_are_the_literal_rows_under_the_q_kernel_names():
@@ -966,19 +972,18 @@ def test_count_rows_are_the_literal_rows_under_the_q_kernel_names():
 )
 @example(cases=[(identity_id, 16, 16, 4) for identity_id in LITERAL_COUNT_SUMS])
 def test_count_rows_derived_from_q_rows_read_as_the_literal_rows(cases):
-    # the literal rows go through _count_side too, over kernels under their old names
-    identities._ROWS.clear()
+    # the literal rows go through the count prepare too, over per-call kernels
+    # under their old names, while the derived rows read the run's fills
     derived = [
         [count_side(side, n, m, p) for side in identities._COUNT_SUMS[i]]
         for i, n, m, p in cases
     ]
-    with mock.patch.object(identities, "_count_entry", literal_count_entry):
+    literal_kernels = {name: literal_count_kernel(name) for name in LITERAL_KERNELS}
+    with mock.patch.dict(identities._COUNT_KERNELS, literal_kernels):
         literal = [
             [count_side(side, n, m, p) for side in LITERAL_COUNT_SUMS[i]]
             for i, n, m, p in cases
         ]
-    # leave no rows kept under the patched entry behind
-    identities._ROWS.clear()
     assert derived == literal, cases
 
 
@@ -1991,47 +1996,67 @@ def occurrence_at(source, old, occurrence):
     return at
 
 
-def mutant_module(old, new, occurrence=0):
-    """identities with the occurrence-th copy of old in its source replaced by new.
-
-    It is loaded afresh, with a store and a registry of its own.
-    """
-    source = inspect.getsource(identities)
-    at = occurrence_at(source, old, occurrence)
+def loaded_afresh(original, source):
+    """A new module run from source in place of original's, in the qpartid package."""
     module = types.ModuleType("qpartid.mutant")
     module.__package__ = "qpartid"
-    exec(compile(source[:at] + new + source[at + len(old):], identities.__file__, "exec"), module.__dict__)
+    exec(compile(source, original.__file__, "exec"), module.__dict__)
     return module
 
 
+def mutant_module(old, new, occurrence=0, target=identities):
+    """identities with the occurrence-th copy of old in target's source replaced by new.
+
+    target is identities or partitions; a partitions mutant is what a fresh
+    identities imports its counts from.  It is loaded afresh, with a store
+    and a registry of its own.
+    """
+    source = inspect.getsource(target)
+    at = occurrence_at(source, old, occurrence)
+    module = loaded_afresh(target, source[:at] + new + source[at + len(old):])
+    if target is identities:
+        return module
+    with mock.patch.dict(sys.modules, {"qpartid.partitions": module}):
+        return loaded_afresh(identities, inspect.getsource(identities))
+
+
 @pytest.mark.parametrize(
-    "old, new, occurrence, family",
+    "old, new, occurrence, family, target",
     [
         # delta at index 1, on each layer
-        ("_DELTA: lambda m, j: ONE if j == 0 else ZERO", "_DELTA: lambda m, j: ONE if j == 1 else ZERO", 0, "delta"),
-        ("_DELTA: lambda a, b, p: int(a == b == 0)", "_DELTA: lambda a, b, p: int(a == b == 1)", 0, "theorem_simple"),
-        ("delta = [int(j == 0)", "delta = [int(j == 1)", 0, "comb01"),
+        ("_DELTA: lambda m, j: ONE if j == 0 else ZERO", "_DELTA: lambda m, j: ONE if j == 1 else ZERO", 0, "delta", identities),
+        ("[[int(a == b == 0) for b", "[[int(a == b == 1) for b", 0, "theorem_simple", identities),
+        ("delta = [int(j == 0)", "delta = [int(j == 1)", 0, "comb01", identities),
         # the q-shift of the V kernel, one step too far: q^C(j+1, 2)
-        ("binom2(j))", "binom2(j + 1))", 0, "delta"),
+        ("binom2(j))", "binom2(j + 1))", 0, "delta", identities),
         # the last nonzero diagonal a case may read, j = n, dropped: in the
         # q pairs, in the even and the odd packed half, and in each q = 1
         # closure; occurrences count from the top of the module
-        ("if j > n:", "if j >= n:", 0, "resdbl1"),
-        ("if j <= n)", "if j < n)", 0, "corollary_2_4"),
-        ("if j <= n)", "if j < n)", 1, "corollary_3_4"),
-        ("if j <= n)", "if j < n)", 2, "comb16"),
-        ("if j <= n)", "if j < n)", 3, "comb20"),
+        ("if j > n:", "if j >= n:", 0, "resdbl1", identities),
+        ("if j <= n)", "if j < n)", 0, "corollary_2_4", identities),
+        ("if j <= n)", "if j < n)", 1, "corollary_3_4", identities),
+        ("if j <= n)", "if j < n)", 2, "comb16", identities),
+        ("if j <= n)", "if j < n)", 3, "comb20", identities),
         # the part bound of P+
-        ("count_P(a + b, b, p + 1)", "count_P(a + b, b, p)", 0, "theorem2"),
+        ("P[p + 1][a + b][b]", "P[p][a + b][b]", 0, "theorem2", identities),
+        # the count fill: P's second child read from its own layer, not the
+        # one below; Q's first child at column m, not m - 1
+        ("prev[m - 1] + lower[n - m][m]", "prev[m - 1] + layer[n - m][m]", 0, "theorem1", partitions),
+        ("[lower[n - m][m - 1] + lower", "[lower[n - m][m] + lower", 0, "theorem1", partitions),
+        # the signed product behind q(x) and s(k): its sign flipped, and each
+        # factor multiplied in ascending t, which divides by 1 - sign x^j
+        ("c[t] += sign * c[t - j]", "c[t] -= sign * c[t - j]", 0, "pn_from_q", partitions),
+        ("for t in range(n, j - 1, -1):", "for t in range(j, n + 1):", 0, "qn_double_sum", partitions),
     ],
     ids=[
         "q-delta", "count-delta", "q1-delta", "v-shift", "q-pairs", "even-half", "odd-half", "q1-triangle",
-        "q1-half", "p-plus-bound",
+        "q1-half", "p-plus-bound", "fill-p-layer", "fill-q-column", "signed-product-sign",
+        "signed-product-ascending",
     ],
 )
-def test_every_code_mutant_fails_a_default_grid(old, new, occurrence, family):
+def test_every_code_mutant_fails_a_default_grid(old, new, occurrence, family, target):
     assert all(r.passed for r in identities.run_identity(family))
-    module = mutant_module(old, new, occurrence)
+    module = mutant_module(old, new, occurrence, target)
     assert not all(r.passed for r in module.run_identity(family))
 
 
@@ -2068,34 +2093,23 @@ def grown_in_two_steps(module, fill, key, first, second):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    key=st.one_of(
-        st.tuples(
-            st.just("_diagonal"),
-            st.integers(0, 6),
-            st.integers(1, 3),
-            st.sampled_from(["k", "l"]),
-            st.sampled_from([None, 0, 1]),
-        ),
-        st.tuples(st.just("_count_entry"), st.sampled_from(["P*", "Q*"]), st.integers(0, 5), st.integers(0, 12)),
+    key=st.tuples(
+        st.just("_diagonal"),
+        st.integers(0, 6),
+        st.integers(1, 3),
+        st.sampled_from(["k", "l"]),
+        st.sampled_from([None, 0, 1]),
     ),
     first=st.integers(0, 12),
     second=st.integers(0, 12),
 )
-@example(key=("_count_entry", "P*", 2, 0), first=3, second=8)
 @example(key=("_diagonal", 4, 3, "l", 1), first=0, second=12)
 def test_a_row_grown_in_two_steps_is_the_row_of_one_fill(key, first, second):
-    # at any split point; the default grids grow no star row, so only this
-    # check sees a star fill that restarts its sum where the row left off
+    # at any split point, since a diagonal of a base q**b reads the base-q row
     name, *key = key
     first, second = sorted((first, second))
     grown, whole = grown_in_two_steps(identities, getattr(identities, name), key, first, second)
     assert grown == whole
-
-
-def test_a_star_fill_that_restarts_its_sum_fails_the_growth_check():
-    module = mutant_module("[: bs.stop]))[bs.start :]", "[bs.start : bs.stop]))")
-    grown, whole = grown_in_two_steps(module, module._count_entry, ("P*", 2, 0), 3, 8)
-    assert grown != whole
 
 
 # --- sensitivity: the default grids reject a wrong weight or diagonal sign ---
@@ -2158,11 +2172,9 @@ def test_every_diagonal_sign_mutant_fails_a_q_and_a_q1_family():
         identities._ROWS.clear()
 
 
-# The fills of the rows the 57 families read on their default grids.
-FILLS = (
-    "_q_kernel", "_q_norm", "_diagonal", "_resdbl_h", "_count_entry",
-    "_count_of", "_signed_distinct", "_binom_entry", "_comb_diagonal",
-)
+# The fills of the rows the 57 families read on their default grids; the
+# count families read no stored row.
+FILLS = ("_q_kernel", "_q_norm", "_diagonal", "_resdbl_h", "_binom_entry", "_comb_diagonal")
 
 
 def test_every_stored_row_is_its_fill_over_its_range_and_only_row_writes_the_store():
@@ -2175,7 +2187,7 @@ def test_every_stored_row_is_its_fill_over_its_range_and_only_row_writes_the_sto
     stored = dict(identities._ROWS)
     assert {key[0] for key in stored} == {getattr(identities, name) for name in FILLS}
     assert all(type(row) is list for row in stored.values())
-    assert len(stored) == 1631
+    assert len(stored) == 392
     # every row is what its fill gives over its whole range, from nothing
     for (fill, *key), row in stored.items():
         identities._ROWS.clear()

@@ -11,12 +11,8 @@ from qpartid.bigpoly import coeff_at
 from qpartid.identities import evaluate_case
 from qpartid.partitions import (
     UNBOUNDED,
-    CountTable,
     PartitionSpec,
     box_count,
-    box_count_P,
-    box_count_Q,
-    box_count_Q_star,
     box_counts,
     count_P,
     count_P_most,
@@ -28,8 +24,9 @@ from qpartid.partitions import (
     count_Q_nm,
     count_Q_of,
     count_Q_star,
+    count_tables,
+    distinct_series,
     enumerate_partitions,
-    fewest_parts,
     oracle_counts,
 )
 from qpartid.qbinom import gaussian
@@ -164,25 +161,53 @@ def test_oracle_counts_streams():
     assert peak < 512 * 1024, f"tracemalloc peak {peak / 1024:.0f} KB"
 
 
-_BOX_REFERENCE = CountTable()
+# one fill of every P and Q layer at n <= 60, m <= 61, read by the examples below
+_FILL_REFERENCE = tuple(count_tables(61, 62, 60, distinct) for distinct in (False, True))
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(min_value=0, max_value=60))
 def test_box_counts_match_the_count_table(data, n):
-    # the one-shot counts behind `table` against the memoized recurrences
+    # the one-shot counts against the layer-by-layer fill
     m = data.draw(st.integers(min_value=0, max_value=n + 1))
     p = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n)))
-    table = _BOX_REFERENCE
-    assert box_count_P(n, m, p) == table.count_P(n, m, p)
-    assert box_count_Q(n, m, p) == table.count_Q(n, m, p)
-    assert box_count(n, m, p) == sum(table.count_P(n, k, p) for k in range(m + 1))
+    # no part of a partition of n <= 60 exceeds 60, so the unbounded counts are layer 60
+    plain, distinct = (layers[60 if p is None else p] for layers in _FILL_REFERENCE)
+    assert count_P(n, m, p) == plain[n][m]
+    assert count_Q(n, m, p) == distinct[n][m]
+    assert box_count(n, m, p) == count_P_star(n, m, p) == sum(plain[n][: m + 1])
     # the whole rolling list, as gauss reads it
-    stars = [sum(table.count_P(t, k, p) for k in range(m + 1)) for t in range(n + 1)]
-    assert box_counts(n, m, p) == stars
-    assert box_count_Q_star(n, m, p) == sum(table.count_Q(n, k, p) for k in range(m + 1))
-    assert box_count(n, UNBOUNDED, p) == sum(table.count_P(n, k, p) for k in range(n + 1))
-    assert box_count_Q_star(n, n, p) == sum(table.count_Q(n, k, p) for k in range(n + 1))
+    assert box_counts(n, m, p) == [sum(plain[t][: m + 1]) for t in range(n + 1)]
+    assert count_Q_star(n, m, p) == sum(distinct[n][: m + 1])
+    assert box_count(n, UNBOUNDED, p) == count_P_most(n, p) == sum(plain[n])
+    assert count_Q_most(n, p) == sum(distinct[n])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=0, max_value=30))
+@example(n=0)
+@example(n=30)
+def test_the_fill_the_box_counts_and_the_enumeration_agree(n):
+    # three independent sources of P(n, m, p) and Q(n, m, p) for n <= 30: the
+    # smallest-part recurrence, the Gaussian rolling lists and ZS1 enumeration
+    plain, distinct = oracle_counts(n)
+    P, Q = (count_tables(n + 1, n + 1, n, d) for d in (False, True))
+    for m in range(n + 1):
+        for p in range(n + 1):
+            assert P[p][n][m] == count_P(n, m, p) == plain[m][p], (n, m, p)
+            assert Q[p][n][m] == count_Q(n, m, p) == distinct[m][p], (n, m, p)
+            assert box_count(n, m, p) == sum(plain[k][p] for k in range(m + 1)), (n, m, p)
+    # the signed products: the distinct-part counts, and sum_l (-1)^l Q(n, l)
+    assert distinct_series(n, 1)[n] == sum(row[n] for row in distinct)
+    assert distinct_series(n, -1)[n] == sum((-1) ** l * row[n] for l, row in enumerate(distinct))
+
+
+def test_the_fill_shares_the_layers_past_its_last_row_and_stops_at_p_max():
+    # no part of an n < rows exceeds rows - 1, so those layers are one object
+    layers = count_tables(4, 3, 9)
+    assert len(layers) == 10 and all(layer is layers[3] for layer in layers[3:])
+    assert layers[3] == [[1, 0, 0], [0, 1, 0], [0, 1, 1], [0, 1, 1]]
+    assert count_tables(4, 3, -1) == [] and count_tables(3, 2, 0) == [[[1, 0], [0, 0], [0, 0]]]
 
 
 def test_box_counts_out_of_range():
@@ -192,26 +217,27 @@ def test_box_counts_out_of_range():
     assert box_counts(2, -1, 3) == [0, 0, 0]
     assert box_counts(3, 2, -1) == [1, 0, 0, 0]
     assert box_count(4, 0, 4) == box_count(4, 4, 0) == 0
-    assert box_count_P(0, 0, 0) == box_count_Q(0, 0, 0) == 1
-    assert box_count_P(3, -1, 3) == box_count_Q(3, -1, 3) == 0
-    assert box_count_P(1, 1, 0) == box_count_Q(3, 2, 1) == 0
+    assert count_P(0, 0, 0) == count_Q(0, 0, 0) == 1
+    assert count_P(3, -1, 3) == count_Q(3, -1, 3) == 0
+    assert count_P(1, 1, 0) == count_Q(3, 2, 1) == 0
 
 
 def test_star_counts_match_the_box_counts_past_their_last_nonzero_term():
-    # the star sums stop at k = n, or where C(k+1, 2) > n for distinct parts;
-    # m runs far past both, and n and m below zero, so no dropped term counts
+    # the distinct star sum stops where C(k+1, 2) > n; m runs far past that and
+    # past n, and n and m below zero, so no dropped term counts
+    plain, distinct = _FILL_REFERENCE
     for n in range(-2, 30):
         for m in range(-2, 40):
             for p in (0, 1, 3, UNBOUNDED):
-                assert count_P_star(n, m, p) == box_count(n, m, p)
-                assert count_Q_star(n, m, p) == box_count_Q_star(n, m, p)
+                layer = 60 if p is None else p
+                want = [sum(t[layer][n][: m + 1]) if n >= 0 and m >= 0 else 0 for t in (plain, distinct)]
+                assert [count_P_star(n, m, p), count_Q_star(n, m, p)] == want, (n, m, p)
 
 
 def test_star_sums_stopped_at_their_support_match_the_unbounded_sums():
-    # count_P_star starts at the fewest parts that can hold n (k*p >= n), and
-    # count_Q_star stops at k = p, since k distinct parts need k sizes up to p;
+    # count_P_star is one box count and count_Q_star stops at C(k+1, 2) > n;
     # the oracle is the sum over every k <= min(m, n)
-    from qpartid.identities import _pairs_pmost_chain
+    from qpartid.identities import get_descriptor
 
     for n in range(-1, 61):
         for p in (-1, 0, 1, 2, 3, 5, 8, n, UNBOUNDED):
@@ -221,10 +247,9 @@ def test_star_sums_stopped_at_their_support_match_the_unbounded_sums():
                 assert count_P_star(n, m, p) == sum(plain[: max(m + 1, 0)]), (n, m, p)
                 assert count_Q_star(n, m, p) == sum(distinct[: max(m + 1, 0)]), (n, m, p)
             if n >= 0 and p in (0, 1, 2, 3):
-                # pmost_chain's exact sum stops at the same support
-                assert _pairs_pmost_chain(n, p)[0][1] == sum(plain), (n, p)
-    assert [fewest_parts(n, 3) for n in (-1, 0, 1, 3, 4, 6, 7)] == [0, 0, 1, 1, 2, 2, 3]
-    assert fewest_parts(5, 0) == fewest_parts(5, -1) == 6 and fewest_parts(5, UNBOUNDED) == 0
+                # pmost_chain's exact sum reads the same counts from its fill
+                pairs, _ = get_descriptor("pmost_chain").prepare([n], [p])
+                assert pairs(n, p)[0][1] == sum(plain), (n, p)
 
 
 def test_enumerate_max_parts_matches_star_counts():
@@ -295,20 +320,18 @@ def test_monotone_saturation():
                 assert count_Q_star(n, m, p) == count_Q_most(n, p)
 
 
-def test_count_table_isolation():
-    table = CountTable()
-    assert table.count_P(5, 2, 3) == 1
-    assert table.count_Q(6, 3, 3) == 1
-    assert (5, 2, 3) in table.memo_P
+def test_no_count_outlives_a_run():
+    # every family fills the tables it reads and drops them: after a run of
+    # the whole registry, partitions holds no table, memo or cache
+    from qpartid import identities, partitions
 
-
-def test_distinct_part_count_fills_few_memo_keys():
-    # every Q step takes m off n, so the fill reaches a few keys per (n, m)
-    table = CountTable()
-    assert sum(table.count_Q(300, k, UNBOUNDED) for k in range(301)) == 114_872_472_064
-    assert len(table.memo_Q) < 10_000
-    # the band is exact, so every key the fill stores counts some partition
-    assert 0 not in table.memo_Q.values()
+    for desc in identities.registry():
+        assert all(r.passed for r in identities.run_identity(desc.id)), desc.id
+    state = sorted(
+        name for name, value in vars(partitions).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    )
+    assert state == []
 
 
 def test_distinct_nm():
