@@ -28,7 +28,6 @@ from .identities import (
     evaluate_case,
     genfun_table,
     get_descriptor,
-    iter_cases,
     parity_sum_sides,
     q_identity_sides,
     registry,

@@ -18,8 +18,10 @@ way the CaseResults are dropped once written, so memory is bounded by the
 largest task, which for verify is one identity family, not by the whole run.
 The report is streamed into an anonymous binary temporary file and copied,
 as bytes, to --out or stdout only after the last task, so a run that crashes
-writes nothing, and a task that raises cancels the tasks still queued in the
-pool.
+writes nothing.  A pooled task that raises cancels the tasks not yet handed
+to the pool, but ProcessPoolExecutor counts a task in its call queue, which
+holds up to workers + 1 of them, as running: those tasks and the running
+ones still run to the end before the exit 3.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
 (including an --out path that cannot be written), 3 an unexpected exception
@@ -166,7 +168,8 @@ def _outcomes(tasks: list[tuple], fmt: str, workers: int):
                     yield outcome
                     os.remove(outcome[-1])
             finally:
-                # when a task raises, wait only for the tasks already started
+                # when a task raises, cancel the tasks not yet in the pool's call
+                # queue and wait for the rest, which the pool counts as running
                 pool.shutdown(cancel_futures=True)
     else:
         for label, *t in tasks:
@@ -256,9 +259,9 @@ def _text_params(names: tuple) -> tuple:
 def _json_fixed(label: str, verdict: tuple) -> tuple[str, str]:
     """The JSON row text of a verdict before and after its params object.
 
-    A first_mismatch is None, an int or a pair of ints (a tuple, or the
-    list a parsed report holds), written as a two-item list.  Strings go
-    through json's own escaper.
+    The verdict is the runner's (passed, lhs_hash, rhs_hash, first_mismatch),
+    and a first_mismatch is None, an int or a tuple of two ints, written as a
+    two-item list.  Strings go through json's own escaper.
     """
     passed, lhs_hash, rhs_hash, mismatch = verdict
     if mismatch is None:
@@ -316,10 +319,9 @@ class _RowWriter:
     other names start both afresh.  The text before and after params is
     built once per verdict of the task in hand, since the runner shares a
     verdict across the cases with the same sides; write starts each task's
-    verdict texts afresh, as a lone render_report call does.  A verdict that
-    cannot be a key (a pair mismatch parsed back as a list) builds its own.
-    Only the names, escaped, go into a %-template; the id and the digests
-    are concatenated.
+    verdict texts afresh, as a lone render_report call does.  Every verdict
+    is the runner's tuple, so it keys that cache.  Only the names, escaped,
+    go into a %-template; the id and the digests are concatenated.
     """
 
     def __init__(self, fmt: str, memo: bool):
@@ -352,10 +354,7 @@ class _RowWriter:
                     else:
                         # this many texts cost more than they save: format these names' rows
                         texts = self.texts = None
-            try:
-                around = fixed.get(verdict)
-            except TypeError:
-                around = fixed_of(label, verdict)
+            around = fixed.get(verdict)
             if around is None:
                 around = fixed[verdict] = fixed_of(label, verdict)
             append(around[0] + params + around[1])
@@ -378,6 +377,9 @@ def render_report(
     label: str, results: list[CaseResult], fmt: str, took: float, writer: Optional[_RowWriter] = None
 ) -> str:
     """One block of a report: the CaseResults of task label, which ran for took seconds.
+
+    Each CaseResult is the runner's tuple (names, values, verdict), its
+    verdict a tuple of hashable items.
 
     A JSON block is the rows as json.dumps nests them in the results list,
     with no separator before the first row or after the last.  A human block

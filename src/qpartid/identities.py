@@ -173,83 +173,33 @@ KIND_COUNT_INTEGER = "count_integer"
 KIND_COMBINATORIAL = "combinatorial_q1"
 
 
-class _Record:
-    """A record compared by value, field by field over _FIELDS, and shown with those fields.
-
-    Unhashable, since a field may be mutable.
-    """
-
-    __slots__ = ()
-    _FIELDS: tuple[str, ...] = ()
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self._FIELDS)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
-        return f"{type(self).__name__}({fields})"
-
-
-class CaseResult(_Record, tuple):
+class CaseResult(tuple):
     """Verdict for one case, with digests for compact reporting.
 
-    The tuple (names, values, verdict): the parameter names, the case's values
-    in their order, and (passed, lhs_hash, rhs_hash, first_mismatch).  A
-    family run shares one names tuple across its cases and one verdict across
-    the cases with the same sides.  params, a fresh dict, and the verdict's
-    four fields read as attributes, and the constructor takes those five.
+    The tuple (names, values, verdict) that the grid runner makes with
+    _make: the parameter names, the case's values in their order, and
+    (passed, lhs_hash, rhs_hash, first_mismatch).  A family run shares one
+    names tuple across its cases and one verdict across the cases with the
+    same sides.  params, a fresh dict, and the verdict's four fields read as
+    attributes.
     """
 
     __slots__ = ()
-    _FIELDS = ("params", "passed", "lhs_hash", "rhs_hash", "first_mismatch")
-
-    def __new__(
-        cls,
-        params: dict[str, int],
-        passed: bool,
-        lhs_hash: str,
-        rhs_hash: str,
-        first_mismatch: Optional[object] = None,
-    ):
-        verdict = (passed, lhs_hash, rhs_hash, first_mismatch)
-        return tuple.__new__(cls, (tuple(params), tuple(params.values()), verdict))
 
     # CaseResult._make((names, values, verdict)), as the grid runner builds each case
     _make = classmethod(tuple.__new__)
 
-    def __getnewargs__(self):
-        return (self.params, *self[2])
-
     names = property(itemgetter(0), doc="The parameter names, in the order of values.")
     values = property(itemgetter(1), doc="The case's parameter values.")
     verdict = property(itemgetter(2), doc="(passed, lhs_hash, rhs_hash, first_mismatch).")
-
-    @property
-    def params(self) -> dict[str, int]:
-        return dict(zip(self[0], self[1]))
-
-    @property
-    def passed(self) -> bool:
-        return self[2][0]
-
-    @property
-    def lhs_hash(self) -> str:
-        return self[2][1]
-
-    @property
-    def rhs_hash(self) -> str:
-        return self[2][2]
-
-    @property
-    def first_mismatch(self) -> Optional[object]:
-        return self[2][3]
+    params = property(lambda self: dict(zip(self[0], self[1])), doc="A fresh dict of the names and values.")
+    passed = property(lambda self: self[2][0], doc="Whether the two sides are equal.")
+    lhs_hash = property(lambda self: self[2][1], doc="The digest of the left side.")
+    rhs_hash = property(lambda self: self[2][2], doc="The digest of the right side.")
+    first_mismatch = property(lambda self: self[2][3], doc="Where the sides first differ, or None.")
 
 
-class IdentityDescriptor(_Record):
+class IdentityDescriptor:
     """Registry entry: the prepare hook of one family plus its default grid.
 
     prepare(*axes), called with the grid's values per parameter in params
@@ -258,7 +208,7 @@ class IdentityDescriptor(_Record):
     key, and finish(sides, tamper=False) that verdict.
     """
 
-    __slots__ = _FIELDS = ("id", "kind", "params", "default_grid", "prepare")
+    __slots__ = ("id", "kind", "params", "default_grid", "prepare")
 
     def __init__(
         self,
@@ -1254,33 +1204,21 @@ def _build_registry() -> list[IdentityDescriptor]:
     return entries
 
 
-_REGISTRY: Optional[list[IdentityDescriptor]] = None
-_REGISTRY_BY_ID: dict[str, IdentityDescriptor] = {}
+# built once, at import: each descriptor binds its spec row as the tables stand then
+_REGISTRY = _build_registry()
+_REGISTRY_BY_ID = {e.id: e for e in _REGISTRY}
 
 
 def registry() -> list[IdentityDescriptor]:
     """All identity descriptors, in declaration order."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-        _REGISTRY_BY_ID.update({e.id: e for e in _REGISTRY})
     return _REGISTRY
 
 
 def get_descriptor(identity_id: str) -> IdentityDescriptor:
-    registry()
     try:
         return _REGISTRY_BY_ID[identity_id]
     except KeyError:
         raise KeyError(f"unknown identity id {identity_id!r}") from None
-
-
-def iter_cases(desc: IdentityDescriptor, grid: Optional[dict[str, list[int]]] = None):
-    """Yield a fresh params dict per grid point, in descriptor order, the last axis fastest."""
-    grid = grid or desc.default_grid
-    names = desc.params
-    for values in itertools.product(*(grid[name] for name in names)):
-        yield dict(zip(names, values))
 
 
 def _prepared(desc: IdentityDescriptor, axes: Sequence[Sequence[int]]) -> tuple[Callable, Callable]:
@@ -1290,7 +1228,7 @@ def _prepared(desc: IdentityDescriptor, axes: Sequence[Sequence[int]]) -> tuple[
 
 
 def _run_grid(desc: IdentityDescriptor, grid: dict[str, list[int]], tamper_first: bool) -> list[CaseResult]:
-    """Every case of grid, in iter_cases order: prepare once, then one pass over the grid points.
+    """Every case of grid, in itertools.product order: prepare once, then one pass over the grid points.
 
     Each case's sides go to the run's own verdict memo, which finishes only
     sides it has not seen.  With tamper_first the first case is finished

@@ -1,10 +1,12 @@
 """The identity registry: transcriptions, weights, and cross-checks."""
 
 import ast
+import contextlib
 import functools
 import hashlib
 import inspect
 import itertools
+import pickle
 import sys
 import types
 from unittest import mock
@@ -28,13 +30,11 @@ from qpartid import identities, partitions
 from qpartid.identities import (
     KIND_COMBINATORIAL,
     KIND_Q_POLYNOMIAL,
-    IdentityDescriptor,
     check_F_theorem,
     check_genfun,
     evaluate_case,
     genfun_table,
     get_descriptor,
-    iter_cases,
     parity_sum_sides,
     q_identity_sides,
     registry,
@@ -1367,7 +1367,7 @@ def test_a_reversed_grid_gives_the_same_results(identity_id):
                 for r in identities.run_identity(identity_id, grid)
             }
         )
-    assert len(outcomes[0]) == len(list(iter_cases(desc)))
+    assert len(outcomes[0]) == len(list(itertools.product(*(desc.default_grid[name] for name in desc.params))))
     assert outcomes[0] == outcomes[1]
 
 
@@ -1393,10 +1393,10 @@ def test_the_grid_runner_matches_each_case_run_alone(identity_id, data):
     identities._ROWS.clear()
     together = identities.run_identity(identity_id, grid)
     alone = []
-    for params in iter_cases(desc, grid):
+    for values in itertools.product(*(grid[name] for name in desc.params)):
         # each case from empty rows, so it builds only what it reads
         identities._ROWS.clear()
-        alone.append(evaluate_case(identity_id, params))
+        alone.append(evaluate_case(identity_id, dict(zip(desc.params, values))))
     assert together == alone
     assert all(list(r.params) == list(desc.params) for r in together)
 
@@ -1755,63 +1755,40 @@ def test_case_result_fields():
     params = evaluate_case("result3", {"m": 2, "n": 2, "p": 9}).params
     assert list(params.items()) == [("n", 2), ("m", 2)]
     assert len(r.lhs_hash) == 64
-
-
-def iter_cases_by_recursion(desc, grid=None):
-    """Reference oracle: the nested grid walk, one recursion level per axis."""
-    grid = grid or desc.default_grid
-    axes = [grid[name] for name in desc.params]
-
-    def rec(i, acc):
-        if i == len(desc.params):
-            yield dict(acc)
-            return
-        for v in axes[i]:
-            acc[desc.params[i]] = v
-            yield from rec(i + 1, acc)
-
-    yield from rec(0, {})
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    axes=st.lists(
-        st.lists(st.integers(-3, 9), max_size=4),
-        min_size=1,
-        max_size=6,
-    ),
-    use_default=st.booleans(),
-)
-def test_iter_cases_matches_the_nested_grid_walk(axes, use_default):
-    names = tuple("nmpabc"[: len(axes)])
-    grid = dict(zip(names, axes))
-    desc = IdentityDescriptor("grid", KIND_Q_POLYNOMIAL, names, grid, prepare=None)
-    given_grid = None if use_default else grid
-    cases = list(iter_cases(desc, given_grid))
-    assert [list(c.items()) for c in cases] == [
-        list(c.items()) for c in iter_cases_by_recursion(desc, given_grid)
-    ]
-    # a fresh dict per case, so a check may keep the one it was given
-    assert len({id(c) for c in cases}) == len(cases)
+    # the runner's tuple, which pickles and copies as itself
+    assert r == (("n", "m"), (2, 2), r.verdict)
+    again = pickle.loads(pickle.dumps(r))
+    assert again == r and type(again) is type(r)
 
 
 # --- sensitivity: the default grids reject wrong spec rows -------------------
 
 
+@contextlib.contextmanager
+def rebuilt_under(table, identity_id, row):
+    """table[identity_id] patched to row, and a registry built afresh under it patched in.
+
+    The registry is built once at import, so a row that a descriptor binds
+    when the registry is built is read as patched only through a fresh one.
+    """
+    with mock.patch.dict(table, {identity_id: row}):
+        fresh = identities._build_registry()
+        with (
+            mock.patch.object(identities, "_REGISTRY", fresh),
+            mock.patch.object(identities, "_REGISTRY_BY_ID", {d.id: d for d in fresh}),
+        ):
+            yield
+
+
 def survivors(table, mutants, readers=None):
     """The (family, row) pairs where a family passes its default grid under a mutant (id, row) of a spec table.
 
-    Each mutant runs its own family, and also the families readers[id] names.
-    The registry is rebuilt under each mutant, so a row that a descriptor
-    binds when the registry is built is read as patched too.
+    Each mutant runs its own family, and also the families readers[id] names,
+    under a registry rebuilt with the mutant row.
     """
     alive = set()
     for identity_id, row in mutants:
-        with (
-            mock.patch.dict(table, {identity_id: row}),
-            mock.patch.object(identities, "_REGISTRY", None),
-            mock.patch.dict(identities._REGISTRY_BY_ID, clear=True),
-        ):
+        with rebuilt_under(table, identity_id, row):
             for family in (identity_id, *(readers or {}).get(identity_id, ())):
                 if all(r.passed for r in identities.run_identity(family)):
                     alive.add((family, row))
@@ -1832,14 +1809,69 @@ def corollary_spec_mutants(table):
 
 
 def test_every_corollary_spec_mutant_fails_the_default_grid_but_the_equivalents():
-    mutants = corollary_spec_mutants(identities._COROLLARIES)
+    table = identities._COROLLARIES
+    mutants = corollary_spec_mutants(table)
     assert len(mutants) == 13
-    # The other signed index is equivalent: a half is (full +- (-1)^n twisted) / 2,
-    # the twisted sum sum (-1)^(k+l) F(k+l) V_k U_l does not depend on which index
-    # carries the sign, and the full sum is F(0) for either sign.
-    assert survivors(identities._COROLLARIES, mutants) == {
+    # comb20-22 read their _COROLLARIES row when they run, so each mutant is
+    # also read at q = 1 by the halves that name its row
+    readers = {
+        corollary_id: [comb_id for comb_id, (_, row, _) in identities._COMB_SUMS.items() if row == corollary_id]
+        for corollary_id in table
+    }
+    assert readers == {"corollary_2_4": ["comb20", "comb22"], "corollary_3_4": ["comb21"]}
+    assert survivors(table, mutants, readers) == {
+        # The other signed index is equivalent, at q and at q = 1: a half is
+        # (full +- (-1)^n twisted) / 2, the twisted sum sum (-1)^(k+l) F(k+l) V_k U_l
+        # does not depend on which index carries the sign, and the full sum is
+        # F(0) for either sign.
         ("corollary_2_4", ("resdbl1", 0, 0)),
         ("corollary_3_4", ("resdbl4", 1, 1)),
+        ("comb20", ("resdbl1", 0, 0)),
+        ("comb22", ("resdbl1", 0, 0)),
+        ("comb21", ("resdbl4", 1, 1)),
+        # a enters F only as q^(a*C(n-j, 2)), which is 1 at q = 1, so the q = 1
+        # halves do not read it; the corollary families reject these rows
+        ("comb20", ("resdbl2", 0, 1)),
+        ("comb22", ("resdbl2", 0, 1)),
+        ("comb21", ("resdbl3", 1, 0)),
+        ("comb21", ("resdbl3", 1, 2)),
+    }
+
+
+def test_every_q1_triangle_row_mutant_is_another_true_row():
+    # comb16-19 pointed at another _RESDBL row, comb20-22 at the other
+    # corollary or the other parity
+    table = identities._COMB_SUMS
+    mutants = []
+    for comb_id, (template, row, parity) in table.items():
+        if row in identities._RESDBL:
+            mutants += [(comb_id, (template, other, None)) for other in RESDBL if other != row]
+        elif row in identities._COROLLARIES:
+            (other,) = set(identities._COROLLARIES) - {row}
+            mutants += [(comb_id, (template, other, parity)), (comb_id, (template, row, 1 - parity))]
+    assert len(mutants) == 18
+    # Every mutant survives, and none is dropped: the triangle theorem holds
+    # for any F and either signed index, so each _RESDBL row is a true
+    # statement, and so is each half of each corollary, the odd half of 3.4
+    # included, which the q family corollary_3_4 checks though no q = 1 row
+    # names it.  No default grid can tell one true row from another.
+    assert survivors(table, mutants) == set(mutants)
+    # What tells them apart is the report: a mutant that changes F, or the
+    # half, changes the family's rows, and so the pinned verify --all
+    # digest.  Only the signed index swaps (both sides F_n) and comb22 read
+    # as the odd half of 3.4 (both sides zero) leave every row as it was.
+    honest = {comb_id: identities.run_identity(comb_id) for comb_id, _ in mutants}
+    unchanged = set()
+    for comb_id, row in mutants:
+        with rebuilt_under(table, comb_id, row):
+            if identities.run_identity(comb_id) == honest[comb_id]:
+                unchanged.add((comb_id, row[1:]))
+    assert unchanged == {
+        ("comb16", ("resdbl2", None)),
+        ("comb17", ("resdbl1", None)),
+        ("comb18", ("resdbl4", None)),
+        ("comb19", ("resdbl3", None)),
+        ("comb22", ("corollary_3_4", 1)),
     }
 
 
