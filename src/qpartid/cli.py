@@ -10,18 +10,19 @@ Subcommands, with the --format values each one renders:
 Every subcommand takes --out PATH.  One runner, _run, builds every report
 (verify and oracle-diff): it times each task and streams the report.  A task
 returns CaseResults, which are written as the task's block of ASCII bytes,
-_CHUNK rows at a time, by the process that ran the task: the runner writes a
-serial task's block straight into the report, and a pool worker writes its
-task's block to a file of its own in a private temporary directory and sends
-back the path, which the runner appends in task order and deletes.  Either
-way the CaseResults are dropped once written, so memory is bounded by the
-largest task, which for verify is one identity family, not by the whole run.
-The report is streamed into an anonymous binary temporary file and copied,
-as bytes, to --out or stdout only after the last task, so a run that crashes
-writes nothing.  A pooled task that raises cancels the tasks not yet handed
-to the pool, but ProcessPoolExecutor counts a task in its call queue, which
-holds up to workers + 1 of them, as running: those tasks and the running
-ones still run to the end before the exit 3.
+_CHUNK rows at a time, by the process that ran the task.  The runner writes a
+serial task's block straight into the report.  A pooled run forks its own
+workers with os.fork, so no run imports multiprocessing: the workers take
+task indices from one pipe, write each task's block to a file of its own in
+a private temporary directory, and send back one line per task on another
+pipe, which the runner reads to append the blocks in task order and delete
+them.  Either way the CaseResults are dropped once written, so memory is
+bounded by the largest task, which for verify is one identity family, not by
+the whole run.  The report is streamed into an anonymous binary temporary
+file and copied, as bytes, to --out or stdout only after the last task, so a
+run that crashes writes nothing.  When the runner reaches a pooled task that
+raised, or one that a dead worker left unfinished, it kills every worker
+before the exit 3, so no task starts after that.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
 (including an --out path that cannot be written), 3 an unexpected exception
@@ -35,12 +36,12 @@ totals, version, so the head (config and the opening of results) is written
 first and timing, totals and version last.  The frame is rendered by
 json.dumps.  Every row, of every format, passing or failing, is written from
 one CaseResult, the tuple (names, values, verdict), by a _RowWriter, which
-owns the row text caches and lives as long as the run or the pooled task
-that made it: the template of the last names tuple it met, the text around
-params of each verdict of the task it is writing, and, for a serial run of
+owns the row text caches and lives as long as the serial run or the pool
+worker that made it: the template of the last names tuple it met, the text
+around params of each verdict of the task it is writing, and, in a run of
 more than one task, up to _MEMO_TEXTS params texts of the last names, so
-families that share a grid format each params text once.  No cache is
-module state.
+families that share a grid format each params text once per writer.  No
+cache is module state.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ import shutil
 import sys
 import tempfile
 import time
-from collections import deque
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from typing import Optional
@@ -93,9 +93,10 @@ _CHUNK = 1024
 
 # The most params texts a _RowWriter keeps, all for one names tuple; past it
 # the writer keeps only the names' template until other names arrive.  Only
-# the writer that _run makes for a run of more than one task keeps texts, for
-# the whole run; the writer of a one-task run, of a pooled task or of a lone
-# render_report call keeps none, since no family repeats its own values.
+# the writers of a run of more than one task keep texts: the one that _run
+# makes for a serial run, for the whole run, and each pool worker's, for all
+# of its tasks.  The writer of a one-task run or of a lone render_report call
+# keeps none, since no family repeats its own values.
 # comb16-19 at n, m <= 120, p <= 40 share 600,281 values, and a memo of them
 # all peaked 94 MB higher (208 MB against 114 MB) and ran about 10 % slower
 # than none, on Python 3.11 on x86-64.  The default grids stay far below it:
@@ -126,54 +127,116 @@ def _run_task(label: str, func, *args):
     return took, len(results), sum(1 for case in results if not case[2][0]), results
 
 
-def _spool_task(path: str, fmt: str, label: str, func, *args):
-    """Run one task in a pool worker and write its fmt block to the new file path.
+def _spool(writer: _RowWriter, path: str, label: str, func, *args) -> str:
+    """Run one task in a worker and write its block to the new file path; the rest of its outcome line.
 
-    Returns the task's outcome with the case count and path in place of its
-    CaseResults, so the worker sends back a few scalars, not the rows.
+    That is "took cases failures", or "error" when the task raised, with the
+    FamilyError text in the file path.err instead of a block.
     """
-    took, cases, failures, results = _run_task(label, func, *args)
+    try:
+        took, cases, failures, results = _run_task(label, func, *args)
+    except FamilyError as exc:
+        with open(path + ".err", "x", encoding="utf-8") as err:
+            err.write(str(exc))
+        return "error"
     with open(path, "xb") as sink:
-        # a family never repeats its own values, so the task keeps no params texts
-        _RowWriter(fmt, memo=False).write(sink, label, results, took)
-    return label, took, cases, failures, path
+        writer.write(sink, label, results, took)
+    return f"{took!r} {cases} {failures}"
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """A concurrent.futures process pool, imported here so a serial run never loads multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor as pool
+def _work(tasks: list[tuple], fmt: str, spool: str, queue: int, done: int) -> None:
+    """A worker's loop: run each task whose index it reads from the fd queue, until EOF.
 
-    return pool(max_workers=max_workers)
+    Task i's block goes to the file spool/i, and its line "i took cases
+    failures", or "i error", to the fd done.  Every block is written by the
+    worker's one _RowWriter, which keeps params texts across its tasks as the
+    serial run's writer does.  Each index is one 4-byte read, and each line
+    one write of less than PIPE_BUF bytes, so neither is split between
+    workers.
+    """
+    writer = _RowWriter(fmt, memo=True)
+    while word := os.read(queue, 4):
+        i = int.from_bytes(word, "little")
+        line = f"{i} {_spool(writer, os.path.join(spool, str(i)), *tasks[i])}\n"
+        os.write(done, line.encode("ascii"))
+
+
+@contextlib.contextmanager
+def _forked(count: int, work):
+    """Fork count workers that each call work() and leave through os._exit; SIGKILL and reap them all on exit."""
+    # imported here, so a serial run never loads signal (about 1 ms)
+    from signal import SIGKILL
+
+    pids = []
+    try:
+        for _ in range(count):
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    work()
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        yield
+    finally:
+        # a worker is not reaped before this, so its pid cannot have been reused
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _outcomes(tasks: list[tuple], fmt: str, workers: int):
     """Yield each task's outcome in task order: label, seconds, cases, failures and block.
 
     A serial task's block is its CaseResults, written by the caller.  A pooled
+    run forks min(workers, len(tasks)) workers, which take task indices from
+    one pipe and send back one outcome line per task on another.  A pooled
     task's block is the path of the file its worker wrote; the file, and the
     private directory that holds them all, are deleted once the caller has
-    them, or when the generator is closed.
+    them, or when the generator is closed.  Reaching a task that raised
+    raises its FamilyError, as does reaching a task that a worker left
+    unfinished by dying; either way, and whenever the generator is closed,
+    every worker is killed first.
     """
-    if workers > 1 and len(tasks) > 1:
-        with tempfile.TemporaryDirectory(prefix="qpartid-") as spool:
-            # a fork-based pool starts all of its workers at the first submit
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
-            try:
-                futures = deque(
-                    pool.submit(_spool_task, os.path.join(spool, str(i)), fmt, label, *t)
-                    for i, (label, *t) in enumerate(tasks)
-                )
-                while futures:
-                    outcome = futures.popleft().result()
-                    yield outcome
-                    os.remove(outcome[-1])
-            finally:
-                # when a task raises, cancel the tasks not yet in the pool's call
-                # queue and wait for the rest, which the pool counts as running
-                pool.shutdown(cancel_futures=True)
-    else:
+    if workers <= 1 or len(tasks) <= 1:
         for label, *t in tasks:
             yield (label, *_run_task(label, *t))
+        return
+    queue_r, queue_w = os.pipe()
+    done_r, done_w = os.pipe()
+    with (
+        tempfile.TemporaryDirectory(prefix="qpartid-") as spool,
+        open(queue_r, "rb", buffering=0) as queue,
+        open(done_w, "wb", buffering=0) as sent,
+        open(done_r, "rb") as done,
+    ):
+        # every index is in the pipe before a worker reads one: the registry's
+        # families need 228 bytes, far below the pipe's 64 KiB
+        with open(queue_w, "wb", buffering=0) as words:
+            words.write(b"".join(i.to_bytes(4, "little") for i in range(len(tasks))))
+        with _forked(min(workers, len(tasks)), lambda: _work(tasks, fmt, spool, queue_r, done_w)):
+            # the workers now hold the only write ends, so done reads EOF once they have all left
+            queue.close()
+            sent.close()
+            lines = {}
+            for i, (label, *_) in enumerate(tasks):
+                while i not in lines:
+                    line = done.readline()
+                    if not line:
+                        raise FamilyError(f"{label}: a worker exited before the task finished")
+                    j, *outcome = line.split()
+                    lines[int(j)] = outcome
+                outcome = lines.pop(i)
+                path = os.path.join(spool, str(i))
+                if outcome == [b"error"]:
+                    with open(path + ".err", encoding="utf-8") as err:
+                        raise FamilyError(err.read())
+                took, cases, failures = outcome
+                yield label, float(took), int(cases), int(failures), path
+                os.remove(path)
 
 
 def _run(config: dict, tasks: list[tuple], fmt: str, out: Optional[str], workers: int = 1) -> int:
@@ -406,7 +469,8 @@ class _ReportWriter:
     json.dumps(report, indent=2, sort_keys=True) + "\n" although its rows
     arrive a block at a time.  The frame is rendered by json.dumps and each
     block by a _RowWriter: this writer's own, which keeps params texts across
-    tasks when memo is on, or the one of the pool worker that ran the task.
+    tasks when memo is on, or the one of the pool worker that ran the task,
+    which keeps them across that worker's tasks.
     Everything reaches the sink as ASCII bytes.
     """
 

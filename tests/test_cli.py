@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import contextlib
 import hashlib
 import io
 import itertools
@@ -9,11 +10,11 @@ import json
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import Future
 from types import SimpleNamespace
 from unittest import mock
 
@@ -156,6 +157,23 @@ def test_verify_all_small_grid_report_bytes_are_pinned(capsys, tmp_path):
     )
     assert code == 0
     assert timing_stripped_digest(out) == SMALL_ALL_REPORT_DIGEST
+
+
+# the same for `verify --all --workers N --format json` at the default grids:
+# the reports that benchmarks/run.py pins for its verify-all and verify-all-w2
+# workloads, which differ only in config.workers
+@pytest.mark.parametrize(
+    "workers, digest",
+    [
+        ("1", "500432fd4734338d2768873f5cabe4c1527532497cadc28432fd2bdaff6be644"),
+        ("2", "8acb9b6835a3d2925278c68bcc452b5e814f6ac647f9c3d7227cb09ca75ddc27"),
+    ],
+)
+def test_verify_all_json_report_bytes_are_pinned(capsys, tmp_path, workers, digest):
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--all", "--workers", workers, "--format", "json", "--out", str(out))
+    assert code == 0
+    assert timing_stripped_digest(out) == digest
 
 
 def test_oracle_diff_report_bytes_are_pinned(capsys, tmp_path):
@@ -533,9 +551,10 @@ def test_a_family_that_raises_cancels_the_queued_families(capsys, monkeypatch, t
     )
     assert (code, out) == (3, "")
     assert err == f"error: {first}: RuntimeError: injected fault\n"
-    # two running and the pool's few queued calls may start; the rest are cancelled
+    # one family in flight per worker, plus one that the worker of the raising
+    # family may take while the runner is being scheduled; the rest never start
     started = sorted(path.name for path in tmp_path.iterdir())
-    assert len(started) < 10 < len(others), started
+    assert len(started) <= 3 < len(others), started
 
 
 def test_json_determinism_modulo_timing(capsys, tmp_path):
@@ -614,46 +633,25 @@ def test_parallel_matches_serial(capsys, tmp_path):
     assert a == b
 
 
-def inline_pool(outcomes: list):
-    """A stand-in for cli.ProcessPoolExecutor: runs each task inline at submit and appends its outcome to outcomes."""
+def inline_workers(sizes: list):
+    """A stand-in for cli._forked: records the worker count and runs one worker's loop in this process, forking none.
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pass
+    That one worker takes every task, in task order, and writes them all with its one writer.
+    """
 
-        def shutdown(self, cancel_futures=False):
-            pass
+    @contextlib.contextmanager
+    def forked(count, work):
+        sizes.append(count)
+        work()
+        yield
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            outcomes.append(future.result())
-            return future
-
-    return InlinePool
+    return forked
 
 
 def test_worker_pool_is_capped_at_the_family_count(capsys, monkeypatch):
-    # a fork-based pool starts every worker at the first submit
-    from qpartid import cli
-
+    # each worker is forked at the start of the run, whether or not a task is left for it
     sizes = []
-
-    class InlinePool:
-        """Records max_workers and runs each task inline, starting no process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_forked", inline_workers(sizes))
     families = ("--family", "delta", "--family", "result1", "--family", "comb01")
     for workers in ("5000", "2"):
         code, out, _ = run_cli(
@@ -665,19 +663,21 @@ def test_worker_pool_is_capped_at_the_family_count(capsys, monkeypatch):
     assert sizes == [3, 2]
 
 
-SERIAL_IMPORTS_CHILD = """
+RUN_IMPORTS_CHILD = """
 import contextlib, io, sys
 from qpartid.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["oracle-diff", "--n-max", "3"])]
     codes.append(main(["verify", "--family", "delta", "--workers", "1"]))
-print(*codes, int("multiprocessing" in sys.modules))
+    codes.append(main(["verify", "--family", "delta", "--family", "result1", "--workers", "2"]))
+print(*codes, *(int(name in sys.modules) for name in ("multiprocessing", "concurrent.futures")))
 """
 
 
-def test_a_serial_run_never_imports_multiprocessing():
-    # the pool's import is about 19 ms of every run's start-up otherwise
-    assert run_small_child(SERIAL_IMPORTS_CHILD) == [0, 0, 0]
+def test_no_run_imports_multiprocessing():
+    # a pooled run forks its own workers: importing concurrent.futures with
+    # multiprocessing costs 17-20 ms before any family can run
+    assert run_small_child(RUN_IMPORTS_CHILD) == [0, 0, 0, 0, 0]
 
 
 def test_verify_rejects_a_repeated_family(capsys, monkeypatch):
@@ -1502,8 +1502,8 @@ def test_a_run_sharing_one_params_memo_writes_every_block_as_the_reference(specs
     # under the same names, the same names in another order and other names;
     # a names tuple that is an equal copy must keep the writer's texts, and
     # a writer that outgrows a memo of 5 texts gives them up midway.  The
-    # serial run shares one writer across the tasks, and the pooled run, in
-    # process, writes each task with a writer of its own.
+    # serial run shares one writer across the tasks, and so does the pooled
+    # run's one worker, whose loop runs in process here.
     tasks = []
     for k, (which, size, offset, copy) in enumerate(specs):
         names = TASK_NAMES[which]
@@ -1514,7 +1514,7 @@ def test_a_run_sharing_one_params_memo_writes_every_block_as_the_reference(specs
         # every task and the run take no time, so the timing text is known
         mp.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
         mp.setattr(cli, "_MEMO_TEXTS", memo_texts)
-        mp.setattr(cli, "ProcessPoolExecutor", inline_pool([]))
+        mp.setattr(cli, "_forked", inline_workers([]))
         out = os.path.join(tmp, "report")
         for fmt, workers in itertools.product(("json", "tsv", "human"), (1, 2)):
             code = cli._run(config, tasks, fmt, out, workers)
@@ -1584,24 +1584,69 @@ def test_no_spool_file_and_no_params_memo_outlive_a_run(
     assert list(private_tmpdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("outcome", ["pass", "raise", "killed"])
+def test_no_worker_outlives_a_run(capsys, monkeypatch, tmp_path, private_tmpdir, outcome):
+    # the runner SIGKILLs and reaps every worker it forked, however the run ends
+    from qpartid.identities import get_descriptor
+
+    test_pid = os.getpid()
+    prepare = get_descriptor("result1").prepare
+
+    def broken(*axes):
+        raise RuntimeError("injected fault")
+
+    def killed(*axes):
+        # only a worker dies; run in this process, the family would kill the test
+        if os.getpid() != test_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return prepare(*axes)
+
+    if outcome != "pass":
+        monkeypatch.setattr(get_descriptor("result1"), "prepare", {"raise": broken, "killed": killed}[outcome])
+    out = tmp_path / "report.tsv"
+    code, stdout, err = run_cli(
+        capsys, "verify", *("--family", "delta", "--family", "result1", "--family", "comb01"),
+        *("--n-max", "3", "--m-max", "3", "--workers", "2", "--format", "tsv", "--out", str(out)),
+    )
+    assert (code, stdout) == ({"pass": 0, "raise": 3, "killed": 3}[outcome], "")
+    if outcome == "pass":
+        assert err == "" and out.read_bytes().count(b"\n") == 1 + 16 + 16 + 16
+    else:
+        cause = {"raise": "RuntimeError: injected fault", "killed": "a worker exited before the task finished"}
+        assert err == f"error: result1: {cause[outcome]}\n"
+        assert not out.exists()
+    assert list(private_tmpdir.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_cli_has_no_global_statement():
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)] == []
 
 
 def test_a_pool_worker_sends_back_the_path_of_its_spooled_block(capsys, monkeypatch, private_tmpdir):
-    # the pool runs each task inline here, so its outcomes can be read
+    # the worker's loop runs in process here, so the runner's outcomes can be read
     outcomes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(outcomes))
+    pooled = cli._outcomes
+
+    def recording(*args):
+        with contextlib.closing(pooled(*args)) as inner:
+            for outcome in inner:
+                outcomes.append(outcome)
+                yield outcome
+
+    monkeypatch.setattr(cli, "_forked", inline_workers([]))
+    monkeypatch.setattr(cli, "_outcomes", recording)
     argv = ("verify", "--family", "delta", "--family", "result1", "--n-max", "2", "--m-max", "2")
-    code, pooled, _ = run_cli(capsys, *argv, "--workers", "2", "--format", "tsv")
+    code, pooled_out, _ = run_cli(capsys, *argv, "--workers", "2", "--format", "tsv")
     assert code == 0
     assert [outcome[:4:2] for outcome in outcomes] == [("delta", 9), ("result1", 9)]
     for *_, path in outcomes:
         spool = pathlib.Path(path).parent
         assert spool.parent == private_tmpdir and not spool.exists()
     assert list(private_tmpdir.iterdir()) == []
-    assert pooled == run_cli(capsys, *argv, "--workers", "1", "--format", "tsv")[1]
+    assert pooled_out == run_cli(capsys, *argv, "--workers", "1", "--format", "tsv")[1]
 
 
 def test_only_a_run_of_more_than_one_task_keeps_a_params_memo(capsys, monkeypatch):
@@ -1615,31 +1660,35 @@ def test_only_a_run_of_more_than_one_task_keeps_a_params_memo(capsys, monkeypatc
         return text
 
     monkeypatch.setattr(cli, "render_report", recording)
-    # a one-task run, and each task of a pooled run, run in process here, keep no params texts
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool([]))
+    # a pooled run's one worker, run in process here, writes every task
+    monkeypatch.setattr(cli, "_forked", inline_workers([]))
+    # a one-task run keeps no params texts
     for argv in (
         ("oracle-diff", "--n-max", "3"),
         ("verify", "--family", "delta", "--n-max", "3", "--m-max", "3", "--workers", "1"),
-        ("verify", "--family", "delta", "--family", "result1", "--n-max", "3", "--m-max", "3", "--workers", "2"),
     ):
         calls.clear()
         assert run_cli(capsys, *argv, "--format", "tsv")[0] == 0
         assert calls and all(not memo and texts is None for _, _, memo, _, texts in calls)
-    calls.clear()
     argv = ("verify", "--family", "delta", "--family", "result1", "--family", "theorem1")
     grid = ("--n-max", "3", "--m-max", "3", "--p-max", "1")
-    assert run_cli(capsys, *argv, *grid, "--workers", "1", "--format", "tsv")[0] == 0
-    # one writer for the run: delta fills its texts, result1 reads the same ones, theorem1's names replace them
-    (_, writer, memo, delta, delta_texts), (_, *result1), (_, *theorem1) = calls
-    assert memo and [label for label, *_ in calls] == ["delta", "result1", "theorem1"]
-    assert result1[0] is writer and result1[2] is delta and result1[3] is delta_texts and len(delta_texts) == 16
-    assert theorem1[0] is writer and theorem1[2] != delta and theorem1[3] is not delta_texts
-    # past the cap the writer keeps the names' template and gives up their texts
-    calls.clear()
-    monkeypatch.setattr(cli, "_MEMO_TEXTS", 10)
-    assert run_cli(capsys, *argv, *grid, "--workers", "1", "--format", "tsv")[0] == 0
-    for _, _, memo, template, texts in calls[:2]:
-        assert memo and template == delta and texts is None
+    # the serial run's writer and a worker's writer each keep them across their tasks
+    memo_texts = cli._MEMO_TEXTS
+    for workers in ("1", "2"):
+        calls.clear()
+        monkeypatch.setattr(cli, "_MEMO_TEXTS", memo_texts)
+        assert run_cli(capsys, *argv, *grid, "--workers", workers, "--format", "tsv")[0] == 0
+        # one writer: delta fills its texts, result1 reads the same ones, theorem1's names replace them
+        (_, writer, memo, delta, delta_texts), (_, *result1), (_, *theorem1) = calls
+        assert memo and [label for label, *_ in calls] == ["delta", "result1", "theorem1"]
+        assert result1[0] is writer and result1[2] is delta and result1[3] is delta_texts and len(delta_texts) == 16
+        assert theorem1[0] is writer and theorem1[2] != delta and theorem1[3] is not delta_texts
+        # past the cap the writer keeps the names' template and gives up their texts
+        calls.clear()
+        monkeypatch.setattr(cli, "_MEMO_TEXTS", 10)
+        assert run_cli(capsys, *argv, *grid, "--workers", workers, "--format", "tsv")[0] == 0
+        for _, _, memo, template, texts in calls[:2]:
+            assert memo and template == delta and texts is None
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -1655,7 +1704,7 @@ def test_each_verdict_text_is_built_once_per_task(capsys, monkeypatch, workers):
         return fixed_of(label, verdict)
 
     monkeypatch.setitem(cli._ROW_FORMATS, "json", (template_of, counting, sep))
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool([]))
+    monkeypatch.setattr(cli, "_forked", inline_workers([]))
     families = [arg for i in range(1, 5) for arg in ("--family", f"resdbl{i}")]
     grid = ("--n-max", "7", "--m-max", "7", "--p-max", "7")
     assert run_cli(capsys, "verify", *families, *grid, "--workers", workers, "--format", "json")[0] == 0
