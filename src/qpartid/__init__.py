@@ -22,6 +22,7 @@ from .bigpoly import (
 )
 from .identities import (
     CaseResult,
+    CaseRun,
     IdentityDescriptor,
     check_F_theorem,
     check_genfun,

@@ -9,20 +9,22 @@ Subcommands, with the --format values each one renders:
 
 Every subcommand takes --out PATH.  One runner, _run, builds every report
 (verify and oracle-diff): it times each task and streams the report.  A task
-returns CaseResults, which are written as the task's block of ASCII bytes,
-_CHUNK rows at a time, by the process that ran the task.  The runner writes a
-serial task's block straight into the report.  A pooled run forks its own
-workers with os.fork, so no run imports multiprocessing: the workers take
-task indices from one pipe, write each task's block to a file of its own in
-a private temporary directory, and send back one line per task on another
-pipe, which the runner reads to append the blocks in task order and delete
-them.  Either way the CaseResults are dropped once written, so memory is
+returns a CaseRun: its names, its values (a grid's axes, or one list), its
+distinct verdicts and one verdict index per case.  The run is written as the
+task's block of ASCII bytes, _CHUNK rows at a time, by the process that ran
+the task.  The runner writes a serial task's block straight into the report.
+A pooled run forks its own workers with os.fork, so no run imports
+multiprocessing: the workers take task indices from one pipe, write each
+task's block to a file of its own in a private temporary directory, and
+report on a pipe of their own when they take a task and when they finish
+it; the runner reads those lines to append the blocks in task order and
+delete them.  Either way the run is dropped once written, so memory is
 bounded by the largest task, which for verify is one identity family, not by
 the whole run.  The report is streamed into an anonymous binary temporary
 file and copied, as bytes, to --out or stdout only after the last task, so a
 run that crashes writes nothing.  When the runner reaches a pooled task that
-raised, or one that a dead worker left unfinished, it kills every worker
-before the exit 3, so no task starts after that.
+raised, or as soon as a worker dies with a task unfinished, it kills every
+worker before the exit 3, so no task starts after that.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage error
 (including an --out path that cannot be written), 3 an unexpected exception
@@ -34,14 +36,12 @@ A JSON report is exactly json.dumps(report, indent=2, sort_keys=True)
 followed by a newline.  Its top-level keys sort as config, results, timing,
 totals, version, so the head (config and the opening of results) is written
 first and timing, totals and version last.  The frame is rendered by
-json.dumps.  Every row, of every format, passing or failing, is written from
-one CaseResult, the tuple (names, values, verdict), by a _RowWriter, which
-owns the row text caches and lives as long as the serial run or the pool
-worker that made it: the template of the last names tuple it met, the text
-around params of each verdict of the task it is writing, and, in a run of
-more than one task, up to _MEMO_TEXTS params texts of the last names, so
-families that share a grid format each params text once per writer.  No
-cache is module state.
+json.dumps.  Every row, of every format, passing or failing, is written by
+the task's _RowWriter from one bytes template per distinct verdict of the
+run: the text before the params, the params with one %d slot per value, and
+the text after.  A row is then one bytes % of its verdict's template by its
+case's values, which come from one iterator over the run's values.  No text
+is cached past its task, and no cache is module state.
 """
 
 from __future__ import annotations
@@ -55,14 +55,17 @@ import shutil
 import sys
 import tempfile
 import time
+from array import array
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
+from functools import partial
+from itertools import islice
+from operator import itemgetter, mod
 from typing import Optional
 
 from . import __version__
 from .bigpoly import IntPoly, format_poly, poly_substitute_power
 from .identities import (
-    CaseResult,
+    CaseRun,
     get_descriptor,
     registry,
     run_identity,
@@ -86,23 +89,10 @@ from .partitions import (
 WORKERS_ENV = "QPARTID_WORKERS"
 
 # Rows per render_report call when a task's block is written.  It bounds the
-# row text held at once, whatever the size of the task: 1,024 JSON rows are
-# about 270 kB, held as rows, joined and encoded, where 4,096 rows left serial
-# verify --all and the resdbl1-4 grid 3 MB higher at their peak, and no faster.
+# row bytes held at once, whatever the size of the task: 1,024 JSON rows are
+# about 270 kB, where 4,096 rows left serial verify --all and the resdbl1-4
+# grid 3 MB higher at their peak, and no faster.
 _CHUNK = 1024
-
-# The most params texts a _RowWriter keeps, all for one names tuple; past it
-# the writer keeps only the names' template until other names arrive.  Only
-# the writers of a run of more than one task keep texts: the one that _run
-# makes for a serial run, for the whole run, and each pool worker's, for all
-# of its tasks.  The writer of a one-task run or of a lone render_report call
-# keeps none, since no family repeats its own values.
-# comb16-19 at n, m <= 120, p <= 40 share 600,281 values, and a memo of them
-# all peaked 94 MB higher (208 MB against 114 MB) and ran about 10 % slower
-# than none, on Python 3.11 on x86-64.  The default grids stay far below it:
-# verify --all keeps at most 5,733 texts for one names tuple, and the
-# resdbl1-4 grid at n, m, p <= 7 keeps 6,144.
-_MEMO_TEXTS = 1 << 15
 
 
 class UsageError(Exception):
@@ -114,121 +104,152 @@ class FamilyError(Exception):
 
 
 def _run_task(label: str, func, *args):
-    """Call func(*args) for task label: the elapsed seconds, the case and failure counts, the CaseResults.
-
-    The failures are counted from each verdict's first field, as tuple items.
-    """
+    """Call func(*args) for task label: the elapsed seconds, the case and failure counts, the CaseRun."""
     start = time.perf_counter()
     try:
-        results = func(*args)
+        run = func(*args)
     except Exception as exc:
         raise FamilyError(f"{label}: {type(exc).__name__}: {exc}") from None
     took = time.perf_counter() - start
-    return took, len(results), sum(1 for case in results if not case[2][0]), results
+    return took, len(run), run.failures(), run
 
 
-def _spool(writer: _RowWriter, path: str, label: str, func, *args) -> str:
+def _spool(path: str, fmt: str, label: str, func, *args) -> str:
     """Run one task in a worker and write its block to the new file path; the rest of its outcome line.
 
     That is "took cases failures", or "error" when the task raised, with the
     FamilyError text in the file path.err instead of a block.
     """
     try:
-        took, cases, failures, results = _run_task(label, func, *args)
+        took, cases, failures, run = _run_task(label, func, *args)
     except FamilyError as exc:
         with open(path + ".err", "x", encoding="utf-8") as err:
             err.write(str(exc))
         return "error"
     with open(path, "xb") as sink:
-        writer.write(sink, label, results, took)
+        _write_block(sink, fmt, label, run, took)
     return f"{took!r} {cases} {failures}"
 
 
 def _work(tasks: list[tuple], fmt: str, spool: str, queue: int, done: int) -> None:
     """A worker's loop: run each task whose index it reads from the fd queue, until EOF.
 
-    Task i's block goes to the file spool/i, and its line "i took cases
-    failures", or "i error", to the fd done.  Every block is written by the
-    worker's one _RowWriter, which keeps params texts across its tasks as the
-    serial run's writer does.  Each index is one 4-byte read, and each line
-    one write of less than PIPE_BUF bytes, so neither is split between
-    workers.
+    On taking task i the worker writes the line "i" to its own fd done, and
+    on finishing it "i took cases failures", or "i error"; the task's block
+    goes to the file spool/i.  Each index is one 4-byte read, so none is
+    split between workers.
     """
-    writer = _RowWriter(fmt, memo=True)
     while word := os.read(queue, 4):
         i = int.from_bytes(word, "little")
-        line = f"{i} {_spool(writer, os.path.join(spool, str(i)), *tasks[i])}\n"
+        os.write(done, b"%d\n" % i)
+        line = f"{i} {_spool(os.path.join(spool, str(i)), fmt, *tasks[i])}\n"
         os.write(done, line.encode("ascii"))
 
 
 @contextlib.contextmanager
 def _forked(count: int, work):
-    """Fork count workers that each call work() and leave through os._exit; SIGKILL and reap them all on exit."""
+    """Fork count workers that each call work(done) and leave through os._exit; yield the read ends of their pipes.
+
+    done is the write end of a pipe of the worker's own, made just before
+    its fork and closed in the parent right after, so no other process
+    holds it and its read end meets EOF as soon as the worker exits.  On
+    exit, SIGKILL and reap every worker and close the read ends.
+    """
     # imported here, so a serial run never loads signal (about 1 ms)
     from signal import SIGKILL
 
-    pids = []
+    pids, reads = [], []
     try:
         for _ in range(count):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    work()
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        yield
+            read, done = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        work(done)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            finally:
+                os.close(done)
+        yield reads
     finally:
         # a worker is not reaped before this, so its pid cannot have been reused
         for pid in pids:
             os.kill(pid, SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
+
+
+def _finished(tasks: list[tuple], reads: list[int]):
+    """Yield (i, outcome words) for each task as a worker reports it finished, reading every worker's pipe.
+
+    A worker's pipe that meets EOF while the worker holds a task it took and
+    has not finished raises that task's FamilyError at once; the generator
+    ends when every pipe has met EOF.
+    """
+    # imported here, so a serial run never loads select
+    from select import select
+
+    held, partial_lines = {}, dict.fromkeys(reads, b"")
+    while partial_lines:
+        for fd in select(list(partial_lines), [], [])[0]:
+            data = os.read(fd, 1 << 16)
+            if not data:
+                del partial_lines[fd]
+                if fd in held:
+                    raise FamilyError(f"{tasks[held[fd]][0]}: a worker exited before the task finished")
+                continue
+            *lines, partial_lines[fd] = (partial_lines[fd] + data).split(b"\n")
+            for line in lines:
+                i, *outcome = line.split()
+                if outcome:
+                    del held[fd]
+                    yield int(i), outcome
+                else:
+                    held[fd] = int(i)
 
 
 def _outcomes(tasks: list[tuple], fmt: str, workers: int):
     """Yield each task's outcome in task order: label, seconds, cases, failures and block.
 
-    A serial task's block is its CaseResults, written by the caller.  A pooled
-    run forks min(workers, len(tasks)) workers, which take task indices from
-    one pipe and send back one outcome line per task on another.  A pooled
-    task's block is the path of the file its worker wrote; the file, and the
-    private directory that holds them all, are deleted once the caller has
-    them, or when the generator is closed.  Reaching a task that raised
-    raises its FamilyError, as does reaching a task that a worker left
-    unfinished by dying; either way, and whenever the generator is closed,
-    every worker is killed first.
+    A serial task's block is its CaseRun, written by the caller.  A pooled
+    run forks min(workers, len(tasks)) workers, which take task indices
+    from one pipe and report each task they take and finish on a pipe of
+    their own.  A pooled task's block is the path of the file its worker
+    wrote; the file, and the private directory that holds them all, are
+    deleted once the caller has them, or when the generator is closed.
+    Reaching a task that raised raises its FamilyError, as does a worker
+    that dies with a task unfinished, as soon as its pipe says so; either
+    way, and whenever the generator is closed, every worker is killed first.
     """
     if workers <= 1 or len(tasks) <= 1:
         for label, *t in tasks:
             yield (label, *_run_task(label, *t))
         return
     queue_r, queue_w = os.pipe()
-    done_r, done_w = os.pipe()
     with (
         tempfile.TemporaryDirectory(prefix="qpartid-") as spool,
         open(queue_r, "rb", buffering=0) as queue,
-        open(done_w, "wb", buffering=0) as sent,
-        open(done_r, "rb") as done,
     ):
         # every index is in the pipe before a worker reads one: the registry's
         # families need 228 bytes, far below the pipe's 64 KiB
         with open(queue_w, "wb", buffering=0) as words:
             words.write(b"".join(i.to_bytes(4, "little") for i in range(len(tasks))))
-        with _forked(min(workers, len(tasks)), lambda: _work(tasks, fmt, spool, queue_r, done_w)):
-            # the workers now hold the only write ends, so done reads EOF once they have all left
+        with _forked(min(workers, len(tasks)), lambda done: _work(tasks, fmt, spool, queue_r, done)) as reads:
             queue.close()
-            sent.close()
-            lines = {}
+            finished, lines = _finished(tasks, reads), {}
             for i, (label, *_) in enumerate(tasks):
                 while i not in lines:
-                    line = done.readline()
-                    if not line:
+                    j, outcome = next(finished, (i, None))
+                    if outcome is None:
                         raise FamilyError(f"{label}: a worker exited before the task finished")
-                    j, *outcome = line.split()
-                    lines[int(j)] = outcome
+                    lines[j] = outcome
                 outcome = lines.pop(i)
                 path = os.path.join(spool, str(i))
                 if outcome == [b"error"]:
@@ -245,19 +266,18 @@ def _run(config: dict, tasks: list[tuple], fmt: str, out: Optional[str], workers
     Each task's block is written as soon as the task finishes, so memory is
     bounded by the largest task.  Blocks go, as bytes, to an anonymous
     temporary file, which is copied to out (or stdout) after the last task: a
-    task that raises leaves nothing written.  The run's writer keeps params
-    texts across tasks only when there is more than one task.
+    task that raises leaves nothing written.
     """
     started = time.perf_counter()
     timing = {}
     failures = 0
     with tempfile.TemporaryFile() as sink, contextlib.closing(_outcomes(tasks, fmt, workers)) as outcomes:
-        writer = _ReportWriter(sink, fmt, {"config": config}, memo=len(tasks) > 1)
+        writer = _ReportWriter(sink, fmt, {"config": config})
         for label, took, cases, failed, block in outcomes:
             timing[label] = round(took, 6)
             failures += failed
             writer.add(label, took, cases, block)
-            # the next task runs before the loop rebinds block: drop its rows first
+            # the next task runs before the loop rebinds block: drop its run first
             del block
         timing["total"] = round(time.perf_counter() - started, 6)
         totals = {"cases": writer.cases, "passes": writer.cases - failures, "failures": failures}
@@ -302,7 +322,7 @@ def run_verify(config: dict, out: Optional[str]) -> int:
 def _json_params(names: tuple) -> tuple:
     """The params object of a row with these names, as json.dumps nests it, and its values' order.
 
-    The text is a %-template with one %s slot per name, in sorted name order,
+    The text is a %-template with one %d slot per name, in sorted name order,
     so the name text is escaped for % as well as for JSON.  The order is an
     itemgetter that puts a row's values into slot order, or None when they
     are in that order already.
@@ -310,13 +330,13 @@ def _json_params(names: tuple) -> tuple:
     if not names:
         return "{}", None
     order = sorted(range(len(names)), key=names.__getitem__)
-    slots = ",\n        ".join(_json_str(names[i]).replace("%", "%%") + ": %s" for i in order)
+    slots = ",\n        ".join(_json_str(names[i]).replace("%", "%%") + ": %d" for i in order)
     return "{\n        " + slots + "\n      }", None if order == sorted(order) else itemgetter(*order)
 
 
 def _text_params(names: tuple) -> tuple:
-    """The k=v,... params text of TSV and human rows, whose slots are in the values' own order."""
-    return ",".join(k.replace("%", "%%") + "=%s" for k in names), None
+    """The k=v,... params template of TSV and human rows, whose slots are in the values' own order."""
+    return ",".join(k.replace("%", "%%") + "=%d" for k in names), None
 
 
 def _json_fixed(label: str, verdict: tuple) -> tuple[str, str]:
@@ -349,15 +369,16 @@ def _tsv_fixed(label: str, verdict: tuple) -> tuple[str, str]:
     return f"{label}\t", f"\t{int(passed)}\t{mismatch}\t{lhs_hash}\t{rhs_hash}\n"
 
 
-def _fail_fixed(label: str, verdict: tuple) -> tuple[str, str]:
-    return "  FAIL ", f" first_mismatch={json.dumps(verdict[3])}\n"
+def _fail_fixed(label: str, verdict: tuple) -> Optional[tuple[str, str]]:
+    """The text around params of a failing verdict's human row; a passing verdict has no row."""
+    return None if verdict[0] else ("  FAIL ", f" first_mismatch={json.dumps(verdict[3])}\n")
 
 
 # per format: the params template of a names tuple, the text around params, the row separator
 _ROW_FORMATS = {
-    "json": (_json_params, _json_fixed, ",\n"),
-    "tsv": (_text_params, _tsv_fixed, ""),
-    "human": (_text_params, _fail_fixed, ""),
+    "json": (_json_params, _json_fixed, b",\n"),
+    "tsv": (_text_params, _tsv_fixed, b""),
+    "human": (_text_params, _fail_fixed, b""),
 }
 
 
@@ -371,94 +392,70 @@ def _json_members(members: dict, before: str, after: str) -> str:
 
 
 class _RowWriter:
-    """Writes the fmt rows of CaseResults, and owns their text caches for as long as it lives.
+    """Writes the fmt rows of one task's CaseRun in case order, as ASCII bytes.
 
-    A CaseResult is (names, values, verdict).  The writer keeps the template
-    of the last names tuple it met: its text with one %s slot per value, and
-    the order of the values in the slots.  A names tuple is found by identity
-    while it stays the same object, as it does across a family run, and an
-    equal copy keeps the template too.  With memo on it also keeps each
-    params text of those names once formatted, up to _MEMO_TEXTS of them;
-    other names start both afresh.  The text before and after params is
-    built once per verdict of the task in hand, since the runner shares a
-    verdict across the cases with the same sides; write starts each task's
-    verdict texts afresh, as a lone render_report call does.  Every verdict
-    is the runner's tuple, so it keys that cache.  Only the names, escaped,
-    go into a %-template; the id and the digests are concatenated.
+    Each verdict of the run gets one bytes template: the text before params,
+    the params template of the run's names, with one %d slot per value, and
+    the text after, each % of the first and last escaped.  A human writer
+    has templates for the failing verdicts alone.  The run's values come
+    from one iterator over run.values, put into slot order, which every
+    call reads on from where the last one stopped; a row is one bytes % of
+    its verdict's template by its values.
     """
 
-    def __init__(self, fmt: str, memo: bool):
-        self.fmt, self.memo = fmt, memo
-        self.names = self.template = self.texts = None
-        self.fixed = {}
+    def __init__(self, fmt: str, label: str, run: CaseRun):
+        params_of, fixed_of, self.sep = _ROW_FORMATS[fmt]
+        params, order = params_of(run.names)
+        self.templates = [
+            None if around is None else params.join(text.replace("%", "%%") for text in around).encode("ascii")
+            for around in map(partial(fixed_of, label), run.verdicts)
+        ]
+        values = iter(run.values)
+        self.values = values if order is None else map(order, values)
+        self.indices, self.at = run.indices, 0
 
-    def rows(self, label: str, results: list[CaseResult]) -> str:
-        """The rows of results, a task label's CaseResults, each the text before, params, after."""
-        template_of, fixed_of, sep = _ROW_FORMATS[self.fmt]
-        fixed = self.fixed
-        names = None
-        rows = []
-        append = rows.append
-        for case_names, values, verdict in results:
-            if case_names is not names:
-                names = case_names
-                if names != self.names:
-                    self.names, self.template = names, template_of(names)
-                    self.texts = {} if self.memo else None
-                (text, order), texts = self.template, self.texts
-            if texts is None:
-                params = text % (order(values) if order else values)
-            else:
-                params = texts.get(values)
-                if params is None:
-                    params = text % (order(values) if order else values)
-                    if len(texts) < _MEMO_TEXTS:
-                        texts[values] = params
-                    else:
-                        # this many texts cost more than they save: format these names' rows
-                        texts = self.texts = None
-            around = fixed.get(verdict)
-            if around is None:
-                around = fixed[verdict] = fixed_of(label, verdict)
-            append(around[0] + params + around[1])
-        return sep.join(rows)
+    def rows(self, count: int) -> bytes:
+        """The next count rows, joined by the row separator."""
+        start = self.at
+        self.at += count
+        return self.sep.join(map(mod, map(self.templates.__getitem__, self.indices[start : self.at]), self.values))
 
-    def write(self, sink, label: str, results: list[CaseResult], took: float) -> None:
-        """Write render_report's block of task label to the binary sink, as ASCII, _CHUNK rows per call."""
-        self.fixed = {}
-        if self.fmt == "human":
-            sink.write(render_report(label, results, self.fmt, took, self).encode("ascii"))
-            return
-        sep = _ROW_FORMATS[self.fmt][2].encode("ascii")
-        for start in range(0, len(results), _CHUNK):
-            if start:
-                sink.write(sep)
-            sink.write(render_report(label, results[start : start + _CHUNK], self.fmt, took, self).encode("ascii"))
+    def failing(self, count: int) -> bytes:
+        """The rows of the first count cases whose verdict has a template: a human writer's failures."""
+        cases = zip(map(self.templates.__getitem__, self.indices), self.values)
+        return b"".join(islice((template % values for template, values in cases if template is not None), count))
 
 
-def render_report(
-    label: str, results: list[CaseResult], fmt: str, took: float, writer: Optional[_RowWriter] = None
-) -> str:
-    """One block of a report: the CaseResults of task label, which ran for took seconds.
+def _write_block(sink, fmt: str, label: str, run: CaseRun, took: float) -> None:
+    """Write render_report's block of task label's run to the binary sink, _CHUNK rows per call."""
+    if fmt == "human":
+        sink.write(render_report(label, run, fmt, took))
+        return
+    writer = _RowWriter(fmt, label, run)
+    for start in range(0, len(run), _CHUNK):
+        if start:
+            sink.write(writer.sep)
+        sink.write(render_report(label, run, fmt, took, writer))
 
-    Each CaseResult is the runner's tuple (names, values, verdict), its
-    verdict a tuple of hashable items.
+
+def render_report(label: str, run: CaseRun, fmt: str, took: float, writer: Optional[_RowWriter] = None) -> bytes:
+    """One block of a report, as ASCII bytes: the cases of run, task label's CaseRun, which ran for took seconds.
 
     A JSON block is the rows as json.dumps nests them in the results list,
     with no separator before the first row or after the last.  A human block
     is the task's summary line and at most 10 of its failures.  TSV and
-    human output write a mismatch as json.dumps does.  Every row, of every
-    format, is written by writer, the caller's _RowWriter, or else by a new
-    one that keeps no params texts.  The JSON or TSV block of a list is the
-    blocks of its consecutive slices joined by the row separator, which is
-    how _RowWriter.write writes a task's rows a chunk at a time.
+    human output write a mismatch as json.dumps does.  Given writer, the
+    _RowWriter of this run, a JSON or TSV block is the run's next _CHUNK
+    rows, as _write_block writes a task a chunk at a time: the block of the
+    whole run is those blocks joined by the row separator.
     """
-    rows = (_RowWriter(fmt, memo=False) if writer is None else writer).rows
     if fmt != "human":
-        return rows(label, results)
-    failed = [case for case in results if not case[2][0]]
-    status = "ok" if not failed else f"{len(failed)} FAILED"
-    return f"{label}: {len(results)} cases, {status} ({took:.2f}s)\n" + rows(label, failed[:10])
+        return _RowWriter(fmt, label, run).rows(len(run)) if writer is None else writer.rows(_CHUNK)
+    failed = run.failures()
+    if not failed:
+        return f"{label}: {len(run)} cases, ok ({took:.2f}s)\n".encode("ascii")
+    head = f"{label}: {len(run)} cases, {failed} FAILED ({took:.2f}s)\n".encode("ascii")
+    return head + _RowWriter(fmt, label, run).failing(10)
 
 
 class _ReportWriter:
@@ -468,15 +465,12 @@ class _ReportWriter:
     those after it, so a JSON report is exactly
     json.dumps(report, indent=2, sort_keys=True) + "\n" although its rows
     arrive a block at a time.  The frame is rendered by json.dumps and each
-    block by a _RowWriter: this writer's own, which keeps params texts across
-    tasks when memo is on, or the one of the pool worker that ran the task,
-    which keeps them across that worker's tasks.
-    Everything reaches the sink as ASCII bytes.
+    block by the _RowWriter of its task, in this process or in the pool
+    worker that ran the task.  Everything reaches the sink as ASCII bytes.
     """
 
-    def __init__(self, sink, fmt: str, head: dict, memo: bool = False):
+    def __init__(self, sink, fmt: str, head: dict):
         self.sink, self.fmt, self.cases = sink, fmt, 0
-        self.rows = _RowWriter(fmt, memo)
         if fmt == "json":
             sink.write(("{" + _json_members(head, "", ",") + '\n  "results": [').encode("ascii"))
         elif fmt == "tsv":
@@ -485,8 +479,8 @@ class _ReportWriter:
     def add(self, label: str, took: float, cases: int, block) -> None:
         """Write the block of task label, which ran for took seconds and holds cases rows.
 
-        The block is the task's CaseResults, or the path of the file that a
-        pool worker wrote them to, which is copied as it stands.
+        The block is the task's CaseRun, or the path of the file that a pool
+        worker wrote its rows to, which is copied as it stands.
         """
         if self.fmt == "json" and cases:
             self.sink.write(b",\n" if self.cases else b"\n")
@@ -494,7 +488,7 @@ class _ReportWriter:
             with open(block, "rb") as spooled:
                 shutil.copyfileobj(spooled, self.sink)
         else:
-            self.rows.write(self.sink, label, block, took)
+            _write_block(self.sink, self.fmt, label, block, took)
         self.cases += cases
 
     def close(self, tail: dict) -> None:
@@ -670,13 +664,14 @@ _ORACLE_NAMES = ("n", "m", "p")
 _ORACLE_PASS = (True, "", "", None)
 
 
-def _oracle_cases(n_max: int, oracle_limit: int) -> list[CaseResult]:
+def _oracle_cases(n_max: int, oracle_limit: int) -> CaseRun:
     """One case per (n, m, p), n <= n_max: the DP counts, from one fill of P and one of Q, against enumeration.
 
-    Every case shares one names tuple, and every passing case one verdict.
+    The triples are no product grid, so the run's values are one list of
+    them.  Every passing case shares the run's first verdict, and each
+    failing case has one of its own.
     """
-    results = []
-    append, make = results.append, CaseResult._make
+    values, verdicts, indices = [], [_ORACLE_PASS], array("I")
     P, Q = (count_tables(n_max + 1, n_max + 1, n_max, distinct) for distinct in (False, True))
     for n in range(n_max + 1):
         plain_counts, distinct_counts = oracle_counts(n, oracle_limit)
@@ -684,12 +679,13 @@ def _oracle_cases(n_max: int, oracle_limit: int) -> list[CaseResult]:
             for p in range(n + 1):
                 plain, distinct = plain_counts[m][p], distinct_counts[m][p]
                 dp_p, dp_q = P[p][n][m], Q[p][n][m]
+                values.append((n, m, p))
                 if plain == dp_p and distinct == dp_q:
-                    verdict = _ORACLE_PASS
+                    indices.append(0)
                 else:
-                    verdict = (False, "", "", (dp_p, plain) if plain != dp_p else (dp_q, distinct))
-                append(make((_ORACLE_NAMES, (n, m, p), verdict)))
-    return results
+                    indices.append(len(verdicts))
+                    verdicts.append((False, "", "", (dp_p, plain) if plain != dp_p else (dp_q, distinct)))
+    return CaseRun(_ORACLE_NAMES, values, verdicts, indices)
 
 
 def cmd_oracle_diff(args) -> int:

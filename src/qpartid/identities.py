@@ -7,14 +7,15 @@ builds every row the grid reaches to the grid's extent and binds them in
 locals, and then one pass over the grid points reads each case's sides
 from those rows.  A case's sides are its verdict's key: the verdict
 (passed, lhs_hash, rhs_hash, first_mismatch) is worked out once per
-distinct sides in a family run and shared by every case with those sides,
-and each case's CaseResult is the family's names, the case's values and
-that verdict.  A grid's domain is checked once per axis, before anything
-is built, and one case alone is the run of its one-point grid
-(evaluate_case); the public one-case readers q_identity_sides and
-parity_sum_sides return the sides that run reads.  Checks build both sides
-independently and compare exactly, in three layers that share no
-evaluator:
+distinct sides in a family run and shared by every case with those sides.
+The run (CaseRun) keeps each distinct verdict once and one verdict number
+per case, and makes a case's CaseResult, the family's names, the case's
+values and that verdict, only when it is read.  A grid's domain is checked
+once per axis, before anything is built, and one case alone is the run of
+its one-point grid (evaluate_case); the public one-case readers
+q_identity_sides and parity_sum_sides return the sides that run reads.
+Checks build both sides independently and compare exactly, in three layers
+that share no evaluator:
 
 * q-polynomial: exact q-binomial brackets.  The single sums are rows of
   _Q_SUMS over two bracket kernels U and V, read by _q_reader.  Each side is
@@ -89,6 +90,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from array import array
 from functools import partial
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Optional, Sequence
@@ -164,9 +166,11 @@ def _weighted_sum(weights: Iterable[int], outer: Sequence[int], inner: Sequence[
 # count or q = 1 family; the tuple of pairs of a many-pair one.  The family's
 # finish turns a key into a verdict, the tuple
 # (passed, lhs_hash, rhs_hash, first_mismatch), and the verdict memo of the
-# family run (_Verdicts) finishes each distinct key once.  A CaseResult is
-# the tuple (names, values, verdict), so a case adds one small tuple to what
-# its family holds already, and the CLI writes its row from those three.
+# family run (_Verdicts) finishes each distinct key once and numbers it.  A
+# run (CaseRun) is the family's names, the grid's values, its distinct
+# verdicts and one verdict index per case, so a case adds four bytes to what
+# its family holds already; a CaseResult, the tuple (names, values, verdict),
+# is made only when a case is read, and the CLI writes each row from the run.
 
 KIND_Q_POLYNOMIAL = "q_polynomial"
 KIND_COUNT_INTEGER = "count_integer"
@@ -197,6 +201,94 @@ class CaseResult(tuple):
     lhs_hash = property(lambda self: self[2][1], doc="The digest of the left side.")
     rhs_hash = property(lambda self: self[2][2], doc="The digest of the right side.")
     first_mismatch = property(lambda self: self[2][3], doc="Where the sides first differ, or None.")
+
+
+class _Grid:
+    """The points of a product grid in itertools.product order, none of them stored."""
+
+    __slots__ = ("axes",)
+
+    def __init__(self, axes: Sequence[Sequence[int]]):
+        self.axes = axes
+
+    def __iter__(self):
+        return itertools.product(*self.axes)
+
+    def __getitem__(self, i: int) -> tuple:
+        # the last axis varies fastest, as in itertools.product
+        point = []
+        for axis in reversed(self.axes):
+            i, at = divmod(i, len(axis))
+            point.append(axis[at])
+        return tuple(reversed(point))
+
+
+class CaseRun(list):
+    """The cases of one run, in order, as a read-only sequence of CaseResults made only when read.
+
+    A run is its names, its values (each case's values in case order: a
+    product grid's points, or a list of tuples), its distinct verdicts, each
+    once, and indices, an array('I') of one position in verdicts per case.
+    failures() counts the failing cases.
+
+    It is a list only so that code that asks isinstance(..., list) sizes it
+    as one, as benchmarks/traced.py does; its own list storage stays empty.
+    Every list method that reads, == and slicing among them, reads the
+    CaseResults of the run and of any run it is given; every one that
+    writes raises TypeError.
+    """
+
+    __slots__ = ("names", "values", "verdicts", "indices")
+
+    def __init__(self, names: tuple, values, verdicts: list[tuple], indices):
+        self.names, self.values, self.verdicts, self.indices = names, values, verdicts, indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self):
+        cases = zip(itertools.repeat(self.names), iter(self.values), map(self.verdicts.__getitem__, self.indices))
+        return map(CaseResult._make, cases)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("CaseRun index out of range")
+        return CaseResult._make((self.names, self.values[i], self.verdicts[self.indices[i]]))
+
+    def __repr__(self) -> str:
+        return f"CaseRun({list(self)!r})"
+
+    def failures(self) -> int:
+        """How many cases fail: the summed occurrences of the failing verdicts."""
+        failing = [not verdict[0] for verdict in self.verdicts]
+        return sum(map(failing.__getitem__, self.indices)) if any(failing) else 0
+
+
+def _on_cases(name: str) -> Callable:
+    """The list method name, applied to the CaseResults of a run and of every run among its arguments."""
+    method = getattr(list, name)
+
+    def read(self, *args):
+        return method(list(self), *(list(arg) if isinstance(arg, CaseRun) else arg for arg in args))
+
+    return read
+
+
+def _read_only(self, *args):
+    raise TypeError("a CaseRun is read-only")
+
+
+for _name in ("__add__", "__contains__", "__eq__", "__ge__", "__gt__", "__le__", "__lt__", "__mul__", "__ne__",
+              "__reversed__", "__rmul__", "copy", "count", "index"):
+    setattr(CaseRun, _name, _on_cases(_name))
+for _name in ("__delitem__", "__iadd__", "__imul__", "__setitem__", "append", "clear", "extend", "insert", "pop",
+              "remove", "reverse", "sort"):
+    setattr(CaseRun, _name, _read_only)
+del _name
 
 
 class IdentityDescriptor:
@@ -235,24 +327,28 @@ def _digest(values: Sequence[int]) -> str:
 
 
 class _Verdicts(dict):
-    """sides -> verdict over one family run: a key not yet seen is finished and kept.
+    """sides -> the position of its verdict over one family run: a key not yet seen is finished and numbered.
 
-    Many cases of a family share their sides (every resdbl case at one
-    (n, p, a, c) has both sides F(0), whatever its m and b), so each distinct
-    sides is hashed and compared once, and every later case with them costs
-    one lookup.  Each grid run makes its own, so memory is bounded by one
-    family's distinct sides and a family's timing does not depend on which
-    family ran before it.
+    Its verdict is appended to the run's list verdicts, so the list holds
+    each distinct verdict once, in first-seen order.  Many cases of a family
+    share their sides (every resdbl case at one (n, p, a, c) has both sides
+    F(0), whatever its m and b), so each distinct sides is hashed and
+    compared once, and every later case with them costs one lookup.  Each
+    grid run makes its own, so memory is bounded by one family's distinct
+    sides and a family's timing does not depend on which family ran before
+    it.
     """
 
-    __slots__ = ("finish",)
+    __slots__ = ("finish", "verdicts")
 
-    def __init__(self, finish: Callable[[tuple], tuple]):
-        self.finish = finish
+    def __init__(self, finish: Callable[[tuple], tuple], verdicts: list[tuple]):
+        self.finish, self.verdicts = finish, verdicts
 
     def __missing__(self, sides):
-        verdict = self[sides] = self.finish(sides)
-        return verdict
+        verdicts = self.verdicts
+        verdicts.append(self.finish(sides))
+        at = self[sides] = len(verdicts) - 1
+        return at
 
 
 def _poly_key(lhs: IntPoly, rhs: IntPoly) -> tuple:
@@ -1227,25 +1323,27 @@ def _prepared(desc: IdentityDescriptor, axes: Sequence[Sequence[int]]) -> tuple[
     return desc.prepare(*axes)
 
 
-def _run_grid(desc: IdentityDescriptor, grid: dict[str, list[int]], tamper_first: bool) -> list[CaseResult]:
+def _run_grid(desc: IdentityDescriptor, grid: dict[str, list[int]], tamper_first: bool) -> CaseRun:
     """Every case of grid, in itertools.product order: prepare once, then one pass over the grid points.
 
     Each case's sides go to the run's own verdict memo, which finishes only
-    sides it has not seen.  With tamper_first the first case is finished
-    with its right side tampered, outside the memo, so no later case with
-    the same sides reads its verdict.  A second pass over the grid points
-    makes each CaseResult from the family's names, the case's values and
-    its verdict.
+    sides it has not seen and numbers each distinct verdict in first-seen
+    order; the run keeps those verdicts and one number per case.  With
+    tamper_first the first case is finished with its right side tampered,
+    outside the memo, as a verdict of its own, so no later case with the
+    same sides reads it.  The run holds the grid's axes, not its points.
     """
     names = desc.params
     axes = [grid[name] for name in names]
-    if not all(axes):
-        return []
-    sides, finish = _prepared(desc, axes)
-    cases = itertools.starmap(sides, itertools.product(*axes))
-    verdicts = [finish(next(cases), True)] if tamper_first else []
-    verdicts.extend(map(_Verdicts(finish).__getitem__, cases))
-    return list(map(CaseResult._make, zip(itertools.repeat(names), itertools.product(*axes), verdicts)))
+    verdicts, indices = [], array("I")
+    if all(axes):
+        sides, finish = _prepared(desc, axes)
+        cases = itertools.starmap(sides, itertools.product(*axes))
+        if tamper_first:
+            verdicts.append(finish(next(cases), True))
+            indices.append(0)
+        indices.extend(map(_Verdicts(finish, verdicts).__getitem__, cases))
+    return CaseRun(names, _Grid([tuple(axis) for axis in axes]), verdicts, indices)
 
 
 def evaluate_case(identity_id: str, params: dict[str, int], tamper: bool = False) -> CaseResult:
@@ -1261,7 +1359,7 @@ def run_identity(
     identity_id: str,
     grid: Optional[dict[str, list[int]]] = None,
     tamper_first: bool = False,
-) -> list[CaseResult]:
-    """Evaluate one identity over a grid; module-level so worker pools can import it."""
+) -> CaseRun:
+    """Evaluate one identity over a grid: its CaseRun, a read-only sequence of CaseResults."""
     desc = get_descriptor(identity_id)
     return _run_grid(desc, grid or desc.default_grid, tamper_first)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from array import array
 from types import SimpleNamespace
 from unittest import mock
 
@@ -24,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from qpartid import __version__, bigpoly, cli, identities
 from qpartid.bigpoly import format_poly
 from qpartid.cli import _CHUNK, _ReportWriter, main, render_report
-from qpartid.identities import CaseResult
+from qpartid.identities import CaseResult, CaseRun
 from qpartid.qbinom import bracket_base
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -172,6 +173,30 @@ def test_verify_all_small_grid_report_bytes_are_pinned(capsys, tmp_path):
 def test_verify_all_json_report_bytes_are_pinned(capsys, tmp_path, workers, digest):
     out = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "--all", "--workers", workers, "--format", "json", "--out", str(out))
+    assert code == 0
+    assert timing_stripped_digest(out) == digest
+
+
+# the same for the benchmark's other two workloads, resdbl1-4 at n, m, p <= 7
+# and oracle-diff at n <= 25, whose digests benchmarks/run.py pins too
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            (
+                "verify",
+                *(arg for i in range(1, 5) for arg in ("--family", f"resdbl{i}")),
+                *("--n-max", "7", "--m-max", "7", "--p-max", "7", "--workers", "1"),
+            ),
+            "fb85c7423f529ffb7cfd57040a6b10bca7325c608720c757380d5978d00a2e30",
+        ),
+        (("oracle-diff", "--n-max", "25"), "1e61700523b919476dbf0deca09b69864924410f14be6aabdf5592e477078a32"),
+    ],
+    ids=["qpoly", "oracle"],
+)
+def test_benchmark_workload_json_report_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(out))
     assert code == 0
     assert timing_stripped_digest(out) == digest
 
@@ -521,6 +546,19 @@ def test_failing_oracle_row_text_is_pinned(capsys, monkeypatch):
         assert failing_lines(out, fmt) == [want]
 
 
+def marking_its_start(desc, marks):
+    """desc's prepare, which first marks the family's start with a file in marks, since the pool forks."""
+    prepare, mark = desc.prepare, marks / desc.id
+
+    def started(*axes):
+        if not mark.exists():
+            mark.touch()
+            time.sleep(0.05)
+        return prepare(*axes)
+
+    return started
+
+
 def test_a_family_that_raises_cancels_the_queued_families(capsys, monkeypatch, tmp_path):
     # the queued families would otherwise all run before the exit 3
     from qpartid.identities import get_descriptor, registry
@@ -530,21 +568,9 @@ def test_a_family_that_raises_cancels_the_queued_families(capsys, monkeypatch, t
     def broken(*axes):
         raise RuntimeError("injected fault")
 
-    def recording(desc):
-        # the pool forks, so each family marks its start with a file
-        prepare, mark = desc.prepare, tmp_path / desc.id
-
-        def started(*axes):
-            if not mark.exists():
-                mark.touch()
-                time.sleep(0.05)
-            return prepare(*axes)
-
-        return started
-
     monkeypatch.setattr(get_descriptor(first), "prepare", broken)
     for family in others:
-        monkeypatch.setattr(get_descriptor(family), "prepare", recording(get_descriptor(family)))
+        monkeypatch.setattr(get_descriptor(family), "prepare", marking_its_start(get_descriptor(family), tmp_path))
     code, out, err = run_cli(
         capsys, "verify", "--all", "--n-max", "1", "--m-max", "1", "--p-max", "1",
         "--workers", "2",
@@ -636,14 +662,22 @@ def test_parallel_matches_serial(capsys, tmp_path):
 def inline_workers(sizes: list):
     """A stand-in for cli._forked: records the worker count and runs one worker's loop in this process, forking none.
 
-    That one worker takes every task, in task order, and writes them all with its one writer.
+    That one worker takes every task, in task order, and writes every
+    line to a pipe of its own, whose read end is the only one yielded.
     """
 
     @contextlib.contextmanager
     def forked(count, work):
         sizes.append(count)
-        work()
-        yield
+        read, done = os.pipe()
+        try:
+            try:
+                work(done)
+            finally:
+                os.close(done)
+            yield [read]
+        finally:
+            os.close(read)
 
     return forked
 
@@ -985,24 +1019,39 @@ def test_q1_family_tsv_report_bytes_are_pinned_past_the_default_grid_in_a_fresh_
     assert digest == "649ae437e3063f94766add9e1c56df5d5f355f7ab638428bece888f6e6f896f2"
 
 
+# Runs the command its arguments name with stdout inherited, then prints, on
+# stderr, its exit code and the peak RSS in kB of that one child.  Linux
+# keeps a process's peak RSS across fork and exec, so the child, started
+# from this small launcher and not from the test, reports its own peak.
+PEAK_RSS_LAUNCHER = """
+import resource, subprocess, sys
+code = subprocess.run(sys.argv[1:]).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+"""
+
+
 def test_wide_q1_triangle_tsv_report_bytes_are_pinned_in_a_fresh_process():
     # comb16 at n, m <= 120, p <= 40: 600,281 rows, each case summed over the
     # nonzero diagonals alone.  The report, about 100 MB, is hashed as the
-    # child writes it, so the test holds none of it.
+    # child writes it, so the test holds none of it.  The run keeps one
+    # verdict index per case, not a CaseResult: it peaked at 112 MB with them.
     argv = ("--family", "comb16", "--n-max", "120", "--m-max", "120", "--p-max", "40")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     digest, lines = hashlib.sha256(), 0
+    child = [sys.executable, "-m", "qpartid", "verify", *argv, "--workers", "1", "--format", "tsv"]
     with subprocess.Popen(
-        [sys.executable, "-m", "qpartid", "verify", *argv, "--workers", "1", "--format", "tsv"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        [sys.executable, "-c", PEAK_RSS_LAUNCHER, *child], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     ) as proc:
         for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
             digest.update(chunk)
             lines += chunk.count(b"\n")
         err = proc.stderr.read().decode()
     assert proc.returncode == 0, err
+    code, peak_kb = map(int, err.split())
+    assert code == 0
     assert lines == 600_281 + 1
     assert digest.hexdigest() == "27adb2a1f1f9e32620e0145e22268e06278b7f1d245bf4155366d71868ba794b"
+    assert peak_kb < 48 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 # TSV of verify --all --inject-failure: 75,456 rows, comb01's first one failing
@@ -1189,16 +1238,23 @@ def case_of(row: dict) -> CaseResult:
     return CaseResult._make((tuple(params), tuple(params.values()), verdict))
 
 
+def run_of(results: list) -> CaseRun:
+    """The CaseRun of CaseResults that share one names tuple: their values as one list, each distinct verdict once."""
+    verdicts = {}
+    indices = array("I", (verdicts.setdefault(r.verdict, len(verdicts)) for r in results))
+    return CaseRun(results[0].names if results else (), [r.values for r in results], list(verdicts), indices)
+
+
 def _render(report: dict, fmt: str) -> str:
-    """The whole report in fmt, written by _ReportWriter with one block per run of equal ids.
+    """The whole report in fmt, written by _ReportWriter with one block per run of equal ids and params keys.
 
     The report is a parsed one, whose rows are made CaseResults again.
     """
     sink = io.BytesIO()
     writer = _ReportWriter(sink, fmt, {k: v for k, v in report.items() if k < "results"})
-    for label, rows in itertools.groupby(report["results"], key=lambda row: row["id"]):
-        results = [case_of(row) for row in rows]
-        writer.add(label, report["timing"].get(label, 0.0), len(results), results)
+    for (label, _), rows in itertools.groupby(report["results"], key=lambda row: (row["id"], tuple(row["params"]))):
+        run = run_of([case_of(row) for row in rows])
+        writer.add(label, report["timing"].get(label, 0.0), len(run), run)
     writer.close({k: v for k, v in report.items() if k > "results"})
     return sink.getvalue().decode("ascii")
 
@@ -1398,27 +1454,43 @@ def text_block_by_fstring(label, results, fmt):
     return "".join(lines)
 
 
+# a TSV or human report is ASCII, so its text is ASCII, "%" and controls among it
+ASCII_TEXT = st.one_of(
+    st.text(alphabet="ab%\\\t\n\x00", max_size=6),
+    st.text(st.characters(max_codepoint=127), max_size=6),
+    st.just("0" * 64),
+)
+# a case's values, of which a run takes as many as it has names, and its verdict
+TEXT_CASES = st.tuples(
+    st.lists(BIG_INTS, min_size=4, max_size=4),
+    st.tuples(st.booleans(), ASCII_TEXT, ASCII_TEXT, st.one_of(st.none(), BIG_INTS, st.tuples(BIG_INTS, BIG_INTS))),
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(ROW_TEXT, st.lists(REPORT_ROWS, max_size=12))
-@example("%s", [example_row(params={"%": 0}), example_row(params={"%d": 1}, **{"pass": False})])
+@given(ASCII_TEXT, st.lists(ASCII_TEXT, unique=True, max_size=4), st.lists(TEXT_CASES, max_size=12))
+@example("%s", ["%", "%d"], [([0, 1, 0, 0], (True, "", "", None)), ([1, -1, 0, 0], (False, "", "", 3))])
 @example(
     "delta",
+    ["n", "m"],
     [
-        example_row(),
-        example_row(first_mismatch=[1, 2], **{"pass": False}),
-        example_row(params={"m": 1, "n": 3}),
-        example_row(rhs_hash="0" * 64, first_mismatch=0, **{"pass": False}),
+        ([3, 1, 0, 0], (True, "0" * 64, "f" * 64, None)),
+        ([3, 1, 0, 0], (False, "0" * 64, "f" * 64, (1, 2))),
+        ([1, 3, 0, 0], (True, "0" * 64, "f" * 64, None)),
+        ([3, 1, 0, 0], (False, "0" * 64, "0" * 64, 0)),
     ],
 )
-def test_text_render_is_the_row_fstring(label, rows):
-    results = [case_of(row) for row in rows]
+def test_text_render_is_the_row_fstring(label, names, cases):
+    results = [CaseResult._make((tuple(names), tuple(pool[: len(names)]), verdict)) for pool, verdict in cases]
     for fmt in ("tsv", "human"):
-        assert render_report(label, results, fmt, 0.0) == text_block_by_fstring(label, results, fmt)
+        block = render_report(label, run_of(results), fmt, 0.0)
+        assert block.decode("ascii") == text_block_by_fstring(label, results, fmt)
 
 
-# names shared by several tasks, the same names in another order, other names,
-# and a name that the %-template must escape
-TASK_NAMES = (("n", "m"), ("m", "n"), ("n", "m", "p"), ("%s", "n"))
+# names shared by several tasks, the same names in another order (unsorted,
+# for JSON), other names, one name, none, and names that the %-template must
+# escape
+TASK_NAMES = (("n", "m"), ("m", "n"), ("n", "m", "p"), ("%s", "n"), ("%",), ("p",), ())
 TASK_VERDICTS = (
     (True, ONE_HASH, ONE_HASH, None),
     (False, ONE_HASH, TWO_HASH, 0),
@@ -1427,13 +1499,13 @@ TASK_VERDICTS = (
 )
 
 
-def task_results(names: tuple, size: int, offset: int) -> list[CaseResult]:
-    """size CaseResults sharing one names tuple, whose values recur within the task and across tasks."""
+def task_results(names: tuple, size: int, offset: int, pool: list) -> list[CaseResult]:
+    """size CaseResults sharing one names tuple, whose values, taken from pool, recur within the task and across tasks."""
     return [
         CaseResult._make(
             (
                 names,
-                tuple((i + offset) * (j + 1) % 37 for j in range(len(names))),
+                tuple(pool[((i + offset) * (j + 1)) % len(pool)] for j in range(len(names))),
                 TASK_VERDICTS[(i + offset) % 5 % len(TASK_VERDICTS)],
             )
         )
@@ -1483,37 +1555,30 @@ def text_report_of(tasks: list[tuple], fmt: str) -> str:
     st.lists(
         st.tuples(
             st.sampled_from(range(len(TASK_NAMES))),
-            st.sampled_from((0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1)),
+            st.sampled_from((0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)),
             st.integers(0, 3),
-            st.booleans(),
         ),
         min_size=1,
         max_size=4,
     ),
-    st.sampled_from((cli._MEMO_TEXTS, 5)),
+    st.lists(BIG_INTS, min_size=1, max_size=8),
 )
-@example([(0, 0, 0, False), (0, _CHUNK + 1, 0, False), (0, 0, 0, True), (0, _CHUNK, 1, True)], 5)
-@example(
-    [(0, 1, 0, False), (1, _CHUNK - 1, 0, False), (2, 2, 0, False), (3, _CHUNK, 0, False), (0, 2, 0, True)],
-    cli._MEMO_TEXTS,
-)
-def test_a_run_sharing_one_params_memo_writes_every_block_as_the_reference(specs, memo_texts):
-    # tasks of 0 rows, 1 row and the chunk size +- 1 rows, whose values recur
-    # under the same names, the same names in another order and other names;
-    # a names tuple that is an equal copy must keep the writer's texts, and
-    # a writer that outgrows a memo of 5 texts gives them up midway.  The
-    # serial run shares one writer across the tasks, and so does the pooled
-    # run's one worker, whose loop runs in process here.
-    tasks = []
-    for k, (which, size, offset, copy) in enumerate(specs):
-        names = TASK_NAMES[which]
-        results = task_results(tuple(list(names)) if copy else names, size, offset)
-        tasks.append((f"t{k}%s", list, results))
+@example([(0, 0, 0), (1, _CHUNK + 1, 0), (4, 1, 0), (3, _CHUNK, 1)], [0, -5, 2**70, 7])
+@example([(0, 1, 0), (2, _CHUNK - 1, 0), (5, 2 * _CHUNK + 1, 0), (6, 2, 0), (3, _CHUNK, 3)], [1])
+def test_a_run_writes_every_block_as_its_reference(specs, pool):
+    # tasks of 0 rows, 1 row, the chunk size +- 1 rows and two chunks and one
+    # row, whose values recur under the same names, the same names in another
+    # order and other names, negative and many-digit among them.  The serial
+    # run writes every task in process, and so does the pooled run's one
+    # worker, whose loop runs in process here.
+    tasks = [
+        (f"t{k}%s", run_of, task_results(TASK_NAMES[which], size, offset, pool))
+        for k, (which, size, offset) in enumerate(specs)
+    ]
     config = {"families": [label for label, *_ in tasks]}
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         # every task and the run take no time, so the timing text is known
         mp.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
-        mp.setattr(cli, "_MEMO_TEXTS", memo_texts)
         mp.setattr(cli, "_forked", inline_workers([]))
         out = os.path.join(tmp, "report")
         for fmt, workers in itertools.product(("json", "tsv", "human"), (1, 2)):
@@ -1524,6 +1589,38 @@ def test_a_run_sharing_one_params_memo_writes_every_block_as_the_reference(specs
                 got = fh.read().decode("ascii")
             want = json_report_of(config, tasks) if fmt == "json" else text_report_of(tasks, fmt)
             assert_same_text(got, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from(range(len(TASK_NAMES))),
+    st.sampled_from((0, 1, 2, 5, _CHUNK + 1)),
+    st.integers(0, 3),
+    st.lists(BIG_INTS, min_size=1, max_size=8),
+    st.slices(_CHUNK + 1),
+)
+def test_a_run_reads_as_the_list_of_its_cases(which, size, offset, pool, cut):
+    results = task_results(TASK_NAMES[which], size, offset, pool)
+    run = run_of(results)
+    assert len(run) == len(results) and bool(run) == bool(results)
+    assert list(run) == results and run == results and results == run and not run != results
+    assert run == run_of(results) and run[cut] == results[cut]
+    assert [run[i] for i in range(-size, size)] == results + results
+    assert run.failures() == sum(not r.passed for r in results)
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            run[i]
+    with pytest.raises(TypeError):
+        run.append(results[0] if results else None)
+
+
+def test_a_grid_run_reads_its_points_in_product_order():
+    grid = {"n": [0, 1, 2], "m": [2, 0], "p": [1, 3], "a": [0], "b": [1, 2], "c": [1]}
+    run = identities.run_identity("resdbl1", grid)
+    points = list(itertools.product(*grid.values()))
+    assert [r.values for r in run] == points == [run[i].values for i in range(len(run))]
+    assert isinstance(run, list) and len(run) == len(points) == len(list(run))
+    assert run[::-5] == list(run)[::-5]
 
 
 @pytest.fixture
@@ -1586,11 +1683,14 @@ def test_no_spool_file_and_no_params_memo_outlive_a_run(
 
 @pytest.mark.parametrize("outcome", ["pass", "raise", "killed"])
 def test_no_worker_outlives_a_run(capsys, monkeypatch, tmp_path, private_tmpdir, outcome):
-    # the runner SIGKILLs and reaps every worker it forked, however the run ends
-    from qpartid.identities import get_descriptor
+    # the runner SIGKILLs and reaps every worker it forked, however the run
+    # ends; a first family that raises, or whose worker dies, cancels the
+    # queued families
+    from qpartid.identities import get_descriptor, registry
 
+    first, *others = sorted(d.id for d in registry())
     test_pid = os.getpid()
-    prepare = get_descriptor("result1").prepare
+    prepare = get_descriptor(first).prepare
 
     def broken(*axes):
         raise RuntimeError("injected fault")
@@ -1601,20 +1701,28 @@ def test_no_worker_outlives_a_run(capsys, monkeypatch, tmp_path, private_tmpdir,
             os.kill(os.getpid(), signal.SIGKILL)
         return prepare(*axes)
 
+    marks = tmp_path / "started"
+    marks.mkdir()
     if outcome != "pass":
-        monkeypatch.setattr(get_descriptor("result1"), "prepare", {"raise": broken, "killed": killed}[outcome])
+        monkeypatch.setattr(get_descriptor(first), "prepare", {"raise": broken, "killed": killed}[outcome])
+        for family in others:
+            monkeypatch.setattr(get_descriptor(family), "prepare", marking_its_start(get_descriptor(family), marks))
     out = tmp_path / "report.tsv"
     code, stdout, err = run_cli(
-        capsys, "verify", *("--family", "delta", "--family", "result1", "--family", "comb01"),
-        *("--n-max", "3", "--m-max", "3", "--workers", "2", "--format", "tsv", "--out", str(out)),
+        capsys, "verify", "--all", "--n-max", "1", "--m-max", "1", "--p-max", "1",
+        *("--workers", "2", "--format", "tsv", "--out", str(out)),
     )
     assert (code, stdout) == ({"pass": 0, "raise": 3, "killed": 3}[outcome], "")
     if outcome == "pass":
-        assert err == "" and out.read_bytes().count(b"\n") == 1 + 16 + 16 + 16
+        assert err == "" and out.read_bytes().count(b"\n") == 1 + 658
     else:
         cause = {"raise": "RuntimeError: injected fault", "killed": "a worker exited before the task finished"}
-        assert err == f"error: result1: {cause[outcome]}\n"
+        assert err == f"error: {first}: {cause[outcome]}\n"
         assert not out.exists()
+        # the worker that is left runs one family, and may take one more
+        # while the runner is being scheduled; the rest never start
+        started = sorted(path.name for path in marks.iterdir())
+        assert len(started) <= 3 < len(others), started
     assert list(private_tmpdir.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1647,48 +1755,6 @@ def test_a_pool_worker_sends_back_the_path_of_its_spooled_block(capsys, monkeypa
         assert spool.parent == private_tmpdir and not spool.exists()
     assert list(private_tmpdir.iterdir()) == []
     assert pooled_out == run_cli(capsys, *argv, "--workers", "1", "--format", "tsv")[1]
-
-
-def test_only_a_run_of_more_than_one_task_keeps_a_params_memo(capsys, monkeypatch):
-    # each render_report call of a run: its label, the run's writer and the writer's caches after the call
-    calls = []
-    render = cli.render_report
-
-    def recording(label, results, fmt, took, writer=None):
-        text = render(label, results, fmt, took, writer)
-        calls.append((label, writer, writer.memo, writer.template, writer.texts))
-        return text
-
-    monkeypatch.setattr(cli, "render_report", recording)
-    # a pooled run's one worker, run in process here, writes every task
-    monkeypatch.setattr(cli, "_forked", inline_workers([]))
-    # a one-task run keeps no params texts
-    for argv in (
-        ("oracle-diff", "--n-max", "3"),
-        ("verify", "--family", "delta", "--n-max", "3", "--m-max", "3", "--workers", "1"),
-    ):
-        calls.clear()
-        assert run_cli(capsys, *argv, "--format", "tsv")[0] == 0
-        assert calls and all(not memo and texts is None for _, _, memo, _, texts in calls)
-    argv = ("verify", "--family", "delta", "--family", "result1", "--family", "theorem1")
-    grid = ("--n-max", "3", "--m-max", "3", "--p-max", "1")
-    # the serial run's writer and a worker's writer each keep them across their tasks
-    memo_texts = cli._MEMO_TEXTS
-    for workers in ("1", "2"):
-        calls.clear()
-        monkeypatch.setattr(cli, "_MEMO_TEXTS", memo_texts)
-        assert run_cli(capsys, *argv, *grid, "--workers", workers, "--format", "tsv")[0] == 0
-        # one writer: delta fills its texts, result1 reads the same ones, theorem1's names replace them
-        (_, writer, memo, delta, delta_texts), (_, *result1), (_, *theorem1) = calls
-        assert memo and [label for label, *_ in calls] == ["delta", "result1", "theorem1"]
-        assert result1[0] is writer and result1[2] is delta and result1[3] is delta_texts and len(delta_texts) == 16
-        assert theorem1[0] is writer and theorem1[2] != delta and theorem1[3] is not delta_texts
-        # past the cap the writer keeps the names' template and gives up their texts
-        calls.clear()
-        monkeypatch.setattr(cli, "_MEMO_TEXTS", 10)
-        assert run_cli(capsys, *argv, *grid, "--workers", workers, "--format", "tsv")[0] == 0
-        for _, _, memo, template, texts in calls[:2]:
-            assert memo and template == delta and texts is None
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

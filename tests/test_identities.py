@@ -26,7 +26,7 @@ from qpartid.bigpoly import (
     slot_width,
     unpack,
 )
-from qpartid import identities, partitions
+from qpartid import bigpoly, identities, partitions
 from qpartid.identities import (
     KIND_COMBINATORIAL,
     KIND_Q_POLYNOMIAL,
@@ -2039,16 +2039,16 @@ def loaded_afresh(original, source):
 def mutant_module(old, new, occurrence=0, target=identities):
     """identities with the occurrence-th copy of old in target's source replaced by new.
 
-    target is identities or partitions; a partitions mutant is what a fresh
-    identities imports its counts from.  It is loaded afresh, with a store
-    and a registry of its own.
+    target is identities, partitions or bigpoly; a partitions or bigpoly
+    mutant is what a fresh identities imports its counts or its packing
+    from.  It is loaded afresh, with a store and a registry of its own.
     """
     source = inspect.getsource(target)
     at = occurrence_at(source, old, occurrence)
     module = loaded_afresh(target, source[:at] + new + source[at + len(old):])
     if target is identities:
         return module
-    with mock.patch.dict(sys.modules, {"qpartid.partitions": module}):
+    with mock.patch.dict(sys.modules, {target.__name__: module}):
         return loaded_afresh(identities, inspect.getsource(identities))
 
 
@@ -2079,11 +2079,15 @@ def mutant_module(old, new, occurrence=0, target=identities):
         # factor multiplied in ascending t, which divides by 1 - sign x^j
         ("c[t] += sign * c[t - j]", "c[t] -= sign * c[t - j]", 0, "pn_from_q", partitions),
         ("for t in range(n, j - 1, -1):", "for t in range(j, n + 1):", 0, "qn_double_sum", partitions),
+        # a packed slot one byte short of its bound, which the parity halves'
+        # packed sums outgrow at their default grids
+        ("return bound.bit_length() // 8 + 1", "return max(1, bound.bit_length() // 8)", 0, "corollary_2_4", bigpoly),
+        ("return bound.bit_length() // 8 + 1", "return max(1, bound.bit_length() // 8)", 0, "corollary_3_4", bigpoly),
     ],
     ids=[
         "q-delta", "count-delta", "q1-delta", "v-shift", "q-pairs", "even-half", "odd-half", "q1-triangle",
         "q1-half", "p-plus-bound", "fill-p-layer", "fill-q-column", "signed-product-sign",
-        "signed-product-ascending",
+        "signed-product-ascending", "slot-width-short-even", "slot-width-short-odd",
     ],
 )
 def test_every_code_mutant_fails_a_default_grid(old, new, occurrence, family, target):
