@@ -20,7 +20,9 @@ report on a pipe of their own when they take a task and when they finish
 it; the runner reads those lines to append the blocks in task order and
 delete them.  Either way the run is dropped once written, so memory is
 bounded by the largest task, which for verify is one identity family, not by
-the whole run.  The report is streamed into an anonymous binary temporary
+the whole run: a family's rows are built in a store of its own and freed with
+it.  The one exception is qbinom's bracket memo, which keeps every Gaussian
+bracket any family has read for the life of the process.  The report is streamed into an anonymous binary temporary
 file and copied, as bytes, to --out or stdout only after the last task, so a
 run that crashes writes nothing.  When the runner reaches a pooled task that
 raised, or as soon as a worker dies with a task unfinished, it kills every

@@ -62,14 +62,14 @@ A side of every layer is a kernel name or a row; delta (1 at index 0, else
 0) and, on the count side, zero are kernels like any other, so no reader
 has a case of its own for them.  Every exact row a q or q = 1 case reads
 (the kernels and their coefficient sums, the diagonals, the resdbl F rows,
-the binomial rows) is a plain list in one store, _ROWS, and _row is its one
-writer: the row under (fill, *key) is filled by range, fill(*key, js)
-giving its entries at the indices js, built by a family's prepare hook to
-its grid's extent and grown in place when a later grid reaches further,
-never rebuilt.  What is sized to one grid belongs to that grid's run alone:
-its verdict memo, the kernels it packs at the slot width its own grid
-needs, and every count it reads: its count tables, kernel tables, planes
-and series, built at exactly its grid's extent.
+the binomial rows) is a plain list in a row store (_Rows) that the family's
+prepare hook makes for its own run, sized to the one index top its grid
+reaches: the row under (fill, *key) is fill(rows, *key), built once, on
+its first read, through top.  Nothing a run builds outlives it: its row
+store, its verdict memo, the kernels it packs at the slot width its own
+grid needs, and every count it reads (its count tables, kernel tables,
+planes and series) are sized to its grid alone and freed with it, so what
+a family computes does not depend on which family ran before it.
 
 pmost_chain, qnmp_correspondence and genfun have prepares of their own,
 each reading P and Q tables filled for its run.
@@ -425,37 +425,40 @@ def _require_domain(names: Sequence[str], axes: Sequence[Sequence[int]]) -> None
 # The kernel row store
 # ---------------------------------------------------------------------------
 #
-# Every row a case reads is a plain list kept in _ROWS under (fill, *key), and
-# _row is the only code that writes it: fill(*key, js) returns the row's
-# entries at the indices of the range js, so a row grows by one fill call
-# over the indices it lacks.  A fill may read other rows through _row but
-# never its own.  A family's prepare hook builds each row its grid reaches to
-# the grid's extent before the first case runs and binds it in locals, so the
-# cases only read; a later family that reaches further grows the same row in
-# place, so no entry is computed twice.  Fills call the functions they read
-# by module-global name, so a row fills through whichever functions the
-# module binds when it grows.  The q kernels are rows under
-# (_q_kernel, name, m) and their coefficient sums under (_q_norm, name, m).
-# Each triangle diagonal row sits under (_diagonal, m, b, sign_on, keep), and
-# each double sum's or corollary's F row under (_resdbl_h, top form, p, a, c).
-# delta is a kernel here like any other, with rows of its own.  No weight is
-# kept here: the weights are the constant _PERIOD_WEIGHTS.  Every row here is
-# exact, so what a family reads does not depend on which family grew it.
-# What is sized to one grid stays with that grid's run: the packed kernels,
-# read at the slot width the family's own bound sets, the nonzero diagonals
-# its prepare binds, and the whole count layer, which keeps nothing here.
-
-_ROWS: dict[tuple, list] = {}
+# Every row a case reads is a plain list, indexed 0..top, in the row store of
+# its family's run.  A prepare hook that reads rows makes one store, sized to
+# the one top its grid reaches, builds each row it needs before the first case
+# runs and binds it in locals, so the cases only read; the store is dropped
+# when the prepare returns.  A row is read as rows[fill, *key]: the first read
+# builds it as fill(rows, *key), through rows.top, and keeps it, so no row is
+# built twice in a run, and no run sees another run's rows.  A fill reads
+# other rows of the same store the same way, but never its own.  The q kernels
+# are rows under (_q_kernel, name, m) and their coefficient sums under
+# (_q_norm, name, m).  Each triangle diagonal row sits under
+# (_diagonal, m, b, sign_on, keep), and each double sum's or corollary's F row
+# under (_resdbl_h, top form, p, a, c).  delta is a kernel here like any
+# other, with rows of its own.  No weight is kept here: the weights are the
+# constant _PERIOD_WEIGHTS.  The packed kernels, read at the slot width the
+# family's own bound sets, and the nonzero diagonals are built from these
+# rows and bound by the prepare; the count layer reads no row store.
 
 
-def _row(fill: Callable, *key, top: int) -> list:
-    """The row under (fill, *key) through at least index top, grown by fill(*key, js) over the indices js it lacks."""
-    row = _ROWS.get((fill, *key))
-    if row is None:
-        row = _ROWS[(fill, *key)] = []
-    if len(row) <= top:
-        row.extend(fill(*key, range(len(row), top + 1)))
-    return row
+class _Rows(dict):
+    """(fill, *key) -> fill(rows, *key), the row through index top, built on its first read.
+
+    One store serves one family run, so every row in it is built once, at
+    the one extent top that the run's grid reaches.
+    """
+
+    __slots__ = ("top",)
+
+    def __init__(self, top: int):
+        self.top = top
+
+    def __missing__(self, key: tuple) -> list:
+        fill, *args = key
+        row = self[key] = fill(self, *args)
+        return row
 
 
 def _diagonal_weights(sign_on: str, keep: Optional[int], j: int) -> tuple[int, int]:
@@ -472,9 +475,9 @@ def _diagonal_weights(sign_on: str, keep: Optional[int], j: int) -> tuple[int, i
     return tuple(weights)
 
 
-def _nonzero(row: Sequence, top: int, zero) -> list[tuple]:
-    """The pairs (j, row[j]) with row[j] != zero, for j = 0..top ascending: the diagonals a triangle sum visits."""
-    return [(j, x) for j, x in enumerate(row[: top + 1]) if x != zero]
+def _nonzero(row: Sequence, zero) -> list[tuple]:
+    """The pairs (j, row[j]) with row[j] != zero, j ascending: the diagonals a triangle sum visits."""
+    return [(j, x) for j, x in enumerate(row) if x != zero]
 
 
 # ---------------------------------------------------------------------------
@@ -517,40 +520,40 @@ _Q_KERNELS = {
 }
 
 
-def _q_kernel(name: str, m: int, js: range) -> list[IntPoly]:
-    """The kernel named name at each index j in js, in base q."""
+def _q_kernel(rows: _Rows, name: str, m: int) -> list[IntPoly]:
+    """The kernel named name at each index j <= rows.top, in base q."""
     kernel = _Q_KERNELS[name]
-    return [kernel(m, j) for j in js]
+    return [kernel(m, j) for j in range(rows.top + 1)]
 
 
-def _q_norm(name: str, m: int, js: range) -> list[int]:
-    """|kernel_j|_1 for j in js, the sum of its (nonnegative) coefficients, in any base."""
-    kernels = _row(_q_kernel, name, m, top=js.stop - 1)
-    return [sum(kernels[j].coeffs) for j in js]
+def _q_norm(rows: _Rows, name: str, m: int) -> list[int]:
+    """|kernel_j|_1 for j <= rows.top, the sum of its (nonnegative) coefficients, in any base."""
+    return [sum(kernel.coeffs) for kernel in rows[_q_kernel, name, m]]
 
 
-def _q_packed(name: str, m: int, d: int, width: int, top: int) -> list[int]:
+def _q_packed(rows: _Rows, name: str, m: int, d: int, width: int, top: int) -> list[int]:
     """The kernels 0..top in base q**d, packed at width: a fresh row, kept by its reader."""
-    kernels = _row(_q_kernel, name, m, top=top)
+    kernels = rows[_q_kernel, name, m]
     return [pack(kernels[j], width, d) for j in range(top + 1)]
 
 
-def _q_bound(side, n: int, m: int) -> int:
+def _q_bound(rows: _Rows, side, n: int, m: int) -> int:
     """A bound on every |coefficient| of the side at (n, m)."""
     if isinstance(side, str):
-        return _row(_q_norm, side, m, top=n)[n]
+        return rows[_q_norm, side, m][n]
     scale, a, b, d, weight = side
-    outer, inner = _row(_q_norm, a, m, top=n), _row(_q_norm, b, m, top=n // d)
+    outer, inner = rows[_q_norm, a, m], rows[_q_norm, b, m]
     return abs(scale) * _weighted_sum(map(abs, _PERIOD_WEIGHTS[weight][n % 6]), outer, inner, n, d)
 
 
-def _q_reader(side, m: int, width: int, top: int) -> Callable[[int], int]:
-    """n -> the side at (n, m), packed at width, for every n <= top."""
+def _q_reader(rows: _Rows, side, m: int, width: int) -> Callable[[int], int]:
+    """n -> the side at (n, m), packed at width, for every n <= rows.top."""
+    top = rows.top
     if isinstance(side, str):
-        return _q_packed(side, m, 1, width, top).__getitem__
+        return _q_packed(rows, side, m, 1, width, top).__getitem__
     scale, a, b, d, weight = side
-    outer = _q_packed(a, m, 1, width, top)
-    inner = outer if (b, d) == (a, 1) else _q_packed(b, m, d, width, top // d)
+    outer = _q_packed(rows, a, m, 1, width, top)
+    inner = outer if (b, d) == (a, 1) else _q_packed(rows, b, m, d, width, top // d)
     periods = _PERIOD_WEIGHTS[weight]
 
     def read(n):
@@ -561,11 +564,11 @@ def _q_reader(side, m: int, width: int, top: int) -> Callable[[int], int]:
 
 def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
     """The prepare of a single sum: per m, both sides' packed rows through max(ns), at the width its grid needs."""
-    top = max(ns)
+    rows = _Rows(max(ns))
     at = {}
     for m in ms:
-        width = slot_width(max(_q_bound(side, n, m) for side in spec for n in ns))
-        at[m] = (width, *(_q_reader(side, m, width, top) for side in spec))
+        width = slot_width(max(_q_bound(rows, side, n, m) for side in spec for n in ns))
+        at[m] = (width, *(_q_reader(rows, side, m, width) for side in spec))
 
     def sides(n, m):
         width, lhs, rhs = at[m]
@@ -589,10 +592,10 @@ def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
 # q is summed packed, as a single-sum side is, by the same _weighted_sum:
 # sum_{k+l=j} +-pack(V_k) * pack(U_l), unpacked once, with the sign of each
 # parity class of k from _diagonal_weights.  Each fill packs V and U once,
-# at the width that holds sum_{k+l=j} |V_k|_1 * |U_l|_1 for every diagonal j
-# it adds, so a prepare grows its rows to the grid's max(ns) in one step.  The
-# diagonals are one row per (m, b, the signed index) and shared across the
-# whole verification grid.  A parity half keeps only the terms whose unsigned
+# at the width that holds sum_{k+l=j} |V_k|_1 * |U_l|_1 for every diagonal
+# j <= rows.top, the grid's max(ns).  The diagonals are one row per
+# (m, b, the signed index) in the store of the run that reads them, shared by
+# every case of its grid.  A parity half keeps only the terms whose unsigned
 # index u has u = keep (mod 2), so its diagonals are keyed on keep as well,
 # and the class of k that keep drops weighs 0.  The theorem says G_0 = 1 and
 # G_j = 0 for j >= 1; a half's diagonals need not vanish.  Each prepare binds
@@ -602,22 +605,21 @@ def _q_sums(spec, ns: Sequence[int], ms: Sequence[int]):
 # hands F(0) back; a parity half sums its many nonzero diagonals packed.
 
 
-def _diagonal(m: int, b: int, sign_on: str, keep: Optional[int], js: range) -> list[IntPoly]:
-    """G_j in base q**b for j in js; G_j keeps only the unsigned indices u = keep (mod 2) when keep is set."""
-    top = js.stop - 1
+def _diagonal(rows: _Rows, m: int, b: int, sign_on: str, keep: Optional[int]) -> list[IntPoly]:
+    """G_j in base q**b for j <= rows.top; G_j keeps only the unsigned indices u = keep (mod 2) when keep is set."""
     if b > 1:
-        base_q = _row(_diagonal, m, 1, sign_on, keep, top=top)
-        return [poly_substitute_power(base_q[j], b) for j in js]
-    signs = [_diagonal_weights(sign_on, keep, j) for j in js]
-    u_norm, v_norm = _row(_q_norm, "U", m, top=top), _row(_q_norm, "V", m, top=top)
-    width = slot_width(max(_weighted_sum(map(abs, w), u_norm, v_norm, j, 1) for j, w in zip(js, signs)))
-    u, v = _q_packed("U", m, 1, width, top), _q_packed("V", m, 1, width, top)
-    return [unpack(_weighted_sum(w, u, v, j, 1), width) for j, w in zip(js, signs)]
+        return [poly_substitute_power(g, b) for g in rows[_diagonal, m, 1, sign_on, keep]]
+    top = rows.top
+    signs = [_diagonal_weights(sign_on, keep, j) for j in range(top + 1)]
+    u_norm, v_norm = rows[_q_norm, "U", m], rows[_q_norm, "V", m]
+    width = slot_width(max(_weighted_sum(map(abs, w), u_norm, v_norm, j, 1) for j, w in enumerate(signs)))
+    u, v = _q_packed(rows, "U", m, 1, width, top), _q_packed(rows, "V", m, 1, width, top)
+    return [unpack(_weighted_sum(w, u, v, j, 1), width) for j, w in enumerate(signs)]
 
 
-def _diagonal_pairs(m: int, b: int, sign_on: str, keep: Optional[int], top: int) -> list[tuple[int, IntPoly]]:
-    """The pairs (j, G_j) with G_j nonzero, for j <= top ascending."""
-    return _nonzero(_row(_diagonal, m, b, sign_on, keep, top=top), top, ZERO)
+def _diagonal_pairs(rows: _Rows, m: int, b: int, sign_on: str, keep: Optional[int]) -> list[tuple[int, IntPoly]]:
+    """The pairs (j, G_j) with G_j nonzero, for j <= rows.top ascending."""
+    return _nonzero(rows[_diagonal, m, b, sign_on, keep], ZERO)
 
 
 def _diagonal_sum(H: Sequence[IntPoly], n: int, pairs: list[tuple[int, IntPoly]]) -> IntPoly:
@@ -638,16 +640,16 @@ def _diagonal_sum(H: Sequence[IntPoly], n: int, pairs: list[tuple[int, IntPoly]]
 def triangle_sum(F: Sequence[IntPoly], n: int, m: int, b: int, sign_on: str) -> IntPoly:
     """The triangle sum of F over k + l <= n, with the brackets read in base q**b.
 
-    The sum is read as sum_j F(j) G_j over the memoized diagonals G_j, with
-    a product only for each nonzero G_j.  When the theorem holds the result
-    is the object F(0) itself, not a copy.
+    The sum is read as sum_j F(j) G_j over the diagonals G_j, j <= n, built
+    for this call alone, with a product only for each nonzero G_j.  When the
+    theorem holds the result is the object F(0) itself, not a copy.
     """
     _require_domain(("n", "m", "b"), ([n], [m], [b]))
     if len(F) < n + 1:
         raise ValueError(f"F must provide at least n+1 = {n + 1} values, got {len(F)}")
     if sign_on not in ("k", "l"):
         raise ValueError(f"sign_on must be 'k' or 'l', got {sign_on!r}")
-    return _diagonal_sum(F[n::-1], n, _diagonal_pairs(m, b, sign_on, None, n))
+    return _diagonal_sum(F[n::-1], n, _diagonal_pairs(_Rows(n), m, b, sign_on, None))
 
 
 # The four double sums take F(j) = q^(a*C(n-j,2)) [p+n-j, p]_c or [p, n-j]_c;
@@ -661,19 +663,20 @@ _RESDBL = {
 RESDBL_IDS = tuple(_RESDBL)
 
 
-def _resdbl_h(shifted_top: bool, p: int, a: int, c: int, ss: range) -> list[IntPoly]:
-    """H[s] = q^(a*C(s,2)) [p+s, p]_c or [p, s]_c for s in ss; every (n, m, b) case reads F(j) = H[n - j] in place."""
+def _resdbl_h(rows: _Rows, shifted_top: bool, p: int, a: int, c: int) -> list[IntPoly]:
+    """H[s] = q^(a*C(s,2)) [p+s, p]_c or [p, s]_c for s <= rows.top; a case at n reads F(j) = H[n - j] in place."""
     return [
-        poly_shift(bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c), a * binom2(s)) for s in ss
+        poly_shift(bracket_base(p + s, p, c) if shifted_top else bracket_base(p, s, c), a * binom2(s))
+        for s in range(rows.top + 1)
     ]
 
 
 def _resdbl_sums(variant: str, ns, ms, ps, as_, bs, cs):
     """The prepare of a double sum: the H rows per (p, a, c) and the diagonal rows per (m, b), through max(ns)."""
     shifted_top, sign_on = _RESDBL[variant]
-    top = max(ns)
-    h_rows = {(p, a, c): _row(_resdbl_h, shifted_top, p, a, c, top=top) for p in ps for a in as_ for c in cs}
-    diagonals = {(m, b): _diagonal_pairs(m, b, sign_on, None, top) for m in ms for b in bs}
+    rows = _Rows(max(ns))
+    h_rows = {(p, a, c): rows[_resdbl_h, shifted_top, p, a, c] for p in ps for a in as_ for c in cs}
+    diagonals = {(m, b): _diagonal_pairs(rows, m, b, sign_on, None) for m in ms for b in bs}
 
     def sides(n, m, p, a, b, c):
         H = h_rows[p, a, c]
@@ -717,18 +720,18 @@ def _parity_halves(corollary_id: str, ns, ms):
     """
     variant, p_offset, a = _COROLLARIES[corollary_id]
     shifted_top, sign_on = _RESDBL[variant]
-    top = max(ns)
+    rows = _Rows(max(ns))
     at = {}
     for m in ms:
-        H = _row(_resdbl_h, shifted_top, m + p_offset, a, 1, top=top)
-        diagonals = [_row(_diagonal, m, 1, sign_on, keep, top=top) for keep in (0, 1)]
-        h_norm = [sum(h.coeffs) for h in H[: top + 1]]  # F's coefficients are nonnegative
-        g_norms = [[sum(map(abs, g.coeffs)) for g in row[: top + 1]] for row in diagonals]
+        H = rows[_resdbl_h, shifted_top, m + p_offset, a, 1]
+        diagonals = [rows[_diagonal, m, 1, sign_on, keep] for keep in (0, 1)]
+        h_norm = [sum(h.coeffs) for h in H]  # F's coefficients are nonnegative
+        g_norms = [[sum(map(abs, g.coeffs)) for g in row] for row in diagonals]
         width = slot_width(
             max(max(h_norm[n], *(_weighted_sum((1,), h_norm, g, n, 1) for g in g_norms)) for n in ns)
         )
-        halves = [[(j, pack(g, width)) for j, g in _nonzero(row, top, ZERO)] for row in diagonals]
-        at[m] = (width, H, [pack(h, width) for h in H[: top + 1]], halves)
+        halves = [[(j, pack(g, width)) for j, g in _nonzero(row, ZERO)] for row in diagonals]
+        at[m] = (width, H, [pack(h, width) for h in H], halves)
 
     def sides(n, m):
         # keep is u mod 2: the even half keeps u = n (mod 2), the odd half u = n - 1
@@ -825,8 +828,8 @@ def _f_theorem(ns, ms):
     A case's sides are the _poly_keys of its six checks, check_F_theorem's
     for each stock sequence with the sign on k and then on l.
     """
-    top = max(ns)
-    diagonals = {(m, sign_on): _diagonal_pairs(m, 1, sign_on, None, top) for m in ms for sign_on in ("k", "l")}
+    rows = _Rows(max(ns))
+    diagonals = {(m, sign_on): _diagonal_pairs(rows, m, 1, sign_on, None) for m in ms for sign_on in ("k", "l")}
 
     def sides(n, m):
         sequences = [F for _, F in standard_f_sequences(n, m)]
@@ -1117,23 +1120,16 @@ def check_genfun(p: int, q_order: int = GENFUN_Q_ORDER, z_degree: int = GENFUN_Z
 #       _RESDBL row (comb16-19, parity None) or a half of a _COROLLARIES row
 #       (comb20-22, parity 0 for the even half and 1 for the odd one)
 #
-# Both read binomial rows of two forms, kept per x in _ROWS: the upper row
-# C(x+j, x) and the lower row C(x, j).  u is the upper row at m and v the
-# lower row at m + 1; the triangle sums' F_s = C(p+s, p) or C(p, s) is the
-# upper or lower row at p.  delta, 1 at index 0 and else 0, is a row of the
-# prepare that reads it.
+# Both read binomial rows of two forms, per x in the run's row store: the
+# upper row C(x+j, x) and the lower row C(x, j), under (_binom_entry, upper, x).
+# u is the upper row at m and v the lower row at m + 1; the triangle sums'
+# F_s = C(p+s, p) or C(p, s) is the upper or lower row at p.  delta, 1 at
+# index 0 and else 0, is a row of the prepare that reads it.
 
 
-def _binom_entry(upper: bool, x: int, js: range) -> list[int]:
+def _binom_entry(rows: _Rows, upper: bool, x: int) -> list[int]:
+    js = range(rows.top + 1)
     return [binom(x + j, x) for j in js] if upper else [binom(x, j) for j in js]
-
-
-def _u(m: int, top: int) -> list[int]:
-    return _row(_binom_entry, True, m, top=top)
-
-
-def _v(m: int, top: int) -> list[int]:
-    return _row(_binom_entry, False, m + 1, top=top)
 
 
 def _comb_side(side, N: int, kernels: dict[str, list[int]]) -> int:
@@ -1151,9 +1147,9 @@ def _comb_sums(row: str, r: int, ns, ms):
     """
     lhs, rhs = _Q_SUMS[row]
     d = lhs[3]
-    top = d * max(ns) + r
-    delta = [int(j == 0) for j in range(top + 1)]
-    kernels = {m: {"U": _u(m, top), "V": _v(m, top), _DELTA: delta} for m in ms}
+    rows = _Rows(d * max(ns) + r)
+    delta = [int(j == 0) for j in range(rows.top + 1)]
+    kernels = {m: {"U": rows[_binom_entry, True, m], "V": rows[_binom_entry, False, m + 1], _DELTA: delta} for m in ms}
     # The paper puts (-1)^k on the index d*k + r and the row on the other
     # index; k -> n - k maps one to the other and multiplies both sides by
     # (-1)^n whenever the row's left sum is _ALT.
@@ -1167,10 +1163,10 @@ def _comb_sums(row: str, r: int, ns, ms):
     return sides, _finish_pair
 
 
-def _comb_diagonal(sign_on: str, m: int, keep: Optional[int], js: range) -> list[int]:
-    """g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l for j in js, over the terms keep keeps, as G_j is summed."""
-    u, v = _u(m, js.stop - 1), _v(m, js.stop - 1)
-    return [_weighted_sum(_diagonal_weights(sign_on, keep, j), u, v, j, 1) for j in js]
+def _comb_diagonal(rows: _Rows, sign_on: str, m: int, keep: Optional[int]) -> list[int]:
+    """g_j = sum_{k+l=j} (-1)^(k or l) v_k u_l for j <= rows.top, over the terms keep keeps, as G_j is summed."""
+    u, v = rows[_binom_entry, True, m], rows[_binom_entry, False, m + 1]
+    return [_weighted_sum(_diagonal_weights(sign_on, keep, j), u, v, j, 1) for j in range(rows.top + 1)]
 
 
 def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):
@@ -1184,11 +1180,11 @@ def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):
     the F rows and the nonzero pairs (j, g_j) through max(ns), as the q
     prepares do.
     """
-    top = max(ns)
+    rows = _Rows(max(ns))
     if parity is None:
         shifted_top, sign_on = _RESDBL[row]
-        f_rows = {p: _row(_binom_entry, shifted_top, p, top=top) for p in ps}
-        g_pairs = {m: _nonzero(_row(_comb_diagonal, sign_on, m, None, top=top), top, 0) for m in ms}
+        f_rows = {p: rows[_binom_entry, shifted_top, p] for p in ps}
+        g_pairs = {m: _nonzero(rows[_comb_diagonal, sign_on, m, None], 0) for m in ms}
 
         def sides(n, m, p):
             f = f_rows[p]
@@ -1198,10 +1194,8 @@ def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):
     variant, p_offset, _ = _COROLLARIES[row]
     shifted_top, sign_on = _RESDBL[variant]
     keeps = {(n - parity) % 2 for n in ns}
-    f_rows = {m: _row(_binom_entry, shifted_top, m + p_offset, top=top) for m in ms}
-    g_pairs = {
-        (m, keep): _nonzero(_row(_comb_diagonal, sign_on, m, keep, top=top), top, 0) for m in ms for keep in keeps
-    }
+    f_rows = {m: rows[_binom_entry, shifted_top, m + p_offset] for m in ms}
+    g_pairs = {(m, keep): _nonzero(rows[_comb_diagonal, sign_on, m, keep], 0) for m in ms for keep in keeps}
 
     def half(n, m):
         f = f_rows[m]

@@ -323,8 +323,9 @@ ALL_TSV_DIGEST = "f6a31a45a93ed08249f95bdf36de7bcb34120344145179e143ddf901999ee7
 @pytest.mark.parametrize("words", [dict(bigpoly._WORDS), {}], ids=["word-path", "byte-path"])
 def test_verify_all_tsv_bytes_do_not_depend_on_the_packing_path(capsys, words):
     # with the word table empty, as on a big-endian host, every slot moves
-    # through bytes; the store is emptied so that every row is rebuilt that way
-    with mock.patch.dict(bigpoly._WORDS, words, clear=True), mock.patch.dict(identities._ROWS, clear=True):
+    # through bytes; each family run builds its rows afresh, so every row is
+    # built that way
+    with mock.patch.dict(bigpoly._WORDS, words, clear=True):
         code, out, _ = run_cli(capsys, "verify", "--all", "--workers", "1", "--format", "tsv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ALL_TSV_DIGEST
@@ -983,8 +984,8 @@ def test_wide_count_sum_tsv_report_bytes_are_pinned():
 
 
 def test_triangle_family_tsv_report_bytes_are_pinned_in_a_fresh_process():
-    # the parity halves and f_theorem at n, m <= 12, from an empty row store:
-    # each prepare grows its diagonal rows to n = 12 before its first case
+    # the parity halves and f_theorem at n, m <= 12: each prepare builds its
+    # diagonal rows through n = 12, in a row store of its own, before its first case
     families = ("--family", "corollary_2_4", "--family", "corollary_3_4", "--family", "f_theorem")
     proc = run_module("verify", *families, "--n-max", "12", "--m-max", "12", "--workers", "1", "--format", "tsv")
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,6 @@
 """The identity registry: transcriptions, weights, and cross-checks."""
 
-import ast
+import collections
 import contextlib
 import functools
 import hashlib
@@ -26,7 +26,7 @@ from qpartid.bigpoly import (
     slot_width,
     unpack,
 )
-from qpartid import bigpoly, identities, partitions
+from qpartid import bigpoly, cli, identities, partitions
 from qpartid.identities import (
     KIND_COMBINATORIAL,
     KIND_Q_POLYNOMIAL,
@@ -63,6 +63,32 @@ def case_sides(identity_id, *values):
     """One case's sides, as the family's prepare builds them for the one-point grid at values."""
     sides, _ = get_descriptor(identity_id).prepare(*([value] for value in values))
     return sides(*values)
+
+
+@contextlib.contextmanager
+def row_stores(module=identities):
+    """The list of every row store that module makes while the block runs, in the order made.
+
+    module._Rows is patched to a subclass that lists each store it makes and
+    the key of each row its miss handler builds, with the name of the
+    function that wrote it.
+    """
+    stores = []
+
+    class Listed(module._Rows):
+        __slots__ = ("writes",)
+
+        def __init__(self, top):
+            super().__init__(top)
+            self.writes = []
+            stores.append(self)
+
+        def __setitem__(self, key, row):
+            self.writes.append((key, sys._getframe(1).f_code.co_name))
+            super().__setitem__(key, row)
+
+    with mock.patch.object(module, "_Rows", Listed):
+        yield stores
 
 
 # --- weight tables ----------------------------------------------------------
@@ -460,21 +486,20 @@ def test_triangle_sum_diagonals_match_the_term_by_term_sum(data, n, m, b, sign_o
     else:
         # a half reads the diagonals that keep its unsigned index u = n - parity (mod 2)
         keep = (n - parity) % 2
-        pairs = identities._diagonal_pairs(m, b, sign_on, keep, n)
+        pairs = identities._diagonal_pairs(identities._Rows(n), m, b, sign_on, keep)
         assert identities._diagonal_sum(F[n::-1], n, pairs) == expected
 
 
 def test_triangle_diagonals_cancel_past_the_origin():
     # the paper's cancellation, read off the diagonals themselves, each row
-    # grown in two steps: through j = 3, then through j = 8
-    identities._ROWS.clear()
+    # built through j = 8 in one store, as a run through n = 8 builds it
+    rows = identities._Rows(8)
     for m in range(7):
         for b in (1, 2, 3):
             for sign_on in ("k", "l"):
-                identities._row(identities._diagonal, m, b, sign_on, None, top=3)
-                g = identities._row(identities._diagonal, m, b, sign_on, None, top=8)
+                g = rows[identities._diagonal, m, b, sign_on, None]
                 assert g == [ONE] + [ZERO] * 8, (m, b, sign_on)
-                assert identities._diagonal_pairs(m, b, sign_on, None, 8) == [(0, ONE)]
+                assert identities._diagonal_pairs(rows, m, b, sign_on, None) == [(0, ONE)]
 
 
 @pytest.mark.parametrize(
@@ -496,10 +521,9 @@ def test_triangle_diagonals_cancel_past_the_origin():
 def test_the_public_triangle_entry_points_check_m_and_b(call, got):
     # a base below 1 is not read as base 1, nor a negative m as an empty sum,
     # and nothing is built for the value that fails
-    identities._ROWS.clear()
-    with pytest.raises(ValueError, match=f"got {got}$"):
+    with row_stores() as stores, pytest.raises(ValueError, match=f"got {got}$"):
         call((ONE, ZERO, ONE))
-    assert identities._ROWS == {}
+    assert stores == []
 
 
 def comb_triangle_by_terms(f, n, m, sign_on):
@@ -531,7 +555,7 @@ COMB_TRIANGLE_ROWS = {
 def test_comb_triangle_diagonals_match_the_double_loop(data, n, m, sign_on):
     # any integer sequence f, not only the binomial ones of comb16-19
     f = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n + 1, max_size=n + 1))
-    g = identities._row(identities._comb_diagonal, sign_on, m, None, top=n)
+    g = identities._Rows(n)[identities._comb_diagonal, sign_on, m, None]
     assert sum(f[n - j] * g[j] for j in range(n + 1)) == comb_triangle_by_terms(f, n, m, sign_on)
     p = data.draw(st.integers(0, 12))
     for shifted_top in (True, False):
@@ -542,9 +566,10 @@ def test_comb_triangle_diagonals_match_the_double_loop(data, n, m, sign_on):
 
 
 def test_comb_triangle_diagonals_vanish_past_the_origin():
+    rows = identities._Rows(20)
     for m in range(21):
         for sign_on in ("k", "l"):
-            g = identities._row(identities._comb_diagonal, sign_on, m, None, top=20)
+            g = rows[identities._comb_diagonal, sign_on, m, None]
             assert g[0] == 1
             assert g[1:21] == [0] * 20, (m, sign_on)
 
@@ -860,11 +885,11 @@ WIDE_SIDE = identities._COUNT_SUMS["theorem9"][0]
 @example(queries=[(WIDE_SIDE, 3, 9, 1), (WIDE_SIDE, 15, 15, 1), (WIDE_SIDE, 40, 5, 1)])
 @example(queries=[(WIDE_SIDE, 40, 5, 3), (WIDE_SIDE, 3, 20, 3), (WIDE_SIDE, 2, 2, 0)])
 def test_count_tables_match_the_per_call_convolution(queries):
-    identities._ROWS.clear()
-    for side, n, m, p in queries:
-        assert count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
-    # the count layer keeps nothing in the store: no kernel row, plane or weight
-    assert identities._ROWS == {}
+    with row_stores() as stores:
+        for side, n, m, p in queries:
+            assert count_side(side, n, m, p) == count_side_by_calls(side, n, m, p)
+    # the count layer makes no row store: no kernel row, plane or weight is kept there
+    assert stores == []
     for side, p in {(side, p) for side, _, _, p in queries}:
         # at the largest n + 1 and m + 1 asked, every cell of every kernel
         # table is its kernel's value, and the plane built over them is the
@@ -1005,16 +1030,13 @@ BINOM_ROWS = {
 )
 @example(queries=[("u", 5, 90), ("v", 5, 3), ("f_shifted", 5, 40), ("f_plain", 6, 0)])
 def test_binomial_rows_match_the_comprehensions(queries):
-    identities._ROWS.clear()
+    # u at m is the upper row at m, v the lower row at m + 1, and F the upper
+    # or lower row at p
     for form, x, top in queries:
-        if form == "u":
-            row = identities._u(x, top)
-        elif form == "v":
-            row = identities._v(x, top)
-        else:
-            row = identities._row(identities._binom_entry, form == "f_shifted", x, top=top)
-        assert row[: top + 1] == BINOM_ROWS[form](x, top), (form, x, top)
-        # the q = 1 triangle reads the F row and the diagonals from the same memos
+        upper, at = {"u": (True, x), "v": (False, x + 1), "f_shifted": (True, x), "f_plain": (False, x)}[form]
+        row = identities._Rows(top)[identities._binom_entry, upper, at]
+        assert row == BINOM_ROWS[form](x, top), (form, x, top)
+        # the q = 1 triangle reads the F row and the diagonals from those rows
         n = top % 21
         lhs = comb_triangle_by_terms(BINOM_ROWS["f_plain"](x, n), n, x % 21, "k")
         assert case_sides("comb18", n, x % 21, x) == (lhs, binom(x, n))
@@ -1059,7 +1081,6 @@ def q_side_by_terms(side, n, m):
 )
 @example(queries=[("result3", 12, 12), ("result3", 2, 12), ("result6", 12, 0), ("delta", 0, 5)])
 def test_q_sum_sides_match_the_per_case_kernel_build(queries):
-    identities._ROWS.clear()
     for q_id, n, m in queries:
         expected = tuple(q_side_by_terms(side, n, m) for side in identities._Q_SUMS[q_id])
         assert q_identity_sides(q_id, {"n": n, "m": m}) == expected, (q_id, n, m)
@@ -1070,15 +1091,15 @@ def test_packed_q_sides_match_the_term_by_term_fold():
     # from 1 to 5 bytes: each side alone at the width its own bound sets, and
     # two sides as a case reads them, at the wider of the two.  Pairing each
     # side with delta, in either order, makes pairs whose sides differ.
-    identities._ROWS.clear()
     widths = set()
     for q_id, spec in identities._Q_SUMS.items():
         for n, m in itertools.product(range(15), repeat=2):
+            rows = identities._Rows(n)
             want = {side: q_side_by_terms(side, n, m) for side in (*spec, identities._DELTA)}
             for side, poly in want.items():
-                width = slot_width(identities._q_bound(side, n, m))
+                width = slot_width(identities._q_bound(rows, side, n, m))
                 widths.add(width)
-                read = identities._q_reader(side, m, width, n)
+                read = identities._q_reader(rows, side, m, width)
                 assert unpack(read(n), width) == poly, (q_id, side, n, m)
             for pair in itertools.permutations(want, 2):
                 sides, _ = identities._q_sums(pair, [n], [m])
@@ -1093,17 +1114,19 @@ def test_packed_kernel_rows_keep_one_width_per_m(monkeypatch):
     packed = []
     real = identities._q_packed
 
-    def spy(name, m, d, width, top):
+    def spy(rows, name, m, d, width, top):
         packed.append((m, name, d, width))
-        return real(name, m, d, width, top)
+        return real(rows, name, m, d, width, top)
 
     monkeypatch.setattr(identities, "_q_packed", spy)
-    identities._ROWS.clear()
     grid = {"n": list(range(15)), "m": list(range(15))}
     widths = {}
     for q_id in ("result5", "result3", "delta"):
         packed.clear()
-        results = identities.run_identity(q_id, grid)
+        with row_stores() as stores:
+            results = identities.run_identity(q_id, grid)
+        # and no store keeps a packed row
+        assert not any(key[0] in (real, spy) for store in stores for key in store)
         assert all(case.passed for case in results)
         # the value oracle: every case's sides are the term-by-term fold's
         for case in results[::7]:
@@ -1113,7 +1136,7 @@ def test_packed_kernel_rows_keep_one_width_per_m(monkeypatch):
         widths[q_id] = {m: {width for at, *_, width in packed if at == m} for m in range(15)}
         for m, held in widths[q_id].items():
             need = max(
-                slot_width(identities._q_bound(side, n, m))
+                slot_width(identities._q_bound(identities._Rows(14), side, n, m))
                 for side in identities._Q_SUMS[q_id]
                 for n in range(15)
             )
@@ -1121,8 +1144,6 @@ def test_packed_kernel_rows_keep_one_width_per_m(monkeypatch):
     # delta, after the wider result3, packs at its own narrower width
     assert any(max(widths["delta"][m]) < max(widths["result3"][m]) for m in range(15))
     assert widths["result5"][14] != {1}
-    # and the store keeps no packed row
-    assert not any(key[0] is identities._q_packed for key in identities._ROWS)
 
 
 def diagonal_by_terms(m, b, sign_on, keep, j):
@@ -1144,13 +1165,13 @@ def diagonal_by_terms(m, b, sign_on, keep, j):
 
 def test_packed_diagonals_match_the_term_by_term_fold():
     # the diagonals of the whole triangle and of both parity halves, and the
-    # nonzero pairs (j, G_j) a prepare binds from them
-    identities._ROWS.clear()
+    # nonzero pairs (j, G_j) a prepare binds from them, all in one store
+    rows = identities._Rows(10)
     for m, b, sign_on, keep in itertools.product(range(9), (1, 2, 3), ("k", "l"), (None, 0, 1)):
-        row = identities._row(identities._diagonal, m, b, sign_on, keep, top=10)
+        row = rows[identities._diagonal, m, b, sign_on, keep]
         expected = [diagonal_by_terms(m, b, sign_on, keep, j) for j in range(11)]
         assert row == expected, (m, b, sign_on, keep)
-        pairs = identities._diagonal_pairs(m, b, sign_on, keep, 10)
+        pairs = identities._diagonal_pairs(rows, m, b, sign_on, keep)
         assert pairs == [(j, g) for j, g in enumerate(expected) if g.coeffs]
         if keep is None:
             assert pairs == [(0, ONE)]
@@ -1190,7 +1211,6 @@ COMB_PARITY_CASES = {"comb20": (0, "u"), "comb21": (0, "v"), "comb22": (1, "u")}
 @example(queries=[("comb20", 20, 20), ("comb22", 3, 20), ("comb21", 20, 0), ("comb20", 0, 0)])
 def test_comb_parity_halves_match_the_double_loop(queries):
     # comb20-22 are halves of the q = 1 triangle; the oracle is their own loop
-    identities._ROWS.clear()
     for comb_id, n, m in queries:
         expected = comb_parity_by_loops(*COMB_PARITY_CASES[comb_id], n, m)
         assert case_sides(comb_id, n, m) == expected, (comb_id, n, m)
@@ -1297,7 +1317,6 @@ def comb_by_templates(comb_id, n, m):
 @example(queries=[("comb15", 40, 30), ("comb06", 3, 30), ("comb26", 40, 0), ("comb01", 0, 0)])
 def test_comb_sums_match_the_binomial_templates(queries):
     # each row is its _Q_SUMS row at q = 1; the oracle is the template it replaced
-    identities._ROWS.clear()
     for comb_id, n, m in queries:
         assert identities._COMB_SUMS[comb_id][1] in identities._Q_SUMS
         expected = comb_by_templates(comb_id, n, m)
@@ -1331,10 +1350,9 @@ def resdbl_f_by_loop(variant, n, p, a, c):
 @example(queries=[("resdbl1", 9, 2, 1, 2), ("resdbl2", 0, 2, 1, 2), ("resdbl2", 4, 2, 1, 2)])
 def test_resdbl_f_rows_match_the_bracket_loop(queries):
     # a case reads F(j) = H[n - j] in place from the row H of its (top form, p, a, c)
-    identities._ROWS.clear()
     for variant, n, p, a, c in queries:
         shifted_top = identities._RESDBL[variant][0]
-        H = identities._row(identities._resdbl_h, shifted_top, p, a, c, top=n)
+        H = identities._Rows(n)[identities._resdbl_h, shifted_top, p, a, c]
         F = resdbl_f_by_loop(variant, n, p, a, c)
         assert tuple(H[n - j] for j in range(n + 1)) == F
         params = {"n": n, "m": 2, "p": p, "a": a, "b": 1, "c": c}
@@ -1355,12 +1373,11 @@ def test_resdbl_f_rejects_a_negative_n():
 
 @pytest.mark.parametrize("identity_id", ["theorem6", "comb17", "comb20", "resdbl3", "result3"])
 def test_a_reversed_grid_gives_the_same_results(identity_id):
-    # reversed, every memo first grows at the largest (n, m) of the grid
+    # reversed, every case still reads rows built through the grid's largest n
     desc = get_descriptor(identity_id)
     reversed_grid = {name: values[::-1] for name, values in desc.default_grid.items()}
     outcomes = []
     for grid in (reversed_grid, desc.default_grid):
-        identities._ROWS.clear()
         outcomes.append(
             {
                 tuple(r.params.items()): (r.passed, r.lhs_hash, r.rhs_hash, r.first_mismatch)
@@ -1390,12 +1407,10 @@ def test_the_grid_runner_matches_each_case_run_alone(identity_id, data):
         )
         for name, values in desc.default_grid.items()
     }
-    identities._ROWS.clear()
     together = identities.run_identity(identity_id, grid)
     alone = []
     for values in itertools.product(*(grid[name] for name in desc.params)):
-        # each case from empty rows, so it builds only what it reads
-        identities._ROWS.clear()
+        # each case from a row store of its own, so it builds only what it reads
         alone.append(evaluate_case(identity_id, dict(zip(desc.params, values))))
     assert together == alone
     assert all(list(r.params) == list(desc.params) for r in together)
@@ -1453,11 +1468,13 @@ def test_count_planes_are_built_once_at_the_grid_extent(monkeypatch):
 
     monkeypatch.setattr(identities, "grid_mul", counted)
     monkeypatch.setattr(identities, "_count_plane", kept)
-    identities._ROWS.clear()
     grid = {"n": list(range(41)), "m": list(range(41)), "p": list(range(4))}
     families = ("theorem6", "theorem_simple")
-    for identity_id in families:
-        assert all(r.passed for r in identities.run_identity(identity_id, grid))
+    with row_stores() as stores:
+        for identity_id in families:
+            assert all(r.passed for r in identities.run_identity(identity_id, grid))
+    # the count layer makes no row store
+    assert stores == []
     row_sides = [side for i in families for side in identities._COUNT_SUMS[i] if isinstance(side, tuple)]
     classes = sum(weight_period(side[4]) for side in row_sides)
     assert len(calls) == classes * len(grid["p"]) == 28
@@ -1465,9 +1482,6 @@ def test_count_planes_are_built_once_at_the_grid_extent(monkeypatch):
     assert all((len(plane), len(plane[0])) == (41, 41) for plane in planes)
     # the value oracle, at the far corner of one plane
     assert planes[0][40][40] == count_side_by_calls(row_sides[0], 40, 40, 0)
-    stored = [id(row) for row in identities._ROWS.values()]
-    assert not any(id(plane) in stored for plane in planes)
-    identities._ROWS.clear()
 
 
 @pytest.mark.parametrize(
@@ -1486,7 +1500,6 @@ def test_a_negative_index_fails_every_kind_of_family(identity_id, name, bad):
     # negative index would wrap to their far end rather than fail
     desc = get_descriptor(identity_id)
     params = {key: values[0] for key, values in desc.default_grid.items()} | {name: bad}
-    identities._ROWS.clear()
     with pytest.raises(ValueError, match=f"got {name} = {bad}"):
         evaluate_case(identity_id, params)
     assert all(r.passed for r in identities.run_identity(identity_id))
@@ -1708,20 +1721,6 @@ def test_a_many_part_check_finishes_each_distinct_sides_once(identity_id, finish
     assert finished[0] == (keys[0], True) and len(finished) == 1 + len(set(keys[1:]))
 
 
-def test_the_row_store_does_not_depend_on_family_order():
-    # the store keeps exact rows only, so two orders of the same families
-    # leave it equal, entry for entry
-    grid = {"n": list(range(15)), "m": list(range(15))}
-    stores = []
-    for order in (("result5", "result3", "delta"), ("delta", "result3", "result5")):
-        identities._ROWS.clear()
-        for q_id in order:
-            assert all(r.passed for r in identities.run_identity(q_id, grid))
-        stores.append(dict(identities._ROWS))
-    assert stores[0] == stores[1]
-    identities._ROWS.clear()
-
-
 def test_the_verdict_memo_never_keeps_a_tampered_verdict():
     # theorem_simple at n, m, p <= 3 has the sides (0, 0) at case 0's
     # neighbours and far beyond: a tampered verdict kept in the memo would
@@ -1892,10 +1891,11 @@ def halves_unlike_the_poly_mul_sums(module):
             sides, _ = module._parity_halves(corollary_id, ns, ms)
         variant, offset, a = row
         shifted_top, sign_on = module._RESDBL[variant]
+        store = module._Rows(max(ns))
         for n, m in itertools.product(ns, ms):
-            H = module._row(module._resdbl_h, shifted_top, m + offset, a, 1, top=n)
+            H = store[module._resdbl_h, shifted_top, m + offset, a, 1]
             want = [
-                (module._diagonal_sum(H, n, module._diagonal_pairs(m, 1, sign_on, keep, n)).coeffs, rhs.coeffs)
+                (module._diagonal_sum(H, n, module._diagonal_pairs(store, m, 1, sign_on, keep)).coeffs, rhs.coeffs)
                 for keep, rhs in ((n % 2, H[n]), (1 - n % 2, ZERO))
             ]
             if [module._poly_unkey(key) for key in sides(n, m)] != want:
@@ -2017,7 +2017,7 @@ def test_every_count_spec_mutant_fails_the_default_grid_but_the_equivalents():
     }
 
 
-# --- sensitivity: the default grids and the growth check reject wrong code ---
+# --- sensitivity: the default grids reject wrong code ---
 
 
 def occurrence_at(source, old, occurrence):
@@ -2113,47 +2113,11 @@ def test_each_code_mutant_sits_on_the_line_it_names(old, occurrence, line):
     assert line in source[source.rindex("\n", 0, at) : source.index("\n", at)]
 
 
-def grown_in_two_steps(module, fill, key, first, second):
-    """fill's row at key grown through first and then through second, and its row of one fill through second.
-
-    Each is built from a cleared store.
-    """
-    module._ROWS.clear()
-    module._row(fill, *key, top=first)
-    grown = module._row(fill, *key, top=second)
-    module._ROWS.clear()
-    whole = fill(*key, range(second + 1))
-    module._ROWS.clear()
-    return grown, whole
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    key=st.tuples(
-        st.just("_diagonal"),
-        st.integers(0, 6),
-        st.integers(1, 3),
-        st.sampled_from(["k", "l"]),
-        st.sampled_from([None, 0, 1]),
-    ),
-    first=st.integers(0, 12),
-    second=st.integers(0, 12),
-)
-@example(key=("_diagonal", 4, 3, "l", 1), first=0, second=12)
-def test_a_row_grown_in_two_steps_is_the_row_of_one_fill(key, first, second):
-    # at any split point, since a diagonal of a base q**b reads the base-q row
-    name, *key = key
-    first, second = sorted((first, second))
-    grown, whole = grown_in_two_steps(identities, getattr(identities, name), key, first, second)
-    assert grown == whole
-
-
 # --- sensitivity: the default grids reject a wrong weight or diagonal sign ---
 
 
 def first_failing(families):
-    """The first of families that fails its default grid, read from a cleared store; None when all pass."""
-    identities._ROWS.clear()
+    """The first of families that fails its default grid; None when all pass."""
     return next(
         (i for i in families if not all(r.passed for r in identities.run_identity(i))), None
     )
@@ -2165,19 +2129,16 @@ def test_every_period_table_entry_mutant_fails_the_default_grid():
     table = identities._PERIOD_WEIGHTS
     q_sums, sine_rows = tuple(identities._Q_SUMS), ("sine_vanishing_6", "sine_vanishing_7")
     mutants = 0
-    try:
-        for weight, periods in table.items():
-            for r, period in enumerate(periods):
-                for k, step in itertools.product(range(len(period)), (-1, 1)):
-                    wrong = period[:k] + (period[k] + step,) + period[k + 1:]
-                    mutant = periods[:r] + (wrong,) + periods[r + 1:]
-                    with mock.patch.dict(table, {weight: mutant}):
-                        failed = first_failing(q_sums + sine_rows)
-                    expected = sine_rows if weight == identities._SIN else q_sums
-                    assert failed in expected, (weight, r, k, step, failed)
-                    mutants += 1
-    finally:
-        identities._ROWS.clear()
+    for weight, periods in table.items():
+        for r, period in enumerate(periods):
+            for k, step in itertools.product(range(len(period)), (-1, 1)):
+                wrong = period[:k] + (period[k] + step,) + period[k + 1:]
+                mutant = periods[:r] + (wrong,) + periods[r + 1:]
+                with mock.patch.dict(table, {weight: mutant}):
+                    failed = first_failing(q_sums + sine_rows)
+                expected = sine_rows if weight == identities._SIN else q_sums
+                assert failed in expected, (weight, r, k, step, failed)
+                mutants += 1
     assert mutants == 108
 
 
@@ -2199,41 +2160,108 @@ def test_every_diagonal_sign_mutant_fails_a_q_and_a_q1_family():
 
         return weights
 
-    try:
-        for target in mutants:
-            with mock.patch.object(identities, "_diagonal_weights", mutated(*target)):
-                assert first_failing(q_families) is not None, target
-                assert first_failing(comb_families) is not None, target
-    finally:
-        identities._ROWS.clear()
+    for target in mutants:
+        with mock.patch.object(identities, "_diagonal_weights", mutated(*target)):
+            assert first_failing(q_families) is not None, target
+            assert first_failing(comb_families) is not None, target
 
 
-# The fills of the rows the 57 families read on their default grids; the
-# count families read no stored row.
+# The fills of the rows the q and q = 1 families read on their default grids;
+# the count families make no row store.
 FILLS = ("_q_kernel", "_q_norm", "_diagonal", "_resdbl_h", "_binom_entry", "_comb_diagonal")
 
 
-def test_every_stored_row_is_its_fill_over_its_range_and_only_row_writes_the_store():
-    identities._ROWS.clear()
+def test_every_stored_row_is_its_fill_at_its_runs_top():
     before = dict(identities._PERIOD_WEIGHTS)
-    assert all(all(r.passed for r in identities.run_identity(d.id)) for d in registry())
+    with row_stores() as stores:
+        assert all(all(r.passed for r in identities.run_identity(d.id)) for d in registry())
     # the weights are a constant table, never written
     assert identities._PERIOD_WEIGHTS == before
     assert all(identities._PERIOD_WEIGHTS[weight] is periods for weight, periods in before.items())
-    stored = dict(identities._ROWS)
-    assert {key[0] for key in stored} == {getattr(identities, name) for name in FILLS}
-    assert all(type(row) is list for row in stored.values())
-    assert len(stored) == 392
-    # every row is what its fill gives over its whole range, from nothing
-    for (fill, *key), row in stored.items():
-        identities._ROWS.clear()
-        assert fill(*key, range(len(row))) == row, (fill.__name__, key)
-    identities._ROWS.clear()
-    # and no other function names the store
-    tree = ast.parse(inspect.getsource(identities))
-    named = {
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and any(getattr(n, "id", None) == "_ROWS" for n in ast.walk(node))
+    # one store per family whose prepare reads rows: 7 single sums, 4 double
+    # sums, 2 corollaries, f_theorem and 26 q = 1 families
+    assert len(stores) == 40
+    assert {key[0] for store in stores for key in store} == {getattr(identities, name) for name in FILLS}
+    # 2,150 rows over the 40 runs, each run's rows built once; no store outlives its run
+    assert sum(map(len, stores)) == 2150
+    for store in stores:
+        # each row written once, by the miss handler, and kept as it was written
+        assert [key for key, _ in store.writes] == list(store)
+        assert {writer for _, writer in store.writes} == {"__missing__"}
+        # every row is what its fill gives at its run's top, from an empty store
+        for (fill, *key), row in store.items():
+            assert type(row) is list and len(row) == store.top + 1, (fill.__name__, key)
+            assert fill(identities._Rows(store.top), *key) == row, (fill.__name__, key)
+    # the process-wide store and its grow-by-range writer are gone, and every
+    # fill reads its extent from its store, never from an index range
+    assert not hasattr(identities, "_ROWS") and not hasattr(identities, "_row")
+    for name in FILLS:
+        params = inspect.signature(getattr(identities, name)).parameters
+        assert next(iter(params)) == "rows", name
+        assert all("range" not in str(param.annotation) for param in params.values()), name
+
+
+@contextlib.contextmanager
+def counted_fills():
+    """A Counter of the calls of each fill in FILLS, by name, while the block runs.
+
+    Each fill is patched, for the whole block, to one counting wrapper, so
+    rows are keyed alike in every run inside it.
+    """
+    calls = collections.Counter()
+
+    def counted(fill):
+        @functools.wraps(fill)
+        def call(*args):
+            calls[fill.__name__] += 1
+            return fill(*args)
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in FILLS:
+            stack.enter_context(mock.patch.object(identities, name, counted(getattr(identities, name))))
+        yield calls
+
+
+def test_a_family_does_the_same_work_whichever_families_ran_before_it():
+    # the families run in between read the same kernels, diagonals and
+    # binomial rows, but each run builds its rows in a store of its own
+    with counted_fills() as calls:
+
+        def run(identity_id):
+            calls.clear()
+            cases = identities.run_identity(identity_id)
+            return collections.Counter(calls), cases
+
+        families = ("result5", "resdbl2", "comb16")
+        alone = {identity_id: run(identity_id) for identity_id in families}
+        for identity_id in ("delta", "result3", "resdbl1", "comb18"):
+            run(identity_id)
+        after = {identity_id: run(identity_id) for identity_id in families}
+    assert all(sum(counts.values()) for counts, _ in alone.values())
+    assert after == alone
+
+
+def identities_state():
+    """Each module attribute of identities, with a copy of its contents if it is a dict, list or set."""
+    return {
+        name: (value, value.copy() if isinstance(value, (dict, list, set)) else None)
+        for name, value in vars(identities).items()
     }
-    assert named == {"_row"}
+
+
+def test_identities_keeps_no_module_state_across_a_run(tmp_path):
+    before = identities_state()
+    argv = ["verify", "--all", "--workers", "1", "--format", "tsv", "--out", str(tmp_path / "all.tsv")]
+    assert cli.main(argv) == 0
+    assert evaluate_case("resdbl2", {"n": 5, "m": 3, "p": 2, "a": 1, "b": 2, "c": 1}).passed
+    assert q_identity_sides("result3", {"n": 9, "m": 4})
+    assert parity_sum_sides("corollary_3_4", "odd", 7, 5)
+    F = [poly_shift(ONE, j) for j in range(9)]
+    assert triangle_sum(F, 8, 6, 2, "l") == F[0]
+    assert check_F_theorem(F, 8, 6, "k", base=3).passed
+    after = identities_state()
+    assert after.keys() == before.keys()
+    changed = [name for name, pair in before.items() if after[name][0] is not pair[0] or after[name][1] != pair[1]]
+    assert changed == []
