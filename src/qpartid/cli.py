@@ -9,11 +9,11 @@ Subcommands, with the --format values each one renders:
 
 Every subcommand takes --out PATH.  One runner, _run, builds every report
 (verify and oracle-diff): it times each task and streams the report.  A task
-returns a CaseRun: its names, its values (a grid's axes, or one list), its
-distinct verdicts and one verdict index per case.  The run is written as the
-task's block of ASCII bytes, _CHUNK rows at a time, by the process that ran
-the task.  The runner writes a serial task's block straight into the report.
-A pooled run forks its own workers with os.fork, so no run imports
+returns a CaseRun: its names, its grids (a family's one product grid, or
+oracle-diff's one per n), its distinct verdicts and one verdict index per
+case.  The run is written as the task's block of ASCII bytes, _CHUNK rows
+at a time, by the process that ran the task.  The runner writes a serial
+task's block straight into the report.  A pooled run forks its own workers with os.fork, so no run imports
 multiprocessing: the workers take task indices from one pipe, write each
 task's block to a file of its own in a private temporary directory, and
 report on a pipe of their own when they take a task and when they finish
@@ -39,11 +39,12 @@ followed by a newline.  Its top-level keys sort as config, results, timing,
 totals, version, so the head (config and the opening of results) is written
 first and timing, totals and version last.  The frame is rendered by
 json.dumps.  Every row, of every format, passing or failing, is written by
-the task's _RowWriter from one bytes template per distinct verdict of the
-run: the text before the params, the params with one %d slot per value, and
-the text after.  A row is then one bytes % of its verdict's template by its
-case's values, which come from one iterator over the run's values.  No text
-is cached past its task, and no cache is module state.
+the task's _RowWriter from text rendered once per run: the text of each
+distinct verdict before and after the params, and the params piece of
+each value of each axis of the run's grids.  A row is then one bytes join
+of its verdict's text and its case's pieces, which come from one
+itertools.product per grid; no row is built by % formatting or by json.
+No text is kept past its task, and no cache is module state.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ import tempfile
 import time
 from array import array
 from json.encoder import encode_basestring_ascii as _json_str
-from functools import partial
-from itertools import islice
-from operator import itemgetter, mod
+from itertools import chain, compress, islice, product
+from operator import itemgetter
 from typing import Optional
 
 from . import __version__
@@ -322,23 +322,25 @@ def run_verify(config: dict, out: Optional[str]) -> int:
 
 
 def _json_params(names: tuple) -> tuple:
-    """The params object of a row with these names, as json.dumps nests it, and its values' order.
+    """The params object of JSON rows with these names, as json.dumps nests it, in pieces.
 
-    The text is a %-template with one %d slot per name, in sorted name order,
-    so the name text is escaped for % as well as for JSON.  The order is an
-    itemgetter that puts a row's values into slot order, or None when they
-    are in that order already.
+    Per name, in names order, the text before and after its value in the
+    object; the object of no names; and an itemgetter that puts a row's
+    pieces, in names order, into sorted name order, or None when they are
+    in that order already.  The first sorted piece opens the object and the
+    last closes it, so a row's params text is its pieces joined.
     """
-    if not names:
-        return "{}", None
     order = sorted(range(len(names)), key=names.__getitem__)
-    slots = ",\n        ".join(_json_str(names[i]).replace("%", "%%") + ": %d" for i in order)
-    return "{\n        " + slots + "\n      }", None if order == sorted(order) else itemgetter(*order)
+    around = [None] * len(names)
+    for at, i in enumerate(order):
+        head = "{" if at == 0 else ","
+        around[i] = (f"{head}\n        {_json_str(names[i])}: ", "\n      }" if at == len(order) - 1 else "")
+    return around, "{}" if not names else "", None if order == sorted(order) else itemgetter(*order)
 
 
 def _text_params(names: tuple) -> tuple:
-    """The k=v,... params template of TSV and human rows, whose slots are in the values' own order."""
-    return ",".join(k.replace("%", "%%") + "=%d" for k in names), None
+    """The k=v,... params of TSV and human rows in pieces, in the values' own order, as _json_params gives them."""
+    return [("," * (i > 0) + name + "=", "") for i, name in enumerate(names)], "", None
 
 
 def _json_fixed(label: str, verdict: tuple) -> tuple[str, str]:
@@ -376,7 +378,7 @@ def _fail_fixed(label: str, verdict: tuple) -> Optional[tuple[str, str]]:
     return None if verdict[0] else ("  FAIL ", f" first_mismatch={json.dumps(verdict[3])}\n")
 
 
-# per format: the params template of a names tuple, the text around params, the row separator
+# per format: the params pieces of a names tuple, the text around params, the row separator
 _ROW_FORMATS = {
     "json": (_json_params, _json_fixed, b",\n"),
     "tsv": (_text_params, _tsv_fixed, b""),
@@ -396,36 +398,50 @@ def _json_members(members: dict, before: str, after: str) -> str:
 class _RowWriter:
     """Writes the fmt rows of one task's CaseRun in case order, as ASCII bytes.
 
-    Each verdict of the run gets one bytes template: the text before params,
-    the params template of the run's names, with one %d slot per value, and
-    the text after, each % of the first and last escaped.  A human writer
-    has templates for the failing verdicts alone.  The run's values come
-    from one iterator over run.values, put into slot order, which every
-    call reads on from where the last one stopped; a row is one bytes % of
-    its verdict's template by its values.
+    Text is rendered once per run: each verdict's text before and after
+    params (a human writer's for its failing verdicts alone), and each axis
+    value of each grid as its params piece, the name and the value with the
+    text around them.  itertools.product over a grid's per-axis piece lists
+    gives each case's pieces, put in the format's name order by one
+    itemgetter.  A row is then one join of its verdict's text before, its
+    pieces joined, and the text after.  Every call reads on from where the
+    last one stopped.
     """
 
     def __init__(self, fmt: str, label: str, run: CaseRun):
         params_of, fixed_of, self.sep = _ROW_FORMATS[fmt]
-        params, order = params_of(run.names)
-        self.templates = [
-            None if around is None else params.join(text.replace("%", "%%") for text in around).encode("ascii")
-            for around in map(partial(fixed_of, label), run.verdicts)
-        ]
-        values = iter(run.values)
-        self.values = values if order is None else map(order, values)
+        around, empty, order = params_of(run.names)
+        texts = [fixed_of(label, verdict) for verdict in run.verdicts]
+        self.before = [None if text is None else (text[0] + empty).encode("ascii") for text in texts]
+        self.after = [None if text is None else text[1].encode("ascii") for text in texts]
+
+        def pieces(axes):
+            return product(*(
+                [f"{head}{value}{tail}".encode("ascii") for value in axis] for (head, tail), axis in zip(around, axes)
+            ))
+
+        self.pieces = chain.from_iterable(map(pieces, run.grids))
+        if order is not None:
+            self.pieces = map(order, self.pieces)
         self.indices, self.at = run.indices, 0
 
     def rows(self, count: int) -> bytes:
         """The next count rows, joined by the row separator."""
         start = self.at
         self.at += count
-        return self.sep.join(map(mod, map(self.templates.__getitem__, self.indices[start : self.at]), self.values))
+        indices = self.indices[start : self.at]
+        join = b"".join
+        # zip reads its arguments left to right, so it stops at the last index before it reads another case's pieces
+        befores, afters = map(self.before.__getitem__, indices), map(self.after.__getitem__, indices)
+        return self.sep.join(map(join, zip(befores, map(join, self.pieces), afters)))
 
     def failing(self, count: int) -> bytes:
-        """The rows of the first count cases whose verdict has a template: a human writer's failures."""
-        cases = zip(map(self.templates.__getitem__, self.indices), self.values)
-        return b"".join(islice((template % values for template, values in cases if template is not None), count))
+        """The rows of the first count cases whose verdict has text: a human writer's failures."""
+        fails = [before is not None for before in self.before]
+        befores, afters = map(self.before.__getitem__, self.indices), map(self.after.__getitem__, self.indices)
+        cases = compress(zip(befores, self.pieces, afters), map(fails.__getitem__, self.indices))
+        join = b"".join
+        return join(join((before, join(pieces), after)) for before, pieces, after in islice(cases, count))
 
 
 def _write_block(sink, fmt: str, label: str, run: CaseRun, took: float) -> None:
@@ -669,25 +685,25 @@ _ORACLE_PASS = (True, "", "", None)
 def _oracle_cases(n_max: int, oracle_limit: int) -> CaseRun:
     """One case per (n, m, p), n <= n_max: the DP counts, from one fill of P and one of Q, against enumeration.
 
-    The triples are no product grid, so the run's values are one list of
-    them.  Every passing case shares the run's first verdict, and each
-    failing case has one of its own.
+    The run's grids are {n} x 0..n x 0..n for each n in turn.  Every passing
+    case shares the run's first verdict, and each failing case has one of
+    its own.
     """
-    values, verdicts, indices = [], [_ORACLE_PASS], array("I")
+    grids, verdicts, indices = [], [_ORACLE_PASS], array("I")
     P, Q = (count_tables(n_max + 1, n_max + 1, n_max, distinct) for distinct in (False, True))
     for n in range(n_max + 1):
         plain_counts, distinct_counts = oracle_counts(n, oracle_limit)
+        grids.append(((n,), range(n + 1), range(n + 1)))
         for m in range(n + 1):
             for p in range(n + 1):
                 plain, distinct = plain_counts[m][p], distinct_counts[m][p]
                 dp_p, dp_q = P[p][n][m], Q[p][n][m]
-                values.append((n, m, p))
                 if plain == dp_p and distinct == dp_q:
                     indices.append(0)
                 else:
                     indices.append(len(verdicts))
                     verdicts.append((False, "", "", (dp_p, plain) if plain != dp_p else (dp_q, distinct)))
-    return CaseRun(_ORACLE_NAMES, values, verdicts, indices)
+    return CaseRun(_ORACLE_NAMES, grids, verdicts, indices)
 
 
 def cmd_oracle_diff(args) -> int:

@@ -33,7 +33,9 @@ that share no evaluator:
   the parity corollaries 2.4 and 3.4 are the even and odd halves of resdbl2
   and resdbl3 at b = c = 1, and f_theorem checks stock sequences F.  Each of
   these families' prepares binds its F rows and diagonal rows, and its cases
-  sum in place from them; triangle_sum is the same sum for a caller's F.
+  sum in place from them, except that resdbl1-4 group their (m, b) by equal
+  nonzero diagonals and sum each group once per (p, a, c, n), so a case is
+  one lookup; triangle_sum is the same sum for a caller's F.
   Where G_0 = 1 is the only nonzero diagonal (resdbl1-4, f_theorem,
   triangle_sum) the sum is one poly_mul that passes F(0) through; a parity
   half has many nonzero diagonals, so its prepare packs F and them, and a
@@ -56,7 +58,7 @@ that share no evaluator:
   comb01-15 and comb23-26 a _Q_SUMS row and a residue r, read by _comb_side
   at index d*n + r; comb16-22 the _RESDBL row, or the half of a _COROLLARIES
   row, at a = b = c = 1, read as sum_j F_{n-j} g_j over the nonzero integer
-  diagonals g_j.
+  diagonals g_j, which comb16-19 sum once per m with equal diagonals.
 
 A side of every layer is a kernel name or a row; delta (1 at index 0, else
 0) and, on the count side, zero are kernels like any other, so no reader
@@ -89,6 +91,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
 from array import array
 from functools import partial
@@ -167,7 +170,7 @@ def _weighted_sum(weights: Iterable[int], outer: Sequence[int], inner: Sequence[
 # finish turns a key into a verdict, the tuple
 # (passed, lhs_hash, rhs_hash, first_mismatch), and the verdict memo of the
 # family run (_Verdicts) finishes each distinct key once and numbers it.  A
-# run (CaseRun) is the family's names, the grid's values, its distinct
+# run (CaseRun) is the family's names, its one grid's axes, its distinct
 # verdicts and one verdict index per case, so a case adds four bytes to what
 # its family holds already; a CaseResult, the tuple (names, values, verdict),
 # is made only when a case is read, and the CLI writes each row from the run.
@@ -203,32 +206,14 @@ class CaseResult(tuple):
     first_mismatch = property(lambda self: self[2][3], doc="Where the sides first differ, or None.")
 
 
-class _Grid:
-    """The points of a product grid in itertools.product order, none of them stored."""
-
-    __slots__ = ("axes",)
-
-    def __init__(self, axes: Sequence[Sequence[int]]):
-        self.axes = axes
-
-    def __iter__(self):
-        return itertools.product(*self.axes)
-
-    def __getitem__(self, i: int) -> tuple:
-        # the last axis varies fastest, as in itertools.product
-        point = []
-        for axis in reversed(self.axes):
-            i, at = divmod(i, len(axis))
-            point.append(axis[at])
-        return tuple(reversed(point))
-
-
 class CaseRun(list):
     """The cases of one run, in order, as a read-only sequence of CaseResults made only when read.
 
-    A run is its names, its values (each case's values in case order: a
-    product grid's points, or a list of tuples), its distinct verdicts, each
-    once, and indices, an array('I') of one position in verdicts per case.
+    A run is its names, its grids, its distinct verdicts, each once, and
+    indices, an array('I') of one position in verdicts per case.  The grids
+    hold its cases' values: each grid is a tuple of axes, one per name, and
+    the cases are the points of the first grid in itertools.product order,
+    then those of the next.  A family run has one grid; no point is stored.
     failures() counts the failing cases.
 
     It is a list only so that code that asks isinstance(..., list) sizes it
@@ -238,16 +223,17 @@ class CaseRun(list):
     writes raises TypeError.
     """
 
-    __slots__ = ("names", "values", "verdicts", "indices")
+    __slots__ = ("names", "grids", "verdicts", "indices")
 
-    def __init__(self, names: tuple, values, verdicts: list[tuple], indices):
-        self.names, self.values, self.verdicts, self.indices = names, values, verdicts, indices
+    def __init__(self, names: tuple, grids: list[tuple], verdicts: list[tuple], indices):
+        self.names, self.grids, self.verdicts, self.indices = names, grids, verdicts, indices
 
     def __len__(self) -> int:
         return len(self.indices)
 
     def __iter__(self):
-        cases = zip(itertools.repeat(self.names), iter(self.values), map(self.verdicts.__getitem__, self.indices))
+        points = itertools.chain.from_iterable(itertools.starmap(itertools.product, self.grids))
+        cases = zip(itertools.repeat(self.names), points, map(self.verdicts.__getitem__, self.indices))
         return map(CaseResult._make, cases)
 
     def __getitem__(self, i):
@@ -257,7 +243,17 @@ class CaseRun(list):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("CaseRun index out of range")
-        return CaseResult._make((self.names, self.values[i], self.verdicts[self.indices[i]]))
+        verdict = self.verdicts[self.indices[i]]
+        for axes in self.grids:
+            size = math.prod(map(len, axes))
+            if i < size:
+                # the last axis varies fastest, as in itertools.product
+                point = []
+                for axis in reversed(axes):
+                    i, at = divmod(i, len(axis))
+                    point.append(axis[at])
+                return CaseResult._make((self.names, tuple(reversed(point)), verdict))
+            i -= size
 
     def __repr__(self) -> str:
         return f"CaseRun({list(self)!r})"
@@ -622,6 +618,18 @@ def _diagonal_pairs(rows: _Rows, m: int, b: int, sign_on: str, keep: Optional[in
     return _nonzero(rows[_diagonal, m, b, sign_on, keep], ZERO)
 
 
+def _diagonal_classes(pairs: dict) -> tuple[dict, list]:
+    """Group the keys of pairs by equal nonzero-diagonal pairs: each key's class number and each class's pairs.
+
+    Classes are numbered in first-seen order.  A whole triangle whose
+    theorem holds has the one pair (0, 1) at every key, so its sums form
+    one class.
+    """
+    numbers = {}
+    class_of = {key: numbers.setdefault(tuple(row), len(numbers)) for key, row in pairs.items()}
+    return class_of, list(numbers)
+
+
 def _diagonal_sum(H: Sequence[IntPoly], n: int, pairs: list[tuple[int, IntPoly]]) -> IntPoly:
     """sum_j H[n - j] G_j over the nonzero diagonals j <= n, given as their ascending pairs (j, G_j).
 
@@ -672,17 +680,29 @@ def _resdbl_h(rows: _Rows, shifted_top: bool, p: int, a: int, c: int) -> list[In
 
 
 def _resdbl_sums(variant: str, ns, ms, ps, as_, bs, cs):
-    """The prepare of a double sum: the H rows per (p, a, c) and the diagonal rows per (m, b), through max(ns)."""
+    """The prepare of a double sum: the H rows per (p, a, c) and the (m, b) grouped by their diagonals, through max(ns).
+
+    The (m, b) with equal nonzero-diagonal pairs form one class, and each
+    class's sides are summed once per (p, a, c, n), so a case is one lookup.
+    """
     shifted_top, sign_on = _RESDBL[variant]
     rows = _Rows(max(ns))
-    h_rows = {(p, a, c): rows[_resdbl_h, shifted_top, p, a, c] for p in ps for a in as_ for c in cs}
-    diagonals = {(m, b): _diagonal_pairs(rows, m, b, sign_on, None) for m in ms for b in bs}
+    class_of, classes = _diagonal_classes({(m, b): _diagonal_pairs(rows, m, b, sign_on, None) for m in ms for b in bs})
+    by_class = {}
+    for p, a, c in itertools.product(ps, as_, cs):
+        H = rows[_resdbl_h, shifted_top, p, a, c]
+        for number, pairs in enumerate(classes):
+            keys = by_class[number, p, a, c] = [None] * (rows.top + 1)
+            for n in ns:
+                keys[n] = _poly_key(_diagonal_sum(H, n, pairs), H[n])
+    at = {
+        (m, b, p, a, c): by_class[number, p, a, c]
+        for (m, b), number in class_of.items()
+        for p, a, c in itertools.product(ps, as_, cs)
+    }
 
     def sides(n, m, p, a, b, c):
-        H = h_rows[p, a, c]
-        lhs, rhs = _diagonal_sum(H, n, diagonals[m, b]), H[n]
-        # _poly_key written out, as this runs once per case
-        return rhs.coeffs if lhs is rhs else (lhs.coeffs, rhs.coeffs)
+        return at[m, b, p, a, c][n]
 
     return sides, _finish_poly
 
@@ -1178,17 +1198,25 @@ def _comb_triangles(row: str, parity: Optional[int], ns, ms, ps=()):
     odd one.
     Read as sum_j F_{n-j} g_j over the diagonals k + l = j; the prepare binds
     the F rows and the nonzero pairs (j, g_j) through max(ns), as the q
-    prepares do.
+    prepares do.  For a whole triangle the m with equal pairs form one
+    class, as resdbl1-4's (m, b) do, whose sides are summed once per (p, n);
+    a half sums each case in place.
     """
     rows = _Rows(max(ns))
     if parity is None:
         shifted_top, sign_on = _RESDBL[row]
-        f_rows = {p: rows[_binom_entry, shifted_top, p] for p in ps}
-        g_pairs = {m: _nonzero(rows[_comb_diagonal, sign_on, m, None], 0) for m in ms}
+        class_of, classes = _diagonal_classes({m: _nonzero(rows[_comb_diagonal, sign_on, m, None], 0) for m in ms})
+        by_class = {}
+        for p in ps:
+            f = rows[_binom_entry, shifted_top, p]
+            for number, pairs in enumerate(classes):
+                both = by_class[number, p] = [None] * (rows.top + 1)
+                for n in ns:
+                    both[n] = sum(f[n - j] * g for j, g in pairs if j <= n), f[n]
+        at = {(m, p): by_class[number, p] for m, number in class_of.items() for p in ps}
 
         def sides(n, m, p):
-            f = f_rows[p]
-            return sum(f[n - j] * g for j, g in g_pairs[m] if j <= n), f[n]
+            return at[m, p][n]
 
         return sides, _finish_pair
     variant, p_offset, _ = _COROLLARIES[row]
@@ -1337,7 +1365,7 @@ def _run_grid(desc: IdentityDescriptor, grid: dict[str, list[int]], tamper_first
             verdicts.append(finish(next(cases), True))
             indices.append(0)
         indices.extend(map(_Verdicts(finish, verdicts).__getitem__, cases))
-    return CaseRun(names, _Grid([tuple(axis) for axis in axes]), verdicts, indices)
+    return CaseRun(names, [tuple(map(tuple, axes))], verdicts, indices)
 
 
 def evaluate_case(identity_id: str, params: dict[str, int], tamper: bool = False) -> CaseResult:

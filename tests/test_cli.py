@@ -9,6 +9,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import re
 import signal
 import subprocess
@@ -1240,10 +1241,11 @@ def case_of(row: dict) -> CaseResult:
 
 
 def run_of(results: list) -> CaseRun:
-    """The CaseRun of CaseResults that share one names tuple: their values as one list, each distinct verdict once."""
+    """The CaseRun of CaseResults that share one names tuple: one one-point grid per case, each distinct verdict once."""
     verdicts = {}
     indices = array("I", (verdicts.setdefault(r.verdict, len(verdicts)) for r in results))
-    return CaseRun(results[0].names if results else (), [r.values for r in results], list(verdicts), indices)
+    grids = [tuple((value,) for value in r.values) for r in results]
+    return CaseRun(results[0].names if results else (), grids, list(verdicts), indices)
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -1330,7 +1332,7 @@ def json_leaves():
     )
 
 
-# every str, however odd, fits the row template: json's own escaper writes it
+# every str, however odd, fits the row text: json's own escaper writes it
 ROW_TEXT = st.one_of(
     st.text(alphabet="ab\"\\é☃\n\x00", max_size=6),
     st.text(max_size=6),
@@ -1381,7 +1383,7 @@ def example_row(**fields):
 @example({"config": {}, "results": [], "timing": {}, "version": "0"})
 @example(
     {
-        # "%" in a params key and in the id, which the row writer must not read as a slot
+        # "%" in a params key and in the id, which the row writer must copy as it stands
         "config": {},
         "results": [example_row(params={"%": 0}), example_row(id="%d %s %%", params={"%s": 1})],
         "timing": {},
@@ -1489,8 +1491,8 @@ def test_text_render_is_the_row_fstring(label, names, cases):
 
 
 # names shared by several tasks, the same names in another order (unsorted,
-# for JSON), other names, one name, none, and names that the %-template must
-# escape
+# for JSON), other names, one name, none, and names that a %-template would
+# have had to escape
 TASK_NAMES = (("n", "m"), ("m", "n"), ("n", "m", "p"), ("%s", "n"), ("%",), ("p",), ())
 TASK_VERDICTS = (
     (True, ONE_HASH, ONE_HASH, None),
@@ -1590,6 +1592,115 @@ def test_a_run_writes_every_block_as_its_reference(specs, pool):
                 got = fh.read().decode("ascii")
             want = json_report_of(config, tasks) if fmt == "json" else text_report_of(tasks, fmt)
             assert_same_text(got, want)
+
+
+def axis_lengths(count: int, axes: int, rng) -> list[int]:
+    """Lengths of axes axes whose product is count: each prime factor of count on an axis rng picks."""
+    lengths = [1] * axes
+    if count == 0:
+        lengths = [rng.randint(1, 3) for _ in range(axes)]
+        lengths[rng.randrange(axes)] = 0
+        return lengths
+    factor = 2
+    while count > 1:
+        while count % factor == 0:
+            lengths[rng.randrange(axes)] *= factor
+            count //= factor
+        factor += 1
+    return lengths
+
+
+def grids_of(count: int, axes: int, oracle_shaped: bool, pool: list, rng) -> list[tuple]:
+    """Grids with count points in all over axes axes, their values taken from pool.
+
+    Grid-shaped is one product grid; oracle-shaped is several grids whose
+    first axis holds one value, as oracle-diff's {n} x 0..n x 0..n.  With no
+    axes, a grid is one point, so count of them are needed.
+    """
+    values = itertools.cycle(pool[rng.randrange(len(pool)):] + pool)
+
+    def grid(lengths):
+        return tuple(tuple(itertools.islice(values, length)) for length in lengths)
+
+    if axes == 0:
+        return [()] * count
+    if not oracle_shaped:
+        return [grid(axis_lengths(count, axes, rng))]
+    grids = []
+    while count:
+        part = min(count, rng.choice((1, 2, 6, 40, 300, 1100)))
+        grids.append(grid([1, *axis_lengths(part, axes - 1, rng)] if axes > 1 else [part]))
+        count -= part
+    return grids
+
+
+def json_block_by_dumps(label: str, results: list) -> str:
+    """Reference: the rows of results as json.dumps nests them in a report's results list."""
+    rows = [
+        {
+            "first_mismatch": list(r.first_mismatch) if type(r.first_mismatch) is tuple else r.first_mismatch,
+            "id": label,
+            "lhs_hash": r.lhs_hash,
+            "params": r.params,
+            "pass": r.passed,
+            "rhs_hash": r.rhs_hash,
+        }
+        for r in results
+    ]
+    text = json.dumps({"results": rows}, indent=2, sort_keys=True)
+    return text[len('{\n  "results": [\n') : -len("\n  ]\n}")] if rows else ""
+
+
+# names of every order, and names that a template would have had to escape
+WRITER_NAMES = st.lists(st.text(alphabet='nmpa%"\\', min_size=1, max_size=3), unique=True, max_size=6)
+WRITER_VERDICTS = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from((ONE_HASH, TWO_HASH, "")),
+        st.sampled_from((ONE_HASH, TWO_HASH)),
+        st.one_of(st.none(), BIG_INTS, st.tuples(BIG_INTS, BIG_INTS)),
+    ).map(lambda v: (True, v[1], v[1], None) if v[0] else (False, *v[1:])),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.text(alphabet='ab%"\\', max_size=4),
+    WRITER_NAMES,
+    st.sampled_from((0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)),
+    st.booleans(),
+    st.lists(BIG_INTS, min_size=1, max_size=8),
+    WRITER_VERDICTS,
+    st.randoms(use_true_random=False),
+)
+@example("%s", ["n", "m", "p", "a", "b", "c"], _CHUNK + 1, False, [0, -7, 2**70], [(True, "", "", None)], None)
+@example('r"\\', ["%", '"', "\\", "n"], 2 * _CHUNK + 1, True, [3, -(2**65)],
+         [(True, ONE_HASH, ONE_HASH, None), (False, ONE_HASH, TWO_HASH, None), (False, "", TWO_HASH, -4),
+          (False, ONE_HASH, "", (2**64, -1))], None)
+@example("x", [], 0, True, [1], [(False, "", "", 0)], None)
+@example("x", [], _CHUNK, False, [1], [(True, "", "", None), (False, "", "", (1, 2))], None)
+def test_the_row_writer_matches_the_reference_rendering(label, names, count, oracle_shaped, pool, verdicts, rng):
+    # every format's block of one run, written a chunk at a time as a task is,
+    # against json.dumps and the row f-strings over the run's points
+    rng = rng or random.Random(0)
+    grids = grids_of(count, len(names), oracle_shaped, pool, rng)
+    step, shift = rng.randrange(1, 8), rng.randrange(len(verdicts))
+    indices = array("I", ((i * step + shift) % len(verdicts) for i in range(count)))
+    run = CaseRun(tuple(names), grids, verdicts, indices)
+    points = [point for axes in grids for point in itertools.product(*axes)]
+    assert len(points) == count
+    results = [CaseResult._make((tuple(names), point, verdicts[i])) for point, i in zip(points, indices)]
+    # the run reads its cases from its grids in the same order, in full and by index
+    assert list(run) == results
+    at = sorted({0, count // 3, count - 1}) if count else []
+    assert [run[i] for i in at] == [results[i] for i in at]
+    for fmt in ("json", "tsv", "human"):
+        sink = io.BytesIO()
+        cli._write_block(sink, fmt, label, run, 0.0)
+        want = json_block_by_dumps(label, results) if fmt == "json" else text_block_by_fstring(label, results, fmt)
+        assert_same_text(sink.getvalue().decode("ascii"), want)
 
 
 @settings(max_examples=50, deadline=None)
@@ -1764,13 +1875,13 @@ def test_each_verdict_text_is_built_once_per_task(capsys, monkeypatch, workers):
     # built in, for the rest of its task: on the qpoly workload's grid each
     # resdbl family builds its distinct verdicts' texts once
     built = collections.Counter()
-    template_of, fixed_of, sep = cli._ROW_FORMATS["json"]
+    params_of, fixed_of, sep = cli._ROW_FORMATS["json"]
 
     def counting(label, verdict):
         built[label] += 1
         return fixed_of(label, verdict)
 
-    monkeypatch.setitem(cli._ROW_FORMATS, "json", (template_of, counting, sep))
+    monkeypatch.setitem(cli._ROW_FORMATS, "json", (params_of, counting, sep))
     monkeypatch.setattr(cli, "_forked", inline_workers([]))
     families = [arg for i in range(1, 5) for arg in ("--family", f"resdbl{i}")]
     grid = ("--n-max", "7", "--m-max", "7", "--p-max", "7")

@@ -502,6 +502,39 @@ def test_triangle_diagonals_cancel_past_the_origin():
                 assert identities._diagonal_pairs(rows, m, b, sign_on, None) == [(0, ONE)]
 
 
+def broken_at(fill, key: tuple, j: int, bump):
+    """fill, with entry j of the row it fills at key, its arguments after the store, passed through bump."""
+
+    def broken(rows, *args):
+        row = fill(rows, *args)
+        return row[:j] + [bump(row[j])] + row[j + 1 :] if args == key else row
+
+    return broken
+
+
+@pytest.mark.parametrize("family", ["resdbl1", "resdbl2", "comb16", "comb17"])
+def test_a_diagonal_broken_at_one_point_fails_only_that_points_cases(family):
+    # the (m, b) of a double sum, or the m of its q = 1 closure, with equal
+    # diagonals share one sum per case; G_1 made nonzero at (m, b) = (3, 2), or
+    # g_1 at m = 3, puts that point in a class of its own, whose cases fail
+    # wherever they read G_1 (n >= 1), while every other case still passes
+    if family in RESDBL:
+        sign_on = identities._RESDBL[family][1]
+        fill, key, bump = "_diagonal", (3, 2, sign_on, None), lambda g: poly_add(g, IntPoly([0, 1]))
+        at, target = ("m", "b"), (3, 2)
+    else:
+        sign_on = identities._RESDBL[identities._COMB_SUMS[family][1]][1]
+        fill, key, bump, at, target = "_comb_diagonal", (sign_on, 3, None), lambda g: g + 1, ("m",), (3,)
+    assert all(r.passed for r in identities.run_identity(family))
+    with mock.patch.object(identities, fill, broken_at(getattr(identities, fill), key, 1, bump)):
+        run = identities.run_identity(family)
+    outcomes = {r.passed for r in run}
+    assert outcomes == {True, False}
+    for r in run:
+        point = tuple(r.params[name] for name in at)
+        assert r.passed == (point != target or r.params["n"] == 0), r.params
+
+
 @pytest.mark.parametrize(
     "call, got",
     [
@@ -2102,7 +2135,7 @@ def test_every_code_mutant_fails_a_default_grid(old, new, occurrence, family, ta
         ("binom2(j))", 0, '"V": lambda m, j:'),
         ("if j <= n)", 0, "even = sum("),
         ("if j <= n)", 1, "odd = sum("),
-        ("if j <= n)", 2, "return sum(f[n - j] * g for j, g in g_pairs[m] if j <= n), f[n]"),
+        ("if j <= n)", 2, "both[n] = sum(f[n - j] * g for j, g in pairs if j <= n), f[n]"),
         ("if j <= n)", 3, "return sum(f[n - j] * g for j, g in g_pairs[m, (n - parity) % 2] if j <= n)"),
     ],
 )
